@@ -11,7 +11,7 @@
 //! rules (`det-taint`, `panic-path`, `lock-blocking`, `unsafe-audit`).
 //!
 //! Driven by `cargo xtask analyze` (full catalog, baseline-aware,
-//! `--check` for CI) and `cargo xtask lint` (legacy subset).
+//! `--check` for CI).
 
 pub mod callgraph;
 pub mod lexer;
@@ -27,8 +27,8 @@ use std::path::Path;
 /// Which rules to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleSet {
-    /// The original `xtask lint` surface: the six line rules plus
-    /// `det-taint` (successor of `hash-order`).
+    /// The surface of the retired `xtask lint` command: the six line
+    /// rules plus `det-taint` (successor of `hash-order`).
     Legacy,
     /// Everything, including `panic-path`, `lock-blocking` and
     /// `unsafe-audit`.

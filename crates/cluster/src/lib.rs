@@ -47,7 +47,7 @@ pub use cost::CostModel;
 #[cfg(not(gar_loom))]
 pub use fault::{FaultOp, FaultPlan, RetryPolicy, ScheduledFault, ServeFault, ServeFaultOp};
 #[cfg(not(gar_loom))]
-pub use node::{Envelope, NodeCtx, CONTROL_TAG_EOS};
+pub use node::{Envelope, Exchange, NodeCtx, CONTROL_TAG_EOS};
 #[cfg(not(gar_loom))]
 pub use runner::{Cluster, ClusterConfig, ClusterFailure, ClusterRun, RunOutcome};
 #[cfg(not(gar_loom))]

@@ -6,22 +6,21 @@
 //! coordinator, the checkpoint records its itemsets, and a degraded-mode
 //! rerun (or `mine --resume`) replays only the unfinished ones.
 //!
-//! Format (little-endian, style of `gar_mining::checkpoint`): magic
-//! `GFPC`, `u32` version, `u64` transaction count, `u64` minimum-support
-//! count, the global item counts (`u32` length + `u64`s), then the
-//! finished projections (`u32` count, each a `u32` item id, `u32` record
-//! count, and per record a `u32` length, the item ids, and a `u64`
-//! support). Projections are sorted by item id so the encoding is
-//! canonical. A trailing FxHash checksum seals the payload; writes go
-//! through a temp file + rename with `.prev` rotation, so a torn write is
-//! detected and never mis-resumed. The file name (`fpg.ckpt`) is distinct
-//! from the Apriori family's `mining.ckpt`, so the two miners can share a
+//! Only the byte layout lives here; the sink, the checksum seal, the
+//! temp file + rename with `.prev` rotation and the fallback on load are
+//! `gar_mining::checkpoint`'s, shared with the Apriori family.
+//!
+//! Format (little-endian): magic `GFPC`, `u32` version, `u64` transaction
+//! count, `u64` minimum-support count, the global item counts (`u32`
+//! length + `u64`s), then the finished projections (`u32` count, each a
+//! `u32` item id, `u32` record count, and per record a `u32` length, the
+//! item ids, and a `u64` support). Projections are sorted by item id so
+//! the encoding is canonical. The file name (`fpg.ckpt`) is distinct from
+//! the Apriori family's `mining.ckpt`, so the two miners can share a
 //! checkpoint directory without clobbering each other.
 
+use gar_mining::checkpoint::{put_pass1_state, CheckpointFormat, Cursor};
 use gar_types::{Error, ItemId, Itemset, Result};
-use std::hash::Hasher;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 const MAGIC: &[u8; 4] = b"GFPC";
 const VERSION: u32 = 1;
@@ -51,250 +50,102 @@ impl FpgCheckpoint {
     }
 }
 
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = gar_types::FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
+impl CheckpointFormat for FpgCheckpoint {
+    const FILE_NAME: &'static str = "fpg.ckpt";
 
-fn encode(cp: &FpgCheckpoint) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&cp.num_transactions.to_le_bytes());
-    out.extend_from_slice(&cp.min_support_count.to_le_bytes());
-    out.extend_from_slice(&(cp.item_counts.len() as u32).to_le_bytes());
-    for &c in &cp.item_counts {
-        out.extend_from_slice(&c.to_le_bytes());
-    }
-    out.extend_from_slice(&(cp.completed.len() as u32).to_le_bytes());
-    for (item, records) in &cp.completed {
-        out.extend_from_slice(&item.raw().to_le_bytes());
-        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-        for (set, count) in records {
-            out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-            for &it in set.items() {
-                out.extend_from_slice(&it.raw().to_le_bytes());
-            }
-            out.extend_from_slice(&count.to_le_bytes());
-        }
-    }
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Bounded cursor; every short read is a clean [`Error::Corrupt`].
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(Error::Corrupt("FP-Growth checkpoint truncated".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| Error::Corrupt("checkpoint u32 field malformed".into()))?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| Error::Corrupt("checkpoint u64 field malformed".into()))?;
-        Ok(u64::from_le_bytes(b))
-    }
-}
-
-fn decode(bytes: &[u8]) -> Result<FpgCheckpoint> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(Error::Corrupt("FP-Growth checkpoint too short".into()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let tail: [u8; 8] = tail
-        .try_into()
-        .map_err(|_| Error::Corrupt("checkpoint checksum tail malformed".into()))?;
-    if checksum(body) != u64::from_le_bytes(tail) {
-        return Err(Error::Corrupt("checkpoint checksum mismatch".into()));
-    }
-    let mut c = Cursor {
-        bytes: body,
-        pos: 0,
-    };
-    if c.take(4)? != MAGIC {
-        return Err(Error::Corrupt(
-            "not an FP-Growth checkpoint file (bad magic)".into(),
-        ));
-    }
-    if c.u32()? != VERSION {
-        return Err(Error::Corrupt("unsupported checkpoint version".into()));
-    }
-    let num_transactions = c.u64()?;
-    let min_support_count = c.u64()?;
-    let num_items = c.u32()? as usize;
-    if num_items > 1 << 26 {
-        return Err(Error::Corrupt("implausible item-count length".into()));
-    }
-    let mut item_counts = Vec::with_capacity(num_items);
-    for _ in 0..num_items {
-        item_counts.push(c.u64()?);
-    }
-    let num_completed = c.u32()? as usize;
-    if num_completed > num_items {
-        return Err(Error::Corrupt("implausible projection count".into()));
-    }
-    let mut completed = Vec::with_capacity(num_completed);
-    for _ in 0..num_completed {
-        let item = ItemId(c.u32()?);
-        if item.index() >= num_items {
-            return Err(Error::Corrupt("projection item out of range".into()));
-        }
-        if let Some((prev, _)) = completed.last() {
-            if *prev >= item {
-                return Err(Error::Corrupt("projections are not sorted by item".into()));
+    fn encode_body(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        put_pass1_state(
+            &mut out,
+            self.num_transactions,
+            self.min_support_count,
+            &self.item_counts,
+        );
+        out.extend_from_slice(&(self.completed.len() as u32).to_le_bytes());
+        for (item, records) in &self.completed {
+            out.extend_from_slice(&item.raw().to_le_bytes());
+            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+            for (set, count) in records {
+                out.extend_from_slice(&(set.len() as u32).to_le_bytes());
+                for &it in set.items() {
+                    out.extend_from_slice(&it.raw().to_le_bytes());
+                }
+                out.extend_from_slice(&count.to_le_bytes());
             }
         }
-        let num_records = c.u32()? as usize;
-        if num_records > body.len() {
-            return Err(Error::Corrupt("implausible record count".into()));
+        out
+    }
+
+    fn decode_body(body: &[u8]) -> Result<FpgCheckpoint> {
+        let mut c = Cursor::new(body);
+        c.header(MAGIC, VERSION)?;
+        let (num_transactions, min_support_count, item_counts) = c.pass1_state()?;
+        let num_completed = c.u32()? as usize;
+        if num_completed > item_counts.len() {
+            return Err(Error::Corrupt("implausible projection count".into()));
         }
-        let mut records = Vec::with_capacity(num_records);
-        for _ in 0..num_records {
-            let len = c.u32()? as usize;
-            if len > body.len() / 4 {
-                return Err(Error::Corrupt("implausible itemset length".into()));
+        let mut completed = Vec::with_capacity(num_completed);
+        for _ in 0..num_completed {
+            let item = ItemId(c.u32()?);
+            if item.index() >= item_counts.len() {
+                return Err(Error::Corrupt("projection item out of range".into()));
             }
-            let mut set = Vec::with_capacity(len);
-            for _ in 0..len {
-                set.push(ItemId(c.u32()?));
+            if let Some((prev, _)) = completed.last() {
+                if *prev >= item {
+                    return Err(Error::Corrupt("projections are not sorted by item".into()));
+                }
             }
-            let count = c.u64()?;
-            records.push((Itemset::from_unsorted(set), count));
+            let num_records = c.u32()? as usize;
+            if num_records > body.len() {
+                return Err(Error::Corrupt("implausible record count".into()));
+            }
+            let mut records = Vec::with_capacity(num_records);
+            for _ in 0..num_records {
+                let len = c.u32()? as usize;
+                if len > body.len() / 4 {
+                    return Err(Error::Corrupt("implausible itemset length".into()));
+                }
+                let mut set = Vec::with_capacity(len);
+                for _ in 0..len {
+                    set.push(ItemId(c.u32()?));
+                }
+                let count = c.u64()?;
+                records.push((Itemset::from_unsorted(set), count));
+            }
+            completed.push((item, records));
         }
-        completed.push((item, records));
-    }
-    if c.pos != body.len() {
-        return Err(Error::Corrupt("checkpoint has trailing garbage".into()));
-    }
-    Ok(FpgCheckpoint {
-        num_transactions,
-        min_support_count,
-        item_counts,
-        completed,
-    })
-}
-
-/// The FP-Growth checkpoint file inside `dir`.
-pub fn checkpoint_path(dir: impl AsRef<Path>) -> PathBuf {
-    dir.as_ref().join("fpg.ckpt")
-}
-
-fn prev_path(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(".prev");
-    PathBuf::from(s)
-}
-
-/// Writes `cp` to `path` atomically: temp file, rotate the old file to
-/// `.prev`, rename into place.
-pub fn save_checkpoint(cp: &FpgCheckpoint, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, encode(cp))
-        .map_err(|e| Error::io(format!("writing checkpoint {}", tmp.display()), e))?;
-    if path.exists() {
-        std::fs::rename(path, prev_path(path))
-            .map_err(|e| Error::io(format!("rotating checkpoint {}", path.display()), e))?;
-    }
-    std::fs::rename(&tmp, path)
-        .map_err(|e| Error::io(format!("publishing checkpoint {}", path.display()), e))
-}
-
-/// Reads and validates the checkpoint at `path`.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<FpgCheckpoint> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::io(format!("reading checkpoint {}", path.display()), e))?;
-    decode(&bytes)
-}
-
-/// Loads the newest intact checkpoint in `dir`: the current file if it
-/// verifies, else the rotated `.prev`, else `None` (cold start).
-pub fn load_latest(dir: impl AsRef<Path>) -> Option<FpgCheckpoint> {
-    let main = checkpoint_path(dir);
-    load_checkpoint(&main)
-        .ok()
-        .or_else(|| load_checkpoint(prev_path(&main)).ok())
-}
-
-/// Where finished projections are recorded during a run: always in
-/// memory (for in-process degraded recovery), on disk when a directory
-/// is configured. Shared by reference with every node thread; only the
-/// coordinator writes.
-pub struct FpgCheckpointSink {
-    mem: Mutex<Option<FpgCheckpoint>>,
-    dir: Option<PathBuf>,
-}
-
-impl FpgCheckpointSink {
-    /// A sink writing to `dir` (created if missing), or memory-only.
-    pub fn new(dir: Option<PathBuf>) -> Result<FpgCheckpointSink> {
-        if let Some(d) = &dir {
-            std::fs::create_dir_all(d)
-                .map_err(|e| Error::io(format!("creating checkpoint dir {}", d.display()), e))?;
-        }
-        Ok(FpgCheckpointSink {
-            mem: Mutex::new(None),
-            dir,
+        c.finish()?;
+        Ok(FpgCheckpoint {
+            num_transactions,
+            min_support_count,
+            item_counts,
+            completed,
         })
     }
 
-    /// Seeds the in-memory copy (used when resuming from disk).
-    pub fn seed(&self, cp: FpgCheckpoint) {
-        *self
-            .mem
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(cp);
-    }
-
-    /// Records a checkpoint (memory always, disk if configured).
-    pub fn store(&self, cp: FpgCheckpoint) -> Result<()> {
-        if let Some(dir) = &self.dir {
-            save_checkpoint(&cp, checkpoint_path(dir))?;
-        }
-        *self
-            .mem
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(cp);
-        Ok(())
-    }
-
-    /// The most recent checkpoint recorded in this process.
-    pub fn latest(&self) -> Option<FpgCheckpoint> {
-        self.mem
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+    fn progress(&self) -> String {
+        format!(
+            "with {} finished projections restored",
+            self.completed.len()
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gar_mining::checkpoint::{
+        checkpoint_path, decode, encode, load_checkpoint, load_latest, save_checkpoint,
+        CheckpointSink,
+    };
     use gar_types::iset;
+    use std::path::{Path, PathBuf};
+
+    fn rotated(path: &Path) -> PathBuf {
+        path.with_extension("ckpt.prev")
+    }
 
     fn sample() -> FpgCheckpoint {
         FpgCheckpoint {
@@ -317,17 +168,33 @@ mod tests {
     #[test]
     fn round_trip() {
         let cp = sample();
-        assert_eq!(decode(&encode(&cp)).unwrap(), cp);
+        assert_eq!(decode::<FpgCheckpoint>(&encode(&cp)).unwrap(), cp);
         assert!(cp.has(ItemId(1)));
         assert!(cp.has(ItemId(3)));
         assert!(!cp.has(ItemId(0)));
     }
 
     #[test]
+    fn gfpc_layout_is_frozen() {
+        // `sample()` as the encoder wrote it before the sink and seal were
+        // shared with the Apriori family: old files must keep loading.
+        const GOLDEN: [u8; 152] = [
+            71, 70, 80, 67, 1, 0, 0, 0, 144, 1, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0,
+            0, 100, 0, 0, 0, 0, 0, 0, 0, 80, 0, 0, 0, 0, 0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0, 40, 0,
+            0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0,
+            0, 30, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+            12, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 9, 0, 0, 0, 0,
+            0, 0, 0, 201, 139, 175, 150, 188, 182, 209, 239,
+        ];
+        assert_eq!(decode::<FpgCheckpoint>(&GOLDEN).unwrap(), sample());
+        assert_eq!(encode(&sample()), GOLDEN);
+    }
+
+    #[test]
     fn every_truncation_is_a_clean_corrupt_error() {
         let bytes = encode(&sample());
         for len in 0..bytes.len() {
-            let err = decode(&bytes[..len]).unwrap_err();
+            let err = decode::<FpgCheckpoint>(&bytes[..len]).unwrap_err();
             assert!(
                 matches!(err, Error::Corrupt(_)),
                 "truncation at {len}: {err:?}"
@@ -341,7 +208,7 @@ mod tests {
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0xFF;
-            let err = decode(&bad).unwrap_err();
+            let err = decode::<FpgCheckpoint>(&bad).unwrap_err();
             assert!(matches!(err, Error::Corrupt(_)), "flip at {i}: {err:?}");
         }
     }
@@ -350,44 +217,47 @@ mod tests {
     fn unsorted_projections_rejected() {
         let mut cp = sample();
         cp.completed.swap(0, 1);
-        let err = decode(&encode(&cp)).unwrap_err();
+        let err = decode::<FpgCheckpoint>(&encode(&cp)).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
     }
 
     #[test]
     fn save_load_rotation_and_fallback() {
         let dir = tmpdir("rotate");
-        let path = checkpoint_path(&dir);
+        let path = checkpoint_path::<FpgCheckpoint>(&dir);
         let mut first = sample();
         first.completed.truncate(1);
         save_checkpoint(&first, &path).unwrap();
         let full = sample();
         save_checkpoint(&full, &path).unwrap();
-        assert_eq!(load_checkpoint(&path).unwrap(), full);
-        assert_eq!(load_checkpoint(prev_path(&path)).unwrap(), first);
+        assert_eq!(load_checkpoint::<FpgCheckpoint>(&path).unwrap(), full);
+        assert_eq!(
+            load_checkpoint::<FpgCheckpoint>(rotated(&path)).unwrap(),
+            first
+        );
 
         // Corrupt the current file: load_latest falls back to .prev.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(load_latest(&dir).unwrap(), first);
+        assert_eq!(load_latest::<FpgCheckpoint>(&dir).unwrap(), first);
 
         // Corrupt .prev too: cold start.
-        std::fs::write(prev_path(&path), b"GFPCgarbage").unwrap();
-        assert!(load_latest(&dir).is_none());
+        std::fs::write(rotated(&path), b"GFPCgarbage").unwrap();
+        assert!(load_latest::<FpgCheckpoint>(&dir).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sink_records_in_memory_and_on_disk() {
         let dir = tmpdir("sink");
-        let sink = FpgCheckpointSink::new(Some(dir.clone())).unwrap();
+        let sink = CheckpointSink::<FpgCheckpoint>::new(Some(dir.clone())).unwrap();
         assert!(sink.latest().is_none());
         let cp = sample();
         sink.store(cp.clone()).unwrap();
         assert_eq!(sink.latest().unwrap(), cp);
-        assert_eq!(load_latest(&dir).unwrap(), cp);
+        assert_eq!(load_latest::<FpgCheckpoint>(&dir).unwrap(), cp);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -50,7 +50,7 @@ pub mod sequential;
 pub mod tree;
 mod wire;
 
-pub use checkpoint::{FpgCheckpoint, FpgCheckpointSink};
+pub use checkpoint::FpgCheckpoint;
 pub use order::ItemOrder;
 #[cfg(not(gar_loom))]
 pub use parallel::{mine_parallel, mine_parallel_with, owner_of, MineOptions};

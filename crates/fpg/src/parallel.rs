@@ -24,67 +24,46 @@
 //! partition-independent, so the recovered output — and the rule store
 //! derived from it — is byte-identical to the fault-free run.
 
-use crate::checkpoint::{self, FpgCheckpoint, FpgCheckpointSink};
+use crate::checkpoint::FpgCheckpoint;
 use crate::grow::{mine_projection, CondBase, GrowCtx};
 use crate::order::ItemOrder;
 use crate::sequential::{group_passes, large_singletons};
 use crate::tree::FpTree;
 use crate::wire::{self, tags, PathBatch};
-use gar_cluster::{
-    Cluster, ClusterConfig, ClusterRun, Envelope, NodeCtx, NodeStatsSnapshot, RetryPolicy,
+use bytes::Bytes;
+use gar_cluster::{Cluster, ClusterConfig, Envelope, NodeCtx};
+use gar_mining::parallel::common::{
+    self, assemble_report, mine_with_recovery, node_sources, record_pass_obs, run_pass1,
+    scan_partition, BatchedExchange, NodeOutcome, NodePassInfo, Pass1, PassPersistence, WireBatch,
 };
 use gar_mining::params::{Algorithm, MiningParams};
-use gar_mining::report::{LargePass, MiningOutput, ParallelReport, PassReport};
-use gar_storage::{MultiSource, PartitionedDatabase, TransactionSource};
+use gar_mining::report::{LargePass, MiningOutput, ParallelReport};
+use gar_storage::{PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, ItemId, Itemset, Result};
 use std::collections::BTreeMap;
-use std::hash::Hasher;
 
 pub use gar_mining::parallel::MineOptions;
 
-/// Flush threshold for outgoing path batches (same rationale as the
-/// Apriori family's batching).
-const BATCH_FLUSH_BYTES: usize = 16 * 1024;
-
 /// How many projections to extract between opportunistic inbox drains
 /// during the base exchange.
-const POLL_EVERY_PROJECTIONS: u32 = 8;
+const POLL_EVERY_PROJECTIONS: usize = 8;
 
 /// The node owning `item`'s projection: hash of the item's *root*, so a
 /// whole generalization chain is mined on one node.
 pub fn owner_of(item: ItemId, tax: &Taxonomy, num_nodes: usize) -> usize {
-    let mut h = gar_types::FxHasher::default();
-    h.write_u32(tax.root_of(item).raw());
-    (h.finish() % num_nodes as u64) as usize
+    common::owner_of([tax.root_of(item).raw()], num_nodes)
 }
 
-/// Checkpoint plumbing handed to every node thread.
-struct Persist<'a> {
-    resume_from: Option<&'a FpgCheckpoint>,
-    sink: Option<&'a FpgCheckpointSink>,
-}
+type Persist<'a> = PassPersistence<'a, FpgCheckpoint>;
 
-const NO_PERSIST: Persist<'static> = Persist {
-    resume_from: None,
-    sink: None,
-};
-
-/// Per-pass bookkeeping one node accumulates (the FP-Growth analogue of
-/// the Apriori family's `NodePassInfo`; no duplication or fragments here).
-struct PassInfo {
-    k: usize,
-    /// Pass 1: items counted. Pass 2: projections this node mined.
-    num_candidates: usize,
-    num_large: usize,
-    restored: bool,
-    delta: NodeStatsSnapshot,
-}
-
-struct NodeOutcome {
-    pass_infos: Vec<PassInfo>,
-    /// Identical on every node (the coordinator broadcasts it).
-    output: MiningOutput,
+impl WireBatch for PathBatch {
+    fn byte_len(&self) -> usize {
+        PathBatch::byte_len(self)
+    }
+    fn take(&mut self) -> Bytes {
+        PathBatch::take(self)
+    }
 }
 
 /// Runs parallel FP-Growth over `db` (one partition per node) on a
@@ -99,18 +78,14 @@ pub fn mine_parallel(
     params: &MiningParams,
     cluster: &ClusterConfig,
 ) -> Result<ParallelReport> {
-    params.validate()?;
-    cluster.validate()?;
-    check_partitions(db, cluster)?;
-    let sources: Vec<&dyn TransactionSource> =
-        (0..db.num_partitions()).map(|i| db.partition(i)).collect();
-    run(&sources, tax, params, cluster, &NO_PERSIST)
+    let sources = node_sources(db, params, cluster)?;
+    run(&sources, tax, params, cluster, &Persist::NONE)
 }
 
 /// [`mine_parallel`] with the fault-tolerant runtime: projection-level
-/// checkpointing, `--resume`, and degraded-mode recovery. Mirrors
-/// `gar_mining::parallel::mine_parallel_with`, with the projection (not
-/// the pass) as the recovery unit.
+/// checkpointing, `--resume`, and degraded-mode recovery — the Apriori
+/// family's `mine_with_recovery` loop, with the projection (not the pass)
+/// as the recovery unit.
 pub fn mine_parallel_with(
     db: &PartitionedDatabase,
     tax: &Taxonomy,
@@ -118,84 +93,9 @@ pub fn mine_parallel_with(
     cluster: &ClusterConfig,
     opts: &MineOptions,
 ) -> Result<ParallelReport> {
-    params.validate()?;
-    cluster.validate()?;
-    check_partitions(db, cluster)?;
-
-    let want_sink = opts.checkpoint_dir.is_some() || opts.max_node_failures > 0;
-    let sink = if want_sink {
-        Some(FpgCheckpointSink::new(opts.checkpoint_dir.clone())?)
-    } else {
-        None
-    };
-
-    let mut restore: Option<FpgCheckpoint> = None;
-    if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
-            if let Some(cp) = checkpoint::load_latest(dir) {
-                if let Some(s) = &sink {
-                    s.seed(cp.clone());
-                }
-                restore = Some(cp);
-            }
-        }
-    }
-
-    // `slots[s]` holds the original partition indices node `s` scans in
-    // the current attempt; a failed node's slot is dissolved into the
-    // survivors' slots.
-    let mut slots: Vec<Vec<usize>> = (0..cluster.num_nodes).map(|i| vec![i]).collect();
-    let mut degraded: Vec<String> = Vec::new();
-    let mut failures = 0usize;
-    loop {
-        let mut attempt = cluster.clone();
-        attempt.num_nodes = slots.len();
-        let multis: Vec<MultiSource<'_>> = slots
-            .iter()
-            .map(|parts| MultiSource::new(parts.iter().map(|&i| db.partition(i)).collect()))
-            .collect();
-        let sources: Vec<&dyn TransactionSource> =
-            multis.iter().map(|m| m as &dyn TransactionSource).collect();
-        let persist = Persist {
-            resume_from: restore.as_ref(),
-            sink: sink.as_ref(),
-        };
-        match run(&sources, tax, params, &attempt, &persist) {
-            Ok(mut report) => {
-                report.degraded = degraded;
-                return Ok(report);
-            }
-            Err(Error::NodeFailure { node, reason })
-                if failures < opts.max_node_failures && slots.len() > 1 && node < slots.len() =>
-            {
-                failures += 1;
-                let orphaned = slots.remove(node);
-                let survivors = slots.len();
-                for (j, part) in orphaned.iter().enumerate() {
-                    slots[j % survivors].push(*part);
-                }
-                restore = sink.as_ref().and_then(|s| s.latest());
-                let finished = restore.as_ref().map_or(0, |cp| cp.completed.len());
-                degraded.push(format!(
-                    "node {node} failed ({reason}); redistributed partitions {orphaned:?} \
-                     across {survivors} survivors and resumed with {finished} finished \
-                     projections restored"
-                ));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn check_partitions(db: &PartitionedDatabase, cluster: &ClusterConfig) -> Result<()> {
-    if db.num_partitions() != cluster.num_nodes {
-        return Err(Error::InvalidConfig(format!(
-            "database has {} partitions but the cluster has {} nodes",
-            db.num_partitions(),
-            cluster.num_nodes
-        )));
-    }
-    Ok(())
+    mine_with_recovery(db, params, cluster, opts, |sources, cluster, persist| {
+        run(sources, tax, params, cluster, persist)
+    })
 }
 
 fn run(
@@ -209,119 +109,12 @@ fn run(
         let part = sources[ctx.node_id()];
         node_mine(ctx, part, tax, params, persist)
     })?;
-    Ok(assemble(cluster, run))
+    Ok(assemble_report(cluster, run))
 }
 
-/// One full pass over the node's local partition, with the same I/O and
-/// observability accounting as the Apriori family's scans.
-fn scan_partition(
-    ctx: &NodeCtx,
-    part: &dyn TransactionSource,
-    mut f: impl FnMut(&[ItemId]) -> Result<()>,
-) -> Result<()> {
-    let _scan = ctx.span("scan");
-    let before = part.bytes_read();
-    // Opening the scan is where injected (and real) storage errors
-    // surface; retrying the *open* can never double-count transactions.
-    let mut scan = RetryPolicy::default().run(|| {
-        ctx.inject_scan_fault()?;
-        part.scan()
-    })?;
-    let mut buf = Vec::new();
-    let mut transactions = 0u64;
-    while scan.next_into(&mut buf)? {
-        transactions += 1;
-        f(&buf)?;
-    }
-    drop(scan);
-    ctx.stats().record_io(part.bytes_read() - before);
-    ctx.stats().record_scan_pass();
-    let obs = ctx.obs();
-    if obs.is_enabled() {
-        let labels = [("node", ctx.node_id() as u64), ("pass", ctx.current_pass())];
-        obs.add("scan.passes", &labels, 1);
-        obs.add("scan.transactions", &labels, transactions);
-        obs.add("scan.bytes", &labels, part.bytes_read() - before);
-    }
-    Ok(())
-}
-
-/// Records a finished logical pass in the run's observability sink, with
-/// the exact metric names of the Apriori family so `metrics.json` keeps
-/// one schema across miner families.
-fn record_pass_obs(ctx: &NodeCtx, info: &PassInfo) {
-    let obs = ctx.obs();
-    if !obs.is_enabled() {
-        return;
-    }
-    let labels = [("node", ctx.node_id() as u64), ("pass", info.k as u64)];
-    obs.add("pass.candidates", &labels, info.num_candidates as u64);
-    obs.add("pass.duplicated", &labels, 0);
-    obs.add("pass.fragments", &labels, 1);
-    obs.add("pass.large", &labels, info.num_large as u64);
-    if info.restored {
-        obs.add("pass.restored", &labels, 1);
-    }
-    let d = &info.delta;
-    obs.add("pass.messages_sent", &labels, d.messages_sent);
-    obs.add("pass.bytes_sent", &labels, d.bytes_sent);
-    obs.add("pass.messages_received", &labels, d.messages_received);
-    obs.add("pass.bytes_received", &labels, d.bytes_received);
-    obs.add("pass.hash_probes", &labels, d.hash_probes);
-    obs.add("pass.cpu_ticks", &labels, d.cpu_ticks);
-    obs.add("pass.io_bytes", &labels, d.io_bytes);
-    obs.observe(
-        "pass.node_bytes_received",
-        &[("pass", info.k as u64)],
-        d.bytes_received,
-    );
-    obs.observe(
-        "pass.node_cpu_ticks",
-        &[("pass", info.k as u64)],
-        d.cpu_ticks,
-    );
-}
-
-/// Coordinator-side checkpoint write; non-coordinators and runs without
-/// a sink are no-ops.
-fn store_checkpoint(
-    ctx: &NodeCtx,
-    persist: &Persist<'_>,
-    num_transactions: u64,
-    min_support_count: u64,
-    item_counts: &[u64],
-    deep: &BTreeMap<ItemId, Vec<(Itemset, u64)>>,
-) -> Result<()> {
-    let Some(sink) = persist.sink else {
-        return Ok(());
-    };
-    if !ctx.is_coordinator() {
-        return Ok(());
-    }
-    let _checkpoint = ctx.span("checkpoint");
-    ctx.obs().add(
-        "checkpoint.stored",
-        &[("node", ctx.node_id() as u64), ("pass", ctx.current_pass())],
-        1,
-    );
-    sink.store(FpgCheckpoint {
-        num_transactions,
-        min_support_count,
-        item_counts: item_counts.to_vec(),
-        // BTreeMap iteration is already the canonical item order.
-        completed: deep.iter().map(|(it, v)| (*it, v.clone())).collect(),
-    })
-}
-
-/// Receives one PATHS envelope into the local conditional bases.
-fn receive_paths(env: &Envelope, scratch: &mut Vec<u32>, bases: &mut [CondBase]) -> Result<()> {
-    if env.tag != tags::PATHS {
-        return Err(Error::Protocol(format!(
-            "expected PATHS during base exchange, got tag {}",
-            env.tag
-        )));
-    }
-    wire::for_each_path(&env.payload, scratch, |target, count, path| {
+/// Receives one PATHS payload into the local conditional bases.
+fn receive_paths(payload: &[u8], scratch: &mut Vec<u32>, bases: &mut [CondBase]) -> Result<()> {
+    wire::for_each_path(payload, scratch, |target, count, path| {
         let base = bases
             .get_mut(target as usize)
             .ok_or_else(|| Error::Protocol(format!("path for unknown projection rank {target}")))?;
@@ -367,81 +160,40 @@ fn node_mine(
 ) -> Result<NodeOutcome> {
     let me = ctx.node_id();
     let n = ctx.num_nodes();
-    let mut pass_infos = Vec::new();
 
     // ---- Pass 1: global item counts (or their checkpointed replay). ----
-    let (num_transactions, min_support_count, item_counts, p1_restored, p1_delta) =
-        if let Some(cp) = persist.resume_from {
-            (
-                cp.num_transactions,
-                cp.min_support_count,
-                cp.item_counts.clone(),
-                true,
-                NodeStatsSnapshot::default(),
-            )
-        } else {
-            let last_snap = ctx.stats().snapshot();
-            ctx.set_pass(1);
-            let _pass = ctx.span("pass");
-            let num_transactions = ctx.all_reduce_u64(&[part.num_transactions() as u64])?[0];
-            let min_support_count = params.min_support_count(num_transactions);
-            let mut counts = vec![0u64; tax.num_items() as usize];
-            let mut extended = Vec::new();
-            scan_partition(ctx, part, |t| {
-                tax.extend_transaction_into(t, &mut extended);
-                ctx.stats().add_cpu(extended.len() as u64);
-                for &it in &extended {
-                    counts[it.index()] += 1;
-                }
-                Ok(())
-            })?;
-            let global = {
-                let _count = ctx.span("count");
-                ctx.all_reduce_u64(&counts)?
-            };
-            let delta = ctx.stats().snapshot().delta_since(&last_snap);
-            (
-                num_transactions,
-                min_support_count,
-                global.as_ref().clone(),
-                false,
-                delta,
-            )
-        };
-
-    let large1 = large_singletons(&item_counts, min_support_count);
-    let order = ItemOrder::new(&item_counts, min_support_count);
-    pass_infos.push(PassInfo {
-        k: 1,
-        num_candidates: tax.num_items() as usize,
-        num_large: large1.itemsets.len(),
-        restored: p1_restored,
-        delta: p1_delta,
+    let restored = persist.resume_from.map(|cp| Pass1 {
+        num_transactions: cp.num_transactions,
+        min_support_count: cp.min_support_count,
+        item_counts: cp.item_counts.clone(),
+        large: large_singletons(&cp.item_counts, cp.min_support_count),
     });
-    record_pass_obs(ctx, &pass_infos[0]);
+    let (p1, info1) = run_pass1(ctx, part, tax, params, restored)?;
+    let order = ItemOrder::new(&p1.item_counts, p1.min_support_count);
+    let mut pass_infos = vec![info1];
 
     // The finished projections every node skips on a resumed attempt.
     let completed: &[(ItemId, Vec<(Itemset, u64)>)] =
         persist.resume_from.map_or(&[], |cp| &cp.completed);
-    let has_completed = |item: ItemId| completed.binary_search_by_key(&item, |(it, _)| *it).is_ok();
+    let has_completed = |item: ItemId| persist.resume_from.is_some_and(|cp| cp.has(item));
 
     // Coordinator-side accumulator of finished projections, seeded from
     // the checkpoint. BTreeMap keys give the canonical assembly order
     // regardless of result arrival order.
     let mut deep: BTreeMap<ItemId, Vec<(Itemset, u64)>> = BTreeMap::new();
+    let checkpoint = |deep: &BTreeMap<ItemId, Vec<(Itemset, u64)>>| {
+        persist.store(ctx, || FpgCheckpoint {
+            num_transactions: p1.num_transactions,
+            min_support_count: p1.min_support_count,
+            item_counts: p1.item_counts.clone(),
+            // BTreeMap iteration is already the canonical item order.
+            completed: deep.iter().map(|(it, v)| (*it, v.clone())).collect(),
+        })
+    };
     if ctx.is_coordinator() {
-        for (it, v) in completed {
-            deep.insert(*it, v.clone());
-        }
-        if !p1_restored {
-            store_checkpoint(
-                ctx,
-                persist,
-                num_transactions,
-                min_support_count,
-                &item_counts,
-                &deep,
-            )?;
+        deep.extend(completed.iter().cloned());
+        if persist.resume_from.is_none() {
+            checkpoint(&deep)?;
         }
     }
 
@@ -459,26 +211,22 @@ fn node_mine(
         // coordinator — the exact number of peer results to expect.
         // On a resume this is the *remaining* work; a fully-checkpointed
         // run rebuilds nothing and rescans nothing.
-        let mut total_projections = 0usize;
-        let mut owned: Vec<u32> = Vec::new();
-        for r in 0..order.num_large() as u32 {
-            let item = order.item_at(r);
-            if has_completed(item) {
-                continue;
-            }
-            total_projections += 1;
-            if owner_of(item, tax, n) == me {
-                owned.push(r);
-            }
-        }
+        let todo: Vec<u32> = (0..order.num_large() as u32)
+            .filter(|&r| !has_completed(order.item_at(r)))
+            .collect();
+        let owned: Vec<u32> = todo
+            .iter()
+            .copied()
+            .filter(|&r| owner_of(order.item_at(r), tax, n) == me)
+            .collect();
         let mut expected = if ctx.is_coordinator() {
-            total_projections - owned.len()
+            todo.len() - owned.len()
         } else {
             0
         };
 
         let mut bases: Vec<CondBase> = vec![CondBase::new(); order.num_large()];
-        if total_projections > 0 {
+        if !todo.is_empty() {
             // ---- Build the local FP-tree over rank-projected transactions. ----
             let mut tree = FpTree::new(order.num_large());
             {
@@ -492,24 +240,18 @@ fn node_mine(
                     Ok(())
                 })?;
             }
-            {
-                let obs = ctx.obs();
-                if obs.is_enabled() {
-                    let labels = [("node", me as u64), ("pass", 2u64)];
-                    obs.add("counter.fptree.nodes", &labels, tree.num_nodes() as u64);
-                    obs.add("counter.fptree.inserts", &labels, tree.num_inserts());
-                }
-            }
+            let labels = [("node", me as u64), ("pass", 2u64)];
+            ctx.obs()
+                .add("counter.fptree.nodes", &labels, tree.num_nodes() as u64);
+            ctx.obs()
+                .add("counter.fptree.inserts", &labels, tree.num_inserts());
 
             // ---- Exchange: ship each projection's base paths to its owner. ----
             let mut recv_scratch: Vec<u32> = Vec::new();
-            let mut ex = ctx.exchange();
-            let mut outgoing: Vec<PathBatch> = (0..n).map(|_| PathBatch::new()).collect();
-            for r in 0..order.num_large() as u32 {
+            let mut ex =
+                BatchedExchange::new(ctx, tags::PATHS, POLL_EVERY_PROJECTIONS, PathBatch::new);
+            for &r in &todo {
                 let item = order.item_at(r);
-                if has_completed(item) {
-                    continue; // already mined in a previous attempt
-                }
                 let owner = owner_of(item, tax, n);
                 tree.for_each_base_path(r, &mut |path, count| {
                     ctx.stats().add_cpu(path.len() as u64 + 1);
@@ -519,38 +261,23 @@ fn node_mine(
                         .filter(|&q| !tax.related(order.item_at(q), item))
                         .collect();
                     if filtered.is_empty() {
-                        return Ok(());
-                    }
-                    if owner == me {
+                        Ok(())
+                    } else if owner == me {
                         bases[r as usize].push((filtered, count));
+                        Ok(())
                     } else {
-                        outgoing[owner].push(r, count, &filtered);
-                        if outgoing[owner].byte_len() >= BATCH_FLUSH_BYTES {
-                            ex.send(owner, tags::PATHS, outgoing[owner].take())?;
-                        }
+                        ex.push(owner, |batch| batch.push(r, count, &filtered))
                     }
-                    Ok(())
                 })?;
-                if (r + 1) % POLL_EVERY_PROJECTIONS == 0 {
-                    ex.poll(|env| receive_paths(env, &mut recv_scratch, &mut bases))?;
-                }
+                ex.unit_done(|p| receive_paths(p, &mut recv_scratch, &mut bases))?;
             }
-            let _exchange = ctx.span("exchange");
-            for (owner, batch) in outgoing.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    ex.send(owner, tags::PATHS, batch.take())?;
-                }
-            }
-            ex.finish(|env| receive_paths(env, &mut recv_scratch, &mut bases))?;
-            // Quiesce the exchange so no RESULT message can race into a
-            // peer's exchange drain.
-            ctx.barrier()?;
+            ex.finish(|p| receive_paths(p, &mut recv_scratch, &mut bases))?;
         }
 
         let mut grow = GrowCtx {
             order: &order,
             tax,
-            min_support_count,
+            min_support_count: p1.min_support_count,
             max_len: params.max_pass,
             work: 0,
         };
@@ -576,14 +303,7 @@ fn node_mine(
                         item.raw()
                     )));
                 }
-                store_checkpoint(
-                    ctx,
-                    persist,
-                    num_transactions,
-                    min_support_count,
-                    &item_counts,
-                    &deep,
-                )?;
+                checkpoint(&deep)?;
                 // Opportunistically absorb peers' finished projections so
                 // the checkpoint advances while we still mine our own.
                 while let Some(env) = ctx.try_recv()? {
@@ -591,14 +311,7 @@ fn node_mine(
                     expected = expected.checked_sub(1).ok_or_else(|| {
                         Error::Protocol("unexpected extra projection result".into())
                     })?;
-                    store_checkpoint(
-                        ctx,
-                        persist,
-                        num_transactions,
-                        min_support_count,
-                        &item_counts,
-                        &deep,
-                    )?;
+                    checkpoint(&deep)?;
                 }
             } else {
                 ctx.send(0, tags::RESULT, wire::encode_result(r, &found))?;
@@ -614,20 +327,13 @@ fn node_mine(
                     let env = ctx.recv()?;
                     receive_result(&env, &order, &mut deep)?;
                     expected -= 1;
-                    store_checkpoint(
-                        ctx,
-                        persist,
-                        num_transactions,
-                        min_support_count,
-                        &item_counts,
-                        &deep,
-                    )?;
+                    checkpoint(&deep)?;
                 }
                 let found: Vec<(Itemset, u64)> =
                     deep.values().flat_map(|v| v.iter().cloned()).collect();
                 let mut passes = Vec::new();
-                if !large1.itemsets.is_empty() {
-                    passes.push(large1.clone());
+                if !p1.large.itemsets.is_empty() {
+                    passes.push(p1.large.clone());
                 }
                 passes.extend(group_passes(found));
                 ctx.broadcast(Some(wire::encode_passes(&passes)))?;
@@ -642,67 +348,32 @@ fn node_mine(
             .filter(|p| p.k >= 2)
             .map(|p| p.itemsets.len())
             .sum();
-        pass_infos.push(PassInfo {
+        pass_infos.push(NodePassInfo {
             k: 2,
-            num_candidates: total_projections,
+            num_candidates: todo.len(),
+            num_duplicated: 0,
+            num_fragments: 1,
             num_large: deep_large,
             restored: false,
             delta: ctx.stats().snapshot().delta_since(&pass2_snap),
         });
         record_pass_obs(ctx, &pass_infos[1]);
         passes
-    } else if large1.itemsets.is_empty() {
+    } else if p1.large.itemsets.is_empty() {
         Vec::new()
     } else {
-        vec![large1.clone()]
+        vec![p1.large.clone()]
     };
 
     Ok(NodeOutcome {
         pass_infos,
         output: MiningOutput {
             algorithm: Algorithm::FpGrowth,
-            num_transactions,
-            min_support_count,
+            num_transactions: p1.num_transactions,
+            min_support_count: p1.min_support_count,
             passes,
         },
     })
-}
-
-fn assemble(cluster: &ClusterConfig, run: ClusterRun<NodeOutcome>) -> ParallelReport {
-    let num_nodes = cluster.num_nodes;
-    let num_passes = run.results[0].pass_infos.len();
-    debug_assert!(run.results.iter().all(|r| r.pass_infos.len() == num_passes));
-
-    let mut pass_reports = Vec::with_capacity(num_passes);
-    let mut total_modeled = 0.0;
-    for p in 0..num_passes {
-        let info = &run.results[0].pass_infos[p];
-        let node_deltas: Vec<NodeStatsSnapshot> =
-            run.results.iter().map(|r| r.pass_infos[p].delta).collect();
-        let modeled_seconds = cluster.cost.execution_seconds(&node_deltas);
-        total_modeled += modeled_seconds;
-        pass_reports.push(PassReport {
-            k: info.k,
-            num_candidates: info.num_candidates,
-            num_duplicated: 0,
-            num_fragments: 1,
-            num_large: info.num_large,
-            restored: info.restored,
-            node_deltas,
-            modeled_seconds,
-        });
-    }
-
-    let output = run.results.into_iter().next().expect("node 0").output;
-    ParallelReport {
-        output,
-        num_nodes,
-        pass_reports,
-        wall: run.wall,
-        modeled_seconds: total_modeled,
-        node_totals: run.stats,
-        degraded: Vec::new(),
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,6 @@ pub(crate) mod tags {
 /// discipline as the Apriori family's `ItemListBatch`.
 pub(crate) struct PathBatch {
     buf: BytesMut,
-    entries: usize,
 }
 
 impl PathBatch {
@@ -32,7 +31,6 @@ impl PathBatch {
     pub fn new() -> PathBatch {
         PathBatch {
             buf: BytesMut::with_capacity(17 * 1024),
-            entries: 0,
         }
     }
 
@@ -43,11 +41,6 @@ impl PathBatch {
         for &r in path {
             self.buf.put_u32_le(r);
         }
-        self.entries += 1;
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
     }
 
     pub fn byte_len(&self) -> usize {
@@ -56,7 +49,6 @@ impl PathBatch {
 
     /// Drains the batch into a sendable payload.
     pub fn take(&mut self) -> Bytes {
-        self.entries = 0;
         self.buf.split().freeze()
     }
 }
@@ -218,9 +210,9 @@ mod tests {
         let mut b = PathBatch::new();
         b.push(7, 3, &[0, 2, 5]);
         b.push(9, 1, &[]);
-        assert!(!b.is_empty());
+        assert!(b.byte_len() > 0);
         let payload = b.take();
-        assert!(b.is_empty());
+        assert_eq!(b.byte_len(), 0);
         let mut got = Vec::new();
         let mut scratch = Vec::new();
         for_each_path(&payload, &mut scratch, |t, c, p| {

@@ -12,7 +12,7 @@
 use gar_cluster::{ClusterConfig, FaultOp, FaultPlan};
 use gar_fpg::{mine_parallel, mine_parallel_with, owner_of, MineOptions};
 use gar_mining::rules::derive_rules;
-use gar_mining::{MiningOutput, MiningParams};
+use gar_mining::{Algorithm, MiningOutput, MiningParams, ParallelReport};
 use gar_serve::RuleStore;
 use gar_storage::PartitionedDatabase;
 use gar_taxonomy::Taxonomy;
@@ -143,6 +143,77 @@ fn mid_projection_panic_recovers_with_identical_rule_store() {
         clean_store, recovered_store,
         "rule store bytes diverged after degraded recovery under `{spec}`"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Both miner families recover through one loop, one sink and one
+/// rotation, each with its own checkpoint type: kill a node mid-run in
+/// either, and the output is byte-identical to the fault-free run, the
+/// note comes from the shared loop and names the type's own progress,
+/// and the two checkpoint files coexist in one directory.
+#[test]
+fn one_recovery_loop_serves_both_checkpoint_types() {
+    let data = dataset();
+    let dir = std::env::temp_dir().join(format!("gar-fpg-shared-loop-{}", std::process::id()));
+    let fpg_victim = victim_node(&baseline(&data), &data.0);
+    type Mine<'a> = &'a dyn Fn(&ClusterConfig, &MineOptions) -> gar_types::Result<ParallelReport>;
+    let apriori_family: Mine = &|cluster, opts| {
+        gar_mining::parallel::mine_parallel_with(
+            Algorithm::HHpgm,
+            &db(&data),
+            &data.0,
+            &params(),
+            cluster,
+            opts,
+        )
+    };
+    let pattern_growth: Mine =
+        &|cluster, opts| mine_parallel_with(&db(&data), &data.0, &params(), cluster, opts);
+    // (miner, victim node, fault pass, checkpoint file, progress phrase)
+    let cases = [
+        (apriori_family, 1, 2, "mining.ckpt", "resumed after pass 1"),
+        (
+            pattern_growth,
+            fpg_victim,
+            4,
+            "fpg.ckpt",
+            "finished projections restored",
+        ),
+    ];
+    for (mine, victim, pass, file, progress) in cases {
+        let clean = mine(
+            &ClusterConfig::new(NODES, BIG_MEMORY),
+            &MineOptions::default(),
+        )
+        .unwrap();
+        let plan = FaultPlan::with_seed(5).schedule(victim, pass, FaultOp::Panic);
+        let spec = plan.render();
+        let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
+        let opts = MineOptions {
+            checkpoint_dir: Some(dir.clone()),
+            max_node_failures: 1,
+            ..MineOptions::default()
+        };
+        let report =
+            mine(&cluster, &opts).unwrap_or_else(|e| panic!("{file}: `{spec}` failed: {e}"));
+        assert_eq!(
+            rendered(&report.output),
+            rendered(&clean.output),
+            "{file}: degraded-mode output diverged under `{spec}`"
+        );
+        assert_eq!(report.num_nodes, NODES - 1, "{file}");
+        let [note] = &report.degraded[..] else {
+            panic!("{file}: expected one note, got {:?}", report.degraded);
+        };
+        assert!(
+            note.starts_with(&format!("node {victim} failed"))
+                && note.contains("redistributed partitions")
+                && note.contains(progress),
+            "{file}: {note}"
+        );
+        assert!(dir.join(file).exists(), "{file} was never written");
+    }
+    assert!(dir.join("mining.ckpt").exists() && dir.join("fpg.ckpt").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,31 +1,50 @@
-//! Pass-level checkpointing of a parallel mining run.
+//! Checkpointing of a parallel mining run: the sink, sealing and rotation
+//! both miner families share, and the Apriori family's pass-level format.
 //!
 //! After every completed pass the coordinator persists the global `L_k`
 //! chain plus the pass metadata the final report needs, so `mine
 //! --resume` (and degraded-mode recovery after a node failure) restarts
-//! from the last complete pass instead of from scratch.
+//! from the last complete pass instead of from scratch. `gar-fpg` records
+//! finished projections through the same [`CheckpointSink`] with its own
+//! [`CheckpointFormat`].
 //!
-//! Format (little-endian, style of [`crate::persist`]): magic `GCKP`,
-//! `u32` version, algorithm name (`u32` length + UTF-8), `u64`
+//! `GCKP` format (little-endian, style of [`crate::persist`]): magic
+//! `GCKP`, `u32` version, algorithm name (`u32` length + UTF-8), `u64`
 //! transaction count, `u64` minimum-support count, the global item
 //! counts (`u32` length + `u64`s), `u32` pass count, then per pass a
 //! `u32 k`, three `u64` metadata fields (candidates / duplicated /
 //! fragments) and a length-prefixed [`crate::wire::encode_counted`]
-//! block. The whole payload is sealed by a trailing FxHash **checksum**;
-//! writes go through a temp file + rename, and the previous checkpoint
-//! is rotated to `.prev` — so a crash mid-write can never leave the only
-//! copy torn, and a torn copy is detected, not mis-resumed.
+//! block. Every format's payload is sealed by a trailing FxHash
+//! **checksum**; writes go through a temp file + rename, and the previous
+//! checkpoint is rotated to `.prev` — so a crash mid-write can never
+//! leave the only copy torn, and a torn copy is detected, not
+//! mis-resumed.
 
 use crate::params::Algorithm;
 use crate::persist::algorithm_by_name;
 use crate::wire;
+use gar_types::hash::checksum;
 use gar_types::{Error, Itemset, Result};
-use std::hash::Hasher;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 const MAGIC: &[u8; 4] = b"GCKP";
 const VERSION: u32 = 1;
+
+/// A checkpoint type [`CheckpointSink`] can persist. The format owns its
+/// byte layout; sealing, rotation and fallback are shared.
+pub trait CheckpointFormat: Clone {
+    /// File name inside the checkpoint directory — distinct per miner
+    /// family, so both can share a directory without clobbering.
+    const FILE_NAME: &'static str;
+    /// The serialized payload, magic first, *without* the checksum.
+    fn encode_body(&self) -> Vec<u8>;
+    /// Decodes a checksum-verified payload; all damage is
+    /// [`Error::Corrupt`].
+    fn decode_body(body: &[u8]) -> Result<Self>;
+    /// How far the run had got, phrased for the degraded-mode note.
+    fn progress(&self) -> String;
+}
 
 /// One completed pass as recorded in a checkpoint: the global `L_k` and
 /// the metadata the per-pass report needs.
@@ -68,50 +87,116 @@ impl Checkpoint {
     }
 }
 
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = gar_types::FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Serializes a checkpoint (checksum included).
-fn encode(cp: &Checkpoint) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    let name = cp.algorithm.name().as_bytes();
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    out.extend_from_slice(name);
-    out.extend_from_slice(&cp.num_transactions.to_le_bytes());
-    out.extend_from_slice(&cp.min_support_count.to_le_bytes());
-    out.extend_from_slice(&(cp.item_counts.len() as u32).to_le_bytes());
-    for &c in &cp.item_counts {
+/// Appends pass 1's global state, the block both formats carry after
+/// their header: transaction count, support threshold, item counts.
+pub fn put_pass1_state(out: &mut Vec<u8>, num_transactions: u64, min_support: u64, counts: &[u64]) {
+    out.extend_from_slice(&num_transactions.to_le_bytes());
+    out.extend_from_slice(&min_support.to_le_bytes());
+    out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+    for &c in counts {
         out.extend_from_slice(&c.to_le_bytes());
     }
-    out.extend_from_slice(&(cp.passes.len() as u32).to_le_bytes());
-    for pass in &cp.passes {
-        out.extend_from_slice(&(pass.k as u32).to_le_bytes());
-        out.extend_from_slice(&(pass.num_candidates as u64).to_le_bytes());
-        out.extend_from_slice(&(pass.num_duplicated as u64).to_le_bytes());
-        out.extend_from_slice(&(pass.num_fragments as u64).to_le_bytes());
-        let block = wire::encode_counted(pass.k, &pass.itemsets);
-        out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-        out.extend_from_slice(&block);
+}
+
+impl CheckpointFormat for Checkpoint {
+    const FILE_NAME: &'static str = "mining.ckpt";
+
+    fn encode_body(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        let name = self.algorithm.name().as_bytes();
+        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        out.extend_from_slice(name);
+        put_pass1_state(
+            &mut out,
+            self.num_transactions,
+            self.min_support_count,
+            &self.item_counts,
+        );
+        out.extend_from_slice(&(self.passes.len() as u32).to_le_bytes());
+        for pass in &self.passes {
+            out.extend_from_slice(&(pass.k as u32).to_le_bytes());
+            out.extend_from_slice(&(pass.num_candidates as u64).to_le_bytes());
+            out.extend_from_slice(&(pass.num_duplicated as u64).to_le_bytes());
+            out.extend_from_slice(&(pass.num_fragments as u64).to_le_bytes());
+            let block = wire::encode_counted(pass.k, &pass.itemsets);
+            out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+            out.extend_from_slice(&block);
+        }
+        out
     }
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+
+    fn decode_body(body: &[u8]) -> Result<Checkpoint> {
+        let mut c = Cursor::new(body);
+        c.header(MAGIC, VERSION)?;
+        let name_len = c.u32()? as usize;
+        if name_len > 64 {
+            return Err(Error::Corrupt("implausible algorithm name length".into()));
+        }
+        let name = std::str::from_utf8(c.take(name_len)?)
+            .map_err(|_| Error::Corrupt("algorithm name is not UTF-8".into()))?;
+        let algorithm = algorithm_by_name(name)
+            .map_err(|_| Error::Corrupt(format!("unknown algorithm '{name}'")))?;
+        let (num_transactions, min_support_count, item_counts) = c.pass1_state()?;
+        let num_passes = c.u32()? as usize;
+        if num_passes > 64 {
+            return Err(Error::Corrupt("implausible pass count".into()));
+        }
+        let mut passes = Vec::with_capacity(num_passes);
+        for i in 0..num_passes {
+            let k = c.u32()? as usize;
+            if k != i + 1 {
+                return Err(Error::Corrupt(format!(
+                    "checkpoint passes are not consecutive (slot {i} holds pass {k})"
+                )));
+            }
+            let num_candidates = c.u64()? as usize;
+            let num_duplicated = c.u64()? as usize;
+            let num_fragments = c.u64()? as usize;
+            let block_len = c.u32()? as usize;
+            let itemsets = wire::decode_counted(c.take(block_len)?)?;
+            if itemsets.iter().any(|(s, _)| s.len() != k) {
+                return Err(Error::Corrupt(format!("pass {k} holds non-{k}-itemsets")));
+            }
+            passes.push(CheckpointPass {
+                k,
+                num_candidates,
+                num_duplicated,
+                num_fragments,
+                itemsets,
+            });
+        }
+        c.finish()?;
+        Ok(Checkpoint {
+            algorithm,
+            num_transactions,
+            min_support_count,
+            item_counts,
+            passes,
+        })
+    }
+
+    fn progress(&self) -> String {
+        format!("after pass {}", self.last_pass())
+    }
 }
 
 /// Bounded cursor over a checkpoint body; every short read is a clean
 /// [`Error::Corrupt`], never a panic.
-struct Cursor<'a> {
+pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Cursor<'a> {
+        Cursor { bytes, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.bytes.len() - self.pos < n {
             return Err(Error::Corrupt("checkpoint truncated".into()));
         }
@@ -120,124 +205,98 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        let bytes: [u8; 4] = self
-            .take(4)?
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        self.take(N)?
             .try_into()
-            .map_err(|_| Error::Corrupt("checkpoint u32 field malformed".into()))?;
-        Ok(u32::from_le_bytes(bytes))
+            .map_err(|_| Error::Corrupt("checkpoint field malformed".into()))
     }
 
-    fn u64(&mut self) -> Result<u64> {
-        let bytes: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| Error::Corrupt("checkpoint u64 field malformed".into()))?;
-        Ok(u64::from_le_bytes(bytes))
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Consumes and checks the 4-byte magic and the `u32` version.
+    pub fn header(&mut self, magic: &[u8; 4], version: u32) -> Result<()> {
+        if self.take(4)? != magic {
+            return Err(Error::Corrupt("not a checkpoint file (bad magic)".into()));
+        }
+        if self.u32()? != version {
+            return Err(Error::Corrupt("unsupported checkpoint version".into()));
+        }
+        Ok(())
+    }
+
+    /// Inverse of [`put_pass1_state`]: `(transactions, min support, counts)`.
+    pub fn pass1_state(&mut self) -> Result<(u64, u64, Vec<u64>)> {
+        let num_transactions = self.u64()?;
+        let min_support_count = self.u64()?;
+        let num_items = self.u32()? as usize;
+        if num_items > 1 << 26 {
+            return Err(Error::Corrupt("implausible item-count length".into()));
+        }
+        let mut item_counts = Vec::with_capacity(num_items);
+        for _ in 0..num_items {
+            item_counts.push(self.u64()?);
+        }
+        Ok((num_transactions, min_support_count, item_counts))
+    }
+
+    /// Rejects bytes left over after the last field.
+    pub fn finish(self) -> Result<()> {
+        if self.pos != self.bytes.len() {
+            return Err(Error::Corrupt("checkpoint has trailing garbage".into()));
+        }
+        Ok(())
     }
 }
 
-/// Decodes a checkpoint, verifying the checksum and every structural
-/// invariant. All damage surfaces as [`Error::Corrupt`].
-fn decode(bytes: &[u8]) -> Result<Checkpoint> {
-    if bytes.len() < MAGIC.len() + 8 {
+/// Serializes a checkpoint and seals it with the trailing checksum.
+pub fn encode<T: CheckpointFormat>(cp: &T) -> Vec<u8> {
+    let mut out = cp.encode_body();
+    let sum = checksum(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Verifies the seal, then decodes; all damage is [`Error::Corrupt`].
+pub fn decode<T: CheckpointFormat>(bytes: &[u8]) -> Result<T> {
+    let Some((body, tail)) = bytes.split_last_chunk::<8>() else {
         return Err(Error::Corrupt("checkpoint too short".into()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let tail: [u8; 8] = tail
-        .try_into()
-        .map_err(|_| Error::Corrupt("checkpoint checksum tail malformed".into()))?;
-    let stored = u64::from_le_bytes(tail);
-    if checksum(body) != stored {
+    };
+    if checksum(body) != u64::from_le_bytes(*tail) {
         return Err(Error::Corrupt("checkpoint checksum mismatch".into()));
     }
-    let mut c = Cursor {
-        bytes: body,
-        pos: 0,
-    };
-    if c.take(4)? != MAGIC {
-        return Err(Error::Corrupt("not a checkpoint file (bad magic)".into()));
-    }
-    if c.u32()? != VERSION {
-        return Err(Error::Corrupt("unsupported checkpoint version".into()));
-    }
-    let name_len = c.u32()? as usize;
-    if name_len > 64 {
-        return Err(Error::Corrupt("implausible algorithm name length".into()));
-    }
-    let name = std::str::from_utf8(c.take(name_len)?)
-        .map_err(|_| Error::Corrupt("algorithm name is not UTF-8".into()))?;
-    let algorithm = algorithm_by_name(name)
-        .map_err(|_| Error::Corrupt(format!("unknown algorithm '{name}'")))?;
-    let num_transactions = c.u64()?;
-    let min_support_count = c.u64()?;
-    let num_items = c.u32()? as usize;
-    if num_items > 1 << 26 {
-        return Err(Error::Corrupt("implausible item-count length".into()));
-    }
-    let mut item_counts = Vec::with_capacity(num_items);
-    for _ in 0..num_items {
-        item_counts.push(c.u64()?);
-    }
-    let num_passes = c.u32()? as usize;
-    if num_passes > 64 {
-        return Err(Error::Corrupt("implausible pass count".into()));
-    }
-    let mut passes = Vec::with_capacity(num_passes);
-    for i in 0..num_passes {
-        let k = c.u32()? as usize;
-        if k != i + 1 {
-            return Err(Error::Corrupt(format!(
-                "checkpoint passes are not consecutive (slot {i} holds pass {k})"
-            )));
-        }
-        let num_candidates = c.u64()? as usize;
-        let num_duplicated = c.u64()? as usize;
-        let num_fragments = c.u64()? as usize;
-        let block_len = c.u32()? as usize;
-        let itemsets = wire::decode_counted(c.take(block_len)?)?;
-        if itemsets.iter().any(|(s, _)| s.len() != k) {
-            return Err(Error::Corrupt(format!("pass {k} holds non-{k}-itemsets")));
-        }
-        passes.push(CheckpointPass {
-            k,
-            num_candidates,
-            num_duplicated,
-            num_fragments,
-            itemsets,
-        });
-    }
-    if c.pos != body.len() {
-        return Err(Error::Corrupt("checkpoint has trailing garbage".into()));
-    }
-    Ok(Checkpoint {
-        algorithm,
-        num_transactions,
-        min_support_count,
-        item_counts,
-        passes,
-    })
+    T::decode_body(body)
 }
 
-/// The checkpoint file inside `dir`.
-pub fn checkpoint_path(dir: impl AsRef<Path>) -> PathBuf {
-    dir.as_ref().join("mining.ckpt")
+/// `T`'s checkpoint file inside `dir`.
+pub fn checkpoint_path<T: CheckpointFormat>(dir: impl AsRef<Path>) -> PathBuf {
+    dir.as_ref().join(T::FILE_NAME)
+}
+
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut s = path.as_os_str().to_owned();
+    s.push(suffix);
+    PathBuf::from(s)
 }
 
 /// Path of the rotated previous checkpoint.
 fn prev_path(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(".prev");
-    PathBuf::from(s)
+    with_suffix(path, ".prev")
 }
 
 /// Writes `cp` to `path` atomically: temp file, rotate the old file to
 /// `.prev`, rename into place.
-pub fn save_checkpoint(cp: &Checkpoint, path: impl AsRef<Path>) -> Result<()> {
+pub fn save_checkpoint<T: CheckpointFormat>(cp: &T, path: impl AsRef<Path>) -> Result<()> {
     let path = path.as_ref();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
+    let tmp = with_suffix(path, ".tmp");
     std::fs::write(&tmp, encode(cp))
         .map_err(|e| Error::io(format!("writing checkpoint {}", tmp.display()), e))?;
     if path.exists() {
@@ -249,7 +308,7 @@ pub fn save_checkpoint(cp: &Checkpoint, path: impl AsRef<Path>) -> Result<()> {
 }
 
 /// Reads and validates the checkpoint at `path`.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint> {
+pub fn load_checkpoint<T: CheckpointFormat>(path: impl AsRef<Path>) -> Result<T> {
     let path = path.as_ref();
     let bytes = std::fs::read(path)
         .map_err(|e| Error::io(format!("reading checkpoint {}", path.display()), e))?;
@@ -259,26 +318,26 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint> {
 /// Loads the newest intact checkpoint in `dir`: the current file if it
 /// verifies, else the rotated `.prev`, else `None` (cold start). A
 /// corrupt or truncated file is *never* resumed from.
-pub fn load_latest(dir: impl AsRef<Path>) -> Option<Checkpoint> {
-    let main = checkpoint_path(dir);
+pub fn load_latest<T: CheckpointFormat>(dir: impl AsRef<Path>) -> Option<T> {
+    let main = checkpoint_path::<T>(dir);
     load_checkpoint(&main)
         .ok()
         .or_else(|| load_checkpoint(prev_path(&main)).ok())
 }
 
-/// Where completed passes are recorded during a run: always in memory
-/// (so in-process recovery can restart from the last pass even without a
-/// checkpoint directory), and on disk when a directory is configured.
+/// Where completed work is recorded during a run: always in memory (so
+/// in-process recovery can restart from the last checkpoint even without
+/// a checkpoint directory), and on disk when a directory is configured.
 /// Shared by reference with every node thread; only the coordinator
 /// writes.
-pub struct CheckpointSink {
-    mem: Mutex<Option<Checkpoint>>,
+pub struct CheckpointSink<T> {
+    mem: Mutex<Option<T>>,
     dir: Option<PathBuf>,
 }
 
-impl CheckpointSink {
+impl<T: CheckpointFormat> CheckpointSink<T> {
     /// A sink writing to `dir` (created if missing), or memory-only.
-    pub fn new(dir: Option<PathBuf>) -> Result<CheckpointSink> {
+    pub fn new(dir: Option<PathBuf>) -> Result<CheckpointSink<T>> {
         if let Some(d) = &dir {
             std::fs::create_dir_all(d)
                 .map_err(|e| Error::io(format!("creating checkpoint dir {}", d.display()), e))?;
@@ -291,30 +350,24 @@ impl CheckpointSink {
 
     /// Seeds the in-memory copy (used when resuming from disk, so a
     /// later in-process recovery still has the restored state).
-    pub fn seed(&self, cp: Checkpoint) {
-        *self
-            .mem
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(cp);
+    pub fn seed(&self, cp: T) {
+        *self.mem.lock().unwrap_or_else(PoisonError::into_inner) = Some(cp);
     }
 
     /// Records a checkpoint (memory always, disk if configured).
-    pub fn store(&self, cp: Checkpoint) -> Result<()> {
+    pub fn store(&self, cp: T) -> Result<()> {
         if let Some(dir) = &self.dir {
-            save_checkpoint(&cp, checkpoint_path(dir))?;
+            save_checkpoint(&cp, checkpoint_path::<T>(dir))?;
         }
-        *self
-            .mem
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(cp);
+        self.seed(cp);
         Ok(())
     }
 
     /// The most recent checkpoint recorded in this process.
-    pub fn latest(&self) -> Option<Checkpoint> {
+    pub fn latest(&self) -> Option<T> {
         self.mem
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 }
@@ -358,8 +411,26 @@ mod tests {
     #[test]
     fn round_trip() {
         let cp = sample();
-        assert_eq!(decode(&encode(&cp)).unwrap(), cp);
+        assert_eq!(decode::<Checkpoint>(&encode(&cp)).unwrap(), cp);
         assert_eq!(cp.last_pass(), 2);
+    }
+
+    #[test]
+    fn gckp_layout_is_frozen() {
+        // `sample()` as the pre-`CheckpointFormat` encoder wrote it: files
+        // from older builds must keep loading, byte for byte.
+        const GOLDEN: [u8; 210] = [
+            71, 67, 75, 80, 1, 0, 0, 0, 6, 0, 0, 0, 72, 45, 72, 80, 71, 77, 244, 1, 0, 0, 0, 0, 0,
+            0, 25, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 80, 0, 0, 0, 0, 0, 0,
+            0, 60, 0, 0, 0, 0, 0, 0, 0, 40, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0,
+            0, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+            32, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+            80, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1,
+            0, 0, 0, 0, 0, 0, 0, 24, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 30,
+            0, 0, 0, 0, 0, 0, 0, 138, 70, 171, 183, 53, 74, 247, 29,
+        ];
+        assert_eq!(decode::<Checkpoint>(&GOLDEN).unwrap(), sample());
+        assert_eq!(encode(&sample()), GOLDEN);
     }
 
     #[test]
@@ -368,7 +439,7 @@ mod tests {
         // counts, a pass block, or the checksum — must yield Corrupt.
         let bytes = encode(&sample());
         for len in 0..bytes.len() {
-            let err = decode(&bytes[..len]).unwrap_err();
+            let err = decode::<Checkpoint>(&bytes[..len]).unwrap_err();
             assert!(
                 matches!(err, Error::Corrupt(_)),
                 "truncation at {len}: {err:?}"
@@ -384,7 +455,7 @@ mod tests {
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0xFF;
-            let err = decode(&bad).unwrap_err();
+            let err = decode::<Checkpoint>(&bad).unwrap_err();
             assert!(matches!(err, Error::Corrupt(_)), "flip at {i}: {err:?}");
         }
     }
@@ -394,31 +465,31 @@ mod tests {
         let mut cp = sample();
         cp.passes[1].k = 3;
         cp.passes[1].itemsets = vec![(iset![0, 1, 2], 26)];
-        let err = decode(&encode(&cp)).unwrap_err();
+        let err = decode::<Checkpoint>(&encode(&cp)).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
     }
 
     #[test]
     fn save_load_and_rotation() {
         let dir = tmpdir("rotate");
-        let path = checkpoint_path(&dir);
+        let path = checkpoint_path::<Checkpoint>(&dir);
         let mut cp = sample();
         cp.passes.truncate(1);
         save_checkpoint(&cp, &path).unwrap();
-        assert_eq!(load_checkpoint(&path).unwrap(), cp);
+        assert_eq!(load_checkpoint::<Checkpoint>(&path).unwrap(), cp);
 
         let full = sample();
         save_checkpoint(&full, &path).unwrap();
-        assert_eq!(load_checkpoint(&path).unwrap(), full);
+        assert_eq!(load_checkpoint::<Checkpoint>(&path).unwrap(), full);
         // The one-pass checkpoint rotated to .prev.
-        assert_eq!(load_checkpoint(prev_path(&path)).unwrap(), cp);
+        assert_eq!(load_checkpoint::<Checkpoint>(prev_path(&path)).unwrap(), cp);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn load_latest_falls_back_to_prev_then_cold_start() {
         let dir = tmpdir("fallback");
-        let path = checkpoint_path(&dir);
+        let path = checkpoint_path::<Checkpoint>(&dir);
         let cp = sample();
         save_checkpoint(&cp, &path).unwrap();
         save_checkpoint(&cp, &path).unwrap(); // .prev now also intact
@@ -428,11 +499,11 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(load_latest(&dir).unwrap(), cp);
+        assert_eq!(load_latest::<Checkpoint>(&dir).unwrap(), cp);
 
         // Corrupt .prev too: cold start, never a panic or a mis-resume.
         std::fs::write(prev_path(&path), b"GCKPgarbage").unwrap();
-        assert!(load_latest(&dir).is_none());
+        assert!(load_latest::<Checkpoint>(&dir).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -444,7 +515,7 @@ mod tests {
         let cp = sample();
         sink.store(cp.clone()).unwrap();
         assert_eq!(sink.latest().unwrap(), cp);
-        assert_eq!(load_latest(&dir).unwrap(), cp);
+        assert_eq!(load_latest::<Checkpoint>(&dir).unwrap(), cp);
         std::fs::remove_dir_all(&dir).ok();
 
         let memory_only = CheckpointSink::new(None).unwrap();

@@ -1,15 +1,23 @@
-//! Shared plumbing for the parallel algorithms: pass 1, scan accounting,
-//! subset enumeration, the coordinator gather, and report assembly.
+//! The one place a parallel run is driven, shared by both miner families
+//! (`gar-fpg` calls in from outside the crate): the degraded-mode recovery
+//! loop, pass 1, scan accounting, the batched all-to-all exchange, the
+//! coordinator gather, the per-pass ledger, checkpoint writes, and report
+//! assembly. An algorithm owns only its placement key, its transaction
+//! transform, and what it ships.
 
 use crate::candidate::{generate_candidates, generate_pairs};
-use crate::checkpoint::{Checkpoint, CheckpointPass, CheckpointSink};
+use crate::checkpoint::{self, Checkpoint, CheckpointFormat, CheckpointPass, CheckpointSink};
 use crate::counter::{candidate_entry_bytes, CandidateCounter};
+use crate::parallel::MineOptions;
 use crate::params::{Algorithm, CounterKind, MiningParams};
 use crate::report::{LargePass, MiningOutput, ParallelReport, PassReport};
 use crate::sequential::large_items_from_counts;
-use crate::wire;
-use gar_cluster::{ClusterConfig, ClusterRun, NodeCtx, NodeStatsSnapshot, RetryPolicy};
-use gar_storage::TransactionSource;
+use crate::wire::{self, ItemListBatch, ItemsetBatch};
+use bytes::Bytes;
+use gar_cluster::{
+    ClusterConfig, ClusterRun, Envelope, Exchange, NodeCtx, NodeStatsSnapshot, RetryPolicy,
+};
+use gar_storage::{MultiSource, PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, ItemId, Itemset, Result};
 
@@ -26,16 +34,24 @@ pub(crate) mod tags {
 /// Flush threshold for outgoing message batches, in bytes. Large enough to
 /// amortize per-message latency, small enough to keep the exchange flowing
 /// (the SP-2 implementations batched the same way).
-pub(crate) const BATCH_FLUSH_BYTES: usize = 16 * 1024;
+const BATCH_FLUSH_BYTES: usize = 16 * 1024;
 
 /// How many transactions to process between opportunistic inbox drains
 /// during an exchange phase.
 pub(crate) const POLL_EVERY_TXNS: usize = 32;
 
+/// The node a placement key lives on: Fx hash of the key's words (an
+/// itemset's codes for HPGM, its root codes for the H-HPGM family and
+/// FP-Growth), modulo the cluster size.
+#[inline]
+pub fn owner_of(key: impl IntoIterator<Item = u32>, num_nodes: usize) -> usize {
+    (gar_types::hash::fx_hash_u32s(key) % num_nodes as u64) as usize
+}
+
 /// Per-pass bookkeeping accumulated by a node: everything the report needs
 /// beyond the counter snapshots.
 #[derive(Debug, Clone)]
-pub(crate) struct NodePassInfo {
+pub struct NodePassInfo {
     pub k: usize,
     pub num_candidates: usize,
     pub num_duplicated: usize,
@@ -47,24 +63,44 @@ pub(crate) struct NodePassInfo {
     pub delta: NodeStatsSnapshot,
 }
 
-/// How the pass loop interacts with checkpoints: where to resume from
-/// (if anywhere) and where the coordinator records completed passes.
-pub(crate) struct PassPersistence<'a> {
-    /// A verified checkpoint to restart from; its passes are replayed
+/// How a run interacts with checkpoints of type `C`: where to resume from
+/// (if anywhere) and where the coordinator records completed work.
+pub struct PassPersistence<'a, C> {
+    /// A verified checkpoint to restart from; its work is replayed
     /// without rescanning.
-    pub resume_from: Option<&'a Checkpoint>,
-    /// Completed-pass sink, written by the coordinator only.
-    pub sink: Option<&'a CheckpointSink>,
+    pub resume_from: Option<&'a C>,
+    /// Completed-work sink, written by the coordinator only.
+    pub sink: Option<&'a CheckpointSink<C>>,
 }
 
-/// Run with no checkpointing at all (the default path).
-pub(crate) const NO_PERSIST: PassPersistence<'static> = PassPersistence {
-    resume_from: None,
-    sink: None,
-};
+impl<C: CheckpointFormat> PassPersistence<'_, C> {
+    /// Run with no checkpointing at all (the default path).
+    pub const NONE: Self = PassPersistence {
+        resume_from: None,
+        sink: None,
+    };
+
+    /// Coordinator-side checkpoint write of whatever `make` packages;
+    /// non-coordinators and runs without a sink are no-ops.
+    pub fn store(&self, ctx: &NodeCtx, make: impl FnOnce() -> C) -> Result<()> {
+        let Some(sink) = self.sink else {
+            return Ok(());
+        };
+        if !ctx.is_coordinator() {
+            return Ok(());
+        }
+        let _checkpoint = ctx.span("checkpoint");
+        ctx.obs().add(
+            "checkpoint.stored",
+            &[("node", ctx.node_id() as u64), ("pass", ctx.current_pass())],
+            1,
+        );
+        sink.store(make())
+    }
+}
 
 /// What each node thread returns to the report assembler.
-pub(crate) struct NodeOutcome {
+pub struct NodeOutcome {
     pub pass_infos: Vec<NodePassInfo>,
     /// The mined output; identical on every node, so the assembler takes
     /// node 0's.
@@ -72,18 +108,137 @@ pub(crate) struct NodeOutcome {
 }
 
 /// Result of the shared pass 1.
-pub(crate) struct Pass1 {
+pub struct Pass1 {
     pub num_transactions: u64,
     pub min_support_count: u64,
     /// Global per-item support counts (dense) — the duplicate-selection
-    /// heuristics of TGD/PGD/FGD price candidates with these.
+    /// heuristics of TGD/PGD/FGD price candidates with these, FP-Growth
+    /// derives its frequency order from them.
     pub item_counts: Vec<u64>,
     pub large: LargePass,
 }
 
+/// What an algorithm's pass k ≥ 2 hands back to the pass loop.
+pub(crate) struct PassResult {
+    /// The global `L_k`.
+    pub large: Vec<(Itemset, u64)>,
+    pub num_duplicated: usize,
+    pub num_fragments: usize,
+    /// Candidate-counter probe work over the whole pass (the hits are
+    /// the ledger's `hash_probes`).
+    pub probes: u64,
+}
+
+fn check_partitions(db: &PartitionedDatabase, cluster: &ClusterConfig) -> Result<()> {
+    if db.num_partitions() != cluster.num_nodes {
+        return Err(Error::InvalidConfig(format!(
+            "database has {} partitions but the cluster has {} nodes",
+            db.num_partitions(),
+            cluster.num_nodes
+        )));
+    }
+    Ok(())
+}
+
+/// Validates the inputs every parallel entry point takes and lends each
+/// node its own partition.
+pub fn node_sources<'a>(
+    db: &'a PartitionedDatabase,
+    params: &MiningParams,
+    cluster: &ClusterConfig,
+) -> Result<Vec<&'a dyn TransactionSource>> {
+    params.validate()?;
+    cluster.validate()?;
+    check_partitions(db, cluster)?;
+    Ok((0..db.num_partitions()).map(|i| db.partition(i)).collect())
+}
+
+/// The fault-tolerant runtime around one miner: checkpoint sink,
+/// `--resume`, and degraded-mode recovery. `attempt` runs the miner once
+/// over the given per-node sources.
+///
+/// On a tolerated node failure the failed node's partitions are
+/// redistributed round-robin over the survivors (each survivor scans its
+/// own partitions plus the adopted ones back-to-back via
+/// [`MultiSource`]), completed work is restored from the latest
+/// checkpoint, and `attempt` re-runs on the smaller cluster. Global
+/// support counts do not depend on how transactions are partitioned, so
+/// the mined output is identical to the fault-free run; the report's
+/// `degraded` notes record what happened.
+pub fn mine_with_recovery<C: CheckpointFormat>(
+    db: &PartitionedDatabase,
+    params: &MiningParams,
+    cluster: &ClusterConfig,
+    opts: &MineOptions,
+    mut attempt: impl FnMut(
+        &[&dyn TransactionSource],
+        &ClusterConfig,
+        &PassPersistence<'_, C>,
+    ) -> Result<ParallelReport>,
+) -> Result<ParallelReport> {
+    node_sources(db, params, cluster)?; // validation only: attempts scan through `MultiSource`
+    let want_sink = opts.checkpoint_dir.is_some() || opts.max_node_failures > 0;
+    let sink = want_sink
+        .then(|| CheckpointSink::new(opts.checkpoint_dir.clone()))
+        .transpose()?;
+    let mut restore: Option<C> = match &opts.checkpoint_dir {
+        Some(dir) if opts.resume => checkpoint::load_latest(dir),
+        _ => None,
+    };
+    if let (Some(s), Some(cp)) = (&sink, &restore) {
+        s.seed(cp.clone());
+    }
+
+    // `slots[s]` holds the original partition indices node `s` scans in
+    // the current attempt; a failed node's slot is dissolved into the
+    // survivors' slots.
+    let mut slots: Vec<Vec<usize>> = (0..cluster.num_nodes).map(|i| vec![i]).collect();
+    let mut degraded: Vec<String> = Vec::new();
+    loop {
+        let mut smaller = cluster.clone();
+        smaller.num_nodes = slots.len();
+        let multis: Vec<MultiSource<'_>> = slots
+            .iter()
+            .map(|parts| MultiSource::new(parts.iter().map(|&i| db.partition(i)).collect()))
+            .collect();
+        let sources: Vec<&dyn TransactionSource> =
+            multis.iter().map(|m| m as &dyn TransactionSource).collect();
+        let persist = PassPersistence {
+            resume_from: restore.as_ref(),
+            sink: sink.as_ref(),
+        };
+        match attempt(&sources, &smaller, &persist) {
+            Ok(mut report) => {
+                report.degraded = degraded;
+                return Ok(report);
+            }
+            Err(Error::NodeFailure { node, reason })
+                if degraded.len() < opts.max_node_failures
+                    && slots.len() > 1
+                    && node < slots.len() =>
+            {
+                let orphaned = slots.remove(node);
+                let survivors = slots.len();
+                for (j, part) in orphaned.iter().enumerate() {
+                    slots[j % survivors].push(*part);
+                }
+                restore = sink.as_ref().and_then(|s| s.latest());
+                let progress = restore
+                    .as_ref()
+                    .map_or_else(|| "from scratch".into(), C::progress);
+                degraded.push(format!(
+                    "node {node} failed ({reason}); redistributed partitions {orphaned:?} \
+                     across {survivors} survivors and resumed {progress}"
+                ));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Pass 1 (identical in every algorithm): count all items of all levels
 /// over ancestor-extended local transactions, then all-reduce.
-pub(crate) fn pass1(
+fn pass1(
     ctx: &NodeCtx,
     part: &dyn TransactionSource,
     tax: &Taxonomy,
@@ -112,10 +267,43 @@ pub(crate) fn pass1(
     })
 }
 
+/// Runs pass 1 — or replays `restored`, a checkpoint's copy of it, with
+/// a zero delta so the report shows no work was redone — and records its
+/// bookkeeping.
+pub fn run_pass1(
+    ctx: &NodeCtx,
+    part: &dyn TransactionSource,
+    tax: &Taxonomy,
+    params: &MiningParams,
+    restored: Option<Pass1>,
+) -> Result<(Pass1, NodePassInfo)> {
+    let before = ctx.stats().snapshot();
+    let was_restored = restored.is_some();
+    let p1 = match restored {
+        Some(p1) => p1,
+        None => {
+            ctx.set_pass(1);
+            let _pass = ctx.span("pass");
+            pass1(ctx, part, tax, params)?
+        }
+    };
+    let info = NodePassInfo {
+        k: 1,
+        num_candidates: tax.num_items() as usize,
+        num_duplicated: 0,
+        num_fragments: 1,
+        num_large: p1.large.itemsets.len(),
+        restored: was_restored,
+        delta: ctx.stats().snapshot().delta_since(&before),
+    };
+    record_pass_obs(ctx, &info);
+    Ok((p1, info))
+}
+
 /// One full pass over the node's local partition, with I/O accounting
 /// (bytes + scan-pass counters — NPGM's fragment loop makes these the
 /// story of Figure 14).
-pub(crate) fn scan_partition(
+pub fn scan_partition(
     ctx: &NodeCtx,
     part: &dyn TransactionSource,
     mut f: impl FnMut(&[ItemId]) -> Result<()>,
@@ -144,6 +332,121 @@ pub(crate) fn scan_partition(
         obs.add("scan.bytes", &labels, part.bytes_read() - before);
     }
     Ok(())
+}
+
+/// A per-owner wire batch the exchange can flush. The codecs' inherent
+/// `byte_len`/`take` are what implement it.
+pub trait WireBatch {
+    /// Current payload size in bytes (0 ⇔ nothing queued).
+    fn byte_len(&self) -> usize;
+    /// Takes the queued payload, leaving the batch empty.
+    fn take(&mut self) -> Bytes;
+}
+
+impl WireBatch for ItemsetBatch {
+    fn byte_len(&self) -> usize {
+        ItemsetBatch::byte_len(self)
+    }
+    fn take(&mut self) -> Bytes {
+        ItemsetBatch::take(self)
+    }
+}
+
+impl WireBatch for ItemListBatch {
+    fn byte_len(&self) -> usize {
+        ItemListBatch::byte_len(self)
+    }
+    fn take(&mut self) -> Bytes {
+        ItemListBatch::take(self)
+    }
+}
+
+/// The all-to-all exchange protocol of a pass, written once: one batch
+/// per owner node flushed at 16 KiB, an opportunistic inbox drain every
+/// `poll_every` producer units, then a final flush, a drain until every
+/// peer is done, and a barrier. What goes into a batch and what a
+/// received payload means stay with the algorithm.
+pub struct BatchedExchange<'a, B> {
+    ctx: &'a NodeCtx,
+    ex: Exchange<'a>,
+    tag: u32,
+    poll_every: usize,
+    units: usize,
+    batches: Vec<B>,
+}
+
+/// Hands a data envelope's payload to `receive`, refusing foreign tags.
+fn deliver(
+    tag: u32,
+    mut receive: impl FnMut(&[u8]) -> Result<()>,
+) -> impl FnMut(&Envelope) -> Result<()> {
+    move |env| {
+        if env.tag != tag {
+            return Err(Error::Protocol(format!(
+                "expected tag {tag} during the exchange, got tag {}",
+                env.tag
+            )));
+        }
+        receive(&env.payload)
+    }
+}
+
+impl<'a, B: WireBatch> BatchedExchange<'a, B> {
+    /// An exchange of `tag` messages with one `new_batch()` per node.
+    pub fn new(
+        ctx: &'a NodeCtx,
+        tag: u32,
+        poll_every: usize,
+        new_batch: impl FnMut() -> B,
+    ) -> BatchedExchange<'a, B> {
+        BatchedExchange {
+            ctx,
+            ex: ctx.exchange(),
+            tag,
+            poll_every,
+            units: 0,
+            batches: std::iter::repeat_with(new_batch)
+                .take(ctx.num_nodes())
+                .collect(),
+        }
+    }
+
+    /// Queues data for `owner` through `fill`, shipping the batch once it
+    /// reaches the flush threshold.
+    #[inline]
+    pub fn push(&mut self, owner: usize, fill: impl FnOnce(&mut B)) -> Result<()> {
+        let batch = &mut self.batches[owner];
+        fill(batch);
+        if batch.byte_len() >= BATCH_FLUSH_BYTES {
+            self.ex.send(owner, self.tag, batch.take())?;
+        }
+        Ok(())
+    }
+
+    /// Marks one producer unit (a transaction, a projection) done; every
+    /// `poll_every` units, drains what has arrived so far into `receive`.
+    #[inline]
+    pub fn unit_done(&mut self, receive: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        self.units += 1;
+        if self.units.is_multiple_of(self.poll_every) {
+            self.ex.poll(deliver(self.tag, receive))?;
+        }
+        Ok(())
+    }
+
+    /// Flushes every partial batch, drains into `receive` until all peers
+    /// are done, then quiesces the cluster so no later message (a GATHER,
+    /// a RESULT) can race into a peer's exchange drain.
+    pub fn finish(mut self, receive: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let _exchange = self.ctx.span("exchange");
+        for (owner, batch) in self.batches.iter_mut().enumerate() {
+            if batch.byte_len() > 0 {
+                self.ex.send(owner, self.tag, batch.take())?;
+            }
+        }
+        self.ex.finish(deliver(self.tag, receive))?;
+        self.ctx.barrier()
+    }
 }
 
 /// Generates pass-k candidates exactly as the sequential Cumulate does
@@ -282,16 +585,6 @@ pub(crate) fn for_each_root_multiset(roots: &[(u32, usize)], k: usize, f: &mut i
     rec(roots, 0, k, &mut scratch, f);
 }
 
-/// Metric names for candidate-counter probe accounting, split by the
-/// backing structure so hashmap and hashtree runs are comparable
-/// (Figure 15's per-node probe series).
-pub(crate) fn counter_probe_metrics(kind: CounterKind) -> (&'static str, &'static str) {
-    match kind {
-        CounterKind::HashMap => ("counter.hashmap.probes", "counter.hashmap.hits"),
-        CounterKind::HashTree => ("counter.hashtree.probes", "counter.hashtree.hits"),
-    }
-}
-
 /// Records a freshly built counter's arena footprint (`counter.arena.*`,
 /// one observation per counter per pass); no-op for non-arena counters.
 pub(crate) fn record_arena_obs(ctx: &NodeCtx, k: usize, counter: &dyn CandidateCounter) {
@@ -308,9 +601,9 @@ pub(crate) fn record_arena_obs(ctx: &NodeCtx, k: usize, counter: &dyn CandidateC
 }
 
 /// Records one pass's bookkeeping and ledger deltas into the run's
-/// observability sink. Shared by the hierarchical pass loop and the flat
-/// baselines so `metrics.json` has one schema.
-pub(crate) fn record_pass_obs(ctx: &NodeCtx, info: &NodePassInfo) {
+/// observability sink, so `metrics.json` has one schema across
+/// algorithms and miner families.
+pub fn record_pass_obs(ctx: &NodeCtx, info: &NodePassInfo) {
     let obs = ctx.obs();
     if !obs.is_enabled() {
         return;
@@ -346,30 +639,14 @@ pub(crate) fn record_pass_obs(ctx: &NodeCtx, info: &NodePassInfo) {
     );
 }
 
-/// Coordinator-side checkpoint write after a completed pass: packages the
-/// pass-1 state plus every `L_k` so far. Non-coordinators and runs
-/// without a sink are no-ops.
-fn store_checkpoint(
-    ctx: &NodeCtx,
-    persist: &PassPersistence<'_>,
+/// Packages the pass-1 state plus every `L_k` so far as a checkpoint.
+fn checkpoint_of(
     algorithm: Algorithm,
     p1: &Pass1,
     passes: &[LargePass],
     pass_infos: &[NodePassInfo],
-) -> Result<()> {
-    let Some(sink) = persist.sink else {
-        return Ok(());
-    };
-    if !ctx.is_coordinator() {
-        return Ok(());
-    }
-    let _checkpoint = ctx.span("checkpoint");
-    ctx.obs().add(
-        "checkpoint.stored",
-        &[("node", ctx.node_id() as u64), ("pass", ctx.current_pass())],
-        1,
-    );
-    let cp_passes = passes
+) -> Checkpoint {
+    let passes = passes
         .iter()
         .map(|lp| {
             let info = pass_infos
@@ -385,100 +662,74 @@ fn store_checkpoint(
             }
         })
         .collect();
-    sink.store(Checkpoint {
+    Checkpoint {
         algorithm,
         num_transactions: p1.num_transactions,
         min_support_count: p1.min_support_count,
         item_counts: p1.item_counts.clone(),
-        passes: cp_passes,
-    })
+        passes,
+    }
 }
 
-/// Drives the common pass loop on one node. `run_pass` implements the
-/// algorithm-specific pass k ≥ 2 and returns the global `L_k` plus its
-/// bookkeeping. With `persist.resume_from` set, completed passes are
-/// replayed from the checkpoint (zero-delta, `restored` flagged) and
-/// mining restarts at the first unfinished pass.
+/// Drives the Apriori family's pass loop on one node. `run_pass`
+/// implements the algorithm-specific pass k ≥ 2. With
+/// `persist.resume_from` set, completed passes are replayed from the
+/// checkpoint (zero-delta, `restored` flagged) and mining restarts at the
+/// first unfinished pass.
 pub(crate) fn node_pass_loop(
     ctx: &NodeCtx,
     part: &dyn TransactionSource,
     tax: &Taxonomy,
     params: &MiningParams,
     algorithm: Algorithm,
-    persist: &PassPersistence<'_>,
-    mut run_pass: impl FnMut(
-        &NodeCtx,
-        usize,      // k
-        &[Itemset], // C_k
-        &Pass1,     // thresholds + item counts
-    ) -> Result<(Vec<(Itemset, u64)>, usize, usize)>, // (L_k, duplicated, fragments)
+    persist: &PassPersistence<'_, Checkpoint>,
+    mut run_pass: impl FnMut(&NodeCtx, usize, &[Itemset], &Pass1) -> Result<PassResult>,
 ) -> Result<NodeOutcome> {
     let resume = persist.resume_from.filter(|cp| !cp.passes.is_empty());
-    let (p1, mut passes, mut pass_infos, mut k) = if let Some(cp) = resume {
-        // Replay the checkpointed passes without touching the disk: the
-        // restored entries carry zero deltas so the report shows no work
-        // was redone.
-        let p1 = Pass1 {
-            num_transactions: cp.num_transactions,
-            min_support_count: cp.min_support_count,
-            item_counts: cp.item_counts.clone(),
-            large: LargePass {
-                k: 1,
-                itemsets: cp.passes[0].itemsets.clone(),
-            },
-        };
-        let mut pass_infos = Vec::with_capacity(cp.passes.len());
-        let mut passes = Vec::with_capacity(cp.passes.len());
-        for p in &cp.passes {
-            pass_infos.push(NodePassInfo {
-                k: p.k,
-                num_candidates: p.num_candidates,
-                num_duplicated: p.num_duplicated,
-                num_fragments: p.num_fragments,
-                num_large: p.itemsets.len(),
-                restored: true,
-                delta: NodeStatsSnapshot::default(),
-            });
-            record_pass_obs(ctx, pass_infos.last().expect("restored pass info"));
-            passes.push(LargePass {
-                k: p.k,
-                itemsets: p.itemsets.clone(),
-            });
-        }
-        (p1, passes, pass_infos, cp.last_pass() + 1)
-    } else {
-        let mut pass_infos = Vec::new();
-        let last_snap = ctx.stats().snapshot();
-        ctx.set_pass(1);
-        let p1 = {
-            let _pass = ctx.span("pass");
-            pass1(ctx, part, tax, params)?
-        };
-        let snap = ctx.stats().snapshot();
-        pass_infos.push(NodePassInfo {
+    let restored = resume.map(|cp| Pass1 {
+        num_transactions: cp.num_transactions,
+        min_support_count: cp.min_support_count,
+        item_counts: cp.item_counts.clone(),
+        large: LargePass {
             k: 1,
-            num_candidates: tax.num_items() as usize,
-            num_duplicated: 0,
-            num_fragments: 1,
-            num_large: p1.large.itemsets.len(),
-            restored: false,
-            delta: snap.delta_since(&last_snap),
+            itemsets: cp.passes[0].itemsets.clone(),
+        },
+    });
+    let (p1, info1) = run_pass1(ctx, part, tax, params, restored)?;
+    let mut pass_infos = vec![info1];
+    let mut passes = vec![p1.large.clone()];
+    for p in resume.map_or(&[][..], |cp| &cp.passes[1..]) {
+        pass_infos.push(NodePassInfo {
+            k: p.k,
+            num_candidates: p.num_candidates,
+            num_duplicated: p.num_duplicated,
+            num_fragments: p.num_fragments,
+            num_large: p.itemsets.len(),
+            restored: true,
+            delta: NodeStatsSnapshot::default(),
         });
-        record_pass_obs(ctx, pass_infos.last().expect("pass 1 info"));
-        let passes = vec![p1.large.clone()];
-        store_checkpoint(ctx, persist, algorithm, &p1, &passes, &pass_infos)?;
-        (p1, passes, pass_infos, 2)
-    };
+        record_pass_obs(ctx, pass_infos.last().expect("restored pass info"));
+        passes.push(LargePass {
+            k: p.k,
+            itemsets: p.itemsets.clone(),
+        });
+    }
+    if resume.is_none() {
+        persist.store(ctx, || checkpoint_of(algorithm, &p1, &passes, &pass_infos))?;
+    }
 
+    // Probe metrics are split by the backing structure so hashmap and
+    // hashtree runs are comparable (Figure 15's per-node probe series).
+    let (probes_metric, hits_metric) = match params.counter {
+        CounterKind::HashMap => ("counter.hashmap.probes", "counter.hashmap.hits"),
+        CounterKind::HashTree => ("counter.hashtree.probes", "counter.hashtree.hits"),
+    };
     let mut last_snap = ctx.stats().snapshot();
-    loop {
-        if passes.last().is_none_or(|p| p.itemsets.is_empty()) {
+    for k in passes.len() + 1.. {
+        if passes.last().is_none_or(|p| p.itemsets.is_empty())
+            || params.max_pass.is_some_and(|max| k > max)
+        {
             break;
-        }
-        if let Some(max) = params.max_pass {
-            if k > max {
-                break;
-            }
         }
         let candidates = candidates_for_pass(k, passes.last().expect("nonempty"), tax);
         if candidates.is_empty() {
@@ -487,29 +738,35 @@ pub(crate) fn node_pass_loop(
         ctx.set_pass(k);
         ctx.stats().add_cpu(candidates.len() as u64);
 
-        let (large, num_duplicated, num_fragments) = {
+        let result = {
             let _pass = ctx.span("pass");
             run_pass(ctx, k, &candidates, &p1)?
         };
         let snap = ctx.stats().snapshot();
+        let delta = snap.delta_since(&last_snap);
+        let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
+        ctx.obs().add(probes_metric, &labels, result.probes);
+        ctx.obs().add(hits_metric, &labels, delta.hash_probes);
         pass_infos.push(NodePassInfo {
             k,
             num_candidates: candidates.len(),
-            num_duplicated,
-            num_fragments,
-            num_large: large.len(),
+            num_duplicated: result.num_duplicated,
+            num_fragments: result.num_fragments,
+            num_large: result.large.len(),
             restored: false,
-            delta: snap.delta_since(&last_snap),
+            delta,
         });
         record_pass_obs(ctx, pass_infos.last().expect("pass info"));
         last_snap = snap;
 
-        if large.is_empty() {
+        if result.large.is_empty() {
             break;
         }
-        passes.push(LargePass { k, itemsets: large });
-        store_checkpoint(ctx, persist, algorithm, &p1, &passes, &pass_infos)?;
-        k += 1;
+        passes.push(LargePass {
+            k,
+            itemsets: result.large,
+        });
+        persist.store(ctx, || checkpoint_of(algorithm, &p1, &passes, &pass_infos))?;
     }
 
     passes.retain(|p| !p.itemsets.is_empty());
@@ -525,11 +782,7 @@ pub(crate) fn node_pass_loop(
 }
 
 /// Builds the [`ParallelReport`] from a finished cluster run.
-pub(crate) fn assemble_report(
-    cluster: &ClusterConfig,
-    run: ClusterRun<NodeOutcome>,
-) -> ParallelReport {
-    let num_nodes = cluster.num_nodes;
+pub fn assemble_report(cluster: &ClusterConfig, run: ClusterRun<NodeOutcome>) -> ParallelReport {
     let num_passes = run.results[0].pass_infos.len();
     debug_assert!(run.results.iter().all(|r| r.pass_infos.len() == num_passes));
 
@@ -556,7 +809,7 @@ pub(crate) fn assemble_report(
     let output = run.results.into_iter().next().expect("node 0").output;
     ParallelReport {
         output,
-        num_nodes,
+        num_nodes: cluster.num_nodes,
         pass_reports,
         wall: run.wall,
         modeled_seconds: total_modeled,
@@ -608,6 +861,28 @@ mod tests {
         })
         .unwrap();
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn owner_is_stable_bounded_and_spread() {
+        for n in 1..8 {
+            let o = owner_of([3, 7], n);
+            assert!(o < n);
+            assert_eq!(o, owner_of([3, 7], n));
+        }
+        // 100 distinct pairs over 4 nodes: every node should own some.
+        let mut seen = [false; 4];
+        for a in 0..10u32 {
+            for b in 10..20u32 {
+                seen[owner_of([a, b], 4)] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+        // The one placement hash, shared with the serving layer's shards.
+        assert_eq!(
+            owner_of([5, 5], 64) as u64,
+            gar_types::fx_hash_u32_slice(&[5, 5]) % 64
+        );
     }
 
     #[test]

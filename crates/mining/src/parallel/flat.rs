@@ -5,25 +5,20 @@
 //! Agrawal & Shafer [AS96]) replicates the candidates and all-reduces
 //! counts — NPGM without the hierarchy — while **HPA** (Hash Partitioned
 //! Apriori, the authors' own [SK96]) hash-partitions the candidates and
-//! ships generated k-itemsets — the algorithm HPGM generalizes. Both are
-//! implemented here so the lineage can be measured: on flat data they are
-//! the exact baselines; on hierarchical data they mine leaf-level rules
-//! only (see [`crate::sequential::apriori`]).
+//! ships generated k-itemsets — the algorithm HPGM generalizes. That
+//! lineage is literal here: both run NPGM's / HPGM's code over an
+//! edge-less taxonomy, where ancestor extension is the identity. On flat
+//! data they are the exact baselines; on hierarchical data they mine
+//! leaf-level rules only (see [`crate::sequential::apriori`]).
 
-use crate::candidate::{generate_candidates, generate_pairs};
-use crate::counter::build_counter;
-use crate::parallel::common::{
-    candidates_bytes, counter_probe_metrics, for_each_k_subset, gather_large, record_arena_obs,
-    record_pass_obs, scan_partition, tags, NodePassInfo, BATCH_FLUSH_BYTES, POLL_EVERY_TXNS,
-};
-use crate::params::MiningParams;
-use crate::report::{LargePass, MiningOutput, ParallelReport, PassReport};
-use crate::sequential::{extract_large, large_items_from_counts};
-use crate::wire::{for_each_itemset, ItemsetBatch};
-use gar_cluster::{Cluster, ClusterConfig, ClusterRun, NodeStatsSnapshot};
+use crate::parallel::common::{node_sources, PassPersistence};
+use crate::parallel::{hpgm, npgm};
+use crate::params::{Algorithm, MiningParams};
+use crate::report::ParallelReport;
+use gar_cluster::ClusterConfig;
 use gar_storage::PartitionedDatabase;
-use gar_types::{Error, ItemId, Itemset, Result};
-use std::hash::Hasher;
+use gar_taxonomy::TaxonomyBuilder;
+use gar_types::Result;
 
 /// The flat parallel algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,40 +42,6 @@ impl FlatAlgorithm {
     }
 }
 
-fn owner_of(items: &[ItemId], num_nodes: usize) -> usize {
-    let mut h = gar_types::FxHasher::default();
-    for it in items {
-        h.write_u32(it.raw());
-    }
-    (h.finish() % num_nodes as u64) as usize
-}
-
-struct NodeOutcome {
-    pass_infos: Vec<(usize, usize, usize, usize, NodeStatsSnapshot)>,
-    output: MiningOutput,
-}
-
-/// Adapts the flat loop's tuple bookkeeping to the shared
-/// [`record_pass_obs`] schema so `metrics.json` looks the same for CD/HPA
-/// as for the hierarchical algorithms.
-fn record_flat_pass_obs(
-    ctx: &gar_cluster::NodeCtx,
-    &(k, cands, fragments, large, delta): &(usize, usize, usize, usize, NodeStatsSnapshot),
-) {
-    record_pass_obs(
-        ctx,
-        &NodePassInfo {
-            k,
-            num_candidates: cands,
-            num_duplicated: 0,
-            num_fragments: fragments,
-            num_large: large,
-            restored: false,
-            delta,
-        },
-    );
-}
-
 /// Runs a flat parallel algorithm over `db` (items `0..num_items`, no
 /// taxonomy).
 pub fn mine_parallel_flat(
@@ -90,247 +51,23 @@ pub fn mine_parallel_flat(
     params: &MiningParams,
     cluster: &ClusterConfig,
 ) -> Result<ParallelReport> {
-    params.validate()?;
-    cluster.validate()?;
-    if db.num_partitions() != cluster.num_nodes {
-        return Err(Error::InvalidConfig(format!(
-            "database has {} partitions but the cluster has {} nodes",
-            db.num_partitions(),
-            cluster.num_nodes
-        )));
-    }
-
-    let run: ClusterRun<NodeOutcome> = Cluster::run(cluster, |ctx| {
-        let part = db.partition(ctx.node_id());
-        let mut pass_infos = Vec::new();
-        let mut last_snap = ctx.stats().snapshot();
-
-        // Pass 1: dense item counts, all-reduced.
-        ctx.set_pass(1);
-        let (num_transactions, min_support_count, l1) = {
-            let _pass = ctx.span("pass");
-            let num_transactions = ctx.all_reduce_u64(&[part.num_transactions() as u64])?[0];
-            let min_support_count = params.min_support_count(num_transactions);
-            let mut counts = vec![0u64; num_items as usize];
-            scan_partition(ctx, part, |t| {
-                ctx.stats().add_cpu(t.len() as u64);
-                for it in t {
-                    counts[it.index()] += 1;
-                }
-                Ok(())
-            })?;
-            let _count = ctx.span("count");
-            let global = ctx.all_reduce_u64(&counts)?;
-            let l1 = large_items_from_counts(&global, min_support_count);
-            (num_transactions, min_support_count, l1)
-        };
-        let snap = ctx.stats().snapshot();
-        pass_infos.push((
-            1,
-            num_items as usize,
-            1,
-            l1.itemsets.len(),
-            snap.delta_since(&last_snap),
-        ));
-        last_snap = snap;
-        record_flat_pass_obs(ctx, pass_infos.last().expect("pass 1 info"));
-
-        let mut passes = vec![l1];
-        let mut k = 2;
-        loop {
-            if passes.last().is_none_or(|p| p.itemsets.is_empty()) {
-                break;
-            }
-            if let Some(max) = params.max_pass {
-                if k > max {
-                    break;
-                }
-            }
-            let prev = &passes.last().expect("nonempty").itemsets;
-            let candidates: Vec<Itemset> = if k == 2 {
-                let l1_items: Vec<ItemId> = prev.iter().map(|(s, _)| s.items()[0]).collect();
-                generate_pairs(&l1_items, None)
-            } else {
-                let prev_sets: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
-                generate_candidates(&prev_sets)
-            };
-            if candidates.is_empty() {
-                break;
-            }
-            ctx.stats().add_cpu(candidates.len() as u64);
-            ctx.set_pass(k);
-            let _pass = ctx.span("pass");
-            let (mut probes, mut hits) = (0u64, 0u64);
-
-            let (large, fragments) = match algorithm {
-                FlatAlgorithm::CountDistribution => {
-                    let total = candidates_bytes(k, candidates.len());
-                    let fragments = (total.div_ceil(ctx.memory_budget())).max(1) as usize;
-                    let frag_len = candidates.len().div_ceil(fragments).max(1);
-                    let mut large = Vec::new();
-                    for fragment in candidates.chunks(frag_len) {
-                        let mut counter = build_counter(params.counter, k, fragment);
-                        record_arena_obs(ctx, k, counter.as_ref());
-                        scan_partition(ctx, part, |t| {
-                            let out = counter.count_transaction(t);
-                            ctx.stats().add_cpu(out.work);
-                            ctx.stats().add_probes(out.hits);
-                            probes += out.work;
-                            hits += out.hits;
-                            Ok(())
-                        })?;
-                        let _count = ctx.span("count");
-                        let global = ctx.all_reduce_u64(counter.counts())?;
-                        counter.set_counts(&global);
-                        large.extend(extract_large(counter, min_support_count));
-                    }
-                    large.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-                    (large, fragments)
-                }
-                FlatAlgorithm::Hpa => {
-                    let n = ctx.num_nodes();
-                    let me = ctx.node_id();
-                    let mine: Vec<Itemset> = candidates
-                        .iter()
-                        .filter(|c| owner_of(c.items(), n) == me)
-                        .cloned()
-                        .collect();
-                    let mut counter = build_counter(params.counter, k, &mine);
-                    record_arena_obs(ctx, k, counter.as_ref());
-                    let mut batches: Vec<ItemsetBatch> =
-                        (0..n).map(|_| ItemsetBatch::new(k)).collect();
-                    let mut ex = ctx.exchange();
-                    let mut scratch = Vec::with_capacity(k);
-                    let mut txn_no = 0usize;
-                    scan_partition(ctx, part, |t| {
-                        for_each_k_subset(t, k, &mut scratch, &mut |subset| {
-                            ctx.stats().add_cpu(1);
-                            let owner = owner_of(subset, n);
-                            if owner == me {
-                                let out = counter.probe(subset);
-                                ctx.stats().add_probes(out.hits);
-                                probes += out.work.max(1);
-                                hits += out.hits;
-                            } else {
-                                let batch = &mut batches[owner];
-                                batch.push(subset);
-                                if batch.byte_len() >= BATCH_FLUSH_BYTES {
-                                    ex.send(owner, tags::ITEMSETS, batch.take())?;
-                                }
-                            }
-                            Ok(())
-                        })?;
-                        txn_no += 1;
-                        if txn_no.is_multiple_of(POLL_EVERY_TXNS) {
-                            ex.poll(|env| {
-                                for_each_itemset(&env.payload, k, |s| {
-                                    let out = counter.probe(s);
-                                    ctx.stats().add_cpu(1);
-                                    ctx.stats().add_probes(out.hits);
-                                    probes += out.work.max(1);
-                                    hits += out.hits;
-                                    Ok(())
-                                })
-                            })?;
-                        }
-                        Ok(())
-                    })?;
-                    {
-                        let _exchange = ctx.span("exchange");
-                        for (owner, batch) in batches.iter_mut().enumerate() {
-                            if !batch.is_empty() {
-                                ex.send(owner, tags::ITEMSETS, batch.take())?;
-                            }
-                        }
-                        ex.finish(|env| {
-                            for_each_itemset(&env.payload, k, |s| {
-                                let out = counter.probe(s);
-                                ctx.stats().add_cpu(1);
-                                ctx.stats().add_probes(out.hits);
-                                probes += out.work.max(1);
-                                hits += out.hits;
-                                Ok(())
-                            })
-                        })?;
-                        ctx.barrier()?;
-                    }
-                    let _count = ctx.span("count");
-                    let local_large = extract_large(counter, min_support_count);
-                    (gather_large(ctx, k, local_large)?, 1)
-                }
-            };
-
-            let (pname, hname) = counter_probe_metrics(params.counter);
-            let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
-            ctx.obs().add(pname, &labels, probes);
-            ctx.obs().add(hname, &labels, hits);
-
-            let snap = ctx.stats().snapshot();
-            pass_infos.push((
-                k,
-                candidates.len(),
-                fragments,
-                large.len(),
-                snap.delta_since(&last_snap),
-            ));
-            last_snap = snap;
-            record_flat_pass_obs(ctx, pass_infos.last().expect("pass info"));
-            if large.is_empty() {
-                break;
-            }
-            passes.push(LargePass { k, itemsets: large });
-            k += 1;
-        }
-
-        passes.retain(|p| !p.itemsets.is_empty());
-        Ok(NodeOutcome {
-            pass_infos,
-            output: MiningOutput {
-                algorithm: crate::params::Algorithm::Apriori,
-                num_transactions,
-                min_support_count,
-                passes,
-            },
-        })
-    })?;
-
-    // Assemble the report (same shape as the hierarchical algorithms').
-    let num_passes = run.results[0].pass_infos.len();
-    let mut pass_reports = Vec::with_capacity(num_passes);
-    let mut total_modeled = 0.0;
-    for p in 0..num_passes {
-        let (k, cands, fragments, large, _) = run.results[0].pass_infos[p];
-        let node_deltas: Vec<NodeStatsSnapshot> =
-            run.results.iter().map(|r| r.pass_infos[p].4).collect();
-        let modeled_seconds = cluster.cost.execution_seconds(&node_deltas);
-        total_modeled += modeled_seconds;
-        pass_reports.push(PassReport {
-            k,
-            num_candidates: cands,
-            num_duplicated: 0,
-            num_fragments: fragments,
-            num_large: large,
-            restored: false,
-            node_deltas,
-            modeled_seconds,
-        });
-    }
-    let output = run.results.into_iter().next().expect("node 0").output;
-    Ok(ParallelReport {
-        output,
-        num_nodes: cluster.num_nodes,
-        pass_reports,
-        wall: run.wall,
-        modeled_seconds: total_modeled,
-        node_totals: run.stats,
-        degraded: Vec::new(),
-    })
+    let sources = node_sources(db, params, cluster)?;
+    let tax = TaxonomyBuilder::new(num_items).build()?;
+    let mine = match algorithm {
+        FlatAlgorithm::CountDistribution => npgm::mine,
+        FlatAlgorithm::Hpa => hpgm::mine,
+    };
+    let mut report = mine(&sources, &tax, params, cluster, &PassPersistence::NONE)?;
+    report.output.algorithm = Algorithm::Apriori;
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::mine_parallel;
     use crate::sequential::apriori;
+    use gar_types::ItemId;
 
     fn flat_txns(seed: u64) -> Vec<Vec<ItemId>> {
         // Deterministic pseudo-random flat transactions over 40 items.
@@ -417,6 +154,38 @@ mod tests {
             hpa_2 as f64 > 1.5 * hpa_1 as f64,
             "HPA traffic should scale with data: {hpa_1} -> {hpa_2}"
         );
+    }
+
+    #[test]
+    fn cd_is_npgm_and_hpa_is_hpgm_over_an_edgeless_taxonomy() {
+        // The adapter adds nothing: same large itemsets, same per-pass
+        // bookkeeping, same per-node ledgers as the hierarchical algorithm
+        // run directly over a taxonomy with no edges.
+        let tax = TaxonomyBuilder::new(40).build().unwrap();
+        let params = MiningParams::with_min_support(0.05);
+        for nodes in [1usize, 3, 4] {
+            let db = PartitionedDatabase::build_in_memory(nodes, flat_txns(3).into_iter()).unwrap();
+            let cluster = ClusterConfig::new(nodes, 1 << 24);
+            for (flat, hier) in [
+                (FlatAlgorithm::CountDistribution, Algorithm::Npgm),
+                (FlatAlgorithm::Hpa, Algorithm::Hpgm),
+            ] {
+                let a = mine_parallel_flat(flat, &db, 40, &params, &cluster).unwrap();
+                let b = mine_parallel(hier, &db, &tax, &params, &cluster).unwrap();
+                let what = format!("{} at {nodes} nodes", flat.name());
+                assert_eq!(a.output.algorithm, Algorithm::Apriori, "{what}");
+                assert!(a.output.all_large().eq(b.output.all_large()), "{what}");
+                assert_eq!(a.pass_reports.len(), b.pass_reports.len(), "{what}");
+                for (x, y) in a.pass_reports.iter().zip(&b.pass_reports) {
+                    assert_eq!(
+                        (x.k, x.num_candidates, x.num_fragments, x.num_large),
+                        (y.k, y.num_candidates, y.num_fragments, y.num_large),
+                        "{what}"
+                    );
+                    assert_eq!(x.node_deltas, y.node_deltas, "{what} pass {}", x.k);
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //! at all.
 
 use crate::candidate::items_in_candidates;
+use crate::checkpoint::Checkpoint;
 use crate::counter::{build_counter, CandidateCounter};
 use crate::parallel::common::{
-    assemble_report, candidates_bytes, counter_probe_metrics, for_each_root_multiset, gather_large,
-    node_pass_loop, record_arena_obs, root_key, scan_partition, tags, PassPersistence,
-    BATCH_FLUSH_BYTES, POLL_EVERY_TXNS,
+    assemble_report, candidates_bytes, for_each_root_multiset, gather_large, node_pass_loop,
+    owner_of, record_arena_obs, root_key, scan_partition, tags, BatchedExchange, Pass1,
+    PassPersistence, PassResult, POLL_EVERY_TXNS,
 };
 use crate::parallel::duplicate::{select_duplicates, DuplicateGrain, DuplicateSelection};
 use crate::params::{Algorithm, MiningParams};
@@ -36,17 +37,13 @@ use gar_cluster::{Cluster, ClusterConfig, NodeCtx};
 use gar_storage::TransactionSource;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::{FxHashSet, ItemId, Itemset, Result};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 
 /// Owner node of a root-itemset key.
 fn owner_of_key(key: &[u32], num_nodes: usize) -> usize {
-    let mut h = gar_types::FxHasher::default();
-    for &r in key {
-        h.write_u32(r);
-    }
-    (h.finish() % num_nodes as u64) as usize
+    owner_of(key.iter().copied(), num_nodes)
 }
 
 /// Pass-`k` setup that every replica derives identically from globally
@@ -79,7 +76,7 @@ fn build_pass_setup(
     tax: &Taxonomy,
     num_nodes: usize,
     memory_budget: u64,
-    p1: &crate::parallel::common::Pass1,
+    p1: &Pass1,
 ) -> PassSetup {
     let mut l1 = vec![false; tax.num_items() as usize];
     for (s, _) in &p1.large.itemsets {
@@ -140,9 +137,8 @@ fn build_pass_setup(
 /// counts precisely what per-combination subset enumeration would — while
 /// never expanding a subset that matches no candidate prefix.
 ///
-/// Returns `(work, hits)` — the walk tallies already charged to the
-/// ledger — so the caller can aggregate them per pass for the
-/// observability counters.
+/// Returns the walk's work — already charged to the ledger — so the
+/// caller can aggregate it per pass for the observability counters.
 fn count_combos(
     ctx: &NodeCtx,
     tax: &Taxonomy,
@@ -151,9 +147,9 @@ fn count_combos(
     local_counter: &mut dyn CandidateCounter,
     items: &[ItemId],
     ext: &mut Vec<ItemId>,
-) -> (u64, u64) {
+) -> u64 {
     if items.is_empty() {
-        return (0, 0);
+        return 0;
     }
     view.extend_transaction_into(tax, items, ext);
     ctx.stats().add_cpu(ext.len() as u64);
@@ -170,7 +166,7 @@ fn count_combos(
     hits += out.hits;
     ctx.stats().add_cpu(work);
     ctx.stats().add_probes(hits);
-    (work, hits)
+    work
 }
 
 /// Runs H-HPGM (grain `None`) or one of the duplication variants over
@@ -183,7 +179,7 @@ pub(crate) fn mine(
     tax: &Taxonomy,
     params: &MiningParams,
     cluster: &ClusterConfig,
-    persist: &PassPersistence<'_>,
+    persist: &PassPersistence<'_, Checkpoint>,
 ) -> Result<ParallelReport> {
     let setups: Mutex<HashMap<usize, Arc<PassSetup>>> = Mutex::new(HashMap::new());
     let run = Cluster::run(cluster, |ctx| {
@@ -241,18 +237,28 @@ pub(crate) fn mine(
                 record_arena_obs(ctx, k, local_counter.as_ref());
                 record_arena_obs(ctx, k, dup_counter.as_ref());
 
-                let mut ex = ctx.exchange();
-                let mut txn_no = 0usize;
-                let (mut probes, mut hits) = (0u64, 0u64);
+                let probes = Cell::new(0u64);
                 let mut roots_scratch: Vec<(u32, usize)> = Vec::new();
                 let mut owner_roots: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); n];
                 let mut group_scratch: Vec<ItemId> = Vec::new();
                 let mut recv_scratch: Vec<ItemId> = Vec::new();
                 let mut reduced: Vec<ItemId> = Vec::new();
                 let mut ext_scratch: Vec<ItemId> = Vec::new();
-                let mut batches: Vec<ItemListBatch> =
-                    (0..n).map(|_| ItemListBatch::new()).collect();
 
+                // Receive path: C_k^D was already counted by the sender
+                // against its own transaction, so only the local partition
+                // counts here.
+                let mut receive =
+                    |local: &mut dyn CandidateCounter, ext: &mut Vec<ItemId>, payload: &[u8]| {
+                        for_each_item_list(payload, &mut recv_scratch, |list| {
+                            let w = count_combos(ctx, tax, view, None, local, list, ext);
+                            probes.set(probes.get() + w);
+                            Ok(())
+                        })
+                    };
+
+                let mut ex =
+                    BatchedExchange::new(ctx, tags::ITEMS, POLL_EVERY_TXNS, ItemListBatch::new);
                 scan_partition(ctx, part, |t| {
                     tax.reduce_to_lowest_large_into(t, |it| l1[it.index()], &mut reduced);
                     ctx.stats().add_cpu(t.len() as u64);
@@ -263,7 +269,7 @@ pub(crate) fn mine(
                     // One combined local counting pass: the replicated C_k^D
                     // (counted on every node's own data) and this node's own
                     // partition, sharing a single ancestor extension.
-                    let (w, h) = count_combos(
+                    let w = count_combos(
                         ctx,
                         tax,
                         view,
@@ -272,8 +278,7 @@ pub(crate) fn mine(
                         &reduced,
                         &mut ext_scratch,
                     );
-                    probes += w;
-                    hits += h;
+                    probes.set(probes.get() + w);
 
                     // Distinct roots present, with the number of reduced items
                     // under each (availability bound for same-root combos).
@@ -304,8 +309,8 @@ pub(crate) fn mine(
 
                     // Ship sub-transactions to the other owners (this node's
                     // own combinations were counted above).
-                    for owner in 0..n {
-                        if owner == me || owner_roots[owner].is_empty() {
+                    for (owner, wanted) in owner_roots.iter().enumerate() {
+                        if owner == me || wanted.is_empty() {
                             continue;
                         }
                         group_scratch.clear();
@@ -313,73 +318,13 @@ pub(crate) fn mine(
                             reduced
                                 .iter()
                                 .copied()
-                                .filter(|&it| owner_roots[owner].contains(&tax.root_of(it).raw())),
+                                .filter(|&it| wanted.contains(&tax.root_of(it).raw())),
                         );
-                        let batch = &mut batches[owner];
-                        batch.push(&group_scratch);
-                        if batch.byte_len() >= BATCH_FLUSH_BYTES {
-                            ex.send(owner, tags::ITEMS, batch.take())?;
-                        }
+                        ex.push(owner, |batch| batch.push(&group_scratch))?;
                     }
-
-                    txn_no += 1;
-                    if txn_no.is_multiple_of(POLL_EVERY_TXNS) {
-                        // Receive path: C_k^D was already counted by the
-                        // sender against its own transaction, so only the
-                        // local partition counts here.
-                        ex.poll(|env| {
-                            for_each_item_list(&env.payload, &mut recv_scratch, |list| {
-                                let (w, h) = count_combos(
-                                    ctx,
-                                    tax,
-                                    view,
-                                    None,
-                                    local_counter.as_mut(),
-                                    list,
-                                    &mut ext_scratch,
-                                );
-                                probes += w;
-                                hits += h;
-                                Ok(())
-                            })
-                        })?;
-                    }
-                    Ok(())
+                    ex.unit_done(|p| receive(local_counter.as_mut(), &mut ext_scratch, p))
                 })?;
-
-                {
-                    let _exchange = ctx.span("exchange");
-                    for (owner, batch) in batches.iter_mut().enumerate() {
-                        if !batch.is_empty() {
-                            ex.send(owner, tags::ITEMS, batch.take())?;
-                        }
-                    }
-                    ex.finish(|env| {
-                        for_each_item_list(&env.payload, &mut recv_scratch, |list| {
-                            let (w, h) = count_combos(
-                                ctx,
-                                tax,
-                                view,
-                                None,
-                                local_counter.as_mut(),
-                                list,
-                                &mut ext_scratch,
-                            );
-                            probes += w;
-                            hits += h;
-                            Ok(())
-                        })
-                    })?;
-                    // Quiesce the exchange before coordinator gathers start
-                    // so no GATHER message can race into a peer's exchange
-                    // drain.
-                    ctx.barrier()?;
-                }
-
-                let (pname, hname) = counter_probe_metrics(params.counter);
-                let labels = [("node", me as u64), ("pass", k as u64)];
-                ctx.obs().add(pname, &labels, probes);
-                ctx.obs().add(hname, &labels, hits);
+                ex.finish(|p| receive(local_counter.as_mut(), &mut ext_scratch, p))?;
 
                 let _count = ctx.span("count");
                 // Partitioned candidates: local decision + coordinator merge.
@@ -393,27 +338,14 @@ pub(crate) fn mine(
                     large.extend(extract_large(dup_counter, p1.min_support_count));
                     large.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
                 }
-                Ok((large, selection.duplicated.len(), 1))
+                Ok(PassResult {
+                    large,
+                    num_duplicated: selection.duplicated.len(),
+                    num_fragments: 1,
+                    probes: probes.get(),
+                })
             },
         )
     })?;
     Ok(assemble_report(cluster, run))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn owner_of_key_is_stable_and_bounded() {
-        for n in 1..8 {
-            let o = owner_of_key(&[3, 7], n);
-            assert!(o < n);
-            assert_eq!(o, owner_of_key(&[3, 7], n));
-        }
-        // Multiplicity matters: (r) vs (r, r) are distinct keys.
-        let a = owner_of_key(&[5], 64);
-        let b = owner_of_key(&[5, 5], 64);
-        assert!(a < 64 && b < 64);
-    }
 }

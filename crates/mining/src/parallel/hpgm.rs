@@ -10,10 +10,11 @@
 //! relative to H-HPGM.
 
 use crate::candidate::items_in_candidates;
-use crate::counter::build_counter;
+use crate::checkpoint::Checkpoint;
+use crate::counter::{build_counter, CandidateCounter};
 use crate::parallel::common::{
-    assemble_report, counter_probe_metrics, for_each_k_subset, gather_large, node_pass_loop,
-    record_arena_obs, scan_partition, tags, PassPersistence, BATCH_FLUSH_BYTES, POLL_EVERY_TXNS,
+    assemble_report, for_each_k_subset, gather_large, node_pass_loop, owner_of, record_arena_obs,
+    scan_partition, tags, BatchedExchange, PassPersistence, PassResult, POLL_EVERY_TXNS,
 };
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
@@ -23,20 +24,11 @@ use gar_cluster::{Cluster, ClusterConfig};
 use gar_storage::TransactionSource;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::{ItemId, Itemset, Result};
+use std::cell::Cell;
 
 /// The hierarchy-blind partitioning function: hash of the itemset's codes.
-fn owner_of(items: &[ItemId], num_nodes: usize) -> usize {
-    let mut h = gar_types::FxHasher::default();
-    use std::hash::Hasher;
-    for it in items {
-        h.write_u32(it.raw());
-    }
-    (h.finish() % num_nodes as u64) as usize
-}
-
-/// Owner of a candidate [`Itemset`].
-fn candidate_owner(c: &Itemset, num_nodes: usize) -> usize {
-    owner_of(c.items(), num_nodes)
+fn itemset_owner(items: &[ItemId], num_nodes: usize) -> usize {
+    owner_of(items.iter().map(|it| it.raw()), num_nodes)
 }
 
 /// Runs HPGM over the per-node sources (`sources[n]` is node `n`'s
@@ -46,7 +38,7 @@ pub(crate) fn mine(
     tax: &Taxonomy,
     params: &MiningParams,
     cluster: &ClusterConfig,
-    persist: &PassPersistence<'_>,
+    persist: &PassPersistence<'_, Checkpoint>,
 ) -> Result<ParallelReport> {
     let run = Cluster::run(cluster, |ctx| {
         let part = sources[ctx.node_id()];
@@ -65,124 +57,61 @@ pub(crate) fn mine(
                 // C_k^n: candidates whose hash lands on this node.
                 let mine: Vec<Itemset> = candidates
                     .iter()
-                    .filter(|c| candidate_owner(c, n) == me)
+                    .filter(|c| itemset_owner(c.items(), n) == me)
                     .cloned()
                     .collect();
                 let mut counter = build_counter(params.counter, k, &mine);
                 record_arena_obs(ctx, k, counter.as_ref());
 
-                let mut batches: Vec<ItemsetBatch> = (0..n).map(|_| ItemsetBatch::new(k)).collect();
-                let mut ex = ctx.exchange();
+                // One k-itemset landing on its owner, generated here or
+                // received: a single probe of this node's partition.
+                let probes = Cell::new(0u64);
+                let probe = |counter: &mut dyn CandidateCounter, subset: &[ItemId]| {
+                    let out = counter.probe(subset);
+                    ctx.stats().add_cpu(1);
+                    ctx.stats().add_probes(out.hits);
+                    probes.set(probes.get() + out.work.max(1));
+                };
+                let receive = |counter: &mut dyn CandidateCounter, payload: &[u8]| {
+                    for_each_itemset(payload, k, |s| {
+                        probe(counter, s);
+                        Ok(())
+                    })
+                };
+
+                let mut ex = BatchedExchange::new(ctx, tags::ITEMSETS, POLL_EVERY_TXNS, || {
+                    ItemsetBatch::new(k)
+                });
                 let mut scratch = Vec::with_capacity(k);
                 let mut extended = Vec::new();
-                let mut decoded = 0usize;
-                let mut txn_no = 0usize;
-                let (mut probes, mut hits) = (0u64, 0u64);
-
                 scan_partition(ctx, part, |t| {
                     view.extend_transaction_into(tax, t, &mut extended);
                     ctx.stats().add_cpu(extended.len() as u64);
                     for_each_k_subset(&extended, k, &mut scratch, &mut |subset| {
-                        ctx.stats().add_cpu(1);
-                        let owner = owner_of(subset, n);
+                        let owner = itemset_owner(subset, n);
                         if owner == me {
-                            let out = counter.probe(subset);
-                            ctx.stats().add_probes(out.hits);
-                            probes += out.work.max(1);
-                            hits += out.hits;
-                        } else {
-                            let batch = &mut batches[owner];
-                            batch.push(subset);
-                            if batch.byte_len() >= BATCH_FLUSH_BYTES {
-                                ex.send(owner, tags::ITEMSETS, batch.take())?;
-                            }
-                        }
-                        Ok(())
-                    })?;
-                    txn_no += 1;
-                    if txn_no.is_multiple_of(POLL_EVERY_TXNS) {
-                        ex.poll(|env| {
-                            for_each_itemset(&env.payload, k, |s| {
-                                let out = counter.probe(s);
-                                ctx.stats().add_cpu(1);
-                                ctx.stats().add_probes(out.hits);
-                                probes += out.work.max(1);
-                                hits += out.hits;
-                                decoded += 1;
-                                Ok(())
-                            })
-                        })?;
-                    }
-                    Ok(())
-                })?;
-
-                {
-                    let _exchange = ctx.span("exchange");
-                    for (owner, batch) in batches.iter_mut().enumerate() {
-                        if !batch.is_empty() {
-                            ex.send(owner, tags::ITEMSETS, batch.take())?;
-                        }
-                    }
-                    ex.finish(|env| {
-                        for_each_itemset(&env.payload, k, |s| {
-                            let out = counter.probe(s);
-                            ctx.stats().add_cpu(1);
-                            ctx.stats().add_probes(out.hits);
-                            probes += out.work.max(1);
-                            hits += out.hits;
-                            decoded += 1;
+                            probe(counter.as_mut(), subset);
                             Ok(())
-                        })
+                        } else {
+                            ctx.stats().add_cpu(1);
+                            ex.push(owner, |batch| batch.push(subset))
+                        }
                     })?;
-                    // Quiesce the exchange before coordinator gathers start
-                    // so no GATHER message can race into a peer's exchange
-                    // drain.
-                    ctx.barrier()?;
-                }
-
-                let (pname, hname) = counter_probe_metrics(params.counter);
-                let labels = [("node", me as u64), ("pass", k as u64)];
-                ctx.obs().add(pname, &labels, probes);
-                ctx.obs().add(hname, &labels, hits);
+                    ex.unit_done(|payload| receive(counter.as_mut(), payload))
+                })?;
+                ex.finish(|payload| receive(counter.as_mut(), payload))?;
 
                 // Each node decides its own candidates, the coordinator merges.
                 let _count = ctx.span("count");
                 let local_large = extract_large(counter, p1.min_support_count);
-                let large = gather_large(ctx, k, local_large)?;
-                Ok((large, 0, 1))
+                Ok(PassResult {
+                    large: gather_large(ctx, k, local_large)?,
+                    num_duplicated: 0,
+                    num_fragments: 1,
+                    probes: probes.get(),
+                })
             },
         )
     })?;
     Ok(assemble_report(cluster, run))
-}
-
-/// Exposed for the partitioning unit tests.
-#[cfg(test)]
-pub(crate) fn owner_for_test(items: &[ItemId], n: usize) -> usize {
-    owner_of(items, n)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn owner_is_stable_and_in_range() {
-        let items: Vec<ItemId> = vec![ItemId(3), ItemId(9)];
-        let o = owner_for_test(&items, 7);
-        assert!(o < 7);
-        assert_eq!(o, owner_for_test(&items, 7));
-    }
-
-    #[test]
-    fn owners_spread_over_nodes() {
-        // 100 distinct pairs over 4 nodes: every node should own some.
-        let mut seen = [false; 4];
-        for a in 0..10u32 {
-            for b in 10..20u32 {
-                seen[owner_for_test(&[ItemId(a), ItemId(b)], 4)] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
 }

@@ -11,17 +11,23 @@
 //!    local decision + coordinator gather for partitioned ones);
 //! 4. the coordinator's `L_k` goes everywhere; iterate until empty.
 //!
-//! Where they differ is candidate placement, which is the paper's whole
-//! subject:
+//! That skeleton is written once, in [`common`]: the recovery loop, pass
+//! 1, the partition scan and its I/O ledger, the pass loop with its
+//! per-pass ledger and checkpoint writes, the batched exchange protocol
+//! (per-owner batches, 16 KiB flush, periodic poll, final drain,
+//! barrier), the gather, and report assembly — `gar-fpg`'s FP-Growth
+//! driver runs through the same pieces. What an algorithm still owns is
+//! the paper's whole subject, three policies per module:
 //!
-//! | module | placement | data shipped per transaction |
-//! |---|---|---|
-//! | [`npgm`] | replicated (fragmented when `\|C_k\| > M`) | nothing — but one full partition re-scan per fragment |
-//! | [`hpgm`] | hash of the itemset | every k-subset of the ancestor-extended transaction |
-//! | [`hhpgm`] | hash of the *root* itemset | the lowest-large-item sub-transaction, once per owner node |
-//! | [`hhpgm`] + [`duplicate`] | H-HPGM minus the hottest candidates, which are replicated | same, minus traffic for fully-duplicated root groups |
+//! | module | placement key | transaction transform | shipped per transaction |
+//! |---|---|---|---|
+//! | [`npgm`] | none: replicated (fragmented when `\|C_k\| > M`) | ancestor-extend | nothing — but one full partition re-scan per fragment |
+//! | [`hpgm`] | hash of the itemset | ancestor-extend | every k-subset of the extended transaction |
+//! | [`hhpgm`] | hash of the *root* itemset | reduce to lowest large items | the sub-transaction, once per owner node; the owner re-extends |
+//! | [`hhpgm`] + [`duplicate`] | H-HPGM minus the hottest candidates, which are replicated | same | same, minus traffic for fully-duplicated root groups |
+//! | [`flat`] (CD, HPA) | [`npgm`]'s / [`hpgm`]'s | the identity: an edge-less taxonomy | same as NPGM / HPGM |
 
-pub(crate) mod common;
+pub mod common;
 pub mod duplicate;
 pub mod flat;
 mod hhpgm;
@@ -29,12 +35,12 @@ mod hpgm;
 mod npgm;
 pub mod rules;
 
-use crate::checkpoint::{self, Checkpoint, CheckpointSink};
-use crate::parallel::common::{PassPersistence, NO_PERSIST};
+use crate::checkpoint::Checkpoint;
+use crate::parallel::common::{mine_with_recovery, node_sources, PassPersistence};
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
 use gar_cluster::ClusterConfig;
-use gar_storage::{MultiSource, PartitionedDatabase, TransactionSource};
+use gar_storage::{PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, Result};
 use std::path::PathBuf;
@@ -67,8 +73,14 @@ fn dispatch(
     tax: &Taxonomy,
     params: &MiningParams,
     cluster: &ClusterConfig,
-    persist: &PassPersistence<'_>,
+    persist: &PassPersistence<'_, Checkpoint>,
 ) -> Result<ParallelReport> {
+    if let Some(cp) = persist.resume_from.filter(|cp| cp.algorithm != algorithm) {
+        return Err(Error::InvalidConfig(format!(
+            "checkpoint was written by {} but {algorithm} was requested",
+            cp.algorithm
+        )));
+    }
     let grain = match algorithm {
         Algorithm::Apriori | Algorithm::Cumulate => {
             return Err(Error::InvalidConfig(format!(
@@ -105,36 +117,20 @@ pub fn mine_parallel(
     params: &MiningParams,
     cluster: &ClusterConfig,
 ) -> Result<ParallelReport> {
-    params.validate()?;
-    cluster.validate()?;
-    check_partitions(db, cluster)?;
-    let sources: Vec<&dyn TransactionSource> =
-        (0..db.num_partitions()).map(|i| db.partition(i)).collect();
-    dispatch(algorithm, &sources, tax, params, cluster, &NO_PERSIST)
-}
-
-fn check_partitions(db: &PartitionedDatabase, cluster: &ClusterConfig) -> Result<()> {
-    if db.num_partitions() != cluster.num_nodes {
-        return Err(Error::InvalidConfig(format!(
-            "database has {} partitions but the cluster has {} nodes",
-            db.num_partitions(),
-            cluster.num_nodes
-        )));
-    }
-    Ok(())
+    let sources = node_sources(db, params, cluster)?;
+    dispatch(
+        algorithm,
+        &sources,
+        tax,
+        params,
+        cluster,
+        &PassPersistence::NONE,
+    )
 }
 
 /// [`mine_parallel`] with the fault-tolerant runtime: pass-level
-/// checkpointing, `--resume`, and degraded-mode recovery.
-///
-/// On a tolerated node failure the failed node's partitions are
-/// redistributed round-robin over the survivors (each survivor scans its
-/// own partitions plus the adopted ones back-to-back via
-/// [`MultiSource`]), completed passes are restored from the latest
-/// checkpoint, and the pass loop re-runs on the smaller cluster. Global
-/// support counts do not depend on how transactions are partitioned, so
-/// the mined output is identical to the fault-free run; the report's
-/// `degraded` notes record what happened.
+/// checkpointing, `--resume`, and degraded-mode recovery (see
+/// [`common::mine_with_recovery`]).
 pub fn mine_parallel_with(
     algorithm: Algorithm,
     db: &PartitionedDatabase,
@@ -143,88 +139,7 @@ pub fn mine_parallel_with(
     cluster: &ClusterConfig,
     opts: &MineOptions,
 ) -> Result<ParallelReport> {
-    params.validate()?;
-    cluster.validate()?;
-    check_partitions(db, cluster)?;
-    if matches!(algorithm, Algorithm::Apriori | Algorithm::Cumulate) {
-        return Err(Error::InvalidConfig(format!(
-            "{algorithm} is a sequential algorithm; use gar_mining::sequential"
-        )));
-    }
-    if algorithm == Algorithm::FpGrowth {
-        return Err(Error::InvalidConfig(
-            "FP-Growth is a pattern-growth miner implemented by the gar-fpg crate; \
-             call gar_fpg::mine_parallel_with (or `gar-cli mine --algo fp-growth`)"
-                .into(),
-        ));
-    }
-
-    let want_sink = opts.checkpoint_dir.is_some() || opts.max_node_failures > 0;
-    let sink = if want_sink {
-        Some(CheckpointSink::new(opts.checkpoint_dir.clone())?)
-    } else {
-        None
-    };
-
-    let mut restore: Option<Checkpoint> = None;
-    if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
-            if let Some(cp) = checkpoint::load_latest(dir) {
-                if cp.algorithm != algorithm {
-                    return Err(Error::InvalidConfig(format!(
-                        "checkpoint was written by {} but {algorithm} was requested",
-                        cp.algorithm
-                    )));
-                }
-                if let Some(s) = &sink {
-                    s.seed(cp.clone());
-                }
-                restore = Some(cp);
-            }
-        }
-    }
-
-    // `slots[s]` holds the original partition indices node `s` scans in
-    // the current attempt; a failed node's slot is dissolved into the
-    // survivors' slots.
-    let mut slots: Vec<Vec<usize>> = (0..cluster.num_nodes).map(|i| vec![i]).collect();
-    let mut degraded: Vec<String> = Vec::new();
-    let mut failures = 0usize;
-    loop {
-        let mut attempt = cluster.clone();
-        attempt.num_nodes = slots.len();
-        let multis: Vec<MultiSource<'_>> = slots
-            .iter()
-            .map(|parts| MultiSource::new(parts.iter().map(|&i| db.partition(i)).collect()))
-            .collect();
-        let sources: Vec<&dyn TransactionSource> =
-            multis.iter().map(|m| m as &dyn TransactionSource).collect();
-        let persist = PassPersistence {
-            resume_from: restore.as_ref(),
-            sink: sink.as_ref(),
-        };
-        match dispatch(algorithm, &sources, tax, params, &attempt, &persist) {
-            Ok(mut report) => {
-                report.degraded = degraded;
-                return Ok(report);
-            }
-            Err(Error::NodeFailure { node, reason })
-                if failures < opts.max_node_failures && slots.len() > 1 && node < slots.len() =>
-            {
-                failures += 1;
-                let orphaned = slots.remove(node);
-                let survivors = slots.len();
-                for (j, part) in orphaned.iter().enumerate() {
-                    slots[j % survivors].push(*part);
-                }
-                restore = sink.as_ref().and_then(|s| s.latest());
-                let from_pass = restore.as_ref().map_or(0, Checkpoint::last_pass);
-                degraded.push(format!(
-                    "node {node} failed ({reason}); redistributed partitions {orphaned:?} \
-                     across {survivors} survivors and resumed after pass {from_pass}"
-                ));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    mine_with_recovery(db, params, cluster, opts, |sources, cluster, persist| {
+        dispatch(algorithm, sources, tax, params, cluster, persist)
+    })
 }

@@ -10,10 +10,11 @@
 //! support in Figure 14.
 
 use crate::candidate::items_in_candidates;
+use crate::checkpoint::Checkpoint;
 use crate::counter::build_counter;
 use crate::parallel::common::{
-    assemble_report, candidates_bytes, counter_probe_metrics, node_pass_loop, record_arena_obs,
-    scan_partition, PassPersistence,
+    assemble_report, candidates_bytes, node_pass_loop, record_arena_obs, scan_partition,
+    PassPersistence, PassResult,
 };
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
@@ -30,7 +31,7 @@ pub(crate) fn mine(
     tax: &Taxonomy,
     params: &MiningParams,
     cluster: &ClusterConfig,
-    persist: &PassPersistence<'_>,
+    persist: &PassPersistence<'_, Checkpoint>,
 ) -> Result<ParallelReport> {
     let run = Cluster::run(cluster, |ctx| {
         let part = sources[ctx.node_id()];
@@ -50,7 +51,7 @@ pub(crate) fn mine(
                 let frag_len = candidates.len().div_ceil(num_fragments);
 
                 let mut large = Vec::new();
-                let (mut probes, mut hits) = (0u64, 0u64);
+                let mut probes = 0u64;
                 let mut extended = Vec::new();
                 for fragment in candidates.chunks(frag_len.max(1)) {
                     let mut counter = build_counter(params.counter, k, fragment);
@@ -62,7 +63,6 @@ pub(crate) fn mine(
                         ctx.stats().add_cpu(out.work);
                         ctx.stats().add_probes(out.hits);
                         probes += out.work;
-                        hits += out.hits;
                         Ok(())
                     })?;
                     // Paper: "Send the sup_cou of C_k^d to the coordinator
@@ -73,11 +73,12 @@ pub(crate) fn mine(
                     large.extend(extract_large(counter, p1.min_support_count));
                 }
                 large.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-                let (pname, hname) = counter_probe_metrics(params.counter);
-                let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
-                ctx.obs().add(pname, &labels, probes);
-                ctx.obs().add(hname, &labels, hits);
-                Ok((large, 0, num_fragments))
+                Ok(PassResult {
+                    large,
+                    num_duplicated: 0,
+                    num_fragments,
+                    probes,
+                })
             },
         )
     })?;

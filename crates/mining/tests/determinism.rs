@@ -1,6 +1,6 @@
 //! Byte-level determinism of the mined rule report.
 //!
-//! The `hash-order` rule in `cargo xtask lint` bans hash-map iteration
+//! The `det-taint` rule in `cargo xtask analyze` bans hash-map iteration
 //! from feeding report construction; this test is the dynamic half of
 //! that guarantee. A rendered report must be byte-identical between two
 //! same-seed runs (no ambient nondeterminism: thread scheduling, hash

@@ -27,7 +27,7 @@
 //!   explores the weaker C11 orderings (an `Ordering::Relaxed` load may
 //!   observe stale values); here every atomic op acts on a single global
 //!   value. Code whose correctness depends on *which* memory ordering is
-//!   used still needs review — the in-repo `xtask lint` `relaxed` rule
+//!   used still needs review — the in-repo `xtask analyze` `relaxed` rule
 //!   exists exactly because this checker cannot see those bugs.
 //! * Exploration is bounded by [`Config::max_schedules`],
 //!   [`Config::max_steps`] per execution, and optionally a preemption

@@ -18,7 +18,7 @@
 //! when observability is off.
 //!
 //! This crate is also the workspace's only sanctioned clock: the repo
-//! lint (`cargo xtask lint`, rule `no-instant`) rejects `Instant::now()`
+//! lint (`cargo xtask analyze`, rule `no-instant`) rejects `Instant::now()`
 //! in any other crate, so ad-hoc timing must flow through [`Stopwatch`]
 //! or spans and stays visible to the tooling.
 

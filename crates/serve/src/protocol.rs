@@ -54,8 +54,8 @@
 //! transcripts byte-comparable across runs.
 
 use crate::engine::Recommendation;
+use gar_types::hash::checksum;
 use gar_types::{Error, ItemId, Itemset, Result};
-use std::hash::Hasher;
 use std::io::{Read, Write};
 
 /// Hard upper bound on a frame payload. Reads reject bigger length
@@ -199,12 +199,6 @@ pub struct BatchAnswer {
     pub shards_missing: u32,
     /// The scored recommendations, best first.
     pub recs: Vec<Recommendation>,
-}
-
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = gar_types::FxHasher::default();
-    h.write(bytes);
-    h.finish()
 }
 
 /// Writes one frame. Refuses payloads above [`MAX_FRAME_BYTES`].

@@ -262,6 +262,14 @@ impl ShardSlot {
         }
     }
 
+    /// Publishes a fresh queue of `depth` jobs: the shard is up from
+    /// here on. The receiver goes to the worker incarnation serving it.
+    fn publish_queue(&self, depth: usize) -> Receiver<Job> {
+        let (tx, rx) = mpsc::sync_channel(depth.max(1));
+        *self.tx.lock() = Some(tx);
+        rx
+    }
+
     fn finish_job(&self) {
         // Saturating: `queued` is reset to 0 when a crashed worker's
         // queue is discarded, so a late decrement must not wrap.
@@ -290,7 +298,8 @@ struct Shared {
     /// Write end of the event loop's waker socket pair.
     wake_tx: TcpStream,
     /// Coalesces wake bytes: set before writing, cleared by the loop
-    /// *before* draining, so a wake can park at most one byte.
+    /// *after* draining (and before it collects completions), so a wake
+    /// can park at most one byte and none is ever lost.
     wake_pending: AtomicBool,
 }
 
@@ -478,13 +487,17 @@ pub fn serve(addr: &str, store: RuleStore, cfg: ServerConfig, obs: Obs) -> Resul
         wake_pending: AtomicBool::new(false),
     });
 
+    // Every shard's first queue is published here, before the event
+    // loop exists: a query can never find a healthy server's shard
+    // "down" just because its supervisor thread has not been scheduled.
     let mut supervisors = Vec::with_capacity(num_shards);
-    for shard in 0..num_shards {
+    for (shard, slot) in shared.slots.iter().enumerate() {
+        let rx = slot.publish_queue(shared.cfg.queue_depth);
         let shared = Arc::clone(&shared);
         supervisors.push(
             std::thread::Builder::new()
                 .name(format!("gar-serve-shard-{shard}"))
-                .spawn(move || shard_supervisor(shard, &shared))
+                .spawn(move || shard_supervisor(shard, &shared, rx))
                 .map_err(|e| Error::io("spawning shard supervisor", e))?,
         );
     }
@@ -522,18 +535,16 @@ pub fn serve(addr: &str, store: RuleStore, cfg: ServerConfig, obs: Obs) -> Resul
     })
 }
 
-/// One shard's supervisor: publish a queue, run the worker, and on a
-/// panic isolate it, back off, and restart with a fresh queue — up to
-/// `max_restarts` times. While the slot holds `None` the shard is down
-/// and requests are answered degraded.
-fn shard_supervisor(shard: usize, shared: &Arc<Shared>) {
+/// One shard's supervisor: run the worker on the published queue `rx`,
+/// and on a panic isolate it, back off, and restart with a fresh queue —
+/// up to `max_restarts` times. While the slot holds `None` the shard is
+/// down and requests are answered degraded.
+fn shard_supervisor(shard: usize, shared: &Arc<Shared>, mut rx: Receiver<Job>) {
     let Some(slot) = shared.slots.get(shard) else {
         return;
     };
     let mut restarts = 0usize;
     loop {
-        let (tx, rx) = mpsc::sync_channel(shared.cfg.queue_depth.max(1));
-        *slot.tx.lock() = Some(tx);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             shard_worker(shard, slot, &shared.cfg.faults, &rx, &shared.obs);
         }));
@@ -554,6 +565,7 @@ fn shard_supervisor(shard: usize, shared: &Arc<Shared>) {
             return; // out of budget: shard stays down, answers stay degraded
         }
         std::thread::sleep(shared.cfg.restart_backoff * restarts as u32);
+        rx = slot.publish_queue(shared.cfg.queue_depth);
     }
 }
 
@@ -811,11 +823,16 @@ impl EventLoop {
                 std::thread::sleep(Duration::from_millis(1));
             }
 
-            // Waker: clear the coalescing flag *before* draining, so a
-            // wake racing the drain lands a fresh byte for next tick.
+            // Waker: drain first, clear the coalescing flag second. A wake
+            // landing before the clear writes no byte (the flag is still
+            // set), but its completion is already in `comp_rx` and is
+            // picked up just below; a wake landing after it writes a fresh
+            // byte for the next tick. Clearing first would let the drain
+            // eat that fresh byte and leave the flag set for good — every
+            // later wake suppressed, every round trip a `POLL_INTERVAL`.
             if readiness.get(1).is_some_and(|r| r.readable || r.closed) {
-                self.shared.wake_pending.store(false, Ordering::SeqCst);
                 drain_ready(&mut self.wake_rx);
+                self.shared.wake_pending.store(false, Ordering::SeqCst);
             }
 
             // Completions are drained every tick regardless of what

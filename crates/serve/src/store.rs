@@ -18,8 +18,8 @@
 
 use gar_mining::rules::{canonicalize_rules, Rule};
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
+use gar_types::hash::checksum;
 use gar_types::{Error, ItemId, Itemset, Result};
-use std::hash::Hasher;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"GRUL";
@@ -93,12 +93,6 @@ impl RuleStore {
         out.dedup();
         out
     }
-}
-
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = gar_types::FxHasher::default();
-    h.write(bytes);
-    h.finish()
 }
 
 fn push_itemset(out: &mut Vec<u8>, set: &Itemset) {

@@ -316,8 +316,22 @@ fn overload_burst_sheds_typed_and_the_server_survives() {
                 c.query_v2(&[ItemId(3)], 10, 0).unwrap()
             })
         };
-        // Give the victim's job time to reach the worker.
-        std::thread::sleep(Duration::from_millis(100));
+        // Wait until the victim's job is what the worker is stalled on —
+        // launched any earlier, a burst query could consume the fire-once
+        // stall instead.
+        let stalled = gar_obs::Stopwatch::start();
+        while obs
+            .metrics()
+            .counters
+            .get("serve.fault.shard_stall{shard=0}")
+            != Some(&1)
+        {
+            assert!(
+                stalled.elapsed() < Duration::from_secs(5),
+                "seed {seed}: the victim never reached the worker"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         // The burst: more concurrent budgeted queries than the queue
         // can hold. Every one must come back typed — an answer or a

@@ -290,3 +290,37 @@ fn cache_answers_hit_then_invalidate_across_epochs() {
     client.shutdown().unwrap();
     server.wait().unwrap();
 }
+
+#[test]
+fn fanout_round_trips_never_wait_out_the_poll_interval() {
+    // Regression: the reactor used to clear its waker flag *before*
+    // draining the waker pipe. A second shard's wake landing in between
+    // wrote a byte the drain ate, the flag stayed set, and from then on
+    // every completion waited for the 100 ms poll timeout. Unbatched
+    // multi-root baskets at 2 shards (two workers waking per query) hit
+    // that within a few thousand round trips.
+    let server = start(2, 0, Obs::disabled());
+    let mut client = connect(&server);
+    let mut slow = 0;
+    for i in 0..20_000 {
+        let clock = gar_obs::Stopwatch::start();
+        let reply = client.query_v2(&[ItemId(3), ItemId(7)], 10, 0).unwrap();
+        let took = clock.elapsed();
+        assert!(
+            matches!(
+                reply,
+                QueryReply::Results {
+                    shards_missing: 0,
+                    ..
+                }
+            ),
+            "round trip {i}: {reply:?}"
+        );
+        // A stuck waker makes *every* later round trip slow; tolerate
+        // the odd scheduling hiccup of a loaded test host.
+        slow += usize::from(took >= Duration::from_millis(50));
+        assert!(slow < 3, "round trip {i} took {took:?}: lost waker nudge");
+    }
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}

@@ -44,7 +44,7 @@ impl PartitionedDatabase {
         Ok(PartitionedDatabase { parts })
     }
 
-    /// Same split, held in memory as zero-copy [`FlatPartition`]s (scan
+    /// Same split, held in memory as flat [`FlatPartition`]s (scan
     /// passes lend borrowed slices; `bytes_read` accounting is identical
     /// to the other representations).
     pub fn build_in_memory(

@@ -1,4 +1,4 @@
-//! Flat, zero-copy partitions: all transactions in two contiguous arrays.
+//! Flat, bulk-loaded partitions: all transactions in two contiguous arrays.
 //!
 //! The record-stream formats ([`crate::DiskPartition`],
 //! [`crate::MemoryPartition`]) pay per-transaction overhead on every scan:
@@ -16,8 +16,9 @@
 //! whichever representation backs the scan.
 //!
 //! The serialized form (`GFP1`) is the same two arrays prefixed with a
-//! small header, so loading a partition is two bulk reads straight into
-//! the arrays instead of a record-by-record decode.
+//! small header, so loading a partition is two bulk reads copied into
+//! the arrays instead of a record-by-record decode. (Scans are
+//! zero-copy; [`FlatPartition::open`] is not — it owns two `Vec`s.)
 
 use crate::codec;
 use crate::{TransactionScan, TransactionSource};
@@ -123,46 +124,43 @@ impl FlatPartition {
         w.flush().map_err(|e| Error::io(ctx(), e))
     }
 
-    /// Loads a `GFP1` file: two bulk reads into the flat arrays.
+    /// Loads a `GFP1` file: two bulk reads into the flat arrays. The
+    /// header's counts must account for the file's exact length before
+    /// they size any allocation.
     pub fn open(path: impl AsRef<Path>) -> Result<FlatPartition> {
         let path = path.as_ref();
+        let io = |e| Error::io(format!("reading flat partition {}", path.display()), e);
+        let corrupt = |what: &str| Error::Corrupt(format!("{} {what}", path.display()));
         let mut file = File::open(path)
             .map_err(|e| Error::io(format!("opening flat partition {}", path.display()), e))?;
+        let file_len = file.metadata().map_err(io)?.len();
         let mut header = [0u8; 12];
-        file.read_exact(&mut header)
-            .map_err(|e| Error::io(format!("reading flat partition {}", path.display()), e))?;
+        if file_len < header.len() as u64 {
+            return Err(corrupt("is too short for a GFP1 header"));
+        }
+        file.read_exact(&mut header).map_err(io)?;
         if header[..4] != MAGIC {
-            return Err(Error::Corrupt(format!(
-                "{} is not a GFP1 flat partition",
-                path.display()
-            )));
+            return Err(corrupt("is not a GFP1 flat partition"));
         }
         // lint:allow(panic-path): header is a fixed 12-byte array, so
         // the 4-byte range slices cannot fail the conversion.
         let ntx = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
         // lint:allow(panic-path): same fixed-width slice as above.
         let nitems = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
-        let offsets = read_u32_array(&mut file, ntx + 1, path)?;
-        let items = read_u32_array(&mut file, nitems, path)?;
-        let mut trailing = [0u8; 1];
-        if file
-            .read(&mut trailing)
-            .map_err(|e| Error::io(format!("reading flat partition {}", path.display()), e))?
-            != 0
-        {
-            return Err(Error::Corrupt(format!(
-                "{} has trailing bytes after the items array",
-                path.display()
+        // Two u32 counts cannot overflow this u64 sum.
+        let expected_len = (ntx as u64 + 1 + nitems as u64) * 4 + header.len() as u64;
+        if expected_len != file_len {
+            return Err(corrupt(&format!(
+                "is {file_len} bytes but its header describes {expected_len}"
             )));
         }
+        let offsets = read_u32_array(&mut file, ntx + 1).map_err(io)?;
+        let items = read_u32_array(&mut file, nitems).map_err(io)?;
         if offsets.first() != Some(&0)
             || offsets.last() != Some(&(nitems as u32))
             || offsets.windows(2).any(|w| w[0] > w[1])
         {
-            return Err(Error::Corrupt(format!(
-                "{} has a non-monotone offsets array",
-                path.display()
-            )));
+            return Err(corrupt("has a non-monotone offsets array"));
         }
         let bytes = (4 * ntx + 4 * nitems) as u64;
         Ok(FlatPartition {
@@ -174,11 +172,11 @@ impl FlatPartition {
     }
 }
 
-/// Bulk-reads `n` little-endian u32 words.
-fn read_u32_array(r: &mut impl Read, n: usize, path: &Path) -> Result<Vec<u32>> {
+/// Bulk-reads `n` little-endian u32 words (`n` already bounded by the
+/// file length).
+fn read_u32_array(r: &mut impl Read, n: usize) -> std::io::Result<Vec<u32>> {
     let mut raw = vec![0u8; n * 4];
-    r.read_exact(&mut raw)
-        .map_err(|e| Error::io(format!("reading flat partition {}", path.display()), e))?;
+    r.read_exact(&mut raw)?;
     Ok(raw
         .chunks_exact(4)
         // lint:allow(panic-path): chunks_exact(4) yields only 4-byte
@@ -299,13 +297,37 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_rejected() {
+    fn every_truncation_is_a_clean_corrupt_error() {
         let path = tmp("trunc.gfp");
-        let p = FlatPartition::from_transactions(&[ids(&[1, 2, 3])]);
+        let p = FlatPartition::from_transactions(&[ids(&[1, 2, 3]), ids(&[]), ids(&[7])]);
         p.write_to(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
-        assert!(FlatPartition::open(&path).is_err());
+        for len in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..len]).unwrap();
+            let err = FlatPartition::open(&path).unwrap_err();
+            assert!(
+                matches!(err, Error::Corrupt(_)),
+                "truncation at {len}: {err:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn header_counts_never_size_an_allocation_unchecked() {
+        // 12 bytes claiming 4 G items: must be refused from the file
+        // length alone, not after asking the allocator for 16 GiB.
+        let path = tmp("hugeheader.gfp");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = FlatPartition::open(&path).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = FlatPartition::open(&path).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -317,7 +339,8 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.push(0);
         std::fs::write(&path, &bytes).unwrap();
-        assert!(FlatPartition::open(&path).is_err());
+        let err = FlatPartition::open(&path).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
         std::fs::remove_file(&path).ok();
     }
 

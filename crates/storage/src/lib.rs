@@ -11,9 +11,9 @@
 //!   *re-scanning* these files once per candidate fragment);
 //! * [`MemoryPartition`] — an in-memory stand-in with the same interface
 //!   for unit tests and allocation-free microbenches;
-//! * [`FlatPartition`] — the zero-copy representation: one offsets array +
-//!   one items array, scans lend borrowed slices, with a bulk-loadable
-//!   `GFP1` serialized form;
+//! * [`FlatPartition`] — the flat representation: one offsets array +
+//!   one items array, scans lend borrowed slices, with a bulk-loaded
+//!   (copied into two `Vec`s, length-validated) `GFP1` serialized form;
 //! * [`PartitionedDatabase`] — splits a transaction stream round-robin
 //!   across `N` node partitions, as the evaluation section prescribes.
 //!

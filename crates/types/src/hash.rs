@@ -95,13 +95,30 @@ pub fn fx_hash_u64(value: u64) -> u64 {
     h.finish()
 }
 
-/// Hash a slice of `u32` words (an itemset) with the Fx mix.
+/// Hash a sequence of `u32` words (an itemset's codes) with the Fx mix —
+/// the one placement hash behind every `owner_of` in the workspace.
 #[inline]
-pub fn fx_hash_u32_slice(values: &[u32]) -> u64 {
+pub fn fx_hash_u32s(values: impl IntoIterator<Item = u32>) -> u64 {
     let mut h = FxHasher::default();
-    for &v in values {
+    for v in values {
         h.write_u32(v);
     }
+    h.finish()
+}
+
+/// [`fx_hash_u32s`] over a slice.
+#[inline]
+pub fn fx_hash_u32_slice(values: &[u32]) -> u64 {
+    fx_hash_u32s(values.iter().copied())
+}
+
+/// The FxHash checksum sealing every persisted blob and wire frame in the
+/// workspace (`GCKP`, `GFPC`, `GRUL`, serve frames): detects torn writes
+/// and bit rot, not adversaries.
+#[inline]
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
     h.finish()
 }
 

@@ -1,37 +1,18 @@
-//! Drivers for the gar-analyze static-analysis pass.
+//! Driver for the gar-analyze static-analysis pass.
 //!
-//! * `cargo xtask lint` — the legacy rule set (the six original line
-//!   rules plus `det-taint`), no baseline. Kept as the fast pre-commit
-//!   habit and the `lint` CI job.
-//! * `cargo xtask analyze [--check] [--json FILE]` — the full catalog,
-//!   filtered through the checked-in `ANALYZE_BASELINE.txt`. `--check`
-//!   is CI mode: any finding not in the baseline fails the run, and so
-//!   does a stale baseline entry (so the file can only shrink toward
-//!   empty). `--json` writes the `gar-analyze-v1` report consumed by
-//!   the CI artifact upload.
+//! `cargo xtask analyze [--check] [--json FILE]` runs the full catalog,
+//! filtered through the checked-in `ANALYZE_BASELINE.txt`. `--check`
+//! is CI mode: any finding not in the baseline fails the run, and so
+//! does a stale baseline entry (so the file can only shrink toward
+//! empty). `--json` writes the `gar-analyze-v1` report consumed by
+//! the CI artifact upload.
 //!
-//! Exit codes (shared by both commands): 0 clean, 1 findings, 2
-//! internal/usage error.
+//! Exit codes: 0 clean, 1 findings, 2 internal/usage error.
 
 use gar_analyze::{analyze_root, Analysis, Baseline, BaselineOutcome, RuleSet};
 use std::path::Path;
 
 const BASELINE_FILE: &str = "ANALYZE_BASELINE.txt";
-
-pub fn lint(root: &Path) -> u8 {
-    let analysis = match analyze_root(root, RuleSet::Legacy) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return 2;
-        }
-    };
-    for f in &analysis.findings {
-        println!("{f}");
-    }
-    summarize("lint", &analysis, analysis.findings.len());
-    u8::from(!analysis.findings.is_empty())
-}
 
 pub fn run(root: &Path, args: &[String]) -> u8 {
     let mut check = false;
@@ -97,7 +78,7 @@ fn report(analysis: &Analysis, outcome: &BaselineOutcome, check: bool) -> u8 {
             "analyze: stale baseline entry `{stale}` (no longer matches a finding — delete it)"
         );
     }
-    summarize("analyze", analysis, outcome.new.len());
+    summarize(analysis, outcome.new.len());
 
     let stale_fails = check && !outcome.stale.is_empty();
     if stale_fails {
@@ -109,15 +90,15 @@ fn report(analysis: &Analysis, outcome: &BaselineOutcome, check: bool) -> u8 {
     u8::from(!outcome.new.is_empty() || stale_fails)
 }
 
-fn summarize(cmd: &str, analysis: &Analysis, reported: usize) {
+fn summarize(analysis: &Analysis, reported: usize) {
     if reported == 0 {
         println!(
-            "{cmd}: clean — {} file(s), {} function(s) indexed",
+            "analyze: clean — {} file(s), {} function(s) indexed",
             analysis.files_scanned, analysis.fns_indexed
         );
     } else {
         println!(
-            "{cmd}: {reported} finding(s) in {} file(s) scanned \
+            "analyze: {reported} finding(s) in {} file(s) scanned \
              (suppress with `// lint:allow(<rule>): <reason>` where justified)",
             analysis.files_scanned
         );

@@ -1,13 +1,12 @@
 //! Repo automation, invoked as `cargo xtask <command>` (see
 //! `.cargo/config.toml` for the alias).
 //!
-//! * `lint` — the legacy in-repo static analysis pass (concurrency and
-//!   determinism rules the stock toolchain cannot express), now running
-//!   on the `gar-analyze` lexer so string literals and comments can
-//!   never trigger it.
-//! * `analyze` — the full `gar-analyze` catalog: the lint rules plus
-//!   the flow-aware `panic-path`, `lock-blocking` and `unsafe-audit`
-//!   rules, filtered through the checked-in `ANALYZE_BASELINE.txt`.
+//! * `analyze` — the in-repo static analysis pass, the full
+//!   `gar-analyze` catalog: the line rules (concurrency and determinism
+//!   rules the stock toolchain cannot express, run on a real lexer so
+//!   string literals and comments can never trigger them) plus the
+//!   flow-aware `panic-path`, `lock-blocking` and `unsafe-audit` rules,
+//!   filtered through the checked-in `ANALYZE_BASELINE.txt`.
 //! * `loom` — model-checks the cluster collectives and the serve-layer
 //!   epoch cell by rebuilding them on the `gar-modelcheck` virtual
 //!   primitives (`--cfg gar_loom`).
@@ -51,9 +50,8 @@ fn usage() -> &'static str {
      \n\
      commands:\n\
        ci            run the full CI job sequence locally (fmt, clippy,\n\
-                     lint, analyze, test, loom, chaos, serve-chaos,\n\
+                     analyze, test, loom, chaos, serve-chaos,\n\
                      bench --check --gate-wall, serve-smoke, serve-bench)\n\
-       lint          run the legacy static-analysis rules (token-aware)\n\
        analyze [--check] [--json FILE]\n\
                      run the full gar-analyze catalog; --check is CI mode\n\
                      (baseline-gated: new findings and stale baseline\n\
@@ -99,7 +97,6 @@ fn main() -> ExitCode {
         }
     };
     let code = match cmd {
-        "lint" => analyze::lint(&repo_root()),
         "analyze" => analyze::run(&repo_root(), rest),
         "ci" => runners::ci(&repo_root(), rest),
         "loom" => runners::loom(&repo_root(), rest),

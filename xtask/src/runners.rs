@@ -155,7 +155,7 @@ pub fn serve_chaos(root: &Path, args: &[String]) -> u8 {
 }
 
 /// Runs the CI job sequence locally, in the same order the workflow
-/// does: format + clippy + repo lint, static analysis, build + test,
+/// does: format + clippy, static analysis, build + test,
 /// loom, chaos, serve-chaos, bench (with the wall gate), serve-smoke,
 /// and serve-bench. Stops at the first failing job so the console ends
 /// at the same place the CI log would. `cargo xtask ci` before pushing
@@ -179,7 +179,6 @@ pub fn ci(root: &Path, _args: &[String]) -> u8 {
                 "warnings",
             ]))
         }),
-        ("lint", &|| crate::analyze::lint(root)),
         ("analyze", &|| {
             crate::analyze::run(root, &["--check".to_string()])
         }),
