@@ -7,11 +7,11 @@
 //! structure, `#[cfg(test)]` regions, function spans and per-function
 //! call names on top; [`callgraph`] links every file's functions into a
 //! name-resolved call graph; [`rules`] runs the catalog — six line
-//! rules ported from the old `xtask lint` pass plus four flow-aware
-//! rules (`det-taint`, `panic-path`, `lock-blocking`, `unsafe-audit`).
+//! rules ported from the old `xtask lint` pass, four flow-aware rules
+//! (`det-taint`, `panic-path`, `lock-blocking`, `unsafe-audit`) and the
+//! one rule about test code (`test-sleep`).
 //!
-//! Driven by `cargo xtask analyze` (full catalog, baseline-aware,
-//! `--check` for CI).
+//! Driven by `cargo xtask analyze` (baseline-aware, `--check` for CI).
 
 pub mod callgraph;
 pub mod lexer;
@@ -23,17 +23,6 @@ use rules::FlowContext;
 use source::SourceFile;
 use std::fmt;
 use std::path::Path;
-
-/// Which rules to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleSet {
-    /// The surface of the retired `xtask lint` command: the six line
-    /// rules plus `det-taint` (successor of `hash-order`).
-    Legacy,
-    /// Everything, including `panic-path`, `lock-blocking` and
-    /// `unsafe-audit`.
-    All,
-}
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,7 +62,7 @@ pub struct Analysis {
 /// Analyzes a set of in-memory `(relative_path, source)` files as one
 /// workspace — the API the golden/fixture tests use, and the only way
 /// cross-file rules can be exercised hermetically.
-pub fn analyze_sources(files: &[(&str, &str)], set: RuleSet) -> Vec<Finding> {
+pub fn analyze_sources(files: &[(&str, &str)]) -> Vec<Finding> {
     let parsed: Vec<SourceFile> = files
         .iter()
         .map(|(rel, src)| SourceFile::parse(rel, src))
@@ -84,19 +73,21 @@ pub fn analyze_sources(files: &[(&str, &str)], set: RuleSet) -> Vec<Finding> {
     let flow = FlowContext::build(&graph);
     let mut findings = Vec::new();
     for sf in &parsed {
-        findings.extend(rules::check_file(sf, &graph, &flow, set));
+        findings.extend(rules::check_file(sf, &graph, &flow));
     }
     sort_findings(&mut findings);
     findings
 }
 
 /// Single-file convenience wrapper around [`analyze_sources`].
-pub fn analyze_source(rel: &str, src: &str, set: RuleSet) -> Vec<Finding> {
-    analyze_sources(&[(rel, src)], set)
+pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
+    analyze_sources(&[(rel, src)])
 }
 
-/// Analyzes every `crates/*/src/**/*.rs` under `root`.
-pub fn analyze_root(root: &Path, set: RuleSet) -> Result<Analysis, String> {
+/// Analyzes every `crates/*/src/**/*.rs` and `crates/*/tests/**/*.rs`
+/// under `root` (the latter are test code from the first line to the
+/// last, so only `test-sleep` can fire in them).
+pub fn analyze_root(root: &Path) -> Result<Analysis, String> {
     let mut paths = Vec::new();
     let crates_dir = root.join("crates");
     let entries = std::fs::read_dir(&crates_dir)
@@ -109,7 +100,10 @@ pub fn analyze_root(root: &Path, set: RuleSet) -> Result<Analysis, String> {
     crate_dirs.sort();
     let mut deps = CrateDeps::default();
     for dir in &crate_dirs {
-        collect_rs_files(&dir.join("src"), &mut paths)?;
+        collect_rs_files(&dir.join("src"), true, &mut paths)?;
+        // Integration-test roots only: `tests/fixtures/` holds inputs,
+        // not code that runs.
+        collect_rs_files(&dir.join("tests"), false, &mut paths)?;
         if let (Some(name), Ok(manifest)) = (
             dir.file_name().map(|n| n.to_string_lossy().into_owned()),
             std::fs::read_to_string(dir.join("Cargo.toml")),
@@ -136,7 +130,7 @@ pub fn analyze_root(root: &Path, set: RuleSet) -> Result<Analysis, String> {
     let flow = FlowContext::build(&graph);
     let mut findings = Vec::new();
     for sf in &parsed {
-        findings.extend(rules::check_file(sf, &graph, &flow, set));
+        findings.extend(rules::check_file(sf, &graph, &flow));
     }
     sort_findings(&mut findings);
     Ok(Analysis {
@@ -146,14 +140,20 @@ pub fn analyze_root(root: &Path, set: RuleSet) -> Result<Analysis, String> {
     })
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> Result<(), String> {
+fn collect_rs_files(
+    dir: &Path,
+    recurse: bool,
+    out: &mut Vec<std::path::PathBuf>,
+) -> Result<(), String> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Ok(()); // a crate without src/ (or a non-crate dir) is fine
     };
     for entry in entries.filter_map(|e| e.ok()) {
         let path = entry.path();
         if path.is_dir() {
-            collect_rs_files(&path, out)?;
+            if recurse {
+                collect_rs_files(&path, recurse, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -403,7 +403,6 @@ mod tests {
         let findings = analyze_source(
             "crates/x/src/lib.rs",
             "fn f(cv: &Condvar, g: G) {\n    let _ = cv.wait(g);\n}\n",
-            RuleSet::All,
         );
         assert!(
             findings.iter().any(|f| f.rule == "wait-loop"),

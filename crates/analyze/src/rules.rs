@@ -1,7 +1,11 @@
 //! The rule catalog. Six line-oriented rules ported from the original
 //! `xtask lint` pass (now matching on sanitized code lines, so string
-//! literals and comments can never trigger them), plus four flow-aware
-//! rules that need the item parser and call graph:
+//! literals and comments can never trigger them), `test-sleep` — the one
+//! rule that looks *only* at test code: a `sleep` there is either a
+//! synchronisation by timing (flaky under load; use a barrier, a channel
+//! or a deadline-bounded poll of the condition) or it is the thing under
+//! test, and the latter says so in its allow comment — plus four
+//! flow-aware rules that need the item parser and call graph:
 //!
 //! * `det-taint` — `HashMap`/`HashSet` iteration in any function from
 //!   which a serialization/wire/report sink is reachable over the call
@@ -25,7 +29,7 @@
 use crate::callgraph::CallGraph;
 use crate::lexer::is_ident_char;
 use crate::source::{call_names, contains_token, find_token, SourceFile};
-use crate::{Finding, RuleSet};
+use crate::Finding;
 use std::collections::HashMap;
 
 pub const RULE_WAIT_LOOP: &str = "wait-loop";
@@ -38,6 +42,7 @@ pub const RULE_DET_TAINT: &str = "det-taint";
 pub const RULE_PANIC_PATH: &str = "panic-path";
 pub const RULE_LOCK_BLOCKING: &str = "lock-blocking";
 pub const RULE_UNSAFE_AUDIT: &str = "unsafe-audit";
+pub const RULE_TEST_SLEEP: &str = "test-sleep";
 
 /// One catalog entry, for `--help`-style output and the JSON report.
 pub struct RuleInfo {
@@ -98,6 +103,11 @@ pub const CATALOG: &[RuleInfo] = &[
         name: RULE_UNSAFE_AUDIT,
         legacy: false,
         summary: "every `unsafe` needs a `// SAFETY:` justification",
+    },
+    RuleInfo {
+        name: RULE_TEST_SLEEP,
+        legacy: false,
+        summary: "no sleep in test code outside an allowed bounded poll or injected delay",
     },
 ];
 
@@ -195,22 +205,14 @@ impl FlowContext {
     }
 }
 
-/// Runs every selected rule over one file. `graph`/`flow` carry the
+/// Runs every rule over one file. `graph`/`flow` carry the
 /// workspace-level context.
-pub fn check_file(
-    sf: &SourceFile,
-    graph: &CallGraph,
-    flow: &FlowContext,
-    set: RuleSet,
-) -> Vec<Finding> {
+pub fn check_file(sf: &SourceFile, graph: &CallGraph, flow: &FlowContext) -> Vec<Finding> {
     let mut findings = Vec::new();
     let rel = sf.rel.as_str();
 
     for (i, code) in sf.code.iter().enumerate() {
         let line_no = i + 1;
-        if sf.in_test[i] {
-            continue;
-        }
         let mut emit = |rule: &'static str, msg: String| {
             if !sf.suppressed(i, rule) {
                 findings.push(Finding {
@@ -221,6 +223,20 @@ pub fn check_file(
                 });
             }
         };
+
+        // ----- test-sleep: test code only; every other rule skips it -----
+        if sf.in_test[i] {
+            if calls(code, "sleep") {
+                emit(
+                    RULE_TEST_SLEEP,
+                    "sleep in test code; synchronise with a barrier, a channel or a \
+                     deadline-bounded poll of the condition (a bounded poll's own \
+                     back-off sleep takes `lint:allow(test-sleep): <why it is bounded>`)"
+                        .to_string(),
+                );
+            }
+            continue;
+        }
 
         // ----- wait-loop: all crates -------------------------------------
         if code.contains(".wait(") && !sf.wait_in_loop[i] {
@@ -307,56 +323,54 @@ pub fn check_file(
             }
         }
 
-        if set == RuleSet::All {
-            // ----- panic-path --------------------------------------------
-            if let Some(entry) = flow.entry_witness(graph, sf, i) {
-                // unwrap/expect in crates/cluster is already the
-                // cluster-unwrap rule's finding; don't double-report.
-                if !rel.starts_with("crates/cluster/")
-                    && (code.contains(".unwrap()") || code.contains(".expect("))
-                {
-                    emit(
-                        RULE_PANIC_PATH,
-                        format!(
-                            "unwrap/expect reachable from entry point `{entry}`; a panic \
-                             here kills the handler/worker silently — return a typed \
-                             Error so it surfaces as an error frame / Error::Poisoned"
-                        ),
-                    );
-                }
-                if let Some(mac) = panic_macro(code) {
-                    emit(
-                        RULE_PANIC_PATH,
-                        format!(
-                            "`{mac}` reachable from entry point `{entry}`; convert to a \
-                             typed Error so the failure surfaces as an error frame / \
-                             Error::Poisoned instead of a dead thread"
-                        ),
-                    );
-                }
-                if (rel.starts_with("crates/serve/") || rel.starts_with("crates/cluster/"))
-                    && has_direct_indexing(code)
-                {
-                    emit(
-                        RULE_PANIC_PATH,
-                        format!(
-                            "direct slice indexing reachable from entry point `{entry}`; \
-                             an out-of-bounds here panics the handler — use get()/ \
-                             bounds-checked access or justify with a suppression"
-                        ),
-                    );
-                }
-            }
-
-            // ----- unsafe-audit ------------------------------------------
-            if contains_token(code, "unsafe") && !sf.has_safety_comment(i) {
+        // ----- panic-path --------------------------------------------
+        if let Some(entry) = flow.entry_witness(graph, sf, i) {
+            // unwrap/expect in crates/cluster is already the
+            // cluster-unwrap rule's finding; don't double-report.
+            if !rel.starts_with("crates/cluster/")
+                && (code.contains(".unwrap()") || code.contains(".expect("))
+            {
                 emit(
-                    RULE_UNSAFE_AUDIT,
-                    "`unsafe` without a `// SAFETY:` comment stating the invariant \
-                     that makes it sound (on the line or directly above)"
-                        .to_string(),
+                    RULE_PANIC_PATH,
+                    format!(
+                        "unwrap/expect reachable from entry point `{entry}`; a panic \
+                         here kills the handler/worker silently — return a typed \
+                         Error so it surfaces as an error frame / Error::Poisoned"
+                    ),
                 );
             }
+            if let Some(mac) = panic_macro(code) {
+                emit(
+                    RULE_PANIC_PATH,
+                    format!(
+                        "`{mac}` reachable from entry point `{entry}`; convert to a \
+                         typed Error so the failure surfaces as an error frame / \
+                         Error::Poisoned instead of a dead thread"
+                    ),
+                );
+            }
+            if (rel.starts_with("crates/serve/") || rel.starts_with("crates/cluster/"))
+                && has_direct_indexing(code)
+            {
+                emit(
+                    RULE_PANIC_PATH,
+                    format!(
+                        "direct slice indexing reachable from entry point `{entry}`; \
+                         an out-of-bounds here panics the handler — use get()/ \
+                         bounds-checked access or justify with a suppression"
+                    ),
+                );
+            }
+        }
+
+        // ----- unsafe-audit ------------------------------------------
+        if contains_token(code, "unsafe") && !sf.has_safety_comment(i) {
+            emit(
+                RULE_UNSAFE_AUDIT,
+                "`unsafe` without a `// SAFETY:` comment stating the invariant \
+                 that makes it sound (on the line or directly above)"
+                    .to_string(),
+            );
         }
     }
 
@@ -364,9 +378,7 @@ pub fn check_file(
     findings.extend(det_taint(sf, graph, flow));
 
     // ----- lock-blocking (file-level pass: needs guard liveness) ---------
-    if set == RuleSet::All {
-        findings.extend(lock_blocking(sf));
-    }
+    findings.extend(lock_blocking(sf));
 
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
@@ -492,23 +504,26 @@ fn lock_blocking(sf: &SourceFile) -> Vec<Finding> {
     findings
 }
 
+/// Does the line call `name` — the identifier as a whole token,
+/// immediately followed by `(`?
+fn calls(code: &str, name: &str) -> bool {
+    let mut from = 0;
+    while let Some(pos) = find_token(&code[from..], name) {
+        let after = from + pos + name.len();
+        if code[after..].starts_with('(') {
+            return true;
+        }
+        from = after;
+    }
+    false
+}
+
 /// The first blocking-call name on the line, if any.
 fn blocking_call(code: &str) -> Option<&'static str> {
-    for name in BLOCKING_CALLS {
-        let mut from = 0;
-        while let Some(pos) = find_token(&code[from..], name) {
-            let abs = from + pos;
-            let after = abs + name.len();
-            if code[after..].starts_with('(') {
-                return Some(name);
-            }
-            from = after;
-            if from >= code.len() {
-                break;
-            }
-        }
-    }
-    None
+    BLOCKING_CALLS
+        .iter()
+        .copied()
+        .find(|name| calls(code, name))
 }
 
 /// `let [mut] NAME = <expr containing .lock() / .read() / .write()>`.

@@ -56,7 +56,12 @@ impl SourceFile {
             code.push(String::new());
         }
 
-        let scan = scan_blocks(&code);
+        let mut scan = scan_blocks(&code);
+        // An integration-test file is test code from top to bottom.
+        if rel.contains("/tests/") {
+            scan.in_test.fill(true);
+            scan.fns.iter_mut().for_each(|f| f.in_test = true);
+        }
         SourceFile {
             rel: rel.to_string(),
             raw,

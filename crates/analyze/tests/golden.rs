@@ -12,7 +12,7 @@
 //! makes the allowed twin non-empty and fails it too.
 
 use gar_analyze::rules::CATALOG;
-use gar_analyze::{analyze_source, analyze_sources, RuleSet};
+use gar_analyze::{analyze_source, analyze_sources};
 
 struct Fixture {
     name: &'static str,
@@ -151,6 +151,19 @@ const FIXTURES: &[Fixture] = &[
         expect: &[],
     },
     Fixture {
+        // An integration-test file: test code from the first line.
+        name: "test_sleep_bad",
+        vpath: "crates/serve/tests/flow.rs",
+        src: include_str!("fixtures/test_sleep_bad.rs"),
+        expect: &[(4, "test-sleep")],
+    },
+    Fixture {
+        name: "test_sleep_allowed",
+        vpath: "crates/serve/tests/flow.rs",
+        src: include_str!("fixtures/test_sleep_allowed.rs"),
+        expect: &[],
+    },
+    Fixture {
         // Regression for the old text lint's worst failure mode: every
         // rule's trigger pattern, but only inside literals and comments.
         // Deliberately placed at a cluster path so the cluster-scoped
@@ -165,7 +178,7 @@ const FIXTURES: &[Fixture] = &[
 #[test]
 fn fixtures_match_expected_findings() {
     for f in FIXTURES {
-        let got = analyze_source(f.vpath, f.src, RuleSet::All);
+        let got = analyze_source(f.vpath, f.src);
         let pairs: Vec<(usize, &str)> = got.iter().map(|x| (x.line, x.rule)).collect();
         assert_eq!(
             pairs, f.expect,
@@ -222,13 +235,10 @@ fn det_taint_flows_through_the_call_graph() {
                   }\n\
                   }\n";
     let sink = "pub fn emit_row(_k: u32, _v: u64) {}\n";
-    let findings = analyze_sources(
-        &[
-            ("crates/mining/src/aggregate.rs", caller),
-            ("crates/mining/src/wire.rs", sink),
-        ],
-        RuleSet::All,
-    );
+    let findings = analyze_sources(&[
+        ("crates/mining/src/aggregate.rs", caller),
+        ("crates/mining/src/wire.rs", sink),
+    ]);
     let hit = findings
         .iter()
         .find(|f| f.rule == "det-taint")
@@ -254,13 +264,10 @@ fn det_taint_ignores_functions_that_reach_no_sink() {
                   }\n";
     // Same shape, but `emit_row` lives in a non-sink file.
     let helper = "pub fn emit_row(_k: u32, _v: u64) {}\n";
-    let findings = analyze_sources(
-        &[
-            ("crates/mining/src/aggregate.rs", caller),
-            ("crates/mining/src/math.rs", helper),
-        ],
-        RuleSet::All,
-    );
+    let findings = analyze_sources(&[
+        ("crates/mining/src/aggregate.rs", caller),
+        ("crates/mining/src/math.rs", helper),
+    ]);
     assert!(
         findings.iter().all(|f| f.rule != "det-taint"),
         "{findings:#?}"
@@ -274,13 +281,10 @@ fn panic_path_flows_from_entry_to_helper() {
                   let v: Option<u32> = None;\n    \
                   v.unwrap()\n\
                   }\n";
-    let findings = analyze_sources(
-        &[
-            ("crates/serve/src/server.rs", entry),
-            ("crates/serve/src/util.rs", helper),
-        ],
-        RuleSet::All,
-    );
+    let findings = analyze_sources(&[
+        ("crates/serve/src/server.rs", entry),
+        ("crates/serve/src/util.rs", helper),
+    ]);
     let hit = findings
         .iter()
         .find(|f| f.rule == "panic-path")
@@ -303,7 +307,7 @@ fn panic_path_ignores_unreachable_helpers() {
                   let v: Option<u32> = None;\n    \
                   v.unwrap()\n\
                   }\n";
-    let findings = analyze_source("crates/serve/src/util.rs", helper, RuleSet::All);
+    let findings = analyze_source("crates/serve/src/util.rs", helper);
     assert!(
         findings.iter().all(|f| f.rule != "panic-path"),
         "{findings:#?}"
@@ -323,7 +327,7 @@ fn lock_blocking_dropped_guard_is_clean() {
                drop(guard);\n    \
                tx.send(v).ok();\n\
                }\n";
-    let findings = analyze_source("crates/serve/src/worker.rs", src, RuleSet::All);
+    let findings = analyze_source("crates/serve/src/worker.rs", src);
     assert!(
         findings.iter().all(|f| f.rule != "lock-blocking"),
         "{findings:#?}"
@@ -340,7 +344,7 @@ fn lock_blocking_scope_exit_is_clean() {
                };\n    \
                tx.send(v).ok();\n\
                }\n";
-    let findings = analyze_source("crates/serve/src/worker.rs", src, RuleSet::All);
+    let findings = analyze_source("crates/serve/src/worker.rs", src);
     assert!(
         findings.iter().all(|f| f.rule != "lock-blocking"),
         "{findings:#?}"
@@ -355,7 +359,7 @@ fn lock_blocking_handoff_is_clean() {
                let guard = m.lock().unwrap();\n    \
                wait_collective(guard);\n\
                }\n";
-    let findings = analyze_source("crates/mining/src/sync.rs", src, RuleSet::All);
+    let findings = analyze_source("crates/mining/src/sync.rs", src);
     assert!(
         findings.iter().all(|f| f.rule != "lock-blocking"),
         "{findings:#?}"

@@ -3,11 +3,12 @@
 //! lines, so trigger patterns inside string literals and comments —
 //! which the old substring scan flagged — are invisible.
 
-use gar_analyze::{analyze_source, RuleSet};
+use gar_analyze::analyze_source;
 
-/// (line, rule) pairs from the legacy rule set, as `xtask lint` runs it.
+/// (line, rule) pairs under the full catalog — what `xtask analyze`
+/// (which absorbed `xtask lint`) reports.
 fn legacy(rel: &str, src: &str) -> Vec<(usize, &'static str)> {
-    analyze_source(rel, src, RuleSet::Legacy)
+    analyze_source(rel, src)
         .iter()
         .map(|f| (f.line, f.rule))
         .collect()
@@ -131,8 +132,8 @@ fn free_fn_fs_read_is_not_a_stream_read() {
 
 #[test]
 fn det_taint_is_part_of_the_legacy_set() {
-    // `xtask lint` runs det-taint as the successor of the old
-    // hash-order rule: iteration in a sink file flags under Legacy too.
+    // det-taint is the successor of `xtask lint`'s hash-order rule:
+    // iteration in a sink file is flagged just as the old rule did.
     let src = "use std::collections::HashMap;\n\
                pub fn encode(m: &HashMap<u32, u64>, out: &mut Vec<u8>) {\n    \
                for (k, _) in m.iter() {\n        \
@@ -156,16 +157,37 @@ fn det_taint_is_part_of_the_legacy_set() {
 }
 
 #[test]
-fn legacy_set_excludes_the_flow_rules() {
-    // unsafe without SAFETY: a finding under All, invisible to Legacy
-    // (so `xtask lint` stays exactly the old gate).
-    let src = "pub struct W(pub *const u8);\nunsafe impl Send for W {}\n";
-    assert_eq!(legacy("crates/types/src/ptr.rs", src), vec![]);
-    let all: Vec<(usize, &str)> = analyze_source("crates/types/src/ptr.rs", src, RuleSet::All)
-        .iter()
-        .map(|f| (f.line, f.rule))
-        .collect();
-    assert_eq!(all, vec![(2, "unsafe-audit")]);
+fn test_sleep_fires_in_test_code_only() {
+    // The same sleep three times: in a function (not this rule's
+    // business), in a `#[cfg(test)]` module (flagged), and there again
+    // under an allow with a reason (clean).
+    let src = "pub fn pace() {\n    \
+               std::thread::sleep(D);\n\
+               }\n\
+               #[cfg(test)]\n\
+               mod tests {\n    \
+               fn a() {\n        \
+               std::thread::sleep(D);\n    \
+               }\n    \
+               fn b() {\n        \
+               // lint:allow(test-sleep): the interval being measured\n        \
+               std::thread::sleep(D);\n    \
+               }\n\
+               }\n";
+    assert_eq!(
+        legacy("crates/mining/src/pace.rs", src),
+        vec![(7, "test-sleep")]
+    );
+    // Under `tests/` the whole file is test code — and no other rule
+    // looks at it.
+    let it = "fn helper(r: Result<u32, ()>) -> u32 {\n    \
+              sleep(D);\n    \
+              r.unwrap()\n\
+              }\n";
+    assert_eq!(
+        legacy("crates/cluster/tests/soak.rs", it),
+        vec![(2, "test-sleep")]
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use crate::commands::{META_FILE, TAXONOMY_FILE};
 use gar_datagen::{presets, TransactionGenerator};
-use gar_storage::{FlatPartition, PartitionWriter};
+use gar_storage::FlatPartition;
 use gar_types::{Error, Result};
 use std::io::Write;
 use std::path::Path;
@@ -17,12 +17,6 @@ pub fn run(args: &Args) -> Result<()> {
     let partitions: usize = args.get_or("partitions", 8)?;
     if partitions == 0 {
         return Err(Error::InvalidConfig("--partitions must be >= 1".into()));
-    }
-    let format = args.get("format").unwrap_or("txn");
-    if format != "txn" && format != "flat" {
-        return Err(Error::InvalidConfig(format!(
-            "unknown --format '{format}' (expected txn or flat)"
-        )));
     }
 
     let spec = presets::by_name(preset, seed)
@@ -43,32 +37,18 @@ pub fn run(args: &Args) -> Result<()> {
     );
 
     let mut generator = TransactionGenerator::new(&spec)?;
+    // Flat partitions: built in memory, then written as sealed `GFP2`
+    // files that load without per-record decoding.
+    let mut builders: Vec<FlatPartition> = (0..partitions).map(|_| FlatPartition::new()).collect();
     let mut count = 0usize;
+    for t in generator.by_ref() {
+        builders[count % partitions].push(&t);
+        count += 1;
+    }
     let mut total_bytes = 0;
-    if format == "flat" {
-        // Zero-copy flat partitions: built in memory, bulk-written as
-        // `GFP1` files that load without per-record decoding.
-        let mut builders: Vec<FlatPartition> =
-            (0..partitions).map(|_| FlatPartition::new()).collect();
-        for t in generator.by_ref() {
-            builders[count % partitions].push(&t);
-            count += 1;
-        }
-        for (i, b) in builders.iter().enumerate() {
-            b.write_to(out.join(format!("part-{i:04}.gfp")))?;
-            total_bytes += b.size_bytes();
-        }
-    } else {
-        let mut writers: Vec<PartitionWriter> = (0..partitions)
-            .map(|i| PartitionWriter::create(out.join(format!("part-{i:04}.txn"))))
-            .collect::<Result<_>>()?;
-        for t in generator.by_ref() {
-            writers[count % partitions].write(&t)?;
-            count += 1;
-        }
-        for w in writers {
-            total_bytes += w.finish()?.size_bytes();
-        }
+    for (i, b) in builders.iter().enumerate() {
+        b.write_to(out.join(format!("part-{i:04}.gfp")))?;
+        total_bytes += b.size_bytes();
     }
     let taxonomy = generator.into_taxonomy();
     gar_taxonomy::io::save(&taxonomy, out.join(TAXONOMY_FILE))?;

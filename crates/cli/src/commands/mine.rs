@@ -1,7 +1,7 @@
 //! `gar-cli mine` — run a mining algorithm over a dataset directory.
 
 use crate::args::Args;
-use crate::commands::{load_taxonomy, open_partitions, ChainedSource};
+use crate::commands::{chain, load_taxonomy, open_partitions};
 use gar_cluster::{ClusterConfig, FaultPlan};
 use gar_mining::parallel::{mine_parallel_with, MineOptions};
 use gar_mining::persist::{algorithm_by_name, save_output};
@@ -34,21 +34,7 @@ pub fn run(args: &Args) -> Result<()> {
     }
     params.validate()?;
 
-    let mut parts = open_partitions(dir)?;
-    // `--flat` lifts record-stream partitions into the zero-copy flat
-    // representation up front, so every subsequent pass lends borrowed
-    // slices instead of re-decoding the file (`part-*.gfp` inputs are
-    // already flat).
-    if args.has_switch("flat") {
-        parts = parts
-            .into_iter()
-            .map(|p| -> Result<Box<dyn gar_storage::TransactionSource>> {
-                Ok(Box::new(gar_storage::FlatPartition::from_source(
-                    p.as_ref(),
-                )?))
-            })
-            .collect::<Result<_>>()?;
-    }
+    let parts = open_partitions(dir)?;
     let tax = load_taxonomy(dir)?;
     let started = Stopwatch::start();
 
@@ -63,14 +49,8 @@ pub fn run(args: &Args) -> Result<()> {
     };
 
     let output: MiningOutput = match algorithm {
-        Algorithm::Cumulate => {
-            let chain = ChainedSource::new(&parts);
-            cumulate(&chain, &tax, &params)?
-        }
-        Algorithm::Apriori => {
-            let chain = ChainedSource::new(&parts);
-            apriori(&chain, tax.num_items(), &params)?
-        }
+        Algorithm::Cumulate => cumulate(&chain(&parts), &tax, &params)?,
+        Algorithm::Apriori => apriori(&chain(&parts), tax.num_items(), &params)?,
         parallel_alg => {
             let nodes = parts.len();
             // Reopen through the PartitionedDatabase wrapper for the

@@ -7,9 +7,9 @@ pub mod query;
 pub mod rules;
 pub mod serve;
 
-use gar_storage::{DiskPartition, FlatPartition, TransactionSource};
+use gar_storage::{FlatPartition, MultiSource, TransactionSource};
 use gar_taxonomy::Taxonomy;
-use gar_types::{Error, ItemId, Result};
+use gar_types::{Error, Result};
 use std::path::{Path, PathBuf};
 
 /// Name of the taxonomy file inside a dataset directory.
@@ -17,37 +17,46 @@ pub const TAXONOMY_FILE: &str = "taxonomy.gtax";
 /// Name of the human-readable metadata file inside a dataset directory.
 pub const META_FILE: &str = "dataset.txt";
 
-/// Opens every partition of a dataset directory, sorted by file name
-/// (= node id). Both partition formats are accepted: record-stream
-/// `part-*.txn` files and flat zero-copy `part-*.gfp` files (the latter
-/// load fully into memory, so every scan pass lends borrowed slices).
+/// Opens every `part-NNNN.gfp` partition of a dataset directory, sorted
+/// by file name (= node id). Partitions load fully into memory, so every
+/// scan pass lends borrowed slices.
 pub fn open_partitions(dir: &Path) -> Result<Vec<Box<dyn TransactionSource>>> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+    let is_part = |p: &PathBuf, ext: &str| {
+        p.file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with("part-") && n.ends_with(ext))
+    };
+    let (mut paths, others): (Vec<PathBuf>, Vec<PathBuf>) = std::fs::read_dir(dir)
         .map_err(|e| Error::io(format!("reading dataset dir {}", dir.display()), e))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                n.starts_with("part-") && (n.ends_with(".txn") || n.ends_with(".gfp"))
-            })
-        })
-        .collect();
+        .partition(|p| is_part(p, ".gfp"));
     paths.sort();
     if paths.is_empty() {
-        return Err(Error::InvalidConfig(format!(
-            "{} contains no part-*.txn or part-*.gfp partitions (not a dataset dir?)",
-            dir.display()
-        )));
+        return Err(Error::InvalidConfig(
+            if others.iter().any(|p| is_part(p, ".txn")) {
+                format!(
+                    "{} holds only part-*.txn partitions, a format this build no longer \
+                 reads; re-run `gar-cli gen` to write part-*.gfp files",
+                    dir.display()
+                )
+            } else {
+                format!(
+                    "{} contains no part-*.gfp partitions (not a dataset dir?)",
+                    dir.display()
+                )
+            },
+        ));
     }
     paths
         .into_iter()
-        .map(|p| -> Result<Box<dyn TransactionSource>> {
-            if p.extension().is_some_and(|e| e == "gfp") {
-                Ok(Box::new(FlatPartition::open(&p)?))
-            } else {
-                Ok(Box::new(DiskPartition::open(&p)?))
-            }
-        })
+        .map(|p| -> Result<Box<dyn TransactionSource>> { Ok(Box::new(FlatPartition::open(&p)?)) })
         .collect()
+}
+
+/// The opened partitions back to back as one source — what the
+/// sequential algorithms scan.
+pub fn chain(parts: &[Box<dyn TransactionSource>]) -> MultiSource<'_> {
+    MultiSource::new(parts.iter().map(|p| p.as_ref()).collect())
 }
 
 /// Loads the taxonomy of a dataset directory.
@@ -55,87 +64,10 @@ pub fn load_taxonomy(dir: &Path) -> Result<Taxonomy> {
     gar_taxonomy::io::load(dir.join(TAXONOMY_FILE))
 }
 
-/// A read-only concatenation of partitions, presented as one
-/// [`TransactionSource`] — what the sequential algorithms scan.
-pub struct ChainedSource<'a> {
-    parts: &'a [Box<dyn TransactionSource>],
-}
-
-impl<'a> ChainedSource<'a> {
-    /// Chains `parts` in order.
-    pub fn new(parts: &'a [Box<dyn TransactionSource>]) -> ChainedSource<'a> {
-        ChainedSource { parts }
-    }
-}
-
-impl TransactionSource for ChainedSource<'_> {
-    fn num_transactions(&self) -> usize {
-        self.parts.iter().map(|p| p.num_transactions()).sum()
-    }
-
-    fn scan(&self) -> Result<Box<dyn gar_storage::TransactionScan + '_>> {
-        Ok(Box::new(ChainedScan {
-            parts: self.parts,
-            current: None,
-            next_part: 0,
-            buf: Vec::new(),
-        }))
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.parts.iter().map(|p| p.bytes_read()).sum()
-    }
-
-    fn size_bytes(&self) -> u64 {
-        self.parts.iter().map(|p| p.size_bytes()).sum()
-    }
-}
-
-struct ChainedScan<'a> {
-    parts: &'a [Box<dyn TransactionSource>],
-    current: Option<Box<dyn gar_storage::TransactionScan + 'a>>,
-    next_part: usize,
-    buf: Vec<ItemId>,
-}
-
-impl gar_storage::TransactionScan for ChainedScan<'_> {
-    fn next_slice(&mut self) -> Result<Option<&[ItemId]>> {
-        loop {
-            if let Some(scan) = self.current.as_mut() {
-                if scan.next_into(&mut self.buf)? {
-                    return Ok(Some(&self.buf));
-                }
-                self.current = None;
-            }
-            if self.next_part >= self.parts.len() {
-                return Ok(None);
-            }
-            self.current = Some(self.parts[self.next_part].scan()?);
-            self.next_part += 1;
-        }
-    }
-
-    fn next_into(&mut self, buf: &mut Vec<ItemId>) -> Result<bool> {
-        loop {
-            if let Some(scan) = self.current.as_mut() {
-                if scan.next_into(buf)? {
-                    return Ok(true);
-                }
-                self.current = None;
-            }
-            if self.next_part >= self.parts.len() {
-                return Ok(false);
-            }
-            self.current = Some(self.parts[self.next_part].scan()?);
-            self.next_part += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gar_storage::PartitionWriter;
+    use gar_types::ItemId;
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()
@@ -145,20 +77,18 @@ mod tests {
     fn chained_source_concatenates() {
         let dir = std::env::temp_dir().join(format!("gar-cli-chain-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut parts: Vec<Box<dyn TransactionSource>> = Vec::new();
         for (i, txns) in [vec![ids(&[1])], vec![ids(&[2]), ids(&[3])]]
             .iter()
             .enumerate()
         {
-            let mut w = PartitionWriter::create(dir.join(format!("part-{i:04}.txn"))).unwrap();
-            for t in txns {
-                w.write(t).unwrap();
-            }
-            parts.push(Box::new(w.finish().unwrap()));
+            FlatPartition::from_transactions(txns)
+                .write_to(dir.join(format!("part-{i:04}.gfp")))
+                .unwrap();
         }
-        let chain = ChainedSource::new(&parts);
-        assert_eq!(chain.num_transactions(), 3);
-        let mut scan = chain.scan().unwrap();
+        let parts = open_partitions(&dir).unwrap();
+        let chained = chain(&parts);
+        assert_eq!(chained.num_transactions(), 3);
+        let mut scan = chained.scan().unwrap();
         let mut buf = Vec::new();
         let mut got = Vec::new();
         while scan.next_into(&mut buf).unwrap() {

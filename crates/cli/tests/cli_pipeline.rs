@@ -46,7 +46,7 @@ fn full_pipeline() {
         "9",
     ]));
     assert!(out.contains("wrote"), "{out}");
-    assert!(data.join("part-0000.txn").exists());
+    assert!(data.join("part-0000.gfp").exists());
     assert!(data.join("taxonomy.gtax").exists());
     assert!(data.join("dataset.txt").exists());
 
@@ -313,6 +313,40 @@ fn helpful_errors() {
     let out = bin().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+}
+
+/// A dataset directory written by an older build — record-stream
+/// `part-*.txn` files only — is a typed configuration error (exit 2)
+/// that says how to fix it, for `mine` and `info` alike.
+#[test]
+fn txn_only_directory_is_a_typed_error_telling_the_user_to_regenerate() {
+    let dir = tmp_dir("txn-only");
+    std::fs::write(dir.join("part-0000.txn"), [1u8, 0, 0, 0, 7, 0, 0, 0]).unwrap();
+    for args in [
+        vec![
+            "mine",
+            "--data",
+            dir.to_str().unwrap(),
+            "--min-support",
+            "0.1",
+        ],
+        vec!["info", "--data", dir.to_str().unwrap()],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("part-*.txn"), "{stderr}");
+        assert!(stderr.contains("re-run `gar-cli gen`"), "{stderr}");
+    }
+    // A directory with no partitions at all keeps its own message.
+    std::fs::remove_file(dir.join("part-0000.txn")).unwrap();
+    let out = bin()
+        .args(["info", "--data", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("not a dataset dir"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

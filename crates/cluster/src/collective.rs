@@ -23,8 +23,8 @@
 //!   exactly once past the value it saw on entry, or the run is
 //!   poisoned — asserted in debug builds.
 
-use crate::sync::{Arc, AtomicUsize, Condvar, Instant, Mutex, MutexGuard, Ordering};
 use bytes::Bytes;
+use gar_modelcheck::shim::{Arc, AtomicUsize, Condvar, Instant, Mutex, MutexGuard, Ordering};
 use gar_types::{Error, Result};
 use std::time::Duration;
 
@@ -129,7 +129,7 @@ impl Collectives {
             }
             return Ok(s);
         };
-        // lint:allow(no-instant): this is `crate::sync::Instant`, which
+        // lint:allow(no-instant): this is the shim's `Instant`, which
         // `--cfg gar_loom` swaps for the model checker's virtual clock;
         // routing it through gar-obs would break schedule enumeration.
         let start = Instant::now();
@@ -430,6 +430,10 @@ mod tests {
         let c = Collectives::new(2);
         std::thread::scope(|s| {
             let waiter = s.spawn(|| c.barrier(0));
+            // lint:allow(test-sleep): not a synchronisation — the
+            // assertion holds whether the poison lands before or after
+            // the waiter parks (loom_collectives enumerates both); the
+            // pause only makes the parked-waiter order the likely one.
             std::thread::sleep(std::time::Duration::from_millis(20));
             c.poison(1);
             let err = waiter.join().unwrap().unwrap_err();

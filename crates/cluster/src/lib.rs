@@ -25,7 +25,7 @@
 //! substrate measures exactly (see DESIGN.md §2).
 
 // Under `--cfg gar_loom` (see `cargo xtask loom`) only the collectives
-// and the sync shim compile: the model checker replaces std primitives,
+// compile: `gar_modelcheck::shim` replaces the std primitives,
 // and the channel/thread machinery of the full simulator is out of the
 // model's scope.
 mod collective;
@@ -39,7 +39,6 @@ mod node;
 mod runner;
 #[cfg(not(gar_loom))]
 pub mod stats;
-pub(crate) mod sync;
 
 pub use collective::Collectives;
 #[cfg(not(gar_loom))]

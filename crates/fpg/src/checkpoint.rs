@@ -6,9 +6,9 @@
 //! coordinator, the checkpoint records its itemsets, and a degraded-mode
 //! rerun (or `mine --resume`) replays only the unfinished ones.
 //!
-//! Only the byte layout lives here; the sink, the checksum seal, the
-//! temp file + rename with `.prev` rotation and the fallback on load are
-//! `gar_mining::checkpoint`'s, shared with the Apriori family.
+//! Only the byte layout lives here; the sink, the `.prev` rotation and
+//! the fallback on load are `gar_mining::checkpoint`'s, shared with the
+//! Apriori family, over `gar_types::bytes`' seal and bounded cursor.
 //!
 //! Format (little-endian): magic `GFPC`, `u32` version, `u64` transaction
 //! count, `u64` minimum-support count, the global item counts (`u32`
@@ -19,7 +19,8 @@
 //! the Apriori family's `mining.ckpt`, so the two miners can share a
 //! checkpoint directory without clobbering each other.
 
-use gar_mining::checkpoint::{put_pass1_state, CheckpointFormat, Cursor};
+use gar_mining::checkpoint::{put_pass1_state, read_pass1_state, CheckpointFormat, WHAT};
+use gar_types::bytes::Cursor;
 use gar_types::{Error, ItemId, Itemset, Result};
 
 const MAGIC: &[u8; 4] = b"GFPC";
@@ -79,9 +80,9 @@ impl CheckpointFormat for FpgCheckpoint {
     }
 
     fn decode_body(body: &[u8]) -> Result<FpgCheckpoint> {
-        let mut c = Cursor::new(body);
+        let mut c = Cursor::new(body, WHAT, Error::Corrupt);
         c.header(MAGIC, VERSION)?;
-        let (num_transactions, min_support_count, item_counts) = c.pass1_state()?;
+        let (num_transactions, min_support_count, item_counts) = read_pass1_state(&mut c)?;
         let num_completed = c.u32()? as usize;
         if num_completed > item_counts.len() {
             return Err(Error::Corrupt("implausible projection count".into()));
@@ -104,13 +105,7 @@ impl CheckpointFormat for FpgCheckpoint {
             let mut records = Vec::with_capacity(num_records);
             for _ in 0..num_records {
                 let len = c.u32()? as usize;
-                if len > body.len() / 4 {
-                    return Err(Error::Corrupt("implausible itemset length".into()));
-                }
-                let mut set = Vec::with_capacity(len);
-                for _ in 0..len {
-                    set.push(ItemId(c.u32()?));
-                }
+                let set = c.u32s(len)?.map(ItemId).collect();
                 let count = c.u64()?;
                 records.push((Itemset::from_unsorted(set), count));
             }

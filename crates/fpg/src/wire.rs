@@ -8,7 +8,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use gar_mining::report::LargePass;
 use gar_mining::wire::{decode_counted, encode_counted};
-use gar_types::{Error, Itemset, Result};
+use gar_types::bytes::Cursor;
+use gar_types::{Error, ItemId, Itemset, Result};
 
 /// Message tags of the FP-Growth phases. Distinct from the Apriori
 /// family's tags so a cross-wired message is a loud protocol error.
@@ -53,40 +54,9 @@ impl PathBatch {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(Error::Protocol("truncated FP-Growth frame".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| Error::Protocol("malformed u32 field".into()))?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| Error::Protocol("malformed u64 field".into()))?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
+/// A bounded cursor over an FP-Growth frame; damage is a protocol error.
+fn frame(payload: &[u8]) -> Cursor<'_> {
+    Cursor::new(payload, "FP-Growth frame", Error::Protocol)
 }
 
 /// Iterates the records of a [`PathBatch`] payload.
@@ -95,21 +65,13 @@ pub(crate) fn for_each_path(
     scratch: &mut Vec<u32>,
     mut f: impl FnMut(u32, u64, &[u32]) -> Result<()>,
 ) -> Result<()> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    while !c.done() {
+    let mut c = frame(payload);
+    while c.remaining() > 0 {
         let target = c.u32()?;
         let count = c.u64()?;
         let len = c.u32()? as usize;
-        if len > payload.len() / 4 {
-            return Err(Error::Protocol("implausible path length".into()));
-        }
         scratch.clear();
-        for _ in 0..len {
-            scratch.push(c.u32()?);
-        }
+        scratch.extend(c.u32s(len)?);
         f(target, count, scratch)?;
     }
     Ok(())
@@ -133,31 +95,20 @@ pub(crate) fn encode_result(rank: u32, items: &[(Itemset, u64)]) -> Bytes {
 
 /// Decodes a [`encode_result`] payload.
 pub(crate) fn decode_result(payload: &[u8]) -> Result<(u32, Vec<(Itemset, u64)>)> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = frame(payload);
     let rank = c.u32()?;
     let n = c.u32()? as usize;
-    if n > payload.len() {
-        return Err(Error::Protocol("implausible result count".into()));
+    if n > c.remaining() {
+        return Err(c.error("has an implausible result count"));
     }
     let mut items = Vec::with_capacity(n);
     for _ in 0..n {
         let len = c.u32()? as usize;
-        if len > payload.len() / 4 {
-            return Err(Error::Protocol("implausible itemset length".into()));
-        }
-        let mut set = Vec::with_capacity(len);
-        for _ in 0..len {
-            set.push(gar_types::ItemId(c.u32()?));
-        }
+        let set = c.u32s(len)?.map(ItemId).collect();
         let count = c.u64()?;
         items.push((Itemset::from_unsorted(set), count));
     }
-    if !c.done() {
-        return Err(Error::Protocol("result frame has trailing garbage".into()));
-    }
+    c.finish()?;
     Ok((rank, items))
 }
 
@@ -176,13 +127,10 @@ pub(crate) fn encode_passes(passes: &[LargePass]) -> Bytes {
 
 /// Decodes an [`encode_passes`] payload.
 pub(crate) fn decode_passes(payload: &[u8]) -> Result<Vec<LargePass>> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = frame(payload);
     let n = c.u32()? as usize;
     if n > 64 {
-        return Err(Error::Protocol("implausible pass count".into()));
+        return Err(c.error("has an implausible pass count"));
     }
     let mut passes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -190,13 +138,11 @@ pub(crate) fn decode_passes(payload: &[u8]) -> Result<Vec<LargePass>> {
         let block_len = c.u32()? as usize;
         let itemsets = decode_counted(c.take(block_len)?)?;
         if itemsets.iter().any(|(s, _)| s.len() != k) {
-            return Err(Error::Protocol(format!("pass {k} holds non-{k}-itemsets")));
+            return Err(c.error(format_args!("pass {k} holds non-{k}-itemsets")));
         }
         passes.push(LargePass { k, itemsets });
     }
-    if !c.done() {
-        return Err(Error::Protocol("passes frame has trailing garbage".into()));
-    }
+    c.finish()?;
     Ok(passes)
 }
 

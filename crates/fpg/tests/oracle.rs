@@ -57,11 +57,11 @@ fn scenario(seed: u64) -> Scenario {
     }
 }
 
-/// Round-trips a transaction set through the `GFP1` on-disk flat
+/// Round-trips a transaction set through the `GFP2` on-disk flat
 /// format: write, reopen, delete the file (`open` loads it fully).
 fn persisted_partition(txns: &[Vec<ItemId>], tag: &str) -> FlatPartition {
     let path =
-        std::env::temp_dir().join(format!("gar-fpg-oracle-{}-{tag}.gfp1", std::process::id()));
+        std::env::temp_dir().join(format!("gar-fpg-oracle-{}-{tag}.gfp", std::process::id()));
     FlatPartition::from_transactions(txns)
         .write_to(&path)
         .unwrap();
@@ -100,7 +100,7 @@ fn sequential_fp_growth_matches_both_oracles() {
         assert_outputs_equal(&naive, &fpg, &format!("seed {seed} vs naive"));
         assert_outputs_equal(&cum, &fpg, &format!("seed {seed} vs cumulate"));
 
-        // The on-disk GFP1 flat format must be invisible to the miners:
+        // The on-disk GFP2 flat format must be invisible to the miners:
         // both families agree with the oracle on the reopened partition.
         let part = persisted_partition(&s.txns, &format!("seq-{seed}"));
         let fpg_disk = mine_sequential(&part, &s.tax, &params).unwrap();

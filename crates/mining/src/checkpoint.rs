@@ -14,22 +14,22 @@
 //! counts (`u32` length + `u64`s), `u32` pass count, then per pass a
 //! `u32 k`, three `u64` metadata fields (candidates / duplicated /
 //! fragments) and a length-prefixed [`crate::wire::encode_counted`]
-//! block. Every format's payload is sealed by a trailing FxHash
-//! **checksum**; writes go through a temp file + rename, and the previous
-//! checkpoint is rotated to `.prev` — so a crash mid-write can never
-//! leave the only copy torn, and a torn copy is detected, not
-//! mis-resumed.
+//! block. Like every persisted format it is sealed and written through
+//! `gar_types::bytes`; checkpoints additionally rotate the file they
+//! replace to `.prev` — so a crash mid-write can never leave the only
+//! copy torn, and a torn copy is detected, not mis-resumed.
 
 use crate::params::Algorithm;
-use crate::persist::algorithm_by_name;
-use crate::wire;
-use gar_types::hash::checksum;
+use crate::persist::{put_algorithm, put_counted_block, read_algorithm, read_counted_block};
+use gar_types::bytes::{self, prev_path, seal, unseal, write_atomic, Cursor};
 use gar_types::{Error, Itemset, Result};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 const MAGIC: &[u8; 4] = b"GCKP";
 const VERSION: u32 = 1;
+/// What every checkpoint cursor and seal error calls its input.
+pub const WHAT: &str = "checkpoint";
 
 /// A checkpoint type [`CheckpointSink`] can persist. The format owns its
 /// byte layout; sealing, rotation and fallback are shared.
@@ -105,9 +105,7 @@ impl CheckpointFormat for Checkpoint {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        let name = self.algorithm.name().as_bytes();
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name);
+        put_algorithm(&mut out, self.algorithm);
         put_pass1_state(
             &mut out,
             self.num_transactions,
@@ -120,25 +118,16 @@ impl CheckpointFormat for Checkpoint {
             out.extend_from_slice(&(pass.num_candidates as u64).to_le_bytes());
             out.extend_from_slice(&(pass.num_duplicated as u64).to_le_bytes());
             out.extend_from_slice(&(pass.num_fragments as u64).to_le_bytes());
-            let block = wire::encode_counted(pass.k, &pass.itemsets);
-            out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-            out.extend_from_slice(&block);
+            put_counted_block(&mut out, pass.k, &pass.itemsets);
         }
         out
     }
 
     fn decode_body(body: &[u8]) -> Result<Checkpoint> {
-        let mut c = Cursor::new(body);
+        let mut c = Cursor::new(body, WHAT, Error::Corrupt);
         c.header(MAGIC, VERSION)?;
-        let name_len = c.u32()? as usize;
-        if name_len > 64 {
-            return Err(Error::Corrupt("implausible algorithm name length".into()));
-        }
-        let name = std::str::from_utf8(c.take(name_len)?)
-            .map_err(|_| Error::Corrupt("algorithm name is not UTF-8".into()))?;
-        let algorithm = algorithm_by_name(name)
-            .map_err(|_| Error::Corrupt(format!("unknown algorithm '{name}'")))?;
-        let (num_transactions, min_support_count, item_counts) = c.pass1_state()?;
+        let algorithm = read_algorithm(&mut c)?;
+        let (num_transactions, min_support_count, item_counts) = read_pass1_state(&mut c)?;
         let num_passes = c.u32()? as usize;
         if num_passes > 64 {
             return Err(Error::Corrupt("implausible pass count".into()));
@@ -154,11 +143,7 @@ impl CheckpointFormat for Checkpoint {
             let num_candidates = c.u64()? as usize;
             let num_duplicated = c.u64()? as usize;
             let num_fragments = c.u64()? as usize;
-            let block_len = c.u32()? as usize;
-            let itemsets = wire::decode_counted(c.take(block_len)?)?;
-            if itemsets.iter().any(|(s, _)| s.len() != k) {
-                return Err(Error::Corrupt(format!("pass {k} holds non-{k}-itemsets")));
-            }
+            let itemsets = read_counted_block(&mut c, k)?;
             passes.push(CheckpointPass {
                 k,
                 num_candidates,
@@ -182,97 +167,29 @@ impl CheckpointFormat for Checkpoint {
     }
 }
 
-/// Bounded cursor over a checkpoint body; every short read is a clean
-/// [`Error::Corrupt`], never a panic.
-pub struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// A cursor at the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
+/// Inverse of [`put_pass1_state`]: `(transactions, min support, counts)`.
+pub fn read_pass1_state(c: &mut Cursor<'_>) -> Result<(u64, u64, Vec<u64>)> {
+    let num_transactions = c.u64()?;
+    let min_support_count = c.u64()?;
+    let num_items = c.u32()? as usize;
+    if num_items > c.remaining() / 8 {
+        return Err(c.error("has an implausible item-count length"));
     }
-
-    /// The next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(Error::Corrupt("checkpoint truncated".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    let mut item_counts = Vec::with_capacity(num_items);
+    for _ in 0..num_items {
+        item_counts.push(c.u64()?);
     }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| Error::Corrupt("checkpoint field malformed".into()))
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// Consumes and checks the 4-byte magic and the `u32` version.
-    pub fn header(&mut self, magic: &[u8; 4], version: u32) -> Result<()> {
-        if self.take(4)? != magic {
-            return Err(Error::Corrupt("not a checkpoint file (bad magic)".into()));
-        }
-        if self.u32()? != version {
-            return Err(Error::Corrupt("unsupported checkpoint version".into()));
-        }
-        Ok(())
-    }
-
-    /// Inverse of [`put_pass1_state`]: `(transactions, min support, counts)`.
-    pub fn pass1_state(&mut self) -> Result<(u64, u64, Vec<u64>)> {
-        let num_transactions = self.u64()?;
-        let min_support_count = self.u64()?;
-        let num_items = self.u32()? as usize;
-        if num_items > 1 << 26 {
-            return Err(Error::Corrupt("implausible item-count length".into()));
-        }
-        let mut item_counts = Vec::with_capacity(num_items);
-        for _ in 0..num_items {
-            item_counts.push(self.u64()?);
-        }
-        Ok((num_transactions, min_support_count, item_counts))
-    }
-
-    /// Rejects bytes left over after the last field.
-    pub fn finish(self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(Error::Corrupt("checkpoint has trailing garbage".into()));
-        }
-        Ok(())
-    }
+    Ok((num_transactions, min_support_count, item_counts))
 }
 
 /// Serializes a checkpoint and seals it with the trailing checksum.
 pub fn encode<T: CheckpointFormat>(cp: &T) -> Vec<u8> {
-    let mut out = cp.encode_body();
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    seal(cp.encode_body())
 }
 
 /// Verifies the seal, then decodes; all damage is [`Error::Corrupt`].
 pub fn decode<T: CheckpointFormat>(bytes: &[u8]) -> Result<T> {
-    let Some((body, tail)) = bytes.split_last_chunk::<8>() else {
-        return Err(Error::Corrupt("checkpoint too short".into()));
-    };
-    if checksum(body) != u64::from_le_bytes(*tail) {
-        return Err(Error::Corrupt("checkpoint checksum mismatch".into()));
-    }
-    T::decode_body(body)
+    T::decode_body(unseal(bytes, WHAT)?)
 }
 
 /// `T`'s checkpoint file inside `dir`.
@@ -280,39 +197,15 @@ pub fn checkpoint_path<T: CheckpointFormat>(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(T::FILE_NAME)
 }
 
-/// `path` with `suffix` appended to its file name.
-fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(suffix);
-    PathBuf::from(s)
-}
-
-/// Path of the rotated previous checkpoint.
-fn prev_path(path: &Path) -> PathBuf {
-    with_suffix(path, ".prev")
-}
-
-/// Writes `cp` to `path` atomically: temp file, rotate the old file to
-/// `.prev`, rename into place.
+/// Writes `cp` to `path` atomically, rotating the file it replaces to
+/// `.prev`.
 pub fn save_checkpoint<T: CheckpointFormat>(cp: &T, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let tmp = with_suffix(path, ".tmp");
-    std::fs::write(&tmp, encode(cp))
-        .map_err(|e| Error::io(format!("writing checkpoint {}", tmp.display()), e))?;
-    if path.exists() {
-        std::fs::rename(path, prev_path(path))
-            .map_err(|e| Error::io(format!("rotating checkpoint {}", path.display()), e))?;
-    }
-    std::fs::rename(&tmp, path)
-        .map_err(|e| Error::io(format!("publishing checkpoint {}", path.display()), e))
+    write_atomic(path.as_ref(), &encode(cp), true)
 }
 
 /// Reads and validates the checkpoint at `path`.
 pub fn load_checkpoint<T: CheckpointFormat>(path: impl AsRef<Path>) -> Result<T> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::io(format!("reading checkpoint {}", path.display()), e))?;
-    decode(&bytes)
+    decode(&bytes::read(path.as_ref(), WHAT)?)
 }
 
 /// Loads the newest intact checkpoint in `dir`: the current file if it

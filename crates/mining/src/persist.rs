@@ -1,116 +1,101 @@
 //! Persistence of mining outputs.
 //!
-//! Format (little-endian): magic `GOUT`, `u32` version, algorithm name
-//! (`u32` length + UTF-8), `u64` transaction count, `u64` minimum-support
-//! count, `u32` pass count, then per pass a `u32 k` and a
+//! `GOUT` format (little-endian): magic `GOUT`, `u32` version 2,
+//! algorithm name (`u32` length + UTF-8), `u64` transaction count, `u64`
+//! minimum-support count, `u32` pass count, then per pass a `u32 k` and a
 //! [`crate::wire::encode_counted`] block prefixed by its `u32` byte
-//! length. Used by the CLI so a mine step and a rules step can run as
-//! separate processes.
+//! length; sealed and written through `gar_types::bytes` like every other
+//! persisted format (version 1 had no checksum). Used by the CLI so a
+//! mine step and a rules step can run as separate processes.
 
 use crate::params::Algorithm;
 use crate::report::{LargePass, MiningOutput};
 use crate::wire;
-use gar_types::{Error, Result};
-use std::io::{BufReader, BufWriter, Read, Write};
+use gar_types::bytes::{read_sealed, seal, write_atomic, Cursor};
+use gar_types::{Error, Itemset, Result};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"GOUT";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+const WHAT: &str = "mining-output file";
 
-/// Writes a mining output to `path`.
+/// Writes a mining output to `path` (replacing it atomically).
 pub fn save_output(output: &MiningOutput, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let file = std::fs::File::create(path)
-        .map_err(|e| Error::io(format!("creating output file {}", path.display()), e))?;
-    let mut w = BufWriter::new(file);
-    let io_err = |e| Error::io(format!("writing output file {}", path.display()), e);
-
-    w.write_all(MAGIC).map_err(io_err)?;
-    w.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
-    let name = output.algorithm.name().as_bytes();
-    w.write_all(&(name.len() as u32).to_le_bytes())
-        .map_err(io_err)?;
-    w.write_all(name).map_err(io_err)?;
-    w.write_all(&output.num_transactions.to_le_bytes())
-        .map_err(io_err)?;
-    w.write_all(&output.min_support_count.to_le_bytes())
-        .map_err(io_err)?;
-    w.write_all(&(output.passes.len() as u32).to_le_bytes())
-        .map_err(io_err)?;
+    let mut body = MAGIC.to_vec();
+    body.extend_from_slice(&VERSION.to_le_bytes());
+    put_algorithm(&mut body, output.algorithm);
+    body.extend_from_slice(&output.num_transactions.to_le_bytes());
+    body.extend_from_slice(&output.min_support_count.to_le_bytes());
+    body.extend_from_slice(&(output.passes.len() as u32).to_le_bytes());
     for pass in &output.passes {
-        w.write_all(&(pass.k as u32).to_le_bytes())
-            .map_err(io_err)?;
-        let block = wire::encode_counted(pass.k, &pass.itemsets);
-        w.write_all(&(block.len() as u32).to_le_bytes())
-            .map_err(io_err)?;
-        w.write_all(&block).map_err(io_err)?;
+        body.extend_from_slice(&(pass.k as u32).to_le_bytes());
+        put_counted_block(&mut body, pass.k, &pass.itemsets);
     }
-    w.flush().map_err(io_err)
+    write_atomic(path.as_ref(), &seal(body), false)
 }
 
 /// Reads a mining output from `path`.
 pub fn load_output(path: impl AsRef<Path>) -> Result<MiningOutput> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path)
-        .map_err(|e| Error::io(format!("opening output file {}", path.display()), e))?;
-    let mut r = BufReader::new(file);
-    let io_err = |e| Error::io(format!("reading output file {}", path.display()), e);
-
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(io_err)?;
-    if &magic != MAGIC {
-        return Err(Error::Corrupt(format!(
-            "{} is not a mining-output file (bad magic)",
-            path.display()
-        )));
-    }
-    let mut u32buf = [0u8; 4];
-    let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u32buf).map_err(io_err)?;
-    if u32::from_le_bytes(u32buf) != VERSION {
-        return Err(Error::Corrupt("unsupported output file version".into()));
-    }
-    r.read_exact(&mut u32buf).map_err(io_err)?;
-    let name_len = u32::from_le_bytes(u32buf) as usize;
-    if name_len > 64 {
-        return Err(Error::Corrupt("implausible algorithm name length".into()));
-    }
-    let mut name = vec![0u8; name_len];
-    r.read_exact(&mut name).map_err(io_err)?;
-    let name = String::from_utf8(name)
-        .map_err(|_| Error::Corrupt("algorithm name is not UTF-8".into()))?;
-    let algorithm = algorithm_by_name(&name)?;
-
-    r.read_exact(&mut u64buf).map_err(io_err)?;
-    let num_transactions = u64::from_le_bytes(u64buf);
-    r.read_exact(&mut u64buf).map_err(io_err)?;
-    let min_support_count = u64::from_le_bytes(u64buf);
-    r.read_exact(&mut u32buf).map_err(io_err)?;
-    let num_passes = u32::from_le_bytes(u32buf) as usize;
+    let body = read_sealed(path.as_ref(), WHAT, b"GOUT\x01\0\0\0")?;
+    let mut c = Cursor::new(&body, WHAT, Error::Corrupt);
+    c.header(MAGIC, VERSION)?;
+    let algorithm = read_algorithm(&mut c)?;
+    let num_transactions = c.u64()?;
+    let min_support_count = c.u64()?;
+    let num_passes = c.u32()? as usize;
     if num_passes > 64 {
-        return Err(Error::Corrupt("implausible pass count".into()));
+        return Err(c.error("has an implausible pass count"));
     }
-
     let mut passes = Vec::with_capacity(num_passes);
     for _ in 0..num_passes {
-        r.read_exact(&mut u32buf).map_err(io_err)?;
-        let k = u32::from_le_bytes(u32buf) as usize;
-        r.read_exact(&mut u32buf).map_err(io_err)?;
-        let block_len = u32::from_le_bytes(u32buf) as usize;
-        let mut block = vec![0u8; block_len];
-        r.read_exact(&mut block).map_err(io_err)?;
-        let itemsets = wire::decode_counted(&block)?;
-        if itemsets.iter().any(|(s, _)| s.len() != k) {
-            return Err(Error::Corrupt(format!("pass {k} holds non-{k}-itemsets")));
-        }
+        let k = c.u32()? as usize;
+        let itemsets = read_counted_block(&mut c, k)?;
         passes.push(LargePass { k, itemsets });
     }
+    c.finish()?;
     Ok(MiningOutput {
         algorithm,
         num_transactions,
         min_support_count,
         passes,
     })
+}
+
+/// Appends an algorithm as its length-prefixed paper name — how `GOUT`
+/// and `GCKP` both record which miner wrote them.
+pub(crate) fn put_algorithm(out: &mut Vec<u8>, algorithm: Algorithm) {
+    let name = algorithm.name().as_bytes();
+    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    out.extend_from_slice(name);
+}
+
+/// Inverse of [`put_algorithm`].
+pub(crate) fn read_algorithm(c: &mut Cursor<'_>) -> Result<Algorithm> {
+    let name_len = c.u32()? as usize;
+    if name_len > 64 {
+        return Err(c.error("has an implausible algorithm name length"));
+    }
+    let name = std::str::from_utf8(c.take(name_len)?)
+        .map_err(|_| c.error("algorithm name is not UTF-8"))?;
+    algorithm_by_name(name).map_err(|_| c.error(format_args!("names unknown algorithm '{name}'")))
+}
+
+/// Appends pass `k`'s `L_k` as a length-prefixed
+/// [`wire::encode_counted`] block.
+pub(crate) fn put_counted_block(out: &mut Vec<u8>, k: usize, itemsets: &[(Itemset, u64)]) {
+    let block = wire::encode_counted(k, itemsets);
+    out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+    out.extend_from_slice(&block);
+}
+
+/// Inverse of [`put_counted_block`]; every itemset must have size `k`.
+pub(crate) fn read_counted_block(c: &mut Cursor<'_>, k: usize) -> Result<Vec<(Itemset, u64)>> {
+    let block_len = c.u32()? as usize;
+    let itemsets = wire::decode_counted(c.take(block_len)?)?;
+    if itemsets.iter().any(|(s, _)| s.len() != k) {
+        return Err(c.error(format_args!("pass {k} holds non-{k}-itemsets")));
+    }
+    Ok(itemsets)
 }
 
 /// Resolves an algorithm from its paper name (case-insensitive).
@@ -197,8 +182,12 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let path = tmp("magic");
-        std::fs::write(&path, b"XXXX\x01\x00\x00\x00").unwrap();
-        assert!(load_output(&path).is_err());
+        std::fs::write(&path, seal(b"XXXX\x02\x00\x00\x00".to_vec())).unwrap();
+        let err = load_output(&path).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("bad magic")),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -208,7 +197,14 @@ mod tests {
         save_output(&sample(), &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(load_output(&path).is_err());
+        assert!(matches!(load_output(&path), Err(Error::Corrupt(_))));
+        // A version-1 file (no checksum) is named, not called damaged.
+        std::fs::write(&path, b"GOUT\x01\0\0\0\x08\0\0\0Cumulate").unwrap();
+        let err = load_output(&path).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("unsupported mining-output file version")),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -12,6 +12,7 @@
 //!   coordinator and `L_k` broadcasts coming back.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use gar_types::bytes::Cursor;
 use gar_types::{Error, ItemId, Itemset, Result};
 
 /// Encodes a plain item list (a sub-transaction).
@@ -31,13 +32,9 @@ pub fn decode_items(payload: &[u8], out: &mut Vec<ItemId>) -> Result<()> {
             payload.len()
         )));
     }
+    let mut c = Cursor::new(payload, "item list", Error::Corrupt);
     out.clear();
-    out.reserve(payload.len() / 4);
-    for chunk in payload.chunks_exact(4) {
-        out.push(ItemId(u32::from_le_bytes(
-            chunk.try_into().expect("4 bytes"),
-        )));
-    }
+    out.extend(c.u32s(payload.len() / 4)?.map(ItemId));
     Ok(())
 }
 
@@ -104,23 +101,11 @@ pub fn for_each_item_list(
     scratch: &mut Vec<ItemId>,
     mut f: impl FnMut(&[ItemId]) -> Result<()>,
 ) -> Result<()> {
-    let mut pos = 0usize;
-    while pos < payload.len() {
-        if payload.len() - pos < 4 {
-            return Err(Error::Corrupt("item-list frame header truncated".into()));
-        }
-        let n = u32::from_le_bytes(payload[pos..pos + 4].try_into().expect("4")) as usize;
-        pos += 4;
-        if payload.len() - pos < 4 * n {
-            return Err(Error::Corrupt(format!(
-                "item-list frame of {n} items truncated"
-            )));
-        }
+    let mut c = Cursor::new(payload, "item-list batch", Error::Corrupt);
+    while c.remaining() > 0 {
+        let n = c.u32()? as usize;
         scratch.clear();
-        for chunk in payload[pos..pos + 4 * n].chunks_exact(4) {
-            scratch.push(ItemId(u32::from_le_bytes(chunk.try_into().expect("4"))));
-        }
-        pos += 4 * n;
+        scratch.extend(c.u32s(n)?.map(ItemId));
         f(scratch)?;
     }
     Ok(())
@@ -187,11 +172,11 @@ pub fn for_each_itemset(
             payload.len()
         )));
     }
-    let mut scratch = vec![ItemId(0); k];
-    for group in payload.chunks_exact(stride) {
-        for (slot, chunk) in scratch.iter_mut().zip(group.chunks_exact(4)) {
-            *slot = ItemId(u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-        }
+    let mut c = Cursor::new(payload, "itemset batch", Error::Corrupt);
+    let mut scratch = Vec::with_capacity(k);
+    while c.remaining() > 0 {
+        scratch.clear();
+        scratch.extend(c.u32s(k)?.map(ItemId));
         f(&scratch)?;
     }
     Ok(())
@@ -217,48 +202,29 @@ pub fn encode_counted(k: usize, itemsets: &[(Itemset, u64)]) -> Bytes {
 
 /// Decodes a counted itemset list.
 pub fn decode_counted(payload: &[u8]) -> Result<Vec<(Itemset, u64)>> {
-    if payload.len() < 8 {
-        return Err(Error::Corrupt("counted list shorter than header".into()));
-    }
-    let (header, body) = payload.split_at(8);
-    let (n_bytes, k_bytes) = header.split_at(4);
-    let n = u32::from_le_bytes(le_array(n_bytes)?) as usize;
-    let k = u32::from_le_bytes(le_array(k_bytes)?) as usize;
-    let stride = 4 * k + 8;
-    if body.len() != n * stride {
-        return Err(Error::Corrupt(format!(
-            "counted list body {} bytes, expected {}",
-            body.len(),
-            n * stride
+    let mut c = Cursor::new(payload, "counted list", Error::Corrupt);
+    let n = c.u32()? as usize;
+    let k = c.u32()? as usize;
+    // The body must be exactly `n` records, which also bounds `n` by
+    // the bytes present before it sizes the output.
+    if n.checked_mul(4 * k + 8) != Some(c.remaining()) {
+        return Err(c.error(format_args!(
+            "body is {} bytes, not {n} records of {k} items",
+            c.remaining()
         )));
     }
     let mut out = Vec::with_capacity(n);
-    for rec in body.chunks_exact(stride) {
-        let (item_bytes, count_bytes) = rec.split_at(4 * k);
-        let mut items = Vec::with_capacity(k);
-        for chunk in item_bytes.chunks_exact(4) {
-            items.push(ItemId(u32::from_le_bytes(le_array(chunk)?)));
-        }
+    for _ in 0..n {
+        let items: Vec<ItemId> = c.u32s(k)?.map(ItemId).collect();
         // Validate the canonical-itemset invariant rather than trusting
         // the wire: a corrupted or adversarial payload must surface as an
         // error, never as a malformed Itemset.
         if !items.iter().zip(items.iter().skip(1)).all(|(a, b)| a < b) {
-            return Err(Error::Corrupt(
-                "counted list record is not a strictly increasing itemset".into(),
-            ));
+            return Err(c.error("record is not a strictly increasing itemset"));
         }
-        let count = u64::from_le_bytes(le_array(count_bytes)?);
-        out.push((Itemset::from_sorted(items), count));
+        out.push((Itemset::from_sorted(items), c.u64()?));
     }
     Ok(out)
-}
-
-/// Fixed-width little-endian field extraction, with slice-size damage
-/// surfacing as [`Error::Corrupt`] instead of a panic.
-fn le_array<const N: usize>(bytes: &[u8]) -> Result<[u8; N]> {
-    bytes
-        .try_into()
-        .map_err(|_| Error::Corrupt(format!("truncated {N}-byte field")))
 }
 
 #[cfg(test)]

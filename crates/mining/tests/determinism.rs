@@ -76,7 +76,7 @@ fn rendered_metrics(alg: Algorithm, seed: u64, num_nodes: usize) -> String {
 }
 
 /// Same round-robin split as `build_in_memory`, but every partition is
-/// round-tripped through the `GFP1` on-disk flat format first: written
+/// round-tripped through the `GFP2` on-disk flat format first: written
 /// with `FlatPartition::write_to`, reopened with `FlatPartition::open`.
 /// `open` loads the file fully, so the temp files can be deleted before
 /// mining starts.
@@ -94,7 +94,7 @@ fn persisted_db(num_nodes: usize, txns: &[Vec<ItemId>], tag: &str) -> Partitione
         .iter()
         .enumerate()
         .map(|(i, b)| {
-            let path = dir.join(format!("part-{i}.gfp1"));
+            let path = dir.join(format!("part-{i}.gfp"));
             b.write_to(&path).unwrap();
             Box::new(FlatPartition::open(&path).unwrap()) as Box<dyn TransactionSource>
         })
@@ -103,7 +103,7 @@ fn persisted_db(num_nodes: usize, txns: &[Vec<ItemId>], tag: &str) -> Partitione
     PartitionedDatabase::from_parts(parts)
 }
 
-/// `rendered_report`, except the partitions went through GFP1 disk files.
+/// `rendered_report`, except the partitions went through GFP2 disk files.
 fn rendered_report_persisted(alg: Algorithm, seed: u64, num_nodes: usize) -> String {
     let (tax, txns) = dataset(seed);
     let db = persisted_db(num_nodes, &txns, "report");
@@ -177,7 +177,7 @@ fn node_count_does_not_change_the_report() {
     }
 }
 
-/// The on-disk GFP1 flat format must be invisible too: partitions
+/// The on-disk GFP2 flat format must be invisible too: partitions
 /// round-tripped through disk files produce the same bytes as the
 /// in-memory build, at every node count, for every parallel algorithm.
 #[test]
@@ -188,7 +188,7 @@ fn persisted_flat_partitions_do_not_change_the_report() {
             let persisted = rendered_report_persisted(alg, 11, nodes);
             assert_eq!(
                 reference, persisted,
-                "{alg}: persisted GFP1 report differs at {nodes} nodes"
+                "{alg}: persisted GFP2 report differs at {nodes} nodes"
             );
         }
     }

@@ -55,7 +55,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
 }
 
 /// Same round-robin split as `build_in_memory`, with every partition
-/// round-tripped through a `GFP1` disk file (`write_to` then `open`;
+/// round-tripped through a `GFP2` disk file (`write_to` then `open`;
 /// `open` loads fully, so the files are deleted before mining).
 fn persisted_db(num_nodes: usize, txns: &[Vec<ItemId>]) -> PartitionedDatabase {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +71,7 @@ fn persisted_db(num_nodes: usize, txns: &[Vec<ItemId>]) -> PartitionedDatabase {
         .iter()
         .enumerate()
         .map(|(i, b)| {
-            let path = dir.join(format!("part-{i}.gfp1"));
+            let path = dir.join(format!("part-{i}.gfp"));
             b.write_to(&path).unwrap();
             Box::new(FlatPartition::open(&path).unwrap()) as Box<dyn TransactionSource>
         })
@@ -132,7 +132,7 @@ proptest! {
         outputs_equal(&naive, &rep.output).map_err(TestCaseError::fail)?;
     }
 
-    // The persisted GFP1 flat format must be invisible: partitions
+    // The persisted GFP2 flat format must be invisible: partitions
     // round-tripped through disk files still match the oracle exactly.
     #[test]
     fn hhpgm_fgd_on_persisted_flat_partitions_matches_oracle(s in arb_scenario()) {

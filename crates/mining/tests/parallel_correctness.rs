@@ -7,7 +7,7 @@ use gar_datagen::{DatasetSpec, TransactionGenerator};
 use gar_mining::parallel::mine_parallel;
 use gar_mining::sequential::cumulate;
 use gar_mining::{Algorithm, MiningParams};
-use gar_storage::PartitionedDatabase;
+use gar_storage::{FlatPartition, PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
 
 const BIG_MEMORY: u64 = 1 << 30;
@@ -203,14 +203,31 @@ fn disk_backed_partitions_agree_with_memory() {
     let (tax, txns) = dataset(55);
     let params = MiningParams::with_min_support(0.02).max_pass(2);
     let dir = std::env::temp_dir().join(format!("gar-par-test-{}", std::process::id()));
-    let disk = PartitionedDatabase::build_on_disk(&dir, 3, txns.clone().into_iter()).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
     let mem = PartitionedDatabase::build_in_memory(3, txns.into_iter()).unwrap();
+    // The same partitions, written to disk and re-opened.
+    let disk = PartitionedDatabase::from_parts(
+        (0..3)
+            .map(|n| {
+                let path = dir.join(format!("part-{n:04}.gfp"));
+                FlatPartition::from_source(mem.partition(n))
+                    .unwrap()
+                    .write_to(&path)
+                    .unwrap();
+                Box::new(FlatPartition::open(&path).unwrap()) as Box<dyn TransactionSource>
+            })
+            .collect(),
+    );
     let cluster = ClusterConfig::new(3, BIG_MEMORY);
     let a = mine_parallel(Algorithm::HHpgmFgd, &disk, &tax, &params, &cluster).unwrap();
     let b = mine_parallel(Algorithm::HHpgmFgd, &mem, &tax, &params, &cluster).unwrap();
     assert_same_output(&a.output, &b.output);
-    // Disk runs report real I/O.
+    // Both runs report real I/O, and the same I/O, node for node.
     assert!(a.node_totals.iter().all(|s| s.io_bytes > 0));
+    let io = |r: &gar_mining::ParallelReport| -> Vec<u64> {
+        r.node_totals.iter().map(|s| s.io_bytes).collect()
+    };
+    assert_eq!(io(&a), io(&b));
     std::fs::remove_dir_all(&dir).ok();
 }
 

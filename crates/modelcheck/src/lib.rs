@@ -42,6 +42,7 @@ use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar as OsCondvar, Mutex as OsMutex, MutexGuard as OsGuard};
 
+pub mod shim;
 pub mod sync;
 pub mod thread;
 

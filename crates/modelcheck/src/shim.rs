@@ -1,19 +1,24 @@
-//! Synchronization shim: `std::sync` in normal builds, the
-//! `gar-modelcheck` virtual primitives under `--cfg gar_loom`.
+//! The one `std` / model-checker switch: `std::sync` in normal builds,
+//! this crate's virtual primitives under `--cfg gar_loom`.
 //!
-//! Everything in [`crate::collective`] goes through these names, so the
-//! exact code that runs in production is the code the model checker
-//! explores (`cargo xtask loom`). The shim presents one API over both
-//! backends:
+//! `gar-cluster`'s collectives and `gar-serve`'s epoch cell and shard
+//! sender slots import their primitives from here, so the exact code that
+//! runs in production is the code `cargo xtask loom` explores. The shim
+//! presents one API over both backends:
 //!
 //! * `Mutex::lock` returns the guard directly. On the `std` backend a
-//!   poisoned lock is recovered with `into_inner` — a panicking node
-//!   already poisons the collectives at a higher level (see
-//!   [`crate::Collectives::poison`]), and the protocol state itself is
-//!   kept consistent by the panicking operation never leaving a
-//!   half-updated generation behind.
+//!   poisoned lock is recovered with `into_inner`: every user keeps its
+//!   protected state valid at each step (a collective never leaves a
+//!   half-updated generation behind, the epoch slot holds one `Arc`
+//!   replaced atomically, a shard's sender slot is only republished from
+//!   its supervisor's restart loop), and a panicking node already poisons
+//!   the collectives at a higher level.
 //! * `Condvar::wait` consumes and returns the guard (`std` style);
 //!   callers must loop on their predicate either way.
+//! * `Instant` is the monotonic clock for deadline accounting. Virtual
+//!   time stands still under the model checker: deadlines never expire
+//!   by clock — expiry is a nondeterministic scheduler branch inside the
+//!   model `Condvar::wait_timeout` instead.
 
 #[cfg(not(gar_loom))]
 mod backend {
@@ -21,12 +26,12 @@ mod backend {
 
     pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     pub use std::sync::Arc;
+    pub use std::time::Instant;
 
     /// `std::sync::Mutex` with panic-poisoning flattened away.
     pub struct Mutex<T>(std::sync::Mutex<T>);
 
-    /// Guard type re-exported so signatures can name it under both
-    /// backends.
+    /// Guard type, nameable under both backends.
     pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
     impl<T> Mutex<T> {
@@ -40,18 +45,17 @@ mod backend {
     }
 
     /// `std::sync::Condvar` with panic-poisoning flattened away.
+    #[derive(Default)]
     pub struct Condvar(std::sync::Condvar);
 
     impl Condvar {
         pub fn new() -> Condvar {
-            Condvar(std::sync::Condvar::new())
+            Condvar::default()
         }
 
         pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
             // lint:allow(wait-loop): raw std passthrough — the predicate
-            // re-check loop lives at every call site (collective.rs).
-            // lint:allow(no-deadline): this *is* the primitive the
-            // deadline-aware wrapper (Collectives::wait_while) builds on.
+            // re-check loop lives at every call site.
             self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
         }
 
@@ -72,20 +76,14 @@ mod backend {
             self.0.notify_all();
         }
     }
-
-    /// Monotonic clock for deadline accounting.
-    pub use std::time::Instant;
 }
 
 #[cfg(gar_loom)]
 mod backend {
-    pub use gar_modelcheck::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    pub use gar_modelcheck::sync::{Condvar, Mutex, MutexGuard};
-    pub use std::sync::Arc;
+    pub use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    pub use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-    /// Virtual time stands still under the model checker: deadlines
-    /// never expire by clock — expiry is a nondeterministic scheduler
-    /// branch inside the model `Condvar::wait_timeout` instead.
+    /// The clock that never advances (see the module docs).
     #[derive(Clone, Copy, Debug)]
     pub struct Instant;
 
@@ -100,10 +98,4 @@ mod backend {
     }
 }
 
-pub(crate) use backend::{Arc, AtomicUsize, Condvar, Instant, Mutex, Ordering};
-
-// These are part of the shim surface even where collective.rs currently
-// names guards through inference and tracks poison state in an
-// AtomicUsize.
-#[allow(unused_imports)]
-pub(crate) use backend::{AtomicBool, MutexGuard};
+pub use backend::{Arc, AtomicBool, AtomicUsize, Condvar, Instant, Mutex, MutexGuard, Ordering};

@@ -566,6 +566,8 @@ mod tests {
     #[test]
     fn stopwatch_measures_time() {
         let sw = Stopwatch::start();
+        // lint:allow(test-sleep): the interval being measured, not a
+        // synchronisation.
         std::thread::sleep(Duration::from_millis(2));
         assert!(sw.elapsed() >= Duration::from_millis(2));
     }

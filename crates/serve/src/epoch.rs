@@ -14,10 +14,10 @@
 //! * epoch numbers increase monotonically (`swap` computes
 //!   `current + 1` under the same lock that publishes it).
 //!
-//! The cell is built on [`crate::sync`] so `cargo xtask loom` can model
+//! The cell is built on `gar_modelcheck::shim` so `cargo xtask loom` can model
 //! check the swap/load race (`tests/loom_epoch.rs`).
 
-use crate::sync::{Arc, Mutex};
+use gar_modelcheck::shim::{Arc, Mutex};
 
 /// One immutable, epoch-stamped value (the rule catalog in production).
 #[derive(Debug)]

@@ -21,7 +21,7 @@
 //! * [`netpoll`] — the hand-rolled `poll(2)` readiness shim the event
 //!   loop blocks in (offline-deps: no `libc`/`mio`).
 //! * [`epoch`] — the epoch-versioned hot-swap cell (model-checked
-//!   under `--cfg gar_loom` via [`sync`]).
+//!   under `--cfg gar_loom` via `gar_modelcheck::shim`).
 //! * [`client`] — the blocking client (connect retries via
 //!   `gar-cluster`'s `RetryPolicy`, optional read deadline,
 //!   transparent reconnect-and-retry-once for idempotent queries),
@@ -43,7 +43,6 @@ pub mod protocol;
 #[cfg(not(gar_loom))]
 pub mod server;
 pub mod store;
-pub(crate) mod sync;
 
 #[cfg(not(gar_loom))]
 pub use client::{BatchReply, Client, QueryReply};

@@ -54,6 +54,7 @@
 //! transcripts byte-comparable across runs.
 
 use crate::engine::Recommendation;
+use gar_types::bytes::{unseal, Cursor};
 use gar_types::hash::checksum;
 use gar_types::{Error, ItemId, Itemset, Result};
 use std::io::{Read, Write};
@@ -241,14 +242,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
             "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte maximum"
         )));
     }
-    let mut payload = vec![0u8; len];
-    read_fully(r, &mut payload)?;
-    let mut tail = [0u8; 8];
-    read_fully(r, &mut tail)?;
-    if checksum(&payload) != u64::from_le_bytes(tail) {
-        return Err(Error::Corrupt("frame checksum mismatch".into()));
-    }
-    Ok(Some(payload))
+    let mut sealed = vec![0u8; len + 8];
+    read_fully(r, &mut sealed)?;
+    unseal(&sealed, "frame")?;
+    sealed.truncate(len);
+    Ok(Some(sealed))
 }
 
 fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
@@ -331,16 +329,10 @@ impl FrameBuffer {
             )));
         }
         let total = 4 + len + 8;
-        let Some(body) = self.buf.get(4..total) else {
+        let Some(sealed) = self.buf.get(4..total) else {
             return Ok(None); // frame not fully buffered yet
         };
-        let (payload, tail_bytes) = body.split_at(len);
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(tail_bytes);
-        if checksum(payload) != u64::from_le_bytes(tail) {
-            return Err(Error::Corrupt("frame checksum mismatch".into()));
-        }
-        let payload = payload.to_vec();
+        let payload = unseal(sealed, "frame")?.to_vec();
         self.buf.drain(..total);
         Ok(Some(payload))
     }
@@ -498,79 +490,27 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     out
 }
 
-/// Bounded payload cursor; short reads are protocol errors (the frame
-/// checksum already passed, so damage here means a malformed sender).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A bounded cursor over a frame payload; short reads are protocol
+/// errors (the frame checksum already passed, so damage here means a
+/// malformed sender).
+fn payload_cursor(payload: &[u8]) -> Cursor<'_> {
+    Cursor::new(payload, "payload", Error::Protocol)
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(Error::Protocol("payload truncated".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+/// A length-prefixed item list of at most `max` items.
+fn read_items(c: &mut Cursor<'_>, max: usize, what: &str) -> Result<Vec<ItemId>> {
+    let len = c.u32()? as usize;
+    if len > max {
+        return Err(Error::Protocol(format!(
+            "implausible {what} length {len} (max {max})"
+        )));
     }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        let bytes: [u8; 2] = self
-            .take(2)?
-            .try_into()
-            .map_err(|_| Error::Protocol("u16 field malformed".into()))?;
-        Ok(u16::from_le_bytes(bytes))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let bytes: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| Error::Protocol("u32 field malformed".into()))?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let bytes: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| Error::Protocol("u64 field malformed".into()))?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn items(&mut self, max: usize, what: &str) -> Result<Vec<ItemId>> {
-        let len = self.u32()? as usize;
-        if len > max {
-            return Err(Error::Protocol(format!(
-                "implausible {what} length {len} (max {max})"
-            )));
-        }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(ItemId(self.u32()?));
-        }
-        Ok(items)
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(Error::Protocol("payload has trailing garbage".into()));
-        }
-        Ok(())
-    }
+    Ok(c.u32s(len)?.map(ItemId).collect())
 }
 
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = payload_cursor(payload);
     let req = match c.u8()? {
         TAG_QUERY => {
             let top_k = c.u32()?;
@@ -579,7 +519,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
                     "implausible top_k {top_k} (max {MAX_RESULTS})"
                 )));
             }
-            let basket = c.items(MAX_BASKET_LEN, "basket")?;
+            let basket = read_items(&mut c, MAX_BASKET_LEN, "basket")?;
             Request::Query { basket, top_k }
         }
         TAG_SHUTDOWN => Request::Shutdown,
@@ -595,7 +535,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
                 )));
             }
             let budget_ms = c.u32()?;
-            let basket = c.items(MAX_BASKET_LEN, "basket")?;
+            let basket = read_items(&mut c, MAX_BASKET_LEN, "basket")?;
             Request::QueryV2 {
                 version,
                 basket,
@@ -635,7 +575,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
             }
             let mut baskets = Vec::with_capacity(count);
             for _ in 0..count {
-                baskets.push(c.items(MAX_BASKET_LEN, "basket")?);
+                baskets.push(read_items(&mut c, MAX_BASKET_LEN, "basket")?);
             }
             Request::QueryBatch {
                 version,
@@ -646,11 +586,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
         }
         tag => return Err(Error::Protocol(format!("unknown request tag {tag:#04x}"))),
     };
-    c.done()?;
+    c.finish()?;
     Ok(req)
 }
 
-fn read_recs(c: &mut Cursor) -> Result<Vec<Recommendation>> {
+fn read_recs(c: &mut Cursor<'_>) -> Result<Vec<Recommendation>> {
     let n = c.u32()? as usize;
     if n > MAX_RESULTS {
         return Err(Error::Protocol(format!(
@@ -659,7 +599,7 @@ fn read_recs(c: &mut Cursor) -> Result<Vec<Recommendation>> {
     }
     let mut recs = Vec::with_capacity(n);
     for _ in 0..n {
-        let items = c.items(MAX_BASKET_LEN, "consequent")?;
+        let items = read_items(c, MAX_BASKET_LEN, "consequent")?;
         if items.is_empty() || items.iter().zip(items.iter().skip(1)).any(|(a, b)| a >= b) {
             return Err(Error::Protocol("consequent items not ascending".into()));
         }
@@ -681,10 +621,7 @@ fn read_recs(c: &mut Cursor) -> Result<Vec<Recommendation>> {
 
 /// Decodes a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = payload_cursor(payload);
     let resp = match c.u8()? {
         TAG_RESULTS => Response::Results(read_recs(&mut c)?),
         TAG_ERROR => {
@@ -756,7 +693,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
         }
         tag => return Err(Error::Protocol(format!("unknown response tag {tag:#04x}"))),
     };
-    c.done()?;
+    c.finish()?;
     Ok(resp)
 }
 

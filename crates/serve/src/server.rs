@@ -76,8 +76,8 @@ use crate::protocol::{
     FrameBuffer, Request, Response, PROTOCOL_VERSION,
 };
 use crate::store::RuleStore;
-use crate::sync::Mutex;
 use gar_cluster::{FaultPlan, ServeFaultOp};
+use gar_modelcheck::shim::Mutex;
 use gar_obs::{Obs, Stopwatch};
 use gar_types::{Error, ItemId, Result};
 use std::collections::{HashMap, VecDeque};

@@ -1,14 +1,13 @@
 //! The persisted rule store — `GRUL` codec.
 //!
-//! Format (little-endian, style of `gar-mining`'s `GCKP` checkpoint):
-//! magic `GRUL`, `u32` version, the taxonomy as a parent array (`u32`
-//! item count, one `u32` per item, `u32::MAX` = root — mirroring the
-//! `GTAX` file so `serve` needs no side-channel taxonomy), `u64`
-//! transaction count, `u32` rule count, then per rule the antecedent and
-//! consequent as length-prefixed `u32` item lists, the `u64` support
-//! count and the `f64` confidence bit pattern. The whole payload is
-//! sealed by a trailing FxHash **checksum**; writes go through a temp
-//! file + rename so a crash mid-write never leaves a torn store.
+//! Format (little-endian): magic `GRUL`, `u32` version, the taxonomy as
+//! the parent array of `gar_taxonomy::io` (the same codec as the `GTAX`
+//! file, so `serve` needs no side-channel taxonomy), `u64` transaction
+//! count, `u32` rule count, then per rule the antecedent and consequent
+//! as length-prefixed `u32` item lists, the `u64` support count and the
+//! `f64` confidence bit pattern. Sealed and written through
+//! `gar_types::bytes` like every other persisted format, so a crash
+//! mid-write never leaves a torn store.
 //!
 //! Rules are stored in the canonical `(antecedent, consequent)` order of
 //! [`gar_mining::rules::canonicalize_rules`] and the decoder *enforces*
@@ -17,18 +16,18 @@
 //! many nodes mined them.
 
 use gar_mining::rules::{canonicalize_rules, Rule};
-use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
-use gar_types::hash::checksum;
+use gar_taxonomy::io::{decode_parents, encode_parents};
+use gar_taxonomy::Taxonomy;
+use gar_types::bytes::{self, seal, unseal, write_atomic, Cursor};
 use gar_types::{Error, ItemId, Itemset, Result};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"GRUL";
 const VERSION: u32 = 1;
-const NO_PARENT: u32 = u32::MAX;
+const WHAT: &str = "rule store";
 
 /// Decode guards against implausible lengths (so a corrupt length field
 /// fails cleanly instead of attempting a huge allocation).
-const MAX_ITEMS: usize = 1 << 26;
 const MAX_RULES: usize = 1 << 26;
 const MAX_ITEMSET_LEN: usize = 1 << 16;
 
@@ -63,22 +62,12 @@ impl RuleStore {
 
     /// Writes the store to `path` atomically (temp file + rename).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, encode(self))
-            .map_err(|e| Error::io(format!("writing rule store {}", tmp.display()), e))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| Error::io(format!("publishing rule store {}", path.display()), e))
+        write_atomic(path.as_ref(), &encode(self), false)
     }
 
     /// Reads and validates the store at `path`.
     pub fn load(path: impl AsRef<Path>) -> Result<RuleStore> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path)
-            .map_err(|e| Error::io(format!("reading rule store {}", path.display()), e))?;
-        decode(&bytes)
+        decode(&bytes::read(path.as_ref(), WHAT)?)
     }
 
     /// The sorted, distinct items mentioned by any rule antecedent —
@@ -108,12 +97,7 @@ pub(crate) fn encode(store: &RuleStore) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    let tax = &store.taxonomy;
-    out.extend_from_slice(&tax.num_items().to_le_bytes());
-    for i in 0..tax.num_items() {
-        let code = tax.parent(ItemId(i)).map_or(NO_PARENT, |p| p.raw());
-        out.extend_from_slice(&code.to_le_bytes());
-    }
+    encode_parents(&store.taxonomy, &mut out);
     out.extend_from_slice(&store.num_transactions.to_le_bytes());
     out.extend_from_slice(&(store.rules.len() as u32).to_le_bytes());
     for rule in &store.rules {
@@ -122,111 +106,39 @@ pub(crate) fn encode(store: &RuleStore) -> Vec<u8> {
         out.extend_from_slice(&rule.support_count.to_le_bytes());
         out.extend_from_slice(&rule.confidence.to_bits().to_le_bytes());
     }
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    seal(out)
 }
 
-/// Bounded cursor over the store body; every short read is a clean
-/// [`Error::Corrupt`], never a panic.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(Error::Corrupt("rule store truncated".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+/// A length-prefixed itemset: non-empty, strictly increasing, every item
+/// below `num_items`.
+fn read_itemset(c: &mut Cursor<'_>, num_items: u32, what: &str) -> Result<Itemset> {
+    let len = c.u32()? as usize;
+    if len == 0 || len > MAX_ITEMSET_LEN {
+        return Err(Error::Corrupt(format!("implausible {what} length {len}")));
     }
-
-    fn u32(&mut self) -> Result<u32> {
-        let bytes: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| Error::Corrupt("rule store u32 field malformed".into()))?;
-        Ok(u32::from_le_bytes(bytes))
+    let items: Vec<ItemId> = c.u32s(len)?.map(ItemId).collect();
+    if let Some(it) = items.iter().find(|it| it.raw() >= num_items) {
+        return Err(Error::Corrupt(format!(
+            "{what} item {} outside the taxonomy (< {num_items})",
+            it.raw()
+        )));
     }
-
-    fn u64(&mut self) -> Result<u64> {
-        let bytes: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| Error::Corrupt("rule store u64 field malformed".into()))?;
-        Ok(u64::from_le_bytes(bytes))
+    if items.iter().zip(items.iter().skip(1)).any(|(a, b)| a >= b) {
+        return Err(Error::Corrupt(format!("{what} items are not ascending")));
     }
-
-    /// A length-prefixed itemset: non-empty, strictly increasing, every
-    /// item below `num_items`.
-    fn itemset(&mut self, num_items: u32, what: &str) -> Result<Itemset> {
-        let len = self.u32()? as usize;
-        if len == 0 || len > MAX_ITEMSET_LEN {
-            return Err(Error::Corrupt(format!("implausible {what} length {len}")));
-        }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            let raw = self.u32()?;
-            if raw >= num_items {
-                return Err(Error::Corrupt(format!(
-                    "{what} item {raw} outside the taxonomy (< {num_items})"
-                )));
-            }
-            items.push(ItemId(raw));
-        }
-        if items.iter().zip(items.iter().skip(1)).any(|(a, b)| a >= b) {
-            return Err(Error::Corrupt(format!("{what} items are not ascending")));
-        }
-        Ok(Itemset::from_sorted(items))
-    }
+    Ok(Itemset::from_sorted(items))
 }
 
 /// Decodes a store, verifying the checksum and every structural
 /// invariant (including canonical rule order). All damage surfaces as
 /// [`Error::Corrupt`].
 pub(crate) fn decode(bytes: &[u8]) -> Result<RuleStore> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(Error::Corrupt("rule store too short".into()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let tail: [u8; 8] = tail
-        .try_into()
-        .map_err(|_| Error::Corrupt("rule store checksum tail malformed".into()))?;
-    let stored = u64::from_le_bytes(tail);
-    if checksum(body) != stored {
-        return Err(Error::Corrupt("rule store checksum mismatch".into()));
-    }
-    let mut c = Cursor {
-        bytes: body,
-        pos: 0,
-    };
-    if c.take(4)? != MAGIC {
-        return Err(Error::Corrupt("not a rule store (bad magic)".into()));
-    }
-    if c.u32()? != VERSION {
-        return Err(Error::Corrupt("unsupported rule store version".into()));
-    }
-    let num_items = c.u32()?;
-    if num_items as usize > MAX_ITEMS {
-        return Err(Error::Corrupt("implausible taxonomy size".into()));
-    }
-    let mut builder = TaxonomyBuilder::new(num_items);
-    for child in 0..num_items {
-        let parent = c.u32()?;
-        if parent != NO_PARENT {
-            builder
-                .add_edge(ItemId(child), ItemId(parent))
-                .map_err(|e| Error::Corrupt(format!("embedded taxonomy invalid: {e}")))?;
-        }
-    }
-    // Re-validate the forest invariants: a corrupt file must not smuggle
+    let mut c = Cursor::new(unseal(bytes, WHAT)?, WHAT, Error::Corrupt);
+    c.header(MAGIC, VERSION)?;
+    // Re-validates the forest invariants: a corrupt file must not smuggle
     // a cycle past the ancestor-path machinery.
-    let taxonomy = builder
-        .build()
-        .map_err(|e| Error::Corrupt(format!("embedded taxonomy invalid: {e}")))?;
+    let taxonomy = decode_parents(&mut c)?;
+    let num_items = taxonomy.num_items();
 
     let num_transactions = c.u64()?;
     let num_rules = c.u32()? as usize;
@@ -236,8 +148,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<RuleStore> {
     let n = num_transactions.max(1) as f64;
     let mut rules: Vec<Rule> = Vec::with_capacity(num_rules.min(1 << 16));
     for _ in 0..num_rules {
-        let antecedent = c.itemset(num_items, "antecedent")?;
-        let consequent = c.itemset(num_items, "consequent")?;
+        let antecedent = read_itemset(&mut c, num_items, "antecedent")?;
+        let consequent = read_itemset(&mut c, num_items, "consequent")?;
         let support_count = c.u64()?;
         if support_count > num_transactions {
             return Err(Error::Corrupt(format!(
@@ -266,9 +178,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<RuleStore> {
             confidence,
         });
     }
-    if c.pos != body.len() {
-        return Err(Error::Corrupt("rule store has trailing garbage".into()));
-    }
+    c.finish()?;
     Ok(RuleStore {
         taxonomy,
         num_transactions,
@@ -375,14 +285,7 @@ mod tests {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&store.taxonomy.num_items().to_le_bytes());
-        for i in 0..store.taxonomy.num_items() {
-            let code = store
-                .taxonomy
-                .parent(ItemId(i))
-                .map_or(NO_PARENT, |p| p.raw());
-            out.extend_from_slice(&code.to_le_bytes());
-        }
+        encode_parents(&store.taxonomy, &mut out);
         out.extend_from_slice(&store.num_transactions.to_le_bytes());
         out.extend_from_slice(&(store.rules.len() as u32).to_le_bytes());
         for rule in &store.rules {
@@ -391,9 +294,7 @@ mod tests {
             out.extend_from_slice(&rule.support_count.to_le_bytes());
             out.extend_from_slice(&rule.confidence.to_bits().to_le_bytes());
         }
-        let sum = checksum(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        let err = decode(&out).unwrap_err();
+        let err = decode(&seal(out)).unwrap_err();
         assert!(
             matches!(&err, Error::Corrupt(m) if m.contains("canonical")),
             "{err:?}"
@@ -412,9 +313,7 @@ mod tests {
         out.extend_from_slice(&0u32.to_le_bytes()); // parent(1) = 0
         out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes());
-        let sum = checksum(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        let err = decode(&out).unwrap_err();
+        let err = decode(&seal(out)).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
     }
 

@@ -172,6 +172,8 @@ fn wait_until_recovered(client: &mut Client) {
         ) {
             return;
         }
+        // lint:allow(test-sleep): back-off of a poll bounded by the 200
+        // probes of this loop; the probe's answer, not the sleep, ends it.
         std::thread::sleep(Duration::from_millis(5));
     }
     panic!("shard never recovered");
@@ -330,6 +332,8 @@ fn overload_burst_sheds_typed_and_the_server_survives() {
                 stalled.elapsed() < Duration::from_secs(5),
                 "seed {seed}: the victim never reached the worker"
             );
+            // lint:allow(test-sleep): back-off of a poll bounded by the
+            // 5 s deadline asserted above; the counter ends the wait.
             std::thread::sleep(Duration::from_millis(1));
         }
 

@@ -1,10 +1,8 @@
 //! Horizontally partitioned transaction databases.
 
 use crate::flat::FlatPartition;
-use crate::partition::PartitionWriter;
 use crate::TransactionSource;
 use gar_types::{Error, ItemId, Result};
-use std::path::Path;
 
 /// A transaction database split across `N` node partitions — the paper's
 /// "the transaction data is evenly spread over the local disks of all the
@@ -14,39 +12,9 @@ pub struct PartitionedDatabase {
 }
 
 impl PartitionedDatabase {
-    /// Builds `num_partitions` disk partitions under `dir`, distributing
-    /// the stream round-robin (which is also an even spread for the
-    /// synthetic data, whose transactions are i.i.d.).
-    pub fn build_on_disk(
-        dir: impl AsRef<Path>,
-        num_partitions: usize,
-        txns: impl Iterator<Item = Vec<ItemId>>,
-    ) -> Result<PartitionedDatabase> {
-        if num_partitions == 0 {
-            return Err(Error::InvalidConfig("need at least one partition".into()));
-        }
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| Error::io(format!("creating database dir {}", dir.display()), e))?;
-        let mut writers: Vec<PartitionWriter> = (0..num_partitions)
-            .map(|i| PartitionWriter::create(dir.join(format!("part-{i:04}.txn"))))
-            .collect::<Result<_>>()?;
-        for (i, t) in txns.enumerate() {
-            writers[i % num_partitions].write(&t)?;
-        }
-        let parts = writers
-            .into_iter()
-            .map(|w| {
-                w.finish()
-                    .map(|p| Box::new(p) as Box<dyn TransactionSource>)
-            })
-            .collect::<Result<_>>()?;
-        Ok(PartitionedDatabase { parts })
-    }
-
-    /// Same split, held in memory as flat [`FlatPartition`]s (scan
-    /// passes lend borrowed slices; `bytes_read` accounting is identical
-    /// to the other representations).
+    /// Splits the stream round-robin (an even spread for the synthetic
+    /// data, whose transactions are i.i.d.) into `num_partitions`
+    /// [`FlatPartition`]s held in memory.
     pub fn build_in_memory(
         num_partitions: usize,
         txns: impl Iterator<Item = Vec<ItemId>>,
@@ -131,9 +99,22 @@ mod tests {
 
     #[test]
     fn round_robin_split_on_disk() {
+        // What `gar-cli gen` and `mine` do: split, write one file per
+        // node, re-open the files as the database.
         let dir = std::env::temp_dir().join(format!("gar-db-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let txns: Vec<Vec<ItemId>> = (0..7u32).map(|i| ids(&[i, i + 10])).collect();
-        let db = PartitionedDatabase::build_on_disk(&dir, 2, txns.clone().into_iter()).unwrap();
+        let split = PartitionedDatabase::build_in_memory(2, txns.clone().into_iter()).unwrap();
+        let mut parts: Vec<Box<dyn TransactionSource>> = Vec::new();
+        for n in 0..split.num_partitions() {
+            let path = dir.join(format!("part-{n:04}.gfp"));
+            FlatPartition::from_source(split.partition(n))
+                .unwrap()
+                .write_to(&path)
+                .unwrap();
+            parts.push(Box::new(FlatPartition::open(&path).unwrap()));
+        }
+        let db = PartitionedDatabase::from_parts(parts);
         assert_eq!(db.total_transactions(), 7);
         let p0 = drain(db.partition(0));
         let p1 = drain(db.partition(1));
@@ -151,6 +132,5 @@ mod tests {
     #[test]
     fn zero_partitions_rejected() {
         assert!(PartitionedDatabase::build_in_memory(0, std::iter::empty()).is_err());
-        assert!(PartitionedDatabase::build_on_disk("/tmp/never", 0, std::iter::empty()).is_err());
     }
 }

@@ -1,35 +1,43 @@
 //! Flat, bulk-loaded partitions: all transactions in two contiguous arrays.
 //!
-//! The record-stream formats ([`crate::DiskPartition`],
-//! [`crate::MemoryPartition`]) pay per-transaction overhead on every scan:
-//! a decode (disk) or a pointer chase into a separate heap allocation
-//! (memory). A mining run scans each partition once *per pass per
-//! fragment*, so that overhead multiplies. [`FlatPartition`] stores the
-//! whole partition as one offsets array plus one items array — a scan is a
-//! pure cursor walk handing out borrowed slices, no decoding, no copying,
-//! no allocator traffic, and the items of consecutive transactions are
+//! A mining run scans each partition once *per pass per fragment*, so
+//! per-transaction overhead multiplies. [`FlatPartition`] stores the whole
+//! partition as one offsets array plus one items array — a scan is a pure
+//! cursor walk handing out borrowed slices: no decoding, no copying, no
+//! allocator traffic, and the items of consecutive transactions are
 //! adjacent in cache.
 //!
-//! `bytes_read` reports *equivalent encoded* bytes (what the record codec
-//! would have streamed), exactly like [`crate::MemoryPartition`], so the
-//! simulated I/O ledger — and therefore every modeled cost — is identical
-//! whichever representation backs the scan.
+//! `bytes_read` is priced in *record-equivalent* bytes — a `u32` length
+//! prefix plus one `u32` per item, what a node streaming transaction
+//! records off its local disk would read — so the simulated I/O ledger,
+//! and with it every modeled cost, does not depend on the layout.
 //!
-//! The serialized form (`GFP1`) is the same two arrays prefixed with a
-//! small header, so loading a partition is two bulk reads copied into
-//! the arrays instead of a record-by-record decode. (Scans are
-//! zero-copy; [`FlatPartition::open`] is not — it owns two `Vec`s.)
+//! The serialized form (`GFP2`) is the same two arrays behind a small
+//! header, sealed by the workspace's trailing checksum and written through
+//! a temp file + rename (`gar_types::bytes`). Loading verifies the seal
+//! and checks the header's counts against the body's length before they
+//! size anything. (Scans are zero-copy; [`FlatPartition::open`] is not —
+//! it owns two `Vec`s.)
 
-use crate::codec;
 use crate::{TransactionScan, TransactionSource};
+use gar_types::bytes::{read_sealed, seal, write_atomic, Cursor};
 use gar_types::{Error, ItemId, Result};
-use std::fs::File;
-use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Magic prefix of the serialized form: "GFP" + format version 1.
-const MAGIC: [u8; 4] = *b"GFP1";
+/// What one transaction of `len` items costs on the I/O ledger: a `u32`
+/// length prefix plus one `u32` per item, the record a node would stream
+/// off its local disk. Every `bytes_read`/`size_bytes` in the workspace
+/// (and so every modeled second) is priced in it.
+#[inline]
+pub(crate) fn encoded_len(len: usize) -> u64 {
+    4 + 4 * len as u64
+}
+
+/// Magic prefix of the serialized form: "GFP" + format version 2 (version
+/// 1 was the same layout without the trailing checksum).
+const MAGIC: [u8; 4] = *b"GFP2";
+const WHAT: &str = "flat partition";
 
 /// A node partition stored as flat offsets + items arrays. Scans lend
 /// borrowed slices directly out of the items array.
@@ -63,7 +71,7 @@ impl FlatPartition {
             "partition > 4G items"
         );
         self.offsets.push(self.items.len() as u32);
-        self.bytes += codec::encoded_len(t.len()) as u64;
+        self.bytes += encoded_len(t.len());
     }
 
     /// Builds a partition from pre-sorted transactions.
@@ -98,91 +106,50 @@ impl FlatPartition {
         &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Writes the `GFP1` serialized form: header (magic, transaction
-    /// count, item count), then the offsets array, then the items array,
-    /// all little-endian u32.
+    /// Writes the `GFP2` serialized form: header (magic, transaction
+    /// count, item count), the offsets array, the items array — all
+    /// little-endian `u32` — and the trailing checksum.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        let file = File::create(path)
-            .map_err(|e| Error::io(format!("creating flat partition {}", path.display()), e))?;
-        let mut w = std::io::BufWriter::new(file);
-        let ctx = || format!("writing flat partition {}", path.display());
-        w.write_all(&MAGIC).map_err(|e| Error::io(ctx(), e))?;
-        let ntx = (self.offsets.len() - 1) as u32;
-        w.write_all(&ntx.to_le_bytes())
-            .map_err(|e| Error::io(ctx(), e))?;
-        w.write_all(&(self.items.len() as u32).to_le_bytes())
-            .map_err(|e| Error::io(ctx(), e))?;
+        let mut body = Vec::with_capacity(12 + 4 * (self.offsets.len() + self.items.len()) + 8);
+        body.extend_from_slice(&MAGIC);
+        body.extend_from_slice(&(self.num_transactions() as u32).to_le_bytes());
+        body.extend_from_slice(&(self.items.len() as u32).to_le_bytes());
         for off in &self.offsets {
-            w.write_all(&off.to_le_bytes())
-                .map_err(|e| Error::io(ctx(), e))?;
+            body.extend_from_slice(&off.to_le_bytes());
         }
         for it in &self.items {
-            w.write_all(&it.raw().to_le_bytes())
-                .map_err(|e| Error::io(ctx(), e))?;
+            body.extend_from_slice(&it.raw().to_le_bytes());
         }
-        w.flush().map_err(|e| Error::io(ctx(), e))
+        write_atomic(path.as_ref(), &seal(body), false)
     }
 
-    /// Loads a `GFP1` file: two bulk reads into the flat arrays. The
-    /// header's counts must account for the file's exact length before
-    /// they size any allocation.
+    /// Loads a `GFP2` file. The seal is verified first; each array's
+    /// bytes are then claimed from the body before its count sizes an
+    /// allocation, and nothing may be left over.
     pub fn open(path: impl AsRef<Path>) -> Result<FlatPartition> {
-        let path = path.as_ref();
-        let io = |e| Error::io(format!("reading flat partition {}", path.display()), e);
-        let corrupt = |what: &str| Error::Corrupt(format!("{} {what}", path.display()));
-        let mut file = File::open(path)
-            .map_err(|e| Error::io(format!("opening flat partition {}", path.display()), e))?;
-        let file_len = file.metadata().map_err(io)?.len();
-        let mut header = [0u8; 12];
-        if file_len < header.len() as u64 {
-            return Err(corrupt("is too short for a GFP1 header"));
+        let body = read_sealed(path.as_ref(), WHAT, b"GFP1")?;
+        let mut c = Cursor::new(&body, WHAT, Error::Corrupt);
+        if c.take(4)? != MAGIC {
+            return Err(c.error("has a bad magic (not a GFP2 file)"));
         }
-        file.read_exact(&mut header).map_err(io)?;
-        if header[..4] != MAGIC {
-            return Err(corrupt("is not a GFP1 flat partition"));
-        }
-        // lint:allow(panic-path): header is a fixed 12-byte array, so
-        // the 4-byte range slices cannot fail the conversion.
-        let ntx = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        // lint:allow(panic-path): same fixed-width slice as above.
-        let nitems = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
-        // Two u32 counts cannot overflow this u64 sum.
-        let expected_len = (ntx as u64 + 1 + nitems as u64) * 4 + header.len() as u64;
-        if expected_len != file_len {
-            return Err(corrupt(&format!(
-                "is {file_len} bytes but its header describes {expected_len}"
-            )));
-        }
-        let offsets = read_u32_array(&mut file, ntx + 1).map_err(io)?;
-        let items = read_u32_array(&mut file, nitems).map_err(io)?;
+        let ntx = c.u32()? as usize;
+        let nitems = c.u32()? as usize;
+        let offsets: Vec<u32> = c.u32s(ntx + 1)?.collect();
+        let items: Vec<ItemId> = c.u32s(nitems)?.map(ItemId).collect();
         if offsets.first() != Some(&0)
             || offsets.last() != Some(&(nitems as u32))
             || offsets.windows(2).any(|w| w[0] > w[1])
         {
-            return Err(corrupt("has a non-monotone offsets array"));
+            return Err(c.error("has a non-monotone offsets array"));
         }
-        let bytes = (4 * ntx + 4 * nitems) as u64;
+        c.finish()?;
         Ok(FlatPartition {
             offsets,
-            items: items.into_iter().map(ItemId).collect(),
-            bytes,
+            items,
+            bytes: (4 * ntx + 4 * nitems) as u64,
             bytes_read: AtomicU64::new(0),
         })
     }
-}
-
-/// Bulk-reads `n` little-endian u32 words (`n` already bounded by the
-/// file length).
-fn read_u32_array(r: &mut impl Read, n: usize) -> std::io::Result<Vec<u32>> {
-    let mut raw = vec![0u8; n * 4];
-    r.read_exact(&mut raw)?;
-    Ok(raw
-        .chunks_exact(4)
-        // lint:allow(panic-path): chunks_exact(4) yields only 4-byte
-        // chunks, so the conversion cannot fail.
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect())
 }
 
 impl TransactionSource for FlatPartition {
@@ -222,7 +189,7 @@ impl TransactionScan for FlatScan<'_> {
         self.part
             .bytes_read
             // relaxed: monotonic I/O tally; see bytes_read().
-            .fetch_add(codec::encoded_len(t.len()) as u64, Ordering::Relaxed);
+            .fetch_add(encoded_len(t.len()), Ordering::Relaxed);
         self.next += 1;
         Ok(Some(t))
     }
@@ -231,7 +198,6 @@ impl TransactionScan for FlatScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemoryPartition;
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()
@@ -241,6 +207,16 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("gar-flat-test-{}-{}", std::process::id(), name));
         p
+    }
+
+    /// Opens a hand-built body behind a *valid* seal, so the structural
+    /// checks are what answers, not the checksum.
+    fn open_sealed(name: &str, body: Vec<u8>) -> Result<FlatPartition> {
+        let path = tmp(name);
+        std::fs::write(&path, seal(body)).unwrap();
+        let res = FlatPartition::open(&path);
+        std::fs::remove_file(&path).ok();
+        res
     }
 
     #[test]
@@ -258,18 +234,22 @@ mod tests {
 
     #[test]
     fn bytes_read_matches_memory_partition() {
-        let txns = vec![ids(&[1, 2, 3]), ids(&[7])];
-        let flat = FlatPartition::from_transactions(&txns);
-        let mem = MemoryPartition::new(txns);
-        assert_eq!(flat.size_bytes(), mem.size_bytes());
+        // A partition re-opened from disk charges the I/O ledger exactly
+        // what the in-memory partition it was written from charges.
+        let path = tmp("ledger.gfp");
+        let mem = FlatPartition::from_transactions([ids(&[1, 2, 3]), ids(&[7])]);
+        mem.write_to(&path).unwrap();
+        let disk = FlatPartition::open(&path).unwrap();
+        assert_eq!(disk.size_bytes(), mem.size_bytes());
         let mut buf = Vec::new();
-        let mut fs = flat.scan().unwrap();
+        let mut ds = disk.scan().unwrap();
         let mut ms = mem.scan().unwrap();
-        while fs.next_into(&mut buf).unwrap() {}
+        while ds.next_into(&mut buf).unwrap() {}
         while ms.next_into(&mut buf).unwrap() {}
-        drop((fs, ms));
-        assert_eq!(flat.bytes_read(), mem.bytes_read());
-        assert_eq!(flat.bytes_read(), flat.size_bytes());
+        drop((ds, ms));
+        assert_eq!(disk.bytes_read(), mem.bytes_read());
+        assert_eq!(disk.bytes_read(), disk.size_bytes());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -289,17 +269,26 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let path = tmp("badmagic.gfp");
-        std::fs::write(&path, b"NOPE\x00\x00\x00\x00\x00\x00\x00\x00").unwrap();
+        let err = open_sealed("badmagic.gfp", b"NOPE\0\0\0\0\0\0\0\0".to_vec()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("bad magic")),
+            "{err}"
+        );
+        // A version-1 file (same layout, no seal) is named as such.
+        let path = tmp("gfp1.gfp");
+        std::fs::write(&path, b"GFP1\0\0\0\0\0\0\0\0\0\0\0\0").unwrap();
         let err = FlatPartition::open(&path).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("unsupported flat partition version")),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn every_truncation_is_a_clean_corrupt_error() {
         let path = tmp("trunc.gfp");
-        let p = FlatPartition::from_transactions(&[ids(&[1, 2, 3]), ids(&[]), ids(&[7])]);
+        let p = FlatPartition::from_transactions([ids(&[1, 2, 3]), ids(&[]), ids(&[7])]);
         p.write_to(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         for len in 0..bytes.len() {
@@ -315,41 +304,41 @@ mod tests {
 
     #[test]
     fn header_counts_never_size_an_allocation_unchecked() {
-        // 12 bytes claiming 4 G items: must be refused from the file
-        // length alone, not after asking the allocator for 16 GiB.
-        let path = tmp("hugeheader.gfp");
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = FlatPartition::open(&path).unwrap_err();
+        // A correctly sealed 12-byte body claiming 4 G items: must be
+        // refused from the body length alone, not after asking the
+        // allocator for 16 GiB.
+        let mut body = MAGIC.to_vec();
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = open_sealed("hugeitems.gfp", body.clone()).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
-        bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = FlatPartition::open(&path).unwrap_err();
+        body[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = open_sealed("hugetxns.gfp", body).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn trailing_bytes_rejected() {
         let path = tmp("trailing.gfp");
-        let p = FlatPartition::from_transactions(&[ids(&[4])]);
-        p.write_to(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.push(0);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = FlatPartition::open(&path).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        FlatPartition::from_transactions([ids(&[4])])
+            .write_to(&path)
+            .unwrap();
+        let mut body = read_sealed(&path, WHAT, b"GFP1").unwrap();
         std::fs::remove_file(&path).ok();
+        // One byte more than the header accounts for, inside a valid seal.
+        body.push(0);
+        let err = open_sealed("trailing2.gfp", body).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
     }
 
     #[test]
     fn from_source_copies_any_partition() {
-        let mem = MemoryPartition::new(vec![ids(&[1]), ids(&[2, 3])]);
-        let flat = FlatPartition::from_source(&mem).unwrap();
+        let a = FlatPartition::from_transactions([ids(&[1])]);
+        let b = FlatPartition::from_transactions([ids(&[2, 3])]);
+        let both = crate::MultiSource::new(vec![&a, &b]);
+        let flat = FlatPartition::from_source(&both).unwrap();
         assert_eq!(flat.num_transactions(), 2);
         assert_eq!(flat.get(1), &ids(&[2, 3])[..]);
-        assert_eq!(flat.size_bytes(), mem.size_bytes());
+        assert_eq!(flat.size_bytes(), both.size_bytes());
     }
 }

@@ -93,7 +93,7 @@ impl TransactionScan for MultiScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemoryPartition;
+    use crate::FlatPartition;
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()
@@ -111,8 +111,8 @@ mod tests {
 
     #[test]
     fn concatenates_members_in_order() {
-        let a = MemoryPartition::new(vec![ids(&[1]), ids(&[2, 3])]);
-        let b = MemoryPartition::new(vec![ids(&[4])]);
+        let a = FlatPartition::from_transactions([ids(&[1]), ids(&[2, 3])]);
+        let b = FlatPartition::from_transactions([ids(&[4])]);
         let multi = MultiSource::new(vec![&a, &b]);
         assert_eq!(multi.num_transactions(), 3);
         assert_eq!(drain(&multi), vec![ids(&[1]), ids(&[2, 3]), ids(&[4])]);
@@ -120,8 +120,8 @@ mod tests {
 
     #[test]
     fn rescans_restart_from_the_first_member() {
-        let a = MemoryPartition::new(vec![ids(&[1])]);
-        let b = MemoryPartition::new(vec![ids(&[2])]);
+        let a = FlatPartition::from_transactions([ids(&[1])]);
+        let b = FlatPartition::from_transactions([ids(&[2])]);
         let multi = MultiSource::new(vec![&a, &b]);
         assert_eq!(drain(&multi).len(), 2);
         assert_eq!(drain(&multi).len(), 2, "scan() must rewind");
@@ -130,9 +130,9 @@ mod tests {
 
     #[test]
     fn empty_members_are_skipped() {
-        let a = MemoryPartition::new(vec![]);
-        let b = MemoryPartition::new(vec![ids(&[7])]);
-        let c = MemoryPartition::new(vec![]);
+        let a = FlatPartition::new();
+        let b = FlatPartition::from_transactions([ids(&[7])]);
+        let c = FlatPartition::new();
         let multi = MultiSource::new(vec![&a, &b, &c]);
         assert_eq!(drain(&multi), vec![ids(&[7])]);
         let none = MultiSource::new(vec![]);

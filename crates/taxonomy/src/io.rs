@@ -1,87 +1,72 @@
 //! Taxonomy persistence.
 //!
-//! Format (little-endian): magic `GTAX`, `u32` version, `u32` item count,
-//! then one `u32` per item — the parent's code, or `u32::MAX` for a root.
-//! The parent array is the taxonomy's complete definition; everything
-//! else is derived on load (and re-validated, so a corrupted file cannot
-//! smuggle in a cycle).
+//! The **parent array** is the taxonomy's complete definition: a `u32`
+//! item count, then one `u32` per item — the parent's code, or `u32::MAX`
+//! for a root. Everything else is derived on load (and re-validated, so a
+//! damaged array cannot smuggle in a cycle). [`encode_parents`] /
+//! [`decode_parents`] are the one codec for it; the `GTAX` file (magic,
+//! `u32` version 2, parent array, trailing checksum — version 1 had no
+//! checksum) and the taxonomy embedded in `gar-serve`'s `GRUL` store both
+//! go through them.
 
 use crate::builder::TaxonomyBuilder;
 use crate::taxonomy::Taxonomy;
+use gar_types::bytes::{read_sealed, seal, write_atomic, Cursor};
 use gar_types::{Error, ItemId, Result};
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"GTAX";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const NO_PARENT: u32 = u32::MAX;
+const WHAT: &str = "taxonomy file";
+/// How a version-1 (unsealed) file begins.
+const V1_PREFIX: &[u8; 8] = b"GTAX\x01\0\0\0";
 
-/// Writes `tax` to `path` (overwriting).
-pub fn save(tax: &Taxonomy, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let file = std::fs::File::create(path)
-        .map_err(|e| Error::io(format!("creating taxonomy file {}", path.display()), e))?;
-    let mut w = BufWriter::new(file);
-    let io_err = |e| Error::io(format!("writing taxonomy file {}", path.display()), e);
-    w.write_all(MAGIC).map_err(io_err)?;
-    w.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
-    w.write_all(&tax.num_items().to_le_bytes())
-        .map_err(io_err)?;
+/// Appends `tax`'s parent array to `out`.
+pub fn encode_parents(tax: &Taxonomy, out: &mut Vec<u8>) {
+    out.extend_from_slice(&tax.num_items().to_le_bytes());
     for i in 0..tax.num_items() {
         let code = tax.parent(ItemId(i)).map_or(NO_PARENT, |p| p.raw());
-        w.write_all(&code.to_le_bytes()).map_err(io_err)?;
+        out.extend_from_slice(&code.to_le_bytes());
     }
-    w.flush().map_err(io_err)
 }
 
-/// Loads a taxonomy from `path`, re-validating the forest invariants.
-pub fn load(path: impl AsRef<Path>) -> Result<Taxonomy> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path)
-        .map_err(|e| Error::io(format!("opening taxonomy file {}", path.display()), e))?;
-    let mut r = BufReader::new(file);
-    let io_err = |e| Error::io(format!("reading taxonomy file {}", path.display()), e);
-
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(io_err)?;
-    if &magic != MAGIC {
-        return Err(Error::Corrupt(format!(
-            "{} is not a taxonomy file (bad magic)",
-            path.display()
-        )));
-    }
-    let mut word = [0u8; 4];
-    r.read_exact(&mut word).map_err(io_err)?;
-    let version = u32::from_le_bytes(word);
-    if version != VERSION {
-        return Err(Error::Corrupt(format!(
-            "unsupported taxonomy file version {version}"
-        )));
-    }
-    r.read_exact(&mut word).map_err(io_err)?;
-    let n = u32::from_le_bytes(word);
-
+/// Reads a parent array and rebuilds the taxonomy, re-validating the
+/// forest invariants; a violation is the cursor's kind of damage.
+pub fn decode_parents(c: &mut Cursor<'_>) -> Result<Taxonomy> {
+    let n = c.u32()?;
+    // Claim the array's bytes before `n` sizes the builder.
+    let parents = c.u32s(n as usize)?;
     let mut builder = TaxonomyBuilder::new(n);
-    for child in 0..n {
-        r.read_exact(&mut word).map_err(io_err)?;
-        let parent = u32::from_le_bytes(word);
+    for (child, parent) in parents.enumerate() {
         if parent != NO_PARENT {
-            builder.add_edge(ItemId(child), ItemId(parent))?;
+            builder
+                .add_edge(ItemId(child as u32), ItemId(parent))
+                .map_err(|e| c.error(format_args!("parent array: {e}")))?;
         }
     }
-    // Trailing garbage means a corrupt or concatenated file.
-    let mut extra = [0u8; 1];
-    match r.read(&mut extra) {
-        Ok(0) => {}
-        Ok(_) => {
-            return Err(Error::Corrupt(format!(
-                "taxonomy file {} has trailing bytes",
-                path.display()
-            )))
-        }
-        Err(e) => return Err(io_err(e)),
-    }
-    builder.build()
+    builder
+        .build()
+        .map_err(|e| c.error(format_args!("parent array: {e}")))
+}
+
+/// Writes `tax` to `path` (replacing it atomically).
+pub fn save(tax: &Taxonomy, path: impl AsRef<Path>) -> Result<()> {
+    let mut body = MAGIC.to_vec();
+    body.extend_from_slice(&VERSION.to_le_bytes());
+    encode_parents(tax, &mut body);
+    write_atomic(path.as_ref(), &seal(body), false)
+}
+
+/// Loads a taxonomy from `path`: seal, header, parent array, no trailing
+/// bytes.
+pub fn load(path: impl AsRef<Path>) -> Result<Taxonomy> {
+    let body = read_sealed(path.as_ref(), WHAT, V1_PREFIX)?;
+    let mut c = Cursor::new(&body, WHAT, Error::Corrupt);
+    c.header(MAGIC, VERSION)?;
+    let tax = decode_parents(&mut c)?;
+    c.finish()?;
+    Ok(tax)
 }
 
 #[cfg(test)]
@@ -115,7 +100,11 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let path = tmp("magic");
-        std::fs::write(&path, b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00").unwrap();
+        std::fs::write(
+            &path,
+            seal(b"NOPE\x02\x00\x00\x00\x00\x00\x00\x00".to_vec()),
+        )
+        .unwrap();
         let err = load(&path).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -133,7 +122,17 @@ mod tests {
         save(&tax, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
-        assert!(load(&path).is_err());
+        assert!(matches!(load(&path), Err(Error::Corrupt(_))));
+        // A version-1 file (no checksum) is named, not called damaged.
+        let mut v1 = V1_PREFIX.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, v1).unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("unsupported taxonomy file version")),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -147,9 +146,10 @@ mod tests {
         });
         let path = tmp("trail");
         save(&tax, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.push(0);
-        std::fs::write(&path, &bytes).unwrap();
+        // One byte past the parent array, inside a valid seal.
+        let mut body = read_sealed(&path, WHAT, V1_PREFIX).unwrap();
+        body.push(0);
+        std::fs::write(&path, seal(body)).unwrap();
         let err = load(&path).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -161,13 +161,16 @@ mod tests {
         let path = tmp("cycle");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"GTAX");
-        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&2u32.to_le_bytes());
         bytes.extend_from_slice(&1u32.to_le_bytes()); // parent(0) = 1
         bytes.extend_from_slice(&0u32.to_le_bytes()); // parent(1) = 0
-        std::fs::write(&path, bytes).unwrap();
+        std::fs::write(&path, seal(bytes)).unwrap();
         let err = load(&path).unwrap_err();
-        assert!(err.to_string().contains("cycle"), "{err}");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("cycle")),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

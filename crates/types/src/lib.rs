@@ -10,8 +10,11 @@
 //!   FxHash-style integer hasher (the candidate tables sit on the hottest
 //!   path of every algorithm, and the default SipHash is measurably slower
 //!   for short integer keys);
-//! * [`Error`] — the shared error type.
+//! * [`Error`] — the shared error type;
+//! * [`bytes`] — the one bounded [`bytes::Cursor`], checksum seal and
+//!   temp-file + rename writer behind every persisted format and frame.
 
+pub mod bytes;
 pub mod error;
 pub mod hash;
 pub mod item;

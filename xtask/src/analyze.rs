@@ -9,7 +9,7 @@
 //!
 //! Exit codes: 0 clean, 1 findings, 2 internal/usage error.
 
-use gar_analyze::{analyze_root, Analysis, Baseline, BaselineOutcome, RuleSet};
+use gar_analyze::{analyze_root, Analysis, Baseline, BaselineOutcome};
 use std::path::Path;
 
 const BASELINE_FILE: &str = "ANALYZE_BASELINE.txt";
@@ -35,7 +35,7 @@ pub fn run(root: &Path, args: &[String]) -> u8 {
         }
     }
 
-    let analysis = match analyze_root(root, RuleSet::All) {
+    let analysis = match analyze_root(root) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("analyze: {e}");

@@ -33,6 +33,9 @@
 //!   qps stays strictly above 1-shard qps (the PR-8 inversion fix) and
 //!   batched 1-shard qps stays at least 2× the PR-4 single-query
 //!   number; `--check` compares against the committed `BENCH_PR8.json`.
+//! * `loc` — prints the non-test line count per package and in total
+//!   (lines before each file's first `#[cfg(test)]`), the figure the
+//!   simplicity PRs are measured by.
 //! * `miri` — runs the UB interpreter over the unsafe-bearing crates
 //!   when the `miri` component is installed; degrades to a skip
 //!   otherwise (this build environment has no network to install it).
@@ -43,6 +46,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 mod analyze;
+mod loc;
 mod runners;
 
 fn usage() -> &'static str {
@@ -73,6 +77,7 @@ fn usage() -> &'static str {
                      batched serve perf gate at 1 and 4 shards; --check gates\n\
                      against the committed BENCH_PR8.json (4-shard > 1-shard\n\
                      qps, batched >= 2x the PR4 single-query baseline)\n\
+       loc           non-test Rust lines per package and in total\n\
        miri [--strict]   run miri over unsafe-bearing crates (skip if unavailable)\n\
        tsan [--strict]   run ThreadSanitizer over cluster tests (skip if unavailable)\n\
      \n\
@@ -105,6 +110,7 @@ fn main() -> ExitCode {
         "bench" => runners::bench(&repo_root(), rest),
         "serve-smoke" => runners::serve_smoke(&repo_root(), rest),
         "serve-bench" => runners::serve_bench(&repo_root(), rest),
+        "loc" => loc::run(&repo_root()),
         "miri" => runners::miri(&repo_root(), rest),
         "tsan" => runners::tsan(&repo_root(), rest),
         "help" | "--help" | "-h" => {

@@ -43,9 +43,8 @@ fn probe(mut cmd: Command) -> bool {
 }
 
 /// Model-checks the cluster collectives and the serve-layer epoch cell.
-/// Compiles with `--cfg gar_loom`, swapping the std primitives in
-/// `cluster/src/sync.rs` and `serve/src/sync.rs` for the
-/// `gar-modelcheck` virtual ones, then runs the exhaustive
+/// Compiles with `--cfg gar_loom`, switching `gar_modelcheck::shim`
+/// from the std primitives to the virtual ones, then runs the exhaustive
 /// schedule-enumeration suites. The checker's own unit tests run first
 /// so a broken checker cannot vacuously pass the suites. A separate
 /// target dir keeps the `--cfg` flag from invalidating the main build
