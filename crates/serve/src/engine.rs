@@ -4,19 +4,32 @@
 //! basket's extended transaction (the basket plus all ancestors — the
 //! paper's `t'`), and its consequent is **not** already contained there
 //! (a recommendation for something the basket already implies is
-//! useless). Matches are ranked by `confidence × support`.
+//! useless). Matches are ranked by `confidence × support`; of several
+//! matches with the same consequent only the best survives (the query
+//! asks for top-k *consequents*, not top-k rules); and a match whose
+//! consequent merely *generalizes* another match's consequent (same
+//! size, item-wise ancestor-or-equal) is dropped when the specialization
+//! scores at least as high — the paper's interest measure applied to
+//! answers: "⇒ outerwear" adds nothing over "⇒ hiking boots". The first
+//! `top_k` survivors are the answer.
 //!
-//! Two serve-time redundancy filters follow, both at the merge step so
-//! the answer is identical for every shard count:
+//! How that is computed without touching rules that cannot match:
 //!
-//! * **Consequent dedup** — of several matched rules with the same
-//!   consequent, only the best-scoring survives (the query asks for
-//!   top-k *consequents*, not top-k rules).
-//! * **Ancestor suppression** — the paper's interest measure, applied
-//!   to answers: a match whose consequent merely *generalizes* another
-//!   match's consequent (same size, item-wise ancestor-or-equal) is
-//!   dropped when the specialization scores at least as high, because
-//!   "⇒ outerwear" adds nothing over "⇒ hiking boots".
+//! * **Ranks.** [`Catalog::new`] sorts the rule set once into the
+//!   answer's total order (score desc, support desc, antecedent,
+//!   consequent) and precomputes each rule's score and an interned
+//!   consequent id. A rule's position in that one table is its *rank*;
+//!   a [`Match`] is a rank, merging is sorting integers, and no rule is
+//!   ever copied.
+//! * **Counting.** Each shard holds the ascending ranks of its rules
+//!   and a [`RuleIndex`] over their antecedents. Walking the postings
+//!   of the extended transaction finds the rules whose antecedent is
+//!   contained by counting, and only those get the consequent test.
+//! * **Lazy filters.** The merge walks the sorted ranks one score-tie
+//!   group at a time, deduplicating consequents by id and testing an
+//!   entry only against entries that score at least as high, and stops
+//!   at `top_k` survivors. Both filters sit at the merge, so the answer
+//!   is identical for every shard count.
 //!
 //! Rules are sharded by the FxHash of their **antecedent's** sorted
 //! distinct root-id key — the placement of the H-HPGM family applied
@@ -36,6 +49,8 @@ use crate::store::RuleStore;
 use gar_mining::rules::Rule;
 use gar_taxonomy::Taxonomy;
 use gar_types::{fx_hash_u32_slice, ItemId, Itemset};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// One answer entry: a consequent worth recommending.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,14 +65,10 @@ pub struct Recommendation {
     pub score: f64,
 }
 
-/// A matched rule with its precomputed score (shard-local result).
-#[derive(Debug, Clone)]
-pub struct Match {
-    /// The matching rule.
-    pub rule: Rule,
-    /// `confidence × support-fraction`.
-    pub score: f64,
-}
+/// A matched rule (shard-local result): its rank in the catalog that
+/// produced it, meaningful to that catalog's [`Catalog::merge`] only.
+#[derive(Debug, Clone, Copy)]
+pub struct Match(u32);
 
 /// The shard of an itemset: FxHash of its sorted **distinct** root-id
 /// key, modulo the shard count — H-HPGM's `owner_of_key` transplanted
@@ -85,10 +96,27 @@ pub enum Route {
     Broadcast,
 }
 
-/// One shard: a slice of the rule set plus its inverted index.
+fn score(rule: &Rule) -> f64 {
+    rule.confidence * rule.support
+}
+
+/// The answer's total order: score desc, support desc, then the rule
+/// key. The key is unique (stores are canonical), so ties cannot
+/// reorder.
+fn rank_order(a: &Rule, b: &Rule) -> Ordering {
+    score(b)
+        .partial_cmp(&score(a))
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| b.support_count.cmp(&a.support_count))
+        .then_with(|| a.antecedent.cmp(&b.antecedent))
+        .then_with(|| a.consequent.cmp(&b.consequent))
+}
+
+/// One shard: the ascending ranks of its rules and the counting index
+/// over their antecedents (index rule ids are positions in `ranks`).
 #[derive(Debug)]
 struct Shard {
-    rules: Vec<Rule>,
+    ranks: Vec<u32>,
     index: RuleIndex,
 }
 
@@ -98,33 +126,59 @@ struct Shard {
 pub struct Catalog {
     taxonomy: Taxonomy,
     num_transactions: u64,
+    /// Every rule, in [`rank_order`]: a rule's rank is its position.
+    rules: Vec<Rule>,
+    /// Per rank: `score(rules[rank])` and the interned consequent id
+    /// (equal exactly when two ranks' consequents are).
+    keys: Vec<(f64, u32)>,
     shards: Vec<Shard>,
 }
 
 impl Catalog {
-    /// Shards and indexes `store` for serving. `num_shards` is clamped
-    /// to at least 1.
+    /// Ranks, shards and indexes `store` for serving. `num_shards` is
+    /// clamped to at least 1.
     pub fn new(store: RuleStore, num_shards: usize) -> Catalog {
         let num_shards = num_shards.max(1);
-        let tax = store.taxonomy;
-        let mut buckets: Vec<Vec<Rule>> = (0..num_shards).map(|_| Vec::new()).collect();
-        for rule in store.rules {
+        let RuleStore {
+            taxonomy,
+            num_transactions,
+            mut rules,
+        } = store;
+        rules.sort_by(rank_order);
+        let mut interned: HashMap<&Itemset, u32> = HashMap::new();
+        let keys = rules
+            .iter()
+            .map(|r| {
+                let fresh = interned.len() as u32;
+                (score(r), *interned.entry(&r.consequent).or_insert(fresh))
+            })
+            .collect();
+        let mut ranks: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
+        for (rank, rule) in rules.iter().enumerate() {
             // Placement by the *antecedent's* root key: the only part a
             // basket must contain for the rule to fire, so affinity
             // routing can prove single-root queries shard-local.
-            let s = shard_of(rule.antecedent.items(), &tax, num_shards);
-            buckets[s].push(rule);
+            let s = shard_of(rule.antecedent.items(), &taxonomy, num_shards);
+            if let Some(shard) = ranks.get_mut(s) {
+                shard.push(rank as u32);
+            }
         }
-        let shards = buckets
+        let shards = ranks
             .into_iter()
-            .map(|rules| {
-                let index = RuleIndex::build(&rules, &tax);
-                Shard { rules, index }
+            .map(|ranks| {
+                let antecedents = ranks
+                    .iter()
+                    .filter_map(|&r| rules.get(r as usize))
+                    .map(|r| r.antecedent.items());
+                let index = RuleIndex::over(antecedents, &taxonomy);
+                Shard { ranks, index }
             })
             .collect();
         Catalog {
-            taxonomy: tax,
-            num_transactions: store.num_transactions,
+            taxonomy,
+            num_transactions,
+            rules,
+            keys,
             shards,
         }
     }
@@ -141,7 +195,7 @@ impl Catalog {
 
     /// Total rules across shards.
     pub fn num_rules(&self) -> usize {
-        self.shards.iter().map(|s| s.rules.len()).sum()
+        self.rules.len()
     }
 
     /// Transactions behind the stored supports.
@@ -189,77 +243,97 @@ impl Catalog {
         }
     }
 
-    /// The matches of one shard for a query. `basket` drives the index
-    /// lookup (ancestor closure is pre-folded into the postings);
-    /// `extended` drives the containment tests.
+    /// The matches of one shard for a query, plus the number of index
+    /// postings the basket made it scan. `extended` must be
+    /// [`Catalog::extend_basket`]'s output (sorted, distinct). An
+    /// unknown shard matches nothing.
+    pub fn scan_shard(&self, shard: usize, extended: &[ItemId]) -> (Vec<Match>, usize) {
+        let mut out = Vec::new();
+        let Some(s) = self.shards.get(shard) else {
+            return (out, 0);
+        };
+        let scanned = s.index.for_each_contained(extended, |local| {
+            let Some(&rank) = s.ranks.get(local as usize) else {
+                return;
+            };
+            let rule = self.rules.get(rank as usize);
+            if rule.is_some_and(|r| !r.consequent.is_contained_in(extended)) {
+                out.push(Match(rank));
+            }
+        });
+        (out, scanned)
+    }
+
+    /// [`Catalog::scan_shard`] without the scan count. The raw basket
+    /// is not consulted: the index is driven by `extended` alone.
     pub fn shard_matches(
         &self,
         shard: usize,
-        basket: &[ItemId],
+        _basket: &[ItemId],
         extended: &[ItemId],
     ) -> Vec<Match> {
-        // lint:allow(panic-path): shard ids come from the engine's own
-        // worker loop (0..num_shards), never from the wire.
-        let s = &self.shards[shard];
-        let mut out = Vec::new();
-        for ri in s.index.candidates(basket) {
-            // lint:allow(panic-path): postings are built over this same
-            // rules vector at store load, after checksum validation.
-            let rule = &s.rules[ri as usize];
-            if rule.antecedent.is_contained_in(extended)
-                && !rule.consequent.is_contained_in(extended)
-            {
-                out.push(Match {
-                    score: rule.confidence * rule.support,
-                    rule: rule.clone(),
-                });
-            }
-        }
-        out
+        self.scan_shard(shard, extended).0
     }
 
     /// Merges shard-local matches into the final top-k answer:
     /// deterministic total order, consequent dedup, ancestor
     /// suppression, truncation — in that order, so the result does not
-    /// depend on shard count or arrival order.
-    pub fn merge(&self, mut matches: Vec<Match>, top_k: usize) -> Vec<Recommendation> {
-        // Total order: score desc, support desc, then the rule key. The
-        // key is unique (stores are canonical), so ties cannot reorder.
-        matches.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| b.rule.support_count.cmp(&a.rule.support_count))
-                .then_with(|| a.rule.antecedent.cmp(&b.rule.antecedent))
-                .then_with(|| a.rule.consequent.cmp(&b.rule.consequent))
-        });
-        // Consequent dedup: the first (best) rule per consequent wins.
-        let mut best: Vec<Match> = Vec::new();
-        for m in matches {
-            if !best.iter().any(|b| b.rule.consequent == m.rule.consequent) {
-                best.push(m);
-            }
-        }
-        // Ancestor suppression: drop a match whose consequent is a
-        // generalization of a better-or-equal match's consequent.
-        let kept: Vec<&Match> = best
+    /// depend on shard count or arrival order. Matches this catalog did
+    /// not produce are ignored.
+    pub fn merge(&self, matches: Vec<Match>, top_k: usize) -> Vec<Recommendation> {
+        let mut ranks: Vec<u32> = matches.into_iter().map(|m| m.0).collect();
+        // Rank order *is* the total order.
+        ranks.sort_unstable();
+        let mut entries = ranks
             .iter()
-            .filter(|gen| {
-                !best.iter().any(|spec| {
-                    spec.score >= gen.score
-                        && self.specializes(&spec.rule.consequent, &gen.rule.consequent)
-                })
+            .filter_map(|&r| {
+                let &(score, id) = self.keys.get(r as usize)?;
+                Some((r as usize, score, id))
             })
-            .collect();
-        kept.into_iter()
-            .take(top_k)
-            .map(|m| Recommendation {
-                consequent: m.rule.consequent.clone(),
-                support_count: m.rule.support_count,
-                confidence: m.rule.confidence,
-                score: m.score,
-            })
-            .collect()
+            .peekable();
+        // `best` is the deduplicated prefix (the first, i.e. best, rule
+        // per consequent, with `seen` its consequent ids); `judged` of
+        // its entries have been through suppression.
+        let mut best: Vec<(&Rule, f64)> = Vec::new();
+        let mut seen: Vec<u32> = Vec::new();
+        let mut judged = 0;
+        let mut out = Vec::new();
+        while out.len() < top_k {
+            // Admit one whole score-tie group: after it, `best` holds
+            // every entry scoring at least as high as the group — all
+            // that may suppress one of its members.
+            let mut group = entries.next();
+            if group.is_none() {
+                break;
+            }
+            while let Some((rank, score, id)) = group {
+                if let Some(rule) = self.rules.get(rank).filter(|_| !seen.contains(&id)) {
+                    seen.push(id);
+                    best.push((rule, score));
+                }
+                group = entries.next_if(|next| next.1 == score);
+            }
+            // Ancestor suppression: drop a match whose consequent is a
+            // generalization of a better-or-equal match's consequent.
+            for &(gen, score) in best.iter().skip(judged) {
+                if out.len() == top_k {
+                    break;
+                }
+                let suppressed = best
+                    .iter()
+                    .any(|(spec, _)| self.specializes(&spec.consequent, &gen.consequent));
+                if !suppressed {
+                    out.push(Recommendation {
+                        consequent: gen.consequent.clone(),
+                        support_count: gen.support_count,
+                        confidence: gen.confidence,
+                        score,
+                    });
+                }
+            }
+            judged = best.len();
+        }
+        out
     }
 
     /// True when `spec` is a proper item-wise specialization of `gen`:
@@ -286,7 +360,7 @@ impl Catalog {
         let extended = self.extend_basket(basket);
         let mut all = Vec::new();
         for s in 0..self.shards.len() {
-            all.extend(self.shard_matches(s, basket, &extended));
+            all.extend(self.scan_shard(s, &extended).0);
         }
         self.merge(all, top_k)
     }

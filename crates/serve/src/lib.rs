@@ -3,11 +3,12 @@
 //!
 //! * [`store`] — the persisted `GRUL` rule store (canonical order,
 //!   embedded taxonomy, trailing checksum, atomic writes).
-//! * [`index`] — a taxonomy-aware inverted index: item → rules whose
-//!   antecedent/consequent contain the item *or any ancestor*.
+//! * [`index`] — the counting index: item → rules whose antecedent
+//!   contains it, walked over a basket's extended transaction.
 //! * [`engine`] — basket scoring: top-k consequents by
 //!   confidence×support with serve-time ancestor-redundancy
-//!   suppression, sharded by the same root-item hash as H-HPGM.
+//!   suppression, matches as ranks in one sorted rule table, sharded
+//!   by the same root-item hash as H-HPGM.
 //! * [`protocol`] — the length-prefixed, checksummed wire protocol
 //!   (every frame read goes through [`protocol::MAX_FRAME_BYTES`]).
 //! * [`server`] — the sharded concurrent TCP server: a single

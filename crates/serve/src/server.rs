@@ -96,10 +96,6 @@ use std::time::Duration;
 /// shutdown flag at least this often.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
-/// A dispatched basket and its ancestor extension, shared across every
-/// shard job that carries it.
-type SharedBasket = (Arc<Vec<ItemId>>, Arc<Vec<ItemId>>);
-
 #[cfg(unix)]
 fn raw_fd<T: AsRawFd>(t: &T) -> i32 {
     t.as_raw_fd()
@@ -157,10 +153,9 @@ impl Default for ServerConfig {
 }
 
 /// One basket inside a shard job: which answer slot it belongs to and
-/// the (shared) basket plus its ancestor extension.
+/// its (shared) extended transaction.
 struct JobItem {
     index: usize,
-    basket: Arc<Vec<ItemId>>,
     extended: Arc<Vec<ItemId>>,
 }
 
@@ -594,15 +589,16 @@ fn shard_worker(shard: usize, slot: &ShardSlot, faults: &FaultPlan, rx: &Receive
         let mut results = Vec::with_capacity(job.items.len());
         for item in &job.items {
             let clock = Stopwatch::start();
-            let matches = job
-                .snapshot
-                .value()
-                .shard_matches(shard, &item.basket, &item.extended);
+            let (matches, scanned) = job.snapshot.value().scan_shard(shard, &item.extended);
             obs.observe(
                 "serve.shard_us",
                 &labels,
                 clock.elapsed().as_micros() as u64,
             );
+            // matched ÷ scanned is the share of the index walk that
+            // ended in a match.
+            obs.add("serve.index.postings_scanned", &labels, scanned as u64);
+            obs.add("serve.engine.matched", &labels, matches.len() as u64);
             obs.add("serve.queries", &labels, 1);
             if matches.is_empty() {
                 obs.add("serve.misses", &labels, 1);
@@ -1136,8 +1132,8 @@ impl EventLoop {
             }
         }
 
-        // Share each dispatched basket (and its ancestor extension)
-        // across however many shard jobs carry it.
+        // Share each dispatched basket's extended transaction across
+        // however many shard jobs carry it.
         let mut dispatched = vec![false; baskets.len()];
         for bucket in &buckets {
             for &i in bucket {
@@ -1146,18 +1142,12 @@ impl EventLoop {
                 }
             }
         }
-        let mut arcs: Vec<Option<SharedBasket>> = Vec::with_capacity(baskets.len());
-        {
-            let catalog = snapshot.value();
-            for (i, basket) in baskets.into_iter().enumerate() {
-                if dispatched.get(i).copied().unwrap_or(false) {
-                    let extended = Arc::new(catalog.extend_basket(&basket));
-                    arcs.push(Some((Arc::new(basket), extended)));
-                } else {
-                    arcs.push(None);
-                }
-            }
-        }
+        let catalog = snapshot.value();
+        let extended: Vec<Option<Arc<Vec<ItemId>>>> = baskets
+            .iter()
+            .zip(&dispatched)
+            .map(|(basket, &d)| d.then(|| Arc::new(catalog.extend_basket(basket))))
+            .collect();
 
         let req = self.next_req;
         self.next_req += 1;
@@ -1172,10 +1162,9 @@ impl EventLoop {
             };
             let mut items = Vec::with_capacity(bucket.len());
             for &i in &bucket {
-                if let Some(Some((basket, extended))) = arcs.get(i) {
+                if let Some(Some(extended)) = extended.get(i) {
                     items.push(JobItem {
                         index: i,
-                        basket: Arc::clone(basket),
                         extended: Arc::clone(extended),
                     });
                 }

@@ -29,7 +29,7 @@ const WHAT: &str = "rule store";
 /// Decode guards against implausible lengths (so a corrupt length field
 /// fails cleanly instead of attempting a huge allocation).
 const MAX_RULES: usize = 1 << 26;
-const MAX_ITEMSET_LEN: usize = 1 << 16;
+pub(crate) const MAX_ITEMSET_LEN: usize = 1 << 16;
 
 /// A mined rule set bound to the taxonomy it was mined under, ready to
 /// be served.

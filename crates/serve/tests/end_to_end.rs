@@ -87,7 +87,8 @@ fn connect(server: &gar_serve::Server) -> Client {
 
 #[test]
 fn served_answers_match_the_in_process_engine() {
-    let server = start(2, Obs::disabled());
+    let obs = Obs::disabled();
+    let server = start(2, obs.clone());
     let reference = Catalog::new(fixture_store(), 1);
     let mut client = connect(&server);
     let baskets: Vec<Vec<ItemId>> = vec![
@@ -106,6 +107,8 @@ fn served_answers_match_the_in_process_engine() {
     }
     client.shutdown().unwrap();
     server.wait().unwrap();
+    let snap = obs.metrics();
+    assert!(snap.counters.is_empty() && snap.histograms.is_empty());
 }
 
 #[test]
@@ -156,6 +159,11 @@ fn per_shard_metrics_are_recorded() {
     assert_eq!(snap.counters.get("serve.routed.single"), Some(&1));
     assert!(snap.histograms.contains_key("serve.latency_us"));
     assert!(snap.histograms.contains_key("serve.shard_us{shard=0}"));
+    // The index walk, summed over shards: {3,7} scans the postings of
+    // 1, 3 and 7 and matches 3⇒2; {2,6} scans 2's and matches nothing
+    // (6 is held); {4,5} and {3} scan two each and match both.
+    assert_eq!(snap.sum_prefix("serve.index.postings_scanned"), 8);
+    assert_eq!(snap.sum_prefix("serve.engine.matched"), 5);
     // The trace has one `query` span lane per shard.
     let trace = obs.chrome_trace_json();
     assert!(trace.contains("\"query\""), "{trace}");

@@ -28,11 +28,6 @@
 //!   the seeded `serve_load` generator, and assert byte-identical
 //!   response transcripts plus per-shard metrics (see
 //!   `crates/bench/src/bin/serve_load.rs`).
-//! * `serve-bench` — the serve-layer perf gate: the batched
-//!   single-root-heavy workload at 1 and 4 shards, ratcheted so 4-shard
-//!   qps stays strictly above 1-shard qps (the PR-8 inversion fix) and
-//!   batched 1-shard qps stays at least 2× the PR-4 single-query
-//!   number; `--check` compares against the committed `BENCH_PR8.json`.
 //! * `loc` — prints the non-test line count per package and in total
 //!   (lines before each file's first `#[cfg(test)]`), the figure the
 //!   simplicity PRs are measured by.
@@ -55,7 +50,7 @@ fn usage() -> &'static str {
      commands:\n\
        ci            run the full CI job sequence locally (fmt, clippy,\n\
                      analyze, test, loom, chaos, serve-chaos,\n\
-                     bench --check --gate-wall, serve-smoke, serve-bench)\n\
+                     bench --check --gate-wall, serve-smoke)\n\
        analyze [--check] [--json FILE]\n\
                      run the full gar-analyze catalog; --check is CI mode\n\
                      (baseline-gated: new findings and stale baseline\n\
@@ -73,10 +68,6 @@ fn usage() -> &'static str {
        serve-smoke [--out FILE]\n\
                      mine → persist → serve → load-test; asserts deterministic\n\
                      transcripts and writes a gar-serve-bench-v1 baseline\n\
-       serve-bench [--check] [--tolerance F] [--out FILE] [--baseline FILE]\n\
-                     batched serve perf gate at 1 and 4 shards; --check gates\n\
-                     against the committed BENCH_PR8.json (4-shard > 1-shard\n\
-                     qps, batched >= 2x the PR4 single-query baseline)\n\
        loc           non-test Rust lines per package and in total\n\
        miri [--strict]   run miri over unsafe-bearing crates (skip if unavailable)\n\
        tsan [--strict]   run ThreadSanitizer over cluster tests (skip if unavailable)\n\
@@ -109,7 +100,6 @@ fn main() -> ExitCode {
         "serve-chaos" => runners::serve_chaos(&repo_root(), rest),
         "bench" => runners::bench(&repo_root(), rest),
         "serve-smoke" => runners::serve_smoke(&repo_root(), rest),
-        "serve-bench" => runners::serve_bench(&repo_root(), rest),
         "loc" => loc::run(&repo_root()),
         "miri" => runners::miri(&repo_root(), rest),
         "tsan" => runners::tsan(&repo_root(), rest),

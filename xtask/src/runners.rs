@@ -155,8 +155,8 @@ pub fn serve_chaos(root: &Path, args: &[String]) -> u8 {
 
 /// Runs the CI job sequence locally, in the same order the workflow
 /// does: format + clippy, static analysis, build + test,
-/// loom, chaos, serve-chaos, bench (with the wall gate), serve-smoke,
-/// and serve-bench. Stops at the first failing job so the console ends
+/// loom, chaos, serve-chaos, bench (with the wall gate) and
+/// serve-smoke. Stops at the first failing job so the console ends
 /// at the same place the CI log would. `cargo xtask ci` before pushing
 /// ≈ a green run.
 pub fn ci(root: &Path, _args: &[String]) -> u8 {
@@ -191,16 +191,6 @@ pub fn ci(root: &Path, _args: &[String]) -> u8 {
             bench(root, &["--check".to_string(), "--gate-wall".to_string()])
         }),
         ("serve-smoke", &|| serve_smoke(root, &[])),
-        ("serve-bench", &|| {
-            serve_bench(
-                root,
-                &[
-                    "--check".to_string(),
-                    "--tolerance".to_string(),
-                    "0.5".to_string(),
-                ],
-            )
-        }),
     ];
     for (name, job) in jobs {
         eprintln!("\nxtask ci: ===== {name} =====");
@@ -380,10 +370,9 @@ pub fn serve_smoke(root: &Path, args: &[String]) -> u8 {
     0
 }
 
-/// Mines the standard serve-bench corpus (the README walkthrough:
-/// R30F10 at scale 0.001, seed 9 → rules at min-confidence 0.3) into
-/// `work`, returning the rule-store path. Shared by `serve-smoke` and
-/// `serve-bench` so both harnesses measure the same store.
+/// Mines the serve-smoke corpus (the README walkthrough: R30F10 at
+/// scale 0.001, seed 9 → rules at min-confidence 0.3) into `work`,
+/// returning the rule-store path.
 fn mine_bench_corpus(
     root: &Path,
     cli: &Path,
@@ -495,278 +484,6 @@ fn spawn_server(
         return Err(1);
     };
     Ok((server, addr, stdout))
-}
-
-/// The serve-layer perf gate (`cargo xtask serve-bench [--check]`).
-///
-/// Mines the standard corpus, serves it at 1 and 4 shards, and drives
-/// the **batched** single-root-heavy workload (`--batch 64 --basket 1`)
-/// through `serve_load`'s closed loop. Two ratchets hold the PR-8
-/// scalability fix in place:
-///
-/// * **inversion fixed** — 4-shard qps must be strictly greater than
-///   1-shard qps (affinity routing makes extra shards skip work, so
-///   more shards must never serve slower);
-/// * **batching pays** — 1-shard batched qps must be at least 2× the
-///   PR-4 single-query baseline (16 844 qps).
-///
-/// Writes the fresh numbers to `--out FILE` (default
-/// `BENCH_PR8.fresh.json`). With `--check`, also compares each fresh
-/// qps against the committed `BENCH_PR8.json` (or `--baseline FILE`)
-/// under `--tolerance F` (default 0.35 — loopback throughput on shared
-/// CI is noisy) and verifies the committed baseline itself still
-/// satisfies both ratchets.
-pub fn serve_bench(root: &Path, args: &[String]) -> u8 {
-    /// PR-4's committed single-shard closed-loop qps; the batched path
-    /// must at least double it.
-    const PR4_SINGLE_SHARD_QPS: f64 = 16_844.0;
-
-    let flag = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let out_path =
-        flag("--out").map_or_else(|| root.join("BENCH_PR8.fresh.json"), |o| root.join(o));
-    let baseline_path =
-        flag("--baseline").map_or_else(|| root.join("BENCH_PR8.json"), |b| root.join(b));
-    let check = args.iter().any(|a| a == "--check");
-    let tolerance: f64 = flag("--tolerance")
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(0.35);
-
-    let code = run_echoed(Command::new("cargo").current_dir(root).args([
-        "build",
-        "--release",
-        "-q",
-        "-p",
-        "gar-cli",
-        "-p",
-        "gar-bench",
-    ]));
-    if code != 0 {
-        return code;
-    }
-    let cli = root.join("target/release/gar-cli");
-    let load = root.join("target/release/serve_load");
-
-    let work = root.join("target/serve-bench");
-    drop(std::fs::remove_dir_all(&work));
-    if let Err(e) = std::fs::create_dir_all(&work) {
-        eprintln!("xtask serve-bench: cannot create {}: {e}", work.display());
-        return 1;
-    }
-    let grul = match mine_bench_corpus(root, &cli, &work) {
-        Ok(grul) => grul,
-        Err(code) => return code,
-    };
-
-    let mut summaries = Vec::new();
-    let mut qps_by_shards: Vec<(u64, f64)> = Vec::new();
-    for shards in ["1", "4"] {
-        eprintln!("xtask serve-bench: batched load at {shards} shard(s)");
-        let metrics = work.join(format!("metrics-{shards}.json"));
-        let (mut server, addr, _stdout) =
-            match spawn_server(root, &cli, &grul, shards, &metrics, "serve-bench") {
-                Ok(tuple) => tuple,
-                Err(code) => return code,
-            };
-
-        // Single-root-heavy batched closed loop: --same-root draws each
-        // 4-item basket from one taxonomy root's subtree, so affinity
-        // sends the whole basket to exactly one shard (and that shard
-        // skips the cross-root consequent postings a 1-shard server
-        // containment-tests and rejects); --batch 64 amortizes the
-        // round trip. Two trials per config, best-of-2, to keep the
-        // strict 4-vs-1 ratchet out of scheduler-noise territory.
-        let mut best: Option<(f64, String)> = None;
-        for trial in 0..2 {
-            let summary = work.join(format!("summary-{shards}-t{trial}.json"));
-            let code = run_echoed(
-                Command::new(&load)
-                    .current_dir(root)
-                    .args(["--addr", &addr, "--rules", p(&grul)])
-                    .args(["--queries", "20000", "--seed", "42"])
-                    .args(["--basket", "4", "--same-root"])
-                    .args(["--batch", "64", "--shards-label", shards])
-                    .args(["--summary-out", p(&summary)]),
-            );
-            if code != 0 {
-                drop(server.kill());
-                return code;
-            }
-            let summary_json = std::fs::read_to_string(&summary).unwrap_or_default();
-            let Some(qps) = json_number(&summary_json, "qps") else {
-                eprintln!("xtask serve-bench: no qps in {summary_json:?}");
-                drop(server.kill());
-                return 1;
-            };
-            if best.as_ref().is_none_or(|(b, _)| qps > *b) {
-                best = Some((qps, summary_json));
-            }
-        }
-
-        let shutdown = run_echoed(Command::new(&cli).current_dir(root).args([
-            "query",
-            "--addr",
-            &addr,
-            "--shutdown",
-        ]));
-        if shutdown != 0 {
-            drop(server.kill());
-            return shutdown;
-        }
-        match server.wait() {
-            Ok(st) if st.success() => {}
-            other => {
-                eprintln!("xtask serve-bench: server exited abnormally: {other:?}");
-                return 1;
-            }
-        }
-
-        let Some((qps, summary_json)) = best else {
-            eprintln!("xtask serve-bench: no trial produced a summary");
-            return 1;
-        };
-        let shards_n: u64 = shards.parse().unwrap_or(0);
-        eprintln!("xtask serve-bench: {shards} shard(s) → {qps:.0} qps (batched, best of 2)");
-        qps_by_shards.push((shards_n, qps));
-        summaries.push(summary_json);
-    }
-
-    let fresh = format!(
-        "{{\n  \"schema\": \"gar-serve-bench-v2\",\n  \"results\": [\n    {}\n  ]\n}}\n",
-        summaries.join(",\n    ")
-    );
-    if let Err(e) = std::fs::write(&out_path, &fresh) {
-        eprintln!(
-            "xtask serve-bench: cannot write {}: {e}",
-            out_path.display()
-        );
-        return 1;
-    }
-    eprintln!("xtask serve-bench: wrote {}", out_path.display());
-
-    let qps_of = |list: &[(u64, f64)], n: u64| list.iter().find(|(s, _)| *s == n).map(|(_, q)| *q);
-
-    // CI step summary, written before any gate so failed runs still
-    // show their numbers (best-effort; baseline column when the file
-    // reads).
-    if let Ok(summary_path) = std::env::var("GITHUB_STEP_SUMMARY") {
-        let base = std::fs::read_to_string(&baseline_path)
-            .map(|s| baseline_qps_by_shards(&s))
-            .unwrap_or_default();
-        let mut md = String::from(
-            "### Serve bench (batched, single-root-heavy)\n\n\
-             | shards | fresh qps | baseline qps |\n|---:|---:|---:|\n",
-        );
-        for (shards, qps) in &qps_by_shards {
-            let b = qps_of(&base, *shards).map_or_else(|| "—".to_string(), |q| format!("{q:.0}"));
-            md.push_str(&format!("| {shards} | {qps:.0} | {b} |\n"));
-        }
-        use std::io::Write as _;
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&summary_path)
-            .and_then(|mut f| f.write_all(md.as_bytes()));
-        if let Err(e) = appended {
-            eprintln!("xtask serve-bench: cannot append step summary: {e}");
-        }
-    }
-
-    // Ratchet 1, on the fresh run: the inversion must stay fixed.
-    let (Some(q1), Some(q4)) = (qps_of(&qps_by_shards, 1), qps_of(&qps_by_shards, 4)) else {
-        eprintln!("xtask serve-bench: missing shard results");
-        return 1;
-    };
-    if q4 <= q1 {
-        eprintln!(
-            "xtask serve-bench: FAIL — scalability inversion: 4 shards {q4:.0} qps \
-             is not faster than 1 shard {q1:.0} qps"
-        );
-        return 1;
-    }
-    eprintln!("xtask serve-bench: 4-shard {q4:.0} qps > 1-shard {q1:.0} qps — inversion fixed");
-
-    if !check {
-        return 0;
-    }
-
-    // --check: the committed baseline must hold both ratchets, and the
-    // fresh run must stay within tolerance of it.
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!(
-                "xtask serve-bench: cannot read baseline {}: {e}",
-                baseline_path.display()
-            );
-            return 1;
-        }
-    };
-    let base_qps = baseline_qps_by_shards(&baseline);
-    let (Some(b1), Some(b4)) = (qps_of(&base_qps, 1), qps_of(&base_qps, 4)) else {
-        eprintln!(
-            "xtask serve-bench: baseline {} lacks 1/4-shard results",
-            baseline_path.display()
-        );
-        return 1;
-    };
-    if b4 <= b1 {
-        eprintln!(
-            "xtask serve-bench: FAIL — committed baseline shows the inversion ({b4:.0} <= {b1:.0})"
-        );
-        return 1;
-    }
-    if b1 < 2.0 * PR4_SINGLE_SHARD_QPS {
-        eprintln!(
-            "xtask serve-bench: FAIL — committed 1-shard batched qps {b1:.0} is below \
-             2x the PR4 single-query baseline ({:.0})",
-            2.0 * PR4_SINGLE_SHARD_QPS
-        );
-        return 1;
-    }
-    let mut failed = false;
-    for (shards, fresh_q, base_q) in [(1u64, q1, b1), (4, q4, b4)] {
-        let floor = base_q * (1.0 - tolerance);
-        if fresh_q < floor {
-            eprintln!(
-                "xtask serve-bench: FAIL — {shards}-shard fresh {fresh_q:.0} qps below \
-                 {floor:.0} (baseline {base_q:.0} - {:.0}% tolerance)",
-                tolerance * 100.0
-            );
-            failed = true;
-        } else {
-            eprintln!(
-                "xtask serve-bench: {shards}-shard fresh {fresh_q:.0} qps >= \
-                 {floor:.0} (baseline {base_q:.0} - {:.0}%)",
-                tolerance * 100.0
-            );
-        }
-    }
-    u8::from(failed)
-}
-
-/// Pulls `(shards, qps)` pairs out of a `gar-serve-bench-v2` baseline
-/// without a JSON parser: the results array holds flat objects, so a
-/// forward scan pairing each `"shards"` with the following `"qps"` is
-/// exact.
-fn baseline_qps_by_shards(json: &str) -> Vec<(u64, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"shards\"") {
-        rest = &rest[i..];
-        let Some(shards) = json_number(rest, "shards") else {
-            break;
-        };
-        let Some(qps) = json_number(rest, "qps") else {
-            break;
-        };
-        out.push((shards as u64, qps));
-        rest = &rest[8..];
-    }
-    out
 }
 
 /// Lossy path → str for building CLI argument lists.
