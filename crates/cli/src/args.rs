@@ -2,12 +2,15 @@
 //!
 //! Grammar: the first free token is the subcommand; `--key value` pairs
 //! become flags; bare `--key` tokens followed by another flag (or
-//! nothing) become switches. Good enough for a reproduction CLI and
-//! fully tested, instead of pulling an argument-parsing dependency
-//! outside the sanctioned list.
+//! nothing) become switches. Every lookup is remembered, so a command
+//! that has read all it takes can reject whatever is left
+//! ([`Args::finish`]). Good enough for a reproduction CLI and fully
+//! tested, instead of pulling an argument-parsing dependency outside the
+//! sanctioned list.
 
 use gar_types::{Error, Result};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command line.
 #[derive(Debug, Default)]
@@ -17,6 +20,8 @@ pub struct Args {
     flags: HashMap<String, String>,
     switches: Vec<String>,
     positional: Vec<String>,
+    /// Every `(is_switch, key)` a command has looked up, given or not.
+    asked: RefCell<BTreeSet<(bool, String)>>,
 }
 
 impl Args {
@@ -49,6 +54,7 @@ impl Args {
 
     /// String value of a flag.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.asked.borrow_mut().insert((false, key.to_string()));
         self.flags.get(key).map(String::as_str)
     }
 
@@ -58,27 +64,54 @@ impl Args {
             .ok_or_else(|| Error::InvalidConfig(format!("missing required flag --{key}")))
     }
 
-    /// Parsed value of a flag, or `default`.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T> {
+    /// Parsed value of a flag, if given.
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>> {
         match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| {
+            None => Ok(None),
+            Some(v) => v.parse().map(Some).map_err(|_| {
                 Error::InvalidConfig(format!("flag --{key} has unparsable value '{v}'"))
             }),
         }
     }
 
+    /// Parsed value of a flag, or `default`.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T> {
+        Ok(self.get_parsed(key)?.unwrap_or(default))
+    }
+
     /// Parsed value of a required flag.
     pub fn require_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T> {
-        let v = self.require(key)?;
-        v.parse()
-            .map_err(|_| Error::InvalidConfig(format!("flag --{key} has unparsable value '{v}'")))
+        self.require(key)?;
+        Ok(self.get_parsed(key)?.expect("required above"))
     }
 
     /// True when the bare switch was given.
-    #[allow(dead_code)] // exercised by tests; kept for future switches
     pub fn has_switch(&self, key: &str) -> bool {
+        self.asked.borrow_mut().insert((true, key.to_string()));
         self.switches.iter().any(|s| s == key)
+    }
+
+    /// Rejects the first option (in name order) that was given but never
+    /// looked up — a typo, or a flag this command does not take — and a
+    /// flag given bare or a switch given a value. Commands call this once
+    /// they have read everything, before they do any work.
+    pub fn finish(&self) -> Result<()> {
+        let asked = self.asked.borrow();
+        let flags = self.flags.keys().map(|k| (false, k.clone()));
+        let switches = self.switches.iter().map(|k| (true, k.clone()));
+        let given: BTreeSet<(bool, String)> = flags.chain(switches).collect();
+        let Some((is_switch, key)) = given.difference(&asked).min_by_key(|(_, key)| key) else {
+            return Ok(());
+        };
+        Err(Error::InvalidConfig(
+            if !asked.contains(&(!is_switch, key.clone())) {
+                format!("unknown option --{key}")
+            } else if *is_switch {
+                format!("option --{key} needs a value")
+            } else {
+                format!("option --{key} takes no value")
+            },
+        ))
     }
 
     /// Extra positional arguments after the subcommand.
@@ -137,6 +170,31 @@ mod tests {
     fn unparsable_value_errors() {
         let a = parse("mine --min-support banana");
         assert!(a.get_or::<f64>("min-support", 0.1).is_err());
+    }
+
+    #[test]
+    fn finish_rejects_what_was_never_looked_up() {
+        let a = parse("mine --data d --fromat flat --resume");
+        assert_eq!(a.get("data"), Some("d"));
+        assert!(a.has_switch("resume"));
+        assert!(!a.has_switch("verbose")); // asked for, not given: fine
+        let err = a.finish().unwrap_err().to_string();
+        assert!(err.contains("unknown option --fromat"), "{err}");
+        assert_eq!(a.get("fromat"), Some("flat"));
+        a.finish().unwrap();
+    }
+
+    #[test]
+    fn finish_rejects_a_bare_flag_and_a_valued_switch() {
+        let a = parse("mine --resume yes");
+        assert!(!a.has_switch("resume"));
+        let err = a.finish().unwrap_err().to_string();
+        assert!(err.contains("--resume takes no value"), "{err}");
+
+        let a = parse("mine --out");
+        assert_eq!(a.get("out"), None);
+        let err = a.finish().unwrap_err().to_string();
+        assert!(err.contains("--out needs a value"), "{err}");
     }
 
     #[test]

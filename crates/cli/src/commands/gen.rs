@@ -15,6 +15,7 @@ pub fn run(args: &Args) -> Result<()> {
     let scale: f64 = args.get_or("scale", 0.01)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let partitions: usize = args.get_or("partitions", 8)?;
+    args.finish()?;
     if partitions == 0 {
         return Err(Error::InvalidConfig("--partitions must be >= 1".into()));
     }

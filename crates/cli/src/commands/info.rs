@@ -8,6 +8,7 @@ use std::path::Path;
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<()> {
     let dir = Path::new(args.require("data")?);
+    args.finish()?;
     let parts = open_partitions(dir)?;
     let tax = load_taxonomy(dir)?;
 

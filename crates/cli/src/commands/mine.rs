@@ -34,14 +34,26 @@ pub fn run(args: &Args) -> Result<()> {
     }
     params.validate()?;
 
-    let parts = open_partitions(dir)?;
-    let tax = load_taxonomy(dir)?;
-    let started = Stopwatch::start();
+    // What only the parallel algorithms act on (the sequential ones have
+    // no cluster to break or checkpoint).
+    let faults = args.get("faults").map(FaultPlan::parse).transpose()?;
+    let deadline = args.get_parsed("deadline-ms")?.map(Duration::from_millis);
+    let opts = MineOptions {
+        checkpoint_dir: args.get("checkpoint-dir").map(PathBuf::from),
+        resume: args.has_switch("resume"),
+        max_node_failures: args.get_or("max-node-failures", 0)?,
+    };
 
     // Observability is opt-in: enabling it costs a little bookkeeping per
     // message/pass, so only pay when an output path asks for it.
     let metrics_out = args.get("metrics-out");
     let trace_out = args.get("trace-out");
+    let out_path = args.get("out");
+    args.finish()?;
+
+    let parts = open_partitions(dir)?;
+    let tax = load_taxonomy(dir)?;
+    let started = Stopwatch::start();
     let obs = if metrics_out.is_some() || trace_out.is_some() {
         Obs::enabled()
     } else {
@@ -58,20 +70,12 @@ pub fn run(args: &Args) -> Result<()> {
             let db = PartitionedDatabase::from_parts(parts);
             let mut cluster =
                 ClusterConfig::new(nodes, memory_mb * 1024 * 1024).with_obs(obs.clone());
-            if let Some(spec) = args.get("faults") {
-                cluster = cluster.with_faults(FaultPlan::parse(spec)?);
+            if let Some(plan) = faults {
+                cluster = cluster.with_faults(plan);
             }
-            if let Some(ms) = args.get("deadline-ms") {
-                let ms: u64 = ms.parse().map_err(|_| {
-                    gar_types::Error::InvalidConfig(format!("bad --deadline-ms '{ms}'"))
-                })?;
-                cluster = cluster.with_deadline(Duration::from_millis(ms));
+            if let Some(deadline) = deadline {
+                cluster = cluster.with_deadline(deadline);
             }
-            let opts = MineOptions {
-                checkpoint_dir: args.get("checkpoint-dir").map(PathBuf::from),
-                resume: args.has_switch("resume"),
-                max_node_failures: args.get_or("max-node-failures", 0)?,
-            };
             let report = match parallel_alg {
                 // The pattern-growth family has its own driver crate.
                 Algorithm::FpGrowth => {
@@ -135,7 +139,7 @@ pub fn run(args: &Args) -> Result<()> {
         println!("wrote {path} (load in chrome://tracing or ui.perfetto.dev)");
     }
 
-    if let Some(out_path) = args.get("out") {
+    if let Some(out_path) = out_path {
         save_output(&output, out_path)?;
         println!("wrote {out_path}");
     }

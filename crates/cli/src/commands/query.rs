@@ -14,6 +14,7 @@ pub fn run(args: &Args) -> Result<()> {
     let retry = RetryPolicy::default();
 
     if args.has_switch("shutdown") {
+        args.finish()?;
         let client = Client::connect(addr, Some(deadline), &retry)?;
         client.shutdown()?;
         println!("server at {addr} acknowledged shutdown");
@@ -21,6 +22,7 @@ pub fn run(args: &Args) -> Result<()> {
     }
 
     if let Some(path) = args.get("reload") {
+        args.finish()?;
         let mut client = Client::connect(addr, Some(deadline), &retry)?;
         let epoch = client.reload(path)?;
         println!("server at {addr} reloaded {path} into epoch {epoch}");
@@ -29,6 +31,7 @@ pub fn run(args: &Args) -> Result<()> {
 
     let basket = parse_basket(args.require("basket")?)?;
     let top_k: u32 = args.get_or("top", 5)?;
+    args.finish()?;
     let mut client = Client::connect(addr, Some(deadline), &retry)?;
     let recs = client.query(&basket, top_k)?;
     if recs.is_empty() {

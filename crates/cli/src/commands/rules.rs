@@ -13,16 +13,20 @@ pub fn run(args: &Args) -> Result<()> {
     let output_path = args.require("output")?;
     let min_confidence: f64 = args.require_parsed("min-confidence")?;
     let top: usize = args.get_or("top", 50)?;
+    let taxonomy_path = args.get("taxonomy");
+    let interest = args.get("interest");
+    let out_path = args.get("out");
+    args.finish()?;
 
     let output = load_output(output_path)?;
-    let taxonomy: Option<Taxonomy> = match args.get("taxonomy") {
+    let taxonomy: Option<Taxonomy> = match taxonomy_path {
         Some(p) => Some(gar_taxonomy::io::load(p)?),
         None => None,
     };
 
     let mut rules = derive_rules(&output, min_confidence, taxonomy.as_ref());
     let total = rules.len();
-    if let Some(r) = args.get("interest") {
+    if let Some(r) = interest {
         let r: f64 = r
             .parse()
             .map_err(|_| gar_types::Error::InvalidConfig(format!("bad --interest '{r}'")))?;
@@ -54,7 +58,7 @@ pub fn run(args: &Args) -> Result<()> {
         );
     }
 
-    if let Some(out_path) = args.get("out") {
+    if let Some(out_path) = out_path {
         // The store embeds a hierarchy so the server can extend baskets.
         // Without --taxonomy, embed a flat one wide enough for every
         // item the rules mention (queries then match literally).

@@ -42,6 +42,7 @@ pub fn run(args: &Args) -> Result<()> {
 
     let metrics_out = args.get("metrics-out");
     let trace_out = args.get("trace-out");
+    args.finish()?;
     let obs = if metrics_out.is_some() || trace_out.is_some() {
         Obs::enabled()
     } else {

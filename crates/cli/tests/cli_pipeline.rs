@@ -315,6 +315,62 @@ fn helpful_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 }
 
+/// An option the command does not read — a flag an older build took, a
+/// typo — is a configuration error (exit 2) raised before any work is
+/// done, not silently accepted.
+#[test]
+fn unread_options_are_rejected_before_any_work() {
+    let dir = tmp_dir("unread");
+    let data = dir.join("data");
+    let expect = |args: &[&str], needle: &str| {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    };
+    let data_arg = data.to_str().unwrap();
+
+    // `--format flat` went with the record-stream format.
+    expect(
+        &[
+            "gen", "--out", data_arg, "--scale", "0.001", "--format", "flat",
+        ],
+        "unknown option --format",
+    );
+    assert!(
+        !data.exists(),
+        "gen wrote a dataset before rejecting its flags"
+    );
+
+    run_ok(bin().args([
+        "gen",
+        "--out",
+        data_arg,
+        "--scale",
+        "0.001",
+        "--partitions",
+        "2",
+    ]));
+    let gout = dir.join("large.gout");
+    let mine = ["mine", "--data", data_arg, "--min-support", "0.05", "--out"];
+    let mut stale = mine.to_vec();
+    stale.extend([gout.to_str().unwrap(), "--format", "flat"]);
+    expect(&stale, "unknown option --format");
+    assert!(!gout.exists(), "mine ran before rejecting its flags");
+    // A switch given a value and a flag given none are misreadings too.
+    let mut valued = mine.to_vec();
+    valued.extend([gout.to_str().unwrap(), "--resume", "yes"]);
+    expect(&valued, "--resume takes no value");
+    expect(&mine, "--out needs a value");
+
+    // A typo on `serve` fails before the rule store is even opened.
+    expect(
+        &["serve", "--rules", "/nonexistent.grul", "--shrads", "4"],
+        "unknown option --shrads",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A dataset directory written by an older build — record-stream
 /// `part-*.txn` files only — is a typed configuration error (exit 2)
 /// that says how to fix it, for `mine` and `info` alike.

@@ -7,11 +7,11 @@
 //! * [`HashMapCounter`] — a flat Fx hash map over the candidates; the
 //!   transaction's k-subsets are enumerated and each is probed. This is
 //!   the structure the HPA/HPGM papers describe ("search the hash table,
-//!   if hit increment its sup_cou") and the default.
-//! * [`HashTreeCounter`] — a candidate prefix tree with hashed fan-out in
-//!   the style of [RR94]'s hash tree; it walks transaction and tree
-//!   together, skipping subsets that cannot match. The ablation benchmark
-//!   compares the two.
+//!   if hit increment its sup_cou").
+//! * [`HashTreeCounter`] — a rank-mapped candidate prefix tree in the
+//!   style of [RR94]'s hash tree; it walks transaction and tree together,
+//!   skipping subsets that cannot match, by table lookups instead of
+//!   merges. The default. The ablation benchmark compares the two.
 //!
 //! Both report the same two meters: `hits` (successful probes — the
 //! quantity Figure 15 plots as "the number of hash table probes to
@@ -57,7 +57,10 @@ pub struct ArenaStats {
     pub nodes: u64,
     /// Edges (fan-out entries) across all nodes.
     pub edges: u64,
-    /// Total bytes of the flat arrays.
+    /// Nodes that own a dense child table.
+    pub dense_nodes: u64,
+    /// Total bytes of the flat arrays: rank map, nodes, edges with their
+    /// targets, child tables and the position scratch.
     pub bytes: u64,
 }
 

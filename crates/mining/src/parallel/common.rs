@@ -596,6 +596,7 @@ pub(crate) fn record_arena_obs(ctx: &NodeCtx, k: usize, counter: &dyn CandidateC
         let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
         obs.add("counter.arena.nodes", &labels, s.nodes);
         obs.add("counter.arena.edges", &labels, s.edges);
+        obs.add("counter.arena.dense_nodes", &labels, s.dense_nodes);
         obs.add("counter.arena.bytes", &labels, s.bytes);
     }
 }
