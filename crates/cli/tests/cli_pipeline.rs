@@ -94,6 +94,7 @@ fn serve_and_query_round_trip() {
     let data = dir.join("data");
     let gout = dir.join("large.gout");
     let grul = dir.join("rules.grul");
+    let metrics = dir.join("metrics.json");
 
     run_ok(bin().args([
         "gen",
@@ -144,14 +145,17 @@ fn serve_and_query_round_trip() {
             "0",
             "--shards",
             "2",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
         ])
         .stdout(Stdio::piped())
         .spawn()
         .expect("server starts");
     let mut first_line = String::new();
-    BufReader::new(server.stdout.take().unwrap())
-        .read_line(&mut first_line)
-        .unwrap();
+    // Kept open until the server exits: it prints once more after writing
+    // its metrics, and a closed pipe would turn that into a panic.
+    let mut stdout = BufReader::new(server.stdout.take().unwrap());
+    stdout.read_line(&mut first_line).unwrap();
     assert!(first_line.contains("serving"), "{first_line}");
     let addr = first_line
         .split_whitespace()
@@ -167,6 +171,11 @@ fn serve_and_query_round_trip() {
     let out = run_ok(bin().args(["query", "--addr", &addr, "--shutdown"]));
     assert!(out.contains("acknowledged shutdown"), "{out}");
     assert!(server.wait().unwrap().success());
+    let recorded = std::fs::read_to_string(&metrics).unwrap();
+    assert!(
+        recorded.contains("serve.queries{shard="),
+        "no per-shard query counters in {recorded}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
