@@ -5,7 +5,8 @@
 //! common machinery: scaled dataset construction, the memory-budget rule,
 //! run wrappers, aligned-table printing, and CSV output under `results/`.
 //!
-//! Environment knobs (all optional):
+//! Environment knobs (all optional; one that is set and unusable is an
+//! error, never a silent default):
 //!
 //! * `GAR_SCALE` — dataset scale factor vs the paper's 3.2 M transactions
 //!   (default per binary, typically 0.01-0.02);
@@ -21,8 +22,10 @@ use gar_mining::{Algorithm, MiningParams, ParallelReport};
 use gar_storage::PartitionedDatabase;
 use gar_taxonomy::Taxonomy;
 use gar_types::{ItemId, Result};
+use std::ffi::OsString;
 use std::io::Write;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Experiment-wide configuration pulled from the environment.
 #[derive(Debug, Clone)]
@@ -37,24 +40,45 @@ pub struct Env {
 
 impl Env {
     /// Reads the environment, with `default_scale` as the fallback scale.
+    /// A variable that is set to something unusable ends the process with
+    /// exit code 2 before any work: a silently substituted default would
+    /// record one experiment under another's name.
     pub fn load(default_scale: f64) -> Env {
-        let scale = std::env::var("GAR_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_scale);
-        let seed = std::env::var("GAR_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        let results_dir = std::env::var("GAR_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results"));
-        Env {
-            scale,
-            seed,
-            results_dir,
-        }
+        Env::from_vars(default_scale, |name| std::env::var_os(name)).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
     }
+
+    fn from_vars(
+        default_scale: f64,
+        var: impl Fn(&str) -> Option<OsString>,
+    ) -> std::result::Result<Env, String> {
+        let scale: f64 = parsed(&var, "GAR_SCALE", default_scale)?;
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(format!("GAR_SCALE={scale} is not a finite scale above 0"));
+        }
+        Ok(Env {
+            scale,
+            seed: parsed(&var, "GAR_SEED", 42)?,
+            results_dir: var("GAR_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from),
+        })
+    }
+}
+
+/// `default` when the variable is unset; an error naming the variable and
+/// its value when it is set and does not parse.
+fn parsed<T: FromStr>(
+    var: impl Fn(&str) -> Option<OsString>,
+    name: &str,
+    default: T,
+) -> std::result::Result<T, String> {
+    let Some(raw) = var(name) else {
+        return Ok(default);
+    };
+    raw.to_str()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{name}={raw:?} does not parse"))
 }
 
 /// A generated dataset, partitioned for a given cluster size.
@@ -260,5 +284,30 @@ mod tests {
         let e = Env::load(0.5);
         assert!(e.scale > 0.0);
         assert_eq!(e.results_dir, PathBuf::from("results"));
+    }
+
+    #[test]
+    fn env_rejects_what_it_cannot_use_and_names_it() {
+        let load = |scale: Option<&str>, seed: Option<&str>| {
+            Env::from_vars(0.01, |name| match name {
+                "GAR_SCALE" => scale.map(OsString::from),
+                "GAR_SEED" => seed.map(OsString::from),
+                _ => None,
+            })
+        };
+        let e = load(Some("0.1"), Some("7")).unwrap();
+        assert_eq!((e.scale, e.seed), (0.1, 7));
+        let e = load(None, None).unwrap();
+        assert_eq!((e.scale, e.seed), (0.01, 42));
+        assert_eq!(e.results_dir, PathBuf::from("results"));
+
+        let err = load(Some("0,1"), None).unwrap_err();
+        assert!(err.contains("GAR_SCALE") && err.contains("0,1"), "{err}");
+        let err = load(None, Some("4 2")).unwrap_err();
+        assert!(err.contains("GAR_SEED") && err.contains("4 2"), "{err}");
+        for bad in ["0", "-0.1", "inf", "NaN", ""] {
+            let err = load(Some(bad), None).unwrap_err();
+            assert!(err.contains("GAR_SCALE"), "{bad:?} gave {err}");
+        }
     }
 }

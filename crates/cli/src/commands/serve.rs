@@ -21,9 +21,6 @@ pub fn run(args: &Args) -> Result<()> {
     let shards: usize = args.get_or("shards", 1)?;
     let deadline_ms: u64 = args.get_or("deadline-ms", 5000)?;
     let queue_depth: usize = args.get_or("queue-depth", 64)?;
-    // Hot-answer cache entries; 0 (default) disables the cache so a
-    // default server stays byte-for-byte deterministic in its metrics.
-    let cache: usize = args.get_or("cache", 0)?;
     if shards == 0 {
         return Err(gar_types::Error::InvalidConfig(
             "--shards must be at least 1".into(),
@@ -55,13 +52,12 @@ pub fn run(args: &Args) -> Result<()> {
         shards,
         deadline: Duration::from_millis(deadline_ms),
         queue_depth,
-        cache_capacity: cache,
         faults,
         ..ServerConfig::default()
     };
     let server = serve(&format!("127.0.0.1:{port}"), store, cfg, obs.clone())?;
-    // Scripts (and the smoke harness) parse this line for the bound
-    // address, so flush it before blocking.
+    // Scripts parse this line for the bound address, so flush it
+    // before blocking.
     println!(
         "serving {num_rules} rules on {} ({shards} shards)",
         server.local_addr()

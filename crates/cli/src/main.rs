@@ -86,7 +86,7 @@ USAGE:
                 [--taxonomy FILE.gtax] [--interest R] [--top N]
                 [--out FILE.grul]
   gar-cli serve --rules FILE.grul [--port N] [--shards N]
-                [--deadline-ms MS] [--queue-depth N] [--cache N]
+                [--deadline-ms MS] [--queue-depth N]
                 [--watch-store] [--faults SPEC]
                 [--metrics-out FILE.json] [--trace-out FILE.json]
   gar-cli query --addr HOST:PORT

@@ -27,7 +27,8 @@
 // Under `--cfg gar_loom` (see `cargo xtask loom`) only the collectives
 // compile: `gar_modelcheck::shim` replaces the std primitives,
 // and the channel/thread machinery of the full simulator is out of the
-// model's scope.
+// model's scope. `stats` stays: it is plain data over std atomics, and
+// the sequential miner (which the serving layer links) reports in it.
 mod collective;
 #[cfg(not(gar_loom))]
 mod cost;
@@ -37,7 +38,6 @@ mod fault;
 mod node;
 #[cfg(not(gar_loom))]
 mod runner;
-#[cfg(not(gar_loom))]
 pub mod stats;
 
 pub use collective::Collectives;
@@ -49,5 +49,4 @@ pub use fault::{FaultOp, FaultPlan, RetryPolicy, ScheduledFault, ServeFault, Ser
 pub use node::{Envelope, Exchange, NodeCtx, CONTROL_TAG_EOS};
 #[cfg(not(gar_loom))]
 pub use runner::{Cluster, ClusterConfig, ClusterFailure, ClusterRun, RunOutcome};
-#[cfg(not(gar_loom))]
 pub use stats::{NodeStats, NodeStatsSnapshot};

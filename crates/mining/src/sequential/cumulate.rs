@@ -5,30 +5,10 @@ use crate::counter::build_counter;
 use crate::params::{Algorithm, MiningParams};
 use crate::report::{LargePass, MiningOutput};
 use crate::sequential::{extract_large, large_items_from_counts};
+use gar_cluster::NodeStatsSnapshot;
 use gar_storage::TransactionSource;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::{ItemId, Itemset, Result};
-
-/// Abstract-work meters of one sequential run, charged with the same
-/// units the parallel ledgers use (`NodeStats`): `cpu_ticks` per
-/// extension item and counter-walk step, `hash_probes` per sup_cou
-/// increment, `io_bytes` per byte scanned. Priced through the cluster
-/// crate's `CostModel` they yield a modeled execution time directly
-/// comparable to `ParallelReport::modeled_seconds` — which is what lets
-/// the bench gate compute a wall/modeled ratio for the sequential
-/// reference too.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SequentialMeters {
-    /// Extension items pushed + counter-walk steps + per-pass candidate
-    /// generation (one tick per candidate, as the parallel loop charges).
-    pub cpu_ticks: u64,
-    /// Successful candidate count increments.
-    pub hash_probes: u64,
-    /// Bytes read from the transaction source, all passes.
-    pub io_bytes: u64,
-    /// Full scans of the partition (one per pass).
-    pub scan_passes: u64,
-}
 
 /// Mines all large itemsets of `part` under the classification hierarchy
 /// `tax`, sequentially, with Cumulate's three optimizations:
@@ -47,16 +27,21 @@ pub fn cumulate(
     cumulate_metered(part, tax, params).map(|(out, _)| out)
 }
 
-/// [`cumulate`], additionally returning the run's [`SequentialMeters`].
+/// [`cumulate`], additionally returning the run's abstract work in the
+/// units of the parallel ledgers, as the one node that exchanges nothing:
+/// `cpu_ticks` per extension item, counter-walk step and generated
+/// candidate, `hash_probes` per count increment, `io_bytes` per byte
+/// scanned, one `scan_passes` per pass. `CostModel::node_seconds` prices
+/// it like any other node.
 pub fn cumulate_metered(
     part: &dyn TransactionSource,
     tax: &Taxonomy,
     params: &MiningParams,
-) -> Result<(MiningOutput, SequentialMeters)> {
+) -> Result<(MiningOutput, NodeStatsSnapshot)> {
     params.validate()?;
     let num_transactions = part.num_transactions() as u64;
     let min_support_count = params.min_support_count(num_transactions);
-    let mut meters = SequentialMeters::default();
+    let mut meters = NodeStatsSnapshot::default();
 
     // Pass 1: count every item of every level via full ancestor extension.
     let mut item_counts = vec![0u64; tax.num_items() as usize];

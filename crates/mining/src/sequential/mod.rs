@@ -15,7 +15,7 @@ mod cumulate;
 mod stratify;
 
 pub use apriori::apriori;
-pub use cumulate::{cumulate, cumulate_metered, SequentialMeters};
+pub use cumulate::{cumulate, cumulate_metered};
 pub use stratify::stratify;
 
 use crate::counter::CandidateCounter;

@@ -3,11 +3,11 @@
 //! Every paper figure and every modeled second is a function of the
 //! per-pass, per-node `NodeStats` deltas, so a change that claims "same
 //! numbers" (a counting-kernel swap, a ledger refactor) must leave every
-//! one of them bit-identical. `cargo xtask bench --check` watches modeled
-//! seconds at a 15 % tolerance; this test watches every field exactly, on
+//! one of them bit-identical. This test watches every field exactly, on
 //! one small fixed-seed dataset mined three passes deep by Cumulate and by
 //! NPGM / HPGM / H-HPGM / H-HPGM-FGD at 4 nodes under a memory budget that
-//! makes NPGM fragment and FGD duplicate.
+//! makes NPGM fragment and FGD duplicate (FP-Growth's row of the same
+//! dataset: `crates/fpg/tests/ledger_golden.rs`).
 //!
 //! `GAR_BLESS=1 cargo test -p gar-mining --test ledger_golden` rewrites
 //! `tests/golden/ledger.txt`; a diff in that file is a ledger change and

@@ -2,9 +2,9 @@
 //!
 //! The workspace deliberately has no serde (nothing can be fetched in
 //! this build environment), but the observability layer must *round-trip*
-//! its artifacts: `metrics.json` and `BENCH_*.json` are read back by the
-//! bench gate and by property tests. This module implements exactly the
-//! subset both sides need — objects, arrays, strings with standard
+//! its artifacts: `metrics.json` and the benchmark's result files are read
+//! back by `benchmark/` and by property tests. This module implements
+//! exactly the subset both sides need — objects, arrays, strings with standard
 //! escapes, `f64` numbers, booleans, and null — with a recursive-descent
 //! parser and a writer whose output is byte-deterministic for a given
 //! [`Value`].

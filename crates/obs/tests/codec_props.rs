@@ -1,9 +1,9 @@
 //! Property tests for the JSON codec and the `metrics.json` /
-//! `BENCH_*.json` document shapes: arbitrary values must survive
+//! benchmark-result document shapes: arbitrary values must survive
 //! `render ∘ parse` (and snapshots `to_json ∘ from_json`) exactly.
 //!
 //! These files are the machine-readable interface of the observability
-//! layer — the bench gate re-reads its own baseline through this codec,
+//! layer — `benchmark/` re-reads its own result files through this codec,
 //! so any value the writer can emit must come back bit-identical.
 
 use gar_obs::json::{self, Value};
@@ -55,7 +55,7 @@ fn arb_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
 /// Scalar JSON values, including floats derived from integer ratios
 /// (the compat strategies have no float ranges; `Display` of any f64
 /// re-parses to the same bits, which is exactly what the codec relies
-/// on for the bench gate's `modeled_seconds`).
+/// on for modeled seconds).
 fn arb_scalar() -> impl Strategy<Value = Value> {
     (0usize..5, arb_u53(), 1u64..1_000_000, arb_key()).prop_map(|(tag, a, b, s)| match tag {
         0 => Value::Null,
@@ -111,9 +111,9 @@ proptest! {
         prop_assert_eq!(reparsed.to_json(), rendered);
     }
 
-    // The bench gate's file shape: a schema tag, run parameters, and an
-    // entry list keyed `<alg>@<nodes>` with float values. Everything
-    // the gate later reads back must survive the codec.
+    // A benchmark result file's shape: a schema tag, run parameters, and
+    // an entry list keyed `<alg>@<nodes>` with float values. Everything
+    // a reader later compares must survive the codec.
     #[test]
     fn bench_documents_round_trip(entries in proptest::collection::vec(
         (0usize..4, 1u64..64, arb_u53(), 1u64..1_000_000), 1..8))
@@ -138,7 +138,7 @@ proptest! {
         let reparsed = json::parse(&doc.render()).unwrap();
         prop_assert_eq!(&reparsed, &doc);
 
-        // And the values the gate compares come back exactly.
+        // And the values a reader compares come back exactly.
         let parsed_entries = reparsed.get("entries").and_then(Value::as_arr).unwrap();
         for (entry, &(_, _, num, den)) in parsed_entries.iter().zip(&entries) {
             let v = entry.get("value").and_then(Value::as_f64).unwrap();

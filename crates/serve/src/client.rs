@@ -112,7 +112,7 @@ impl Client {
 
     /// Sends one query and returns the raw response payload bytes.
     /// Deterministic server answers make these byte-comparable across
-    /// runs — the load generator's transcript is built from them.
+    /// runs — the serve test suites compare them.
     pub fn query_raw(&mut self, basket: &[ItemId], top_k: u32) -> Result<Vec<u8>> {
         let req = encode_request(&Request::Query {
             basket: basket.to_vec(),

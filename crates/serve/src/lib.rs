@@ -14,11 +14,11 @@
 //! * [`server`] — the sharded concurrent TCP server: a single
 //!   non-blocking readiness event loop (see [`netpoll`]) multiplexing
 //!   every connection, pipelined + batched query frames, shard-affinity
-//!   routing with an optional epoch-keyed hot-answer cache, supervised
-//!   shard workers (panic isolation + bounded restarts), epoch hot-swap
-//!   of the rule store ([`epoch::EpochCell`]), bounded queues with
-//!   overload shedding, per-shard observability, deadline-bounded
-//!   shard collection, and deterministic serve-side fault injection.
+//!   routing, supervised shard workers (panic isolation + bounded
+//!   restarts), epoch hot-swap of the rule store
+//!   ([`epoch::EpochCell`]), bounded queues with overload shedding,
+//!   per-shard observability, deadline-bounded shard collection, and
+//!   deterministic serve-side fault injection.
 //! * [`netpoll`] — the hand-rolled `poll(2)` readiness shim the event
 //!   loop blocks in (offline-deps: no `libc`/`mio`).
 //! * [`epoch`] — the epoch-versioned hot-swap cell (model-checked

@@ -818,9 +818,9 @@ mod tests {
 
     #[test]
     fn v1_encodings_are_frozen() {
-        // The v1 tags are a compatibility surface: serve-smoke compares
-        // transcripts byte-for-byte across releases, so these bytes must
-        // never change. (Adding v2 tags is fine; renumbering is not.)
+        // The v1 tags are a compatibility surface for deployed clients,
+        // so these bytes must never change. (Adding v2 tags is fine;
+        // renumbering is not.)
         let query = encode_request(&Request::Query {
             basket: vec![ItemId(2), ItemId(7)],
             top_k: 4,

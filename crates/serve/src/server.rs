@@ -29,13 +29,6 @@
 //! routed shard into **one job per (request, shard)**, amortizing queue
 //! and wake overhead across the whole batch.
 //!
-//! Hot answers: an optional bounded FIFO cache
-//! ([`ServerConfig::cache_capacity`], default off) keyed by canonical
-//! basket bytes **plus the epoch number and top-k**, so a reload
-//! invalidates by construction — an epoch-2 lookup can never see an
-//! epoch-1 answer. Only complete (no shard missing) answers are
-//! cached; `serve.cache.{hits,misses}` count every lookup.
-//!
 //! Rule refresh: the catalog lives in an [`EpochCell`]. A request takes
 //! one snapshot and every job carries it, so a query observes exactly
 //! one epoch end to end; `Reload` builds and validates the replacement
@@ -59,8 +52,8 @@
 //! Observability: everything the thread-per-connection server recorded
 //! (`serve.requests/queries/hits/misses/shard_us/latency_us/errors/
 //! deadline_exceeded/shed/degraded/swaps/swap_rejected/shard_restarts/
-//! version_mismatch/fault.*`) plus `serve.baskets`,
-//! `serve.routed.{single,fanout,empty}` and `serve.cache.{hits,misses}`.
+//! version_mismatch/fault.*`) plus `serve.baskets` and
+//! `serve.routed.{single,fanout,empty}`.
 //!
 //! Shutdown: a `Shutdown` frame (or [`Server::shutdown`]) flips the
 //! shared `running` flag (the handle also nudges the waker); the loop
@@ -128,10 +121,6 @@ pub struct ServerConfig {
     /// Base of the supervisor's linear restart backoff (sleep before
     /// restart `k` is `restart_backoff × k`).
     pub restart_backoff: Duration,
-    /// Hot-answer cache capacity in entries; 0 (the default) disables
-    /// the cache. Keys embed the epoch, so a reload invalidates
-    /// logically at once and stale entries age out FIFO.
-    pub cache_capacity: usize,
     /// Serve-side fault injection points (empty plan = no faults).
     pub faults: FaultPlan,
 }
@@ -146,7 +135,6 @@ impl Default for ServerConfig {
             retry_after_ms: 25,
             max_restarts: 8,
             restart_backoff: Duration::from_millis(10),
-            cache_capacity: 0,
             faults: FaultPlan::default(),
         }
     }
@@ -469,7 +457,6 @@ pub fn serve(addr: &str, store: RuleStore, cfg: ServerConfig, obs: Obs) -> Resul
 
     let catalog = Catalog::new(store, cfg.shards);
     let num_shards = catalog.num_shards();
-    let cache_capacity = cfg.cache_capacity;
     let shared = Arc::new(Shared {
         current: EpochCell::new(catalog),
         slots: (0..num_shards).map(|_| ShardSlot::new()).collect(),
@@ -512,7 +499,6 @@ pub fn serve(addr: &str, store: RuleStore, cfg: ServerConfig, obs: Obs) -> Resul
                     conns: Vec::new(),
                     pending: HashMap::new(),
                     next_req: 1,
-                    cache: AnswerCache::new(cache_capacity),
                     poller: Poller::new(),
                     draining: false,
                 }
@@ -622,10 +608,7 @@ enum Shape {
 /// Per-basket scoring state inside a pending request.
 #[derive(Default)]
 struct BasketState {
-    /// Cache key to fill on a complete answer (`None` when the cache is
-    /// off, the lookup hit, or the basket routed `Empty`).
-    key: Option<Vec<u8>>,
-    /// Pre-resolved answer (cache hit or empty route): `(recs, missing)`.
+    /// Pre-resolved answer (empty route): `(recs, missing)`.
     ready: Option<(Vec<Recommendation>, u32)>,
     /// Shard matches accumulated so far.
     matches: Vec<Match>,
@@ -672,64 +655,6 @@ struct Conn {
     dead: bool,
 }
 
-/// The bounded hot-answer FIFO cache. Keys embed the epoch, so entries
-/// from a replaced epoch can never be returned; they just age out.
-struct AnswerCache {
-    capacity: usize,
-    map: HashMap<Vec<u8>, Vec<Recommendation>>,
-    order: VecDeque<Vec<u8>>,
-}
-
-impl AnswerCache {
-    fn new(capacity: usize) -> AnswerCache {
-        AnswerCache {
-            capacity,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn get(&self, key: &[u8]) -> Option<Vec<Recommendation>> {
-        self.map.get(key).cloned()
-    }
-
-    fn insert(&mut self, key: Vec<u8>, recs: Vec<Recommendation>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.insert(key.clone(), recs).is_none() {
-            self.order.push_back(key);
-            while self.order.len() > self.capacity {
-                match self.order.pop_front() {
-                    Some(old) => drop(self.map.remove(&old)),
-                    None => break,
-                }
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-}
-
-/// Canonical cache key: epoch, top-k, then the basket's distinct item
-/// ids sorted — so `[3,1,3]` and `[1,3]` share an entry and an answer
-/// can never leak across epochs or k values.
-fn cache_key(epoch: u64, top_k: u32, basket: &[ItemId]) -> Vec<u8> {
-    let mut items: Vec<u32> = basket.iter().map(|i| i.raw()).collect();
-    items.sort_unstable();
-    items.dedup();
-    let mut key = Vec::with_capacity(12 + items.len() * 4);
-    key.extend_from_slice(&epoch.to_le_bytes());
-    key.extend_from_slice(&top_k.to_le_bytes());
-    for it in items {
-        key.extend_from_slice(&it.to_le_bytes());
-    }
-    key
-}
-
 /// Encodes and frames a response for a connection's out queue.
 fn frame_bytes(response: &Response) -> Vec<u8> {
     let mut framed = Vec::new();
@@ -760,7 +685,6 @@ struct EventLoop {
     conns: Vec<Conn>,
     pending: HashMap<u64, Pending>,
     next_req: u64,
-    cache: AnswerCache,
     poller: Poller,
     draining: bool,
 }
@@ -1021,13 +945,7 @@ impl EventLoop {
                     return;
                 }
                 let response = match self.shared.reload(&path) {
-                    Ok(epoch) => {
-                        // Epoch-tagged keys already can't alias; the
-                        // clear just stops dead entries occupying
-                        // capacity.
-                        self.cache.clear();
-                        Response::ReloadAck { epoch }
-                    }
+                    Ok(epoch) => Response::ReloadAck { epoch },
                     Err(e) => {
                         obs.add("serve.errors", &[], 1);
                         Response::Error(format!("reload rejected: {e}"))
@@ -1045,9 +963,9 @@ impl EventLoop {
         }
     }
 
-    /// Admits one query-shaped request: cache lookups, affinity
-    /// routing, admission control, and per-shard batched dispatch. A
-    /// response slot is reserved in request order whatever the outcome.
+    /// Admits one query-shaped request: affinity routing, admission
+    /// control, and per-shard batched dispatch. A response slot is
+    /// reserved in request order whatever the outcome.
     fn start_request(
         &mut self,
         ci: usize,
@@ -1063,7 +981,6 @@ impl EventLoop {
         let clock = Stopwatch::start();
         let snapshot = shared.current.load();
         let nshards = shared.slots.len();
-        let cache_on = shared.cfg.cache_capacity > 0;
 
         let mut states: Vec<BasketState> = Vec::with_capacity(baskets.len());
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); nshards];
@@ -1071,21 +988,9 @@ impl EventLoop {
             let catalog = snapshot.value();
             for (i, basket) in baskets.iter().enumerate() {
                 let mut st = BasketState::default();
-                if cache_on {
-                    let key = cache_key(snapshot.number(), top_k, basket);
-                    if let Some(recs) = self.cache.get(&key) {
-                        obs.add("serve.cache.hits", &[], 1);
-                        st.ready = Some((recs, 0));
-                        states.push(st);
-                        continue;
-                    }
-                    obs.add("serve.cache.misses", &[], 1);
-                    st.key = Some(key);
-                }
                 match catalog.route(basket) {
                     Route::Empty => {
                         obs.add("serve.routed.empty", &[], 1);
-                        st.key = None; // nothing worth caching
                         st.ready = Some((Vec::new(), 0));
                     }
                     Route::Single(s) => {
@@ -1232,7 +1137,7 @@ impl EventLoop {
         };
         self.respond_waiting(ci, req);
         if expected == 0 {
-            // Fully answered from cache / empty routes / dead shards.
+            // Fully answered from empty routes / dead shards.
             self.finalize_ok(req, pending);
         } else {
             self.pending.insert(req, pending);
@@ -1296,7 +1201,7 @@ impl EventLoop {
     }
 
     /// Builds the success response for a fully-reported request: merge
-    /// per basket, record degradation, feed the cache, and deliver.
+    /// per basket, record degradation, and deliver.
     fn finalize_ok(&mut self, req: u64, p: Pending) {
         let obs = self.shared.obs.clone();
         let Pending {
@@ -1317,10 +1222,6 @@ impl EventLoop {
             };
             if missing > 0 {
                 obs.add("serve.degraded", &[], 1);
-            } else if let Some(key) = b.key {
-                // Complete answers only: a degraded answer must be
-                // re-scored once the shard is back, never replayed.
-                self.cache.insert(key, recs.clone());
             }
             answers.push(BatchAnswer {
                 shards_missing: missing,

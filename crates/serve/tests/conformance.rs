@@ -1,21 +1,17 @@
 //! Serve conformance suite: the wire path must be indistinguishable
 //! from the in-process engine.
 //!
-//! Three contracts, each checked at 1, 2, and 4 shards:
+//! Two contracts, each checked at 1, 2, and 4 shards:
 //!
 //! * **Batched wire ≡ engine** — every basket of a `QueryBatch` frame
-//!   answers exactly what [`Catalog::query`] answers in process, cache
-//!   on and cache off, before and after an epoch swap.
+//!   answers exactly what [`Catalog::query`] answers in process, before
+//!   and after an epoch swap.
 //! * **Affinity ≡ broadcast** — raw response payloads for seeded
 //!   random baskets are byte-identical across shard counts (and to the
 //!   locally encoded single-shard expectation). A 1-shard server
 //!   effectively broadcasts everything, so equality across shard
 //!   counts is exactly "affinity routing agrees with
 //!   broadcast-and-merge".
-//! * **Cache coherence vs epochs** — a basket answered from the cache
-//!   before a `Reload` is re-scored after it, and the
-//!   `serve.cache.{hits,misses}` counters reconcile against
-//!   `serve.baskets`.
 
 use gar_cluster::RetryPolicy;
 use gar_mining::rules::Rule;
@@ -86,11 +82,10 @@ fn basket(state: &mut u64) -> Vec<ItemId> {
         .collect()
 }
 
-fn start(shards: usize, cache_capacity: usize, obs: Obs) -> Server {
+fn start(shards: usize, obs: Obs) -> Server {
     let cfg = ServerConfig {
         shards,
         deadline: Duration::from_secs(5),
-        cache_capacity,
         ..ServerConfig::default()
     };
     serve("127.0.0.1:0", store_v1(), cfg, obs).unwrap()
@@ -128,50 +123,47 @@ fn batched_wire_answers_match_the_in_process_engine() {
     let path = scratch_path("conform.grul");
     store_v2().save(&path).unwrap();
     for shards in [1usize, 2, 4] {
-        for cache_capacity in [0usize, 64] {
-            let server = start(shards, cache_capacity, Obs::disabled());
-            let mut client = connect(&server);
-            for (epoch, reference) in &refs {
-                if *epoch == 2 {
-                    assert_eq!(client.reload(&path.to_string_lossy()).unwrap(), 2);
-                }
-                let mut state = SEED ^ epoch;
-                // Repeat each pass twice so the second sees cache hits
-                // (when enabled); answers must not change.
-                for _pass in 0..2 {
-                    let mut pass_state = state;
-                    let baskets: Vec<Vec<ItemId>> =
-                        (0..40).map(|_| basket(&mut pass_state)).collect();
-                    for chunk in baskets.chunks(8) {
-                        let reply = client.query_batch(chunk, TOP_K as u32, 0).unwrap();
-                        let BatchReply::Results {
-                            epoch: got,
-                            answers,
-                        } = reply
-                        else {
-                            panic!("unbudgeted batch was shed");
-                        };
-                        assert_eq!(got, *epoch);
-                        assert_eq!(answers.len(), chunk.len());
-                        for (b, a) in chunk.iter().zip(&answers) {
-                            assert_eq!(
-                                a.shards_missing, 0,
-                                "healthy server degraded {b:?} at {shards} shards"
-                            );
-                            assert_eq!(
-                                a.recs,
-                                reference.query(b, TOP_K),
-                                "batched wire answer diverged from the engine \
-                                 for {b:?} at {shards} shards (cache {cache_capacity})"
-                            );
-                        }
+        let server = start(shards, Obs::disabled());
+        let mut client = connect(&server);
+        for (epoch, reference) in &refs {
+            if *epoch == 2 {
+                assert_eq!(client.reload(&path.to_string_lossy()).unwrap(), 2);
+            }
+            let mut state = SEED ^ epoch;
+            // Each pass is asked twice: a repeated question must get
+            // the same answer.
+            for _pass in 0..2 {
+                let mut pass_state = state;
+                let baskets: Vec<Vec<ItemId>> = (0..40).map(|_| basket(&mut pass_state)).collect();
+                for chunk in baskets.chunks(8) {
+                    let reply = client.query_batch(chunk, TOP_K as u32, 0).unwrap();
+                    let BatchReply::Results {
+                        epoch: got,
+                        answers,
+                    } = reply
+                    else {
+                        panic!("unbudgeted batch was shed");
+                    };
+                    assert_eq!(got, *epoch);
+                    assert_eq!(answers.len(), chunk.len());
+                    for (b, a) in chunk.iter().zip(&answers) {
+                        assert_eq!(
+                            a.shards_missing, 0,
+                            "healthy server degraded {b:?} at {shards} shards"
+                        );
+                        assert_eq!(
+                            a.recs,
+                            reference.query(b, TOP_K),
+                            "batched wire answer diverged from the engine \
+                             for {b:?} at {shards} shards"
+                        );
                     }
                 }
-                state = splitmix(&mut state); // decouple passes per epoch
             }
-            client.shutdown().unwrap();
-            server.wait().unwrap();
+            state = splitmix(&mut state); // decouple passes per epoch
         }
+        client.shutdown().unwrap();
+        server.wait().unwrap();
     }
     std::fs::remove_file(&path).ok();
 }
@@ -194,7 +186,7 @@ fn affinity_routing_is_byte_identical_to_broadcast_across_shard_counts() {
         .collect();
     for shards in [1usize, 2, 4] {
         let obs = Obs::enabled();
-        let server = start(shards, 0, obs.clone());
+        let server = start(shards, obs.clone());
         let mut client = connect(&server);
         for (b, want) in baskets.iter().zip(&expected) {
             let got = client.query_v2_raw(b, TOP_K as u32, 0).unwrap();
@@ -236,62 +228,6 @@ fn affinity_routing_is_byte_identical_to_broadcast_across_shard_counts() {
 }
 
 #[test]
-fn cache_answers_hit_then_invalidate_across_epochs() {
-    let v1 = Catalog::new(store_v1(), 1);
-    let v2 = Catalog::new(store_v2(), 1);
-    let path = scratch_path("cache.grul");
-    store_v2().save(&path).unwrap();
-    let obs = Obs::enabled();
-    let server = start(2, 32, obs.clone());
-    let mut client = connect(&server);
-    let b = [ItemId(3)];
-
-    let ask = |client: &mut Client, want_epoch: u64, reference: &Catalog| {
-        let QueryReply::Results {
-            epoch,
-            shards_missing,
-            recs,
-        } = client.query_v2(&b, TOP_K as u32, 0).unwrap()
-        else {
-            panic!("unbudgeted query was shed");
-        };
-        assert_eq!(epoch, want_epoch);
-        assert_eq!(shards_missing, 0);
-        assert_eq!(recs, reference.query(&b, TOP_K));
-    };
-
-    // Miss, then hit: the second answer comes from the cache and must
-    // be identical to the scored one.
-    ask(&mut client, 1, &v1);
-    ask(&mut client, 1, &v1);
-    let snap = obs.metrics();
-    assert_eq!(snap.counters.get("serve.cache.hits"), Some(&1), "{snap:?}");
-    assert_eq!(snap.counters.get("serve.cache.misses"), Some(&1));
-
-    // The swap invalidates: the same basket is re-scored against the
-    // new epoch, never replayed from the old one.
-    assert_eq!(client.reload(&path.to_string_lossy()).unwrap(), 2);
-    ask(&mut client, 2, &v2);
-    ask(&mut client, 2, &v2);
-    let snap = obs.metrics();
-    assert_eq!(snap.counters.get("serve.cache.hits"), Some(&2));
-    assert_eq!(snap.counters.get("serve.cache.misses"), Some(&2));
-    // Every basket either hit or missed the cache: the counters
-    // reconcile exactly against the basket count.
-    let hits = snap.counters.get("serve.cache.hits").copied().unwrap_or(0);
-    let misses = snap
-        .counters
-        .get("serve.cache.misses")
-        .copied()
-        .unwrap_or(0);
-    assert_eq!(Some(&(hits + misses)), snap.counters.get("serve.baskets"));
-
-    std::fs::remove_file(&path).ok();
-    client.shutdown().unwrap();
-    server.wait().unwrap();
-}
-
-#[test]
 fn fanout_round_trips_never_wait_out_the_poll_interval() {
     // Regression: the reactor used to clear its waker flag *before*
     // draining the waker pipe. A second shard's wake landing in between
@@ -299,7 +235,7 @@ fn fanout_round_trips_never_wait_out_the_poll_interval() {
     // every completion waited for the 100 ms poll timeout. Unbatched
     // multi-root baskets at 2 shards (two workers waking per query) hit
     // that within a few thousand round trips.
-    let server = start(2, 0, Obs::disabled());
+    let server = start(2, Obs::disabled());
     let mut client = connect(&server);
     let mut slow = 0;
     for i in 0..20_000 {

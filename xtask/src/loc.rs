@@ -6,8 +6,8 @@
 //! it has none), comments and blanks included. Counted: every `.rs` file
 //! under the `src/` directory of each workspace package (`crates/*`,
 //! `compat/*`, `xtask`, the root package) plus the root package's
-//! `examples/`. Not counted: `tests/`, `benches/` and the separate
-//! `benchmark/` package. This is the figure PR 14 computed by hand
+//! `examples/`. Not counted: `tests/` and the separate `benchmark/`
+//! package. This is the figure PR 14 computed by hand
 //! (23,749 at that commit).
 
 use std::path::{Path, PathBuf};

@@ -15,19 +15,8 @@
 //! * `serve-chaos` — seeded fault-injection soak over the serving layer
 //!   (shard panics, connection resets, corrupt hot-swaps, overload
 //!   bursts; `GAR_SERVE_CHAOS_SEEDS` pins the seed matrix).
-//! * `bench` — the perf-regression gate: runs the pinned smoke matrix
-//!   (see `crates/bench/src/bin/bench_gate.rs`) and, with `--check`,
-//!   compares modeled execution times against the committed
-//!   `BENCH_PR10.json` baseline; `--gate-wall` additionally gates
-//!   wall-clock/modeled ratios (absolute 1.5× ceiling at 8 nodes plus
-//!   a per-entry ratchet against the baseline's recorded ratios).
 //! * `ci` — runs the whole CI job sequence locally, in the same order
 //!   as `.github/workflows/ci.yml`, stopping at the first failure.
-//! * `serve-smoke` — the serving-layer smoke: mine a tiny dataset,
-//!   persist the rule store, serve it at 1 and 4 shards, drive it with
-//!   the seeded `serve_load` generator, and assert byte-identical
-//!   response transcripts plus per-shard metrics (see
-//!   `crates/bench/src/bin/serve_load.rs`).
 //! * `loc` — prints the non-test line count per package and in total
 //!   (lines before each file's first `#[cfg(test)]`), the figure the
 //!   simplicity PRs are measured by.
@@ -49,8 +38,8 @@ fn usage() -> &'static str {
      \n\
      commands:\n\
        ci            run the full CI job sequence locally (fmt, clippy,\n\
-                     analyze, test, loom, chaos, serve-chaos,\n\
-                     bench --check --gate-wall, serve-smoke)\n\
+                     analyze, test, benchmark self-tests + one short\n\
+                     checked run, loom, chaos, serve-chaos)\n\
        analyze [--check] [--json FILE]\n\
                      run the full gar-analyze catalog; --check is CI mode\n\
                      (baseline-gated: new findings and stale baseline\n\
@@ -61,13 +50,6 @@ fn usage() -> &'static str {
        chaos         seeded fault-injection soak (GAR_CHAOS_ITERS scales it)\n\
        serve-chaos   seeded serve-layer fault soak (GAR_SERVE_CHAOS_SEEDS\n\
                      pins the seed matrix)\n\
-       bench [--check] [--gate-wall] [--tolerance F] [--out FILE]\n\
-                     run the pinned smoke matrix; --check gates modeled\n\
-                     times against the committed BENCH_PR10.json,\n\
-                     --gate-wall additionally gates wall/modeled ratios\n\
-       serve-smoke [--out FILE]\n\
-                     mine → persist → serve → load-test; asserts deterministic\n\
-                     transcripts and writes a gar-serve-bench-v1 baseline\n\
        loc           non-test Rust lines per package and in total\n\
        miri [--strict]   run miri over unsafe-bearing crates (skip if unavailable)\n\
        tsan [--strict]   run ThreadSanitizer over cluster tests (skip if unavailable)\n\
@@ -98,8 +80,6 @@ fn main() -> ExitCode {
         "loom" => runners::loom(&repo_root(), rest),
         "chaos" => runners::chaos(&repo_root(), rest),
         "serve-chaos" => runners::serve_chaos(&repo_root(), rest),
-        "bench" => runners::bench(&repo_root(), rest),
-        "serve-smoke" => runners::serve_smoke(&repo_root(), rest),
         "loc" => loc::run(&repo_root()),
         "miri" => runners::miri(&repo_root(), rest),
         "tsan" => runners::tsan(&repo_root(), rest),
