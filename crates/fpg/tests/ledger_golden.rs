@@ -4,7 +4,10 @@
 //! this is the same dataset, support, depth, node count and memory budget
 //! mined by the pattern-growth family, so a change that claims "same
 //! numbers" is held to every `NodeStats` field per pass and node and to
-//! every modeled second, exactly, in both families.
+//! every modeled second, exactly, in both families. A second row mines
+//! the same input with `max_pass` unbounded: growth then recurses past
+//! depth 4, which is where a kernel that merges or reorders conditional
+//! bases would first mischarge `cpu_ticks`.
 //!
 //! `GAR_BLESS=1 cargo test -p gar-fpg --test ledger_golden` rewrites
 //! `tests/golden/ledger.txt`; a diff in that file is a ledger change and
@@ -21,6 +24,16 @@ const NODES: usize = 4;
 const MEMORY_PER_NODE: u64 = 144 * 1024;
 
 fn rendered_ledger() -> String {
+    let base = MiningParams::with_min_support(0.02);
+    let mut out = String::new();
+    render_row(&mut out, "FP-Growth", &base.clone().max_pass(3));
+    let deepest = render_row(&mut out, "FP-Growth max_pass=unbounded", &base);
+    assert!(deepest >= 5, "the unbounded row must recurse to depth >= 4");
+    out
+}
+
+/// Appends one row; returns the size of the largest itemset mined.
+fn render_row(out: &mut String, label: &str, params: &MiningParams) -> usize {
     let spec = DatasetSpec {
         name: "ledger".into(),
         num_transactions: 1_500,
@@ -35,13 +48,11 @@ fn rendered_ledger() -> String {
     let mut g = TransactionGenerator::new(&spec).unwrap();
     let txns: Vec<_> = g.by_ref().collect();
     let tax = g.into_taxonomy();
-    let params = MiningParams::with_min_support(0.02).max_pass(3);
     let db = PartitionedDatabase::build_in_memory(NODES, txns.into_iter()).unwrap();
     let cluster = ClusterConfig::new(NODES, MEMORY_PER_NODE);
-    let rep = gar_fpg::mine_parallel(&db, &tax, &params, &cluster).unwrap();
+    let rep = gar_fpg::mine_parallel(&db, &tax, params, &cluster).unwrap();
 
-    let mut out = String::new();
-    writeln!(out, "FP-Growth modeled_seconds={:?}", rep.modeled_seconds).unwrap();
+    writeln!(out, "{label} modeled_seconds={:?}", rep.modeled_seconds).unwrap();
     for p in &rep.pass_reports {
         writeln!(
             out,
@@ -58,7 +69,7 @@ fn rendered_ledger() -> String {
             writeln!(out, "    node {n} {d:?}").unwrap();
         }
     }
-    out
+    rep.output.passes.last().map_or(0, |p| p.k)
 }
 
 #[test]
