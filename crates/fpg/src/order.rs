@@ -5,6 +5,7 @@
 //! ties broken by ascending id. Both keys come out of pass 1's all-reduce,
 //! so every node — at any cluster size — derives the identical order.
 
+use gar_taxonomy::Taxonomy;
 use gar_types::ItemId;
 
 /// A dense bidirectional map between large items and their frequency
@@ -66,6 +67,64 @@ impl ItemOrder {
             }
         }
         out.sort_unstable();
+    }
+}
+
+/// "Is rank `q` hierarchy-related to rank `j`" as one bit load: a
+/// ‖L1‖ × ‖L1‖ matrix built once per run from `Taxonomy::ancestors`.
+/// Both directions are set — a descendant whose count ties its
+/// ancestor's can rank *above* it, so a projection's prefix paths may
+/// hold descendants as well as ancestors — and so is the diagonal, which
+/// makes the matrix agree with `Taxonomy::related` on every pair.
+#[derive(Debug, Clone)]
+pub struct RelatedRanks {
+    words_per_row: usize,
+    bits: Vec<u64>,
+}
+
+impl RelatedRanks {
+    /// Builds the matrix over the large items of `order`.
+    pub fn new(order: &ItemOrder, tax: &Taxonomy) -> RelatedRanks {
+        let n = order.num_large();
+        let words_per_row = n.div_ceil(64);
+        let mut m = RelatedRanks {
+            words_per_row,
+            bits: vec![0; n * words_per_row],
+        };
+        for (r, &item) in order.items.iter().enumerate() {
+            m.set(r, r);
+            for &anc in tax.ancestors(item) {
+                if let Some(a) = order.rank(anc) {
+                    m.set(r, a as usize);
+                    m.set(a as usize, r);
+                }
+            }
+        }
+        m
+    }
+
+    fn set(&mut self, row: usize, col: usize) {
+        self.bits[row * self.words_per_row + col / 64] |= 1 << (col % 64);
+    }
+
+    /// The relation row of `rank` (must be `< num_large()`), to be
+    /// queried with [`RelatedRow::contains`] once per path element.
+    pub fn row(&self, rank: u32) -> RelatedRow<'_> {
+        let start = rank as usize * self.words_per_row;
+        RelatedRow(&self.bits[start..start + self.words_per_row])
+    }
+}
+
+/// One row of [`RelatedRanks`]: the ranks related to one fixed rank.
+#[derive(Debug, Clone, Copy)]
+pub struct RelatedRow<'a>(&'a [u64]);
+
+impl RelatedRow<'_> {
+    /// Whether rank `q` (must be `< num_large()`) is related to the
+    /// row's rank.
+    #[inline]
+    pub fn contains(self, q: u32) -> bool {
+        self.0[(q / 64) as usize] >> (q % 64) & 1 != 0
     }
 }
 

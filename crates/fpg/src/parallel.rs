@@ -26,7 +26,7 @@
 
 use crate::checkpoint::FpgCheckpoint;
 use crate::grow::{mine_projection, CondBase, GrowCtx};
-use crate::order::ItemOrder;
+use crate::order::{ItemOrder, RelatedRanks};
 use crate::sequential::{group_passes, large_singletons};
 use crate::tree::FpTree;
 use crate::wire::{self, tags, PathBatch};
@@ -110,17 +110,6 @@ fn run(
         node_mine(ctx, part, tax, params, persist)
     })?;
     Ok(assemble_report(cluster, run))
-}
-
-/// Receives one PATHS payload into the local conditional bases.
-fn receive_paths(payload: &[u8], scratch: &mut Vec<u32>, bases: &mut [CondBase]) -> Result<()> {
-    wire::for_each_path(payload, scratch, |target, count, path| {
-        let base = bases
-            .get_mut(target as usize)
-            .ok_or_else(|| Error::Protocol(format!("path for unknown projection rank {target}")))?;
-        base.push((path.to_vec(), count));
-        Ok(())
-    })
 }
 
 /// Coordinator-side intake of one finished projection from a peer.
@@ -225,6 +214,7 @@ fn node_mine(
             0
         };
 
+        let related = RelatedRanks::new(&order, tax);
         let mut bases: Vec<CondBase> = vec![CondBase::new(); order.num_large()];
         if !todo.is_empty() {
             // ---- Build the local FP-tree over rank-projected transactions. ----
@@ -247,54 +237,56 @@ fn node_mine(
                 .add("counter.fptree.inserts", &labels, tree.num_inserts());
 
             // ---- Exchange: ship each projection's base paths to its owner. ----
-            let mut recv_scratch: Vec<u32> = Vec::new();
+            let mut filtered: Vec<u32> = Vec::new();
             let mut ex =
                 BatchedExchange::new(ctx, tags::PATHS, POLL_EVERY_PROJECTIONS, PathBatch::new);
             for &r in &todo {
-                let item = order.item_at(r);
-                let owner = owner_of(item, tax, n);
+                let owner = owner_of(order.item_at(r), tax, n);
+                let skip = related.row(r);
                 tree.for_each_base_path(r, &mut |path, count| {
                     ctx.stats().add_cpu(path.len() as u64 + 1);
-                    let filtered: Vec<u32> = path
-                        .iter()
-                        .copied()
-                        .filter(|&q| !tax.related(order.item_at(q), item))
-                        .collect();
+                    if owner == me {
+                        bases[r as usize].push_filtered(path, skip, count);
+                        return Ok(());
+                    }
+                    filtered.clear();
+                    filtered.extend(path.iter().copied().filter(|&q| !skip.contains(q)));
                     if filtered.is_empty() {
-                        Ok(())
-                    } else if owner == me {
-                        bases[r as usize].push((filtered, count));
                         Ok(())
                     } else {
                         ex.push(owner, |batch| batch.push(r, count, &filtered))
                     }
                 })?;
-                ex.unit_done(|p| receive_paths(p, &mut recv_scratch, &mut bases))?;
+                ex.unit_done(|p| wire::receive_paths(p, &mut bases))?;
             }
-            ex.finish(|p| receive_paths(p, &mut recv_scratch, &mut bases))?;
+            ex.finish(|p| wire::receive_paths(p, &mut bases))?;
         }
 
-        let mut grow = GrowCtx {
-            order: &order,
-            tax,
-            min_support_count: p1.min_support_count,
-            max_len: params.max_pass,
-            work: 0,
-        };
+        let mut grow = GrowCtx::new(&order, &related, p1.min_support_count, params.max_pass);
         for (t, &r) in owned.iter().enumerate() {
             // The per-projection fault coordinate: `panic@nXpY` with
             // Y >= 3 kills node X in its (Y-3)rd projection task.
             ctx.set_pass(3 + t);
             let item = order.item_at(r);
             let mut found = Vec::new();
+            let produced = (grow.base_entries, grow.base_entries_merged);
             {
                 let _projection = ctx.span("projection");
                 mine_projection(&mut grow, item, &bases[r as usize], &mut found);
             }
+            // Stored ÷ produced is the useful share of the projection's
+            // sub-base entries: the rest were equal prefixes, merged.
+            let labels = [("node", me as u64), ("pass", ctx.current_pass())];
+            ctx.obs().add("counter.fptree.projections", &labels, 1);
             ctx.obs().add(
-                "counter.fptree.projections",
-                &[("node", me as u64), ("pass", ctx.current_pass())],
-                1,
+                "counter.fptree.base_entries",
+                &labels,
+                grow.base_entries - produced.0,
+            );
+            ctx.obs().add(
+                "counter.fptree.base_entries_merged",
+                &labels,
+                grow.base_entries_merged - produced.1,
             );
             if ctx.is_coordinator() {
                 if deep.insert(item, found).is_some() {

@@ -7,7 +7,7 @@
 //! and pass caps.
 
 use crate::grow::{mine_projection, CondBase, GrowCtx};
-use crate::order::ItemOrder;
+use crate::order::{ItemOrder, RelatedRanks};
 use crate::tree::FpTree;
 use gar_mining::params::{Algorithm, MiningParams};
 use gar_mining::report::{LargePass, MiningOutput};
@@ -57,18 +57,13 @@ pub fn mine_sequential(
         })?;
 
         // One projection per large item, most frequent first.
-        let mut ctx = GrowCtx {
-            order: &order,
-            tax,
-            min_support_count,
-            max_len: params.max_pass,
-            work: 0,
-        };
+        let related = RelatedRanks::new(&order, tax);
+        let mut ctx = GrowCtx::new(&order, &related, min_support_count, params.max_pass);
+        let mut base = CondBase::new();
         let mut found: Vec<(Itemset, u64)> = Vec::new();
         for r in 0..order.num_large() as u32 {
-            let item = order.item_at(r);
-            let base = extract_base(&tree, &order, tax, r);
-            mine_projection(&mut ctx, item, &base, &mut found);
+            extract_base(&tree, &related, r, &mut base);
+            mine_projection(&mut ctx, order.item_at(r), &base, &mut found);
         }
         passes.extend(group_passes(found));
     }
@@ -81,25 +76,16 @@ pub fn mine_sequential(
     })
 }
 
-/// The conditional base of rank `r`'s item: its prefix paths with items
-/// hierarchy-related to it dropped (the ancestor-redundancy filter) and
-/// empty remainders skipped.
-pub(crate) fn extract_base(tree: &FpTree, order: &ItemOrder, tax: &Taxonomy, r: u32) -> CondBase {
-    let item = order.item_at(r);
-    let mut base = CondBase::new();
+/// Refills `base` with the conditional base of rank `r`'s item: its
+/// prefix paths with items hierarchy-related to it dropped (the
+/// ancestor-redundancy filter) and empty remainders skipped.
+fn extract_base(tree: &FpTree, related: &RelatedRanks, r: u32, base: &mut CondBase) {
+    base.clear();
     tree.for_each_base_path::<std::convert::Infallible>(r, &mut |path, count| {
-        let filtered: Vec<u32> = path
-            .iter()
-            .copied()
-            .filter(|&q| !tax.related(order.item_at(q), item))
-            .collect();
-        if !filtered.is_empty() {
-            base.push((filtered, count));
-        }
+        base.push_filtered(path, related.row(r), count);
         Ok(())
     })
     .unwrap_or_else(|e| match e {});
-    base
 }
 
 /// `L_1` from the global counts — must match the Apriori family's pass-1

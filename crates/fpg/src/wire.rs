@@ -5,6 +5,7 @@
 //! on receive. Every decoder bounds-checks; malformed frames surface as
 //! [`Error::Protocol`], never a panic.
 
+use crate::grow::CondBase;
 use bytes::{BufMut, Bytes, BytesMut};
 use gar_mining::report::LargePass;
 use gar_mining::wire::{decode_counted, encode_counted};
@@ -59,20 +60,30 @@ fn frame(payload: &[u8]) -> Cursor<'_> {
     Cursor::new(payload, "FP-Growth frame", Error::Protocol)
 }
 
-/// Iterates the records of a [`PathBatch`] payload.
-pub(crate) fn for_each_path(
-    payload: &[u8],
-    scratch: &mut Vec<u32>,
-    mut f: impl FnMut(u32, u64, &[u32]) -> Result<()>,
-) -> Result<()> {
+/// Receives one [`PathBatch`] payload into the local conditional bases
+/// (`bases[rank]` for every projection rank), each path decoded straight
+/// into its base's arena. A sender ships only non-empty, strictly
+/// ascending prefix paths of ranks below the target; growth indexes
+/// per-rank tables with what a base holds, so a record that is anything
+/// else is a protocol error here, before it is stored.
+pub(crate) fn receive_paths(payload: &[u8], bases: &mut [CondBase]) -> Result<()> {
     let mut c = frame(payload);
     while c.remaining() > 0 {
         let target = c.u32()?;
         let count = c.u64()?;
         let len = c.u32()? as usize;
-        scratch.clear();
-        scratch.extend(c.u32s(len)?);
-        f(target, count, scratch)?;
+        let path = c.u32s(len)?;
+        let base = bases.get_mut(target as usize).ok_or_else(|| {
+            c.error(format_args!(
+                "holds a path for unknown projection rank {target}"
+            ))
+        })?;
+        if !base.push_received(path, target, count) {
+            return Err(c.error(format_args!(
+                "holds a path for projection rank {target} that is empty, \
+                 not strictly ascending, or reaches rank {target}"
+            )));
+        }
     }
     Ok(())
 }
@@ -155,18 +166,50 @@ mod tests {
     fn path_batch_round_trips() {
         let mut b = PathBatch::new();
         b.push(7, 3, &[0, 2, 5]);
-        b.push(9, 1, &[]);
+        b.push(9, 1, &[8]);
+        b.push(7, 2, &[1]);
         assert!(b.byte_len() > 0);
         let payload = b.take();
         assert_eq!(b.byte_len(), 0);
-        let mut got = Vec::new();
-        let mut scratch = Vec::new();
-        for_each_path(&payload, &mut scratch, |t, c, p| {
-            got.push((t, c, p.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(got, vec![(7, 3, vec![0, 2, 5]), (9, 1, vec![])]);
+        let mut got = vec![CondBase::new(); 10];
+        receive_paths(&payload, &mut got).unwrap();
+        assert_eq!(got[7].to_paths(), vec![(vec![0, 2, 5], 3), (vec![1], 2)]);
+        assert_eq!(got[9].to_paths(), vec![(vec![8], 1)]);
+        assert_eq!(got.iter().filter(|b| !b.is_empty()).count(), 2);
+    }
+
+    /// A PATHS frame is input from outside the process: a record growth
+    /// could not index with is refused with the typed error, not stored.
+    #[test]
+    fn damaged_paths_are_a_protocol_error() {
+        const NUM_LARGE: usize = 6;
+        let cases: [(&str, u32, &[u32]); 6] = [
+            ("target rank >= |L1|", 6, &[0]),
+            ("rank >= |L1|", 5, &[0, 6]),
+            ("descending ranks", 5, &[3, 1]),
+            ("repeated rank", 5, &[2, 2]),
+            ("rank >= target", 3, &[1, 3]),
+            ("empty path", 4, &[]),
+        ];
+        for (what, target, path) in cases {
+            let mut b = PathBatch::new();
+            b.push(4, 1, &[0, 3]);
+            b.push(target, 2, path);
+            let mut bases = vec![CondBase::new(); NUM_LARGE];
+            let err = receive_paths(&b.take(), &mut bases).unwrap_err();
+            assert!(matches!(err, Error::Protocol(_)), "{what}: {err:?}");
+        }
+        // A frame cut inside a record is one too.
+        let mut b = PathBatch::new();
+        b.push(4, 1, &[0, 3]);
+        let payload = b.take();
+        for cut in 1..payload.len() {
+            let mut bases = vec![CondBase::new(); NUM_LARGE];
+            assert!(
+                receive_paths(&payload[..cut], &mut bases).is_err(),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]
