@@ -5,6 +5,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Live, thread-safe counters for one simulated node. All increments are
 /// relaxed — the counters are independent tallies, never used for
 /// synchronization.
+///
+/// Each add is still an atomic read-modify-write, and only snapshots at
+/// pass boundaries read the tallies. So a hot loop sums its ticks and
+/// probes in locals and charges them once per transaction or received
+/// payload, never once per itemset or combination (DESIGN.md §15).
 #[derive(Debug, Default)]
 pub struct NodeStats {
     /// Point-to-point messages sent.

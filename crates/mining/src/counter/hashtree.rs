@@ -167,6 +167,24 @@ impl Tree {
         self.rank_of.get(at).copied().unwrap_or(NONE)
     }
 
+    /// Where `path` leads from the root — a node, or after `k` items the
+    /// candidate's index — or `NONE` when it leaves the tree.
+    #[inline]
+    fn walk(&self, path: &[ItemId]) -> u32 {
+        let mut target = 0;
+        for &it in path {
+            let rank = self.rank(it);
+            if rank == NONE {
+                return NONE;
+            }
+            target = self.target(target, rank);
+            if target == NONE {
+                return NONE;
+            }
+        }
+        target
+    }
+
     /// Target of `node`'s edge on `rank`, or `NONE`: one load where the
     /// node has a table, a binary search of its edges where it has none.
     #[inline]
@@ -300,24 +318,39 @@ impl CandidateCounter for HashTreeCounter {
     }
 
     fn probe(&mut self, itemset: &[ItemId]) -> CountOutcome {
-        let mut out = CountOutcome { work: 1, hits: 0 };
         if itemset.len() != self.k {
-            return out;
+            return CountOutcome { work: 1, hits: 0 };
         }
-        // After `k` edges the target is the candidate's index.
-        let mut target = 0u32;
-        for &it in itemset {
-            let rank = self.tree.rank(it);
-            if rank == NONE {
-                return out;
+        self.probe_many(itemset)
+    }
+
+    /// Received batches are grouped by first item and a transaction's
+    /// subsets come in lexicographic order, so consecutive itemsets mostly
+    /// share their `(k − 1)`-prefix: the node it reaches is kept, and such
+    /// a probe is one edge lookup.
+    fn probe_many(&mut self, flat: &[ItemId]) -> CountOutcome {
+        let mut out = CountOutcome::default();
+        // The empty prefix leads to the root.
+        let mut prev: (&[ItemId], u32) = (&[], 0);
+        for itemset in flat.chunks_exact(self.k) {
+            out.work += 1;
+            let Some((&last, prefix)) = itemset.split_last() else {
+                continue;
+            };
+            if prefix != prev.0 {
+                prev = (prefix, self.tree.walk(prefix));
             }
-            target = self.tree.target(target, rank);
-            if target == NONE {
-                return out;
+            let rank = self.tree.rank(last);
+            if prev.1 == NONE || rank == NONE {
+                continue;
+            }
+            // After `k` edges the target is the candidate's index.
+            let candidate = self.tree.target(prev.1, rank);
+            if candidate != NONE {
+                self.counts[candidate as usize] += 1;
+                out.hits += 1;
             }
         }
-        self.counts[target as usize] += 1;
-        out.hits = 1;
         out
     }
 

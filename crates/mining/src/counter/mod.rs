@@ -11,7 +11,9 @@
 //! * [`HashTreeCounter`] — a rank-mapped candidate prefix tree in the
 //!   style of [RR94]'s hash tree; it walks transaction and tree together,
 //!   skipping subsets that cannot match, by table lookups instead of
-//!   merges. The default. The ablation benchmark compares the two.
+//!   merges. The default. The proptests compare the two: both against
+//!   direct containment and each other (below), the tree against its
+//!   pointer-walking reference (`hashtree.rs`).
 //!
 //! Both report the same two meters: `hits` (successful probes — the
 //! quantity Figure 15 plots as "the number of hash table probes to
@@ -75,6 +77,18 @@ pub trait CandidateCounter: Send {
     /// Probes one sorted k-itemset; increments its count if it is a
     /// candidate. Returns the outcome (work 1, hits 0/1).
     fn probe(&mut self, itemset: &[ItemId]) -> CountOutcome;
+
+    /// Probes each k-itemset of `flat` (itemsets back to back, a trailing
+    /// partial one ignored) — the fold of [`probe`](Self::probe): work is
+    /// the number of itemsets, hits the sum of theirs. One call per
+    /// received batch or per transaction's local subsets.
+    fn probe_many(&mut self, flat: &[ItemId]) -> CountOutcome {
+        let mut out = CountOutcome::default();
+        for itemset in flat.chunks_exact(self.k()) {
+            out.absorb(self.probe(itemset));
+        }
+        out
+    }
 
     /// Counts every candidate contained in the sorted, de-duplicated
     /// transaction `t` (increments each at most once).
@@ -309,6 +323,55 @@ mod proptests {
             prop_assert_eq!(flat.counts(), tree.counts());
             prop_assert_eq!(flat_hits, tree_hits);
             prop_assert_eq!(flat_hits, flat.counts().iter().sum::<u64>());
+        }
+
+        // HPGM probes a received batch, or a transaction's local subsets,
+        // with one `probe_many`: it must count what probing each itemset
+        // did. The run holds candidates (op 0) and their sorted successors
+        // (1) — shared prefixes — the previous itemset's prefix with a new
+        // last item (2), and broken itemsets: an item past the rank map
+        // (3), `u32::MAX` (4), an unsorted itemset (5).
+        #[test]
+        fn probe_many_is_the_fold_of_probe(
+            k in 1usize..5,
+            seed_cands in arb_itemsets(4),
+            ops in proptest::collection::vec((0u32..6, 0u32..1000, 0u32..48), 0..60)
+        ) {
+            let cands: Vec<Itemset> = {
+                let mut seen = std::collections::BTreeSet::new();
+                seed_cands
+                    .iter()
+                    .map(|c| Itemset::from_sorted(c.items()[..k].to_vec()))
+                    .filter(|c| seen.insert(c.clone()))
+                    .collect()
+            };
+            let mut flat: Vec<ItemId> = Vec::new();
+            let mut at = 0;
+            for (op, pick, item) in ops {
+                at = (if op == 0 { pick as usize } else { at + 1 }) % cands.len();
+                let mut set = cands[at].items().to_vec();
+                match op {
+                    2 if !flat.is_empty() => {
+                        set = flat[flat.len() - k..].to_vec();
+                        set[k - 1] = ItemId(item);
+                    }
+                    3 => set[pick as usize % k] = ItemId(1000 + item),
+                    4 => set[pick as usize % k] = ItemId(u32::MAX),
+                    5 => set.reverse(),
+                    _ => {}
+                }
+                flat.extend(set);
+            }
+            for kind in [CounterKind::HashMap, CounterKind::HashTree] {
+                let mut many = build_counter(kind, k, &cands);
+                let mut one = build_counter(kind, k, &cands);
+                let mut folded = CountOutcome::default();
+                for itemset in flat.chunks_exact(k) {
+                    folded.absorb(one.probe(itemset));
+                }
+                prop_assert_eq!(many.probe_many(&flat), folded);
+                prop_assert_eq!(many.counts(), one.counts());
+            }
         }
     }
 }

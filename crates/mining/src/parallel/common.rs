@@ -19,6 +19,7 @@ use gar_cluster::{
 };
 use gar_storage::{MultiSource, PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
+use gar_types::hash::{fx_hash_u32s, fx_mix};
 use gar_types::{Error, ItemId, Itemset, Result};
 
 /// Message tags used by the pass-k exchange phases.
@@ -45,7 +46,13 @@ pub(crate) const POLL_EVERY_TXNS: usize = 32;
 /// FP-Growth), modulo the cluster size.
 #[inline]
 pub fn owner_of(key: impl IntoIterator<Item = u32>, num_nodes: usize) -> usize {
-    (gar_types::hash::fx_hash_u32s(key) % num_nodes as u64) as usize
+    owner_of_hash(fx_hash_u32s(key), num_nodes)
+}
+
+/// [`owner_of`] for a key whose placement hash the caller already holds.
+#[inline]
+pub(crate) fn owner_of_hash(hash: u64, num_nodes: usize) -> usize {
+    (hash % num_nodes as u64) as usize
 }
 
 /// Per-pass bookkeeping accumulated by a node: everything the report needs
@@ -499,22 +506,25 @@ pub(crate) fn gather_large(
     }
 }
 
-/// Enumerates every k-subset of the sorted slice `t`, invoking `f` on
-/// each. The HPGM send loop needs the subsets themselves (to route them),
-/// so this cannot be folded into a counter.
+/// Enumerates every k-subset of the sorted slice `t` in lexicographic
+/// order, invoking `f` on each with its placement hash — `fx_hash_u32s`
+/// of its codes, carried from its (k−1)-prefix, so a subset costs one
+/// multiply instead of a re-hash. The HPGM send loop needs the subsets
+/// themselves (to route them), so this cannot be folded into a counter.
 pub(crate) fn for_each_k_subset(
     t: &[ItemId],
     k: usize,
     scratch: &mut Vec<ItemId>,
-    f: &mut impl FnMut(&[ItemId]) -> Result<()>,
+    f: &mut impl FnMut(&[ItemId], u64) -> Result<()>,
 ) -> Result<()> {
     if t.len() < k {
         return Ok(());
     }
     if k == 2 {
-        for i in 0..t.len() - 1 {
-            for j in i + 1..t.len() {
-                f(&[t[i], t[j]])?;
+        for (i, &a) in t.iter().enumerate() {
+            let prefix = fx_mix(0, a.raw().into());
+            for &b in &t[i + 1..] {
+                f(&[a, b], fx_mix(prefix, b.raw().into()))?;
             }
         }
         return Ok(());
@@ -523,24 +533,26 @@ pub(crate) fn for_each_k_subset(
         t: &[ItemId],
         start: usize,
         need: usize,
+        hash: u64,
         scratch: &mut Vec<ItemId>,
-        f: &mut impl FnMut(&[ItemId]) -> Result<()>,
+        f: &mut impl FnMut(&[ItemId], u64) -> Result<()>,
     ) -> Result<()> {
         if need == 0 {
-            return f(scratch);
+            return f(scratch, hash);
         }
         if t.len() - start < need {
             return Ok(());
         }
-        for i in start..t.len() {
-            scratch.push(t[i]);
-            rec(t, i + 1, need - 1, scratch, f)?;
+        for (i, &it) in t.iter().enumerate().skip(start) {
+            scratch.push(it);
+            let hash = fx_mix(hash, it.raw().into());
+            rec(t, i + 1, need - 1, hash, scratch, f)?;
             scratch.pop();
         }
         Ok(())
     }
     scratch.clear();
-    rec(t, 0, k, scratch, f)
+    rec(t, 0, k, 0, scratch, f)
 }
 
 /// The root-itemset partitioning key of the H-HPGM family: each item
@@ -833,7 +845,7 @@ mod tests {
         let t = ids(&[1, 2, 3, 4]);
         let mut got = Vec::new();
         let mut scratch = Vec::new();
-        for_each_k_subset(&t, 2, &mut scratch, &mut |s| {
+        for_each_k_subset(&t, 2, &mut scratch, &mut |s, _| {
             got.push(s.to_vec());
             Ok(())
         })
@@ -843,7 +855,7 @@ mod tests {
         assert_eq!(got[5], ids(&[3, 4]));
 
         got.clear();
-        for_each_k_subset(&t, 3, &mut scratch, &mut |s| {
+        for_each_k_subset(&t, 3, &mut scratch, &mut |s, _| {
             got.push(s.to_vec());
             Ok(())
         })
@@ -856,7 +868,7 @@ mod tests {
     fn k_subsets_of_short_input_is_empty() {
         let mut scratch = Vec::new();
         let mut n = 0;
-        for_each_k_subset(&ids(&[1]), 2, &mut scratch, &mut |_| {
+        for_each_k_subset(&ids(&[1]), 2, &mut scratch, &mut |_, _| {
             n += 1;
             Ok(())
         })
@@ -926,5 +938,45 @@ mod tests {
     fn candidate_bytes_scale_with_k_and_count() {
         assert_eq!(candidates_bytes(2, 10), 320);
         assert!(candidates_bytes(3, 10) > candidates_bytes(2, 10));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        // HPGM routes by the carried hash, so it must be the subset's own
+        // placement hash — for every subset, in lexicographic order, with
+        // codes small and near `u32::MAX`.
+        #[test]
+        fn carried_hash_is_the_subset_hash(
+            k in 1usize..5,
+            small in proptest::collection::btree_set(0u32..64, 0..10),
+            large in proptest::collection::btree_set(0u32..4, 0..3)
+        ) {
+            let t: Vec<ItemId> = small
+                .into_iter()
+                .chain(large.into_iter().rev().map(|d| u32::MAX - d))
+                .map(ItemId)
+                .collect();
+            let mut got = Vec::new();
+            for_each_k_subset(&t, k, &mut Vec::new(), &mut |s, hash| {
+                got.push((s.to_vec(), hash));
+                Ok(())
+            })
+            .expect("the callback never fails");
+            // C(n, k) strictly increasing sorted k-subsets of `t`: all of them.
+            let n = t.len();
+            let binom = (0..k).fold(1, |c, i| c * n.saturating_sub(i) / (i + 1));
+            prop_assert_eq!(got.len(), binom);
+            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "not lexicographic");
+            for (s, hash) in &got {
+                prop_assert!(s.windows(2).all(|w| w[0] < w[1]), "{s:?} unsorted");
+                prop_assert!(s.iter().all(|it| t.binary_search(it).is_ok()), "{s:?} not in t");
+                prop_assert_eq!(*hash, fx_hash_u32s(s.iter().map(|it| it.raw())));
+            }
+        }
     }
 }

@@ -26,6 +26,7 @@ use crate::counter::candidate_entry_bytes;
 use crate::parallel::common::root_key;
 use gar_taxonomy::Taxonomy;
 use gar_types::{FxHashMap, FxHashSet, ItemId, Itemset};
+use std::cmp::Ordering;
 
 /// The duplication granule (one per skew-handling algorithm).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,12 +63,34 @@ impl DuplicateSelection {
 /// Estimated frequency of an itemset: the product of its items' global
 /// support fractions (independence assumption — only the *ranking*
 /// matters, and item supports are what the paper sorts by too).
-fn estimate(items: &[ItemId], item_counts: &[u64], num_transactions: u64) -> f64 {
+fn estimate(
+    items: impl IntoIterator<Item = ItemId>,
+    item_counts: &[u64],
+    num_transactions: u64,
+) -> f64 {
     let n = (num_transactions.max(1)) as f64;
     items
-        .iter()
+        .into_iter()
         .map(|it| item_counts[it.index()] as f64 / n)
         .product()
+}
+
+/// Sorts `entries` hottest first — `heat` descending, ties by `tie`
+/// ascending — computing each entry's heat once, not twice per
+/// comparison. Heats are products of non-negative fractions (never NaN,
+/// never −0), where `total_cmp` is `partial_cmp`.
+fn sort_hottest_first<T>(
+    entries: &mut Vec<T>,
+    heat: impl Fn(&T) -> f64,
+    tie: impl Fn(&T, &T) -> Ordering,
+) {
+    #[cfg(test)]
+    if tests::UNCACHED.with(std::cell::Cell::get) {
+        return tests::sort_hottest_first_uncached(entries, heat, tie);
+    }
+    let mut keyed: Vec<(f64, T)> = entries.drain(..).map(|e| (heat(&e), e)).collect();
+    keyed.sort_by(|(ha, a), (hb, b)| hb.total_cmp(ha).then_with(|| tie(a, b)));
+    entries.extend(keyed.into_iter().map(|(_, e)| e));
 }
 
 /// Enumerates the ancestor candidates of `c`: every itemset obtained by
@@ -175,6 +198,7 @@ pub fn select_duplicates(
         true
     };
 
+    let (counts, txns) = (item_counts, num_transactions);
     match grain {
         DuplicateGrain::Tree => {
             // Group candidates by root itemset; order groups by estimated
@@ -187,13 +211,11 @@ pub fn select_duplicates(
             // lint:allow(det-taint): drained into a Vec and sorted just
             // below with a total-order tie-break (`ka.cmp(kb)`).
             let mut ordered: Vec<(Box<[u32]>, Vec<usize>)> = groups.into_iter().collect();
-            ordered.sort_by(|(ka, _), (kb, _)| {
-                let ra: Vec<ItemId> = ka.iter().map(|&r| ItemId(r)).collect();
-                let rb: Vec<ItemId> = kb.iter().map(|&r| ItemId(r)).collect();
-                let fa = estimate(&ra, item_counts, num_transactions);
-                let fb = estimate(&rb, item_counts, num_transactions);
-                fb.partial_cmp(&fa).unwrap().then_with(|| ka.cmp(kb))
-            });
+            sort_hottest_first(
+                &mut ordered,
+                |(key, _)| estimate(key.iter().map(|&r| ItemId(r)), counts, txns),
+                |(ka, _), (kb, _)| ka.cmp(kb),
+            );
             for (_, group) in &ordered {
                 if !try_take(group, &mut taken, &mut duplicated, &mut budget) {
                     break; // coarse grain: stop at the first non-fit
@@ -220,13 +242,11 @@ pub fn select_duplicates(
                     _ => true,
                 })
                 .collect();
-            pool.sort_by(|&a, &b| {
-                let fa = estimate(candidates[a].items(), item_counts, num_transactions);
-                let fb = estimate(candidates[b].items(), item_counts, num_transactions);
-                fb.partial_cmp(&fa)
-                    .unwrap()
-                    .then_with(|| candidates[a].cmp(&candidates[b]))
-            });
+            sort_hottest_first(
+                &mut pool,
+                |&i| estimate(candidates[i].items().iter().copied(), counts, txns),
+                |&a, &b| candidates[a].cmp(&candidates[b]),
+            );
             for &seed in &pool {
                 if taken.contains(&seed) {
                     continue;
@@ -276,6 +296,63 @@ mod tests {
     use super::*;
     use gar_taxonomy::TaxonomyBuilder;
     use gar_types::iset;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set by a test to sort through the comparator below.
+        pub(super) static UNCACHED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// How `select_duplicates` sorted before heats were cached: both
+    /// heats recomputed for every comparison.
+    pub(super) fn sort_hottest_first_uncached<T>(
+        entries: &mut [T],
+        heat: impl Fn(&T) -> f64,
+        tie: impl Fn(&T, &T) -> Ordering,
+    ) {
+        entries.sort_by(|a, b| {
+            heat(b)
+                .partial_cmp(&heat(a))
+                .unwrap()
+                .then_with(|| tie(a, b))
+        });
+    }
+
+    proptest! {
+        // Random forests (items 0..6 are roots, item i ≥ 6 hangs under an
+        // earlier one) with item counts that tie often: every grain
+        // duplicates the same candidates in the same order, and keeps the
+        // same remainder, whichever way the pool is sorted.
+        #[test]
+        fn cached_heats_select_like_the_comparator(
+            parents in proptest::collection::vec(0u32..1000, 40..=40),
+            counts in proptest::collection::vec(1u64..6, 40..=40),
+            large in proptest::collection::vec(0u32..10, 40..=40),
+            budget in 0u64..300
+        ) {
+            let mut b = TaxonomyBuilder::new(40);
+            for i in 6..40u32 {
+                b.edge(i, parents[i as usize] % i).unwrap();
+            }
+            let tax = b.build().unwrap();
+            let l1: Vec<bool> = large.iter().map(|&r| r < 8).collect();
+            let items: Vec<ItemId> = (0..40).filter(|&i| l1[i as usize]).map(ItemId).collect();
+            let cands = crate::candidate::generate_pairs(&items, Some(&tax));
+            for grain in [DuplicateGrain::Tree, DuplicateGrain::Path, DuplicateGrain::Fine] {
+                let select = |uncached: bool| {
+                    UNCACHED.with(|u| u.set(uncached));
+                    let budget = budget * candidate_entry_bytes(2);
+                    let sel = select_duplicates(grain, &cands, &tax, &counts, 20, &l1, budget);
+                    UNCACHED.with(|u| u.set(false));
+                    sel
+                };
+                let (cached, uncached) = (select(false), select(true));
+                prop_assert_eq!(&cached.duplicated, &uncached.duplicated);
+                prop_assert_eq!(&cached.remaining, &uncached.remaining);
+            }
+        }
+    }
 
     /// The paper's example forest: 1 -> {3,4,5}, 3 -> {7,8}, 4 -> {9,10},
     /// 2 -> {6}, 6 -> {15}.

@@ -152,7 +152,6 @@ fn count_combos(
         return 0;
     }
     view.extend_transaction_into(tax, items, ext);
-    ctx.stats().add_cpu(ext.len() as u64);
 
     let mut work = 0u64;
     let mut hits = 0u64;
@@ -164,7 +163,7 @@ fn count_combos(
     let out = local_counter.count_transaction(ext);
     work += out.work;
     hits += out.hits;
-    ctx.stats().add_cpu(work);
+    ctx.stats().add_cpu(ext.len() as u64 + work);
     ctx.stats().add_probes(hits);
     work
 }
@@ -297,8 +296,10 @@ pub(crate) fn mine(
                     for s in owner_roots.iter_mut() {
                         s.clear();
                     }
+                    // One tick per combination, charged once per transaction.
+                    let mut combos = 0u64;
                     for_each_root_multiset(&roots_scratch, k, &mut |combo| {
-                        ctx.stats().add_cpu(1);
+                        combos += 1;
                         if active.contains(combo) {
                             let owner = owner_of_key(combo, n);
                             for &r in combo {
@@ -306,6 +307,7 @@ pub(crate) fn mine(
                             }
                         }
                     });
+                    ctx.stats().add_cpu(combos);
 
                     // Ship sub-transactions to the other owners (this node's
                     // own combinations were counted above).

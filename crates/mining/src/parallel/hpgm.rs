@@ -11,25 +11,21 @@
 
 use crate::candidate::items_in_candidates;
 use crate::checkpoint::Checkpoint;
-use crate::counter::{build_counter, CandidateCounter};
+use crate::counter::{build_counter, CandidateCounter, CountOutcome};
 use crate::parallel::common::{
-    assemble_report, for_each_k_subset, gather_large, node_pass_loop, owner_of, record_arena_obs,
-    scan_partition, tags, BatchedExchange, PassPersistence, PassResult, POLL_EVERY_TXNS,
+    assemble_report, for_each_k_subset, gather_large, node_pass_loop, owner_of, owner_of_hash,
+    record_arena_obs, scan_partition, tags, BatchedExchange, PassPersistence, PassResult,
+    POLL_EVERY_TXNS,
 };
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
 use crate::sequential::extract_large;
-use crate::wire::{for_each_itemset, ItemsetBatch};
+use crate::wire::{decode_itemsets, ItemsetBatch};
 use gar_cluster::{Cluster, ClusterConfig};
 use gar_storage::TransactionSource;
 use gar_taxonomy::{PrunedView, Taxonomy};
-use gar_types::{ItemId, Itemset, Result};
+use gar_types::{Itemset, Result};
 use std::cell::Cell;
-
-/// The hierarchy-blind partitioning function: hash of the itemset's codes.
-fn itemset_owner(items: &[ItemId], num_nodes: usize) -> usize {
-    owner_of(items.iter().map(|it| it.raw()), num_nodes)
-}
 
 /// Runs HPGM over the per-node sources (`sources[n]` is node `n`'s
 /// partition — possibly a recovery composite).
@@ -54,29 +50,31 @@ pub(crate) fn mine(
                 let me = ctx.node_id();
                 let view = PrunedView::new(tax, items_in_candidates(candidates));
 
-                // C_k^n: candidates whose hash lands on this node.
+                // C_k^n: candidates whose hash of codes (the hierarchy-blind
+                // partitioning function) lands on this node.
                 let mine: Vec<Itemset> = candidates
                     .iter()
-                    .filter(|c| itemset_owner(c.items(), n) == me)
+                    .filter(|c| owner_of(c.items().iter().map(|it| it.raw()), n) == me)
                     .cloned()
                     .collect();
                 let mut counter = build_counter(params.counter, k, &mine);
                 record_arena_obs(ctx, k, counter.as_ref());
 
-                // One k-itemset landing on its owner, generated here or
-                // received: a single probe of this node's partition.
+                // A k-itemset landing on its owner, generated here or
+                // received, is one probe of this node's partition and one
+                // tick. The ledger is charged once per transaction and once
+                // per payload, never per itemset (DESIGN.md §15).
                 let probes = Cell::new(0u64);
-                let probe = |counter: &mut dyn CandidateCounter, subset: &[ItemId]| {
-                    let out = counter.probe(subset);
-                    ctx.stats().add_cpu(1);
+                let charge = |out: CountOutcome, ticks: u64| {
+                    ctx.stats().add_cpu(ticks + out.work);
                     ctx.stats().add_probes(out.hits);
-                    probes.set(probes.get() + out.work.max(1));
+                    probes.set(probes.get() + out.work);
                 };
-                let receive = |counter: &mut dyn CandidateCounter, payload: &[u8]| {
-                    for_each_itemset(payload, k, |s| {
-                        probe(counter, s);
-                        Ok(())
-                    })
+                let mut received = Vec::new();
+                let mut receive = |counter: &mut dyn CandidateCounter, payload: &[u8]| {
+                    decode_itemsets(payload, k, &mut received)?;
+                    charge(counter.probe_many(&received), 0);
+                    Ok(())
                 };
 
                 let mut ex = BatchedExchange::new(ctx, tags::ITEMSETS, POLL_EVERY_TXNS, || {
@@ -84,19 +82,24 @@ pub(crate) fn mine(
                 });
                 let mut scratch = Vec::with_capacity(k);
                 let mut extended = Vec::new();
+                let mut local = Vec::new();
                 scan_partition(ctx, part, |t| {
                     view.extend_transaction_into(tax, t, &mut extended);
-                    ctx.stats().add_cpu(extended.len() as u64);
-                    for_each_k_subset(&extended, k, &mut scratch, &mut |subset| {
-                        let owner = itemset_owner(subset, n);
+                    local.clear();
+                    let mut shipped = 0u64;
+                    for_each_k_subset(&extended, k, &mut scratch, &mut |subset, hash| {
+                        let owner = owner_of_hash(hash, n);
                         if owner == me {
-                            probe(counter.as_mut(), subset);
+                            local.extend_from_slice(subset);
                             Ok(())
                         } else {
-                            ctx.stats().add_cpu(1);
+                            shipped += 1;
                             ex.push(owner, |batch| batch.push(subset))
                         }
                     })?;
+                    // The extension, one tick per shipped subset, one probe
+                    // per local one.
+                    charge(counter.probe_many(&local), extended.len() as u64 + shipped);
                     ex.unit_done(|payload| receive(counter.as_mut(), payload))
                 })?;
                 ex.finish(|payload| receive(counter.as_mut(), payload))?;

@@ -159,12 +159,10 @@ impl ItemsetBatch {
     }
 }
 
-/// Iterates the k-itemsets of a flat batch payload, passing each to `f`.
-pub fn for_each_itemset(
-    payload: &[u8],
-    k: usize,
-    mut f: impl FnMut(&[ItemId]) -> Result<()>,
-) -> Result<()> {
+/// Decodes a flat batch payload into `out` (cleared first): its
+/// k-itemsets back to back, `k` items each. A payload that is not whole
+/// k-itemsets, or `k = 0`, is `Error::Corrupt`.
+pub fn decode_itemsets(payload: &[u8], k: usize, out: &mut Vec<ItemId>) -> Result<()> {
     let stride = 4 * k;
     if stride == 0 || !payload.len().is_multiple_of(stride) {
         return Err(Error::Corrupt(format!(
@@ -172,14 +170,18 @@ pub fn for_each_itemset(
             payload.len()
         )));
     }
-    let mut c = Cursor::new(payload, "itemset batch", Error::Corrupt);
-    let mut scratch = Vec::with_capacity(k);
-    while c.remaining() > 0 {
-        scratch.clear();
-        scratch.extend(c.u32s(k)?.map(ItemId));
-        f(&scratch)?;
-    }
-    Ok(())
+    decode_items(payload, out)
+}
+
+/// Iterates the k-itemsets of a flat batch payload, passing each to `f`.
+pub fn for_each_itemset(
+    payload: &[u8],
+    k: usize,
+    mut f: impl FnMut(&[ItemId]) -> Result<()>,
+) -> Result<()> {
+    let mut items = Vec::new();
+    decode_itemsets(payload, k, &mut items)?;
+    items.chunks_exact(k).try_for_each(&mut f)
 }
 
 /// Encodes counted itemsets (an `L_k^n` fragment or the full `L_k`).
@@ -308,6 +310,29 @@ mod tests {
     fn batch_rejects_ragged_payload() {
         let res = for_each_itemset(&[0u8; 12], 2, |_| Ok(()));
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn decode_itemsets_is_the_batch_or_corrupt() {
+        let mut b = ItemsetBatch::new(3);
+        b.push(&ids(&[1, 2, 3]));
+        b.push(&ids(&[1, 2, 9]));
+        let payload = b.take();
+        let mut out = ids(&[77]);
+        decode_itemsets(&payload, 3, &mut out).unwrap();
+        assert_eq!(out, ids(&[1, 2, 3, 1, 2, 9]));
+        decode_itemsets(&[], 3, &mut out).unwrap();
+        assert!(out.is_empty());
+        // Ragged: whole items but not whole itemsets, and a torn item.
+        for ragged in [&payload[..16], &payload[..23]] {
+            let err = decode_itemsets(ragged, 3, &mut out).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        }
+        // Empty stride: k = 0 frames nothing, even an empty payload.
+        for payload in [&payload[..], &[][..]] {
+            let err = decode_itemsets(payload, 0, &mut out).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -25,8 +25,17 @@ pub struct FxHasher {
 impl FxHasher {
     #[inline]
     fn add_to_hash(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(ROTATE) ^ word).wrapping_mul(SEED);
+        self.hash = fx_mix(self.hash, word);
     }
+}
+
+/// One Fx step: the state after `word` is written to a hasher in `state`.
+/// `fx_mix(fx_hash_u32s(p), x as u64)` is `fx_hash_u32s` of `p` followed
+/// by `x`, so a caller enumerating itemsets can carry each prefix's state
+/// and pay one multiply per itemset instead of re-hashing it.
+#[inline]
+pub fn fx_mix(state: u64, word: u64) -> u64 {
+    (state.rotate_left(ROTATE) ^ word).wrapping_mul(SEED)
 }
 
 impl Hasher for FxHasher {
