@@ -97,6 +97,10 @@ impl Args {
     /// they have read everything, before they do any work.
     pub fn finish(&self) -> Result<()> {
         let asked = self.asked.borrow();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected into a BTreeSet just below"
+        )]
         let flags = self.flags.keys().map(|k| (false, k.clone()));
         let switches = self.switches.iter().map(|k| (true, k.clone()));
         let given: BTreeSet<(bool, String)> = flags.chain(switches).collect();

@@ -72,7 +72,6 @@ pub fn run(args: &Args) -> Result<()> {
         std::thread::spawn(move || watch_store_loop(&handle, &path))
     });
 
-    // lint:allow(wait-loop): Server::wait is a thread join, not a Condvar
     server.wait()?;
     if let Some(watcher) = watcher {
         // The poller notices `is_running()` going false within one tick.
@@ -99,6 +98,10 @@ pub fn run(args: &Args) -> Result<()> {
 fn watch_store_loop(handle: &ReloadHandle, path: &str) {
     let mut last_seen = mtime_of(path);
     while handle.is_running() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the rule file's mtime poll interval"
+        )]
         std::thread::sleep(Duration::from_millis(200));
         let now = mtime_of(path);
         if now == last_seen || now.is_none() {

@@ -13,8 +13,8 @@
 //! ([`gar_types::Error::Poisoned`]) so a cascade of secondary failures
 //! still points at its root cause.
 //!
-//! Concurrency discipline (model-checked by `cargo xtask loom`, enforced
-//! textually by `cargo xtask analyze`):
+//! Concurrency discipline (model-checked by `cargo xtask loom`; clippy's
+//! `disallowed_methods` flags every deadline-free wait):
 //!
 //! * every `Condvar` wait sits in a loop re-checking the generation
 //!   counter, so spurious or stale wakeups (a notify from a *previous*
@@ -122,16 +122,24 @@ impl Collectives {
         mut waiting: impl FnMut(&T) -> bool,
     ) -> Result<MutexGuard<'a, T>> {
         let Some(limit) = self.deadline else {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the no-deadline configuration of the deadline-aware wrapper itself"
+            )]
             while waiting(&s) && !self.is_poisoned() {
-                // lint:allow(no-deadline): the no-deadline configuration
-                // of the deadline-aware wrapper itself.
                 s = cv.wait(s);
             }
             return Ok(s);
         };
-        // lint:allow(no-instant): this is the shim's `Instant`, which
-        // `--cfg gar_loom` swaps for the model checker's virtual clock;
-        // routing it through gar-obs would break schedule enumeration.
+        #[cfg_attr(
+            not(gar_loom),
+            expect(
+                clippy::disallowed_methods,
+                reason = "the shim's Instant, which --cfg gar_loom swaps for the model checker's \
+                          virtual clock; routing it through gar-obs would break schedule \
+                          enumeration"
+            )
+        )]
         let start = Instant::now();
         loop {
             if !waiting(&s) || self.is_poisoned() {
@@ -338,7 +346,8 @@ impl Collectives {
     }
 }
 
-#[cfg(all(test, not(gar_loom)))]
+#[cfg(test)]
+#[cfg(not(gar_loom))]
 mod tests {
     use super::*;
 
@@ -430,10 +439,12 @@ mod tests {
         let c = Collectives::new(2);
         std::thread::scope(|s| {
             let waiter = s.spawn(|| c.barrier(0));
-            // lint:allow(test-sleep): not a synchronisation — the
-            // assertion holds whether the poison lands before or after
-            // the waiter parks (loom_collectives enumerates both); the
-            // pause only makes the parked-waiter order the likely one.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "not a synchronisation: the assertion holds whether the poison lands \
+                          before or after the waiter parks (loom_collectives enumerates both); \
+                          the pause only makes the parked-waiter order the likely one"
+            )]
             std::thread::sleep(std::time::Duration::from_millis(20));
             c.poison(1);
             let err = waiter.join().unwrap().unwrap_err();
@@ -456,7 +467,7 @@ mod tests {
     #[test]
     fn deadline_expiry_reports_timeout_and_poisons() {
         let c = Collectives::with_deadline(2, Some(Duration::from_millis(30)));
-        let start = std::time::Instant::now();
+        let start = gar_obs::Stopwatch::start();
         // The peer never arrives: the wait must end with Timeout, not hang.
         let err = c.barrier(0).unwrap_err();
         assert!(

@@ -578,6 +578,7 @@ impl RetryPolicy {
             match f() {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_retryable() && attempt < attempts => {
+                    #[expect(clippy::disallowed_methods, reason = "the policy's linear back-off")]
                     std::thread::sleep(self.backoff * attempt as u32);
                 }
                 Err(e) => return Err(e),

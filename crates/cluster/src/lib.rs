@@ -24,6 +24,18 @@
 //! and speedup shape — all functions of the counted quantities, which this
 //! substrate measures exactly (see DESIGN.md §2).
 
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 // Under `--cfg gar_loom` (see `cargo xtask loom`) only the collectives
 // compile: `gar_modelcheck::shim` replaces the std primitives,
 // and the channel/thread machinery of the full simulator is out of the

@@ -156,10 +156,12 @@ impl NodeCtx {
 
     /// This node's live counters.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node_id < num_nodes by construction (Cluster::run builds one ctx per stats \
+                  slot); every other stats access funnels through this accessor"
+    )]
     pub fn stats(&self) -> &NodeStats {
-        // lint:allow(panic-path): node_id < num_nodes by construction
-        // (Cluster::run builds one ctx per stats slot); every other
-        // stats access funnels through this accessor.
         &self.stats[self.node_id]
     }
 
@@ -224,6 +226,7 @@ impl NodeCtx {
                 }
             }
             if let Some(d) = effects.delay {
+                #[expect(clippy::disallowed_methods, reason = "the injected delay fault")]
                 std::thread::sleep(d);
             }
             if effects.drop {
@@ -235,10 +238,12 @@ impl NodeCtx {
             if effects.corrupt {
                 // Flip a payload byte *after* the checksum was computed.
                 let mut v = payload.to_vec();
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "n is v.len() of the non-empty arm, so n / 2 is in bounds"
+                )]
                 match v.len() {
                     0 => v.push(0xFF),
-                    // lint:allow(panic-path): n is v.len() of this
-                    // non-empty arm, so n / 2 is always in bounds.
                     n => v[n / 2] ^= 0xFF,
                 }
                 payload = Bytes::from(v);
@@ -470,17 +475,20 @@ impl NodeCtx {
         f.set_pass(k);
         let labels = [("node", self.node_id as u64), ("pass", k as u64)];
         match f.on_pass_start() {
+            #[expect(
+                clippy::panic,
+                reason = "this panic is the injected fault; the runtime's panic recovery is what \
+                          the chaos suite exercises here"
+            )]
             Some(FaultOp::Panic) => {
                 self.stats().record_faults(1);
                 self.obs.add("fault.panic", &labels, 1);
-                // lint:allow(panic-path): this panic *is* the injected
-                // fault — the runtime's panic recovery path is exactly
-                // what the chaos suite exercises here.
                 panic!("injected panic: node {} pass {k}", self.node_id);
             }
             Some(FaultOp::Hang) => {
                 self.stats().record_faults(1);
                 self.obs.add("fault.hang", &labels, 1);
+                #[expect(clippy::disallowed_methods, reason = "the injected hang fault")]
                 std::thread::sleep(f.hang_duration());
             }
             _ => {}

@@ -319,7 +319,6 @@ mod tests {
     use super::*;
     use crate::fault::FaultOp;
     use bytes::Bytes;
-    use std::time::Instant;
 
     fn cfg(n: usize) -> ClusterConfig {
         ClusterConfig::new(n, 1 << 20)
@@ -540,7 +539,7 @@ mod tests {
 
     #[test]
     fn recv_deadline_detects_a_silent_peer() {
-        let started = Instant::now();
+        let started = Stopwatch::start();
         let err = Cluster::run(&cfg(2).with_deadline(Duration::from_millis(100)), |ctx| {
             if ctx.node_id() == 1 {
                 // Node 0 never sends: without a deadline this would hang.
@@ -566,7 +565,7 @@ mod tests {
         let config = cfg(2)
             .with_faults(plan)
             .with_deadline(Duration::from_millis(80));
-        let started = Instant::now();
+        let started = Stopwatch::start();
         let err = Cluster::run(&config, |ctx| {
             ctx.set_pass(2); // node 0 hangs here
             ctx.barrier()?;

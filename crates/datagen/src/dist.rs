@@ -73,6 +73,7 @@ impl WeightedIndex {
     }
 
     /// Draws an index with probability proportional to its weight.
+    #[expect(clippy::expect_used, reason = "new() rejects an empty weight list")]
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let x = rng.gen::<f64>() * total;

@@ -27,6 +27,17 @@
 //! `R30F10`) plus a `scale` knob, since the paper's 3.2 M-transaction,
 //! 30 000-item datasets are shrunk proportionally for laptop-scale runs.
 
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod dist;
 mod generator;
 mod pattern;

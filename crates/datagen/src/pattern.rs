@@ -86,6 +86,11 @@ impl PatternPool {
             // ([SA95]'s "close in the taxonomy"). Each pick is lifted to
             // an ancestor with geometric probability, so patterns mix
             // hierarchy levels.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "FxHash has no per-process seed, so the first member is the same on every \
+                          run; every generated dataset depends on this pick"
+            )]
             let mut home_root: Option<ItemId> = items.iter().next().map(|&it| tax.root_of(it));
             let mut guard = 0;
             while items.len() < size && guard < size * 64 {
@@ -109,6 +114,10 @@ impl PatternPool {
                 }
                 // An itemset never contains both an item and its ancestor —
                 // such a pattern would plant trivially redundant rules.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "`any` over a pure predicate is order-independent"
+                )]
                 if items.iter().any(|&x| tax.related(x, pick)) {
                     continue;
                 }

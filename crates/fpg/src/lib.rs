@@ -41,6 +41,17 @@
 //! output, so degraded-mode recovery after a node failure replays only the
 //! unfinished projections.
 
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod checkpoint;
 pub mod grow;
 pub mod order;

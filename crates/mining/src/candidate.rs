@@ -61,6 +61,10 @@ pub fn generate_candidates(prev_large: &[Itemset]) -> Vec<Itemset> {
         for a in run_start..run_end {
             for b in a + 1..run_end {
                 let mut items = sorted[a].items().to_vec();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "k >= 2, so every (k-1)-itemset is nonempty"
+                )]
                 items.push(*sorted[b].items().last().expect("nonempty"));
                 let candidate = Itemset::from_sorted(items);
                 if subsets_all_large(&candidate, &prev_set) {

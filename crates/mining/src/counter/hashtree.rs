@@ -109,6 +109,7 @@ impl Tree {
                 let rank = rank_of[(it.raw() - rank_base) as usize];
                 let found = edges[node].binary_search_by_key(&rank, |e| e.0);
                 if level + 1 == k {
+                    #[expect(clippy::expect_used, reason = "candidate lists are duplicate-free")]
                     let at = found.expect_err("duplicate candidate");
                     edges[node].insert(at, (rank, i as u32));
                 } else {

@@ -50,6 +50,17 @@
 //! assert_eq!(out.support_of(&[ItemId(0)]), Some(4));
 //! ```
 
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 // Under `--cfg gar_loom` (see `cargo xtask loom`) the cluster crate
 // strips its std-backed node machinery, so the parallel algorithms and
 // the cluster-counter reports are stripped here too; the sequential

@@ -15,6 +15,11 @@ use gar_types::{ItemId, Itemset};
 
 /// Mines `transactions` under `tax` by brute force. Intended for tests
 /// only: cost is O(|candidates| × |D| × k) per pass.
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "a test oracle: a bad input is a broken test, and a panic reports it"
+)]
 pub fn mine_naive(
     transactions: &[Vec<ItemId>],
     tax: &Taxonomy,

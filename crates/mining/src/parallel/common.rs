@@ -662,6 +662,7 @@ fn checkpoint_of(
     let passes = passes
         .iter()
         .map(|lp| {
+            #[expect(clippy::expect_used, reason = "every completed pass pushed its info")]
             let info = pass_infos
                 .iter()
                 .find(|i| i.k == lp.k)
@@ -721,6 +722,7 @@ pub(crate) fn node_pass_loop(
             restored: true,
             delta: NodeStatsSnapshot::default(),
         });
+        #[expect(clippy::expect_used, reason = "pushed on the line above")]
         record_pass_obs(ctx, pass_infos.last().expect("restored pass info"));
         passes.push(LargePass {
             k: p.k,
@@ -744,6 +746,10 @@ pub(crate) fn node_pass_loop(
         {
             break;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the check above breaks when there is no pass"
+        )]
         let candidates = candidates_for_pass(k, passes.last().expect("nonempty"), tax);
         if candidates.is_empty() {
             break;
@@ -769,6 +775,7 @@ pub(crate) fn node_pass_loop(
             restored: false,
             delta,
         });
+        #[expect(clippy::expect_used, reason = "pushed just above")]
         record_pass_obs(ctx, pass_infos.last().expect("pass info"));
         last_snap = snap;
 
@@ -819,6 +826,7 @@ pub fn assemble_report(cluster: &ClusterConfig, run: ClusterRun<NodeOutcome>) ->
         });
     }
 
+    #[expect(clippy::expect_used, reason = "a cluster has at least one node")]
     let output = run.results.into_iter().next().expect("node 0").output;
     ParallelReport {
         output,

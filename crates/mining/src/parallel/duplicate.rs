@@ -208,8 +208,8 @@ pub fn select_duplicates(
             for (i, c) in candidates.iter().enumerate() {
                 groups.entry(root_key(c.items(), tax)).or_default().push(i);
             }
-            // lint:allow(det-taint): drained into a Vec and sorted just
-            // below with a total-order tie-break (`ka.cmp(kb)`).
+            // Hash order: drained into a Vec and sorted just below with a
+            // total-order tie-break (`ka.cmp(kb)`).
             let mut ordered: Vec<(Box<[u32]>, Vec<usize>)> = groups.into_iter().collect();
             sort_hottest_first(
                 &mut ordered,

@@ -197,6 +197,10 @@ pub(crate) fn mine(
                 // Replica-identical pass setup: computed by the first node
                 // to reach pass k, shared by the rest (see [`PassSetup`]).
                 let setup = {
+                    #[expect(
+                        clippy::unwrap_used,
+                        reason = "poisoned only by a peer's panic, which already fails the run"
+                    )]
                     let mut m = setups.lock().unwrap();
                     match m.get(&k) {
                         Some(s) => Arc::clone(s),

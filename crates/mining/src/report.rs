@@ -48,6 +48,10 @@ impl MiningOutput {
     }
 
     /// The support count of the itemset with exactly `items`, if large.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the same lookup succeeded on the line above"
+    )]
     pub fn support_of(&self, items: &[ItemId]) -> Option<u64> {
         let target = Itemset::from_unsorted(items.to_vec());
         self.large(target.len())?
@@ -147,7 +151,8 @@ impl ParallelReport {
     }
 }
 
-#[cfg(all(test, not(gar_loom)))]
+#[cfg(test)]
+#[cfg(not(gar_loom))]
 mod tests {
     use super::*;
     use gar_types::iset;

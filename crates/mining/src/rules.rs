@@ -110,6 +110,10 @@ pub(crate) fn derive_rules_for_itemset(
 /// Canonical presentation order: confidence desc, support desc, then the
 /// rule's itemsets. Shared by the sequential and parallel derivers so
 /// their outputs compare equal.
+#[expect(
+    clippy::unwrap_used,
+    reason = "confidences are ratios of counts, never NaN"
+)]
 pub(crate) fn sort_rules(rules: &mut [Rule]) {
     rules.sort_by(|a, b| {
         b.confidence
@@ -149,9 +153,11 @@ pub fn derive_rules(
     assert!((0.0..=1.0).contains(&min_confidence));
     let support = output.support_map();
     let mut rules = Vec::new();
-    // lint:allow(det-taint): each itemset derives its rules
-    // independently and `sort_rules` imposes a total order on the
-    // combined output, so visit order cannot leak into the report.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "each itemset derives its rules independently and `sort_rules` imposes a total \
+                  order on the combined output, so visit order cannot leak into the report"
+    )]
     for (x, &sup_x) in support.iter().filter(|(s, _)| s.len() >= 2) {
         derive_rules_for_itemset(
             x,
@@ -234,8 +240,10 @@ pub fn prune_uninteresting(
             let expected = anc_sup as f64 * ratio;
             // Only prune against ancestor rules that were themselves
             // derived (same antecedent/consequent shape, generalized).
-            // lint:allow(det-taint): existence check — `any` over an
-            // order-independent pure predicate.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "existence check: `any` over an order-independent pure predicate"
+            )]
             let anc_rule_exists = rule_index.keys().any(|(a, c)| {
                 a.union(c) == anc_x
                     && a.len() == rule.antecedent.len()

@@ -46,6 +46,10 @@ pub fn apriori(
                 break;
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the check above breaks when there is no pass"
+        )]
         let prev = &passes.last().expect("nonempty").itemsets;
         let candidates: Vec<Itemset> = if k == 2 {
             let l1: Vec<ItemId> = prev.iter().map(|(s, _)| s.items()[0]).collect();

@@ -112,6 +112,10 @@ pub fn stratify(
                 break;
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the check above breaks when there is no pass"
+        )]
         let prev = &passes.last().expect("nonempty").itemsets;
         let mut candidates: Vec<Itemset> = if k == 2 {
             let l1_items: Vec<ItemId> = prev.iter().map(|(s, _)| s.items()[0]).collect();

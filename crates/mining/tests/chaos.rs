@@ -234,7 +234,7 @@ fn hung_node_is_detected_by_deadline() {
     let cluster = ClusterConfig::new(NODES, BIG_MEMORY)
         .with_faults(plan)
         .with_deadline(Duration::from_millis(100));
-    let started = std::time::Instant::now();
+    let started = gar_obs::Stopwatch::start();
     let err = mine_parallel_with(
         Algorithm::HHpgmFgd,
         &db,

@@ -1,11 +1,13 @@
 //! Byte-level determinism of the mined rule report.
 //!
-//! The `det-taint` rule in `cargo xtask analyze` bans hash-map iteration
-//! from feeding report construction; this test is the dynamic half of
-//! that guarantee. A rendered report must be byte-identical between two
-//! same-seed runs (no ambient nondeterminism: thread scheduling, hash
-//! seeds, allocation addresses) and across node counts (the cluster
-//! decomposition must not leak into the output).
+//! Clippy bans hash-order iteration (`iter_over_hash_type` and the
+//! `disallowed-methods` list in `clippy.toml`); this test is the dynamic
+//! half of that guarantee, and also covers what clippy cannot see:
+//! `into_iter()` on a hash collection outside a `for` loop. A rendered
+//! report must be byte-identical between two same-seed runs (no ambient
+//! nondeterminism: thread scheduling, hash seeds, allocation addresses)
+//! and across node counts (the cluster decomposition must not leak into
+//! the output).
 
 use gar_cluster::ClusterConfig;
 use gar_datagen::{DatasetSpec, TransactionGenerator};

@@ -27,7 +27,7 @@
 //!   explores the weaker C11 orderings (an `Ordering::Relaxed` load may
 //!   observe stale values); here every atomic op acts on a single global
 //!   value. Code whose correctness depends on *which* memory ordering is
-//!   used still needs review — the in-repo `xtask analyze` `relaxed` rule
+//!   used still needs review — the `relaxed` scan in `xtask`'s tests
 //!   exists exactly because this checker cannot see those bugs.
 //! * Exploration is bounded by [`Config::max_schedules`],
 //!   [`Config::max_steps`] per execution, and optionally a preemption
@@ -36,6 +36,17 @@
 //!   preemptions). Small models (2–3 threads, short critical sections)
 //!   complete exhaustively; a truncated search prints a warning unless
 //!   [`Config::fail_on_truncation`] is set.
+
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -84,6 +95,10 @@ pub fn model(f: impl Fn() + Send + Sync + 'static) {
 
 /// Runs `f` under the model checker with explicit bounds. Returns the
 /// number of distinct schedules executed.
+#[expect(
+    clippy::panic,
+    reason = "a failed or truncated search fails the calling test; that is the checker's report"
+)]
 pub fn model_with(config: Config, f: impl Fn() + Send + Sync + 'static) -> usize {
     let f = Arc::new(f);
     let mut replay: Vec<usize> = Vec::new();
@@ -195,12 +210,14 @@ struct ExecAbort;
 
 fn current_context() -> (Arc<Execution>, usize) {
     CONTEXT.with(|c| {
+        #[expect(
+            clippy::expect_used,
+            reason = "the virtual primitives only exist inside model(); using one outside is \
+                      a harness misuse, and panicking in a gar_loom test build is the intended \
+                      failure mode, not a production path"
+        )]
         c.borrow()
             .clone()
-            // lint:allow(panic-path): the virtual primitives only exist
-            // inside model(); using one outside is a harness misuse and
-            // panicking (under #[cfg(gar_loom)] test builds) is the
-            // intended failure mode, not a production path.
             .expect("modelcheck primitive used outside model() closure")
     })
 }
@@ -239,6 +256,10 @@ impl Execution {
         let handles;
         {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the harness parks until its execution ends; the loop re-checks"
+            )]
             loop {
                 let done =
                     st.failure.is_some() || st.statuses.iter().all(|s| *s == Status::Finished);
@@ -336,6 +357,10 @@ pub fn schedule_point() {
             ),
         );
         drop(st);
+        #[expect(
+            clippy::panic,
+            reason = "ExecAbort unwinds a virtual thread of a failed execution"
+        )]
         panic::panic_any(ExecAbort);
     }
     // `me` is runnable, so pick_next cannot return None here.
@@ -373,6 +398,10 @@ fn block_current(exec: &Arc<Execution>, mut st: OsGuard<'_, ExecState>, me: usiz
                     ),
                 );
                 drop(st);
+                #[expect(
+                    clippy::panic,
+                    reason = "ExecAbort unwinds a virtual thread of a failed execution"
+                )]
                 panic::panic_any(ExecAbort);
             }
         }
@@ -422,6 +451,10 @@ pub fn choice(options: usize) -> usize {
     index
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a virtual thread parks until scheduled; the loop re-checks its turn"
+)]
 fn wait_for_turn(exec: &Arc<Execution>, mut st: OsGuard<'_, ExecState>, me: usize) {
     loop {
         check_abort(&st);
@@ -432,6 +465,10 @@ fn wait_for_turn(exec: &Arc<Execution>, mut st: OsGuard<'_, ExecState>, me: usiz
     }
 }
 
+#[expect(
+    clippy::panic,
+    reason = "ExecAbort unwinds a virtual thread of a failed execution"
+)]
 fn check_abort(st: &ExecState) {
     if st.failure.is_some() {
         panic::panic_any(ExecAbort);
@@ -599,6 +636,13 @@ mod tests {
             let (m, cv) = &*pair;
             let started = m.lock();
             // BUG under test: no `while !*started` loop around the wait.
+            #[cfg_attr(
+                gar_loom,
+                expect(
+                    clippy::disallowed_methods,
+                    reason = "the missing loop is the bug under test"
+                )
+            )]
             let _g = cv.wait(started);
             drop(_g);
             t.join().unwrap();
@@ -621,6 +665,13 @@ mod tests {
             };
             let (m, cv) = &*pair;
             let mut started = m.lock();
+            #[cfg_attr(
+                gar_loom,
+                expect(
+                    clippy::disallowed_methods,
+                    reason = "a model-checked wait in its loop"
+                )
+            )]
             while !*started {
                 started = cv.wait(started);
             }

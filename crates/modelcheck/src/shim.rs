@@ -53,9 +53,11 @@ mod backend {
             Condvar::default()
         }
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "raw std passthrough; the predicate re-check loop lives at every call site"
+        )]
         pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            // lint:allow(wait-loop): raw std passthrough — the predicate
-            // re-check loop lives at every call site.
             self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
         }
 

@@ -26,6 +26,7 @@ struct MutexState {
 // scheduler (one runnable virtual thread at a time; state mutations
 // happen with the execution lock held).
 unsafe impl<T: Send> Sync for Mutex<T> {}
+// SAFETY: as for `Sync` above; moving the cells moves no shared access.
 unsafe impl<T: Send> Send for Mutex<T> {}
 
 impl<T> Mutex<T> {
@@ -124,6 +125,7 @@ pub struct Condvar {
 
 // SAFETY: serialized by the model scheduler; see module header.
 unsafe impl Sync for Condvar {}
+// SAFETY: serialized by the model scheduler, as for `Sync` above.
 unsafe impl Send for Condvar {}
 
 impl Default for Condvar {
@@ -297,6 +299,7 @@ pub mod atomic {
             // below happens at a yield point with the execution lock
             // held implicitly through single-thread-at-a-time execution.
             unsafe impl Sync for $name {}
+            // SAFETY: serialized by the model scheduler, as for `Sync`.
             unsafe impl Send for $name {}
 
             impl $name {

@@ -17,10 +17,21 @@
 //! branch-and-return no-op, so production paths pay nothing measurable
 //! when observability is off.
 //!
-//! This crate is also the workspace's only sanctioned clock: the repo
-//! lint (`cargo xtask analyze`, rule `no-instant`) rejects `Instant::now()`
-//! in any other crate, so ad-hoc timing must flow through [`Stopwatch`]
-//! or spans and stays visible to the tooling.
+//! This crate is also the workspace's only sanctioned clock: clippy's
+//! `disallowed_methods` (root `clippy.toml`) rejects `Instant::now()`
+//! anywhere else, so ad-hoc timing must flow through [`Stopwatch`] or
+//! spans and stays visible to the tooling.
+
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod json;
 
@@ -171,6 +182,7 @@ impl fmt::Debug for Obs {
 
 impl Obs {
     /// A recording handle. All clones share one registry.
+    #[expect(clippy::disallowed_methods, reason = "gar-obs is the sanctioned clock")]
     pub fn enabled() -> Self {
         Obs {
             inner: Some(Arc::new(Inner {
@@ -210,6 +222,7 @@ impl Obs {
     /// Opens a span for `phase` on `node` during `pass`; the span closes
     /// (and records) when the returned guard drops. When disabled the
     /// guard is inert and no clock is read.
+    #[expect(clippy::disallowed_methods, reason = "gar-obs is the sanctioned clock")]
     pub fn span(&self, node: u64, pass: u64, phase: &'static str) -> Span {
         Span {
             rec: self.inner.as_ref().map(|inner| SpanRec {
@@ -319,7 +332,7 @@ impl Drop for Span {
 
 /// The workspace's sanctioned wall-clock timer. Everything outside
 /// `gar-obs` that needs elapsed time uses this (or a span) instead of
-/// `Instant::now()` — enforced by the `no-instant` lint rule.
+/// `Instant::now()` — enforced by clippy's `disallowed_methods`.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -328,6 +341,7 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts timing now.
     #[allow(clippy::new_without_default)]
+    #[expect(clippy::disallowed_methods, reason = "gar-obs is the sanctioned clock")]
     pub fn start() -> Self {
         Stopwatch {
             start: Instant::now(),
@@ -566,8 +580,10 @@ mod tests {
     #[test]
     fn stopwatch_measures_time() {
         let sw = Stopwatch::start();
-        // lint:allow(test-sleep): the interval being measured, not a
-        // synchronisation.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the interval being measured, not a synchronisation"
+        )]
         std::thread::sleep(Duration::from_millis(2));
         assert!(sw.elapsed() >= Duration::from_millis(2));
     }

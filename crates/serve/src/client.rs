@@ -16,6 +16,11 @@
 //! frames (`Reload`, `Shutdown`) are never retried: a reload that died
 //! mid-flight may or may not have swapped, and the caller must decide.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "gar-serve is where sockets live; frames go through the protocol codec"
+)]
+
 use crate::engine::Recommendation;
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, BatchAnswer, Request, Response,

@@ -76,7 +76,8 @@ impl<T> EpochCell<T> {
     }
 }
 
-#[cfg(all(test, not(gar_loom)))]
+#[cfg(test)]
+#[cfg(not(gar_loom))]
 mod tests {
     use super::*;
 

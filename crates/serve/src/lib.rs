@@ -29,6 +29,18 @@
 //!   plus the in-process path [`engine::Catalog::query`] for
 //!   embedders.
 
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 // Under `--cfg gar_loom` (see `cargo xtask loom`) the cluster fault /
 // retry machinery is stripped, so the TCP client and server are
 // stripped with it; the epoch cell (the part worth model checking)

@@ -190,6 +190,10 @@ mod sys {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the poller is tested on real sockets"
+)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
@@ -244,9 +248,11 @@ mod tests {
         }
         assert!(readable, "peer bytes never reported readable");
         let mut buf = [0u8; 16];
-        // lint:allow(no-raw-net): test-only readback proving the
-        // readiness report was truthful; production reads go through
-        // protocol::FrameBuffer.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-only readback proving the readiness report was truthful; production \
+                      reads go through protocol::FrameBuffer"
+        )]
         let n = rx.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"ping");
     }

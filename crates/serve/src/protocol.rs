@@ -5,7 +5,8 @@
 //! validated against [`MAX_FRAME_BYTES`] *before* any allocation, on
 //! both the read and the write path — an adversarial or corrupt length
 //! field can neither balloon memory nor panic. Every frame read in this
-//! crate goes through [`read_frame`]; the `no-raw-net` lint enforces it.
+//! crate goes through [`read_frame`]; clippy's `disallowed_methods`
+//! enforces it.
 //!
 //! The **payload** is a tag byte plus a body:
 //!
@@ -223,12 +224,18 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// checked against [`MAX_FRAME_BYTES`] before the payload buffer is
 /// allocated, and the trailing checksum is verified before the payload
 /// is returned.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the frame codec is the one place that reads a stream"
+)]
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
     let mut got = 0;
     while got < header.len() {
-        // lint:allow(panic-path): got < header.len() is the loop guard,
-        // so the range slice cannot go out of bounds.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "got < header.len() is the loop guard"
+        )]
         match r.read(&mut header[got..]) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => return Err(Error::Corrupt("frame truncated mid-header".into())),
@@ -249,11 +256,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     Ok(Some(sealed))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the frame codec is the one place that reads a stream"
+)]
 fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
     let mut got = 0;
     while got < buf.len() {
-        // lint:allow(panic-path): got < buf.len() is the loop guard, so
-        // the range slice cannot go out of bounds.
+        #[expect(clippy::indexing_slicing, reason = "got < buf.len() is the loop guard")]
         match r.read(&mut buf[got..]) {
             Ok(0) => return Err(Error::Corrupt("frame truncated".into())),
             Ok(n) => got += n,
@@ -278,7 +288,7 @@ pub enum FillStatus {
 /// the same guarantees — the length field is validated against
 /// [`MAX_FRAME_BYTES`] before a frame is sliced out and the trailing
 /// checksum is verified before the payload is surfaced. Lives here so
-/// the `no-raw-net` lint keeps every stream read inside the codec.
+/// clippy's `disallowed_methods` keeps every stream read inside the codec.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -294,13 +304,17 @@ impl FrameBuffer {
     /// reader into the buffer. Returns [`FillStatus::Eof`] once the
     /// peer has closed; buffered complete frames are still extractable
     /// afterwards.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the frame codec is the one place that reads a stream"
+    )]
     pub fn fill(&mut self, r: &mut impl Read) -> Result<FillStatus> {
         let mut scratch = [0u8; 16 * 1024];
         loop {
             match r.read(&mut scratch) {
                 Ok(0) => return Ok(FillStatus::Eof),
                 Ok(n) => {
-                    // lint:allow(panic-path): read contracts n <= len.
+                    #[expect(clippy::indexing_slicing, reason = "read contracts n <= len")]
                     self.buf.extend_from_slice(&scratch[..n]);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -346,8 +360,12 @@ impl FrameBuffer {
 /// Drains and discards whatever is currently readable on a
 /// **non-blocking** reader. The server's waker pipe carries meaningless
 /// nudge bytes whose only job is to make `poll` return; this empties it
-/// without interpreting anything. Lives here so the `no-raw-net` lint
-/// keeps every stream read inside the codec.
+/// without interpreting anything. Lives here so clippy's
+/// `disallowed_methods` keeps every stream read inside the codec.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the frame codec is the one place that reads a stream"
+)]
 pub fn drain_ready(r: &mut impl Read) {
     let mut scratch = [0u8; 64];
     loop {
@@ -722,7 +740,7 @@ mod tests {
     fn sample_recs() -> Vec<Recommendation> {
         match sample_response() {
             Response::Results(recs) => recs,
-            _ => unreachable!(),
+            other => panic!("sample_response is Results, got {other:?}"),
         }
     }
 

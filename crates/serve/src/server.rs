@@ -9,8 +9,8 @@
 //! threads of the previous design are gone: sockets are non-blocking,
 //! readiness comes from the hand-rolled [`crate::netpoll`] `poll(2)`
 //! shim, and partial frames reassemble in [`FrameBuffer`] (the codec
-//! file, so the `no-raw-net` lint still sees every stream read in one
-//! place). Shard workers hand finished jobs back over an mpsc
+//! file, so clippy's `disallowed_methods` still sees every stream read
+//! in one place). Shard workers hand finished jobs back over an mpsc
 //! completion channel and nudge the loop through a loopback waker
 //! socket pair (coalesced by an atomic flag).
 //!
@@ -60,6 +60,11 @@
 //! stops accepting and reading, drains in-flight requests and output
 //! buffers, and exits. [`Server::wait`] joins the loop, retires the
 //! shard senders so workers drain, and joins the supervisors.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "gar-serve is where sockets live; frames go through the protocol codec"
+)]
 
 use crate::engine::{Catalog, Match, Recommendation, Route};
 use crate::epoch::{Epoch, EpochCell};
@@ -545,6 +550,10 @@ fn shard_supervisor(shard: usize, shared: &Arc<Shared>, mut rx: Receiver<Job>) {
         if restarts > shared.cfg.max_restarts || !shared.running.load(Ordering::SeqCst) {
             return; // out of budget: shard stays down, answers stay degraded
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the supervisor's restart back-off"
+        )]
         std::thread::sleep(shared.cfg.restart_backoff * restarts as u32);
         rx = slot.publish_queue(shared.cfg.queue_depth);
     }
@@ -557,18 +566,24 @@ fn shard_supervisor(shard: usize, shared: &Arc<Shared>, mut rx: Receiver<Job>) {
 /// whole jobs.
 fn shard_worker(shard: usize, slot: &ShardSlot, faults: &FaultPlan, rx: &Receiver<Job>, obs: &Obs) {
     let labels = [("shard", shard as u64)];
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an idle shard parks until its sender is retired; an idle queue is not a hang"
+    )]
     while let Ok(job) = rx.recv() {
         let jobno = (slot.jobs.fetch_add(1, Ordering::SeqCst) + 1) as usize;
         if faults.take_serve_shard(ServeFaultOp::ShardStall, shard, jobno) {
             obs.add("serve.fault.shard_stall", &labels, 1);
+            #[expect(clippy::disallowed_methods, reason = "the injected stall fault")]
             std::thread::sleep(faults.hang);
         }
+        #[expect(
+            clippy::panic,
+            reason = "this panic is the injected fault: the supervisor's catch_unwind is the code \
+                      under test, and the job's guard posts the failure completion from its Drop"
+        )]
         if faults.take_serve_shard(ServeFaultOp::ShardPanic, shard, jobno) {
             obs.add("serve.fault.shard_panic", &labels, 1);
-            // lint:allow(panic-path): this panic *is* the injected
-            // fault — the supervisor's catch_unwind is the code under
-            // test. The job's guard posts the failure completion from
-            // its Drop during unwind.
             panic!("injected shard panic: shard {shard} job {jobno}");
         }
         let _span = obs.span(shard as u64, 0, "query");
@@ -706,8 +721,11 @@ impl EventLoop {
             // Sleep until the next readiness event, completion nudge,
             // or the nearest request deadline.
             let mut timeout = POLL_INTERVAL;
-            // lint:allow(det-taint): a min over deadlines is the same
-            // in any iteration order
+            #[expect(
+                clippy::iter_over_hash_type,
+                clippy::disallowed_methods,
+                reason = "a min over deadlines is the same in any iteration order"
+            )]
             for p in self.pending.values() {
                 let left = p.deadline.saturating_sub(p.clock.elapsed());
                 timeout = timeout.min(left.max(Duration::from_millis(1)));
@@ -740,6 +758,7 @@ impl EventLoop {
                 // that) is unexpected; back off briefly and retry
                 // rather than spinning.
                 readiness.clear();
+                #[expect(clippy::disallowed_methods, reason = "back-off after a failed poll")]
                 std::thread::sleep(Duration::from_millis(1));
             }
 
@@ -1187,6 +1206,11 @@ impl EventLoop {
 
     /// Times out every pending request whose deadline has passed.
     fn expire_deadlines(&mut self) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each expired request fills the response slot reserved at its admission, so \
+                      the order they expire in never reaches the wire"
+        )]
         let expired: Vec<u64> = self
             .pending
             .iter()
@@ -1387,6 +1411,7 @@ fn dribble(conn: &mut Conn, framed: &[u8], shared: &Shared) -> std::io::Result<(
     for chunk in framed.chunks(3) {
         conn.stream.write_all(chunk)?;
         conn.stream.flush()?;
+        #[expect(clippy::disallowed_methods, reason = "the injected dribble delay")]
         std::thread::sleep(shared.cfg.faults.delay);
     }
     conn.stream.set_nonblocking(true)

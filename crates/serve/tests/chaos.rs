@@ -16,6 +16,9 @@
 //! The seed matrix comes from `GAR_SERVE_CHAOS_SEEDS` (comma-separated
 //! u64s; CI pins it), defaulting to `11,23,47`.
 
+// What this suite drives does not exist in model-checking builds.
+#![cfg(not(gar_loom))]
+
 use gar_cluster::{FaultPlan, RetryPolicy};
 use gar_mining::rules::Rule;
 use gar_obs::Obs;
@@ -172,8 +175,11 @@ fn wait_until_recovered(client: &mut Client) {
         ) {
             return;
         }
-        // lint:allow(test-sleep): back-off of a poll bounded by the 200
-        // probes of this loop; the probe's answer, not the sleep, ends it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "back-off of a poll bounded by the 200 probes of this loop; the probe's \
+                      answer, not the sleep, ends it"
+        )]
         std::thread::sleep(Duration::from_millis(5));
     }
     panic!("shard never recovered");
@@ -332,8 +338,11 @@ fn overload_burst_sheds_typed_and_the_server_survives() {
                 stalled.elapsed() < Duration::from_secs(5),
                 "seed {seed}: the victim never reached the worker"
             );
-            // lint:allow(test-sleep): back-off of a poll bounded by the
-            // 5 s deadline asserted above; the counter ends the wait.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "back-off of a poll bounded by the 5 s deadline asserted above; the \
+                          counter ends the wait"
+            )]
             std::thread::sleep(Duration::from_millis(1));
         }
 

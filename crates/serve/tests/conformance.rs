@@ -13,6 +13,9 @@
 //!   counts is exactly "affinity routing agrees with
 //!   broadcast-and-merge".
 
+// What this suite drives does not exist in model-checking builds.
+#![cfg(not(gar_loom))]
+
 use gar_cluster::RetryPolicy;
 use gar_mining::rules::Rule;
 use gar_obs::Obs;

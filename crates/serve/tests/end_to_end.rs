@@ -5,6 +5,9 @@
 //! epochs without dropping queries, and old-version frames must get a
 //! typed mismatch answer rather than a hangup.
 
+// What this suite drives does not exist in model-checking builds.
+#![cfg(not(gar_loom))]
+
 use gar_cluster::{FaultPlan, RetryPolicy};
 use gar_mining::rules::Rule;
 use gar_obs::Obs;
@@ -170,6 +173,10 @@ fn per_shard_metrics_are_recorded() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hand-made frame needs a raw socket"
+)]
 fn oversize_frame_gets_an_error_and_the_server_survives() {
     let server = start(1, Obs::disabled());
     // A raw socket claiming a 1 GiB frame: the server must refuse it
@@ -290,6 +297,10 @@ fn corrupt_reload_is_rejected_while_the_old_epoch_serves() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hand-made frame needs a raw socket"
+)]
 fn version_mismatch_is_typed_and_the_connection_survives() {
     use gar_serve::protocol::{
         decode_response, encode_request, read_frame, write_frame, Request, Response,

@@ -18,6 +18,17 @@
 //!   round-robin across `N` node partitions, as the evaluation section
 //!   prescribes.
 
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod database;
 mod flat;
 mod multi;

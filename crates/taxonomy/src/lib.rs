@@ -20,6 +20,17 @@
 //! [`synth`] grows the random forests used by the synthetic datasets of
 //! Table 5 (number of roots, mean fanout).
 
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod builder;
 pub mod io;
 pub mod synth;

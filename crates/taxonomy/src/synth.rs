@@ -79,6 +79,10 @@ pub fn synthesize(cfg: &SynthTaxonomyConfig) -> Taxonomy {
     let mut next_id = cfg.num_roots;
 
     while next_id < cfg.num_items {
+        #[expect(
+            clippy::expect_used,
+            reason = "a node that empties the frontier gets at least one child below"
+        )]
         let node = frontier.pop_front().expect("frontier never empties");
         let mut c = poisson(&mut rng, cfg.fanout);
         if frontier.is_empty() {

@@ -14,6 +14,17 @@
 //! * [`bytes`] — the one bounded [`bytes::Cursor`], checksum seal and
 //!   temp-file + rename writer behind every persisted format and frame.
 
+// A panic here must become a typed error, not a dead node or handler
+// thread (DESIGN.md §11); test code is exempt via clippy.toml.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod bytes;
 pub mod error;
 pub mod hash;

@@ -37,6 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sequential baseline.
     let seq_db = PartitionedDatabase::build_in_memory(1, txns.clone().into_iter())?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a printed wall time, not an artifact"
+    )]
     let t0 = Instant::now();
     let seq = cumulate(seq_db.partition(0), &taxonomy, &params)?;
     let seq_wall = t0.elapsed();

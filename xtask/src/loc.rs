@@ -12,32 +12,36 @@
 
 use std::path::{Path, PathBuf};
 
-/// Lines of `text` before its unit-test module.
-fn non_test_lines(text: &str) -> usize {
-    text.lines()
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .count()
+/// The lines of `text` before its unit-test module.
+pub(crate) fn non_test_part(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"))
 }
 
-/// Sum of [`non_test_lines`] over every `.rs` file under `dir`.
-fn count_dir(dir: &Path) -> std::io::Result<usize> {
+/// Calls `f` with the path and text of every `.rs` file under `dir`.
+pub(crate) fn for_each_rs(dir: &Path, f: &mut impl FnMut(&Path, &str)) -> std::io::Result<()> {
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return Ok(0); // a package without this directory
+        return Ok(()); // a package without this directory
     };
-    let mut total = 0;
     for entry in entries {
         let path = entry?.path();
         if path.is_dir() {
-            total += count_dir(&path)?;
+            for_each_rs(&path, f)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
-            total += non_test_lines(&std::fs::read_to_string(&path)?);
+            f(&path, &std::fs::read_to_string(&path)?);
         }
     }
+    Ok(())
+}
+
+/// Non-test lines of every `.rs` file under `dir`, summed.
+fn count_dir(dir: &Path) -> std::io::Result<usize> {
+    let mut total = 0;
+    for_each_rs(dir, &mut |_, text| total += non_test_part(text).count())?;
     Ok(total)
 }
 
 /// The packages under `root/group`, sorted by name.
-fn packages(root: &Path, group: &str) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn packages(root: &Path, group: &str) -> std::io::Result<Vec<PathBuf>> {
     let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join(group))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.join("Cargo.toml").is_file())
@@ -80,18 +84,18 @@ pub fn run(root: &Path) -> u8 {
 
 #[cfg(test)]
 mod tests {
-    use super::non_test_lines;
+    use super::non_test_part;
 
     #[test]
     fn counts_up_to_the_unit_test_module_only() {
         let src = "//! doc\nfn f() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
-        assert_eq!(non_test_lines(src), 3);
+        assert_eq!(non_test_part(src).count(), 3);
         // An indented `#[cfg(test)]` gates one item inside non-test
         // code; it does not end the count.
         assert_eq!(
-            non_test_lines("mod a {\n    #[cfg(test)]\n    fn t() {}\n}\n"),
+            non_test_part("mod a {\n    #[cfg(test)]\n    fn t() {}\n}\n").count(),
             4
         );
-        assert_eq!(non_test_lines(""), 0);
+        assert_eq!(non_test_part("").count(), 0);
     }
 }

@@ -1,15 +1,10 @@
 //! Repo automation, invoked as `cargo xtask <command>` (see
 //! `.cargo/config.toml` for the alias).
 //!
-//! * `analyze` — the in-repo static analysis pass, the full
-//!   `gar-analyze` catalog: the line rules (concurrency and determinism
-//!   rules the stock toolchain cannot express, run on a real lexer so
-//!   string literals and comments can never trigger them) plus the
-//!   flow-aware `panic-path`, `lock-blocking` and `unsafe-audit` rules,
-//!   filtered through the checked-in `ANALYZE_BASELINE.txt`.
 //! * `loom` — model-checks the cluster collectives and the serve-layer
 //!   epoch cell by rebuilding them on the `gar-modelcheck` virtual
-//!   primitives (`--cfg gar_loom`).
+//!   primitives (`--cfg gar_loom`), after a clippy pass over that
+//!   configuration.
 //! * `chaos` — seeded fault-injection soak over the mining runtime
 //!   (tolerated schedules must leave the output byte-identical).
 //! * `serve-chaos` — seeded fault-injection soak over the serving layer
@@ -25,11 +20,13 @@
 //!   otherwise (this build environment has no network to install it).
 //! * `tsan` — ThreadSanitizer over the cluster tests when nightly +
 //!   `rust-src` are available; degrades to a skip otherwise.
+//!
+//! The static rules are clippy's (`clippy.toml`, `[workspace.lints]`),
+//! except `relaxed`, which is a unit test of this crate (`relaxed.rs`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-mod analyze;
 mod loc;
 mod runners;
 
@@ -38,15 +35,10 @@ fn usage() -> &'static str {
      \n\
      commands:\n\
        ci            run the full CI job sequence locally (fmt, clippy,\n\
-                     analyze, test, benchmark self-tests + one short\n\
-                     checked run, loom, chaos, serve-chaos)\n\
-       analyze [--check] [--json FILE]\n\
-                     run the full gar-analyze catalog; --check is CI mode\n\
-                     (baseline-gated: new findings and stale baseline\n\
-                     entries both fail); --json writes a gar-analyze-v1\n\
-                     report\n\
-       loom          model-check the cluster collectives and the serve\n\
-                     epoch cell (--cfg gar_loom)\n\
+                     test, benchmark self-tests + one short checked run,\n\
+                     loom, chaos, serve-chaos)\n\
+       loom          clippy, then model-check the cluster collectives and\n\
+                     the serve epoch cell (--cfg gar_loom)\n\
        chaos         seeded fault-injection soak (GAR_CHAOS_ITERS scales it)\n\
        serve-chaos   seeded serve-layer fault soak (GAR_SERVE_CHAOS_SEEDS\n\
                      pins the seed matrix)\n\
@@ -75,7 +67,6 @@ fn main() -> ExitCode {
         }
     };
     let code = match cmd {
-        "analyze" => analyze::run(&repo_root(), rest),
         "ci" => runners::ci(&repo_root(), rest),
         "loom" => runners::loom(&repo_root(), rest),
         "chaos" => runners::chaos(&repo_root(), rest),
@@ -94,3 +85,6 @@ fn main() -> ExitCode {
     };
     ExitCode::from(code)
 }
+
+#[cfg(test)]
+mod relaxed;

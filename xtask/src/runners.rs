@@ -44,16 +44,44 @@ fn probe(mut cmd: Command) -> bool {
 /// Model-checks the cluster collectives and the serve-layer epoch cell.
 /// Compiles with `--cfg gar_loom`, switching `gar_modelcheck::shim`
 /// from the std primitives to the virtual ones, then runs the exhaustive
-/// schedule-enumeration suites. The checker's own unit tests run first
-/// so a broken checker cannot vacuously pass the suites. A separate
-/// target dir keeps the `--cfg` flag from invalidating the main build
-/// cache.
+/// schedule-enumeration suites. Clippy runs first over the three crates
+/// in that configuration: it sees only compiled cfgs, so the normal pass
+/// never lints the model-checking branches. The checker's own unit tests
+/// run next so a broken checker cannot vacuously pass the suites. A
+/// separate target dir keeps the `--cfg` flag from invalidating the main
+/// build cache.
 pub fn loom(root: &Path, args: &[String]) -> u8 {
     let mut rustflags = std::env::var("RUSTFLAGS").unwrap_or_default();
     if !rustflags.is_empty() {
         rustflags.push(' ');
     }
     rustflags.push_str("--cfg gar_loom");
+
+    let code = run_echoed(
+        Command::new("cargo")
+            .current_dir(root)
+            .env("RUSTFLAGS", &rustflags)
+            .args([
+                "clippy",
+                "-p",
+                "gar-modelcheck",
+                "-p",
+                "gar-cluster",
+                "-p",
+                "gar-serve",
+            ])
+            .args([
+                "--all-targets",
+                "--target-dir",
+                "target/loom",
+                "--",
+                "-D",
+                "warnings",
+            ]),
+    );
+    if code != 0 {
+        return code;
+    }
 
     let code = run_echoed(Command::new("cargo").current_dir(root).args([
         "test",
@@ -153,11 +181,11 @@ pub fn serve_chaos(root: &Path, args: &[String]) -> u8 {
 }
 
 /// Runs the CI job sequence locally, in the same order the workflow
-/// does: format + clippy, static analysis, build + test, the benchmark
-/// harness's self-tests and one short checked benchmark run, loom,
-/// chaos and serve-chaos. Stops at the first failing job so the console
-/// ends at the same place the CI log would. `cargo xtask ci` before
-/// pushing ≈ a green run.
+/// does: format + clippy, build + test, the benchmark harness's
+/// self-tests and one short checked benchmark run, loom (with its own
+/// clippy pass), chaos and serve-chaos. Stops at the first failing job
+/// so the console ends at the same place the CI log would. `cargo xtask
+/// ci` before pushing ≈ a green run.
 pub fn ci(root: &Path, _args: &[String]) -> u8 {
     let jobs: &[(&str, &dyn Fn() -> u8)] = &[
         ("fmt", &|| {
@@ -176,9 +204,6 @@ pub fn ci(root: &Path, _args: &[String]) -> u8 {
                 "-D",
                 "warnings",
             ]))
-        }),
-        ("analyze", &|| {
-            crate::analyze::run(root, &["--check".to_string()])
         }),
         ("test", &|| {
             run_echoed(Command::new("cargo").current_dir(root).args(["test", "-q"]))
