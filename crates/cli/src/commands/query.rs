@@ -1,9 +1,11 @@
 //! `gar-cli query` — send one basket to a running `gar-cli serve`
-//! instance and print the recommended consequents.
+//! instance and print the recommended consequents. A degraded answer
+//! says how many shards were missing; a shed query is an
+//! [`Error::Overloaded`].
 
 use crate::args::Args;
 use gar_cluster::RetryPolicy;
-use gar_serve::Client;
+use gar_serve::{Client, QueryReply};
 use gar_types::{Error, ItemId, Result};
 use std::time::Duration;
 
@@ -33,10 +35,18 @@ pub fn run(args: &Args) -> Result<()> {
     let top_k: u32 = args.get_or("top", 5)?;
     args.finish()?;
     let mut client = Client::connect(addr, Some(deadline), &retry)?;
-    let recs = client.query(&basket, top_k)?;
+    let (recs, shards_missing) = match client.query_v2(&basket, top_k, 0)? {
+        QueryReply::Results {
+            shards_missing,
+            recs,
+            ..
+        } => (recs, shards_missing),
+        QueryReply::Overloaded { retry_after_ms } => {
+            return Err(Error::Overloaded { retry_after_ms })
+        }
+    };
     if recs.is_empty() {
         println!("no recommendations");
-        return Ok(());
     }
     for rec in recs {
         println!(
@@ -46,6 +56,9 @@ pub fn run(args: &Args) -> Result<()> {
             rec.confidence * 100.0,
             rec.support_count
         );
+    }
+    if shards_missing > 0 {
+        println!("degraded: {shards_missing} shard(s) missing");
     }
     Ok(())
 }

@@ -19,7 +19,8 @@ use gar_types::{Error, Result};
 
 /// Exit-code mapping: 2 = bad invocation or configuration, 3 = storage
 /// (I/O or corrupt artifact), 4 = cluster-runtime failure (a node died,
-/// hung past its deadline, or broke protocol). Scripts can distinguish
+/// hung past its deadline, or broke protocol, or a server shed the
+/// query). Scripts can distinguish
 /// "fix your flags" from "rerun with --resume".
 fn exit_code(e: &Error) -> i32 {
     match e {
@@ -28,7 +29,8 @@ fn exit_code(e: &Error) -> i32 {
         Error::NodeFailure { .. }
         | Error::Protocol(_)
         | Error::Poisoned { .. }
-        | Error::Timeout { .. } => 4,
+        | Error::Timeout { .. }
+        | Error::Overloaded { .. } => 4,
     }
 }
 

@@ -23,7 +23,6 @@
 //!   exactly once past the value it saw on entry, or the run is
 //!   poisoned — asserted in debug builds.
 
-use bytes::Bytes;
 use gar_modelcheck::shim::{Arc, AtomicUsize, Condvar, Instant, Mutex, MutexGuard, Ordering};
 use gar_types::{Error, Result};
 use std::time::Duration;
@@ -43,8 +42,8 @@ struct ReduceState {
 struct BcastState {
     gen: u64,
     pending: usize,
-    slot: Option<Bytes>,
-    result: Bytes,
+    slot: Option<Arc<[u8]>>,
+    result: Arc<[u8]>,
 }
 
 #[derive(Default)]
@@ -265,7 +264,7 @@ impl Collectives {
 
     /// One-to-all broadcast: exactly one participant passes `Some(data)`,
     /// all receive that data. `node` identifies the caller.
-    pub fn broadcast(&self, node: usize, data: Option<Bytes>) -> Result<Bytes> {
+    pub fn broadcast(&self, node: usize, data: Option<Arc<[u8]>>) -> Result<Arc<[u8]>> {
         self.check_poison()?;
         let mut s = self.bcast.lock();
         let my_gen = s.gen;
@@ -351,6 +350,10 @@ impl Collectives {
 mod tests {
     use super::*;
 
+    fn payload(bytes: &[u8]) -> Arc<[u8]> {
+        bytes.into()
+    }
+
     fn run_nodes<T: Send>(n: usize, f: impl Fn(usize, &Collectives) -> T + Sync) -> Vec<T> {
         let c = Collectives::new(n);
         std::thread::scope(|s| {
@@ -403,7 +406,7 @@ mod tests {
     #[test]
     fn broadcast_delivers_root_payload() {
         let results = run_nodes(4, |id, c| {
-            let data = (id == 2).then(|| Bytes::from_static(b"Lk"));
+            let data = (id == 2).then(|| payload(b"Lk"));
             c.broadcast(id, data).unwrap()
         });
         for r in results {
@@ -415,8 +418,8 @@ mod tests {
     fn broadcast_with_two_roots_poisons() {
         let c = Collectives::new(2);
         let outcome = std::thread::scope(|s| {
-            let h0 = s.spawn(|| c.broadcast(0, Some(Bytes::from_static(b"a"))));
-            let h1 = s.spawn(|| c.broadcast(1, Some(Bytes::from_static(b"b"))));
+            let h0 = s.spawn(|| c.broadcast(0, Some(payload(b"a"))));
+            let h1 = s.spawn(|| c.broadcast(1, Some(payload(b"b"))));
             (h0.join().unwrap(), h1.join().unwrap())
         });
         assert!(outcome.0.is_err() || outcome.1.is_err());
@@ -509,10 +512,7 @@ mod tests {
     fn single_node_collectives_are_trivial() {
         let c = Collectives::new(1);
         assert_eq!(&*c.all_reduce_u64(0, &[5]).unwrap(), &[5]);
-        assert_eq!(
-            c.broadcast(0, Some(Bytes::from_static(b"x"))).unwrap(),
-            Bytes::from_static(b"x")
-        );
+        assert_eq!(&c.broadcast(0, Some(payload(b"x"))).unwrap()[..], b"x");
         c.barrier(0).unwrap();
     }
 }

@@ -6,7 +6,8 @@
 //! This crate reproduces that execution model on one machine:
 //!
 //! * each simulated node is an OS thread with a private message inbox
-//!   (crossbeam channels play the switch);
+//!   (`std::sync::mpsc` channels play the switch, and payloads are
+//!   shared `Arc<[u8]>` buffers);
 //! * every byte and message crossing a link is **counted per node** — the
 //!   paper's Table 6 metric ("average amount of received messages") falls
 //!   out of these counters directly;

@@ -12,12 +12,11 @@
 use crate::collective::Collectives;
 use crate::fault::{FaultOp, FaultState};
 use crate::stats::NodeStats;
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use gar_obs::{Obs, Stopwatch};
 use gar_types::{Error, Result};
 use std::cell::{Cell, RefCell};
 use std::hash::Hasher;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,8 +50,9 @@ pub struct Envelope {
     pub from: usize,
     /// Application-defined tag ([`CONTROL_TAG_EOS`] is reserved).
     pub tag: u32,
-    /// Payload. `Bytes` keeps fan-out sends allocation-free.
-    pub payload: Bytes,
+    /// Payload, shared: a duplicated or re-sent envelope clones the
+    /// `Arc`, never the bytes.
+    pub payload: Arc<[u8]>,
     /// Per-(sender, receiver) sequence number, assigned at send time.
     /// Lets the receiver absorb duplicates and detect losses.
     pub seq: u64,
@@ -191,7 +191,7 @@ impl NodeCtx {
     /// This is the send-side fault boundary: an active [`crate::FaultPlan`]
     /// may delay, drop, duplicate, or corrupt the message here. Injected
     /// traffic is charged to `faults_injected`, never to the ledger.
-    pub fn send(&self, to: usize, tag: u32, payload: Bytes) -> Result<()> {
+    pub fn send(&self, to: usize, tag: u32, payload: Arc<[u8]>) -> Result<()> {
         let len = payload.len() as u64;
         let seq = {
             let mut seqs = self.send_seq.borrow_mut();
@@ -246,7 +246,7 @@ impl NodeCtx {
                     0 => v.push(0xFF),
                     n => v[n / 2] ^= 0xFF,
                 }
-                payload = Bytes::from(v);
+                payload = Arc::from(v);
             }
             duplicate = effects.duplicate;
         }
@@ -434,7 +434,7 @@ impl NodeCtx {
 
     /// One-to-all broadcast of `data` (exactly one node passes `Some`).
     /// Charged as one message down to each non-root node.
-    pub fn broadcast(&self, data: Option<Bytes>) -> Result<Bytes> {
+    pub fn broadcast(&self, data: Option<Arc<[u8]>>) -> Result<Arc<[u8]>> {
         let is_root = data.is_some();
         let root_send = data.as_ref().map(|d| d.len() as u64);
         let out = self.collectives.broadcast(self.node_id, data)?;
@@ -542,7 +542,7 @@ pub struct Exchange<'a> {
 impl Exchange<'_> {
     /// Sends a data message to `to` (self-sends allowed; see
     /// [`NodeCtx::send`]).
-    pub fn send(&self, to: usize, tag: u32, payload: Bytes) -> Result<()> {
+    pub fn send(&self, to: usize, tag: u32, payload: Arc<[u8]>) -> Result<()> {
         debug_assert_ne!(tag, CONTROL_TAG_EOS, "EOS tag is reserved");
         self.ctx.send(to, tag, payload)
     }
@@ -566,7 +566,7 @@ impl Exchange<'_> {
         let me = self.ctx.node_id();
         for peer in 0..self.ctx.num_nodes() {
             if peer != me {
-                self.ctx.send(peer, CONTROL_TAG_EOS, Bytes::new())?;
+                self.ctx.send(peer, CONTROL_TAG_EOS, Arc::default())?;
             }
         }
         let expect = self.ctx.num_nodes() - 1;

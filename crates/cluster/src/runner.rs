@@ -5,10 +5,9 @@ use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::node::{Envelope, NodeCtx};
 use crate::stats::{NodeStats, NodeStatsSnapshot};
-use crossbeam::channel::unbounded;
 use gar_obs::{Obs, Stopwatch};
 use gar_types::{Error, Result};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Shape of the simulated machine.
@@ -215,7 +214,7 @@ impl Cluster {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = mpsc::channel::<Envelope>();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -318,7 +317,6 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::fault::FaultOp;
-    use bytes::Bytes;
 
     fn cfg(n: usize) -> ClusterConfig {
         ClusterConfig::new(n, 1 << 20)
@@ -336,7 +334,7 @@ mod tests {
         // Ring: node i sends 100 bytes to node (i+1) % n.
         let run = Cluster::run(&cfg(3), |ctx| {
             let to = (ctx.node_id() + 1) % ctx.num_nodes();
-            ctx.send(to, 7, Bytes::from(vec![0u8; 100]))?;
+            ctx.send(to, 7, Arc::from(vec![0u8; 100]))?;
             let env = ctx.recv()?;
             assert_eq!(env.tag, 7);
             assert_eq!(env.payload.len(), 100);
@@ -355,7 +353,7 @@ mod tests {
     #[test]
     fn self_sends_are_delivered_but_uncharged() {
         let run = Cluster::run(&cfg(2), |ctx| {
-            ctx.send(ctx.node_id(), 1, Bytes::from_static(b"local"))?;
+            ctx.send(ctx.node_id(), 1, Arc::from(&b"local"[..]))?;
             let env = ctx.recv()?;
             assert_eq!(env.from, ctx.node_id());
             Ok(())
@@ -394,7 +392,7 @@ mod tests {
         let run = Cluster::run(&cfg(3), |ctx| {
             let data = ctx
                 .is_coordinator()
-                .then(|| Bytes::from_static(b"large-itemsets"));
+                .then(|| Arc::from(&b"large-itemsets"[..]));
             let got = ctx.broadcast(data)?;
             Ok(got.len())
         })
@@ -412,7 +410,7 @@ mod tests {
             let mut ex = ctx.exchange();
             for peer in 0..ctx.num_nodes() {
                 if peer != ctx.node_id() {
-                    ex.send(peer, 1, Bytes::from_static(b"data"))?;
+                    ex.send(peer, 1, Arc::from(&b"data"[..]))?;
                 }
             }
             ex.poll(|_| {
@@ -486,7 +484,7 @@ mod tests {
         };
         let run = Cluster::run(&cfg(2).with_faults(plan), |ctx| {
             let to = (ctx.node_id() + 1) % 2;
-            ctx.send(to, 7, Bytes::from_static(b"hello"))?;
+            ctx.send(to, 7, Arc::from(&b"hello"[..]))?;
             let env = ctx.recv()?;
             assert_eq!(env.payload.as_ref(), b"hello");
             // The duplicate copy is absorbed, not delivered twice.
@@ -507,8 +505,8 @@ mod tests {
         let plan = FaultPlan::with_seed(0).schedule(0, 0, FaultOp::Drop);
         let err = Cluster::run(&cfg(2).with_faults(plan), |ctx| {
             if ctx.node_id() == 0 {
-                ctx.send(1, 1, Bytes::from_static(b"first"))?;
-                ctx.send(1, 1, Bytes::from_static(b"second"))?;
+                ctx.send(1, 1, Arc::from(&b"first"[..]))?;
+                ctx.send(1, 1, Arc::from(&b"second"[..]))?;
                 Ok(())
             } else {
                 ctx.recv()?;
@@ -527,7 +525,7 @@ mod tests {
         let plan = FaultPlan::with_seed(0).schedule(0, 0, FaultOp::Corrupt);
         let err = Cluster::run(&cfg(2).with_faults(plan), |ctx| {
             if ctx.node_id() == 0 {
-                ctx.send(1, 1, Bytes::from_static(b"payload"))?;
+                ctx.send(1, 1, Arc::from(&b"payload"[..]))?;
             } else {
                 ctx.recv()?;
             }

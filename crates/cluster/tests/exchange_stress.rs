@@ -5,10 +5,10 @@
 // The full simulator does not exist in model-checking builds.
 #![cfg(not(gar_loom))]
 
-use bytes::Bytes;
 use gar_cluster::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -31,7 +31,7 @@ proptest! {
                 }
                 for i in 0..per_peer {
                     let body = vec![(i % 251) as u8; payload_len];
-                    ex.send(peer, 1, Bytes::from(body))?;
+                    ex.send(peer, 1, Arc::from(body))?;
                     if i % 7 == 0 {
                         ex.poll(|env| {
                             received.fetch_add(1, Ordering::Relaxed);
@@ -69,7 +69,7 @@ proptest! {
                 ctx.barrier()?;
                 let data = ctx
                     .is_coordinator()
-                    .then(|| Bytes::from(vec![r as u8; 3]));
+                    .then(|| Arc::from(vec![r as u8; 3]));
                 let b = ctx.broadcast(data)?;
                 assert_eq!(&b[..], &[r as u8; 3]);
             }

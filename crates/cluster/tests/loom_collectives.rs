@@ -118,10 +118,10 @@ fn broadcast_slot_handoff_across_generations() {
             // Round 1 rooted at node 0, round 2 at node 1: the slot must
             // be taken by the closing node of round 1 before any arrival
             // of round 2 stores into it.
-            let d = (id == 0).then(|| bytes::Bytes::from_static(b"first"));
+            let d = (id == 0).then(|| Arc::from(&b"first"[..]));
             let r = c.broadcast(id, d).unwrap();
             assert_eq!(&r[..], b"first");
-            let d = (id == 1).then(|| bytes::Bytes::from_static(b"second"));
+            let d = (id == 1).then(|| Arc::from(&b"second"[..]));
             let r = c.broadcast(id, d).unwrap();
             assert_eq!(&r[..], b"second");
         });
@@ -134,9 +134,9 @@ fn broadcast_two_roots_is_rejected_in_every_schedule() {
         let c = Arc::new(Collectives::new(2));
         let peer = {
             let c = Arc::clone(&c);
-            thread::spawn(move || c.broadcast(1, Some(bytes::Bytes::from_static(b"b"))))
+            thread::spawn(move || c.broadcast(1, Some(Arc::from(&b"b"[..]))))
         };
-        let mine = c.broadcast(0, Some(bytes::Bytes::from_static(b"a")));
+        let mine = c.broadcast(0, Some(Arc::from(&b"a"[..])));
         let theirs = peer.join().unwrap();
         // Whoever arrives second errors; the run is poisoned either way
         // and at most one root can have "won".

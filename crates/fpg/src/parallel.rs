@@ -30,7 +30,6 @@ use crate::order::{ItemOrder, RelatedRanks};
 use crate::sequential::{group_passes, large_singletons};
 use crate::tree::FpTree;
 use crate::wire::{self, tags, PathBatch};
-use bytes::Bytes;
 use gar_cluster::{Cluster, ClusterConfig, Envelope, NodeCtx};
 use gar_mining::parallel::common::{
     self, assemble_report, mine_with_recovery, node_sources, record_pass_obs, run_pass1,
@@ -42,6 +41,7 @@ use gar_storage::{PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, ItemId, Itemset, Result};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 pub use gar_mining::parallel::MineOptions;
 
@@ -61,7 +61,7 @@ impl WireBatch for PathBatch {
     fn byte_len(&self) -> usize {
         PathBatch::byte_len(self)
     }
-    fn take(&mut self) -> Bytes {
+    fn take(&mut self) -> Arc<[u8]> {
         PathBatch::take(self)
     }
 }

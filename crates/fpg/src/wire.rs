@@ -6,11 +6,11 @@
 //! [`Error::Protocol`], never a panic.
 
 use crate::grow::CondBase;
-use bytes::{BufMut, Bytes, BytesMut};
 use gar_mining::report::LargePass;
 use gar_mining::wire::{decode_counted, encode_counted};
 use gar_types::bytes::Cursor;
 use gar_types::{Error, ItemId, Itemset, Result};
+use std::sync::Arc;
 
 /// Message tags of the FP-Growth phases. Distinct from the Apriori
 /// family's tags so a cross-wired message is a loud protocol error.
@@ -24,7 +24,7 @@ pub(crate) mod tags {
 /// A batch of `(projection rank, count, path)` records. Same flush
 /// discipline as the Apriori family's `ItemListBatch`.
 pub(crate) struct PathBatch {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl PathBatch {
@@ -32,16 +32,17 @@ impl PathBatch {
     /// first fill never regrows (and `take()` keeps the warm buffer).
     pub fn new() -> PathBatch {
         PathBatch {
-            buf: BytesMut::with_capacity(17 * 1024),
+            buf: Vec::with_capacity(17 * 1024),
         }
     }
 
     pub fn push(&mut self, target: u32, count: u64, path: &[u32]) {
-        self.buf.put_u32_le(target);
-        self.buf.put_u64_le(count);
-        self.buf.put_u32_le(path.len() as u32);
+        self.buf.extend_from_slice(&target.to_le_bytes());
+        self.buf.extend_from_slice(&count.to_le_bytes());
+        self.buf
+            .extend_from_slice(&(path.len() as u32).to_le_bytes());
         for &r in path {
-            self.buf.put_u32_le(r);
+            self.buf.extend_from_slice(&r.to_le_bytes());
         }
     }
 
@@ -49,9 +50,12 @@ impl PathBatch {
         self.buf.len()
     }
 
-    /// Drains the batch into a sendable payload.
-    pub fn take(&mut self) -> Bytes {
-        self.buf.split().freeze()
+    /// Drains the batch into one exact-size payload, keeping the warm
+    /// buffer.
+    pub fn take(&mut self) -> Arc<[u8]> {
+        let payload = Arc::from(self.buf.as_slice());
+        self.buf.clear();
+        payload
     }
 }
 
@@ -90,18 +94,18 @@ pub(crate) fn receive_paths(payload: &[u8], bases: &mut [CondBase]) -> Result<()
 
 /// Encodes one finished projection: its rank plus its itemsets (mixed
 /// sizes, so records carry their own length).
-pub(crate) fn encode_result(rank: u32, items: &[(Itemset, u64)]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(rank);
-    buf.put_u32_le(items.len() as u32);
+pub(crate) fn encode_result(rank: u32, items: &[(Itemset, u64)]) -> Arc<[u8]> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&rank.to_le_bytes());
+    buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
     for (set, count) in items {
-        buf.put_u32_le(set.len() as u32);
+        buf.extend_from_slice(&(set.len() as u32).to_le_bytes());
         for &it in set.items() {
-            buf.put_u32_le(it.raw());
+            buf.extend_from_slice(&it.raw().to_le_bytes());
         }
-        buf.put_u64_le(*count);
+        buf.extend_from_slice(&count.to_le_bytes());
     }
-    buf.freeze()
+    buf.into()
 }
 
 /// Decodes a [`encode_result`] payload.
@@ -124,16 +128,16 @@ pub(crate) fn decode_result(payload: &[u8]) -> Result<(u32, Vec<(Itemset, u64)>)
 }
 
 /// Encodes the final pass chain for the coordinator's output broadcast.
-pub(crate) fn encode_passes(passes: &[LargePass]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(passes.len() as u32);
+pub(crate) fn encode_passes(passes: &[LargePass]) -> Arc<[u8]> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&(passes.len() as u32).to_le_bytes());
     for pass in passes {
-        buf.put_u32_le(pass.k as u32);
+        buf.extend_from_slice(&(pass.k as u32).to_le_bytes());
         let block = encode_counted(pass.k, &pass.itemsets);
-        buf.put_u32_le(block.len() as u32);
-        buf.put_slice(&block);
+        buf.extend_from_slice(&(block.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&block);
     }
-    buf.freeze()
+    buf.into()
 }
 
 /// Decodes an [`encode_passes`] payload.

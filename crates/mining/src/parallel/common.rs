@@ -13,7 +13,6 @@ use crate::params::{Algorithm, CounterKind, MiningParams};
 use crate::report::{LargePass, MiningOutput, ParallelReport, PassReport};
 use crate::sequential::large_items_from_counts;
 use crate::wire::{self, ItemListBatch, ItemsetBatch};
-use bytes::Bytes;
 use gar_cluster::{
     ClusterConfig, ClusterRun, Envelope, Exchange, NodeCtx, NodeStatsSnapshot, RetryPolicy,
 };
@@ -21,6 +20,7 @@ use gar_storage::{MultiSource, PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
 use gar_types::hash::{fx_hash_u32s, fx_mix};
 use gar_types::{Error, ItemId, Itemset, Result};
+use std::sync::Arc;
 
 /// Message tags used by the pass-k exchange phases.
 pub(crate) mod tags {
@@ -347,14 +347,14 @@ pub trait WireBatch {
     /// Current payload size in bytes (0 ⇔ nothing queued).
     fn byte_len(&self) -> usize;
     /// Takes the queued payload, leaving the batch empty.
-    fn take(&mut self) -> Bytes;
+    fn take(&mut self) -> Arc<[u8]>;
 }
 
 impl WireBatch for ItemsetBatch {
     fn byte_len(&self) -> usize {
         ItemsetBatch::byte_len(self)
     }
-    fn take(&mut self) -> Bytes {
+    fn take(&mut self) -> Arc<[u8]> {
         ItemsetBatch::take(self)
     }
 }
@@ -363,7 +363,7 @@ impl WireBatch for ItemListBatch {
     fn byte_len(&self) -> usize {
         ItemListBatch::byte_len(self)
     }
-    fn take(&mut self) -> Bytes {
+    fn take(&mut self) -> Arc<[u8]> {
         ItemListBatch::take(self)
     }
 }

@@ -11,17 +11,31 @@
 //! * **counted itemset lists** — `L_k^n` fragments flowing to the
 //!   coordinator and `L_k` broadcasts coming back.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use gar_types::bytes::Cursor;
 use gar_types::{Error, ItemId, Itemset, Result};
+use std::sync::Arc;
 
 /// Encodes a plain item list (a sub-transaction).
-pub fn encode_items(items: &[ItemId]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 * items.len());
+pub fn encode_items(items: &[ItemId]) -> Arc<[u8]> {
+    let mut buf = Vec::with_capacity(4 * items.len());
+    push_items(&mut buf, items);
+    buf.into()
+}
+
+/// Appends each item's code, `u32` little-endian.
+fn push_items(buf: &mut Vec<u8>, items: &[ItemId]) {
     for it in items {
-        buf.put_u32_le(it.raw());
+        buf.extend_from_slice(&it.raw().to_le_bytes());
     }
-    buf.freeze()
+}
+
+/// Copies the filled bytes of a warm batch buffer into one exact-size
+/// payload and clears the buffer, keeping its capacity for the next
+/// fill.
+fn take_warm(buf: &mut Vec<u8>) -> Arc<[u8]> {
+    let payload = Arc::from(buf.as_slice());
+    buf.clear();
+    payload
 }
 
 /// Decodes a plain item list into `out` (cleared first).
@@ -43,7 +57,7 @@ pub fn decode_items(payload: &[u8], out: &mut Vec<ItemId>) -> Result<()> {
 /// transaction per owner; without batching, per-message latency would
 /// dwarf the byte savings the algorithm exists for.
 pub struct ItemListBatch {
-    buf: BytesMut,
+    buf: Vec<u8>,
     lists: usize,
 }
 
@@ -58,17 +72,16 @@ impl ItemListBatch {
     /// senders flush at 16 KiB, so the first fill never regrows).
     pub fn new() -> ItemListBatch {
         ItemListBatch {
-            buf: BytesMut::with_capacity(17 * 1024),
+            buf: Vec::with_capacity(17 * 1024),
             lists: 0,
         }
     }
 
     /// Appends one item list (framed with a `u32` count).
     pub fn push(&mut self, items: &[ItemId]) {
-        self.buf.put_u32_le(items.len() as u32);
-        for it in items {
-            self.buf.put_u32_le(it.raw());
-        }
+        self.buf
+            .extend_from_slice(&(items.len() as u32).to_le_bytes());
+        push_items(&mut self.buf, items);
         self.lists += 1;
     }
 
@@ -87,10 +100,11 @@ impl ItemListBatch {
         self.buf.len()
     }
 
-    /// Takes the queued payload, leaving the batch empty.
-    pub fn take(&mut self) -> Bytes {
+    /// Takes the queued payload, leaving the batch empty (and its
+    /// buffer warm).
+    pub fn take(&mut self) -> Arc<[u8]> {
         self.lists = 0;
-        self.buf.split().freeze()
+        take_warm(&mut self.buf)
     }
 }
 
@@ -116,7 +130,7 @@ pub fn for_each_item_list(
 /// survivable — the real SP-2 code did the same).
 pub struct ItemsetBatch {
     k: usize,
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl ItemsetBatch {
@@ -126,16 +140,14 @@ impl ItemsetBatch {
     pub fn new(k: usize) -> ItemsetBatch {
         ItemsetBatch {
             k,
-            buf: BytesMut::with_capacity(17 * 1024),
+            buf: Vec::with_capacity(17 * 1024),
         }
     }
 
     /// Appends one sorted k-itemset.
     pub fn push(&mut self, itemset: &[ItemId]) {
         debug_assert_eq!(itemset.len(), self.k);
-        for it in itemset {
-            self.buf.put_u32_le(it.raw());
-        }
+        push_items(&mut self.buf, itemset);
     }
 
     /// Number of itemsets queued.
@@ -153,9 +165,10 @@ impl ItemsetBatch {
         self.buf.len()
     }
 
-    /// Takes the queued payload, leaving the batch empty.
-    pub fn take(&mut self) -> Bytes {
-        self.buf.split().freeze()
+    /// Takes the queued payload, leaving the batch empty (and its
+    /// buffer warm).
+    pub fn take(&mut self) -> Arc<[u8]> {
+        take_warm(&mut self.buf)
     }
 }
 
@@ -188,18 +201,16 @@ pub fn for_each_itemset(
 /// Layout: `u32 n, u32 k`, then `n` records of `k` item codes + `u64`
 /// count. `k = 0` with item-count-prefixed records is not needed — all
 /// itemsets in one message share their size.
-pub fn encode_counted(k: usize, itemsets: &[(Itemset, u64)]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + itemsets.len() * (4 * k + 8));
-    buf.put_u32_le(itemsets.len() as u32);
-    buf.put_u32_le(k as u32);
+pub fn encode_counted(k: usize, itemsets: &[(Itemset, u64)]) -> Arc<[u8]> {
+    let mut buf = Vec::with_capacity(8 + itemsets.len() * (4 * k + 8));
+    buf.extend_from_slice(&(itemsets.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(k as u32).to_le_bytes());
     for (set, count) in itemsets {
         debug_assert_eq!(set.len(), k);
-        for it in set.items() {
-            buf.put_u32_le(it.raw());
-        }
-        buf.put_u64_le(*count);
+        push_items(&mut buf, set.items());
+        buf.extend_from_slice(&count.to_le_bytes());
     }
-    buf.freeze()
+    buf.into()
 }
 
 /// Decodes a counted itemset list.
@@ -304,6 +315,59 @@ mod tests {
         })
         .unwrap();
         assert_eq!(got, vec![ids(&[1, 2]), ids(&[3, 15])]);
+    }
+
+    fn le_words(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn take_leaves_the_batch_empty_and_reusable() {
+        // Each flush hands out only what was pushed since the last one.
+        let mut sets = ItemsetBatch::new(2);
+        sets.push(&ids(&[1, 2]));
+        let first = sets.take();
+        assert!(sets.is_empty());
+        assert_eq!(sets.byte_len(), 0);
+        sets.push(&ids(&[3, 15]));
+        let second = sets.take();
+        assert_eq!(&first[..], le_words(&[1, 2]));
+        assert_eq!(&second[..], le_words(&[3, 15]));
+
+        let mut lists = ItemListBatch::new();
+        lists.push(&ids(&[5, 6]));
+        let first = lists.take();
+        assert!(lists.is_empty());
+        assert_eq!(lists.byte_len(), 0);
+        lists.push(&ids(&[7]));
+        let second = lists.take();
+        assert_eq!(&first[..], le_words(&[2, 5, 6]));
+        assert_eq!(&second[..], le_words(&[1, 7]));
+    }
+
+    #[test]
+    fn take_keeps_the_warm_buffer() {
+        // A flush hands out exactly the pushed bytes and leaves the batch
+        // empty with its capacity intact, so every fill after the first
+        // writes into the same allocation.
+        let mut sets = ItemsetBatch::new(2);
+        sets.push(&ids(&[1, 2]));
+        sets.push(&ids(&[3, 15]));
+        let cap = sets.buf.capacity();
+        let payload = sets.take();
+        assert_eq!(&payload[..], le_words(&[1, 2, 3, 15]));
+        assert!(sets.is_empty());
+        assert_eq!(sets.buf.capacity(), cap);
+
+        let mut lists = ItemListBatch::new();
+        lists.push(&ids(&[5, 6]));
+        lists.push(&ids(&[7]));
+        let cap = lists.buf.capacity();
+        let payload = lists.take();
+        assert_eq!(&payload[..], le_words(&[2, 5, 6, 1, 7]));
+        assert!(lists.is_empty());
+        assert_eq!(lists.byte_len(), 0);
+        assert_eq!(lists.buf.capacity(), cap);
     }
 
     #[test]

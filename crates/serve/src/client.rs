@@ -40,7 +40,7 @@ pub struct Client {
     retry: RetryPolicy,
 }
 
-/// A v2 query outcome: either an epoch-stamped (possibly degraded)
+/// A query outcome: either an epoch-stamped (possibly degraded)
 /// answer or a typed shed the caller should back off from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryReply {
@@ -106,28 +106,8 @@ impl Client {
         })
     }
 
-    /// Sends one query and decodes the recommendations.
-    pub fn query(&mut self, basket: &[ItemId], top_k: u32) -> Result<Vec<Recommendation>> {
-        let payload = self.query_raw(basket, top_k)?;
-        match decode_response(&payload)? {
-            Response::Results(recs) => Ok(recs),
-            other => Err(unexpected("results", other)),
-        }
-    }
-
-    /// Sends one query and returns the raw response payload bytes.
-    /// Deterministic server answers make these byte-comparable across
-    /// runs — the serve test suites compare them.
-    pub fn query_raw(&mut self, basket: &[ItemId], top_k: u32) -> Result<Vec<u8>> {
-        let req = encode_request(&Request::Query {
-            basket: basket.to_vec(),
-            top_k,
-        });
-        self.round_trip(&req)
-    }
-
-    /// Sends one v2 query (epoch-stamped, budget-aware) and decodes
-    /// the reply.
+    /// Sends one query (epoch-stamped, budget-aware) and decodes the
+    /// reply.
     pub fn query_v2(
         &mut self,
         basket: &[ItemId],
@@ -152,7 +132,9 @@ impl Client {
         }
     }
 
-    /// Raw-payload twin of [`Client::query_v2`] for transcripts.
+    /// Raw-payload twin of [`Client::query_v2`] for transcripts:
+    /// deterministic server answers make these bytes comparable across
+    /// runs.
     pub fn query_v2_raw(
         &mut self,
         basket: &[ItemId],

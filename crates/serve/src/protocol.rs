@@ -12,32 +12,29 @@
 //!
 //! | tag  | message                                              |
 //! |------|------------------------------------------------------|
-//! | 0x01 | `Query` — `u32 top_k`, `u32 n`, `n × u32` item ids   |
-//! | 0x02 | `Results` — `u32 n`, then per recommendation the     |
-//! |      | consequent (`u32 m`, `m × u32`), `u64` support,      |
-//! |      | `f64` confidence bits, `f64` score bits              |
 //! | 0x03 | `Error` — `u32` length + UTF-8 message               |
 //! | 0x04 | `Shutdown` (no body)                                 |
 //! | 0x05 | `ShutdownAck` (no body)                              |
 //! | 0x06 | `QueryV2` — `u16 version`, `u32 top_k`,              |
 //! |      | `u32 budget_ms`, `u32 n`, `n × u32` item ids         |
 //! | 0x07 | `ResultsV2` — `u64 epoch`, `u32 shards_missing`,     |
-//! |      | then a `Results` body                                |
+//! |      | then a results body: `u32 n`, then per               |
+//! |      | recommendation the consequent (`u32 m`, `m × u32`),  |
+//! |      | `u64` support, `f64` confidence, `f64` score bits    |
 //! | 0x08 | `Reload` — `u16 version`, `u32` length + UTF-8 path  |
 //! | 0x09 | `ReloadAck` — `u64 epoch`                            |
 //! | 0x0A | `Overloaded` — `u32 retry_after_ms`                  |
 //! | 0x0B | `VersionMismatch` — `u16 server`, `u16 client`       |
-//!
 //! | 0x0C | `QueryBatch` — `u16 version`, `u32 top_k`,           |
 //! |      | `u32 budget_ms`, `u32 count`, then `count` baskets   |
 //! |      | (`u32 n`, `n × u32` item ids each)                   |
 //! | 0x0D | `ResultsBatch` — `u64 epoch`, `u32 count`, then per  |
-//! |      | basket `u32 shards_missing` + a `Results` body       |
+//! |      | basket `u32 shards_missing` + a results body         |
 //!
-//! Tags 0x01–0x05 are the frozen **v1** surface: their bytes are
-//! identical to the pre-epoch protocol, so fault-free v1 transcripts
-//! stay byte-comparable across this change; tags 0x06–0x0B are the
-//! frozen first-generation v2 surface, pinned the same way.
+//! Tags and their layouts are frozen: adding a tag is fine, renumbering
+//! one is not. Tags 0x01 (`Query`) and 0x02 (`Results`) were the
+//! unversioned first generation; they are retired and never reused, so
+//! a 0x01 frame is answered like any unknown tag.
 //! `QueryBatch` scores up to [`MAX_BATCH`] baskets in one round trip
 //! against **one** epoch snapshot; answer `i` of a `ResultsBatch` is
 //! exactly what the same basket would get from its own `QueryV2`, so
@@ -64,8 +61,8 @@ use std::io::{Read, Write};
 /// fields before allocating; writes refuse to emit them.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// Version spoken by this build for the v2 frames. v1 frames carry no
-/// version field and are accepted forever.
+/// Version spoken by this build; every query and reload frame carries
+/// it.
 pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bounds on list lengths inside payloads (stricter than what
@@ -77,8 +74,6 @@ const MAX_PATH_BYTES: usize = 1 << 12;
 /// Most baskets one `QueryBatch` frame may carry.
 pub const MAX_BATCH: usize = 1 << 10;
 
-const TAG_QUERY: u8 = 0x01;
-const TAG_RESULTS: u8 = 0x02;
 const TAG_ERROR: u8 = 0x03;
 const TAG_SHUTDOWN: u8 = 0x04;
 const TAG_SHUTDOWN_ACK: u8 = 0x05;
@@ -94,18 +89,11 @@ const TAG_RESULTS_BATCH: u8 = 0x0D;
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Score a basket, return the best `top_k` consequents.
-    Query {
-        /// Raw (unextended) item ids; any order, duplicates allowed.
-        basket: Vec<ItemId>,
-        /// Maximum number of recommendations wanted.
-        top_k: u32,
-    },
     /// Ask the server to drain and exit (acknowledged, then honored).
     Shutdown,
-    /// v2 query: like `Query`, plus the protocol version the client
-    /// speaks and a latency budget the server may shed against
-    /// (`budget_ms == 0` means "no budget, use the server deadline").
+    /// Score a basket and return the best `top_k` consequents, under a
+    /// latency budget the server may shed against (`budget_ms == 0`
+    /// means "no budget, use the server deadline").
     QueryV2 {
         /// Version the client speaks; answered with `VersionMismatch`
         /// (not a closed connection) when the server cannot serve it.
@@ -144,15 +132,13 @@ pub enum Request {
 /// A server → client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// The scored recommendations, best first.
-    Results(Vec<Recommendation>),
     /// The query failed; the connection stays protocol-consistent.
     Error(String),
     /// Shutdown accepted; the server exits after this frame.
     ShutdownAck,
-    /// v2 results: which epoch answered and how many shards were
-    /// missing (crashed and not yet restarted) when it was computed.
-    /// `shards_missing == 0` is a complete answer.
+    /// The scored recommendations, with which epoch answered and how
+    /// many shards were missing (crashed and not yet restarted) when
+    /// it was computed. `shards_missing == 0` is a complete answer.
     ResultsV2 {
         /// Epoch of the catalog snapshot that produced `recs`.
         epoch: u64,
@@ -174,7 +160,7 @@ pub enum Response {
         retry_after_ms: u32,
     },
     /// The request's version field is one the server does not speak;
-    /// the connection stays open and v1 frames still work.
+    /// the connection stays open for a retry at the right version.
     VersionMismatch {
         /// Version the server speaks.
         server: u16,
@@ -405,11 +391,6 @@ fn push_items(out: &mut Vec<u8>, items: &[ItemId]) {
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::new();
     match req {
-        Request::Query { basket, top_k } => {
-            out.push(TAG_QUERY);
-            out.extend_from_slice(&top_k.to_le_bytes());
-            push_items(&mut out, basket);
-        }
         Request::Shutdown => out.push(TAG_SHUTDOWN),
         Request::QueryV2 {
             version,
@@ -462,10 +443,6 @@ fn push_recs(out: &mut Vec<u8>, recs: &[Recommendation]) {
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
     match resp {
-        Response::Results(recs) => {
-            out.push(TAG_RESULTS);
-            push_recs(&mut out, recs);
-        }
         Response::Error(msg) => {
             out.push(TAG_ERROR);
             out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
@@ -530,16 +507,6 @@ fn read_items(c: &mut Cursor<'_>, max: usize, what: &str) -> Result<Vec<ItemId>>
 pub fn decode_request(payload: &[u8]) -> Result<Request> {
     let mut c = payload_cursor(payload);
     let req = match c.u8()? {
-        TAG_QUERY => {
-            let top_k = c.u32()?;
-            if top_k as usize > MAX_RESULTS {
-                return Err(Error::Protocol(format!(
-                    "implausible top_k {top_k} (max {MAX_RESULTS})"
-                )));
-            }
-            let basket = read_items(&mut c, MAX_BASKET_LEN, "basket")?;
-            Request::Query { basket, top_k }
-        }
         TAG_SHUTDOWN => Request::Shutdown,
         TAG_QUERY_V2 => {
             // The version is carried through undecoded on purpose: the
@@ -641,7 +608,6 @@ fn read_recs(c: &mut Cursor<'_>) -> Result<Vec<Recommendation>> {
 pub fn decode_response(payload: &[u8]) -> Result<Response> {
     let mut c = payload_cursor(payload);
     let resp = match c.u8()? {
-        TAG_RESULTS => Response::Results(read_recs(&mut c)?),
         TAG_ERROR => {
             let len = c.u32()? as usize;
             if len > MAX_FRAME_BYTES {
@@ -720,8 +686,8 @@ mod tests {
     use super::*;
     use gar_types::iset;
 
-    fn sample_response() -> Response {
-        Response::Results(vec![
+    fn sample_recs() -> Vec<Recommendation> {
+        vec![
             Recommendation {
                 consequent: iset![7],
                 support_count: 2,
@@ -734,27 +700,20 @@ mod tests {
                 confidence: 0.5,
                 score: 1.0 / 12.0,
             },
-        ])
+        ]
     }
 
-    fn sample_recs() -> Vec<Recommendation> {
-        match sample_response() {
-            Response::Results(recs) => recs,
-            other => panic!("sample_response is Results, got {other:?}"),
+    fn sample_response() -> Response {
+        Response::ResultsV2 {
+            epoch: 1,
+            shards_missing: 0,
+            recs: sample_recs(),
         }
     }
 
     #[test]
     fn request_round_trips() {
         for req in [
-            Request::Query {
-                basket: vec![ItemId(3), ItemId(9), ItemId(3)],
-                top_k: 5,
-            },
-            Request::Query {
-                basket: vec![],
-                top_k: 0,
-            },
             Request::Shutdown,
             Request::QueryV2 {
                 version: PROTOCOL_VERSION,
@@ -793,7 +752,6 @@ mod tests {
     fn response_round_trips() {
         for resp in [
             sample_response(),
-            Response::Results(vec![]),
             Response::Error("deadline exceeded".into()),
             Response::ShutdownAck,
             Response::ResultsV2 {
@@ -836,17 +794,9 @@ mod tests {
 
     #[test]
     fn v1_encodings_are_frozen() {
-        // The v1 tags are a compatibility surface for deployed clients,
-        // so these bytes must never change. (Adding v2 tags is fine;
-        // renumbering is not.)
-        let query = encode_request(&Request::Query {
-            basket: vec![ItemId(2), ItemId(7)],
-            top_k: 4,
-        });
-        assert_eq!(
-            query,
-            [0x01, 4, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0]
-        );
+        // The surviving first-generation tags are a compatibility
+        // surface, so these bytes must never change. (Adding tags is
+        // fine; renumbering or reusing a retired one is not.)
         let error = encode_response(&Response::Error("x".into()));
         assert_eq!(error, [0x03, 1, 0, 0, 0, b'x']);
         assert_eq!(encode_request(&Request::Shutdown), [0x04]);
@@ -1027,13 +977,10 @@ mod tests {
 
     #[test]
     fn every_frame_byte_flip_is_detected() {
-        // One frame per protocol generation — the v2 tags run through
-        // the same every-byte-flip harness as the originals.
+        // One frame per tag family, through the same every-byte-flip
+        // harness.
         let payloads = [
-            encode_request(&Request::Query {
-                basket: vec![ItemId(1), ItemId(2), ItemId(3)],
-                top_k: 4,
-            }),
+            encode_response(&Response::Error("deadline exceeded".into())),
             encode_request(&Request::QueryV2 {
                 version: PROTOCOL_VERSION,
                 basket: vec![ItemId(1), ItemId(2), ItemId(3)],
@@ -1147,9 +1094,11 @@ mod tests {
         for payload in [
             &[][..],
             &[0xFF][..],
-            &[TAG_QUERY][..],
-            &[TAG_QUERY, 1, 0, 0, 0][..],
-            &[TAG_RESULTS, 0xFF, 0xFF, 0xFF, 0xFF][..],
+            // The retired 0x01 `Query` / 0x02 `Results` tags, well-formed
+            // under their old layouts: neither decoder accepts them.
+            &[0x01, 4, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0][..],
+            &[0x01, 0, 0, 0, 0, 0, 0, 0, 0][..],
+            &[0x02, 0, 0, 0, 0][..],
             &[TAG_ERROR, 10, 0, 0, 0, b'h', b'i'][..],
             &[TAG_SHUTDOWN, 0][..], // trailing garbage
             &[TAG_QUERY_V2, 2][..],
@@ -1207,7 +1156,7 @@ mod tests {
         ] {
             let req = decode_request(payload);
             let resp = decode_response(payload);
-            assert!(req.is_err() || resp.is_err(), "{payload:?}");
+            assert!(req.is_err() && resp.is_err(), "{payload:?}");
             for e in [req.err(), resp.err()].into_iter().flatten() {
                 assert!(matches!(e, Error::Protocol(_)), "{payload:?}: {e:?}");
             }
@@ -1216,10 +1165,15 @@ mod tests {
 
     #[test]
     fn implausible_basket_length_is_rejected() {
-        let mut payload = vec![TAG_QUERY];
+        let mut payload = vec![TAG_QUERY_V2];
+        payload.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
         payload.extend_from_slice(&5u32.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
         payload.extend_from_slice(&(MAX_BASKET_LEN as u32 + 1).to_le_bytes());
         let err = decode_request(&payload).unwrap_err();
-        assert!(matches!(err, Error::Protocol(_)), "{err:?}");
+        assert!(
+            matches!(&err, Error::Protocol(m) if m.contains("basket length")),
+            "{err:?}"
+        );
     }
 }

@@ -612,10 +612,9 @@ fn shard_worker(shard: usize, slot: &ShardSlot, faults: &FaultPlan, rx: &Receive
     }
 }
 
-/// Which protocol generation shaped a request (and so its response).
+/// Which request shaped a pending query (and so its response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Shape {
-    V1,
     V2,
     Batch,
 }
@@ -676,16 +675,6 @@ fn frame_bytes(response: &Response) -> Vec<u8> {
     // Writing into a Vec cannot fail.
     drop(write_frame(&mut framed, &encode_response(response)));
     framed
-}
-
-/// The typed shed reply for each protocol generation.
-fn shed_response(cfg: &ServerConfig, shape: Shape) -> Response {
-    match shape {
-        Shape::V1 => Response::Error(format!("overloaded: retry after {} ms", cfg.retry_after_ms)),
-        _ => Response::Overloaded {
-            retry_after_ms: cfg.retry_after_ms,
-        },
-    }
 }
 
 /// The single-threaded readiness loop: listener + waker + every
@@ -928,9 +917,6 @@ impl EventLoop {
             })
         };
         match request {
-            Request::Query { basket, top_k } => {
-                self.start_request(ci, Shape::V1, vec![basket], top_k, 0);
-            }
             Request::QueryV2 {
                 version,
                 basket,
@@ -1051,7 +1037,10 @@ impl EventLoop {
             if (backlog + njobs as u64).saturating_mul(shared.cfg.est_job_ms) > budget_ms as u64 {
                 obs.add("serve.shed", &[], 1);
                 obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
-                self.respond(ci, frame_bytes(&shed_response(&shared.cfg, shape)));
+                let shed = Response::Overloaded {
+                    retry_after_ms: shared.cfg.retry_after_ms,
+                };
+                self.respond(ci, frame_bytes(&shed));
                 return;
             }
         }
@@ -1124,7 +1113,10 @@ impl EventLoop {
                     guard.abandon();
                     obs.add("serve.shed", &[], 1);
                     obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
-                    self.respond(ci, frame_bytes(&shed_response(&shared.cfg, shape)));
+                    let shed = Response::Overloaded {
+                        retry_after_ms: shared.cfg.retry_after_ms,
+                    };
+                    self.respond(ci, frame_bytes(&shed));
                     return;
                 }
                 Err(TrySendError::Disconnected(job)) => {
@@ -1265,39 +1257,19 @@ impl EventLoop {
                     recs: a.recs,
                 }
             }
-            Shape::V1 => Response::Results(
-                answers
-                    .into_iter()
-                    .next()
-                    .map(|a| a.recs)
-                    .unwrap_or_default(),
-            ),
         };
         obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
         self.deliver(conn, req, frame_bytes(&response));
     }
 
-    /// Builds the timeout response: typed retryable for v2/batch
-    /// (indistinguishable from a shed, as before), an error string for
-    /// v1.
+    /// Builds the timeout response: typed and retryable, indistinguishable
+    /// from a shed.
     fn finalize_timeout(&mut self, req: u64, p: Pending) {
         let obs = self.shared.obs.clone();
         obs.add("serve.deadline_exceeded", &[], 1);
-        let response = match p.shape {
-            Shape::V1 => {
-                obs.add("serve.errors", &[], 1);
-                let e = Error::Timeout {
-                    node: 0,
-                    op: "shard-collect".into(),
-                };
-                Response::Error(e.to_string())
-            }
-            _ => {
-                obs.add("serve.shed", &[], 1);
-                Response::Overloaded {
-                    retry_after_ms: self.shared.cfg.retry_after_ms,
-                }
-            }
+        obs.add("serve.shed", &[], 1);
+        let response = Response::Overloaded {
+            retry_after_ms: self.shared.cfg.retry_after_ms,
         };
         obs.observe(
             "serve.latency_us",

@@ -22,7 +22,7 @@
 use gar_cluster::{FaultPlan, RetryPolicy};
 use gar_mining::rules::Rule;
 use gar_obs::Obs;
-use gar_serve::protocol::{encode_response, Response};
+use gar_serve::protocol::{encode_response, BatchAnswer, Response};
 use gar_serve::{serve, Catalog, Client, QueryReply, RuleStore, Server, ServerConfig};
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
 use gar_types::{iset, ItemId, Itemset};
@@ -225,19 +225,32 @@ fn shard_panic_degrades_then_recovers_with_byte_identical_answers() {
             "seed {seed}: expected exactly one restart"
         );
         // Post-recovery, a deterministic fault-free subset is
-        // byte-identical to locally encoded expectations — v2 and v1.
+        // byte-identical to locally encoded expectations — one basket at
+        // a time, then all of them in one batch.
         let mut state = seed ^ 0xDEAD_BEEF;
-        for _ in 0..15 {
-            let b = basket(&mut state);
+        let baskets: Vec<Vec<ItemId>> = (0..15).map(|_| basket(&mut state)).collect();
+        for b in &baskets {
             let expected_v2 = encode_response(&Response::ResultsV2 {
                 epoch: 1,
                 shards_missing: 0,
-                recs: reference.query(&b, 10),
+                recs: reference.query(b, 10),
             });
-            assert_eq!(client.query_v2_raw(&b, 10, 0).unwrap(), expected_v2);
-            let expected_v1 = encode_response(&Response::Results(reference.query(&b, 10)));
-            assert_eq!(client.query_raw(&b, 10).unwrap(), expected_v1);
+            assert_eq!(client.query_v2_raw(b, 10, 0).unwrap(), expected_v2);
         }
+        let expected_batch = encode_response(&Response::ResultsBatch {
+            epoch: 1,
+            answers: baskets
+                .iter()
+                .map(|b| BatchAnswer {
+                    shards_missing: 0,
+                    recs: reference.query(b, 10),
+                })
+                .collect(),
+        });
+        assert_eq!(
+            client.query_batch_raw(&baskets, 10, 0).unwrap(),
+            expected_batch
+        );
         assert!(saw_degraded, "seed {seed}: the panic was never observed");
         client.shutdown().unwrap();
         server.wait().unwrap();
@@ -392,8 +405,12 @@ fn overload_burst_sheds_typed_and_the_server_survives() {
         // And the server is healthy afterwards.
         let mut client = connect(&server);
         assert_eq!(
-            client.query(&[ItemId(3)], 10).unwrap(),
-            reference.query(&[ItemId(3)], 10)
+            client.query_v2(&[ItemId(3)], 10, 0).unwrap(),
+            QueryReply::Results {
+                epoch: 1,
+                shards_missing: 0,
+                recs: reference.query(&[ItemId(3)], 10),
+            }
         );
         let snap = obs.metrics();
         assert!(snap.counters.get("serve.shed").copied().unwrap_or(0) >= 1);

@@ -2,8 +2,8 @@
 //! running sharded server, and a client — answers must match the
 //! in-process engine exactly, taxonomy-ancestor matches included, a
 //! hostile frame must not take the server down, reloads must hot-swap
-//! epochs without dropping queries, and old-version frames must get a
-//! typed mismatch answer rather than a hangup.
+//! epochs without dropping queries, and old-version or retired frames
+//! must get a typed answer rather than a hangup.
 
 // What this suite drives does not exist in model-checking builds.
 #![cfg(not(gar_loom))]
@@ -11,7 +11,7 @@
 use gar_cluster::{FaultPlan, RetryPolicy};
 use gar_mining::rules::Rule;
 use gar_obs::Obs;
-use gar_serve::{serve, Catalog, Client, QueryReply, RuleStore, ServerConfig};
+use gar_serve::{serve, Catalog, Client, QueryReply, Recommendation, RuleStore, ServerConfig};
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
 use gar_types::{iset, ItemId, Itemset};
 use std::io::Write as _;
@@ -88,6 +88,18 @@ fn connect(server: &gar_serve::Server) -> Client {
     .unwrap()
 }
 
+/// The recommendations of one complete (no shard missing) answer.
+fn ask(client: &mut Client, basket: &[ItemId], top_k: u32) -> Vec<Recommendation> {
+    match client.query_v2(basket, top_k, 0).unwrap() {
+        QueryReply::Results {
+            shards_missing: 0,
+            recs,
+            ..
+        } => recs,
+        other => panic!("incomplete answer for {basket:?}: {other:?}"),
+    }
+}
+
 #[test]
 fn served_answers_match_the_in_process_engine() {
     let obs = Obs::disabled();
@@ -103,7 +115,7 @@ fn served_answers_match_the_in_process_engine() {
     ];
     for basket in &baskets {
         assert_eq!(
-            client.query(basket, 10).unwrap(),
+            ask(&mut client, basket, 10),
             reference.query(basket, 10),
             "basket {basket:?}"
         );
@@ -120,7 +132,7 @@ fn ancestor_match_is_served_over_the_wire() {
     let mut client = connect(&server);
     // jackets(3) alone: "outerwear ⇒ hiking boots" fires through the
     // ancestor, so boots(7) must appear among the recommendations.
-    let recs = client.query(&[ItemId(3)], 10).unwrap();
+    let recs = ask(&mut client, &[ItemId(3)], 10);
     assert!(
         recs.iter().any(|r| r.consequent == iset![7]),
         "no ancestor-driven recommendation in {recs:?}"
@@ -141,9 +153,9 @@ fn per_shard_metrics_are_recorded() {
         vec![ItemId(2), ItemId(6)],
         vec![ItemId(4), ItemId(5)],
     ] {
-        client.query(&basket, 5).unwrap();
+        ask(&mut client, &basket, 5);
     }
-    client.query(&[ItemId(3)], 5).unwrap();
+    ask(&mut client, &[ItemId(3)], 5);
     client.shutdown().unwrap();
     server.wait().unwrap();
     let snap = obs.metrics();
@@ -202,7 +214,7 @@ fn oversize_frame_gets_an_error_and_the_server_survives() {
 
     // The server is still alive and correct afterwards.
     let mut client = connect(&server);
-    assert!(!client.query(&[ItemId(3)], 5).unwrap().is_empty());
+    assert!(!ask(&mut client, &[ItemId(3)], 5).is_empty());
     client.shutdown().unwrap();
     server.wait().unwrap();
 }
@@ -242,11 +254,6 @@ fn reload_hot_swaps_the_epoch_and_answers_change() {
             shards_missing: 0,
             recs: reference_v2.query(&basket, 10),
         }
-    );
-    // v1 queries keep working after the swap.
-    assert_eq!(
-        client.query(&basket, 10).unwrap(),
-        reference_v2.query(&basket, 10)
     );
     std::fs::remove_file(&path).ok();
     client.shutdown().unwrap();
@@ -324,17 +331,28 @@ fn version_mismatch_is_typed_and_the_connection_survives() {
             client: 9,
         }
     );
-    // The connection stays open and protocol-consistent: a v1 query on
-    // the same socket still answers.
-    let req = encode_request(&Request::Query {
+    // A frame under the retired 0x01 `Query` tag (`top_k` 5, basket
+    // [3]) is an unknown tag: a typed error, not a hangup.
+    write_frame(&mut raw, &[0x01, 5, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0]).unwrap();
+    let payload = read_frame(&mut raw).unwrap().unwrap();
+    let decoded = decode_response(&payload).unwrap();
+    assert!(
+        matches!(&decoded, Response::Error(m) if m.contains("unknown request tag 0x01")),
+        "{decoded:?}"
+    );
+    // The connection stays open and protocol-consistent: a query at the
+    // right version on the same socket still answers.
+    let req = encode_request(&Request::QueryV2 {
+        version: PROTOCOL_VERSION,
         basket: vec![ItemId(3)],
         top_k: 5,
+        budget_ms: 0,
     });
     write_frame(&mut raw, &req).unwrap();
     let payload = read_frame(&mut raw).unwrap().unwrap();
     assert!(matches!(
         decode_response(&payload).unwrap(),
-        Response::Results(recs) if !recs.is_empty()
+        Response::ResultsV2 { epoch: 1, shards_missing: 0, recs } if !recs.is_empty()
     ));
     drop(raw);
     server.shutdown();
@@ -353,7 +371,7 @@ fn client_transparently_retries_after_a_connection_reset() {
     let mut client = connect(&server);
     // The first connection is reset right after the request is read;
     // the client must reconnect and retry without surfacing an error.
-    let recs = client.query(&[ItemId(3)], 10).unwrap();
+    let recs = ask(&mut client, &[ItemId(3)], 10);
     let reference = Catalog::new(fixture_store(), 1);
     assert_eq!(recs, reference.query(&[ItemId(3)], 10));
     assert_eq!(
@@ -376,7 +394,7 @@ fn slow_frame_writes_are_reassembled_by_the_client() {
     let mut client = connect(&server);
     // The response frame dribbles out in 3-byte chunks; the framed
     // reader must reassemble it into the exact same answer.
-    let recs = client.query(&[ItemId(3)], 10).unwrap();
+    let recs = ask(&mut client, &[ItemId(3)], 10);
     let reference = Catalog::new(fixture_store(), 1);
     assert_eq!(recs, reference.query(&[ItemId(3)], 10));
     assert_eq!(
@@ -391,7 +409,7 @@ fn slow_frame_writes_are_reassembled_by_the_client() {
 fn shutdown_via_server_handle_unblocks_wait() {
     let server = start(3, Obs::disabled());
     let mut client = connect(&server);
-    client.query(&[ItemId(3)], 5).unwrap();
+    ask(&mut client, &[ItemId(3)], 5);
     drop(client);
     server.shutdown();
     server.wait().unwrap();

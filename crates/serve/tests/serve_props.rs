@@ -61,7 +61,12 @@ proptest! {
 
     #[test]
     fn requests_round_trip(basket in arb_basket(), top_k in 0u32..1000) {
-        let req = Request::Query { basket, top_k };
+        let req = Request::QueryV2 {
+            version: PROTOCOL_VERSION,
+            basket,
+            top_k,
+            budget_ms: 0,
+        };
         prop_assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
     }
 
@@ -84,7 +89,11 @@ proptest! {
                 }
             })
             .collect();
-        let resp = Response::Results(recs);
+        let resp = Response::ResultsV2 {
+            epoch: 1,
+            shards_missing: 0,
+            recs,
+        };
         prop_assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
     }
 
@@ -181,7 +190,12 @@ proptest! {
         cut in 0usize..200,
         flip in 0usize..200,
     ) {
-        let payload = encode_request(&Request::Query { basket, top_k: 3 });
+        let payload = encode_request(&Request::QueryV2 {
+            version: PROTOCOL_VERSION,
+            basket,
+            top_k: 3,
+            budget_ms: 0,
+        });
         let mut frame = Vec::new();
         write_frame(&mut frame, &payload).unwrap();
         // Truncation: must error or report clean EOF, never panic.

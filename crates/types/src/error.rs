@@ -48,6 +48,12 @@ pub enum Error {
         /// The operation that was waited on (`"barrier"`, `"recv"`, ...).
         op: String,
     },
+    /// A server shed the request before doing any work; the caller
+    /// should back off for the suggested time and retry.
+    Overloaded {
+        /// The server's suggested backoff.
+        retry_after_ms: u32,
+    },
 }
 
 impl Error {
@@ -61,12 +67,15 @@ impl Error {
 
     /// Whether an operation that failed with this error may be retried.
     ///
-    /// Transient faults — I/O hiccups and expired deadlines — are
-    /// retryable; everything else (corruption, configuration problems,
+    /// Transient faults — I/O hiccups, expired deadlines and shed
+    /// requests — are retryable; everything else (corruption, configuration problems,
     /// protocol violations, node failures) is a fatal property of the
     /// run and retrying would only repeat it.
     pub fn is_retryable(&self) -> bool {
-        matches!(self, Error::Io { .. } | Error::Timeout { .. })
+        matches!(
+            self,
+            Error::Io { .. } | Error::Timeout { .. } | Error::Overloaded { .. }
+        )
     }
 }
 
@@ -86,6 +95,9 @@ impl fmt::Display for Error {
             }
             Error::Timeout { node, op } => {
                 write!(f, "cluster node {node} timed out waiting for {op}")
+            }
+            Error::Overloaded { retry_after_ms } => {
+                write!(f, "server overloaded: retry after {retry_after_ms} ms")
             }
         }
     }
@@ -129,6 +141,8 @@ mod tests {
             e.to_string(),
             "cluster node 4 timed out waiting for barrier"
         );
+        let e = Error::Overloaded { retry_after_ms: 25 };
+        assert_eq!(e.to_string(), "server overloaded: retry after 25 ms");
     }
 
     #[test]
@@ -140,6 +154,7 @@ mod tests {
             op: "recv".into()
         }
         .is_retryable());
+        assert!(Error::Overloaded { retry_after_ms: 1 }.is_retryable());
 
         assert!(!Error::Corrupt("bad checksum".into()).is_retryable());
         assert!(!Error::InvalidConfig("zero nodes".into()).is_retryable());
