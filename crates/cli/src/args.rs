@@ -2,9 +2,9 @@
 //!
 //! Grammar: the first free token is the subcommand; `--key value` pairs
 //! become flags; bare `--key` tokens followed by another flag (or
-//! nothing) become switches. Every lookup is remembered, so a command
-//! that has read all it takes can reject whatever is left
-//! ([`Args::finish`]). Good enough for a reproduction CLI and fully
+//! nothing) become switches. No command takes a second free token. Every
+//! lookup is remembered, so a command that has read all it takes can
+//! reject whatever is left, a stray free token included ([`Args::finish`]). Good enough for a reproduction CLI and fully
 //! tested, instead of pulling an argument-parsing dependency outside the
 //! sanctioned list.
 
@@ -19,7 +19,8 @@ pub struct Args {
     pub command: Option<String>,
     flags: HashMap<String, String>,
     switches: Vec<String>,
-    positional: Vec<String>,
+    /// The first free token after the subcommand, if any: always an error.
+    unexpected: Option<String>,
     /// Every `(is_switch, key)` a command has looked up, given or not.
     asked: RefCell<BTreeSet<(bool, String)>>,
 }
@@ -45,8 +46,8 @@ impl Args {
                 }
             } else if out.command.is_none() {
                 out.command = Some(tok);
-            } else {
-                out.positional.push(tok);
+            } else if out.unexpected.is_none() {
+                out.unexpected = Some(tok);
             }
         }
         Ok(out)
@@ -91,11 +92,15 @@ impl Args {
         self.switches.iter().any(|s| s == key)
     }
 
-    /// Rejects the first option (in name order) that was given but never
-    /// looked up — a typo, or a flag this command does not take — and a
-    /// flag given bare or a switch given a value. Commands call this once
-    /// they have read everything, before they do any work.
+    /// Rejects a free token after the subcommand, then the first option
+    /// (in name order) that was given but never looked up — a typo, or a
+    /// flag this command does not take — and a flag given bare or a
+    /// switch given a value. Commands call this once they have read
+    /// everything, before they do any work.
     pub fn finish(&self) -> Result<()> {
+        if let Some(tok) = &self.unexpected {
+            return Err(Error::InvalidConfig(format!("unexpected argument '{tok}'")));
+        }
         let asked = self.asked.borrow();
         #[expect(
             clippy::disallowed_methods,
@@ -116,12 +121,6 @@ impl Args {
                 format!("option --{key} takes no value")
             },
         ))
-    }
-
-    /// Extra positional arguments after the subcommand.
-    #[allow(dead_code)] // exercised by tests; kept for future positional args
-    pub fn positional(&self) -> &[String] {
-        &self.positional
     }
 }
 
@@ -202,12 +201,17 @@ mod tests {
     }
 
     #[test]
-    fn positional_arguments_collected() {
-        let a = parse("rules out.gout extra");
-        assert_eq!(a.command.as_deref(), Some("rules"));
-        assert_eq!(
-            a.positional(),
-            &["out.gout".to_string(), "extra".to_string()]
+    fn finish_rejects_a_positional_argument() {
+        // A value with its flag missing must not be dropped silently.
+        let a = parse("mine --data d --min-support 0.01 H-HPGM extra");
+        assert_eq!(a.command.as_deref(), Some("mine"));
+        assert_eq!(a.get("data"), Some("d"));
+        assert_eq!(a.get("min-support"), Some("0.01"));
+        let err = a.finish().unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("unexpected argument 'H-HPGM'"),
+            "{err}"
         );
     }
 

@@ -53,7 +53,6 @@ pub fn run(args: &Args) -> Result<()> {
         deadline: Duration::from_millis(deadline_ms),
         queue_depth,
         faults,
-        ..ServerConfig::default()
     };
     let server = serve(&format!("127.0.0.1:{port}"), store, cfg, obs.clone())?;
     // Scripts parse this line for the bound address, so flush it

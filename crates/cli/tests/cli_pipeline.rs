@@ -371,6 +371,12 @@ fn unread_options_are_rejected_before_any_work() {
     valued.extend([gout.to_str().unwrap(), "--resume", "yes"]);
     expect(&valued, "--resume takes no value");
     expect(&mine, "--out needs a value");
+    // A value whose flag is missing is not dropped: `H-HPGM` would
+    // otherwise mine with the default algorithm.
+    let mut stray = mine.to_vec();
+    stray.extend([gout.to_str().unwrap(), "H-HPGM"]);
+    expect(&stray, "unexpected argument 'H-HPGM'");
+    assert!(!gout.exists(), "mine ran before rejecting a stray argument");
 
     // A typo on `serve` fails before the rule store is even opened.
     expect(

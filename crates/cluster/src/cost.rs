@@ -47,17 +47,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A model that prices only communication — useful in tests isolating
-    /// the messaging ledger.
-    pub fn communication_only() -> CostModel {
-        CostModel {
-            seconds_per_cpu_tick: 0.0,
-            seconds_per_probe: 0.0,
-            seconds_per_io_byte: 0.0,
-            ..CostModel::default()
-        }
-    }
-
     /// Modeled busy time of one node.
     ///
     /// CPU and disk overlap poorly on a single-threaded 1998 node, and a
@@ -80,12 +69,6 @@ impl CostModel {
             .iter()
             .map(|s| self.node_seconds(s))
             .fold(0.0, f64::max)
-    }
-
-    /// Sum of all nodes' busy time (total work; used for efficiency
-    /// metrics).
-    pub fn total_work_seconds(&self, nodes: &[NodeStatsSnapshot]) -> f64 {
-        nodes.iter().map(|s| self.node_seconds(s)).sum()
     }
 }
 
@@ -133,15 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn total_work_is_sum() {
-        let m = CostModel::default();
-        let a = snap(100, 0, 0, 0);
-        let b = snap(200, 0, 0, 0);
-        let total = m.total_work_seconds(&[a, b]);
-        assert!((total - (m.node_seconds(&a) + m.node_seconds(&b))).abs() < 1e-15);
-    }
-
-    #[test]
     fn probes_priced_heavier_than_ticks() {
         let m = CostModel::default();
         let probing = NodeStatsSnapshot {
@@ -150,12 +124,5 @@ mod tests {
         };
         let ticking = snap(1_000, 0, 0, 0);
         assert!(m.node_seconds(&probing) > m.node_seconds(&ticking));
-    }
-
-    #[test]
-    fn communication_only_ignores_cpu_and_io() {
-        let m = CostModel::communication_only();
-        assert_eq!(m.node_seconds(&snap(1_000_000, 0, 0, 1_000_000)), 0.0);
-        assert!(m.node_seconds(&snap(0, 1, 100, 0)) > 0.0);
     }
 }

@@ -14,10 +14,14 @@
 //! * collective operations (barrier, all-reduce of support-count vectors,
 //!   coordinator broadcast of `L_k`) are provided and *also* charged to the
 //!   communication ledger as gather-to-coordinator + broadcast;
+//! * [`Cluster::run`] is the one way to run the machine: it returns every
+//!   node's result and counters, or the root-cause error of a failed run;
 //! * a [`CostModel`] converts a node's counters (CPU ticks, bytes moved,
-//!   I/O) into an SP-2-shaped execution time. Reported times are the
-//!   critical path: `max` over nodes, per phase. Real wall-clock of the
-//!   threaded run is reported alongside by the bench harness.
+//!   I/O) into an SP-2-shaped execution time. It is the one pricer, and
+//!   the miners' report assembly (`assemble_report` in `gar-mining`) is
+//!   where a parallel run is priced: a pass's time is its critical path,
+//!   `max` over nodes of the pass's counter deltas. Real wall-clock of
+//!   the threaded run is reported alongside.
 //!
 //! Why a simulator instead of MPI: no SP-2 (or any multi-node machine)
 //! exists in this environment, and Rust MPI bindings are thin. The paper's
@@ -61,5 +65,5 @@ pub use fault::{FaultOp, FaultPlan, RetryPolicy, ScheduledFault, ServeFault, Ser
 #[cfg(not(gar_loom))]
 pub use node::{Envelope, Exchange, NodeCtx, CONTROL_TAG_EOS};
 #[cfg(not(gar_loom))]
-pub use runner::{Cluster, ClusterConfig, ClusterFailure, ClusterRun, RunOutcome};
+pub use runner::{Cluster, ClusterConfig, ClusterRun};
 pub use stats::{NodeStats, NodeStatsSnapshot};

@@ -1,7 +1,6 @@
 //! Spawning a cluster run.
 
 use crate::collective::Collectives;
-use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::node::{Envelope, NodeCtx};
 use crate::stats::{NodeStats, NodeStatsSnapshot};
@@ -18,8 +17,6 @@ pub struct ClusterConfig {
     /// Candidate-memory budget per node in bytes (the simulated 256 MB —
     /// scaled down alongside the datasets).
     pub memory_per_node: u64,
-    /// Price list for the modeled execution time.
-    pub cost: CostModel,
     /// Deterministic fault injection for this run, if any.
     pub faults: Option<FaultPlan>,
     /// Deadline on every blocking collective wait and `recv`: a node
@@ -33,13 +30,12 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A cluster of `num_nodes` with a given per-node memory budget and
-    /// the default SP-2 cost model (no faults, no deadline).
+    /// A cluster of `num_nodes` with a given per-node memory budget (no
+    /// faults, no deadline).
     pub fn new(num_nodes: usize, memory_per_node: u64) -> ClusterConfig {
         ClusterConfig {
             num_nodes,
             memory_per_node,
-            cost: CostModel::default(),
             faults: None,
             deadline: None,
             obs: Obs::disabled(),
@@ -79,7 +75,8 @@ impl ClusterConfig {
 }
 
 /// Outcome of a cluster run: the per-node return values (index = node id),
-/// the per-node counter snapshots, wall-clock, and the modeled time.
+/// the per-node counter snapshots and wall-clock. Pricing the counters is
+/// the caller's: a miner prices each pass's deltas, not the whole run.
 #[derive(Debug)]
 pub struct ClusterRun<T> {
     /// Per-node results, indexed by node id.
@@ -88,90 +85,26 @@ pub struct ClusterRun<T> {
     pub stats: Vec<NodeStatsSnapshot>,
     /// Real elapsed time of the threaded simulation on this machine.
     pub wall: Duration,
-    /// Cost-model execution time (critical path over nodes).
-    pub modeled_seconds: f64,
 }
 
-impl<T> ClusterRun<T> {
-    /// Average bytes received per node — Table 6's row metric.
-    pub fn avg_bytes_received(&self) -> f64 {
-        if self.stats.is_empty() {
-            return 0.0;
-        }
-        self.stats
-            .iter()
-            .map(|s| s.bytes_received as f64)
-            .sum::<f64>()
-            / self.stats.len() as f64
+/// The error that started a failed run's cascade: the first poisoner's
+/// own error if it has one, else the first error that is not the
+/// [`Error::Poisoned`] a peer observed, else the first error of any kind.
+fn root_cause<T>(outcomes: Vec<Result<T>>, poisoned_by: Option<usize>) -> Error {
+    let own_error = |node: &usize| {
+        matches!(
+            outcomes.get(*node),
+            Some(Err(e)) if !matches!(e, Error::Poisoned { .. })
+        )
+    };
+    let node = poisoned_by
+        .filter(own_error)
+        .or_else(|| (0..outcomes.len()).find(own_error))
+        .or_else(|| outcomes.iter().position(Result::is_err));
+    match node.and_then(|i| outcomes.into_iter().nth(i)) {
+        Some(Err(e)) => e,
+        _ => Error::Protocol("cluster run failed with no error outcome".into()),
     }
-
-    /// Per-node hash-probe counts — Figure 15's series.
-    pub fn probes_per_node(&self) -> Vec<u64> {
-        self.stats.iter().map(|s| s.hash_probes).collect()
-    }
-}
-
-/// Postmortem of a failed cluster run: **every** node's outcome (not
-/// just the first error), the per-node counter snapshots at the moment
-/// of death, and the poison attribution — the raw material for degraded
-/// -mode recovery and for the runner's root-cause error.
-#[derive(Debug)]
-pub struct ClusterFailure<T> {
-    /// Per-node outcomes, indexed by node id. Nodes that completed
-    /// before the failure carry `Ok`; nodes killed by a peer's failure
-    /// carry [`Error::Poisoned`]; the culprit carries its own error.
-    pub outcomes: Vec<Result<T>>,
-    /// Per-node counters at the end of the run (including
-    /// `faults_injected`).
-    pub stats: Vec<NodeStatsSnapshot>,
-    /// The node that poisoned the collectives first, if any did.
-    pub poisoned_by: Option<usize>,
-    /// Real elapsed time until the run unwound.
-    pub wall: Duration,
-}
-
-impl<T> ClusterFailure<T> {
-    /// The node whose *own* failure started the cascade: the first
-    /// poisoner if its outcome is a non-propagated error, else the
-    /// first node reporting a non-[`Error::Poisoned`] error.
-    pub fn root_cause_node(&self) -> Option<usize> {
-        let own_error = |node: usize| {
-            matches!(
-                self.outcomes.get(node),
-                Some(Err(e)) if !matches!(e, Error::Poisoned { .. })
-            )
-        };
-        self.poisoned_by
-            .filter(|&p| own_error(p))
-            .or_else(|| (0..self.outcomes.len()).find(|&node| own_error(node)))
-    }
-
-    /// Consumes the report, returning the root-cause error (falling back
-    /// to the first error of any kind).
-    pub fn into_root_cause(mut self) -> Error {
-        let node = self
-            .root_cause_node()
-            .or_else(|| self.outcomes.iter().position(|o| o.is_err()));
-        let slot = node.and_then(|i| self.outcomes.get_mut(i));
-        match slot.map(|s| std::mem::replace(s, Err(Error::Protocol("outcome taken".into())))) {
-            Some(Err(e)) => e,
-            // root_cause_node only returns error slots, so this arm is
-            // an internal inconsistency — surfaced as an error, not a
-            // panic, since this runs on the postmortem path.
-            Some(Ok(_)) => Error::Protocol("root cause node had an ok outcome".into()),
-            None => Error::Protocol("cluster run failed with no error outcome".into()),
-        }
-    }
-}
-
-/// Outcome of [`Cluster::run_report`]: success with results, or a full
-/// postmortem.
-#[derive(Debug)]
-pub enum RunOutcome<T> {
-    /// Every node returned `Ok`.
-    Completed(ClusterRun<T>),
-    /// At least one node failed; here is everything we know.
-    Failed(ClusterFailure<T>),
 }
 
 /// The simulated shared-nothing machine.
@@ -184,24 +117,8 @@ impl Cluster {
     /// collectives so its peers fail fast rather than deadlock.
     ///
     /// On failure the error is the **root cause**: the failing node's own
-    /// error, not the [`Error::Poisoned`] its peers observed. Callers that
-    /// need the full postmortem use [`Cluster::run_report`].
+    /// error, not the [`Error::Poisoned`] its peers observed.
     pub fn run<T, F>(config: &ClusterConfig, node_fn: F) -> Result<ClusterRun<T>>
-    where
-        T: Send,
-        F: Fn(&mut NodeCtx) -> Result<T> + Send + Sync,
-    {
-        match Cluster::run_report(config, node_fn)? {
-            RunOutcome::Completed(run) => Ok(run),
-            RunOutcome::Failed(failure) => Err(failure.into_root_cause()),
-        }
-    }
-
-    /// Like [`Cluster::run`], but a failed run returns the structured
-    /// [`ClusterFailure`] (every node's outcome and stats) instead of
-    /// collapsing to a single error. The outer `Result` only reports
-    /// configuration errors.
-    pub fn run_report<T, F>(config: &ClusterConfig, node_fn: F) -> Result<RunOutcome<T>>
     where
         T: Send,
         F: Fn(&mut NodeCtx) -> Result<T> + Send + Sync,
@@ -220,8 +137,7 @@ impl Cluster {
         }
 
         let started = Stopwatch::start();
-        let mut outcomes: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
+        let outcomes: Vec<Result<T>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (node_id, inbox) in receivers.into_iter().enumerate() {
                 let senders = senders.clone();
@@ -264,52 +180,31 @@ impl Cluster {
                     }
                 }));
             }
-            for (node_id, (slot, h)) in outcomes.iter_mut().zip(handles).enumerate() {
-                *slot = Some(h.join().unwrap_or_else(|_| {
-                    Err(Error::NodeFailure {
-                        node: node_id,
-                        reason: "worker thread died".into(),
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(node_id, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        Err(Error::NodeFailure {
+                            node: node_id,
+                            reason: "worker thread died".into(),
+                        })
                     })
-                }));
-            }
+                })
+                .collect()
         });
         // The original senders must drop so pending inboxes disconnect.
         drop(senders);
         let wall = started.elapsed();
 
-        let outcomes: Vec<Result<T>> = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(node_id, out)| {
-                // Filled by the scope join loop above for every node; a
-                // hole would mean the join loop itself was skipped, which
-                // the postmortem reports rather than crashing the caller.
-                out.unwrap_or_else(|| {
-                    Err(Error::NodeFailure {
-                        node: node_id,
-                        reason: "node produced no outcome".into(),
-                    })
-                })
-            })
-            .collect();
-        let snapshots: Vec<NodeStatsSnapshot> = stats.iter().map(NodeStats::snapshot).collect();
-
         if outcomes.iter().any(Result::is_err) {
-            return Ok(RunOutcome::Failed(ClusterFailure {
-                outcomes,
-                stats: snapshots,
-                poisoned_by: collectives.poisoned_by(),
-                wall,
-            }));
+            return Err(root_cause(outcomes, collectives.poisoned_by()));
         }
-        let results = outcomes.into_iter().map(Result::unwrap).collect();
-        let modeled_seconds = config.cost.execution_seconds(&snapshots);
-        Ok(RunOutcome::Completed(ClusterRun {
-            results,
-            stats: snapshots,
+        Ok(ClusterRun {
+            results: outcomes.into_iter().flatten().collect(),
+            stats: stats.iter().map(NodeStats::snapshot).collect(),
             wall,
-            modeled_seconds,
-        }))
+        })
     }
 }
 
@@ -347,7 +242,6 @@ mod tests {
             assert_eq!(s.messages_received, 1);
             assert_eq!(s.bytes_received, 100);
         }
-        assert!(run.avg_bytes_received() == 100.0);
     }
 
     #[test]
@@ -447,31 +341,20 @@ mod tests {
     }
 
     #[test]
-    fn failure_postmortem_reports_every_node() {
-        let outcome = Cluster::run_report(&cfg(3), |ctx| {
-            if ctx.node_id() == 1 {
-                return Err(Error::Protocol("injected failure".into()));
-            }
-            ctx.barrier()?;
-            Ok(ctx.node_id())
-        })
-        .unwrap();
-        let RunOutcome::Failed(failure) = outcome else {
-            panic!("expected a failed run");
-        };
-        assert_eq!(failure.outcomes.len(), 3);
-        assert_eq!(failure.stats.len(), 3);
-        assert_eq!(failure.poisoned_by, Some(1));
-        assert_eq!(failure.root_cause_node(), Some(1));
-        assert!(matches!(failure.outcomes[1], Err(Error::Protocol(_))));
-        for peer in [0, 2] {
-            assert!(
-                matches!(failure.outcomes[peer], Err(Error::Poisoned { node: 1 })),
-                "peer {peer}: {:?}",
-                failure.outcomes[peer]
-            );
-        }
-        assert!(matches!(failure.into_root_cause(), Error::Protocol(_)));
+    fn root_cause_is_the_poisoners_own_error_else_the_first_unpoisoned() {
+        let failed = |node: usize| Err::<(), _>(Error::Protocol(format!("node {node} failed")));
+        let echo = |poisoner: usize| Err::<(), _>(Error::Poisoned { node: poisoner });
+        let cause = |outcomes, poisoned_by| root_cause(outcomes, poisoned_by).to_string();
+        // The poisoner's own error wins over an earlier node's own error
+        // and over its peers' echoes.
+        assert!(cause(vec![failed(0), failed(1), echo(1)], Some(1)).contains("node 1 failed"));
+        // A poisoner whose own outcome is an echo or a success is passed
+        // over for the first node that failed on its own.
+        assert!(cause(vec![Ok(()), echo(2), failed(2)], Some(1)).contains("node 2 failed"));
+        assert!(cause(vec![Ok(()), failed(1)], Some(0)).contains("node 1 failed"));
+        // Nothing but echoes: the first of them.
+        let err = root_cause(vec![Ok(()), echo(2), echo(0)], None);
+        assert!(matches!(err, Error::Poisoned { node: 2 }), "{err}");
     }
 
     #[test]
@@ -615,7 +498,8 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert!(run.modeled_seconds > 0.0);
+        assert_eq!(run.stats[0].cpu_ticks, 1_000_000);
+        assert!(crate::CostModel::default().execution_seconds(&run.stats) > 0.0);
         assert!(run.wall > Duration::ZERO);
     }
 

@@ -20,6 +20,7 @@
 //! checkpoint directory without clobbering each other.
 
 use gar_mining::checkpoint::{put_pass1_state, read_pass1_state, CheckpointFormat, WHAT};
+use gar_mining::wire::{put_sized_counted, read_sized_counted};
 use gar_types::bytes::Cursor;
 use gar_types::{Error, ItemId, Itemset, Result};
 
@@ -67,14 +68,7 @@ impl CheckpointFormat for FpgCheckpoint {
         out.extend_from_slice(&(self.completed.len() as u32).to_le_bytes());
         for (item, records) in &self.completed {
             out.extend_from_slice(&item.raw().to_le_bytes());
-            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for (set, count) in records {
-                out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-                for &it in set.items() {
-                    out.extend_from_slice(&it.raw().to_le_bytes());
-                }
-                out.extend_from_slice(&count.to_le_bytes());
-            }
+            put_sized_counted(&mut out, records);
         }
         out
     }
@@ -98,17 +92,7 @@ impl CheckpointFormat for FpgCheckpoint {
                     return Err(Error::Corrupt("projections are not sorted by item".into()));
                 }
             }
-            let num_records = c.u32()? as usize;
-            if num_records > body.len() {
-                return Err(Error::Corrupt("implausible record count".into()));
-            }
-            let mut records = Vec::with_capacity(num_records);
-            for _ in 0..num_records {
-                let len = c.u32()? as usize;
-                let set = c.u32s(len)?.map(ItemId).collect();
-                let count = c.u64()?;
-                records.push((Itemset::from_unsorted(set), count));
-            }
+            let records = read_sized_counted(&mut c)?;
             completed.push((item, records));
         }
         c.finish()?;

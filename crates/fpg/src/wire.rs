@@ -7,9 +7,9 @@
 
 use crate::grow::CondBase;
 use gar_mining::report::LargePass;
-use gar_mining::wire::{decode_counted, encode_counted};
+use gar_mining::wire::{decode_counted, encode_counted, put_sized_counted, read_sized_counted};
 use gar_types::bytes::Cursor;
-use gar_types::{Error, ItemId, Itemset, Result};
+use gar_types::{Error, Itemset, Result};
 use std::sync::Arc;
 
 /// Message tags of the FP-Growth phases. Distinct from the Apriori
@@ -95,16 +95,8 @@ pub(crate) fn receive_paths(payload: &[u8], bases: &mut [CondBase]) -> Result<()
 /// Encodes one finished projection: its rank plus its itemsets (mixed
 /// sizes, so records carry their own length).
 pub(crate) fn encode_result(rank: u32, items: &[(Itemset, u64)]) -> Arc<[u8]> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&rank.to_le_bytes());
-    buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for (set, count) in items {
-        buf.extend_from_slice(&(set.len() as u32).to_le_bytes());
-        for &it in set.items() {
-            buf.extend_from_slice(&it.raw().to_le_bytes());
-        }
-        buf.extend_from_slice(&count.to_le_bytes());
-    }
+    let mut buf = rank.to_le_bytes().to_vec();
+    put_sized_counted(&mut buf, items);
     buf.into()
 }
 
@@ -112,17 +104,7 @@ pub(crate) fn encode_result(rank: u32, items: &[(Itemset, u64)]) -> Arc<[u8]> {
 pub(crate) fn decode_result(payload: &[u8]) -> Result<(u32, Vec<(Itemset, u64)>)> {
     let mut c = frame(payload);
     let rank = c.u32()?;
-    let n = c.u32()? as usize;
-    if n > c.remaining() {
-        return Err(c.error("has an implausible result count"));
-    }
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = c.u32()? as usize;
-        let set = c.u32s(len)?.map(ItemId).collect();
-        let count = c.u64()?;
-        items.push((Itemset::from_unsorted(set), count));
-    }
+    let items = read_sized_counted(&mut c)?;
     c.finish()?;
     Ok((rank, items))
 }

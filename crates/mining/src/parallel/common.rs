@@ -14,7 +14,8 @@ use crate::report::{LargePass, MiningOutput, ParallelReport, PassReport};
 use crate::sequential::large_items_from_counts;
 use crate::wire::{self, ItemListBatch, ItemsetBatch};
 use gar_cluster::{
-    ClusterConfig, ClusterRun, Envelope, Exchange, NodeCtx, NodeStatsSnapshot, RetryPolicy,
+    ClusterConfig, ClusterRun, CostModel, Envelope, Exchange, NodeCtx, NodeStatsSnapshot,
+    RetryPolicy,
 };
 use gar_storage::{MultiSource, PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
@@ -801,8 +802,12 @@ pub(crate) fn node_pass_loop(
     })
 }
 
-/// Builds the [`ParallelReport`] from a finished cluster run.
+/// Builds the [`ParallelReport`] from a finished cluster run. The one
+/// place a ledger is priced: a pass's modeled time is the paper's — its
+/// slowest node's [`CostModel`] time over that pass's counter deltas, a
+/// barrier ending every pass.
 pub fn assemble_report(cluster: &ClusterConfig, run: ClusterRun<NodeOutcome>) -> ParallelReport {
+    let cost = CostModel::default();
     let num_passes = run.results[0].pass_infos.len();
     debug_assert!(run.results.iter().all(|r| r.pass_infos.len() == num_passes));
 
@@ -812,7 +817,7 @@ pub fn assemble_report(cluster: &ClusterConfig, run: ClusterRun<NodeOutcome>) ->
         let info = &run.results[0].pass_infos[p];
         let node_deltas: Vec<NodeStatsSnapshot> =
             run.results.iter().map(|r| r.pass_infos[p].delta).collect();
-        let modeled_seconds = cluster.cost.execution_seconds(&node_deltas);
+        let modeled_seconds = cost.execution_seconds(&node_deltas);
         total_modeled += modeled_seconds;
         pass_reports.push(PassReport {
             k: info.k,

@@ -33,7 +33,6 @@ pub mod flat;
 mod hhpgm;
 mod hpgm;
 mod npgm;
-pub mod rules;
 
 use crate::checkpoint::Checkpoint;
 use crate::parallel::common::{mine_with_recovery, node_sources, PassPersistence};

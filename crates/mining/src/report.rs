@@ -2,7 +2,7 @@
 
 use crate::params::Algorithm;
 #[cfg(not(gar_loom))]
-use gar_cluster::{CostModel, NodeStatsSnapshot};
+use gar_cluster::NodeStatsSnapshot;
 use gar_types::{FxHashMap, ItemId, Itemset};
 #[cfg(not(gar_loom))]
 use std::time::Duration;
@@ -138,17 +138,6 @@ impl ParallelReport {
     pub fn pass(&self, k: usize) -> Option<&PassReport> {
         self.pass_reports.iter().find(|p| p.k == k)
     }
-
-    /// Recomputes per-pass and total modeled times under a different cost
-    /// model (ablation support — counters are model-independent).
-    pub fn reprice(&mut self, cost: &CostModel) {
-        let mut total = 0.0;
-        for p in &mut self.pass_reports {
-            p.modeled_seconds = cost.execution_seconds(&p.node_deltas);
-            total += p.modeled_seconds;
-        }
-        self.modeled_seconds = total;
-    }
 }
 
 #[cfg(test)]
@@ -210,34 +199,5 @@ mod tests {
         };
         assert!((p.avg_mb_received() - 3.0).abs() < 1e-9);
         assert_eq!(p.probes_per_node(), vec![5, 15]);
-    }
-
-    #[test]
-    fn reprice_updates_totals() {
-        let delta = NodeStatsSnapshot {
-            cpu_ticks: 1_000_000,
-            ..Default::default()
-        };
-        let mut rep = ParallelReport {
-            output: sample_output(),
-            num_nodes: 1,
-            pass_reports: vec![PassReport {
-                k: 1,
-                num_candidates: 0,
-                num_duplicated: 0,
-                num_fragments: 1,
-                num_large: 2,
-                restored: false,
-                node_deltas: vec![delta],
-                modeled_seconds: 0.0,
-            }],
-            wall: Duration::ZERO,
-            modeled_seconds: 0.0,
-            node_totals: vec![delta],
-            degraded: Vec::new(),
-        };
-        rep.reprice(&CostModel::default());
-        assert!(rep.modeled_seconds > 0.0);
-        assert_eq!(rep.pass_reports[0].modeled_seconds, rep.modeled_seconds);
     }
 }

@@ -52,69 +52,13 @@ impl std::fmt::Display for Rule {
     }
 }
 
-/// Derives the rules of a single large itemset `x` into `out` — the unit
-/// of work [`crate::parallel::rules::derive_rules_parallel`] distributes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn derive_rules_for_itemset(
-    x: &Itemset,
-    sup_x: u64,
-    support: &FxHashMap<Itemset, u64>,
-    num_transactions: u64,
-    min_confidence: f64,
-    tax: Option<&Taxonomy>,
-    out: &mut Vec<Rule>,
-) {
-    let n = num_transactions.max(1) as f64;
-    let k = x.len();
-    // Every non-empty proper subset Y, via bitmask over the members.
-    for mask in 1..(1u32 << k) - 1 {
-        let mut antecedent = Vec::new();
-        let mut consequent = Vec::new();
-        for (i, &it) in x.items().iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                consequent.push(it);
-            } else {
-                antecedent.push(it);
-            }
-        }
-        let antecedent = Itemset::from_sorted(antecedent);
-        let consequent = Itemset::from_sorted(consequent);
-        let Some(&sup_ante) = support.get(&antecedent) else {
-            // Apriori closure guarantees presence; a miss means the
-            // output was truncated by max_pass — skip quietly.
-            continue;
-        };
-        let confidence = sup_x as f64 / sup_ante as f64;
-        if confidence < min_confidence {
-            continue;
-        }
-        if let Some(t) = tax {
-            let redundant = consequent
-                .items()
-                .iter()
-                .any(|&c| antecedent.items().iter().any(|&a| t.is_ancestor(c, a)));
-            if redundant {
-                continue;
-            }
-        }
-        out.push(Rule {
-            antecedent,
-            consequent,
-            support_count: sup_x,
-            support: sup_x as f64 / n,
-            confidence,
-        });
-    }
-}
-
 /// Canonical presentation order: confidence desc, support desc, then the
-/// rule's itemsets. Shared by the sequential and parallel derivers so
-/// their outputs compare equal.
+/// rule's itemsets.
 #[expect(
     clippy::unwrap_used,
     reason = "confidences are ratios of counts, never NaN"
 )]
-pub(crate) fn sort_rules(rules: &mut [Rule]) {
+fn sort_rules(rules: &mut [Rule]) {
     rules.sort_by(|a, b| {
         b.confidence
             .partial_cmp(&a.confidence)
@@ -152,6 +96,7 @@ pub fn derive_rules(
 ) -> Vec<Rule> {
     assert!((0.0..=1.0).contains(&min_confidence));
     let support = output.support_map();
+    let n = output.num_transactions.max(1) as f64;
     let mut rules = Vec::new();
     #[expect(
         clippy::disallowed_methods,
@@ -159,15 +104,45 @@ pub fn derive_rules(
                   order on the combined output, so visit order cannot leak into the report"
     )]
     for (x, &sup_x) in support.iter().filter(|(s, _)| s.len() >= 2) {
-        derive_rules_for_itemset(
-            x,
-            sup_x,
-            &support,
-            output.num_transactions,
-            min_confidence,
-            tax,
-            &mut rules,
-        );
+        // Every non-empty proper subset Y, via bitmask over the members.
+        for mask in 1..(1u32 << x.len()) - 1 {
+            let mut antecedent = Vec::new();
+            let mut consequent = Vec::new();
+            for (i, &it) in x.items().iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    consequent.push(it);
+                } else {
+                    antecedent.push(it);
+                }
+            }
+            let antecedent = Itemset::from_sorted(antecedent);
+            let consequent = Itemset::from_sorted(consequent);
+            let Some(&sup_ante) = support.get(&antecedent) else {
+                // Apriori closure guarantees presence; a miss means the
+                // output was truncated by max_pass — skip quietly.
+                continue;
+            };
+            let confidence = sup_x as f64 / sup_ante as f64;
+            if confidence < min_confidence {
+                continue;
+            }
+            if let Some(t) = tax {
+                let redundant = consequent
+                    .items()
+                    .iter()
+                    .any(|&c| antecedent.items().iter().any(|&a| t.is_ancestor(c, a)));
+                if redundant {
+                    continue;
+                }
+            }
+            rules.push(Rule {
+                antecedent,
+                consequent,
+                support_count: sup_x,
+                support: sup_x as f64 / n,
+                confidence,
+            });
+        }
     }
     sort_rules(&mut rules);
     rules

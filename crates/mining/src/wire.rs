@@ -9,7 +9,9 @@
 //! * **flat k-itemset batches** — HPGM ships generated k-itemsets; the
 //!   batch is a flat run of `k·n` item codes (`k` is pass context);
 //! * **counted itemset lists** — `L_k^n` fragments flowing to the
-//!   coordinator and `L_k` broadcasts coming back.
+//!   coordinator and `L_k` broadcasts coming back; and their mixed-size
+//!   form ([`put_sized_counted`]), which FP-Growth's projection results
+//!   and its checkpoint records share.
 
 use gar_types::bytes::Cursor;
 use gar_types::{Error, ItemId, Itemset, Result};
@@ -236,6 +238,34 @@ pub fn decode_counted(payload: &[u8]) -> Result<Vec<(Itemset, u64)>> {
             return Err(c.error("record is not a strictly increasing itemset"));
         }
         out.push((Itemset::from_sorted(items), c.u64()?));
+    }
+    Ok(out)
+}
+
+/// Appends counted itemsets of mixed sizes: `u32 n`, then `n` records
+/// of `u32` length, that many item codes and a `u64` count.
+pub fn put_sized_counted(buf: &mut Vec<u8>, itemsets: &[(Itemset, u64)]) {
+    buf.extend_from_slice(&(itemsets.len() as u32).to_le_bytes());
+    for (set, count) in itemsets {
+        buf.extend_from_slice(&(set.len() as u32).to_le_bytes());
+        push_items(buf, set.items());
+        buf.extend_from_slice(&count.to_le_bytes());
+    }
+}
+
+/// Reads a [`put_sized_counted`] list from the caller's cursor, so damage
+/// is the error the caller's format raises (a frame's `Protocol`, a
+/// file's `Corrupt`).
+pub fn read_sized_counted(c: &mut Cursor<'_>) -> Result<Vec<(Itemset, u64)>> {
+    let n = c.u32()? as usize;
+    if n > c.remaining() {
+        return Err(c.error("has an implausible record count"));
+    }
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = c.u32()? as usize;
+        let set = c.u32s(len)?.map(ItemId).collect();
+        out.push((Itemset::from_unsorted(set), c.u64()?));
     }
     Ok(out)
 }

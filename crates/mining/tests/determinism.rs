@@ -12,7 +12,7 @@
 use gar_cluster::ClusterConfig;
 use gar_datagen::{DatasetSpec, TransactionGenerator};
 use gar_mining::parallel::mine_parallel;
-use gar_mining::parallel::rules::derive_rules_parallel;
+use gar_mining::rules::derive_rules;
 use gar_mining::{Algorithm, MiningParams};
 use gar_obs::{MetricsSnapshot, Obs};
 use gar_storage::{FlatPartition, PartitionedDatabase, TransactionSource};
@@ -39,17 +39,15 @@ fn dataset(seed: u64) -> (Taxonomy, Vec<Vec<ItemId>>) {
     (g.into_taxonomy(), txns)
 }
 
-/// One full mining + rule-derivation run, rendered to the same textual
-/// report shape the CLI emits: every large itemset with its support
-/// count, then every rule via its `Display` impl.
-fn rendered_report(alg: Algorithm, seed: u64, num_nodes: usize) -> String {
-    let (tax, txns) = dataset(seed);
-    let db = PartitionedDatabase::build_in_memory(num_nodes, txns.into_iter()).unwrap();
-    let cluster = ClusterConfig::new(num_nodes, BIG_MEMORY);
+/// One full mining + rule-derivation run over `db`, rendered to the same
+/// textual report shape the CLI emits: every large itemset with its
+/// support count, then every rule via its `Display` impl.
+fn render(alg: Algorithm, db: &PartitionedDatabase, tax: &Taxonomy) -> String {
+    let cluster = ClusterConfig::new(db.num_partitions(), BIG_MEMORY);
     let params = MiningParams::with_min_support(0.05);
 
-    let report = mine_parallel(alg, &db, &tax, &params, &cluster).unwrap();
-    let rules = derive_rules_parallel(&report.output, 0.5, Some(&tax), &cluster).unwrap();
+    let report = mine_parallel(alg, db, tax, &params, &cluster).unwrap();
+    let rules = derive_rules(&report.output, 0.5, Some(tax));
 
     let mut out = String::new();
     for pass in &report.output.passes {
@@ -63,6 +61,12 @@ fn rendered_report(alg: Algorithm, seed: u64, num_nodes: usize) -> String {
         writeln!(out, "  {rule}").unwrap();
     }
     out
+}
+
+fn rendered_report(alg: Algorithm, seed: u64, num_nodes: usize) -> String {
+    let (tax, txns) = dataset(seed);
+    let db = PartitionedDatabase::build_in_memory(num_nodes, txns.into_iter()).unwrap();
+    render(alg, &db, &tax)
 }
 
 /// One instrumented run, rendered to the exact bytes `gar-cli mine
@@ -108,25 +112,7 @@ fn persisted_db(num_nodes: usize, txns: &[Vec<ItemId>], tag: &str) -> Partitione
 /// `rendered_report`, except the partitions went through GFP2 disk files.
 fn rendered_report_persisted(alg: Algorithm, seed: u64, num_nodes: usize) -> String {
     let (tax, txns) = dataset(seed);
-    let db = persisted_db(num_nodes, &txns, "report");
-    let cluster = ClusterConfig::new(num_nodes, BIG_MEMORY);
-    let params = MiningParams::with_min_support(0.05);
-
-    let report = mine_parallel(alg, &db, &tax, &params, &cluster).unwrap();
-    let rules = derive_rules_parallel(&report.output, 0.5, Some(&tax), &cluster).unwrap();
-
-    let mut out = String::new();
-    for pass in &report.output.passes {
-        writeln!(out, "pass k={}", pass.k).unwrap();
-        for (set, count) in &pass.itemsets {
-            writeln!(out, "  {set} x{count}").unwrap();
-        }
-    }
-    writeln!(out, "rules ({})", rules.len()).unwrap();
-    for rule in &rules {
-        writeln!(out, "  {rule}").unwrap();
-    }
-    out
+    render(alg, &persisted_db(num_nodes, &txns, "report"), &tax)
 }
 
 /// Same seed, same node count, run twice → byte-identical reports.

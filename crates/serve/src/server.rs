@@ -38,7 +38,7 @@
 //!
 //! Overload: shard queues are bounded ([`ServerConfig::queue_depth`]).
 //! A full queue — or a deadline budget the backlog cannot meet
-//! (`(backlog + jobs) × est_job_ms > budget_ms`) — sheds the whole
+//! (`(backlog + jobs) × EST_JOB_MS > budget_ms`) — sheds the whole
 //! request *before* shard work with the typed retryable
 //! `Response::Overloaded`.
 //!
@@ -94,6 +94,22 @@ use std::time::Duration;
 /// shutdown flag at least this often.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
+/// Rough per-job cost used by deadline-budget admission: a request whose
+/// `budget_ms` cannot cover `(backlog + jobs) × EST_JOB_MS` is shed
+/// instead of queued.
+const EST_JOB_MS: u64 = 1;
+
+/// Backoff suggested to shed clients.
+const RETRY_AFTER_MS: u32 = 25;
+
+/// How many times a crashed shard worker is restarted before the shard
+/// is left down (answers stay degraded).
+const MAX_RESTARTS: usize = 8;
+
+/// Base of the supervisor's linear restart backoff (sleep before restart
+/// `k` is `RESTART_BACKOFF × k`).
+const RESTART_BACKOFF: Duration = Duration::from_millis(10);
+
 #[cfg(unix)]
 fn raw_fd<T: AsRawFd>(t: &T) -> i32 {
     t.as_raw_fd()
@@ -114,18 +130,6 @@ pub struct ServerConfig {
     /// Bound on each shard's job queue; a full queue sheds the request.
     /// Clamped ≥ 1.
     pub queue_depth: usize,
-    /// Rough per-job cost used by deadline-budget admission: a request
-    /// whose `budget_ms` cannot cover `(backlog + jobs) × est_job_ms`
-    /// is shed instead of queued.
-    pub est_job_ms: u64,
-    /// Backoff suggested to shed clients.
-    pub retry_after_ms: u32,
-    /// How many times a crashed shard worker is restarted before the
-    /// shard is left down (answers stay degraded).
-    pub max_restarts: usize,
-    /// Base of the supervisor's linear restart backoff (sleep before
-    /// restart `k` is `restart_backoff × k`).
-    pub restart_backoff: Duration,
     /// Serve-side fault injection points (empty plan = no faults).
     pub faults: FaultPlan,
 }
@@ -136,10 +140,6 @@ impl Default for ServerConfig {
             shards: 1,
             deadline: Duration::from_secs(5),
             queue_depth: 64,
-            est_job_ms: 1,
-            retry_after_ms: 25,
-            max_restarts: 8,
-            restart_backoff: Duration::from_millis(10),
             faults: FaultPlan::default(),
         }
     }
@@ -523,7 +523,7 @@ pub fn serve(addr: &str, store: RuleStore, cfg: ServerConfig, obs: Obs) -> Resul
 
 /// One shard's supervisor: run the worker on the published queue `rx`,
 /// and on a panic isolate it, back off, and restart with a fresh queue —
-/// up to `max_restarts` times. While the slot holds `None` the shard is
+/// up to `MAX_RESTARTS` times. While the slot holds `None` the shard is
 /// down and requests are answered degraded.
 fn shard_supervisor(shard: usize, shared: &Arc<Shared>, mut rx: Receiver<Job>) {
     let Some(slot) = shared.slots.get(shard) else {
@@ -547,14 +547,14 @@ fn shard_supervisor(shard: usize, shared: &Arc<Shared>, mut rx: Receiver<Job>) {
             .obs
             .add("serve.shard_restarts", &[("shard", shard as u64)], 1);
         restarts += 1;
-        if restarts > shared.cfg.max_restarts || !shared.running.load(Ordering::SeqCst) {
+        if restarts > MAX_RESTARTS || !shared.running.load(Ordering::SeqCst) {
             return; // out of budget: shard stays down, answers stay degraded
         }
         #[expect(
             clippy::disallowed_methods,
             reason = "the supervisor's restart back-off"
         )]
-        std::thread::sleep(shared.cfg.restart_backoff * restarts as u32);
+        std::thread::sleep(RESTART_BACKOFF * restarts as u32);
         rx = slot.publish_queue(shared.cfg.queue_depth);
     }
 }
@@ -1034,11 +1034,11 @@ impl EventLoop {
                 .map(|s| s.queued.load(Ordering::SeqCst))
                 .max()
                 .unwrap_or(0) as u64;
-            if (backlog + njobs as u64).saturating_mul(shared.cfg.est_job_ms) > budget_ms as u64 {
+            if (backlog + njobs as u64).saturating_mul(EST_JOB_MS) > budget_ms as u64 {
                 obs.add("serve.shed", &[], 1);
                 obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
                 let shed = Response::Overloaded {
-                    retry_after_ms: shared.cfg.retry_after_ms,
+                    retry_after_ms: RETRY_AFTER_MS,
                 };
                 self.respond(ci, frame_bytes(&shed));
                 return;
@@ -1114,7 +1114,7 @@ impl EventLoop {
                     obs.add("serve.shed", &[], 1);
                     obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
                     let shed = Response::Overloaded {
-                        retry_after_ms: shared.cfg.retry_after_ms,
+                        retry_after_ms: RETRY_AFTER_MS,
                     };
                     self.respond(ci, frame_bytes(&shed));
                     return;
@@ -1269,7 +1269,7 @@ impl EventLoop {
         obs.add("serve.deadline_exceeded", &[], 1);
         obs.add("serve.shed", &[], 1);
         let response = Response::Overloaded {
-            retry_after_ms: self.shared.cfg.retry_after_ms,
+            retry_after_ms: RETRY_AFTER_MS,
         };
         obs.observe(
             "serve.latency_us",

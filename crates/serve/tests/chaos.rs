@@ -321,7 +321,6 @@ fn overload_burst_sheds_typed_and_the_server_survives() {
             queue_depth: 2,
             deadline: Duration::from_secs(5),
             faults: FaultPlan::parse("shard-stall@s0q1,hang-ms=400").unwrap(),
-            ..ServerConfig::default()
         };
         let server = serve("127.0.0.1:0", store_v1(), cfg, obs.clone()).unwrap();
         let reference = Catalog::new(store_v1(), 1);
