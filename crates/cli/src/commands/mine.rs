@@ -9,9 +9,22 @@ use gar_mining::sequential::{apriori, cumulate};
 use gar_mining::{Algorithm, MiningOutput, MiningParams};
 use gar_obs::{Obs, Stopwatch};
 use gar_storage::PartitionedDatabase;
-use gar_types::Result;
+use gar_types::{Error, Result};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+
+/// What only the parallel algorithms act on: the sequential ones have no
+/// cluster to size, break, checkpoint or observe.
+const CLUSTER_OPTIONS: [&str; 8] = [
+    "faults",
+    "checkpoint-dir",
+    "resume",
+    "max-node-failures",
+    "deadline-ms",
+    "memory-mb",
+    "metrics-out",
+    "trace-out",
+];
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<()> {
@@ -23,19 +36,25 @@ pub fn run(args: &Args) -> Result<()> {
         .or_else(|| args.get("algorithm"))
         .unwrap_or("H-HPGM-FGD");
     let algorithm = algorithm_by_name(algo_name)?;
+    if matches!(algorithm, Algorithm::Cumulate | Algorithm::Apriori) {
+        let given = |o: &&str| args.get(o).is_some() || args.has_switch(o);
+        if let Some(option) = CLUSTER_OPTIONS.into_iter().find(given) {
+            return Err(Error::InvalidConfig(format!(
+                "--{option} applies to the parallel algorithms only"
+            )));
+        }
+    }
     let memory_mb: u64 = args.get_or("memory-mb", 64)?;
 
     let mut params = MiningParams::with_min_support(min_support);
     if let Some(k) = args.get("max-pass") {
         params = params.max_pass(
             k.parse()
-                .map_err(|_| gar_types::Error::InvalidConfig(format!("bad --max-pass '{k}'")))?,
+                .map_err(|_| Error::InvalidConfig(format!("bad --max-pass '{k}'")))?,
         );
     }
     params.validate()?;
 
-    // What only the parallel algorithms act on (the sequential ones have
-    // no cluster to break or checkpoint).
     let faults = args.get("faults").map(FaultPlan::parse).transpose()?;
     let deadline = args.get_parsed("deadline-ms")?.map(Duration::from_millis);
     let opts = MineOptions {
@@ -125,14 +144,14 @@ pub fn run(args: &Args) -> Result<()> {
     );
 
     if let Some(path) = metrics_out {
-        std::fs::write(path, obs.metrics().to_json()).map_err(|e| gar_types::Error::Io {
+        std::fs::write(path, obs.metrics().to_json()).map_err(|e| Error::Io {
             context: format!("writing metrics to {path}"),
             source: e,
         })?;
         println!("wrote {path}");
     }
     if let Some(path) = trace_out {
-        std::fs::write(path, obs.chrome_trace_json()).map_err(|e| gar_types::Error::Io {
+        std::fs::write(path, obs.chrome_trace_json()).map_err(|e| Error::Io {
             context: format!("writing trace to {path}"),
             source: e,
         })?;

@@ -386,6 +386,51 @@ fn unread_options_are_rejected_before_any_work() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The sequential algorithms have no cluster: each of the eight cluster
+/// and observability options is a configuration error (exit 2) naming
+/// it, raised before the dataset is even opened, and nothing is written.
+#[test]
+fn cluster_options_are_rejected_for_the_sequential_algorithms() {
+    let dir = tmp_dir("seq-cluster-options");
+    let ckpt = dir.join("ckpt");
+    let metrics = dir.join("m.json");
+    let (ckpt_arg, metrics_arg) = (ckpt.to_str().unwrap(), metrics.to_str().unwrap());
+    let options: [&[&str]; 8] = [
+        &["--memory-mb", "1"],
+        &["--faults", "panic@n1p2"],
+        &["--deadline-ms", "5"],
+        &["--checkpoint-dir", ckpt_arg],
+        &["--resume"],
+        &["--max-node-failures", "3"],
+        &["--metrics-out", metrics_arg],
+        &["--trace-out", metrics_arg],
+    ];
+    for algorithm in ["cumulate", "apriori"] {
+        for option in options {
+            let mut args = vec![
+                "mine",
+                "--data",
+                "/nonexistent",
+                "--min-support",
+                "0.1",
+                "--algorithm",
+                algorithm,
+            ];
+            args.extend(option);
+            let out = bin().args(&args).output().unwrap();
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let want = format!("{} applies to the parallel algorithms only", option[0]);
+            assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        }
+    }
+    assert!(
+        !ckpt.exists() && !metrics.exists(),
+        "mine wrote before rejecting"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A dataset directory written by an older build — record-stream
 /// `part-*.txn` files only — is a typed configuration error (exit 2)
 /// that says how to fix it, for `mine` and `info` alike.

@@ -18,7 +18,7 @@
 //!
 //! The plan is pure data; the hooks that consult it live in
 //! [`crate::NodeCtx`] (send/recv and scan) and every injected fault is
-//! counted in [`crate::NodeStats`].
+//! charged to the node's ledger ([`crate::NodeStatsSnapshot`]).
 
 use gar_types::{Error, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -459,12 +459,6 @@ pub(crate) struct SendEffects {
     pub duplicate: bool,
     pub corrupt: bool,
     pub delay: Option<Duration>,
-}
-
-impl SendEffects {
-    pub fn fault_count(&self) -> u64 {
-        self.drop as u64 + self.duplicate as u64 + self.corrupt as u64 + self.delay.is_some() as u64
-    }
 }
 
 /// One node's view of the plan: a private RNG stream plus the current

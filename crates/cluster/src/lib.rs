@@ -44,8 +44,8 @@
 // Under `--cfg gar_loom` (see `cargo xtask loom`) only the collectives
 // compile: `gar_modelcheck::shim` replaces the std primitives,
 // and the channel/thread machinery of the full simulator is out of the
-// model's scope. `stats` stays: it is plain data over std atomics, and
-// the sequential miner (which the serving layer links) reports in it.
+// model's scope. `stats` stays: it is plain data, and the sequential
+// miner (which the serving layer links) reports in it.
 mod collective;
 #[cfg(not(gar_loom))]
 mod cost;
@@ -66,4 +66,4 @@ pub use fault::{FaultOp, FaultPlan, RetryPolicy, ScheduledFault, ServeFault, Ser
 pub use node::{Envelope, Exchange, NodeCtx, CONTROL_TAG_EOS};
 #[cfg(not(gar_loom))]
 pub use runner::{Cluster, ClusterConfig, ClusterRun};
-pub use stats::{NodeStats, NodeStatsSnapshot};
+pub use stats::NodeStatsSnapshot;

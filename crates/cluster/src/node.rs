@@ -11,7 +11,7 @@
 
 use crate::collective::Collectives;
 use crate::fault::{FaultOp, FaultState};
-use crate::stats::NodeStats;
+use crate::stats::NodeStatsSnapshot;
 use gar_obs::{Obs, Stopwatch};
 use gar_types::{Error, Result};
 use std::cell::{Cell, RefCell};
@@ -79,12 +79,17 @@ const RECV_POLL_SLICE: Duration = Duration::from_millis(2);
 /// budget, point-to-point messaging with per-byte accounting, and the
 /// coordinator collectives. Handed by value to each node's closure by
 /// [`crate::Cluster::run`].
+///
+/// The ctx owns the node's ledger. Every event is charged by one call
+/// here, which also writes the obs series that mirror it (`cluster.*`,
+/// `collective.*`, `scan.*`, `fault.*`), so the two cannot drift apart.
 pub struct NodeCtx {
     node_id: usize,
     memory_budget: u64,
     senders: Vec<Sender<Envelope>>,
     inbox: Receiver<Envelope>,
-    stats: Arc<Vec<NodeStats>>,
+    /// This node's tallies, never shared with another thread.
+    ledger: Cell<NodeStatsSnapshot>,
     collectives: Arc<Collectives>,
     /// Per-destination next outgoing sequence number. `RefCell`: the ctx
     /// is handed out by shared reference but only ever used from its own
@@ -103,13 +108,11 @@ pub struct NodeCtx {
 }
 
 impl NodeCtx {
-    #[allow(clippy::too_many_arguments)] // crate-internal, called once by the runner
     pub(crate) fn new(
         node_id: usize,
         memory_budget: u64,
         senders: Vec<Sender<Envelope>>,
         inbox: Receiver<Envelope>,
-        stats: Arc<Vec<NodeStats>>,
         collectives: Arc<Collectives>,
         faults: Option<FaultState>,
         obs: Obs,
@@ -120,7 +123,7 @@ impl NodeCtx {
             memory_budget,
             senders,
             inbox,
-            stats,
+            ledger: Cell::default(),
             collectives,
             send_seq: RefCell::new(vec![0; n]),
             recv_seq: RefCell::new(vec![0; n]),
@@ -154,15 +157,74 @@ impl NodeCtx {
         self.memory_budget
     }
 
-    /// This node's live counters.
+    /// A copy of this node's ledger so far; a phase's charges are
+    /// `ctx.ledger().delta_since(&before)`.
+    pub fn ledger(&self) -> NodeStatsSnapshot {
+        self.ledger.get()
+    }
+
+    fn charge(&self, f: impl FnOnce(&mut NodeStatsSnapshot)) {
+        let mut ledger = self.ledger.get();
+        f(&mut ledger);
+        self.ledger.set(ledger);
+    }
+
+    /// Adds `n` abstract CPU work units.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "node_id < num_nodes by construction (Cluster::run builds one ctx per stats \
-                  slot); every other stats access funnels through this accessor"
-    )]
-    pub fn stats(&self) -> &NodeStats {
-        &self.stats[self.node_id]
+    pub fn add_cpu(&self, n: u64) {
+        self.charge(|l| l.cpu_ticks += n);
+    }
+
+    /// Adds `n` successful hash-table probes (sup_cou increments — the
+    /// unit of Figure 15). CPU work for counting is charged separately via
+    /// [`NodeCtx::add_cpu`] with the counter's `work` meter, which also
+    /// covers unsuccessful probes.
+    #[inline]
+    pub fn add_probes(&self, n: u64) {
+        self.charge(|l| l.hash_probes += n);
+    }
+
+    /// Charges one complete pass over the local partition — `transactions`
+    /// read, `bytes` of local-disk input — to the ledger and `scan.*`.
+    pub fn charge_scan(&self, transactions: u64, bytes: u64) {
+        self.charge(|l| {
+            l.io_bytes += bytes;
+            l.scan_passes += 1;
+        });
+        let labels = [("node", self.node_id as u64), ("pass", self.pass.get())];
+        self.obs.add("scan.passes", &labels, 1);
+        self.obs.add("scan.transactions", &labels, transactions);
+        self.obs.add("scan.bytes", &labels, bytes);
+    }
+
+    /// Charges one injected fault to the ledger and to its `kind` series.
+    fn charge_fault(&self, kind: &'static str) {
+        self.charge(|l| l.faults_injected += 1);
+        let labels = [("node", self.node_id as u64), ("pass", self.pass.get())];
+        self.obs.add(kind, &labels, 1);
+    }
+
+    /// Charges `count` collective messages of `bytes` each, sent or
+    /// received, to the ledger and to `collective.*` (collectives are
+    /// costed, not routed through [`NodeCtx::send`]).
+    fn charge_collective(&self, sent: bool, count: u64, bytes: u64) {
+        let total = count * bytes;
+        let (messages, volume) = if sent {
+            self.charge(|l| {
+                l.messages_sent += count;
+                l.bytes_sent += total;
+            });
+            ("collective.messages_sent", "collective.bytes_sent")
+        } else {
+            self.charge(|l| {
+                l.messages_received += count;
+                l.bytes_received += total;
+            });
+            ("collective.messages_received", "collective.bytes_received")
+        };
+        let me = [("node", self.node_id as u64)];
+        self.obs.add(messages, &me, count);
+        self.obs.add(volume, &me, total);
     }
 
     /// The run's observability sink.
@@ -208,21 +270,14 @@ impl NodeCtx {
         let mut payload = payload;
         if let Some(f) = &self.faults {
             let effects = f.on_send();
-            let injected = effects.fault_count();
-            if injected > 0 {
-                self.stats().record_faults(injected);
-                let labels = [("node", self.node_id as u64), ("pass", self.pass.get())];
-                if effects.delay.is_some() {
-                    self.obs.add("fault.delay", &labels, 1);
-                }
-                if effects.drop {
-                    self.obs.add("fault.drop", &labels, 1);
-                }
-                if effects.corrupt {
-                    self.obs.add("fault.corrupt", &labels, 1);
-                }
-                if effects.duplicate {
-                    self.obs.add("fault.duplicate", &labels, 1);
+            for (fired, kind) in [
+                (effects.delay.is_some(), "fault.delay"),
+                (effects.drop, "fault.drop"),
+                (effects.corrupt, "fault.corrupt"),
+                (effects.duplicate, "fault.duplicate"),
+            ] {
+                if fired {
+                    self.charge_fault(kind);
                 }
             }
             if let Some(d) = effects.delay {
@@ -269,15 +324,15 @@ impl NodeCtx {
             })?;
         }
         if to != self.node_id {
-            self.stats().record_send(len);
-            let link = [("node", self.node_id as u64), ("peer", to as u64)];
+            self.charge(|l| {
+                l.messages_sent += 1;
+                l.bytes_sent += len;
+            });
+            let me = ("node", self.node_id as u64);
+            let link = [me, ("peer", to as u64)];
             self.obs.add("cluster.messages_sent", &link, 1);
             self.obs.add("cluster.bytes_sent", &link, len);
-            self.obs.observe(
-                "cluster.message_bytes",
-                &[("node", self.node_id as u64)],
-                len,
-            );
+            self.obs.observe("cluster.message_bytes", &[me], len);
         }
         Ok(())
     }
@@ -318,11 +373,14 @@ impl NodeCtx {
             )));
         }
         if env.from != self.node_id {
-            self.stats().record_recv(env.payload.len() as u64);
+            let len = env.payload.len() as u64;
+            self.charge(|l| {
+                l.messages_received += 1;
+                l.bytes_received += len;
+            });
             let link = [("node", self.node_id as u64), ("peer", env.from as u64)];
             self.obs.add("cluster.messages_received", &link, 1);
-            self.obs
-                .add("cluster.bytes_received", &link, env.payload.len() as u64);
+            self.obs.add("cluster.bytes_received", &link, len);
         }
         Ok(Some(env))
     }
@@ -414,45 +472,24 @@ impl NodeCtx {
         let has_parent = u64::from(self.node_id != 0);
         // Up: one send to the parent, one receive per child.
         // Down: one receive from the parent, one send per child.
-        let sends = has_parent + children;
-        let recvs = children + has_parent;
-        for _ in 0..sends {
-            self.stats().record_send(bytes);
-        }
-        for _ in 0..recvs {
-            self.stats().record_recv(bytes);
-        }
-        let me = [("node", self.node_id as u64)];
-        self.obs.add("collective.all_reduce", &me, 1);
-        self.obs.add("collective.messages_sent", &me, sends);
-        self.obs.add("collective.bytes_sent", &me, bytes * sends);
-        self.obs.add("collective.messages_received", &me, recvs);
+        let edges = has_parent + children;
+        self.charge_collective(true, edges, bytes);
+        self.charge_collective(false, edges, bytes);
         self.obs
-            .add("collective.bytes_received", &me, bytes * recvs);
+            .add("collective.all_reduce", &[("node", self.node_id as u64)], 1);
         self.collectives.all_reduce_u64(self.node_id, contribution)
     }
 
     /// One-to-all broadcast of `data` (exactly one node passes `Some`).
     /// Charged as one message down to each non-root node.
     pub fn broadcast(&self, data: Option<Arc<[u8]>>) -> Result<Arc<[u8]>> {
-        let is_root = data.is_some();
         let root_send = data.as_ref().map(|d| d.len() as u64);
         let out = self.collectives.broadcast(self.node_id, data)?;
-        let me = [("node", self.node_id as u64)];
-        self.obs.add("collective.broadcast", &me, 1);
-        if is_root {
-            let bytes = root_send.unwrap_or(0);
-            for _ in 0..self.num_nodes() - 1 {
-                self.stats().record_send(bytes);
-            }
-            let fanout = self.num_nodes() as u64 - 1;
-            self.obs.add("collective.messages_sent", &me, fanout);
-            self.obs.add("collective.bytes_sent", &me, bytes * fanout);
-        } else {
-            self.stats().record_recv(out.len() as u64);
-            self.obs.add("collective.messages_received", &me, 1);
-            self.obs
-                .add("collective.bytes_received", &me, out.len() as u64);
+        self.obs
+            .add("collective.broadcast", &[("node", self.node_id as u64)], 1);
+        match root_send {
+            Some(bytes) => self.charge_collective(true, self.num_nodes() as u64 - 1, bytes),
+            None => self.charge_collective(false, 1, out.len() as u64),
         }
         Ok(out)
     }
@@ -473,7 +510,6 @@ impl NodeCtx {
         self.pass.set(k as u64);
         let Some(f) = &self.faults else { return };
         f.set_pass(k);
-        let labels = [("node", self.node_id as u64), ("pass", k as u64)];
         match f.on_pass_start() {
             #[expect(
                 clippy::panic,
@@ -481,13 +517,11 @@ impl NodeCtx {
                           the chaos suite exercises here"
             )]
             Some(FaultOp::Panic) => {
-                self.stats().record_faults(1);
-                self.obs.add("fault.panic", &labels, 1);
+                self.charge_fault("fault.panic");
                 panic!("injected panic: node {} pass {k}", self.node_id);
             }
             Some(FaultOp::Hang) => {
-                self.stats().record_faults(1);
-                self.obs.add("fault.hang", &labels, 1);
+                self.charge_fault("fault.hang");
                 #[expect(clippy::disallowed_methods, reason = "the injected hang fault")]
                 std::thread::sleep(f.hang_duration());
             }
@@ -504,12 +538,7 @@ impl NodeCtx {
             return Ok(());
         };
         if f.on_scan() {
-            self.stats().record_faults(1);
-            self.obs.add(
-                "fault.scan_error",
-                &[("node", self.node_id as u64), ("pass", self.pass.get())],
-                1,
-            );
+            self.charge_fault("fault.scan_error");
             return Err(Error::io(
                 format!("injected scan fault on node {}", self.node_id),
                 std::io::Error::other("fault injection"),

@@ -3,9 +3,10 @@
 use crate::collective::Collectives;
 use crate::fault::FaultPlan;
 use crate::node::{Envelope, NodeCtx};
-use crate::stats::{NodeStats, NodeStatsSnapshot};
+use crate::stats::NodeStatsSnapshot;
 use gar_obs::{Obs, Stopwatch};
 use gar_types::{Error, Result};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -125,7 +126,6 @@ impl Cluster {
     {
         config.validate()?;
         let n = config.num_nodes;
-        let stats: Arc<Vec<NodeStats>> = Arc::new((0..n).map(|_| NodeStats::default()).collect());
         let collectives = Arc::new(Collectives::with_deadline(n, config.deadline));
 
         let mut senders = Vec::with_capacity(n);
@@ -137,62 +137,53 @@ impl Cluster {
         }
 
         let started = Stopwatch::start();
-        let outcomes: Vec<Result<T>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (node_id, inbox) in receivers.into_iter().enumerate() {
-                let senders = senders.clone();
-                let stats = Arc::clone(&stats);
-                let collectives = Arc::clone(&collectives);
-                let node_fn = &node_fn;
-                handles.push(scope.spawn(move || {
-                    let mut ctx = NodeCtx::new(
-                        node_id,
-                        config.memory_per_node,
-                        senders,
-                        inbox,
-                        stats,
-                        Arc::clone(&collectives),
-                        config.faults.as_ref().map(|p| p.node_state(node_id)),
-                        config.obs.clone(),
-                    );
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        node_fn(&mut ctx)
+        // Each node thread hands back its result and its own ledger.
+        let (outcomes, stats): (Vec<Result<T>>, Vec<NodeStatsSnapshot>) =
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(n);
+                for (node, inbox) in receivers.into_iter().enumerate() {
+                    let senders = senders.clone();
+                    let collectives = Arc::clone(&collectives);
+                    let node_fn = &node_fn;
+                    handles.push(scope.spawn(move || {
+                        let mut ctx = NodeCtx::new(
+                            node,
+                            config.memory_per_node,
+                            senders,
+                            inbox,
+                            Arc::clone(&collectives),
+                            config.faults.as_ref().map(|p| p.node_state(node)),
+                            config.obs.clone(),
+                        );
+                        let res = catch_unwind(AssertUnwindSafe(|| node_fn(&mut ctx)))
+                            .unwrap_or_else(|panic| {
+                                let reason = panic
+                                    .downcast_ref::<String>()
+                                    .cloned()
+                                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                                    .unwrap_or_else(|| "panic".into());
+                                Err(Error::NodeFailure { node, reason })
+                            });
+                        if res.is_err() {
+                            collectives.poison(node);
+                        }
+                        (res, ctx.ledger())
                     }));
-                    match out {
-                        Ok(res) => {
-                            if res.is_err() {
-                                collectives.poison(node_id);
-                            }
-                            res
-                        }
-                        Err(panic) => {
-                            collectives.poison(node_id);
-                            let reason = panic
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "panic".into());
-                            Err(Error::NodeFailure {
-                                node: node_id,
-                                reason,
-                            })
-                        }
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(node_id, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(Error::NodeFailure {
-                            node: node_id,
-                            reason: "worker thread died".into(),
+                }
+                handles
+                    .into_iter()
+                    .enumerate()
+                    .map(|(node, h)| {
+                        h.join().unwrap_or_else(|_| {
+                            let reason = "worker thread died".into();
+                            (
+                                Err(Error::NodeFailure { node, reason }),
+                                NodeStatsSnapshot::default(),
+                            )
                         })
                     })
-                })
-                .collect()
-        });
+                    .unzip()
+            });
         // The original senders must drop so pending inboxes disconnect.
         drop(senders);
         let wall = started.elapsed();
@@ -202,7 +193,7 @@ impl Cluster {
         }
         Ok(ClusterRun {
             results: outcomes.into_iter().flatten().collect(),
-            stats: stats.iter().map(NodeStats::snapshot).collect(),
+            stats,
             wall,
         })
     }
@@ -492,9 +483,28 @@ mod tests {
     }
 
     #[test]
+    fn each_node_hands_back_its_own_ledger() {
+        let run = Cluster::run(&cfg(2), |ctx| {
+            ctx.add_cpu(3);
+            ctx.add_probes(7 + ctx.node_id() as u64);
+            ctx.charge_scan(5, 4096);
+            Ok(ctx.ledger())
+        })
+        .unwrap();
+        for (n, s) in run.stats.iter().enumerate() {
+            assert_eq!(
+                *s, run.results[n],
+                "node {n}: the ledger it saw is the one returned"
+            );
+            assert_eq!(s.hash_probes, 7 + n as u64);
+            assert_eq!((s.cpu_ticks, s.io_bytes, s.scan_passes), (3, 4096, 1));
+        }
+    }
+
+    #[test]
     fn modeled_time_reflects_counters() {
         let run = Cluster::run(&cfg(2), |ctx| {
-            ctx.stats().add_cpu(1_000_000);
+            ctx.add_cpu(1_000_000);
             Ok(())
         })
         .unwrap();

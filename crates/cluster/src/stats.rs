@@ -1,135 +1,33 @@
-//! Per-node counters: the raw material of every figure in the paper.
+//! The per-node ledger: the raw material of every figure in the paper.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Live, thread-safe counters for one simulated node. All increments are
-/// relaxed — the counters are independent tallies, never used for
-/// synchronization.
-///
-/// Each add is still an atomic read-modify-write, and only snapshots at
-/// pass boundaries read the tallies. So a hot loop sums its ticks and
-/// probes in locals and charges them once per transaction or received
-/// payload, never once per itemset or combination (DESIGN.md §15).
-#[derive(Debug, Default)]
-pub struct NodeStats {
+/// One node's tallies. Each node owns its ledger: the node's
+/// [`crate::NodeCtx`] charges it with one call per event (a link send or
+/// receive, a collective, a partition scan, an injected fault, the CPU
+/// ticks and probes a miner reports) and hands the final copy back to
+/// [`crate::Cluster::run`] with the node's result. A snapshot is a plain
+/// copy, so a phase is the [`NodeStatsSnapshot::delta_since`] of two.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeStatsSnapshot {
     /// Point-to-point messages sent.
-    pub messages_sent: AtomicU64,
+    pub messages_sent: u64,
     /// Point-to-point payload bytes sent.
-    pub bytes_sent: AtomicU64,
+    pub bytes_sent: u64,
     /// Point-to-point messages received.
-    pub messages_received: AtomicU64,
+    pub messages_received: u64,
     /// Point-to-point payload bytes received (Table 6's metric).
-    pub bytes_received: AtomicU64,
+    pub bytes_received: u64,
     /// Candidate hash-table probes performed on this node (Figure 15's
     /// metric: "the number of hash table probes to increment sup_cou").
-    pub hash_probes: AtomicU64,
+    pub hash_probes: u64,
     /// Abstract CPU work units (itemset generations, ancestor walks, ...).
-    pub cpu_ticks: AtomicU64,
+    pub cpu_ticks: u64,
     /// Bytes read from the node's local disk partition.
-    pub io_bytes: AtomicU64,
+    pub io_bytes: u64,
     /// Full passes over the local partition (NPGM fragments re-scan).
-    pub scan_passes: AtomicU64,
+    pub scan_passes: u64,
     /// Faults injected on this node by the active [`crate::FaultPlan`]
     /// (drops, duplicates, corruptions, delays, scan errors, panics,
     /// hangs).
-    pub faults_injected: AtomicU64,
-}
-
-impl NodeStats {
-    /// Captures a consistent-enough snapshot (relaxed loads; callers take
-    /// snapshots at phase boundaries where the node threads are quiesced).
-    pub fn snapshot(&self) -> NodeStatsSnapshot {
-        // relaxed: the counters are independent monotonic tallies and
-        // snapshots are taken at phase boundaries after the worker
-        // threads quiesce, so no inter-counter ordering is required.
-        NodeStatsSnapshot {
-            messages_sent: self.messages_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            messages_received: self.messages_received.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            hash_probes: self.hash_probes.load(Ordering::Relaxed),
-            cpu_ticks: self.cpu_ticks.load(Ordering::Relaxed),
-            io_bytes: self.io_bytes.load(Ordering::Relaxed),
-            scan_passes: self.scan_passes.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Adds `n` abstract CPU work units.
-    #[inline]
-    pub fn add_cpu(&self, n: u64) {
-        // relaxed: independent monotonic counter; aggregated via snapshot()
-        self.cpu_ticks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` successful hash-table probes (sup_cou increments — the
-    /// unit of Figure 15). CPU work for counting is charged separately via
-    /// [`NodeStats::add_cpu`] with the counter's `work` meter, which also
-    /// covers unsuccessful probes.
-    #[inline]
-    pub fn add_probes(&self, n: u64) {
-        // relaxed: independent monotonic counter; aggregated via snapshot()
-        self.hash_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a sent message of `bytes` payload bytes.
-    #[inline]
-    pub fn record_send(&self, bytes: u64) {
-        // relaxed: count/byte tallies are read together only in snapshot()
-        self.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records a received message of `bytes` payload bytes.
-    #[inline]
-    pub fn record_recv(&self, bytes: u64) {
-        // relaxed: count/byte tallies are read together only in snapshot()
-        self.messages_received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records `bytes` of local-disk input.
-    #[inline]
-    pub fn record_io(&self, bytes: u64) {
-        // relaxed: independent monotonic counter; aggregated via snapshot()
-        self.io_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one complete pass over the local partition.
-    #[inline]
-    pub fn record_scan_pass(&self) {
-        // relaxed: independent monotonic counter; aggregated via snapshot()
-        self.scan_passes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` injected faults.
-    #[inline]
-    pub fn record_faults(&self, n: u64) {
-        // relaxed: independent monotonic counter; aggregated via snapshot()
-        self.faults_injected.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// A frozen copy of one node's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStatsSnapshot {
-    /// See [`NodeStats::messages_sent`].
-    pub messages_sent: u64,
-    /// See [`NodeStats::bytes_sent`].
-    pub bytes_sent: u64,
-    /// See [`NodeStats::messages_received`].
-    pub messages_received: u64,
-    /// See [`NodeStats::bytes_received`].
-    pub bytes_received: u64,
-    /// See [`NodeStats::hash_probes`].
-    pub hash_probes: u64,
-    /// See [`NodeStats::cpu_ticks`].
-    pub cpu_ticks: u64,
-    /// See [`NodeStats::io_bytes`].
-    pub io_bytes: u64,
-    /// See [`NodeStats::scan_passes`].
-    pub scan_passes: u64,
-    /// See [`NodeStats::faults_injected`].
     pub faults_injected: u64,
 }
 
@@ -208,40 +106,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_reflects_increments() {
-        let s = NodeStats::default();
-        s.record_send(100);
-        s.record_send(50);
-        s.record_recv(10);
-        s.add_probes(7);
-        s.add_cpu(3);
-        s.record_io(4096);
-        s.record_scan_pass();
-        s.record_faults(2);
-        let snap = s.snapshot();
-        assert_eq!(snap.messages_sent, 2);
-        assert_eq!(snap.bytes_sent, 150);
-        assert_eq!(snap.messages_received, 1);
-        assert_eq!(snap.bytes_received, 10);
-        assert_eq!(snap.hash_probes, 7);
-        assert_eq!(snap.cpu_ticks, 3);
-        assert_eq!(snap.io_bytes, 4096);
-        assert_eq!(snap.scan_passes, 1);
-        assert_eq!(snap.faults_injected, 2);
-    }
-
-    #[test]
     fn delta_isolates_a_phase() {
-        let s = NodeStats::default();
-        s.record_send(100);
-        let before = s.snapshot();
-        s.record_send(23);
-        s.add_probes(5);
-        let after = s.snapshot();
+        let before = NodeStatsSnapshot {
+            messages_sent: 1,
+            bytes_sent: 100,
+            ..NodeStatsSnapshot::default()
+        };
+        let after = NodeStatsSnapshot {
+            messages_sent: 2,
+            bytes_sent: 123,
+            hash_probes: 5,
+            ..before
+        };
         let d = after.delta_since(&before);
         assert_eq!(d.messages_sent, 1);
         assert_eq!(d.bytes_sent, 23);
         assert_eq!(d.hash_probes, 5);
+        assert_eq!(d.cpu_ticks, 0);
     }
 
     #[test]

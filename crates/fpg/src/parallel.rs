@@ -32,8 +32,8 @@ use crate::tree::FpTree;
 use crate::wire::{self, tags, PathBatch};
 use gar_cluster::{Cluster, ClusterConfig, Envelope, NodeCtx};
 use gar_mining::parallel::common::{
-    self, assemble_report, mine_with_recovery, node_sources, record_pass_obs, run_pass1,
-    scan_partition, BatchedExchange, NodeOutcome, NodePassInfo, Pass1, PassPersistence, WireBatch,
+    self, assemble_report, close_pass, mine_with_recovery, node_sources, run_pass1, scan_partition,
+    BatchedExchange, NodeOutcome, NodePassInfo, Pass1, PassPersistence, WireBatch,
 };
 use gar_mining::params::{Algorithm, MiningParams};
 use gar_mining::report::{LargePass, MiningOutput, ParallelReport};
@@ -192,7 +192,7 @@ fn node_mine(
 
     let passes: Vec<LargePass> = if run_projections {
         ctx.set_pass(2);
-        let pass2_snap = ctx.stats().snapshot();
+        let mut since = ctx.ledger();
         let _pass = ctx.span("pass");
 
         // Every node derives the same global projection count (the
@@ -224,7 +224,7 @@ fn node_mine(
                 let mut extended = Vec::new();
                 scan_partition(ctx, part, |t| {
                     tax.extend_transaction_into(t, &mut extended);
-                    ctx.stats().add_cpu(extended.len() as u64);
+                    ctx.add_cpu(extended.len() as u64);
                     order.project(&extended, &mut ranks);
                     tree.insert(&ranks);
                     Ok(())
@@ -244,7 +244,7 @@ fn node_mine(
                 let owner = owner_of(order.item_at(r), tax, n);
                 let skip = related.row(r);
                 tree.for_each_base_path(r, &mut |path, count| {
-                    ctx.stats().add_cpu(path.len() as u64 + 1);
+                    ctx.add_cpu(path.len() as u64 + 1);
                     if owner == me {
                         bases[r as usize].push_filtered(path, skip, count);
                         return Ok(());
@@ -309,7 +309,7 @@ fn node_mine(
                 ctx.send(0, tags::RESULT, wire::encode_result(r, &found))?;
             }
         }
-        ctx.stats().add_cpu(grow.work);
+        ctx.add_cpu(grow.work);
 
         // ---- Gather the stragglers, assemble, broadcast. ----
         let passes = {
@@ -340,16 +340,14 @@ fn node_mine(
             .filter(|p| p.k >= 2)
             .map(|p| p.itemsets.len())
             .sum();
-        pass_infos.push(NodePassInfo {
+        let info = NodePassInfo {
             k: 2,
             num_candidates: todo.len(),
-            num_duplicated: 0,
             num_fragments: 1,
             num_large: deep_large,
-            restored: false,
-            delta: ctx.stats().snapshot().delta_since(&pass2_snap),
-        });
-        record_pass_obs(ctx, &pass_infos[1]);
+            ..NodePassInfo::default()
+        };
+        pass_infos.push(close_pass(ctx, &mut since, info));
         passes
     } else if p1.large.itemsets.is_empty() {
         Vec::new()

@@ -57,8 +57,8 @@ pub(crate) fn owner_of_hash(hash: u64, num_nodes: usize) -> usize {
 }
 
 /// Per-pass bookkeeping accumulated by a node: everything the report needs
-/// beyond the counter snapshots.
-#[derive(Debug, Clone)]
+/// beyond the counter snapshots. Built by [`close_pass`].
+#[derive(Debug, Clone, Default)]
 pub struct NodePassInfo {
     pub k: usize,
     pub num_candidates: usize,
@@ -258,7 +258,7 @@ fn pass1(
     let mut extended = Vec::new();
     scan_partition(ctx, part, |t| {
         tax.extend_transaction_into(t, &mut extended);
-        ctx.stats().add_cpu(extended.len() as u64);
+        ctx.add_cpu(extended.len() as u64);
         for &it in &extended {
             counts[it.index()] += 1;
         }
@@ -285,7 +285,7 @@ pub fn run_pass1(
     params: &MiningParams,
     restored: Option<Pass1>,
 ) -> Result<(Pass1, NodePassInfo)> {
-    let before = ctx.stats().snapshot();
+    let mut since = ctx.ledger();
     let was_restored = restored.is_some();
     let p1 = match restored {
         Some(p1) => p1,
@@ -298,14 +298,12 @@ pub fn run_pass1(
     let info = NodePassInfo {
         k: 1,
         num_candidates: tax.num_items() as usize,
-        num_duplicated: 0,
         num_fragments: 1,
         num_large: p1.large.itemsets.len(),
         restored: was_restored,
-        delta: ctx.stats().snapshot().delta_since(&before),
+        ..NodePassInfo::default()
     };
-    record_pass_obs(ctx, &info);
-    Ok((p1, info))
+    Ok((p1, close_pass(ctx, &mut since, info)))
 }
 
 /// One full pass over the node's local partition, with I/O accounting
@@ -330,15 +328,7 @@ pub fn scan_partition(
         f(t)?;
     }
     drop(scan);
-    ctx.stats().record_io(part.bytes_read() - before);
-    ctx.stats().record_scan_pass();
-    let obs = ctx.obs();
-    if obs.is_enabled() {
-        let labels = [("node", ctx.node_id() as u64), ("pass", ctx.current_pass())];
-        obs.add("scan.passes", &labels, 1);
-        obs.add("scan.transactions", &labels, transactions);
-        obs.add("scan.bytes", &labels, part.bytes_read() - before);
-    }
+    ctx.charge_scan(transactions, part.bytes_read() - before);
     Ok(())
 }
 
@@ -614,14 +604,19 @@ pub(crate) fn record_arena_obs(ctx: &NodeCtx, k: usize, counter: &dyn CandidateC
     }
 }
 
-/// Records one pass's bookkeeping and ledger deltas into the run's
-/// observability sink, so `metrics.json` has one schema across
-/// algorithms and miner families.
-pub fn record_pass_obs(ctx: &NodeCtx, info: &NodePassInfo) {
+/// Closes a pass on this node, the one way every miner family does: cuts
+/// the ledger delta since `since` into `info` (and moves `since` up to
+/// now), then records the pass's bookkeeping and delta as `pass.*`, so
+/// `metrics.json` has one schema across algorithms and miner families.
+pub fn close_pass(
+    ctx: &NodeCtx,
+    since: &mut NodeStatsSnapshot,
+    mut info: NodePassInfo,
+) -> NodePassInfo {
+    let now = ctx.ledger();
+    info.delta = now.delta_since(since);
+    *since = now;
     let obs = ctx.obs();
-    if !obs.is_enabled() {
-        return;
-    }
     let labels = [("node", ctx.node_id() as u64), ("pass", info.k as u64)];
     obs.add("pass.candidates", &labels, info.num_candidates as u64);
     obs.add("pass.duplicated", &labels, info.num_duplicated as u64);
@@ -651,6 +646,7 @@ pub fn record_pass_obs(ctx: &NodeCtx, info: &NodePassInfo) {
         &[("pass", info.k as u64)],
         d.cpu_ticks,
     );
+    info
 }
 
 /// Packages the pass-1 state plus every `L_k` so far as a checkpoint.
@@ -713,18 +709,19 @@ pub(crate) fn node_pass_loop(
     let (p1, info1) = run_pass1(ctx, part, tax, params, restored)?;
     let mut pass_infos = vec![info1];
     let mut passes = vec![p1.large.clone()];
+    // A restored pass does no work, so its delta is zero.
+    let mut since = ctx.ledger();
     for p in resume.map_or(&[][..], |cp| &cp.passes[1..]) {
-        pass_infos.push(NodePassInfo {
+        let info = NodePassInfo {
             k: p.k,
             num_candidates: p.num_candidates,
             num_duplicated: p.num_duplicated,
             num_fragments: p.num_fragments,
             num_large: p.itemsets.len(),
             restored: true,
-            delta: NodeStatsSnapshot::default(),
-        });
-        #[expect(clippy::expect_used, reason = "pushed on the line above")]
-        record_pass_obs(ctx, pass_infos.last().expect("restored pass info"));
+            ..NodePassInfo::default()
+        };
+        pass_infos.push(close_pass(ctx, &mut since, info));
         passes.push(LargePass {
             k: p.k,
             itemsets: p.itemsets.clone(),
@@ -740,7 +737,6 @@ pub(crate) fn node_pass_loop(
         CounterKind::HashMap => ("counter.hashmap.probes", "counter.hashmap.hits"),
         CounterKind::HashTree => ("counter.hashtree.probes", "counter.hashtree.hits"),
     };
-    let mut last_snap = ctx.stats().snapshot();
     for k in passes.len() + 1.. {
         if passes.last().is_none_or(|p| p.itemsets.is_empty())
             || params.max_pass.is_some_and(|max| k > max)
@@ -756,29 +752,25 @@ pub(crate) fn node_pass_loop(
             break;
         }
         ctx.set_pass(k);
-        ctx.stats().add_cpu(candidates.len() as u64);
+        ctx.add_cpu(candidates.len() as u64);
 
         let result = {
             let _pass = ctx.span("pass");
             run_pass(ctx, k, &candidates, &p1)?
         };
-        let snap = ctx.stats().snapshot();
-        let delta = snap.delta_since(&last_snap);
-        let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
-        ctx.obs().add(probes_metric, &labels, result.probes);
-        ctx.obs().add(hits_metric, &labels, delta.hash_probes);
-        pass_infos.push(NodePassInfo {
+        let info = NodePassInfo {
             k,
             num_candidates: candidates.len(),
             num_duplicated: result.num_duplicated,
             num_fragments: result.num_fragments,
             num_large: result.large.len(),
-            restored: false,
-            delta,
-        });
-        #[expect(clippy::expect_used, reason = "pushed just above")]
-        record_pass_obs(ctx, pass_infos.last().expect("pass info"));
-        last_snap = snap;
+            ..NodePassInfo::default()
+        };
+        let info = close_pass(ctx, &mut since, info);
+        let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
+        ctx.obs().add(probes_metric, &labels, result.probes);
+        ctx.obs().add(hits_metric, &labels, info.delta.hash_probes);
+        pass_infos.push(info);
 
         if result.large.is_empty() {
             break;

@@ -163,8 +163,8 @@ fn count_combos(
     let out = local_counter.count_transaction(ext);
     work += out.work;
     hits += out.hits;
-    ctx.stats().add_cpu(ext.len() as u64 + work);
-    ctx.stats().add_probes(hits);
+    ctx.add_cpu(ext.len() as u64 + work);
+    ctx.add_probes(hits);
     work
 }
 
@@ -264,7 +264,7 @@ pub(crate) fn mine(
                     BatchedExchange::new(ctx, tags::ITEMS, POLL_EVERY_TXNS, ItemListBatch::new);
                 scan_partition(ctx, part, |t| {
                     tax.reduce_to_lowest_large_into(t, |it| l1[it.index()], &mut reduced);
-                    ctx.stats().add_cpu(t.len() as u64);
+                    ctx.add_cpu(t.len() as u64);
                     if reduced.is_empty() {
                         return Ok(());
                     }
@@ -311,7 +311,7 @@ pub(crate) fn mine(
                             }
                         }
                     });
-                    ctx.stats().add_cpu(combos);
+                    ctx.add_cpu(combos);
 
                     // Ship sub-transactions to the other owners (this node's
                     // own combinations were counted above).

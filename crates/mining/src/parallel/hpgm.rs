@@ -66,8 +66,8 @@ pub(crate) fn mine(
                 // per payload, never per itemset (DESIGN.md §15).
                 let probes = Cell::new(0u64);
                 let charge = |out: CountOutcome, ticks: u64| {
-                    ctx.stats().add_cpu(ticks + out.work);
-                    ctx.stats().add_probes(out.hits);
+                    ctx.add_cpu(ticks + out.work);
+                    ctx.add_probes(out.hits);
                     probes.set(probes.get() + out.work);
                 };
                 let mut received = Vec::new();

@@ -58,10 +58,10 @@ pub(crate) fn mine(
                     record_arena_obs(ctx, k, counter.as_ref());
                     scan_partition(ctx, part, |t| {
                         view.extend_transaction_into(tax, t, &mut extended);
-                        ctx.stats().add_cpu(extended.len() as u64);
+                        ctx.add_cpu(extended.len() as u64);
                         let out = counter.count_transaction(&extended);
-                        ctx.stats().add_cpu(out.work);
-                        ctx.stats().add_probes(out.hits);
+                        ctx.add_cpu(out.work);
+                        ctx.add_probes(out.hits);
                         probes += out.work;
                         Ok(())
                     })?;
