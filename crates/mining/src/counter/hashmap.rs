@@ -10,8 +10,10 @@ use gar_types::{FxHashMap, ItemId, Itemset};
 pub struct HashMapCounter {
     k: usize,
     index: FxHashMap<Box<[ItemId]>, u32>,
-    itemsets: Vec<Itemset>,
     counts: Vec<u64>,
+    /// Non-empty candidate sets: a union counter enumerates once and
+    /// charges each subset once per set, as one counter per set would.
+    sets: u64,
     /// Scratch for subset enumeration (reused across calls to avoid a
     /// per-subset allocation on the hot path).
     scratch: Vec<ItemId>,
@@ -20,20 +22,27 @@ pub struct HashMapCounter {
 impl HashMapCounter {
     /// Builds the counter over `candidates` (each of size `k`).
     pub fn new(k: usize, candidates: &[Itemset]) -> HashMapCounter {
+        HashMapCounter::union(k, &[candidates])
+    }
+
+    /// Builds one counter over the disjoint candidate sets `sets`: counts
+    /// are laid out set after set, and `count_transaction` meters the sum
+    /// of one counter per set.
+    pub fn union(k: usize, sets: &[&[Itemset]]) -> HashMapCounter {
+        let candidates = || sets.iter().flat_map(|s| s.iter());
+        let len = candidates().count();
         let mut index = FxHashMap::default();
-        index.reserve(candidates.len());
-        let mut itemsets = Vec::with_capacity(candidates.len());
-        for (i, c) in candidates.iter().enumerate() {
+        index.reserve(len);
+        for (i, c) in candidates().enumerate() {
             debug_assert_eq!(c.len(), k, "candidate {c:?} is not a {k}-itemset");
             let prev = index.insert(c.items().to_vec().into_boxed_slice(), i as u32);
             debug_assert!(prev.is_none(), "duplicate candidate {c:?}");
-            itemsets.push(c.clone());
         }
         HashMapCounter {
             k,
             index,
-            itemsets,
-            counts: vec![0; candidates.len()],
+            counts: vec![0; len],
+            sets: sets.iter().filter(|s| !s.is_empty()).count() as u64,
             scratch: Vec::with_capacity(k),
         }
     }
@@ -65,7 +74,7 @@ impl HashMapCounter {
 
 impl CandidateCounter for HashMapCounter {
     fn num_candidates(&self) -> usize {
-        self.itemsets.len()
+        self.counts.len()
     }
 
     fn k(&self) -> usize {
@@ -85,7 +94,7 @@ impl CandidateCounter for HashMapCounter {
     fn count_transaction(&mut self, t: &[ItemId]) -> CountOutcome {
         debug_assert!(t.windows(2).all(|w| w[0] < w[1]), "unsorted txn");
         let mut out = CountOutcome::default();
-        if t.len() < self.k || self.itemsets.is_empty() {
+        if t.len() < self.k || self.counts.is_empty() {
             return out;
         }
         if self.k == 2 {
@@ -104,6 +113,7 @@ impl CandidateCounter for HashMapCounter {
             self.scratch.clear();
             self.enumerate(t, 0, &mut out);
         }
+        out.work *= self.sets;
         out
     }
 
@@ -114,10 +124,6 @@ impl CandidateCounter for HashMapCounter {
     fn set_counts(&mut self, counts: &[u64]) {
         assert_eq!(counts.len(), self.counts.len());
         self.counts.copy_from_slice(counts);
-    }
-
-    fn into_counts(self: Box<Self>) -> Vec<(Itemset, u64)> {
-        self.itemsets.into_iter().zip(self.counts).collect()
     }
 }
 

@@ -30,6 +30,12 @@
 //! below keep as the oracle: a node is visited iff its prefix is contained
 //! in the transaction, every visit charges the length of the *original*
 //! suffix as `work`, and every increment is a hit.
+//!
+//! A tree built over several disjoint candidate sets (a *union*) meters
+//! what one tree per set would, summed: each node carries its *weight*,
+//! the number of sets whose own prefix tree holds it, and a visit charges
+//! `weight × suffix`. Only a union with two or more non-empty sets stores
+//! weights; every other tree's weights are 1 and its arena is unchanged.
 
 use super::{ArenaStats, CandidateCounter, CountOutcome};
 use gar_types::{ItemId, Itemset};
@@ -69,13 +75,15 @@ struct Tree {
     edges: Vec<(u32, u32)>,
     /// All child tables, back to back; `NONE` marks a hole.
     dense: Vec<u32>,
+    /// Per node, how many candidate sets hold it; empty when at most one
+    /// set is non-empty.
+    weights: Vec<u32>,
 }
 
 /// Candidate counter backed by the arena hash tree.
 pub struct HashTreeCounter {
     k: usize,
     tree: Tree,
-    itemsets: Vec<Itemset>,
     counts: Vec<u64>,
     /// Scratch of `count_transaction`: the transaction's candidate items
     /// as `(rank, original position)`, and each rank's index in that list
@@ -85,10 +93,13 @@ pub struct HashTreeCounter {
 }
 
 impl Tree {
-    /// Builds the tree; also returns the number of ranks handed out.
-    fn build(k: usize, candidates: &[Itemset]) -> (Tree, usize) {
+    /// Builds the tree over the disjoint candidate sets `sets`, indexing
+    /// candidates set after set; also returns the number of ranks handed
+    /// out.
+    fn build(k: usize, sets: &[&[Itemset]]) -> (Tree, usize) {
+        let candidates = || sets.iter().flat_map(|s| s.iter());
         // Dense, order-preserving ranks over the items that occur at all.
-        let all = || candidates.iter().flat_map(|c| c.items()).map(|it| it.raw());
+        let all = || candidates().flat_map(|c| c.items()).map(|it| it.raw());
         let rank_base = all().min().unwrap_or(0);
         let mut rank_of = vec![NONE; all().max().map_or(0, |hi| (hi - rank_base + 1) as usize)];
         for it in all() {
@@ -100,12 +111,23 @@ impl Tree {
             num_ranks += 1;
         }
 
-        // Per-node sorted `(rank, target)` edge lists, flattened below.
+        // Per-node sorted `(rank, target)` edge lists, flattened below, and
+        // per node the number of sets through it and the last such set.
         let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
-        for (i, c) in candidates.iter().enumerate() {
+        let mut weights = vec![(0u32, NONE)];
+        let tagged = sets
+            .iter()
+            .enumerate()
+            .flat_map(|(s, set)| set.iter().map(move |c| (s as u32, c)));
+        for (i, (set, c)) in tagged.enumerate() {
             assert_eq!(c.len(), k, "candidate {c:?} is not a {k}-itemset");
             let mut node = 0usize;
             for (level, it) in c.items().iter().enumerate() {
+                let (weight, last) = &mut weights[node];
+                if *last != set {
+                    *weight += 1;
+                    *last = set;
+                }
                 let rank = rank_of[(it.raw() - rank_base) as usize];
                 let found = edges[node].binary_search_by_key(&rank, |e| e.0);
                 if level + 1 == k {
@@ -118,6 +140,7 @@ impl Tree {
                         Err(at) => {
                             let child = edges.len();
                             edges.push(Vec::new());
+                            weights.push((0, NONE));
                             edges[node].insert(at, (rank, child as u32));
                             child
                         }
@@ -133,7 +156,11 @@ impl Tree {
             nodes: Vec::with_capacity(edges.len()),
             edges: Vec::with_capacity(num_edges),
             dense: Vec::new(),
+            weights: Vec::new(),
         };
+        if sets.iter().filter(|s| !s.is_empty()).count() > 1 {
+            tree.weights = weights.iter().map(|&(w, _)| w).collect();
+        }
         for (n, list) in edges.iter().enumerate() {
             let base = list.first().map_or(0, |e| e.0);
             let span = list.last().map_or(0, |e| e.0 + 1 - base) as usize;
@@ -240,8 +267,10 @@ impl Tree {
     }
 }
 
-/// One `count_transaction` call in flight.
-struct Walk<'a> {
+/// One `count_transaction` call in flight; `WEIGHED` when the tree
+/// carries node weights (a union of several non-empty sets), so a
+/// single-set walk never looks a weight up.
+struct Walk<'a, const WEIGHED: bool> {
     tree: &'a Tree,
     mapped: &'a [(u32, u32)],
     pos: &'a [u32],
@@ -251,12 +280,18 @@ struct Walk<'a> {
     out: CountOutcome,
 }
 
-impl Walk<'_> {
+impl<const WEIGHED: bool> Walk<'_, WEIGHED> {
     /// Visits `node`, `levels` above the candidates, whose prefix ends
     /// right before original position `consumed` and `mapped[from]`.
     fn visit(&mut self, node: u32, levels: usize, from: usize, consumed: u64) {
-        // One work unit per original item still ahead of this node.
-        self.out.work += self.len - consumed;
+        // One work unit per original item still ahead of this node, for
+        // each candidate set that holds it.
+        let suffix = self.len - consumed;
+        self.out.work += if WEIGHED {
+            u64::from(self.tree.weights[node as usize]) * suffix
+        } else {
+            suffix
+        };
         let (tree, mapped, pos) = (self.tree, self.mapped, self.pos);
         if from == mapped.len() {
             return;
@@ -284,15 +319,36 @@ impl Walk<'_> {
 impl HashTreeCounter {
     /// Builds the tree over `candidates` (each of size `k`).
     pub fn new(k: usize, candidates: &[Itemset]) -> HashTreeCounter {
-        let (tree, num_ranks) = Tree::build(k, candidates);
+        HashTreeCounter::union(k, &[candidates])
+    }
+
+    /// Builds one tree over the disjoint candidate sets `sets`: counts are
+    /// laid out set after set, and `count_transaction` meters the sum of
+    /// one tree per set.
+    pub fn union(k: usize, sets: &[&[Itemset]]) -> HashTreeCounter {
+        let (tree, num_ranks) = Tree::build(k, sets);
         HashTreeCounter {
             k,
             tree,
-            itemsets: candidates.to_vec(),
-            counts: vec![0; candidates.len()],
+            counts: vec![0; sets.iter().map(|s| s.len()).sum()],
             mapped: Vec::new(),
             pos: vec![NONE; num_ranks],
         }
+    }
+
+    /// Walks the mapped transaction (of `len` original items) and the tree
+    /// together from the root.
+    fn walk<const WEIGHED: bool>(&mut self, len: usize) -> CountOutcome {
+        let mut walk = Walk::<WEIGHED> {
+            tree: &self.tree,
+            mapped: &self.mapped,
+            pos: &self.pos,
+            len: len as u64,
+            counts: &mut self.counts,
+            out: CountOutcome::default(),
+        };
+        walk.visit(0, self.k, 0, 0);
+        walk.out
     }
 
     /// Arena footprint, for the `counter.arena.*` obs series.
@@ -304,14 +360,15 @@ impl HashTreeCounter {
             dense_nodes: t.nodes.iter().filter(|n| n.table != NONE).count() as u64,
             bytes: (t.nodes.len() * std::mem::size_of::<Node>()
                 + t.edges.len() * 8
-                + (t.rank_of.len() + t.dense.len() + self.pos.len()) * 4) as u64,
+                + (t.rank_of.len() + t.dense.len() + t.weights.len() + self.pos.len()) * 4)
+                as u64,
         }
     }
 }
 
 impl CandidateCounter for HashTreeCounter {
     fn num_candidates(&self) -> usize {
-        self.itemsets.len()
+        self.counts.len()
     }
 
     fn k(&self) -> usize {
@@ -357,7 +414,7 @@ impl CandidateCounter for HashTreeCounter {
 
     fn count_transaction(&mut self, t: &[ItemId]) -> CountOutcome {
         debug_assert!(t.windows(2).all(|w| w[0] < w[1]), "unsorted txn");
-        if t.len() < self.k || self.itemsets.is_empty() {
+        if t.len() < self.k || self.counts.is_empty() {
             return CountOutcome::default();
         }
         self.mapped.clear();
@@ -368,16 +425,11 @@ impl CandidateCounter for HashTreeCounter {
                 self.mapped.push((rank, at as u32));
             }
         }
-        let mut walk = Walk {
-            tree: &self.tree,
-            mapped: &self.mapped,
-            pos: &self.pos,
-            len: t.len() as u64,
-            counts: &mut self.counts,
-            out: CountOutcome::default(),
+        let out = if self.tree.weights.is_empty() {
+            self.walk::<false>(t.len())
+        } else {
+            self.walk::<true>(t.len())
         };
-        walk.visit(0, self.k, 0, 0);
-        let out = walk.out;
         for &(rank, _) in &self.mapped {
             self.pos[rank as usize] = NONE;
         }
@@ -391,10 +443,6 @@ impl CandidateCounter for HashTreeCounter {
     fn set_counts(&mut self, counts: &[u64]) {
         assert_eq!(counts.len(), self.counts.len());
         self.counts.copy_from_slice(counts);
-    }
-
-    fn into_counts(self: Box<Self>) -> Vec<(Itemset, u64)> {
-        self.itemsets.into_iter().zip(self.counts).collect()
     }
 
     fn arena_stats(&self) -> Option<ArenaStats> {
@@ -550,6 +598,68 @@ mod tests {
         assert_eq!(c.count_transaction(&ids(&all)).hits, 220);
         assert_eq!(c.count_transaction(&ids(&all[..5])).hits, 10);
         assert!(c.counts().iter().all(|&n| n == 1 || n == 2));
+    }
+
+    #[test]
+    fn single_set_arena_stats_are_unchanged() {
+        // Pinned before trees weighed their nodes by candidate set: a
+        // single set, or a union with at most one non-empty set, stores no
+        // weights and builds the arena it always did.
+        let mut tabled: Vec<Itemset> = [10, 11, 12, 13, 14, 15, 16, 18]
+            .iter()
+            .map(|&x| iset![1, x])
+            .collect();
+        tabled.extend([iset![2, 5], iset![2, 17], iset![2, 20]]);
+        let mut triples = Vec::new();
+        for a in 0..12 {
+            for b in a + 1..12 {
+                for c in b + 1..12 {
+                    triples.push(iset![a, b, c]);
+                }
+            }
+        }
+        let stats = |nodes, edges, dense_nodes, bytes| ArenaStats {
+            nodes,
+            edges,
+            dense_nodes,
+            bytes,
+        };
+        let fixtures = [
+            (3, vec![iset![1, 2, 3], iset![1, 2, 4]], stats(3, 4, 1, 128)),
+            (1, vec![iset![5], iset![9]], stats(1, 2, 1, 72)),
+            (2, vec![iset![2, 5], iset![9, 11]], stats(3, 4, 1, 160)),
+            (2, tabled, stats(3, 13, 2, 340)),
+            (2, vec![iset![3, 7], iset![7, 8]], stats(3, 4, 1, 136)),
+            (3, triples, stats(66, 285, 10, 4052)),
+            (2, vec![], stats(1, 0, 1, 20)),
+        ];
+        for (k, cands, want) in fixtures {
+            assert_eq!(HashTreeCounter::new(k, &cands).stats(), want, "{cands:?}");
+            assert_eq!(HashTreeCounter::union(k, &[&[], &cands]).stats(), want);
+            assert_eq!(HashTreeCounter::union(k, &[&cands, &[]]).stats(), want);
+        }
+    }
+
+    #[test]
+    fn a_union_weighs_each_node_by_the_sets_holding_it() {
+        // Both sets hold the root and node (1); only the second holds (2).
+        let (a, b) = ([iset![1, 2]], [iset![1, 3], iset![2, 3]]);
+        let mut c = HashTreeCounter::union(2, &[&a, &b]);
+        assert_eq!(c.tree.weights, vec![2, 2, 1]);
+        // Root 2 × 3, node (1) 2 × 2, node (2) 1 × 1: what a tree over `a`
+        // (3 + 2) and one over `b` (3 + 2 + 1) charge.
+        assert_eq!(
+            c.count_transaction(&ids(&[1, 2, 3])),
+            CountOutcome { work: 11, hits: 3 }
+        );
+        assert_eq!(c.counts(), &[1, 1, 1]);
+        assert_eq!(
+            c.stats().bytes,
+            HashTreeCounter::new(2, &[iset![1, 2], iset![1, 3], iset![2, 3]])
+                .stats()
+                .bytes
+                + 3 * 4
+        );
     }
 
     #[test]

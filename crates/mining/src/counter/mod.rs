@@ -23,7 +23,9 @@
 //! Counts live in one dense `Vec<u64>` in **candidate insertion order**,
 //! which is identical on every node (candidate generation is
 //! deterministic), so NPGM and the `C_k^D` duplicate sets can all-reduce
-//! raw count vectors without any key exchange.
+//! raw count vectors without any key exchange. A counter keeps no copy of
+//! its candidates: the caller pairs `counts()` with the slices it built
+//! the counter from.
 
 mod hashmap;
 mod hashtree;
@@ -100,9 +102,6 @@ pub trait CandidateCounter: Send {
     /// Overwrites the counts (used after an all-reduce).
     fn set_counts(&mut self, counts: &[u64]);
 
-    /// The candidates with their counts, in insertion order.
-    fn into_counts(self: Box<Self>) -> Vec<(Itemset, u64)>;
-
     /// Arena footprint when the counter is backed by a flat arena;
     /// `None` for hash-map structures.
     fn arena_stats(&self) -> Option<ArenaStats> {
@@ -117,9 +116,22 @@ pub fn build_counter(
     k: usize,
     candidates: &[Itemset],
 ) -> Box<dyn CandidateCounter> {
+    build_union_counter(kind, k, &[candidates])
+}
+
+/// Builds one counter of the configured kind over the disjoint candidate
+/// sets `sets` (all of size `k`). Its counts are laid out set after set,
+/// and each `count_transaction` returns the sum of what one counter per
+/// set would return, so one walk of a transaction counts and meters every
+/// set. `probe` and `probe_many` meter the union as one set.
+pub fn build_union_counter(
+    kind: CounterKind,
+    k: usize,
+    sets: &[&[Itemset]],
+) -> Box<dyn CandidateCounter> {
     match kind {
-        CounterKind::HashMap => Box::new(HashMapCounter::new(k, candidates)),
-        CounterKind::HashTree => Box::new(HashTreeCounter::new(k, candidates)),
+        CounterKind::HashMap => Box::new(HashMapCounter::union(k, sets)),
+        CounterKind::HashTree => Box::new(HashTreeCounter::union(k, sets)),
     }
 }
 
@@ -157,8 +169,7 @@ mod tests {
             c.count_transaction(&ids(&[1, 2, 3]));
             c.count_transaction(&ids(&[2, 3]));
             c.count_transaction(&ids(&[1, 4]));
-            let counts = Box::new(c).into_counts();
-            let get = |s: &Itemset| counts.iter().find(|(x, _)| x == s).unwrap().1;
+            let get = |s: &Itemset| c.counts()[cands.iter().position(|x| x == s).unwrap()];
             assert_eq!(get(&iset![1, 2]), 1);
             assert_eq!(get(&iset![2, 3]), 2);
             assert_eq!(get(&iset![4, 5]), 0);
@@ -185,9 +196,6 @@ mod tests {
             c.probe(&ids(&[1, 2]));
             c.probe(&ids(&[5, 6]));
             assert_eq!(c.counts(), &[0, 2, 1]);
-            let drained = Box::new(c).into_counts();
-            let sets: Vec<&Itemset> = drained.iter().map(|(s, _)| s).collect();
-            assert_eq!(sets, vec![&iset![9, 10], &iset![1, 2], &iset![5, 6]]);
         }
     }
 
@@ -323,6 +331,43 @@ mod proptests {
             prop_assert_eq!(flat.counts(), tree.counts());
             prop_assert_eq!(flat_hits, tree_hits);
             prop_assert_eq!(flat_hits, flat.counts().iter().sum::<u64>());
+        }
+
+        // H-HPGM counts `C_k^D` and a node's own partition in one union
+        // counter: its counts are the per-set counters' concatenated, and
+        // each transaction's meters are the sum of theirs. Candidates fall
+        // into set 0, set 1 or neither; `empty` forces a set empty.
+        #[test]
+        fn union_meters_are_the_sum_of_per_set_meters(
+            k in 1usize..5,
+            seed_cands in arb_itemsets(4),
+            split in proptest::collection::vec(0u32..3, 25..=25),
+            empty in 0u32..3,
+            txns in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..40, 0..14), 1..16)
+        ) {
+            let mut sets: [Vec<Itemset>; 2] = [Vec::new(), Vec::new()];
+            let mut seen = std::collections::BTreeSet::new();
+            for (c, &to) in seed_cands.iter().zip(&split) {
+                let c = Itemset::from_sorted(c.items()[..k].to_vec());
+                if to < 2 && to + 1 != empty && seen.insert(c.clone()) {
+                    sets[to as usize].push(c);
+                }
+            }
+            for kind in [CounterKind::HashMap, CounterKind::HashTree] {
+                let mut union = build_union_counter(kind, k, &[&sets[0], &sets[1]]);
+                let mut apart: Vec<_> = sets.iter().map(|s| build_counter(kind, k, s)).collect();
+                for t in &txns {
+                    let t: Vec<ItemId> = t.iter().copied().map(ItemId).collect();
+                    let mut sum = CountOutcome::default();
+                    for counter in &mut apart {
+                        sum.absorb(counter.count_transaction(&t));
+                    }
+                    prop_assert_eq!(union.count_transaction(&t), sum);
+                }
+                let concat: Vec<u64> = apart.iter().flat_map(|c| c.counts().to_vec()).collect();
+                prop_assert_eq!(union.counts(), concat.as_slice());
+            }
         }
 
         // HPGM probes a received batch, or a transaction's local subsets,

@@ -549,7 +549,9 @@ pub(crate) fn for_each_k_subset(
 /// The root-itemset partitioning key of the H-HPGM family: each item
 /// replaced by its root, the multiset sorted. Duplicates are *kept* — the
 /// multiset `(r, r)` is a different hash bucket than `(r)`, exactly as in
-/// the paper's `h(X, Y)` over root codes.
+/// the paper's `h(X, Y)` over root codes. The miner computes keys in bulk
+/// (`duplicate::root_keys`); this is the tests' one-at-a-time form.
+#[cfg(test)]
 pub(crate) fn root_key(items: &[ItemId], tax: &Taxonomy) -> Box<[u32]> {
     let mut roots: Vec<u32> = items.iter().map(|&i| tax.root_of(i).raw()).collect();
     roots.sort_unstable();
@@ -559,7 +561,9 @@ pub(crate) fn root_key(items: &[ItemId], tax: &Taxonomy) -> Box<[u32]> {
 /// Enumerates every k-multiset over `roots` (ascending root codes) whose
 /// per-root multiplicity does not exceed that root's `avail` (the number
 /// of distinct transaction items under it — fewer can never support a
-/// candidate, because ancestor-related items never form one).
+/// candidate, because ancestor-related items never form one). The oracle
+/// of H-HPGM's route, which counts these in closed form.
+#[cfg(test)]
 pub(crate) fn for_each_root_multiset(roots: &[(u32, usize)], k: usize, f: &mut impl FnMut(&[u32])) {
     fn rec(
         roots: &[(u32, usize)],

@@ -23,9 +23,8 @@
 //! deterministic and replica-consistent with zero communication.
 
 use crate::counter::candidate_entry_bytes;
-use crate::parallel::common::root_key;
 use gar_taxonomy::Taxonomy;
-use gar_types::{FxHashMap, FxHashSet, ItemId, Itemset};
+use gar_types::{FxHashMap, ItemId, Itemset};
 use std::cmp::Ordering;
 
 /// The duplication granule (one per skew-handling algorithm).
@@ -48,16 +47,6 @@ pub struct DuplicateSelection {
     pub duplicated: Vec<Itemset>,
     /// The candidates that stay hash-partitioned, in input order.
     pub remaining: Vec<Itemset>,
-}
-
-impl DuplicateSelection {
-    /// A selection that duplicates nothing (plain H-HPGM).
-    pub fn none(candidates: &[Itemset]) -> DuplicateSelection {
-        DuplicateSelection {
-            duplicated: Vec::new(),
-            remaining: candidates.to_vec(),
-        }
-    }
 }
 
 /// Estimated frequency of an itemset: the product of its items' global
@@ -93,50 +82,107 @@ fn sort_hottest_first<T>(
     entries.extend(keyed.into_iter().map(|(_, e)| e));
 }
 
-/// Enumerates the ancestor candidates of `c`: every itemset obtained by
-/// replacing members with proper ancestors (at least one replacement) that
-/// is itself in the candidate index.
-fn ancestor_candidates(
-    c: &Itemset,
-    tax: &Taxonomy,
-    index: &FxHashMap<Itemset, usize>,
-) -> Vec<Itemset> {
-    // Choice list per member: itself + its proper ancestors.
-    let choices: Vec<Vec<ItemId>> = c
-        .items()
-        .iter()
-        .map(|&it| {
-            let mut v = vec![it];
-            v.extend_from_slice(tax.ancestors(it));
-            v
-        })
-        .collect();
-    let mut out = Vec::new();
-    let mut pick = vec![0usize; choices.len()];
-    loop {
-        // Skip the all-self combination (that is `c`).
-        if pick.iter().any(|&p| p > 0) {
-            let items: Vec<ItemId> = pick.iter().zip(&choices).map(|(&p, ch)| ch[p]).collect();
-            let set = Itemset::from_unsorted(items);
-            if set.len() == c.len() && index.contains_key(&set) {
-                out.push(set);
-            }
-        }
-        // Odometer increment.
-        let mut d = 0;
+/// The root-itemset keys of `candidates`, back to back: `k` root codes
+/// per candidate (each member replaced by its root, sorted), the H-HPGM
+/// family's placement key computed once per candidate.
+pub(crate) fn root_keys(candidates: &[Itemset], tax: &Taxonomy) -> Vec<u32> {
+    let mut keys = Vec::with_capacity(candidates.iter().map(Itemset::len).sum());
+    for c in candidates {
+        let at = keys.len();
+        keys.extend(c.items().iter().map(|&it| tax.root_of(it).raw()));
+        keys[at..].sort_unstable();
+    }
+    keys
+}
+
+/// Scratch of the ancestor-candidate enumeration, reused across seeds.
+#[derive(Default)]
+struct Ancestors {
+    /// Member `d` of the seed takes choice `pick[d]`: itself (0) or its
+    /// `p`-th proper ancestor.
+    pick: Vec<usize>,
+    set: Vec<ItemId>,
+    found: Vec<usize>,
+}
+
+impl Ancestors {
+    /// The indices of the ancestor candidates of `c`: every itemset
+    /// obtained by replacing members with proper ancestors (at least one
+    /// replacement) that is itself in `index` — in ascending itemset
+    /// order, each once.
+    fn of(
+        &mut self,
+        c: &[ItemId],
+        tax: &Taxonomy,
+        index: &FxHashMap<&[ItemId], usize>,
+        candidates: &[Itemset],
+    ) -> &[usize] {
+        let Ancestors { pick, set, found } = self;
+        found.clear();
+        pick.clear();
+        pick.resize(c.len(), 0);
         loop {
-            if d == pick.len() {
-                out.sort_unstable();
-                out.dedup();
-                return out;
+            // Skip the all-self combination (that is `c`).
+            if pick.iter().any(|&p| p > 0) {
+                set.clear();
+                set.extend(pick.iter().zip(c).map(|(&p, &it)| match p {
+                    0 => it,
+                    _ => tax.ancestors(it)[p - 1],
+                }));
+                set.sort_unstable();
+                if set.windows(2).all(|w| w[0] != w[1]) {
+                    if let Some(&i) = index.get(set.as_slice()) {
+                        found.push(i);
+                    }
+                }
             }
-            pick[d] += 1;
-            if pick[d] < choices[d].len() {
-                break;
+            // Odometer increment.
+            let mut d = 0;
+            loop {
+                if d == pick.len() {
+                    found.sort_unstable_by(|&a, &b| candidates[a].cmp(&candidates[b]));
+                    found.dedup();
+                    return found;
+                }
+                pick[d] += 1;
+                if pick[d] <= tax.ancestors(c[d]).len() {
+                    break;
+                }
+                pick[d] = 0;
+                d += 1;
             }
-            pick[d] = 0;
-            d += 1;
         }
+    }
+}
+
+/// The greedy fill of the free memory: which candidates are taken, in
+/// what order, and how many bytes are left.
+struct Fill {
+    taken: Vec<bool>,
+    order: Vec<usize>,
+    budget: u64,
+    entry: u64,
+}
+
+impl Fill {
+    /// Takes the untaken members of `group` (candidate indices, distinct)
+    /// atomically: all of them if they fit, else none.
+    fn take(&mut self, group: &[usize]) -> bool {
+        let need = group.iter().filter(|&&i| !self.taken[i]).count() as u64 * self.entry;
+        if need == 0 {
+            return true;
+        }
+        if need > self.budget {
+            return false;
+        }
+        self.budget -= need;
+        for &i in group {
+            if !self.taken[i] {
+                self.taken[i] = true;
+                self.order.push(i);
+            }
+        }
+        true
     }
 }
 
@@ -154,70 +200,78 @@ pub fn select_duplicates(
     l1: &[bool],
     budget_bytes: u64,
 ) -> DuplicateSelection {
-    if candidates.is_empty() {
-        return DuplicateSelection::none(candidates);
+    let keys = root_keys(candidates, tax);
+    let (order, taken) = select_duplicate_indices(
+        grain,
+        candidates,
+        &keys,
+        tax,
+        item_counts,
+        num_transactions,
+        l1,
+        budget_bytes,
+    );
+    DuplicateSelection {
+        duplicated: order.iter().map(|&i| candidates[i].clone()).collect(),
+        remaining: candidates
+            .iter()
+            .zip(taken)
+            .filter(|(_, t)| !t)
+            .map(|(c, _)| c.clone())
+            .collect(),
     }
-    let k = candidates[0].len();
+}
+
+/// [`select_duplicates`] over candidate indices: the indices of `C_k^D`
+/// in selection order, and per candidate whether it is in `C_k^D`.
+/// `keys` are the candidates' [`root_keys`].
+#[expect(
+    clippy::too_many_arguments,
+    reason = "select_duplicates' inputs plus the caller's root keys"
+)]
+pub(crate) fn select_duplicate_indices(
+    grain: DuplicateGrain,
+    candidates: &[Itemset],
+    keys: &[u32],
+    tax: &Taxonomy,
+    item_counts: &[u64],
+    num_transactions: u64,
+    l1: &[bool],
+    budget_bytes: u64,
+) -> (Vec<usize>, Vec<bool>) {
+    let none = || (Vec::new(), vec![false; candidates.len()]);
+    let Some(k) = candidates.first().map(Itemset::len) else {
+        return none();
+    };
     let entry = candidate_entry_bytes(k);
     if budget_bytes < entry {
-        return DuplicateSelection::none(candidates);
+        return none();
     }
-    let index: FxHashMap<Itemset, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.clone(), i))
-        .collect();
-
-    let mut taken: FxHashSet<usize> = FxHashSet::default();
-    let mut duplicated: Vec<Itemset> = Vec::new();
-    let mut budget = budget_bytes;
-
-    // Greedy helper: try to take `group` (candidate indices) atomically.
-    let try_take = |group: &[usize],
-                    taken: &mut FxHashSet<usize>,
-                    duplicated: &mut Vec<Itemset>,
-                    budget: &mut u64|
-     -> bool {
-        let fresh: Vec<usize> = group
-            .iter()
-            .copied()
-            .filter(|i| !taken.contains(i))
-            .collect();
-        let need = fresh.len() as u64 * entry;
-        if need == 0 {
-            return true;
-        }
-        if need > *budget {
-            return false;
-        }
-        *budget -= need;
-        for i in fresh {
-            taken.insert(i);
-            duplicated.push(candidates[i].clone());
-        }
-        true
+    let mut fill = Fill {
+        taken: vec![false; candidates.len()],
+        order: Vec::new(),
+        budget: budget_bytes,
+        entry,
     };
 
     let (counts, txns) = (item_counts, num_transactions);
+    let key = |i: usize| &keys[i * k..][..k];
     match grain {
         DuplicateGrain::Tree => {
-            // Group candidates by root itemset; order groups by estimated
+            // Group candidates by root itemset (a stable sort keeps each
+            // group in input order); order groups by estimated
             // root-combination frequency; take whole groups until one
             // fails to fit.
-            let mut groups: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-            for (i, c) in candidates.iter().enumerate() {
-                groups.entry(root_key(c.items(), tax)).or_default().push(i);
-            }
-            // Hash order: drained into a Vec and sorted just below with a
-            // total-order tie-break (`ka.cmp(kb)`).
-            let mut ordered: Vec<(Box<[u32]>, Vec<usize>)> = groups.into_iter().collect();
+            let mut by_key: Vec<usize> = (0..candidates.len()).collect();
+            by_key.sort_by(|&a, &b| key(a).cmp(key(b)));
+            let mut groups: Vec<&[usize]> = by_key.chunk_by(|&a, &b| key(a) == key(b)).collect();
             sort_hottest_first(
-                &mut ordered,
-                |(key, _)| estimate(key.iter().map(|&r| ItemId(r)), counts, txns),
-                |(ka, _), (kb, _)| ka.cmp(kb),
+                &mut groups,
+                |g| estimate(key(g[0]).iter().map(|&r| ItemId(r)), counts, txns),
+                |a, b| key(a[0]).cmp(key(b[0])),
             );
-            for (_, group) in &ordered {
-                if !try_take(group, &mut taken, &mut duplicated, &mut budget) {
+            for group in groups {
+                if !fill.take(group) {
                     break; // coarse grain: stop at the first non-fit
                 }
             }
@@ -226,14 +280,16 @@ pub fn select_duplicates(
             // Seed pool: for Path, candidates whose members are all
             // leaf-level large items (large with no large descendant);
             // for Fine, every candidate.
-            let lowest_large = |it: ItemId| -> bool {
-                l1.get(it.index()).copied().unwrap_or(false)
-                    && !tax
-                        .tree_items(it)
-                        .iter()
-                        .skip(1)
-                        .any(|d| l1.get(d.index()).copied().unwrap_or(false))
-            };
+            let is_large = |it: ItemId| l1.get(it.index()).copied().unwrap_or(false);
+            let mut has_large_below = vec![false; tax.num_items() as usize];
+            if grain == DuplicateGrain::Path {
+                for it in (0..tax.num_items()).map(ItemId).filter(|&it| is_large(it)) {
+                    for &a in tax.ancestors(it) {
+                        has_large_below[a.index()] = true;
+                    }
+                }
+            }
+            let lowest_large = |it: ItemId| is_large(it) && !has_large_below[it.index()];
             let mut pool: Vec<usize> = (0..candidates.len())
                 .filter(|&i| match grain {
                     DuplicateGrain::Path => {
@@ -247,57 +303,236 @@ pub fn select_duplicates(
                 |&i| estimate(candidates[i].items().iter().copied(), counts, txns),
                 |&a, &b| candidates[a].cmp(&candidates[b]),
             );
+            let index: FxHashMap<&[ItemId], usize> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (c.items(), i))
+                .collect();
+            let mut ancestors = Ancestors::default();
+            let mut group = Vec::new();
             for &seed in &pool {
-                if taken.contains(&seed) {
+                if fill.taken[seed] {
                     continue;
                 }
-                let ancestors: Vec<usize> = ancestor_candidates(&candidates[seed], tax, &index)
-                    .into_iter()
-                    .map(|anc| index[&anc])
-                    .collect();
+                // The seed, then its ancestor candidates.
+                group.clear();
+                group.push(seed);
+                group.extend_from_slice(ancestors.of(
+                    candidates[seed].items(),
+                    tax,
+                    &index,
+                    candidates,
+                ));
                 match grain {
+                    // A path is atomic: the hot leaf itemset together with
+                    // its whole generalization chain, or nothing.
                     DuplicateGrain::Path => {
-                        // A path is atomic: the hot leaf itemset together
-                        // with its whole generalization chain, or nothing.
-                        let mut group = vec![seed];
-                        group.extend_from_slice(&ancestors);
-                        try_take(&group, &mut taken, &mut duplicated, &mut budget);
+                        fill.take(&group);
                     }
+                    // Fine grain packs candidate by candidate "so that free
+                    // space be occupied as much as possible".
                     _ => {
-                        // Fine grain packs candidate by candidate "so that
-                        // free space be occupied as much as possible".
-                        try_take(&[seed], &mut taken, &mut duplicated, &mut budget);
-                        for anc in ancestors {
-                            try_take(&[anc], &mut taken, &mut duplicated, &mut budget);
+                        for one in group.chunks(1) {
+                            fill.take(one);
                         }
                     }
                 }
-                if budget < entry {
+                if fill.budget < entry {
                     break; // no room for anything further
                 }
             }
         }
     }
-
-    let remaining: Vec<Itemset> = candidates
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !taken.contains(i))
-        .map(|(_, c)| c.clone())
-        .collect();
-    DuplicateSelection {
-        duplicated,
-        remaining,
-    }
+    (fill.order, fill.taken)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::common::root_key;
     use gar_taxonomy::TaxonomyBuilder;
-    use gar_types::iset;
+    use gar_types::{iset, FxHashSet};
     use proptest::prelude::*;
     use std::cell::Cell;
+
+    /// The allocating enumeration `select_duplicates` used before its
+    /// scratch was reused, kept as the oracle: the ancestor candidates of
+    /// `c` as itemsets, sorted.
+    fn ancestor_candidates(
+        c: &Itemset,
+        tax: &Taxonomy,
+        index: &FxHashMap<Itemset, usize>,
+    ) -> Vec<Itemset> {
+        // Choice list per member: itself + its proper ancestors.
+        let choices: Vec<Vec<ItemId>> = c
+            .items()
+            .iter()
+            .map(|&it| {
+                let mut v = vec![it];
+                v.extend_from_slice(tax.ancestors(it));
+                v
+            })
+            .collect();
+        let mut out = Vec::new();
+        let mut pick = vec![0usize; choices.len()];
+        loop {
+            // Skip the all-self combination (that is `c`).
+            if pick.iter().any(|&p| p > 0) {
+                let items: Vec<ItemId> = pick.iter().zip(&choices).map(|(&p, ch)| ch[p]).collect();
+                let set = Itemset::from_unsorted(items);
+                if set.len() == c.len() && index.contains_key(&set) {
+                    out.push(set);
+                }
+            }
+            // Odometer increment.
+            let mut d = 0;
+            loop {
+                if d == pick.len() {
+                    out.sort_unstable();
+                    out.dedup();
+                    return out;
+                }
+                pick[d] += 1;
+                if pick[d] < choices[d].len() {
+                    break;
+                }
+                pick[d] = 0;
+                d += 1;
+            }
+        }
+    }
+
+    /// The allocating selection — cloned index, `FxHashSet` of taken
+    /// indices, boxed root keys, per-item descendant walks — kept as the
+    /// oracle of `select_duplicates`.
+    fn select_reference(
+        grain: DuplicateGrain,
+        candidates: &[Itemset],
+        tax: &Taxonomy,
+        counts: &[u64],
+        txns: u64,
+        l1: &[bool],
+        budget_bytes: u64,
+    ) -> DuplicateSelection {
+        let none = || DuplicateSelection {
+            duplicated: Vec::new(),
+            remaining: candidates.to_vec(),
+        };
+        if candidates.is_empty() {
+            return none();
+        }
+        let entry = candidate_entry_bytes(candidates[0].len());
+        if budget_bytes < entry {
+            return none();
+        }
+        let index: FxHashMap<Itemset, usize> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.clone(), i))
+            .collect();
+        let mut taken: FxHashSet<usize> = FxHashSet::default();
+        let mut duplicated: Vec<Itemset> = Vec::new();
+        let mut budget = budget_bytes;
+        let try_take = |group: &[usize],
+                        taken: &mut FxHashSet<usize>,
+                        duplicated: &mut Vec<Itemset>,
+                        budget: &mut u64|
+         -> bool {
+            let fresh: Vec<usize> = group
+                .iter()
+                .copied()
+                .filter(|i| !taken.contains(i))
+                .collect();
+            let need = fresh.len() as u64 * entry;
+            if need == 0 {
+                return true;
+            }
+            if need > *budget {
+                return false;
+            }
+            *budget -= need;
+            for i in fresh {
+                taken.insert(i);
+                duplicated.push(candidates[i].clone());
+            }
+            true
+        };
+        match grain {
+            DuplicateGrain::Tree => {
+                let mut groups: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
+                for (i, c) in candidates.iter().enumerate() {
+                    groups.entry(root_key(c.items(), tax)).or_default().push(i);
+                }
+                // Hash order, sorted just below with a total-order tie-break.
+                let mut ordered: Vec<(Box<[u32]>, Vec<usize>)> = groups.into_iter().collect();
+                sort_hottest_first(
+                    &mut ordered,
+                    |(key, _)| estimate(key.iter().map(|&r| ItemId(r)), counts, txns),
+                    |(ka, _), (kb, _)| ka.cmp(kb),
+                );
+                for (_, group) in &ordered {
+                    if !try_take(group, &mut taken, &mut duplicated, &mut budget) {
+                        break;
+                    }
+                }
+            }
+            DuplicateGrain::Path | DuplicateGrain::Fine => {
+                let lowest_large = |it: ItemId| -> bool {
+                    l1.get(it.index()).copied().unwrap_or(false)
+                        && !tax
+                            .tree_items(it)
+                            .iter()
+                            .skip(1)
+                            .any(|d| l1.get(d.index()).copied().unwrap_or(false))
+                };
+                let mut pool: Vec<usize> = (0..candidates.len())
+                    .filter(|&i| match grain {
+                        DuplicateGrain::Path => {
+                            candidates[i].items().iter().all(|&it| lowest_large(it))
+                        }
+                        _ => true,
+                    })
+                    .collect();
+                sort_hottest_first(
+                    &mut pool,
+                    |&i| estimate(candidates[i].items().iter().copied(), counts, txns),
+                    |&a, &b| candidates[a].cmp(&candidates[b]),
+                );
+                for &seed in &pool {
+                    if taken.contains(&seed) {
+                        continue;
+                    }
+                    let ancestors: Vec<usize> = ancestor_candidates(&candidates[seed], tax, &index)
+                        .into_iter()
+                        .map(|anc| index[&anc])
+                        .collect();
+                    if grain == DuplicateGrain::Path {
+                        let mut group = vec![seed];
+                        group.extend_from_slice(&ancestors);
+                        try_take(&group, &mut taken, &mut duplicated, &mut budget);
+                    } else {
+                        try_take(&[seed], &mut taken, &mut duplicated, &mut budget);
+                        for anc in ancestors {
+                            try_take(&[anc], &mut taken, &mut duplicated, &mut budget);
+                        }
+                    }
+                    if budget < entry {
+                        break;
+                    }
+                }
+            }
+        }
+        let remaining = candidates
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !taken.contains(i))
+            .map(|(_, c)| c.clone())
+            .collect();
+        DuplicateSelection {
+            duplicated,
+            remaining,
+        }
+    }
 
     thread_local! {
         /// Set by a test to sort through the comparator below.
@@ -350,6 +585,41 @@ mod tests {
                 let (cached, uncached) = (select(false), select(true));
                 prop_assert_eq!(&cached.duplicated, &uncached.duplicated);
                 prop_assert_eq!(&cached.remaining, &uncached.remaining);
+            }
+        }
+    }
+
+    proptest! {
+        // The same random forests, with pairs and with the triples joined
+        // from them, under budgets from nothing to everything: each grain
+        // duplicates exactly what the allocating selection did, in its
+        // order, and keeps the same remainder in input order.
+        #[test]
+        fn allocation_free_selection_matches_the_reference(
+            parents in proptest::collection::vec(0u32..1000, 40..=40),
+            counts in proptest::collection::vec(1u64..6, 40..=40),
+            large in proptest::collection::vec(0u32..10, 40..=40),
+            budget in 0u64..400,
+            triples in 0u32..2
+        ) {
+            let mut b = TaxonomyBuilder::new(40);
+            for i in 6..40u32 {
+                b.edge(i, parents[i as usize] % i).unwrap();
+            }
+            let tax = b.build().unwrap();
+            let l1: Vec<bool> = large.iter().map(|&r| r < 8).collect();
+            let items: Vec<ItemId> = (0..40).filter(|&i| l1[i as usize]).map(ItemId).collect();
+            let mut cands = crate::candidate::generate_pairs(&items, Some(&tax));
+            if triples == 1 {
+                cands = crate::candidate::generate_candidates(&cands);
+            }
+            let k = cands.first().map_or(2, Itemset::len);
+            let budget = budget * candidate_entry_bytes(k);
+            for grain in [DuplicateGrain::Tree, DuplicateGrain::Path, DuplicateGrain::Fine] {
+                let got = select_duplicates(grain, &cands, &tax, &counts, 20, &l1, budget);
+                let want = select_reference(grain, &cands, &tax, &counts, 20, &l1, budget);
+                prop_assert_eq!((grain, &got.duplicated), (grain, &want.duplicated));
+                prop_assert_eq!((grain, &got.remaining), (grain, &want.remaining));
             }
         }
     }
@@ -613,8 +883,21 @@ mod tests {
             .enumerate()
             .map(|(i, c)| (c.clone(), i))
             .collect();
-        // {8,15}: 8 generalizes to 3, 1; 15 to 6, 2.
+        // {8,15}: 8 generalizes to 3, 1; 15 to 6, 2. The scratch
+        // enumeration finds what the allocating one does, in its order.
         let ancs = ancestor_candidates(&iset![8, 15], &tax, &index);
+        let borrowed: FxHashMap<&[ItemId], usize> = cands
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.items(), i))
+            .collect();
+        let mut scratch = Ancestors::default();
+        let found: Vec<&Itemset> = scratch
+            .of(iset![8, 15].items(), &tax, &borrowed, &cands)
+            .iter()
+            .map(|&i| &cands[i])
+            .collect();
+        assert_eq!(found, ancs.iter().collect::<Vec<_>>());
         for expected in [
             iset![3, 15],
             iset![1, 15],

@@ -22,13 +22,12 @@
 
 use crate::candidate::items_in_candidates;
 use crate::checkpoint::Checkpoint;
-use crate::counter::{build_counter, CandidateCounter};
+use crate::counter::{build_counter, build_union_counter, CandidateCounter};
 use crate::parallel::common::{
-    assemble_report, candidates_bytes, for_each_root_multiset, gather_large, node_pass_loop,
-    owner_of, record_arena_obs, root_key, scan_partition, tags, BatchedExchange, Pass1,
-    PassPersistence, PassResult, POLL_EVERY_TXNS,
+    assemble_report, candidates_bytes, gather_large, node_pass_loop, owner_of, record_arena_obs,
+    scan_partition, tags, BatchedExchange, Pass1, PassPersistence, PassResult, POLL_EVERY_TXNS,
 };
-use crate::parallel::duplicate::{select_duplicates, DuplicateGrain, DuplicateSelection};
+use crate::parallel::duplicate::{root_keys, select_duplicate_indices, DuplicateGrain};
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
 use crate::sequential::extract_large;
@@ -36,21 +35,249 @@ use crate::wire::{for_each_item_list, ItemListBatch};
 use gar_cluster::{Cluster, ClusterConfig, NodeCtx};
 use gar_storage::TransactionSource;
 use gar_taxonomy::{PrunedView, Taxonomy};
-use gar_types::{FxHashSet, ItemId, Itemset, Result};
+use gar_types::{ItemId, Itemset, Result};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+
+/// Sentinel for "no slot".
+const NONE: u32 = u32::MAX;
 
 /// Owner node of a root-itemset key.
 fn owner_of_key(key: &[u32], num_nodes: usize) -> usize {
     owner_of(key.iter().copied(), num_nodes)
 }
 
+/// The route of a pass: every *active* root multiset — the root key of a
+/// candidate that stays hash-partitioned — mapped to its owner node. It
+/// is a prefix tree over root *ranks* (a root's index in
+/// `Taxonomy::roots`, so rank order is code order) whose last level holds
+/// the owner, built once per pass from keys and owners computed once per
+/// candidate.
+struct Route {
+    k: usize,
+    num_nodes: usize,
+    num_roots: usize,
+    /// Per item, the rank of its root.
+    root_rank: Vec<u32>,
+    /// Per prefix-tree node, its `edges` as `(start, len)`.
+    nodes: Vec<(u32, u32)>,
+    /// `(root rank, target)` per edge, sorted by rank within a node; a
+    /// target is the child node, on level `k − 1` the owner.
+    edges: Vec<(u32, u32)>,
+}
+
+impl Route {
+    /// The route of the `(root key, owner)` pairs in `active`.
+    fn new<'a>(
+        tax: &Taxonomy,
+        k: usize,
+        num_nodes: usize,
+        active: impl Iterator<Item = (&'a [u32], usize)>,
+    ) -> Route {
+        let mut rank = vec![0; tax.num_items() as usize];
+        for (r, root) in tax.roots().iter().enumerate() {
+            rank[root.index()] = r as u32;
+        }
+        let root_rank = (0..tax.num_items())
+            .map(|it| rank[tax.root_of(ItemId(it)).index()])
+            .collect();
+
+        let mut tree: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
+        for (key, owner) in active {
+            let mut node = 0;
+            for (level, &root) in key.iter().enumerate() {
+                let r = rank[root as usize];
+                let fresh = tree.len() as u32;
+                let edges = &mut tree[node];
+                node = match edges.binary_search_by_key(&r, |e| e.0) {
+                    Ok(at) => edges[at].1 as usize,
+                    Err(at) => {
+                        let target = if level + 1 == k { owner as u32 } else { fresh };
+                        edges.insert(at, (r, target));
+                        if level + 1 < k {
+                            tree.push(Vec::new());
+                        }
+                        target as usize
+                    }
+                };
+            }
+        }
+        let mut route = Route {
+            k,
+            num_nodes,
+            num_roots: tax.roots().len(),
+            root_rank,
+            nodes: Vec::with_capacity(tree.len()),
+            edges: Vec::new(),
+        };
+        for edges in tree {
+            route
+                .nodes
+                .push((route.edges.len() as u32, edges.len() as u32));
+            route.edges.extend(edges);
+        }
+        route
+    }
+}
+
+/// One node's routing scratch over the shared [`Route`].
+struct Router<'a> {
+    route: &'a Route,
+    /// Per root rank, its position in `roots`; `NONE` outside a call.
+    slot: Vec<u32>,
+    /// The transaction's distinct roots as `(rank, availability)` — the
+    /// number of its items under the root — ascending.
+    roots: Vec<(u32, u32)>,
+    /// Per owner node, `words` words of bits over positions in `roots`.
+    marks: Vec<u64>,
+    words: usize,
+    /// Positions in `roots` of the multiset being walked.
+    path: Vec<u32>,
+    /// Coefficients of the multiset-counting polynomial.
+    poly: Vec<u64>,
+    group: Vec<ItemId>,
+}
+
+impl<'a> Router<'a> {
+    fn new(route: &'a Route) -> Router<'a> {
+        Router {
+            route,
+            slot: vec![NONE; route.num_roots],
+            roots: Vec::new(),
+            marks: Vec::new(),
+            words: 0,
+            path: Vec::new(),
+            poly: Vec::new(),
+            group: Vec::new(),
+        }
+    }
+
+    /// Routes the reduced transaction `reduced`: every active root
+    /// k-multiset it can support (each root at most its availability
+    /// times — fewer items can never support a candidate, because
+    /// ancestor-related items never form one) marks its roots for its
+    /// owner, and `ship` gets, owner by owner except `skip`, the items
+    /// under the marked roots. Returns the route's ticks: one per such
+    /// multiset, active or not, counted in closed form — so when nothing
+    /// is active nothing is enumerated.
+    fn route(
+        &mut self,
+        reduced: &[ItemId],
+        skip: usize,
+        ship: impl FnMut(usize, &[ItemId]) -> Result<()>,
+    ) -> Result<u64> {
+        let route = self.route;
+        self.roots.clear();
+        for &it in reduced {
+            let r = route.root_rank[it.index()];
+            match self.slot[r as usize] {
+                NONE => {
+                    self.slot[r as usize] = self.roots.len() as u32;
+                    self.roots.push((r, 1));
+                }
+                at => self.roots[at as usize].1 += 1,
+            }
+        }
+        let combos = self.multisets();
+        let shipped = if route.edges.is_empty() {
+            Ok(())
+        } else {
+            self.mark_and_ship(reduced, skip, ship)
+        };
+        for &(r, _) in &self.roots {
+            self.slot[r as usize] = NONE;
+        }
+        shipped.map(|()| combos)
+    }
+
+    /// Marks every active multiset's roots for its owner, then ships each
+    /// marked owner but `skip` the items under its marked roots.
+    fn mark_and_ship(
+        &mut self,
+        reduced: &[ItemId],
+        skip: usize,
+        mut ship: impl FnMut(usize, &[ItemId]) -> Result<()>,
+    ) -> Result<()> {
+        let route = self.route;
+        self.roots.sort_unstable();
+        for (at, &(r, _)) in self.roots.iter().enumerate() {
+            self.slot[r as usize] = at as u32;
+        }
+        self.words = self.roots.len().div_ceil(64);
+        self.marks.clear();
+        self.marks.resize(route.num_nodes * self.words, 0);
+        self.walk(0, route.k, 0, 0);
+        for owner in (0..route.num_nodes).filter(|&o| o != skip) {
+            let marks = &self.marks[owner * self.words..][..self.words];
+            if marks.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let slot = &self.slot;
+            self.group.clear();
+            self.group.extend(reduced.iter().copied().filter(|it| {
+                let at = slot[route.root_rank[it.index()] as usize] as usize;
+                marks[at / 64] >> (at % 64) & 1 == 1
+            }));
+            ship(owner, &self.group)?;
+        }
+        Ok(())
+    }
+
+    /// The number of k-multisets over `roots` that take each root at most
+    /// its availability times: the `x^k` coefficient of
+    /// `Π (1 + x + … + x^avail)`.
+    fn multisets(&mut self) -> u64 {
+        let k = self.route.k;
+        let poly = &mut self.poly;
+        poly.clear();
+        poly.resize(k + 1, 0);
+        poly[0] = 1;
+        for &(_, avail) in &self.roots {
+            for m in (1..=k).rev() {
+                poly[m] += (1..=m.min(avail as usize))
+                    .map(|j| poly[m - j])
+                    .sum::<u64>();
+            }
+        }
+        poly[k]
+    }
+
+    /// Walks prefix-tree `node` with `need` more roots to pick from
+    /// position `from` on, which the path already holds `run` times;
+    /// every active multiset reached marks its positions for its owner.
+    fn walk(&mut self, node: u32, need: usize, from: usize, run: u32) {
+        let route = self.route;
+        let (start, len) = route.nodes[node as usize];
+        let edges = &route.edges[start as usize..][..len as usize];
+        for j in from..self.roots.len() {
+            let (rank, avail) = self.roots[j];
+            let used = if j == from { run } else { 0 };
+            if used >= avail {
+                continue;
+            }
+            let Ok(at) = edges.binary_search_by_key(&rank, |e| e.0) else {
+                continue;
+            };
+            let target = edges[at].1;
+            self.path.push(j as u32);
+            if need == 1 {
+                let marks = &mut self.marks[target as usize * self.words..][..self.words];
+                for &p in &self.path {
+                    marks[p as usize / 64] |= 1 << (p % 64);
+                }
+            } else {
+                self.walk(target, need - 1, j, used + 1);
+            }
+            self.path.pop();
+        }
+    }
+}
+
 /// Pass-`k` setup that every replica derives identically from globally
 /// agreed inputs (the merged large sets and all-reduced pass-1 counts):
-/// the duplicate selection, the ancestor-extension view, the owner of
-/// each partitioned candidate, and the set of still-partitioned root
-/// combinations.
+/// the duplicate selection, the ancestor-extension view, the partitioned
+/// candidates grouped by owner, and the route of their root combinations.
 ///
 /// On a real cluster each node computes this independently and in
 /// parallel — zero communication, one setup's worth of elapsed time. The
@@ -59,12 +286,12 @@ fn owner_of_key(key: &[u32], num_nodes: usize) -> usize {
 /// the modeled ledgers (correctly) price once; so the first node to
 /// reach pass `k` computes the setup and the rest share it.
 struct PassSetup {
-    selection: DuplicateSelection,
+    /// `C_k^D`, in selection order.
+    duplicated: Vec<Itemset>,
+    /// The hash-partitioned candidates of each owner node, in input order.
+    partitions: Vec<Vec<Itemset>>,
     view: PrunedView,
-    /// Owner node of `selection.remaining[i]`.
-    owners: Vec<u32>,
-    /// Root combinations that still have partitioned candidates.
-    active: FxHashSet<Box<[u32]>>,
+    route: Route,
     /// L1 membership mask: defines "large item" for reduce-to-lowest-large.
     l1: Vec<bool>,
 }
@@ -83,68 +310,64 @@ fn build_pass_setup(
         l1[s.items()[0].index()] = true;
     }
 
-    let selection = match grain {
+    // Each candidate's root key and owner, computed once.
+    let keys = root_keys(candidates, tax);
+    let key = |i: usize| &keys[i * k..][..k];
+    let owners: Vec<usize> = (0..candidates.len())
+        .map(|i| owner_of_key(key(i), num_nodes))
+        .collect();
+
+    let (selected, taken) = match grain {
         Some(g) => {
             let mut load = vec![0u64; num_nodes];
-            for c in candidates {
-                load[owner_of_key(&root_key(c.items(), tax), num_nodes)] += candidates_bytes(k, 1);
+            for &o in &owners {
+                load[o] += candidates_bytes(k, 1);
             }
             let max_load = load.iter().copied().max().unwrap_or(0);
-            let budget = memory_budget.saturating_sub(max_load);
-            select_duplicates(
+            select_duplicate_indices(
                 g,
                 candidates,
+                &keys,
                 tax,
                 &p1.item_counts,
                 p1.num_transactions,
                 &l1,
-                budget,
+                memory_budget.saturating_sub(max_load),
             )
         }
-        None => DuplicateSelection::none(candidates),
+        None => (Vec::new(), vec![false; candidates.len()]),
     };
-
-    let view = PrunedView::new(tax, items_in_candidates(candidates));
-
-    let mut owners = Vec::with_capacity(selection.remaining.len());
-    let mut active: FxHashSet<Box<[u32]>> = FxHashSet::default();
-    for c in &selection.remaining {
-        let key = root_key(c.items(), tax);
-        owners.push(owner_of_key(&key, num_nodes) as u32);
-        active.insert(key);
+    let remaining = || (0..candidates.len()).filter(|&i| !taken[i]);
+    let mut partitions = vec![Vec::new(); num_nodes];
+    for i in remaining() {
+        partitions[owners[i]].push(candidates[i].clone());
     }
 
     PassSetup {
-        selection,
-        view,
-        owners,
-        active,
+        duplicated: selected.iter().map(|&i| candidates[i].clone()).collect(),
+        partitions,
+        view: PrunedView::new(tax, items_in_candidates(candidates)),
+        route: Route::new(tax, k, num_nodes, remaining().map(|i| (key(i), owners[i]))),
         l1,
     }
 }
 
-/// Counts, in one pass over `items` (a local reduced transaction or a
-/// received sub-transaction), this node's two counter targets: the
-/// replicated `C_k^D` (`dup_counter`, counted by every node against its
-/// *own* data — `None` on the receive path, where the sender already
-/// counted it) and this node's hash partition (`local_counter`).
-///
-/// The items are extended with candidate-present ancestors **once**, then
-/// each counter walks the extended transaction and its tree jointly
-/// ("generate k-itemset from the received items and increment the sup_cou
-/// for the itemset and all its ancestor candidates"). Each tree holds
-/// exactly the candidates its ownership class admits, so the joint walk
-/// counts precisely what per-combination subset enumeration would — while
-/// never expanding a subset that matches no candidate prefix.
+/// Extends `items` (a local reduced transaction or a received
+/// sub-transaction) with its candidate-present ancestors and counts it
+/// with one joint walk of `counter` ("generate k-itemset from the
+/// received items and increment the sup_cou for the itemset and all its
+/// ancestor candidates"). The counter holds exactly the candidates its
+/// path admits, so the walk counts precisely what per-combination subset
+/// enumeration would — while never expanding a subset that matches no
+/// candidate prefix.
 ///
 /// Returns the walk's work — already charged to the ledger — so the
 /// caller can aggregate it per pass for the observability counters.
-fn count_combos(
+fn count_extended(
     ctx: &NodeCtx,
     tax: &Taxonomy,
     view: &PrunedView,
-    dup_counter: Option<&mut dyn CandidateCounter>,
-    local_counter: &mut dyn CandidateCounter,
+    counter: &mut dyn CandidateCounter,
     items: &[ItemId],
     ext: &mut Vec<ItemId>,
 ) -> u64 {
@@ -152,20 +375,10 @@ fn count_combos(
         return 0;
     }
     view.extend_transaction_into(tax, items, ext);
-
-    let mut work = 0u64;
-    let mut hits = 0u64;
-    if let Some(dup) = dup_counter {
-        let out = dup.count_transaction(ext);
-        work += out.work;
-        hits += out.hits;
-    }
-    let out = local_counter.count_transaction(ext);
-    work += out.work;
-    hits += out.hits;
-    ctx.add_cpu(ext.len() as u64 + work);
-    ctx.add_probes(hits);
-    work
+    let out = counter.count_transaction(ext);
+    ctx.add_cpu(ext.len() as u64 + out.work);
+    ctx.add_probes(out.hits);
+    out.work
 }
 
 /// Runs H-HPGM (grain `None`) or one of the duplication variants over
@@ -220,41 +433,37 @@ pub(crate) fn mine(
                     }
                 };
                 let PassSetup {
-                    selection,
+                    duplicated,
+                    partitions,
                     view,
-                    owners,
-                    active,
+                    route,
                     l1,
                 } = &*setup;
 
-                // My partition of the non-duplicated candidates.
-                let mine: Vec<Itemset> = selection
-                    .remaining
-                    .iter()
-                    .zip(owners)
-                    .filter(|(_, &o)| o as usize == me)
-                    .map(|(c, _)| c.clone())
-                    .collect();
-                let mut local_counter = build_counter(params.counter, k, &mine);
-                let mut dup_counter = build_counter(params.counter, k, &selection.duplicated);
-                record_arena_obs(ctx, k, local_counter.as_ref());
-                record_arena_obs(ctx, k, dup_counter.as_ref());
+                // The local path counts the replicated C_k^D (on every
+                // node's own data) and this node's partition in one walk of
+                // one union counter. Received sub-transactions count this
+                // partition alone — the sender already counted C_k^D — in a
+                // counter of their own, the union's when nothing is
+                // duplicated.
+                let mine = &partitions[me];
+                let mut local = build_union_counter(params.counter, k, &[duplicated, mine]);
+                let mut remote =
+                    (!duplicated.is_empty()).then(|| build_counter(params.counter, k, mine));
+                record_arena_obs(ctx, k, local.as_ref());
+                if let Some(remote) = &remote {
+                    record_arena_obs(ctx, k, remote.as_ref());
+                }
 
                 let probes = Cell::new(0u64);
-                let mut roots_scratch: Vec<(u32, usize)> = Vec::new();
-                let mut owner_roots: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); n];
-                let mut group_scratch: Vec<ItemId> = Vec::new();
+                let mut router = Router::new(route);
                 let mut recv_scratch: Vec<ItemId> = Vec::new();
                 let mut reduced: Vec<ItemId> = Vec::new();
                 let mut ext_scratch: Vec<ItemId> = Vec::new();
-
-                // Receive path: C_k^D was already counted by the sender
-                // against its own transaction, so only the local partition
-                // counts here.
                 let mut receive =
-                    |local: &mut dyn CandidateCounter, ext: &mut Vec<ItemId>, payload: &[u8]| {
+                    |counter: &mut dyn CandidateCounter, ext: &mut Vec<ItemId>, payload: &[u8]| {
                         for_each_item_list(payload, &mut recv_scratch, |list| {
-                            let w = count_combos(ctx, tax, view, None, local, list, ext);
+                            let w = count_extended(ctx, tax, view, counter, list, ext);
                             probes.set(probes.get() + w);
                             Ok(())
                         })
@@ -268,85 +477,45 @@ pub(crate) fn mine(
                     if reduced.is_empty() {
                         return Ok(());
                     }
-
-                    // One combined local counting pass: the replicated C_k^D
-                    // (counted on every node's own data) and this node's own
-                    // partition, sharing a single ancestor extension.
-                    let w = count_combos(
-                        ctx,
-                        tax,
-                        view,
-                        Some(dup_counter.as_mut()),
-                        local_counter.as_mut(),
-                        &reduced,
-                        &mut ext_scratch,
-                    );
+                    let w =
+                        count_extended(ctx, tax, view, local.as_mut(), &reduced, &mut ext_scratch);
                     probes.set(probes.get() + w);
 
-                    // Distinct roots present, with the number of reduced items
-                    // under each (availability bound for same-root combos).
-                    roots_scratch.clear();
-                    for &it in &reduced {
-                        let r = tax.root_of(it).raw();
-                        match roots_scratch.iter_mut().find(|(x, _)| *x == r) {
-                            Some((_, c)) => *c += 1,
-                            None => roots_scratch.push((r, 1)),
-                        }
-                    }
-                    roots_scratch.sort_unstable();
-
-                    // Route: every active root k-combination marks its roots
-                    // for the owning node.
-                    for s in owner_roots.iter_mut() {
-                        s.clear();
-                    }
-                    // One tick per combination, charged once per transaction.
-                    let mut combos = 0u64;
-                    for_each_root_multiset(&roots_scratch, k, &mut |combo| {
-                        combos += 1;
-                        if active.contains(combo) {
-                            let owner = owner_of_key(combo, n);
-                            for &r in combo {
-                                owner_roots[owner].insert(r);
-                            }
-                        }
-                    });
+                    // Ship sub-transactions to the other owners (this
+                    // node's own combinations were counted above); the
+                    // route's ticks are charged once per transaction.
+                    let combos = router.route(&reduced, me, |owner, sub| {
+                        ex.push(owner, |batch| batch.push(sub))
+                    })?;
                     ctx.add_cpu(combos);
-
-                    // Ship sub-transactions to the other owners (this node's
-                    // own combinations were counted above).
-                    for (owner, wanted) in owner_roots.iter().enumerate() {
-                        if owner == me || wanted.is_empty() {
-                            continue;
-                        }
-                        group_scratch.clear();
-                        group_scratch.extend(
-                            reduced
-                                .iter()
-                                .copied()
-                                .filter(|&it| wanted.contains(&tax.root_of(it).raw())),
-                        );
-                        ex.push(owner, |batch| batch.push(&group_scratch))?;
-                    }
-                    ex.unit_done(|p| receive(local_counter.as_mut(), &mut ext_scratch, p))
+                    let counter = remote.as_deref_mut().unwrap_or(local.as_mut());
+                    ex.unit_done(|p| receive(counter, &mut ext_scratch, p))
                 })?;
-                ex.finish(|p| receive(local_counter.as_mut(), &mut ext_scratch, p))?;
+                let counter = remote.as_deref_mut().unwrap_or(local.as_mut());
+                ex.finish(|p| receive(counter, &mut ext_scratch, p))?;
 
                 let _count = ctx.span("count");
-                // Partitioned candidates: local decision + coordinator merge.
-                let local_large = extract_large(local_counter, p1.min_support_count);
-                let mut large = gather_large(ctx, k, local_large)?;
+                // Partitioned candidates: the union's second set plus what
+                // was received; local decision + coordinator merge.
+                let min = p1.min_support_count;
+                let (dup_counts, mine_counts) = local.counts().split_at(duplicated.len());
+                let mut counts = mine_counts.to_vec();
+                if let Some(remote) = &remote {
+                    for (c, r) in counts.iter_mut().zip(remote.counts()) {
+                        *c += r;
+                    }
+                }
+                let mut large = gather_large(ctx, k, extract_large(mine, &counts, min))?;
 
                 // Duplicated candidates: one all-reduce, decided everywhere.
-                if !selection.duplicated.is_empty() {
-                    let global = ctx.all_reduce_u64(dup_counter.counts())?;
-                    dup_counter.set_counts(&global);
-                    large.extend(extract_large(dup_counter, p1.min_support_count));
+                if !duplicated.is_empty() {
+                    let global = ctx.all_reduce_u64(dup_counts)?;
+                    large.extend(extract_large(duplicated, &global, min));
                     large.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
                 }
                 Ok(PassResult {
                     large,
-                    num_duplicated: selection.duplicated.len(),
+                    num_duplicated: duplicated.len(),
                     num_fragments: 1,
                     probes: probes.get(),
                 })
@@ -354,4 +523,161 @@ pub(crate) fn mine(
         )
     })?;
     Ok(assemble_report(cluster, run))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parallel::common::for_each_root_multiset;
+    use gar_taxonomy::TaxonomyBuilder;
+    use gar_types::FxHashSet;
+    use proptest::prelude::*;
+
+    /// The hash-set route the table replaced, kept as the oracle: distinct
+    /// roots by linear search, every availability-bounded root multiset
+    /// enumerated and looked up by its boxed key, one root set per owner.
+    /// Returns each owner's sub-transaction, in owner order, and the
+    /// number of multisets enumerated.
+    fn route_reference(
+        tax: &Taxonomy,
+        k: usize,
+        num_nodes: usize,
+        active: &FxHashSet<Box<[u32]>>,
+        reduced: &[ItemId],
+    ) -> (Vec<(usize, Vec<ItemId>)>, u64) {
+        let mut roots: Vec<(u32, usize)> = Vec::new();
+        for &it in reduced {
+            let r = tax.root_of(it).raw();
+            match roots.iter_mut().find(|(x, _)| *x == r) {
+                Some((_, c)) => *c += 1,
+                None => roots.push((r, 1)),
+            }
+        }
+        roots.sort_unstable();
+        let mut owner_roots: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); num_nodes];
+        let mut combos = 0u64;
+        for_each_root_multiset(&roots, k, &mut |combo| {
+            combos += 1;
+            if active.contains(combo) {
+                let owner = owner_of_key(combo, num_nodes);
+                for &r in combo {
+                    owner_roots[owner].insert(r);
+                }
+            }
+        });
+        let shipped = owner_roots
+            .iter()
+            .enumerate()
+            .filter(|(_, wanted)| !wanted.is_empty())
+            .map(|(owner, wanted)| {
+                let sub = reduced
+                    .iter()
+                    .copied()
+                    .filter(|&it| wanted.contains(&tax.root_of(it).raw()))
+                    .collect();
+                (owner, sub)
+            })
+            .collect();
+        (shipped, combos)
+    }
+
+    proptest! {
+        // Random forests of 1..=64 or 65..=128 roots, with 150 more
+        // items hung under earlier ones; random active root multisets
+        // (none at all included); transactions long enough at k = 2 to
+        // hold more than 64 distinct roots. The table route ships every
+        // owner what the hash-set route did and charges the same ticks.
+        #[test]
+        fn table_route_ships_like_the_hash_set_route(
+            k in 2usize..5,
+            num_nodes in 1usize..9,
+            roots in 1u32..65,
+            wide in 0u32..2,
+            parents in proptest::collection::vec(0u32..10_000, 150..=150),
+            keys in proptest::collection::vec(
+                proptest::collection::vec(0u32..10_000, 4..=4), 0..40),
+            txns in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..10_000, 0..120), 1..8)
+        ) {
+            let roots = roots + 64 * wide;
+            let items = roots + 150;
+            let mut b = TaxonomyBuilder::new(items);
+            for i in roots..items {
+                b.edge(i, parents[(i - roots) as usize] % i).unwrap();
+            }
+            let tax = b.build().unwrap();
+            prop_assert_eq!(tax.roots().len(), roots as usize);
+
+            let keys: Vec<Vec<u32>> = keys
+                .iter()
+                .map(|key| {
+                    let mut key: Vec<u32> = key[..k].iter().map(|&r| r % roots).collect();
+                    key.sort_unstable();
+                    key
+                })
+                .collect();
+            let active: FxHashSet<Box<[u32]>> =
+                keys.iter().map(|key| key.clone().into_boxed_slice()).collect();
+            let route = Route::new(
+                &tax,
+                k,
+                num_nodes,
+                keys.iter().map(|key| (key.as_slice(), owner_of_key(key, num_nodes))),
+            );
+            let mut router = Router::new(&route);
+
+            // Short enough at k = 4 for the oracle to enumerate.
+            let max_len = [0, 0, 120, 40, 16][k];
+            for t in &txns {
+                let mut t: Vec<ItemId> = t.iter().map(|&i| ItemId(i % items)).take(max_len).collect();
+                t.sort_unstable();
+                t.dedup();
+                let mut shipped = Vec::new();
+                let combos = router
+                    .route(&t, num_nodes, |owner, sub| {
+                        shipped.push((owner, sub.to_vec()));
+                        Ok(())
+                    })
+                    .unwrap();
+                let (want, want_combos) = route_reference(&tax, k, num_nodes, &active, &t);
+                prop_assert_eq!(&shipped, &want);
+                prop_assert_eq!(combos, want_combos);
+                prop_assert!(router.slot.iter().all(|&s| s == NONE), "slot scratch left set");
+            }
+        }
+    }
+
+    #[test]
+    fn route_skips_its_own_node_and_counts_inactive_multisets() {
+        // 0 -> {2, 3}, 1 -> {4}: roots 0 and 1.
+        let mut b = TaxonomyBuilder::new(5);
+        for (c, p) in [(2, 0), (3, 0), (4, 1)] {
+            b.edge(c, p).unwrap();
+        }
+        let tax = b.build().unwrap();
+        let t = [ItemId(2), ItemId(3), ItemId(4)];
+        // (0, 0) and (0, 1) are available, (1, 1) is not: 2 ticks.
+        let key = [0u32, 1];
+        let owner = owner_of_key(&key, 2);
+        let route = Route::new(&tax, 2, 2, std::iter::once((&key[..], owner)));
+        let mut router = Router::new(&route);
+        let mut shipped = Vec::new();
+        let mut ship = |o: usize, sub: &[ItemId]| {
+            shipped.push((o, sub.to_vec()));
+            Ok(())
+        };
+        assert_eq!(router.route(&t, 2, &mut ship).unwrap(), 2);
+        assert_eq!(router.route(&t, owner, &mut ship).unwrap(), 2);
+        assert_eq!(shipped, vec![(owner, t.to_vec())]);
+
+        // Nothing active: the same ticks, nothing shipped.
+        let idle = Route::new(&tax, 2, 2, std::iter::empty());
+        let mut router = Router::new(&idle);
+        let mut shipped = 0;
+        let ticks = router.route(&t, 2, |_, _| {
+            shipped += 1;
+            Ok(())
+        });
+        assert_eq!((ticks.unwrap(), shipped), (2, 0));
+    }
 }

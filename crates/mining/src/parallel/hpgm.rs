@@ -106,7 +106,7 @@ pub(crate) fn mine(
 
                 // Each node decides its own candidates, the coordinator merges.
                 let _count = ctx.span("count");
-                let local_large = extract_large(counter, p1.min_support_count);
+                let local_large = extract_large(&mine, counter.counts(), p1.min_support_count);
                 Ok(PassResult {
                     large: gather_large(ctx, k, local_large)?,
                     num_duplicated: 0,

@@ -69,8 +69,7 @@ pub(crate) fn mine(
                     // node"; the coordinator decides L_k^d and broadcasts.
                     let _count = ctx.span("count");
                     let global = ctx.all_reduce_u64(counter.counts())?;
-                    counter.set_counts(&global);
-                    large.extend(extract_large(counter, p1.min_support_count));
+                    large.extend(extract_large(fragment, &global, p1.min_support_count));
                 }
                 large.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
                 Ok(PassResult {

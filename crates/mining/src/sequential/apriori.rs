@@ -67,7 +67,7 @@ pub fn apriori(
             counter.count_transaction(&buf);
         }
         drop(scan);
-        let large = extract_large(counter, min_support_count);
+        let large = extract_large(&candidates, counter.counts(), min_support_count);
         if large.is_empty() {
             break;
         }

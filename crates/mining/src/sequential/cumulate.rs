@@ -107,7 +107,7 @@ pub fn cumulate_metered(
         meters.io_bytes += part.bytes_read() - io_before;
         meters.scan_passes += 1;
 
-        let large = extract_large(counter, min_support_count);
+        let large = extract_large(&candidates, counter.counts(), min_support_count);
         let empty = large.is_empty();
         if !empty {
             passes.push(LargePass { k, itemsets: large });

@@ -18,21 +18,22 @@ pub use apriori::apriori;
 pub use cumulate::{cumulate, cumulate_metered};
 pub use stratify::stratify;
 
-use crate::counter::CandidateCounter;
 use crate::report::LargePass;
 use gar_types::{ItemId, Itemset};
 
-/// Filters a counter's results to the large itemsets (count ≥ threshold),
-/// keeping itemset order (already sorted — candidates are generated
-/// sorted).
+/// The large itemsets (count ≥ threshold) among `candidates`, paired
+/// with their `counts` (a counter's, in the same order), keeping itemset
+/// order (already sorted — candidates are generated sorted).
 pub(crate) fn extract_large(
-    counter: Box<dyn CandidateCounter>,
+    candidates: &[Itemset],
+    counts: &[u64],
     min_support_count: u64,
 ) -> Vec<(Itemset, u64)> {
-    counter
-        .into_counts()
-        .into_iter()
-        .filter(|(_, c)| *c >= min_support_count)
+    candidates
+        .iter()
+        .zip(counts)
+        .filter(|(_, &c)| c >= min_support_count)
+        .map(|(s, &c)| (s.clone(), c))
         .collect()
 }
 

@@ -173,7 +173,7 @@ pub fn stratify(
                 counter.count_transaction(&extended);
             }
             drop(scan);
-            for (set, count) in Box::new(counter).into_counts() {
+            for (set, &count) in batch.into_iter().zip(counter.counts()) {
                 if count >= min_support_count {
                     counted.insert(set, count);
                 } else {
