@@ -1,7 +1,7 @@
 //! `gar-cli info` — describe a dataset directory.
 
 use crate::args::Args;
-use crate::commands::{load_taxonomy, open_partitions, META_FILE};
+use crate::commands::{open_dataset, META_FILE};
 use gar_types::Result;
 use std::path::Path;
 
@@ -9,8 +9,7 @@ use std::path::Path;
 pub fn run(args: &Args) -> Result<()> {
     let dir = Path::new(args.require("data")?);
     args.finish()?;
-    let parts = open_partitions(dir)?;
-    let tax = load_taxonomy(dir)?;
+    let (parts, tax) = open_dataset(dir)?;
 
     println!("dataset: {}", dir.display());
     if let Ok(meta) = std::fs::read_to_string(dir.join(META_FILE)) {

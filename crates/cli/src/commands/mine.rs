@@ -1,7 +1,7 @@
 //! `gar-cli mine` — run a mining algorithm over a dataset directory.
 
 use crate::args::Args;
-use crate::commands::{chain, load_taxonomy, open_partitions};
+use crate::commands::{chain, open_dataset};
 use gar_cluster::{ClusterConfig, FaultPlan};
 use gar_mining::parallel::{mine_parallel_with, MineOptions};
 use gar_mining::persist::{algorithm_by_name, save_output};
@@ -70,8 +70,7 @@ pub fn run(args: &Args) -> Result<()> {
     let out_path = args.get("out");
     args.finish()?;
 
-    let parts = open_partitions(dir)?;
-    let tax = load_taxonomy(dir)?;
+    let (parts, tax) = open_dataset(dir)?;
     let started = Stopwatch::start();
     let obs = if metrics_out.is_some() || trace_out.is_some() {
         Obs::enabled()

@@ -9,7 +9,7 @@ pub mod serve;
 
 use gar_storage::{FlatPartition, MultiSource, TransactionSource};
 use gar_taxonomy::Taxonomy;
-use gar_types::{Error, Result};
+use gar_types::{Error, ItemId, Result};
 use std::path::{Path, PathBuf};
 
 /// Name of the taxonomy file inside a dataset directory.
@@ -17,10 +17,12 @@ pub const TAXONOMY_FILE: &str = "taxonomy.gtax";
 /// Name of the human-readable metadata file inside a dataset directory.
 pub const META_FILE: &str = "dataset.txt";
 
-/// Opens every `part-NNNN.gfp` partition of a dataset directory, sorted
-/// by file name (= node id). Partitions load fully into memory, so every
-/// scan pass lends borrowed slices.
-pub fn open_partitions(dir: &Path) -> Result<Vec<Box<dyn TransactionSource>>> {
+/// Opens a dataset directory: every `part-NNNN.gfp` partition, sorted by
+/// file name (= node id), then its taxonomy. Partitions load fully into
+/// memory, so every scan pass lends borrowed slices. A partition holding
+/// an item the taxonomy does not define is rejected by file name before
+/// anything scans it.
+pub fn open_dataset(dir: &Path) -> Result<(Vec<Box<dyn TransactionSource>>, Taxonomy)> {
     let is_part = |p: &PathBuf, ext: &str| {
         p.file_name()
             .and_then(|n| n.to_str())
@@ -47,10 +49,35 @@ pub fn open_partitions(dir: &Path) -> Result<Vec<Box<dyn TransactionSource>>> {
             },
         ));
     }
-    paths
-        .into_iter()
-        .map(|p| -> Result<Box<dyn TransactionSource>> { Ok(Box::new(FlatPartition::open(&p)?)) })
-        .collect()
+    let parts = paths
+        .iter()
+        .map(FlatPartition::open)
+        .collect::<Result<Vec<_>>>()?;
+    let tax_path = dir.join(TAXONOMY_FILE);
+    let tax = gar_taxonomy::io::load(&tax_path)?;
+    for (part, path) in parts.iter().zip(&paths) {
+        let items = (0..part.num_transactions()).flat_map(|i| part.get(i));
+        check_items(path.display(), items, &tax, tax_path.display())?;
+    }
+    let parts = parts.into_iter().map(|p| Box::new(p) as _).collect();
+    Ok((parts, tax))
+}
+
+/// Rejects `file` unless the taxonomy `tax`, loaded from `tax_file`,
+/// defines every one of its `items`.
+pub fn check_items<'a>(
+    file: impl std::fmt::Display,
+    items: impl Iterator<Item = &'a ItemId>,
+    tax: &Taxonomy,
+    tax_file: impl std::fmt::Display,
+) -> Result<()> {
+    match items.max() {
+        Some(item) if item.raw() >= tax.num_items() => Err(Error::InvalidConfig(format!(
+            "{file} holds item {item}, but {tax_file} defines only items 0..{}",
+            tax.num_items()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// The opened partitions back to back as one source — what the
@@ -59,15 +86,10 @@ pub fn chain(parts: &[Box<dyn TransactionSource>]) -> MultiSource<'_> {
     MultiSource::new(parts.iter().map(|p| p.as_ref()).collect())
 }
 
-/// Loads the taxonomy of a dataset directory.
-pub fn load_taxonomy(dir: &Path) -> Result<Taxonomy> {
-    gar_taxonomy::io::load(dir.join(TAXONOMY_FILE))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gar_types::ItemId;
+    use gar_taxonomy::TaxonomyBuilder;
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()
@@ -85,7 +107,11 @@ mod tests {
                 .write_to(dir.join(format!("part-{i:04}.gfp")))
                 .unwrap();
         }
-        let parts = open_partitions(&dir).unwrap();
+        let tax = TaxonomyBuilder::new(4).build().unwrap();
+        gar_taxonomy::io::save(&tax, dir.join(TAXONOMY_FILE)).unwrap();
+        let (parts, _) = open_dataset(&dir).unwrap();
+        // Checking the items against the taxonomy scanned nothing.
+        assert!(parts.iter().all(|p| p.bytes_read() == 0));
         let chained = chain(&parts);
         assert_eq!(chained.num_transactions(), 3);
         let mut scan = chained.scan().unwrap();
@@ -102,7 +128,7 @@ mod tests {
     fn open_partitions_requires_dataset_dir() {
         let dir = std::env::temp_dir().join(format!("gar-cli-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(open_partitions(&dir).is_err());
+        assert!(open_dataset(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

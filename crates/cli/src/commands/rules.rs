@@ -2,6 +2,7 @@
 //! optionally persisting them as a servable `GRUL` rule store.
 
 use crate::args::Args;
+use crate::commands::check_items;
 use gar_mining::persist::load_output;
 use gar_mining::rules::{derive_rules, prune_uninteresting};
 use gar_serve::RuleStore;
@@ -20,7 +21,12 @@ pub fn run(args: &Args) -> Result<()> {
 
     let output = load_output(output_path)?;
     let taxonomy: Option<Taxonomy> = match taxonomy_path {
-        Some(p) => Some(gar_taxonomy::io::load(p)?),
+        Some(p) => {
+            let tax = gar_taxonomy::io::load(p)?;
+            let items = output.all_large().flat_map(|(s, _)| s.items());
+            check_items(output_path, items, &tax, p)?;
+            Some(tax)
+        }
         None => None,
     };
 

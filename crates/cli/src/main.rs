@@ -96,8 +96,9 @@ USAGE:
                 [--top K] [--deadline-ms MS]
 
 ALGORITHMS:
-  Cumulate (sequential), NPGM, HPGM, H-HPGM, H-HPGM-TGD, H-HPGM-PGD,
-  H-HPGM-FGD (default), FP-Growth (pattern growth, projection-sharded)
+  Apriori (sequential, hierarchy-blind), Cumulate (sequential), NPGM,
+  HPGM, H-HPGM, H-HPGM-TGD, H-HPGM-PGD, H-HPGM-FGD (default),
+  FP-Growth (pattern growth, projection-sharded)
 
 FAULT TOLERANCE (parallel algorithms):
   --checkpoint-dir DIR   persist L_k after every pass (crash-safe writes)

@@ -234,6 +234,81 @@ fn rules_exit_codes_match_mine() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A dataset whose partitions hold item codes its taxonomy does not
+/// define is rejected by `mine` (every algorithm family) and by `rules
+/// --taxonomy` with exit 2, naming the file, before any mining or rule
+/// derivation runs.
+#[test]
+fn dataset_taxonomy_mismatch_is_a_typed_error_naming_the_file() {
+    use gar_storage::FlatPartition;
+    use gar_taxonomy::TaxonomyBuilder;
+    use gar_types::ItemId;
+
+    let dir = tmp_dir("mismatch");
+    let data = dir.join("data");
+    std::fs::create_dir_all(&data).unwrap();
+    for (i, txns) in [[[0, 1], [1, 2], [0, 1]], [[0, 7], [7, 9], [0, 7]]]
+        .iter()
+        .enumerate()
+    {
+        let txns = txns.iter().map(|t| t.map(ItemId));
+        FlatPartition::from_transactions(txns)
+            .write_to(data.join(format!("part-{i:04}.gfp")))
+            .unwrap();
+    }
+    let save_tax = |n| {
+        let tax = TaxonomyBuilder::new(n).build().unwrap();
+        gar_taxonomy::io::save(&tax, data.join("taxonomy.gtax")).unwrap();
+    };
+    let mine = |algo: &str, out: &PathBuf| {
+        bin()
+            .args(["mine", "--data", data.to_str().unwrap()])
+            .args(["--min-support", "0.3", "--algo", algo])
+            .args(["--out", out.to_str().unwrap()])
+            .output()
+            .unwrap()
+    };
+    // With the taxonomy the items belong to, the output mentions item 7.
+    save_tax(10);
+    let gout = dir.join("large.gout");
+    let out = mine("cumulate", &gout);
+    assert!(out.status.success(), "{out:?}");
+
+    // A 5-item taxonomy does not define items 7 and 9 of part-0001.
+    save_tax(5);
+    for algo in ["apriori", "cumulate", "H-HPGM-FGD"] {
+        let never = dir.join(format!("{algo}.gout"));
+        let out = mine(algo, &never);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{algo}: {stderr}");
+        assert!(
+            stderr.contains("part-0001.gfp holds item 9"),
+            "{algo}: {stderr}"
+        );
+        assert!(
+            stderr.contains("taxonomy.gtax defines only items 0..5"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{algo}: {stderr}");
+        assert!(!never.exists(), "{algo} wrote an output");
+    }
+
+    let grul = dir.join("rules.grul");
+    let out = bin()
+        .args(["rules", "--output", gout.to_str().unwrap()])
+        .args(["--min-confidence", "0.5", "--taxonomy"])
+        .arg(data.join("taxonomy.gtax"))
+        .args(["--out", grul.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("large.gout holds item 7"), "{stderr}");
+    assert!(out.stdout.is_empty(), "rules were derived before the check");
+    assert!(!grul.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Serving a missing or corrupt rule store fails with exit 3; a bad
 /// shard count with exit 2.
 #[test]

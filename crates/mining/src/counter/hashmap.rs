@@ -120,11 +120,6 @@ impl CandidateCounter for HashMapCounter {
     fn counts(&self) -> &[u64] {
         &self.counts
     }
-
-    fn set_counts(&mut self, counts: &[u64]) {
-        assert_eq!(counts.len(), self.counts.len());
-        self.counts.copy_from_slice(counts);
-    }
 }
 
 #[cfg(test)]

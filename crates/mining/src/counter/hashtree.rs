@@ -440,11 +440,6 @@ impl CandidateCounter for HashTreeCounter {
         &self.counts
     }
 
-    fn set_counts(&mut self, counts: &[u64]) {
-        assert_eq!(counts.len(), self.counts.len());
-        self.counts.copy_from_slice(counts);
-    }
-
     fn arena_stats(&self) -> Option<ArenaStats> {
         Some(self.stats())
     }

@@ -99,9 +99,6 @@ pub trait CandidateCounter: Send {
     /// The counts, in candidate insertion order.
     fn counts(&self) -> &[u64];
 
-    /// Overwrites the counts (used after an all-reduce).
-    fn set_counts(&mut self, counts: &[u64]);
-
     /// Arena footprint when the counter is backed by a flat arena;
     /// `None` for hash-map structures.
     fn arena_stats(&self) -> Option<ArenaStats> {
@@ -196,16 +193,6 @@ mod tests {
             c.probe(&ids(&[1, 2]));
             c.probe(&ids(&[5, 6]));
             assert_eq!(c.counts(), &[0, 2, 1]);
-        }
-    }
-
-    #[test]
-    fn set_counts_overwrites() {
-        let cands = vec![iset![1, 2], iset![3, 4]];
-        for mut c in counters(2, &cands) {
-            c.probe(&ids(&[1, 2]));
-            c.set_counts(&[7, 9]);
-            assert_eq!(c.counts(), &[7, 9]);
         }
     }
 

@@ -10,8 +10,9 @@
 //!   the subset prune and Cumulate's taxonomy-aware pass-2 pruning.
 //! * [`counter`] — candidate support counters: a flat Fx hash map and a
 //!   classic Apriori hash tree, both probe-counted.
-//! * [`sequential`] — Apriori ([RR94], hierarchy-blind baseline) and
-//!   Cumulate ([SA95], the algorithm every parallel variant distributes).
+//! * [`sequential`] — Cumulate ([SA95], the algorithm every parallel
+//!   variant distributes) and Apriori ([RR94], the hierarchy-blind
+//!   baseline: Cumulate over the edge-less taxonomy).
 //! * [`parallel`] — NPGM, HPGM, H-HPGM and the skew-handling duplication
 //!   variants H-HPGM-TGD / -PGD / -FGD, all running on the
 //!   [`gar_cluster`] shared-nothing simulator.

@@ -25,11 +25,12 @@
 //! | [`hpgm`] | hash of the itemset | ancestor-extend | every k-subset of the extended transaction |
 //! | [`hhpgm`] | hash of the *root* itemset | reduce to lowest large items | the sub-transaction, once per owner node; the owner re-extends |
 //! | [`hhpgm`] + [`duplicate`] | H-HPGM minus the hottest candidates, which are replicated | same | same, minus traffic for fully-duplicated root groups |
-//! | [`flat`] (CD, HPA) | [`npgm`]'s / [`hpgm`]'s | the identity: an edge-less taxonomy | same as NPGM / HPGM |
+//!
+//! The flat baselines CD [AS96] and HPA [SK96] are NPGM and HPGM run over
+//! the edge-less taxonomy, where extension is the identity.
 
 pub mod common;
 pub mod duplicate;
-pub mod flat;
 mod hhpgm;
 mod hpgm;
 mod npgm;
@@ -45,7 +46,6 @@ use gar_types::{Error, Result};
 use std::path::PathBuf;
 
 pub use duplicate::{select_duplicates, DuplicateGrain, DuplicateSelection};
-pub use flat::{mine_parallel_flat, FlatAlgorithm};
 
 /// Fault-tolerance knobs for [`mine_parallel_with`]. The default is the
 /// historical behavior: no checkpointing, no resume, fail on the first

@@ -1,15 +1,16 @@
 //! Plain Apriori ([RR94]) — the hierarchy-blind baseline.
 
-use crate::candidate::{generate_candidates, generate_pairs};
-use crate::counter::build_counter;
 use crate::params::{Algorithm, MiningParams};
-use crate::report::{LargePass, MiningOutput};
-use crate::sequential::{extract_large, large_items_from_counts};
+use crate::report::MiningOutput;
+use crate::sequential::cumulate;
 use gar_storage::TransactionSource;
-use gar_types::{ItemId, Itemset, Result};
+use gar_taxonomy::TaxonomyBuilder;
+use gar_types::Result;
 
-/// Mines large itemsets without any taxonomy: transactions are counted
-/// as-is. `num_items` bounds the item universe (dense pass-1 counting).
+/// Mines large itemsets over items `0..num_items` without any taxonomy,
+/// counting transactions as-is. Apriori is Cumulate over a taxonomy with
+/// no edges: extension is the identity and no pair is related, so this
+/// runs [`cumulate`] over that taxonomy and relabels the output.
 ///
 /// Kept as the reference point the paper's introduction argues against:
 /// on hierarchical data it finds only leaf-level itemsets, missing every
@@ -20,76 +21,17 @@ pub fn apriori(
     num_items: u32,
     params: &MiningParams,
 ) -> Result<MiningOutput> {
-    params.validate()?;
-    let num_transactions = part.num_transactions() as u64;
-    let min_support_count = params.min_support_count(num_transactions);
-
-    let mut item_counts = vec![0u64; num_items as usize];
-    let mut buf = Vec::new();
-    let mut scan = part.scan()?;
-    while scan.next_into(&mut buf)? {
-        for it in &buf {
-            item_counts[it.index()] += 1;
-        }
-    }
-    drop(scan);
-    let mut passes = vec![large_items_from_counts(&item_counts, min_support_count)];
-
-    let mut k = 2;
-    loop {
-        if passes.last().is_none_or(|p| p.itemsets.is_empty()) {
-            passes.retain(|p| !p.itemsets.is_empty());
-            break;
-        }
-        if let Some(max) = params.max_pass {
-            if k > max {
-                break;
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the check above breaks when there is no pass"
-        )]
-        let prev = &passes.last().expect("nonempty").itemsets;
-        let candidates: Vec<Itemset> = if k == 2 {
-            let l1: Vec<ItemId> = prev.iter().map(|(s, _)| s.items()[0]).collect();
-            generate_pairs(&l1, None)
-        } else {
-            let prev_sets: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
-            generate_candidates(&prev_sets)
-        };
-        if candidates.is_empty() {
-            break;
-        }
-        let mut counter = build_counter(params.counter, k, &candidates);
-        let mut scan = part.scan()?;
-        while scan.next_into(&mut buf)? {
-            counter.count_transaction(&buf);
-        }
-        drop(scan);
-        let large = extract_large(&candidates, counter.counts(), min_support_count);
-        if large.is_empty() {
-            break;
-        }
-        passes.push(LargePass { k, itemsets: large });
-        k += 1;
-    }
-
-    Ok(MiningOutput {
-        algorithm: Algorithm::Apriori,
-        num_transactions,
-        min_support_count,
-        passes,
-    })
+    let tax = TaxonomyBuilder::new(num_items).build()?;
+    let mut output = cumulate(part, &tax, params)?;
+    output.algorithm = Algorithm::Apriori;
+    Ok(output)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::cumulate;
     use gar_storage::PartitionedDatabase;
-    use gar_taxonomy::TaxonomyBuilder;
-    use gar_types::iset;
+    use gar_types::{iset, ItemId, Itemset};
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()

@@ -3,20 +3,17 @@
 //! * [`cumulate`] — the hierarchy-aware algorithm of [SA95] the paper
 //!   parallelizes (section 2 describes it pass by pass);
 //! * [`apriori`] — the hierarchy-blind original [RR94], kept to quantify
-//!   what the taxonomy costs and finds;
-//! * [`stratify`] — [SA95]'s other strategy (count shallow strata first,
-//!   prune descendants of small itemsets), reproduced as an extension.
+//!   what the taxonomy costs and finds. It is not a second pass loop:
+//!   it runs [`cumulate`] over the edge-less taxonomy.
 //!
 //! The parallel correctness tests assert every parallel variant produces
 //! exactly `cumulate`'s large itemsets and counts.
 
 mod apriori;
 mod cumulate;
-mod stratify;
 
 pub use apriori::apriori;
 pub use cumulate::{cumulate, cumulate_metered};
-pub use stratify::stratify;
 
 use crate::report::LargePass;
 use gar_types::{ItemId, Itemset};

@@ -5,11 +5,11 @@
 use gar_cluster::ClusterConfig;
 use gar_mining::oracle::mine_naive;
 use gar_mining::parallel::mine_parallel;
-use gar_mining::sequential::cumulate;
+use gar_mining::sequential::{apriori, cumulate};
 use gar_mining::{Algorithm, CounterKind, MiningParams};
 use gar_storage::{FlatPartition, PartitionedDatabase, TransactionSource};
 use gar_taxonomy::synth::{synthesize, SynthTaxonomyConfig};
-use gar_taxonomy::Taxonomy;
+use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
 use gar_types::ItemId;
 use proptest::prelude::*;
 
@@ -108,6 +108,23 @@ proptest! {
         let naive = mine_naive(&s.txns, &s.tax, &params);
         let db = PartitionedDatabase::build_in_memory(1, s.txns.clone().into_iter()).unwrap();
         let fast = cumulate(db.partition(0), &s.tax, &params).unwrap();
+        outputs_equal(&naive, &fast).map_err(TestCaseError::fail)?;
+    }
+
+    // Apriori mines as if no item had an ancestor: the oracle over the
+    // edge-less taxonomy, whose output differs in the label only.
+    #[test]
+    fn apriori_matches_oracle(s in arb_scenario()) {
+        let n = s.tax.num_items();
+        let params = MiningParams::with_min_support(s.min_support);
+        let naive = mine_naive(&s.txns, &TaxonomyBuilder::new(n).build().unwrap(), &params);
+        let db = PartitionedDatabase::build_in_memory(1, s.txns.clone().into_iter()).unwrap();
+        let fast = apriori(db.partition(0), n, &params).unwrap();
+        prop_assert_eq!(fast.algorithm, Algorithm::Apriori);
+        prop_assert_eq!(
+            (naive.num_transactions, naive.min_support_count),
+            (fast.num_transactions, fast.min_support_count)
+        );
         outputs_equal(&naive, &fast).map_err(TestCaseError::fail)?;
     }
 

@@ -5,10 +5,11 @@
 use gar_cluster::ClusterConfig;
 use gar_datagen::{DatasetSpec, TransactionGenerator};
 use gar_mining::parallel::mine_parallel;
-use gar_mining::sequential::cumulate;
+use gar_mining::sequential::{apriori, cumulate};
 use gar_mining::{Algorithm, MiningParams};
 use gar_storage::{FlatPartition, PartitionedDatabase, TransactionSource};
-use gar_taxonomy::Taxonomy;
+use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
+use gar_types::ItemId;
 
 const BIG_MEMORY: u64 = 1 << 30;
 
@@ -262,4 +263,105 @@ fn sequential_algorithms_rejected_by_parallel_entry() {
         )
         .is_err());
     }
+}
+
+/// `copies` back-to-back copies of 400 pseudo-random transactions over
+/// 40 items with no hierarchy, and the edge-less taxonomy over them. The
+/// flat baselines CD [AS96] and HPA [SK96] are NPGM and HPGM run over it.
+fn flat_dataset(seed: u64, copies: usize) -> (Taxonomy, Vec<Vec<ItemId>>) {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let txns: Vec<Vec<ItemId>> = (0..400)
+        .map(|_| {
+            let len = 2 + (next() % 6) as usize;
+            let mut t: Vec<ItemId> = (0..len).map(|_| ItemId((next() % 40) as u32)).collect();
+            t.sort_unstable();
+            t.dedup();
+            t
+        })
+        .collect();
+    let txns = std::iter::repeat_n(txns, copies).flatten().collect();
+    (TaxonomyBuilder::new(40).build().unwrap(), txns)
+}
+
+#[test]
+fn cd_and_hpa_match_apriori_on_flat_data() {
+    let (tax, txns) = flat_dataset(3, 1);
+    let params = MiningParams::with_min_support(0.015);
+    let seq_db = PartitionedDatabase::build_in_memory(1, txns.clone().into_iter()).unwrap();
+    let expected = apriori(seq_db.partition(0), 40, &params).unwrap();
+    assert!(expected.num_large() > 10, "dataset too sparse");
+    assert!(expected.passes.len() >= 2, "want multi-pass mining");
+
+    for nodes in [1, 4] {
+        let db = PartitionedDatabase::build_in_memory(nodes, txns.clone().into_iter()).unwrap();
+        let cluster = ClusterConfig::new(nodes, 1 << 24);
+        for alg in [Algorithm::Npgm, Algorithm::Hpgm] {
+            let report = mine_parallel(alg, &db, &tax, &params, &cluster).unwrap();
+            assert_same_output(&expected, &report.output);
+        }
+    }
+}
+
+#[test]
+fn single_node_cd_and_hpa_send_nothing() {
+    let (tax, txns) = flat_dataset(1, 1);
+    let db = PartitionedDatabase::build_in_memory(1, txns.into_iter()).unwrap();
+    let params = MiningParams::with_min_support(0.05);
+    let cluster = ClusterConfig::new(1, 1 << 24);
+    for alg in [Algorithm::Npgm, Algorithm::Hpgm] {
+        let report = mine_parallel(alg, &db, &tax, &params, &cluster).unwrap();
+        assert!(report.output.num_large() > 0, "{alg} found nothing");
+        assert_eq!(report.node_totals[0].bytes_sent, 0, "{alg} sent bytes");
+    }
+}
+
+#[test]
+fn cd_fragments_under_memory_pressure_on_flat_data() {
+    let (tax, txns) = flat_dataset(7, 1);
+    let db = PartitionedDatabase::build_in_memory(2, txns.into_iter()).unwrap();
+    let params = MiningParams::with_min_support(0.02).max_pass(2);
+    let tight = ClusterConfig::new(2, 1024);
+    let report = mine_parallel(Algorithm::Npgm, &db, &tax, &params, &tight).unwrap();
+    let pass2 = report.pass(2).expect("pass 2 ran");
+    assert!(
+        pass2.num_fragments > 1,
+        "expected fragmentation, got {}",
+        pass2.num_fragments
+    );
+}
+
+#[test]
+fn hpa_traffic_scales_with_data_cd_with_candidates() {
+    // The structural difference: CD's only traffic is the count
+    // all-reduce (independent of |D|); HPA ships generated itemsets
+    // (linear in |D|). Doubling the data must roughly double HPA's
+    // bytes and leave CD's unchanged.
+    let params = MiningParams::with_min_support(0.02).max_pass(2);
+    let cluster = ClusterConfig::new(3, 1 << 24);
+    let pass2_bytes = |alg: Algorithm, copies: usize| -> u64 {
+        let (tax, txns) = flat_dataset(11, copies);
+        let db = PartitionedDatabase::build_in_memory(3, txns.into_iter()).unwrap();
+        let report = mine_parallel(alg, &db, &tax, &params, &cluster).unwrap();
+        let pass2 = report.pass(2).expect("pass 2 ran");
+        pass2.node_deltas.iter().map(|d| d.bytes_sent).sum()
+    };
+    let (cd_1, cd_2) = (
+        pass2_bytes(Algorithm::Npgm, 1),
+        pass2_bytes(Algorithm::Npgm, 2),
+    );
+    assert_eq!(cd_1, cd_2, "CD traffic must not scale with data");
+    let (hpa_1, hpa_2) = (
+        pass2_bytes(Algorithm::Hpgm, 1),
+        pass2_bytes(Algorithm::Hpgm, 2),
+    );
+    assert!(
+        hpa_2 as f64 > 1.5 * hpa_1 as f64,
+        "HPA traffic should scale with data: {hpa_1} -> {hpa_2}"
+    );
 }

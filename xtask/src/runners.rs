@@ -180,10 +180,18 @@ pub fn serve_chaos(root: &Path, args: &[String]) -> u8 {
     )
 }
 
+/// The workflow's examples step: runs every `examples/*.rs` in release
+/// mode, stopping at the first failure. `cargo test` compiles the
+/// examples but never runs them, so this is what checks their asserts.
+const RUN_EXAMPLES: &str = r#"set -e
+for ex in examples/*.rs; do
+  cargo run --release --quiet --example "$(basename "$ex" .rs)"
+done"#;
+
 /// Runs the CI job sequence locally, in the same order the workflow
-/// does: format + clippy, build + test, the benchmark harness's
-/// self-tests and one short checked benchmark run, loom (with its own
-/// clippy pass), chaos and serve-chaos. Stops at the first failing job
+/// does: format + clippy, build + test, the examples, the benchmark
+/// harness's self-tests and one short checked benchmark run, loom (with
+/// its own clippy pass), chaos and serve-chaos. Stops at the first failing job
 /// so the console ends at the same place the CI log would. `cargo xtask
 /// ci` before pushing ≈ a green run.
 pub fn ci(root: &Path, _args: &[String]) -> u8 {
@@ -207,6 +215,13 @@ pub fn ci(root: &Path, _args: &[String]) -> u8 {
         }),
         ("test", &|| {
             run_echoed(Command::new("cargo").current_dir(root).args(["test", "-q"]))
+        }),
+        ("examples", &|| {
+            run_echoed(
+                Command::new("sh")
+                    .current_dir(root)
+                    .args(["-c", RUN_EXAMPLES]),
+            )
         }),
         ("benchmark self-tests", &|| {
             run_echoed(Command::new("cargo").current_dir(root).args([
