@@ -6,12 +6,18 @@
 //! the synchronization; the *communication charging* happens in
 //! [`crate::NodeCtx`], which knows the per-node ledgers.
 //!
-//! All operations are generation-counted so they can be reused pass after
-//! pass, and they are poisoned when any node fails so the surviving nodes
-//! error out instead of deadlocking. Poisoning records the *first*
-//! failing node's id, which every subsequent error carries
-//! ([`gar_types::Error::Poisoned`]) so a cascade of secondary failures
-//! still points at its root cause.
+//! All three are one generation-counted rendezvous, a *round*, behind
+//! one lock and one condition variable: each node adds its contribution,
+//! the last arrival closes the round and bumps the generation, and every
+//! node reads the closed round's result. Like MPI collectives, every
+//! node must enter the same collectives in the same order; the round
+//! records its op at the first arrival, and a node that arrives with a
+//! different op poisons the run with an [`Error::Protocol`] naming both
+//! ops instead of parking. Rounds are poisoned when any node fails so
+//! the surviving nodes error out instead of deadlocking. Poisoning
+//! records the *first* failing node's id, which every subsequent error
+//! carries ([`gar_types::Error::Poisoned`]) so a cascade of secondary
+//! failures still points at its root cause.
 //!
 //! Concurrency discipline (model-checked by `cargo xtask loom`; clippy's
 //! `disallowed_methods` flags every deadline-free wait):
@@ -30,26 +36,19 @@ use std::time::Duration;
 /// Sentinel for "no node has poisoned the run".
 const NOT_POISONED: usize = usize::MAX;
 
+/// The one rendezvous every collective runs through. A closed round's
+/// results stay readable while the next round fills: `acc` and `slot`
+/// collect arrivals, `sums` and `data` hold what the last close produced.
 #[derive(Default)]
-struct ReduceState {
+struct Round {
     gen: u64,
     pending: usize,
+    /// The collective the open round runs, set by its first arrival.
+    op: &'static str,
     acc: Vec<u64>,
-    result: Arc<Vec<u64>>,
-}
-
-#[derive(Default)]
-struct BcastState {
-    gen: u64,
-    pending: usize,
     slot: Option<Arc<[u8]>>,
-    result: Arc<[u8]>,
-}
-
-#[derive(Default)]
-struct BarrierState {
-    gen: u64,
-    pending: usize,
+    sums: Arc<Vec<u64>>,
+    data: Arc<[u8]>,
 }
 
 /// Shared synchronization core for one cluster run.
@@ -59,12 +58,8 @@ pub struct Collectives {
     deadline: Option<Duration>,
     /// Id of the first node that poisoned the run, or [`NOT_POISONED`].
     poisoned_by: AtomicUsize,
-    reduce: Mutex<ReduceState>,
-    reduce_cv: Condvar,
-    bcast: Mutex<BcastState>,
-    bcast_cv: Condvar,
-    barrier: Mutex<BarrierState>,
-    barrier_cv: Condvar,
+    round: Mutex<Round>,
+    closed: Condvar,
 }
 
 impl Collectives {
@@ -85,12 +80,8 @@ impl Collectives {
             num_nodes,
             deadline,
             poisoned_by: AtomicUsize::new(NOT_POISONED),
-            reduce: Mutex::new(ReduceState::default()),
-            reduce_cv: Condvar::new(),
-            bcast: Mutex::new(BcastState::default()),
-            bcast_cv: Condvar::new(),
-            barrier: Mutex::new(BarrierState::default()),
-            barrier_cv: Condvar::new(),
+            round: Mutex::new(Round::default()),
+            closed: Condvar::new(),
         }
     }
 
@@ -104,29 +95,28 @@ impl Collectives {
         self.deadline
     }
 
-    /// Deadline-aware wait shared by every collective: parks while
-    /// `waiting` holds and nobody has poisoned the run. On deadline
-    /// expiry the predicate and poison state are re-checked *under the
-    /// lock* (a wakeup that raced the timer must win — never lost, never
-    /// double-reported); only a still-stalled wait poisons the run and
-    /// returns [`Error::Timeout`]. If the poison CAS loses to a
-    /// concurrent poisoner, that node's [`Error::Poisoned`] is returned
+    /// Deadline-aware wait for the round of generation `my_gen` to close:
+    /// parks while it is open and nobody has poisoned the run. On
+    /// deadline expiry the generation and poison state are re-checked
+    /// *under the lock* (a wakeup that raced the timer must win — never
+    /// lost, never double-reported); only a still-stalled wait poisons
+    /// the run and returns [`Error::Timeout`]. If the poison CAS loses to
+    /// a concurrent poisoner, that node's [`Error::Poisoned`] is returned
     /// instead so a run always reports exactly one root cause.
-    fn wait_collective<'a, T>(
+    fn wait_round<'a>(
         &self,
         node: usize,
         op: &'static str,
-        cv: &Condvar,
-        mut s: MutexGuard<'a, T>,
-        mut waiting: impl FnMut(&T) -> bool,
-    ) -> Result<MutexGuard<'a, T>> {
+        mut s: MutexGuard<'a, Round>,
+        my_gen: u64,
+    ) -> Result<MutexGuard<'a, Round>> {
         let Some(limit) = self.deadline else {
             #[expect(
                 clippy::disallowed_methods,
                 reason = "the no-deadline configuration of the deadline-aware wrapper itself"
             )]
-            while waiting(&s) && !self.is_poisoned() {
-                s = cv.wait(s);
+            while s.gen == my_gen && !self.is_poisoned() {
+                s = self.closed.wait(s);
             }
             return Ok(s);
         };
@@ -141,16 +131,16 @@ impl Collectives {
         )]
         let start = Instant::now();
         loop {
-            if !waiting(&s) || self.is_poisoned() {
+            if s.gen != my_gen || self.is_poisoned() {
                 return Ok(s);
             }
             let remaining = limit.saturating_sub(start.elapsed());
-            let (guard, timed_out) = cv.wait_timeout(s, remaining);
+            let (guard, timed_out) = self.closed.wait_timeout(s, remaining);
             s = guard;
-            if timed_out && waiting(&s) && !self.is_poisoned() {
-                // Drop the state lock before poisoning: poison() takes
-                // every collective's lock to close the lost-wakeup
-                // window, so holding ours here would self-deadlock.
+            if timed_out && s.gen == my_gen && !self.is_poisoned() {
+                // Drop the round lock before poisoning: poison() takes
+                // it to close the lost-wakeup window, so holding it here
+                // would self-deadlock.
                 drop(s);
                 self.poison(node);
                 return match self.poisoned_by.load(Ordering::SeqCst) {
@@ -175,16 +165,12 @@ impl Collectives {
             Ordering::SeqCst,
             Ordering::SeqCst,
         );
-        // Take each state lock before notifying: a waiter that has
+        // Take the round lock before notifying: a waiter that has
         // checked `is_poisoned` but not yet parked would otherwise miss
         // this wakeup forever (the classic lost-wakeup race; the loom
         // suite's poison_vs_wait scenarios check exactly this).
-        drop(self.reduce.lock());
-        self.reduce_cv.notify_all();
-        drop(self.bcast.lock());
-        self.bcast_cv.notify_all();
-        drop(self.barrier.lock());
-        self.barrier_cv.notify_all();
+        drop(self.round.lock());
+        self.closed.notify_all();
     }
 
     /// True once any participant has failed.
@@ -207,44 +193,51 @@ impl Collectives {
         }
     }
 
-    /// Element-wise sum of every node's `contribution`. All participants
-    /// must pass slices of the same length; all receive the same result.
-    /// `node` identifies the caller (for poison attribution).
-    pub fn all_reduce_u64(&self, node: usize, contribution: &[u64]) -> Result<Arc<Vec<u64>>> {
+    /// Runs one collective for `node`: `arrive` adds its contribution to
+    /// the open round, the last arrival's `close` produces the result,
+    /// and every node returns `read` of the closed round. An error from
+    /// `arrive` or `close`, or an arrival whose `op` differs from the
+    /// open round's, poisons the run on `node`'s behalf.
+    fn round<T>(
+        &self,
+        node: usize,
+        op: &'static str,
+        arrive: impl FnOnce(&mut Round) -> Result<()>,
+        close: impl FnOnce(&mut Round) -> Result<()>,
+        read: impl FnOnce(&Round) -> T,
+    ) -> Result<T> {
         self.check_poison()?;
-        let mut s = self.reduce.lock();
+        let mut s = self.round.lock();
         let my_gen = s.gen;
         debug_assert!(
             s.pending < self.num_nodes,
-            "all_reduce: {} arrivals before generation {} closed",
-            s.pending + 1,
-            my_gen
+            "{op}: {} arrivals before generation {my_gen} closed",
+            s.pending + 1
         );
         if s.pending == 0 {
-            s.acc.clear();
-            s.acc.resize(contribution.len(), 0);
-        } else if s.acc.len() != contribution.len() {
+            s.op = op;
+        }
+        let closing = s.pending + 1 == self.num_nodes;
+        let arrived = if s.op == op {
+            arrive(&mut s).and_then(|()| if closing { close(&mut s) } else { Ok(()) })
+        } else {
+            Err(Error::Protocol(format!(
+                "node {node} entered {op} while its peers are in {}",
+                s.op
+            )))
+        };
+        if let Err(e) = arrived {
             drop(s);
             self.poison(node);
-            return Err(Error::Protocol(format!(
-                "all_reduce length mismatch at node {node}: expected {} elements",
-                contribution.len()
-            )));
+            return Err(e);
         }
-        for (a, &c) in s.acc.iter_mut().zip(contribution) {
-            *a += c;
-        }
-        s.pending += 1;
-        if s.pending == self.num_nodes {
-            s.result = Arc::new(std::mem::take(&mut s.acc));
+        if closing {
             s.pending = 0;
             s.gen += 1;
-            debug_assert_eq!(s.gen, my_gen + 1, "all_reduce generation must be monotonic");
-            self.reduce_cv.notify_all();
-            Ok(s.result.clone())
+            self.closed.notify_all();
         } else {
-            s =
-                self.wait_collective(node, "all_reduce", &self.reduce_cv, s, |s| s.gen == my_gen)?;
+            s.pending += 1;
+            s = self.wait_round(node, op, s, my_gen)?;
             // A generation that completed delivers its result even if a
             // peer has failed since (the failure surfaces at the next
             // collective): whether the coordinator gets to checkpoint a
@@ -252,96 +245,68 @@ impl Collectives {
             if s.gen == my_gen {
                 self.check_poison()?;
             }
-            debug_assert_eq!(
-                s.gen,
-                my_gen + 1,
-                "all_reduce waiter woke {} generations late",
-                s.gen.wrapping_sub(my_gen)
-            );
-            Ok(s.result.clone())
         }
+        debug_assert_eq!(
+            s.gen,
+            my_gen + 1,
+            "{op} left generation {my_gen} at {}",
+            s.gen
+        );
+        Ok(read(&s))
+    }
+
+    /// Element-wise sum of every node's `contribution`. All participants
+    /// must pass slices of the same length; all receive the same result.
+    /// `node` identifies the caller (for poison attribution).
+    pub fn all_reduce_u64(&self, node: usize, contribution: &[u64]) -> Result<Arc<Vec<u64>>> {
+        let arrive = |s: &mut Round| {
+            if s.pending == 0 {
+                s.acc.clear();
+                s.acc.resize(contribution.len(), 0);
+            } else if s.acc.len() != contribution.len() {
+                return Err(Error::Protocol(format!(
+                    "all_reduce length mismatch at node {node}: expected {} elements",
+                    contribution.len()
+                )));
+            }
+            for (a, &c) in s.acc.iter_mut().zip(contribution) {
+                *a += c;
+            }
+            Ok(())
+        };
+        let close = |s: &mut Round| {
+            s.sums = Arc::new(std::mem::take(&mut s.acc));
+            Ok(())
+        };
+        self.round(node, "all_reduce", arrive, close, |s| s.sums.clone())
     }
 
     /// One-to-all broadcast: exactly one participant passes `Some(data)`,
     /// all receive that data. `node` identifies the caller.
     pub fn broadcast(&self, node: usize, data: Option<Arc<[u8]>>) -> Result<Arc<[u8]>> {
-        self.check_poison()?;
-        let mut s = self.bcast.lock();
-        let my_gen = s.gen;
-        debug_assert!(
-            s.pending < self.num_nodes,
-            "broadcast: {} arrivals before generation {} closed",
-            s.pending + 1,
-            my_gen
-        );
-        if let Some(d) = data {
-            if s.slot.is_some() {
-                drop(s);
-                self.poison(node);
-                return Err(Error::Protocol(format!(
-                    "node {node} tried to broadcast into an occupied round"
-                )));
+        let arrive = |s: &mut Round| match data {
+            Some(_) if s.slot.is_some() => Err(Error::Protocol(format!(
+                "node {node} tried to broadcast into an occupied round"
+            ))),
+            Some(d) => {
+                s.slot = Some(d);
+                Ok(())
             }
-            s.slot = Some(d);
-        }
-        s.pending += 1;
-        if s.pending == self.num_nodes {
-            let Some(d) = s.slot.take() else {
-                drop(s);
-                self.poison(node);
-                return Err(Error::Protocol("broadcast round with no root".into()));
-            };
-            s.result = d;
-            s.pending = 0;
-            s.gen += 1;
-            debug_assert_eq!(s.gen, my_gen + 1, "broadcast generation must be monotonic");
-            self.bcast_cv.notify_all();
-            Ok(s.result.clone())
-        } else {
-            s = self.wait_collective(node, "broadcast", &self.bcast_cv, s, |s| s.gen == my_gen)?;
-            if s.gen == my_gen {
-                self.check_poison()?; // see all_reduce_u64
-            }
-            debug_assert_eq!(
-                s.gen,
-                my_gen + 1,
-                "broadcast waiter woke {} generations late",
-                s.gen.wrapping_sub(my_gen)
-            );
-            Ok(s.result.clone())
-        }
+            None => Ok(()),
+        };
+        let close = |s: &mut Round| {
+            s.data = s
+                .slot
+                .take()
+                .ok_or_else(|| Error::Protocol("broadcast round with no root".into()))?;
+            Ok(())
+        };
+        self.round(node, "broadcast", arrive, close, |s| s.data.clone())
     }
 
     /// Rendezvous of all participants. `node` identifies the caller.
     pub fn barrier(&self, node: usize) -> Result<()> {
-        self.check_poison()?;
-        let mut s = self.barrier.lock();
-        let my_gen = s.gen;
-        debug_assert!(
-            s.pending < self.num_nodes,
-            "barrier: {} arrivals before generation {} closed",
-            s.pending + 1,
-            my_gen
-        );
-        s.pending += 1;
-        if s.pending == self.num_nodes {
-            s.pending = 0;
-            s.gen += 1;
-            debug_assert_eq!(s.gen, my_gen + 1, "barrier generation must be monotonic");
-            self.barrier_cv.notify_all();
-        } else {
-            s = self.wait_collective(node, "barrier", &self.barrier_cv, s, |s| s.gen == my_gen)?;
-            if s.gen == my_gen {
-                self.check_poison()?; // see all_reduce_u64
-            }
-            debug_assert_eq!(
-                s.gen,
-                my_gen + 1,
-                "barrier waiter woke {} generations late",
-                s.gen.wrapping_sub(my_gen)
-            );
-        }
-        Ok(())
+        self.round(node, "barrier", |_| Ok(()), |_| Ok(()), |_| ())
     }
 }
 

@@ -1,4 +1,5 @@
-//! Deterministic, seeded fault injection for the cluster simulator.
+//! Deterministic, seeded fault injection for the cluster simulator and
+//! the serving tier.
 //!
 //! A [`FaultPlan`] describes which faults to inject and where. Faults
 //! come in two flavors:
@@ -10,22 +11,27 @@
 //!   operation sequence is deterministic and the stream is private to
 //!   the node, the *same faults fire at the same operations on every
 //!   run of the same plan*, regardless of thread scheduling.
-//! * **scheduled** — exact `(node, pass, op)` points (panic, hang,
-//!   drop, corrupt, scan error). Each scheduled fault fires **once**:
-//!   the fired flag is shared across clones of the plan, so when
-//!   degraded-mode recovery re-runs a pass the fault does not re-fire
-//!   and the retry can converge.
+//! * **scheduled** — one kind of fault point, a [`FaultOp`] at a
+//!   two-coordinate address: `(node, pass)` for the mining ops,
+//!   `(connection)`, `(shard, job)` or `(reload)` for the serving ops
+//!   `gar-serve` consults. Each point fires **once**: the fired flag is
+//!   shared across clones of the plan, so when degraded-mode recovery
+//!   re-runs a pass the fault does not re-fire and the retry can
+//!   converge.
 //!
 //! The plan is pure data; the hooks that consult it live in
-//! [`crate::NodeCtx`] (send/recv and scan) and every injected fault is
-//! charged to the node's ledger ([`crate::NodeStatsSnapshot`]).
+//! [`crate::NodeCtx`] (send/recv and scan) and in `gar-serve`, and every
+//! fault injected into a node is charged to its ledger
+//! ([`crate::NodeStatsSnapshot`]).
 
 use gar_types::{Error, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Kinds of faults a scheduled point can inject.
+/// Kinds of faults a scheduled point can inject. The first five fire on
+/// a mining node at `[node, pass]`; the rest in `gar-serve`, at
+/// `[connection, 0]`, `[shard, job]` or `[reload, 0]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultOp {
     /// Panic the node's thread at the start of the pass.
@@ -38,144 +44,84 @@ pub enum FaultOp {
     Corrupt,
     /// Fail the node's next partition-scan open in the pass.
     ScanError,
-}
-
-impl FaultOp {
-    fn parse(s: &str) -> Option<FaultOp> {
-        Some(match s {
-            "panic" => FaultOp::Panic,
-            "hang" => FaultOp::Hang,
-            "drop" => FaultOp::Drop,
-            "corrupt" => FaultOp::Corrupt,
-            "scan" => FaultOp::ScanError,
-            _ => return None,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            FaultOp::Panic => "panic",
-            FaultOp::Hang => "hang",
-            FaultOp::Drop => "drop",
-            FaultOp::Corrupt => "corrupt",
-            FaultOp::ScanError => "scan",
-        }
-    }
-}
-
-/// One scheduled `(node, pass, op)` fault point.
-#[derive(Clone, Debug)]
-pub struct ScheduledFault {
-    /// Node the fault fires on.
-    pub node: usize,
-    /// Mining pass the fault fires in (pass 1 is the item-counting pass).
-    pub pass: usize,
-    /// What to inject.
-    pub op: FaultOp,
-    /// Shared across clones of the plan: a fault consumed by one run
-    /// attempt stays consumed when recovery re-runs the pass.
-    fired: Arc<AtomicBool>,
-}
-
-impl ScheduledFault {
-    /// A not-yet-fired scheduled fault.
-    pub fn new(node: usize, pass: usize, op: FaultOp) -> ScheduledFault {
-        ScheduledFault {
-            node,
-            pass,
-            op,
-            fired: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Consumes the fault; only the first caller sees `true`.
-    fn take(&self) -> bool {
-        !self.fired.swap(true, Ordering::SeqCst)
-    }
-
-    /// Whether the fault has already fired.
-    pub fn fired(&self) -> bool {
-        self.fired.load(Ordering::SeqCst)
-    }
-}
-
-/// Kinds of faults the serving tier can inject (see `gar-serve`). They
-/// address server-side entities rather than mining nodes: accepted
-/// connections (in accept order), shard workers (by shard id and job
-/// sequence number), and store-reload attempts (in request order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeFaultOp {
     /// Drop the connection right after reading a request, before any
     /// response byte — the client sees a reset mid-query.
     ConnReset,
     /// Write the next response frame in tiny chunks with delays between
     /// them (partial writes; the client's read loop must reassemble).
     SlowFrame,
-    /// Panic the shard worker at the given job number (1-based).
+    /// Panic the shard worker at the given job number (1-based, counted
+    /// across restarts).
     ShardPanic,
     /// Stall the shard worker for the plan's `hang` duration at the
     /// given job number — backlog builds behind it.
     ShardStall,
     /// Corrupt the bytes of the numbered reload attempt (1-based) after
-    /// they are read but before validation — the swap must be rejected
-    /// while the old epoch keeps serving.
+    /// they are read but before validation — the swap must be rejected while the
+    /// old epoch keeps serving.
     StaleSwap,
 }
 
-impl ServeFaultOp {
-    fn parse(s: &str) -> Option<ServeFaultOp> {
-        Some(match s {
-            "conn-reset" => ServeFaultOp::ConnReset,
-            "slow-frame" => ServeFaultOp::SlowFrame,
-            "shard-panic" => ServeFaultOp::ShardPanic,
-            "shard-stall" => ServeFaultOp::ShardStall,
-            "stale-swap" => ServeFaultOp::StaleSwap,
-            _ => return None,
-        })
-    }
+/// The `--faults` grammar of each op: its spec name and the letters of
+/// its address, one per coordinate (`at[0]`, then `at[1]`; an op with
+/// one letter leaves `at[1]` at 0). The `q` and `r` coordinates count
+/// from 1.
+const GRAMMAR: [(FaultOp, &str, &str); 10] = [
+    (FaultOp::Panic, "panic", "np"),
+    (FaultOp::Hang, "hang", "np"),
+    (FaultOp::Drop, "drop", "np"),
+    (FaultOp::Corrupt, "corrupt", "np"),
+    (FaultOp::ScanError, "scan", "np"),
+    (FaultOp::ConnReset, "conn-reset", "c"),
+    (FaultOp::SlowFrame, "slow-frame", "c"),
+    (FaultOp::ShardPanic, "shard-panic", "sq"),
+    (FaultOp::ShardStall, "shard-stall", "sq"),
+    (FaultOp::StaleSwap, "stale-swap", "r"),
+];
 
-    fn name(&self) -> &'static str {
-        match self {
-            ServeFaultOp::ConnReset => "conn-reset",
-            ServeFaultOp::SlowFrame => "slow-frame",
-            ServeFaultOp::ShardPanic => "shard-panic",
-            ServeFaultOp::ShardStall => "shard-stall",
-            ServeFaultOp::StaleSwap => "stale-swap",
-        }
+impl FaultOp {
+    /// The op's spec name and address letters.
+    fn grammar(self) -> (&'static str, &'static str) {
+        GRAMMAR
+            .iter()
+            .find(|(op, ..)| *op == self)
+            .map_or(("", ""), |&(_, name, letters)| (name, letters))
     }
 }
 
-/// One scheduled serve-side fault point. `at` is the connection index,
-/// shard id, or reload number depending on the op; `job` is the 1-based
-/// job sequence number for shard ops (0 otherwise).
+/// Parses a scheduled token's address (`n1p2`, `c0`, `s1q4`, `r1`) by
+/// its op's letters; `None` if it does not have exactly that shape.
+fn parse_at(letters: &str, mut addr: &str) -> Option<[usize; 2]> {
+    let mut at = [0; 2];
+    for (slot, letter) in at.iter_mut().zip(letters.chars()) {
+        let rest = addr.strip_prefix(letter)?;
+        let digits = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        let (number, tail) = rest.split_at(digits);
+        *slot = number.parse().ok()?;
+        if *slot == 0 && "qr".contains(letter) {
+            return None;
+        }
+        addr = tail;
+    }
+    addr.is_empty().then_some(at)
+}
+
+/// One scheduled fault point: `op` at address `at`.
 #[derive(Clone, Debug)]
-pub struct ServeFault {
+pub struct ScheduledFault {
     /// What to inject.
-    pub op: ServeFaultOp,
-    /// Connection index (`c`), shard id (`s`), or reload number (`r`).
-    pub at: usize,
-    /// Job sequence number within the shard (`q`, 1-based); 0 for
-    /// connection and reload faults.
-    pub job: usize,
-    /// Shared across clones, exactly like [`ScheduledFault::fired`].
+    pub op: FaultOp,
+    /// Where: `[node, pass]`, `[connection, 0]`, `[shard, job]` or
+    /// `[reload, 0]`.
+    pub at: [usize; 2],
+    /// Shared across clones of the plan: a fault consumed by one run
+    /// attempt stays consumed when recovery re-runs the pass.
     fired: Arc<AtomicBool>,
 }
 
-impl ServeFault {
-    /// A not-yet-fired serve fault.
-    pub fn new(op: ServeFaultOp, at: usize, job: usize) -> ServeFault {
-        ServeFault {
-            op,
-            at,
-            job,
-            fired: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    fn take(&self) -> bool {
-        !self.fired.swap(true, Ordering::SeqCst)
-    }
-
+impl ScheduledFault {
     /// Whether the fault has already fired.
     pub fn fired(&self) -> bool {
         self.fired.load(Ordering::SeqCst)
@@ -203,10 +149,8 @@ pub struct FaultPlan {
     /// Sleep injected when a hang fault fires; must exceed the peers'
     /// deadline for the hang to be observable as a timeout.
     pub hang: Duration,
-    /// Exact fault points.
+    /// Exact fault points, in spec order.
     pub scheduled: Vec<ScheduledFault>,
-    /// Exact serve-side fault points (consulted by `gar-serve`).
-    pub serve: Vec<ServeFault>,
 }
 
 impl Default for FaultPlan {
@@ -221,7 +165,6 @@ impl Default for FaultPlan {
             delay: Duration::from_millis(1),
             hang: Duration::from_millis(500),
             scheduled: Vec::new(),
-            serve: Vec::new(),
         }
     }
 }
@@ -235,52 +178,23 @@ impl FaultPlan {
         }
     }
 
-    /// Builder-style addition of a scheduled fault point.
-    pub fn schedule(mut self, node: usize, pass: usize, op: FaultOp) -> FaultPlan {
-        self.scheduled.push(ScheduledFault::new(node, pass, op));
+    /// Builder-style addition of a fault point: `op` at `at`.
+    pub fn schedule(mut self, op: FaultOp, at: [usize; 2]) -> FaultPlan {
+        self.scheduled.push(ScheduledFault {
+            op,
+            at,
+            fired: Arc::new(AtomicBool::new(false)),
+        });
         self
     }
 
-    /// Builder-style addition of a serve-side fault point.
-    pub fn schedule_serve(mut self, op: ServeFaultOp, at: usize, job: usize) -> FaultPlan {
-        self.serve.push(ServeFault::new(op, at, job));
-        self
-    }
-
-    /// Consumes the first unfired connection fault matching `(op, conn)`.
-    /// `conn` is the index of the connection in accept order (0-based).
-    pub fn take_serve_conn(&self, op: ServeFaultOp, conn: usize) -> bool {
-        debug_assert!(matches!(
-            op,
-            ServeFaultOp::ConnReset | ServeFaultOp::SlowFrame
-        ));
-        self.serve
+    /// Consumes the first unfired fault point of `op` at `at`; only the
+    /// first caller (across clones of the plan) sees `true`.
+    pub fn take(&self, op: FaultOp, at: [usize; 2]) -> bool {
+        self.scheduled
             .iter()
-            .filter(|f| f.op == op && f.at == conn)
-            .any(|f| f.take())
-    }
-
-    /// Consumes the first unfired shard fault matching `(op, shard, job)`.
-    /// `job` is the 1-based job sequence number the shard worker is about
-    /// to process (counted across restarts).
-    pub fn take_serve_shard(&self, op: ServeFaultOp, shard: usize, job: usize) -> bool {
-        debug_assert!(matches!(
-            op,
-            ServeFaultOp::ShardPanic | ServeFaultOp::ShardStall
-        ));
-        self.serve
-            .iter()
-            .filter(|f| f.op == op && f.at == shard && f.job == job)
-            .any(|f| f.take())
-    }
-
-    /// Consumes the stale-swap fault for the numbered reload attempt
-    /// (1-based, counted across the server's lifetime).
-    pub fn take_serve_reload(&self, reload: usize) -> bool {
-        self.serve
-            .iter()
-            .filter(|f| f.op == ServeFaultOp::StaleSwap && f.at == reload)
-            .any(|f| f.take())
+            .filter(|f| f.op == op && f.at == at)
+            .any(|f| !f.fired.swap(true, Ordering::SeqCst))
     }
 
     /// Parses the CLI `--faults` spec: comma-separated tokens, e.g.
@@ -288,8 +202,11 @@ impl FaultPlan {
     ///
     /// Key/value tokens: `seed`, `p-drop`, `p-dup`, `p-corrupt`,
     /// `p-delay`, `p-scan` (all probabilities in `[0, 1]`), `delay-ms`,
-    /// `hang-ms`. Scheduled tokens: `<op>@n<node>p<pass>` with `op` one
-    /// of `panic`, `hang`, `drop`, `corrupt`, `scan`.
+    /// `hang-ms`. Scheduled tokens: `<op>@<address>`, the address being
+    /// the op's letters each followed by a number (see [`FaultOp`]):
+    /// `panic|hang|drop|corrupt|scan@n<node>p<pass>`,
+    /// `conn-reset|slow-frame@c<conn>`, `shard-panic|shard-stall@s<shard>q<job>`
+    /// and `stale-swap@r<reload>`, with `q` and `r` 1-based.
     pub fn parse(spec: &str) -> Result<FaultPlan> {
         let bad =
             |tok: &str, why: &str| Error::InvalidConfig(format!("fault spec token `{tok}`: {why}"));
@@ -325,65 +242,21 @@ impl FaultPlan {
                     }
                     _ => return Err(bad(tok, "unknown key")),
                 }
-            } else if let Some((op, at)) = tok.split_once('@') {
-                if let Some(op) = ServeFaultOp::parse(op) {
-                    let fault = match op {
-                        ServeFaultOp::ConnReset | ServeFaultOp::SlowFrame => {
-                            let conn = at
-                                .strip_prefix('c')
-                                .and_then(|c| c.parse().ok())
-                                .ok_or_else(|| bad(tok, "expected <op>@c<conn>"))?;
-                            ServeFault::new(op, conn, 0)
-                        }
-                        ServeFaultOp::ShardPanic | ServeFaultOp::ShardStall => {
-                            let rest = at
-                                .strip_prefix('s')
-                                .ok_or_else(|| bad(tok, "expected <op>@s<shard>q<job>"))?;
-                            let (shard, job) = rest
-                                .split_once('q')
-                                .ok_or_else(|| bad(tok, "expected <op>@s<shard>q<job>"))?;
-                            let shard = shard
-                                .parse()
-                                .map_err(|_| bad(tok, "shard must be an integer"))?;
-                            let job: usize = job
-                                .parse()
-                                .map_err(|_| bad(tok, "job must be an integer"))?;
-                            if job == 0 {
-                                return Err(bad(tok, "job numbers are 1-based"));
-                            }
-                            ServeFault::new(op, shard, job)
-                        }
-                        ServeFaultOp::StaleSwap => {
-                            let reload: usize =
-                                at.strip_prefix('r')
-                                    .and_then(|r| r.parse().ok())
-                                    .ok_or_else(|| bad(tok, "expected stale-swap@r<reload>"))?;
-                            if reload == 0 {
-                                return Err(bad(tok, "reload numbers are 1-based"));
-                            }
-                            ServeFault::new(op, reload, 0)
-                        }
-                    };
-                    plan.serve.push(fault);
-                    continue;
-                }
-                let op = FaultOp::parse(op)
-                    .ok_or_else(|| bad(tok, "op must be panic|hang|drop|corrupt|scan"))?;
-                let rest = at
-                    .strip_prefix('n')
-                    .ok_or_else(|| bad(tok, "expected <op>@n<node>p<pass>"))?;
-                let (node, pass) = rest
-                    .split_once('p')
-                    .ok_or_else(|| bad(tok, "expected <op>@n<node>p<pass>"))?;
-                let node = node
-                    .parse()
-                    .map_err(|_| bad(tok, "node must be an integer"))?;
-                let pass = pass
-                    .parse()
-                    .map_err(|_| bad(tok, "pass must be an integer"))?;
-                plan.scheduled.push(ScheduledFault::new(node, pass, op));
+            } else if let Some((name, addr)) = tok.split_once('@') {
+                let &(op, _, letters) = GRAMMAR
+                    .iter()
+                    .find(|(_, n, _)| *n == name)
+                    .ok_or_else(|| bad(tok, "unknown fault op"))?;
+                let at = parse_at(letters, addr).ok_or_else(|| {
+                    let shape: String = letters.chars().map(|l| format!("{l}<n>")).collect();
+                    bad(
+                        tok,
+                        &format!("expected {name}@{shape} (q and r count from 1)"),
+                    )
+                })?;
+                plan = plan.schedule(op, at);
             } else {
-                return Err(bad(tok, "expected key=value or <op>@n<node>p<pass>"));
+                return Err(bad(tok, "expected key=value or <op>@<address>"));
             }
         }
         Ok(plan)
@@ -410,19 +283,14 @@ impl FaultPlan {
         if self.hang != d.hang {
             parts.push(format!("hang-ms={}", self.hang.as_millis()));
         }
-        for s in &self.scheduled {
-            parts.push(format!("{}@n{}p{}", s.op.name(), s.node, s.pass));
-        }
-        for f in &self.serve {
-            parts.push(match f.op {
-                ServeFaultOp::ConnReset | ServeFaultOp::SlowFrame => {
-                    format!("{}@c{}", f.op.name(), f.at)
-                }
-                ServeFaultOp::ShardPanic | ServeFaultOp::ShardStall => {
-                    format!("{}@s{}q{}", f.op.name(), f.at, f.job)
-                }
-                ServeFaultOp::StaleSwap => format!("{}@r{}", f.op.name(), f.at),
-            });
+        for f in &self.scheduled {
+            let (name, letters) = f.op.grammar();
+            let addr: String = letters
+                .chars()
+                .zip(f.at)
+                .map(|(l, v)| format!("{l}{v}"))
+                .collect();
+            parts.push(format!("{name}@{addr}"));
         }
         parts.join(",")
     }
@@ -435,7 +303,6 @@ impl FaultPlan {
             && self.p_delay == 0.0
             && self.p_scan_error == 0.0
             && self.scheduled.is_empty()
-            && self.serve.is_empty()
     }
 
     /// Per-node injection state for one run attempt.
@@ -494,14 +361,10 @@ impl FaultState {
         self.pass.set(k);
     }
 
-    /// Consumes the first unfired scheduled fault matching `(this node,
-    /// current pass, op)`.
+    /// Consumes the first unfired scheduled fault of `op` at `(this
+    /// node, current pass)`.
     fn take_scheduled(&self, op: FaultOp) -> bool {
-        self.plan
-            .scheduled
-            .iter()
-            .filter(|s| s.node == self.node && s.pass == self.pass.get() && s.op == op)
-            .any(|s| s.take())
+        self.plan.take(op, [self.node, self.pass.get()])
     }
 
     /// Faults to apply to the next outgoing message.
@@ -594,7 +457,7 @@ mod tests {
         assert_eq!(plan.delay, Duration::from_millis(3));
         assert_eq!(plan.scheduled.len(), 2);
         assert_eq!(plan.scheduled[0].op, FaultOp::Panic);
-        assert_eq!((plan.scheduled[0].node, plan.scheduled[0].pass), (1, 2));
+        assert_eq!(plan.scheduled[0].at, [1, 2]);
         let rendered = plan.render();
         let reparsed = FaultPlan::parse(&rendered).unwrap();
         assert_eq!(reparsed.render(), rendered);
@@ -625,16 +488,16 @@ mod tests {
         let spec =
             "seed=7,conn-reset@c0,slow-frame@c3,shard-panic@s1q4,shard-stall@s0q2,stale-swap@r1";
         let plan = FaultPlan::parse(spec).unwrap();
-        assert_eq!(plan.serve.len(), 5);
-        assert_eq!(plan.serve[0].op, ServeFaultOp::ConnReset);
-        assert_eq!(plan.serve[0].at, 0);
+        assert_eq!(plan.scheduled.len(), 5);
+        assert_eq!(plan.scheduled[0].op, FaultOp::ConnReset);
+        assert_eq!(plan.scheduled[0].at, [0, 0]);
         assert_eq!(
-            (plan.serve[2].op, plan.serve[2].at, plan.serve[2].job),
-            (ServeFaultOp::ShardPanic, 1, 4)
+            (plan.scheduled[2].op, plan.scheduled[2].at),
+            (FaultOp::ShardPanic, [1, 4])
         );
         assert_eq!(
-            (plan.serve[4].op, plan.serve[4].at),
-            (ServeFaultOp::StaleSwap, 1)
+            (plan.scheduled[4].op, plan.scheduled[4].at),
+            (FaultOp::StaleSwap, [1, 0])
         );
         assert!(!plan.is_empty());
         let rendered = plan.render();
@@ -663,32 +526,38 @@ mod tests {
     }
 
     #[test]
+    fn mixed_node_and_serve_tokens_render_in_spec_order() {
+        let spec = "seed=1,stale-swap@r2,panic@n0p1,conn-reset@c3,scan@n2p4";
+        assert_eq!(FaultPlan::parse(spec).unwrap().render(), spec);
+    }
+
+    #[test]
     fn serve_faults_fire_once_at_their_point() {
         let plan = FaultPlan::with_seed(0)
-            .schedule_serve(ServeFaultOp::ConnReset, 1, 0)
-            .schedule_serve(ServeFaultOp::ShardPanic, 0, 3)
-            .schedule_serve(ServeFaultOp::StaleSwap, 2, 0);
+            .schedule(FaultOp::ConnReset, [1, 0])
+            .schedule(FaultOp::ShardPanic, [0, 3])
+            .schedule(FaultOp::StaleSwap, [2, 0]);
         // Wrong addresses never fire.
-        assert!(!plan.take_serve_conn(ServeFaultOp::ConnReset, 0));
-        assert!(!plan.take_serve_shard(ServeFaultOp::ShardPanic, 0, 2));
-        assert!(!plan.take_serve_shard(ServeFaultOp::ShardStall, 0, 3));
-        assert!(!plan.take_serve_reload(1));
+        assert!(!plan.take(FaultOp::ConnReset, [0, 0]));
+        assert!(!plan.take(FaultOp::ShardPanic, [0, 2]));
+        assert!(!plan.take(FaultOp::ShardStall, [0, 3]));
+        assert!(!plan.take(FaultOp::StaleSwap, [1, 0]));
         // Right addresses fire exactly once, even through a clone.
         let clone = plan.clone();
-        assert!(clone.take_serve_conn(ServeFaultOp::ConnReset, 1));
-        assert!(!plan.take_serve_conn(ServeFaultOp::ConnReset, 1));
-        assert!(plan.take_serve_shard(ServeFaultOp::ShardPanic, 0, 3));
-        assert!(!clone.take_serve_shard(ServeFaultOp::ShardPanic, 0, 3));
-        assert!(plan.take_serve_reload(2));
-        assert!(!plan.take_serve_reload(2));
-        assert!(plan.serve.iter().all(|f| f.fired()));
+        assert!(clone.take(FaultOp::ConnReset, [1, 0]));
+        assert!(!plan.take(FaultOp::ConnReset, [1, 0]));
+        assert!(plan.take(FaultOp::ShardPanic, [0, 3]));
+        assert!(!clone.take(FaultOp::ShardPanic, [0, 3]));
+        assert!(plan.take(FaultOp::StaleSwap, [2, 0]));
+        assert!(!plan.take(FaultOp::StaleSwap, [2, 0]));
+        assert!(plan.scheduled.iter().all(|f| f.fired()));
     }
 
     #[test]
     fn empty_spec_is_empty_plan() {
         let plan = FaultPlan::parse("seed=7").unwrap();
         assert!(plan.is_empty());
-        assert!(!plan.clone().schedule(0, 1, FaultOp::Panic).is_empty());
+        assert!(!plan.clone().schedule(FaultOp::Panic, [0, 1]).is_empty());
     }
 
     #[test]
@@ -715,7 +584,7 @@ mod tests {
 
     #[test]
     fn scheduled_fault_fires_once_across_clones() {
-        let plan = FaultPlan::with_seed(0).schedule(1, 2, FaultOp::Panic);
+        let plan = FaultPlan::with_seed(0).schedule(FaultOp::Panic, [1, 2]);
         let attempt1 = plan.clone().node_state(1);
         attempt1.set_pass(2);
         assert_eq!(attempt1.on_pass_start(), Some(FaultOp::Panic));
@@ -728,7 +597,7 @@ mod tests {
 
     #[test]
     fn scheduled_fault_only_fires_at_its_point() {
-        let plan = FaultPlan::with_seed(0).schedule(1, 2, FaultOp::ScanError);
+        let plan = FaultPlan::with_seed(0).schedule(FaultOp::ScanError, [1, 2]);
         let wrong_node = plan.node_state(0);
         wrong_node.set_pass(2);
         assert!(!wrong_node.on_scan());

@@ -12,8 +12,14 @@
 //!   paper's Table 6 metric ("average amount of received messages") falls
 //!   out of these counters directly;
 //! * collective operations (barrier, all-reduce of support-count vectors,
-//!   coordinator broadcast of `L_k`) are provided and *also* charged to the
-//!   communication ledger as gather-to-coordinator + broadcast;
+//!   coordinator broadcast of `L_k`) are one generation-counted round
+//!   ([`Collectives`]) that every node enters in the same order — a node
+//!   entering another collective fails the run with a protocol error —
+//!   and are *also* charged to the communication ledger as
+//!   gather-to-coordinator + broadcast;
+//! * a [`FaultPlan`] injects seeded faults; a scheduled one is a
+//!   [`FaultOp`] at an address, one kind of point for mining nodes and
+//!   for the serving tier (which consults the same plan);
 //! * [`Cluster::run`] is the one way to run the machine: it returns every
 //!   node's result and counters, or the root-cause error of a failed run;
 //! * a [`CostModel`] converts a node's counters (CPU ticks, bytes moved,
@@ -61,7 +67,7 @@ pub use collective::Collectives;
 #[cfg(not(gar_loom))]
 pub use cost::CostModel;
 #[cfg(not(gar_loom))]
-pub use fault::{FaultOp, FaultPlan, RetryPolicy, ScheduledFault, ServeFault, ServeFaultOp};
+pub use fault::{FaultOp, FaultPlan, RetryPolicy, ScheduledFault};
 #[cfg(not(gar_loom))]
 pub use node::{Envelope, Exchange, NodeCtx, CONTROL_TAG_EOS};
 #[cfg(not(gar_loom))]

@@ -332,6 +332,24 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_collectives_are_a_protocol_error() {
+        // Node 0 enters a barrier, node 1 an all-reduce: the second to
+        // arrive names both ops instead of waiting out the deadline.
+        let err = Cluster::run(&cfg(2).with_deadline(Duration::from_secs(2)), |ctx| {
+            if ctx.node_id() == 0 {
+                ctx.barrier()
+            } else {
+                ctx.all_reduce_u64(&[1]).map(|_| ())
+            }
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, Error::Protocol(ref m) if m.contains("barrier") && m.contains("all_reduce")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn root_cause_is_the_poisoners_own_error_else_the_first_unpoisoned() {
         let failed = |node: usize| Err::<(), _>(Error::Protocol(format!("node {node} failed")));
         let echo = |poisoner: usize| Err::<(), _>(Error::Poisoned { node: poisoner });
@@ -376,7 +394,7 @@ mod tests {
     fn dropped_message_is_detected_as_loss() {
         // Node 0's first send is dropped; its second arrives with a
         // sequence gap, which the receiver reports against the sender.
-        let plan = FaultPlan::with_seed(0).schedule(0, 0, FaultOp::Drop);
+        let plan = FaultPlan::with_seed(0).schedule(FaultOp::Drop, [0, 0]);
         let err = Cluster::run(&cfg(2).with_faults(plan), |ctx| {
             if ctx.node_id() == 0 {
                 ctx.send(1, 1, Arc::from(&b"first"[..]))?;
@@ -396,7 +414,7 @@ mod tests {
 
     #[test]
     fn corrupted_message_is_detected_by_checksum() {
-        let plan = FaultPlan::with_seed(0).schedule(0, 0, FaultOp::Corrupt);
+        let plan = FaultPlan::with_seed(0).schedule(FaultOp::Corrupt, [0, 0]);
         let err = Cluster::run(&cfg(2).with_faults(plan), |ctx| {
             if ctx.node_id() == 0 {
                 ctx.send(1, 1, Arc::from(&b"payload"[..]))?;
@@ -433,7 +451,7 @@ mod tests {
             hang: Duration::from_millis(400),
             ..FaultPlan::with_seed(0)
         }
-        .schedule(0, 2, FaultOp::Hang);
+        .schedule(FaultOp::Hang, [0, 2]);
         let config = cfg(2)
             .with_faults(plan)
             .with_deadline(Duration::from_millis(80));
@@ -453,7 +471,7 @@ mod tests {
 
     #[test]
     fn scheduled_panic_yields_node_failure_root_cause() {
-        let plan = FaultPlan::with_seed(0).schedule(1, 1, FaultOp::Panic);
+        let plan = FaultPlan::with_seed(0).schedule(FaultOp::Panic, [1, 1]);
         let err = Cluster::run(&cfg(3).with_faults(plan), |ctx| {
             ctx.set_pass(1);
             ctx.barrier()?;

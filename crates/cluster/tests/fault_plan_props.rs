@@ -9,24 +9,21 @@
 // What this suite drives does not exist in model-checking builds.
 #![cfg(not(gar_loom))]
 
-use gar_cluster::{FaultOp, FaultPlan, ServeFaultOp};
+use gar_cluster::{FaultOp, FaultPlan};
 use proptest::prelude::*;
 use std::time::Duration;
 
-const OPS: [FaultOp; 5] = [
+const OPS: [FaultOp; 10] = [
     FaultOp::Panic,
     FaultOp::Hang,
     FaultOp::Drop,
     FaultOp::Corrupt,
     FaultOp::ScanError,
-];
-
-const SERVE_OPS: [ServeFaultOp; 5] = [
-    ServeFaultOp::ConnReset,
-    ServeFaultOp::SlowFrame,
-    ServeFaultOp::ShardPanic,
-    ServeFaultOp::ShardStall,
-    ServeFaultOp::StaleSwap,
+    FaultOp::ConnReset,
+    FaultOp::SlowFrame,
+    FaultOp::ShardPanic,
+    FaultOp::ShardStall,
+    FaultOp::StaleSwap,
 ];
 
 /// Probabilities in [0, 1] with three decimal digits. The compat
@@ -37,35 +34,38 @@ fn arb_prob() -> impl Strategy<Value = f64> {
     (0u32..1001).prop_map(|n| f64::from(n) / 1000.0)
 }
 
-fn arb_op() -> impl Strategy<Value = FaultOp> {
-    (0usize..OPS.len()).prop_map(|i| OPS[i])
-}
-
-/// Serve-side fault points as `(op, at, job)`: `job` is only rendered
-/// for the shard ops (`…@sNqM`), and the 1-based positions (`job` for
-/// shard ops, `at` for `stale-swap@rN`) must stay ≥ 1 to be parsable.
-fn arb_serve_fault() -> impl Strategy<Value = (ServeFaultOp, usize, usize)> {
-    (0usize..SERVE_OPS.len(), 0usize..16, 1usize..10).prop_map(|(i, at, job)| {
-        let op = SERVE_OPS[i];
-        match op {
-            ServeFaultOp::ShardPanic | ServeFaultOp::ShardStall => (op, at, job),
-            ServeFaultOp::StaleSwap => (op, at.max(1), 0),
-            ServeFaultOp::ConnReset | ServeFaultOp::SlowFrame => (op, at, 0),
-        }
+/// Fault points of every op, node and serve ops interleaved, as
+/// `(op, at)`: the second coordinate is only rendered for the node ops
+/// (`…@nNpM`) and the shard ops (`…@sNqM`), and the 1-based positions
+/// (`job` for shard ops, `at[0]` for `stale-swap@rN`) must stay ≥ 1 to
+/// be parsable.
+fn arb_fault() -> impl Strategy<Value = (FaultOp, [usize; 2])> {
+    (0usize..OPS.len(), 0usize..16, 0usize..10).prop_map(|(i, a, b)| {
+        let op = OPS[i];
+        let at = match op {
+            FaultOp::Panic
+            | FaultOp::Hang
+            | FaultOp::Drop
+            | FaultOp::Corrupt
+            | FaultOp::ScanError => [a, b],
+            FaultOp::ShardPanic | FaultOp::ShardStall => [a, b.max(1)],
+            FaultOp::StaleSwap => [a.max(1), 0],
+            FaultOp::ConnReset | FaultOp::SlowFrame => [a, 0],
+        };
+        (op, at)
     })
 }
 
 /// (seed, [p_drop, p_dup, p_corrupt, p_delay, p_scan], delay-ms,
-/// hang-ms, scheduled (node, pass, op) triples, serve fault points) —
-/// everything `render` can express. Millisecond sleeps include the
-/// defaults (1 and 500) so the omit-if-default path is exercised too.
+/// hang-ms, scheduled fault points) — everything `render` can express.
+/// Millisecond sleeps include the defaults (1 and 500) so the
+/// omit-if-default path is exercised too.
 type PlanParts = (
     u64,
     (f64, f64, f64, f64, f64),
     u64,
     u64,
-    Vec<(usize, usize, FaultOp)>,
-    Vec<(ServeFaultOp, usize, usize)>,
+    Vec<(FaultOp, [usize; 2])>,
 );
 
 fn arb_plan_parts() -> impl Strategy<Value = PlanParts> {
@@ -74,12 +74,11 @@ fn arb_plan_parts() -> impl Strategy<Value = PlanParts> {
         (arb_prob(), arb_prob(), arb_prob(), arb_prob(), arb_prob()),
         0u64..2000,
         0u64..2000,
-        proptest::collection::vec((0usize..16, 0usize..10, arb_op()), 0..6),
-        proptest::collection::vec(arb_serve_fault(), 0..6),
+        proptest::collection::vec(arb_fault(), 0..12),
     )
 }
 
-fn build_plan((seed, probs, delay_ms, hang_ms, scheduled, serve): &PlanParts) -> FaultPlan {
+fn build_plan((seed, probs, delay_ms, hang_ms, scheduled): &PlanParts) -> FaultPlan {
     let mut plan = FaultPlan {
         seed: *seed,
         p_drop: probs.0,
@@ -91,11 +90,8 @@ fn build_plan((seed, probs, delay_ms, hang_ms, scheduled, serve): &PlanParts) ->
         hang: Duration::from_millis(*hang_ms),
         ..FaultPlan::default()
     };
-    for &(node, pass, op) in scheduled {
-        plan = plan.schedule(node, pass, op);
-    }
-    for &(op, at, job) in serve {
-        plan = plan.schedule_serve(op, at, job);
+    for &(op, at) in scheduled {
+        plan = plan.schedule(op, at);
     }
     plan
 }
@@ -118,21 +114,11 @@ proptest! {
         prop_assert_eq!(reparsed.hang, plan.hang);
 
         // Scheduled fault points survive in order (`ScheduledFault`
-        // carries run state, so compare the declarative triple).
+        // carries run state, so compare the declarative pair).
         prop_assert_eq!(reparsed.scheduled.len(), plan.scheduled.len());
         for (got, want) in reparsed.scheduled.iter().zip(&plan.scheduled) {
-            prop_assert_eq!(got.node, want.node);
-            prop_assert_eq!(got.pass, want.pass);
-            prop_assert_eq!(got.op, want.op);
-        }
-
-        // Serve-side fault points too (`ServeFault` carries a fired
-        // flag, so again compare the declarative triple).
-        prop_assert_eq!(reparsed.serve.len(), plan.serve.len());
-        for (got, want) in reparsed.serve.iter().zip(&plan.serve) {
             prop_assert_eq!(got.op, want.op);
             prop_assert_eq!(got.at, want.at);
-            prop_assert_eq!(got.job, want.job);
         }
 
         // And render is a fixed point of the round trip.

@@ -146,6 +146,35 @@ fn broadcast_two_roots_is_rejected_in_every_schedule() {
 }
 
 #[test]
+fn mismatched_collectives_fail_typed_in_every_schedule() {
+    // Node 0 enters a barrier while node 1 enters an all-reduce, with no
+    // deadline to rescue either. Whoever arrives second finds the round
+    // open under the other op: it must poison the run with a Protocol
+    // error naming both ops, and the node parked in the round must wake
+    // with Poisoned naming it — never park forever.
+    model_with(exhaustive(), || {
+        let c = Arc::new(Collectives::new(2));
+        let peer = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.all_reduce_u64(1, &[1]).map(|_| ()))
+        };
+        let mine = c.barrier(0);
+        let theirs = peer.join().unwrap();
+        let culprit = c.poisoned_by().expect("a mismatch poisons the run");
+        for (me, r) in [(0usize, mine), (1usize, theirs)] {
+            match r {
+                Err(Error::Protocol(m)) => {
+                    assert_eq!(me, culprit, "only the poisoner reports the mismatch");
+                    assert!(m.contains("barrier") && m.contains("all_reduce"), "{m}");
+                }
+                Err(Error::Poisoned { node }) => assert_eq!(node, culprit),
+                r => panic!("node {me}: expected a typed failure, got {r:?}"),
+            }
+        }
+    });
+}
+
+#[test]
 fn poison_races_barrier_wait_without_lost_wakeup() {
     // THE regression test for the lost-wakeup bug this suite found in
     // the original implementation: `poison` used to set the flag and

@@ -119,6 +119,7 @@ mod tests {
         checkpoint_path, decode, encode, load_checkpoint, load_latest, save_checkpoint,
         CheckpointSink,
     };
+    use gar_types::bytes::seal;
     use gar_types::iset;
     use std::path::{Path, PathBuf};
 
@@ -190,6 +191,18 @@ mod tests {
             let err = decode::<FpgCheckpoint>(&bad).unwrap_err();
             assert!(matches!(err, Error::Corrupt(_)), "flip at {i}: {err:?}");
         }
+    }
+
+    #[test]
+    fn a_record_that_is_not_an_itemset_is_corrupt() {
+        let mut body = sample().encode_body();
+        // Projection 1's one record, `[0, 1]`, becomes `[5, 5]`: header,
+        // counts and the projection's id, record count and length first.
+        let at = 4 + 4 + 8 + 8 + 4 + 4 * 8 + 4 + 4 + 4 + 4;
+        assert_eq!(body[at..at + 8], [0, 0, 0, 0, 1, 0, 0, 0]);
+        body[at..at + 8].copy_from_slice(&[5, 0, 0, 0, 5, 0, 0, 0]);
+        let err = decode::<FpgCheckpoint>(&seal(body)).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::checkpoint::FpgCheckpoint;
 use crate::grow::{mine_projection, CondBase, GrowCtx};
 use crate::order::{ItemOrder, RelatedRanks};
-use crate::sequential::{group_passes, large_singletons};
+use crate::sequential::group_passes;
 use crate::tree::FpTree;
 use crate::wire::{self, tags, PathBatch};
 use gar_cluster::{Cluster, ClusterConfig, Envelope, NodeCtx};
@@ -37,6 +37,7 @@ use gar_mining::parallel::common::{
 };
 use gar_mining::params::{Algorithm, MiningParams};
 use gar_mining::report::{LargePass, MiningOutput, ParallelReport};
+use gar_mining::sequential::large_items_from_counts;
 use gar_storage::{PartitionedDatabase, TransactionSource};
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, ItemId, Itemset, Result};
@@ -155,7 +156,7 @@ fn node_mine(
         num_transactions: cp.num_transactions,
         min_support_count: cp.min_support_count,
         item_counts: cp.item_counts.clone(),
-        large: large_singletons(&cp.item_counts, cp.min_support_count),
+        large: large_items_from_counts(&cp.item_counts, cp.min_support_count),
     });
     let (p1, info1) = run_pass1(ctx, part, tax, params, restored)?;
     let order = ItemOrder::new(&p1.item_counts, p1.min_support_count);

@@ -11,6 +11,7 @@ use crate::order::{ItemOrder, RelatedRanks};
 use crate::tree::FpTree;
 use gar_mining::params::{Algorithm, MiningParams};
 use gar_mining::report::{LargePass, MiningOutput};
+use gar_mining::sequential::large_items_from_counts;
 use gar_storage::TransactionSource;
 use gar_taxonomy::Taxonomy;
 use gar_types::{ItemId, Itemset, Result};
@@ -38,7 +39,7 @@ pub fn mine_sequential(
             counts[it.index()] += 1;
         }
     })?;
-    let large1 = large_singletons(&counts, min_support_count);
+    let large1 = large_items_from_counts(&counts, min_support_count);
     let order = ItemOrder::new(&counts, min_support_count);
 
     let mut passes = Vec::new();
@@ -86,18 +87,6 @@ fn extract_base(tree: &FpTree, related: &RelatedRanks, r: u32, base: &mut CondBa
         Ok(())
     })
     .unwrap_or_else(|e| match e {});
-}
-
-/// `L_1` from the global counts — must match the Apriori family's pass-1
-/// singletons exactly (ascending item id).
-pub(crate) fn large_singletons(counts: &[u64], min_support_count: u64) -> LargePass {
-    let itemsets = counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c >= min_support_count)
-        .map(|(i, &c)| (Itemset::singleton(ItemId(i as u32)), c))
-        .collect();
-    LargePass { k: 1, itemsets }
 }
 
 /// Canonicalizes depth-first growth emissions into the Apriori pass

@@ -6,8 +6,9 @@
 //! [`Error::Protocol`], never a panic.
 
 use crate::grow::CondBase;
+use gar_mining::persist::{put_passes, read_passes};
 use gar_mining::report::LargePass;
-use gar_mining::wire::{decode_counted, encode_counted, put_sized_counted, read_sized_counted};
+use gar_mining::wire::{put_sized_counted, read_sized_counted};
 use gar_types::bytes::Cursor;
 use gar_types::{Error, Itemset, Result};
 use std::sync::Arc;
@@ -109,36 +110,18 @@ pub(crate) fn decode_result(payload: &[u8]) -> Result<(u32, Vec<(Itemset, u64)>)
     Ok((rank, items))
 }
 
-/// Encodes the final pass chain for the coordinator's output broadcast.
+/// Encodes the final pass chain for the coordinator's output broadcast
+/// (`GOUT`'s pass chain, [`put_passes`]).
 pub(crate) fn encode_passes(passes: &[LargePass]) -> Arc<[u8]> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(&(passes.len() as u32).to_le_bytes());
-    for pass in passes {
-        buf.extend_from_slice(&(pass.k as u32).to_le_bytes());
-        let block = encode_counted(pass.k, &pass.itemsets);
-        buf.extend_from_slice(&(block.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&block);
-    }
+    put_passes(&mut buf, passes);
     buf.into()
 }
 
 /// Decodes an [`encode_passes`] payload.
 pub(crate) fn decode_passes(payload: &[u8]) -> Result<Vec<LargePass>> {
     let mut c = frame(payload);
-    let n = c.u32()? as usize;
-    if n > 64 {
-        return Err(c.error("has an implausible pass count"));
-    }
-    let mut passes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = c.u32()? as usize;
-        let block_len = c.u32()? as usize;
-        let itemsets = decode_counted(c.take(block_len)?)?;
-        if itemsets.iter().any(|(s, _)| s.len() != k) {
-            return Err(c.error(format_args!("pass {k} holds non-{k}-itemsets")));
-        }
-        passes.push(LargePass { k, itemsets });
-    }
+    let passes = read_passes(&mut c)?;
     c.finish()?;
     Ok(passes)
 }
@@ -204,6 +187,23 @@ mod tests {
         let (rank, back) = decode_result(&encode_result(5, &items)).unwrap();
         assert_eq!(rank, 5);
         assert_eq!(back, items);
+    }
+
+    /// A RESULT record is an itemset as sent: a record the sender could
+    /// not have produced is refused, not canonicalized into another set.
+    #[test]
+    fn a_result_record_that_is_not_an_itemset_is_a_protocol_error() {
+        for record in [&[3u32, 1][..], &[2, 2], &[]] {
+            let mut payload = 5u32.to_le_bytes().to_vec();
+            payload.extend_from_slice(&1u32.to_le_bytes());
+            payload.extend_from_slice(&(record.len() as u32).to_le_bytes());
+            for r in record {
+                payload.extend_from_slice(&r.to_le_bytes());
+            }
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            let err = decode_result(&payload).unwrap_err();
+            assert!(matches!(err, Error::Protocol(_)), "{record:?}: {err:?}");
+        }
     }
 
     #[test]

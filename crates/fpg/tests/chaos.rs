@@ -108,7 +108,7 @@ fn mid_projection_panic_recovers_with_identical_rule_store() {
     // Pass 3 + t is a node's (t)th projection task; kill the victim in
     // its second one, after the exchange has scattered its base paths.
     let victim = victim_node(&clean, &data.0);
-    let plan = FaultPlan::with_seed(5).schedule(victim, 4, FaultOp::Panic);
+    let plan = FaultPlan::with_seed(5).schedule(FaultOp::Panic, [victim, 4]);
     let spec = plan.render();
     let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
     let opts = MineOptions {
@@ -186,7 +186,7 @@ fn one_recovery_loop_serves_both_checkpoint_types() {
             &MineOptions::default(),
         )
         .unwrap();
-        let plan = FaultPlan::with_seed(5).schedule(victim, pass, FaultOp::Panic);
+        let plan = FaultPlan::with_seed(5).schedule(FaultOp::Panic, [victim, pass]);
         let spec = plan.render();
         let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
         let opts = MineOptions {
@@ -223,7 +223,7 @@ fn one_recovery_loop_serves_both_checkpoint_types() {
 fn mid_projection_panic_without_budget_is_a_node_failure() {
     let data = dataset();
     let victim = victim_node(&baseline(&data), &data.0);
-    let plan = FaultPlan::with_seed(6).schedule(victim, 4, FaultOp::Panic);
+    let plan = FaultPlan::with_seed(6).schedule(FaultOp::Panic, [victim, 4]);
     let spec = plan.render();
     let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
     let err = mine_parallel_with(

@@ -9,6 +9,7 @@
 //! vectors, which only lines up because every node produces the identical
 //! candidate order.
 
+use crate::report::LargePass;
 use gar_taxonomy::Taxonomy;
 use gar_types::{FxHashSet, ItemId, Itemset};
 
@@ -89,6 +90,19 @@ fn subsets_all_large(candidate: &Itemset, prev: &FxHashSet<&Itemset>) -> bool {
         }
     }
     true
+}
+
+/// Generates pass-k candidates from `prev = L_{k-1}` — the one candidate
+/// step of the sequential Cumulate and of every node of a parallel run
+/// (identical on every node).
+pub(crate) fn candidates_for_pass(k: usize, prev: &LargePass, tax: &Taxonomy) -> Vec<Itemset> {
+    if k == 2 {
+        let l1: Vec<ItemId> = prev.itemsets.iter().map(|(s, _)| s.items()[0]).collect();
+        generate_pairs(&l1, Some(tax))
+    } else {
+        let prev_sets: Vec<Itemset> = prev.itemsets.iter().map(|(s, _)| s.clone()).collect();
+        generate_candidates(&prev_sets)
+    }
 }
 
 /// The distinct items appearing in any candidate — what Cumulate's

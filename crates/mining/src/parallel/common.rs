@@ -5,7 +5,7 @@
 //! assembly. An algorithm owns only its placement key, its transaction
 //! transform, and what it ships.
 
-use crate::candidate::{generate_candidates, generate_pairs};
+use crate::candidate::candidates_for_pass;
 use crate::checkpoint::{self, Checkpoint, CheckpointFormat, CheckpointPass, CheckpointSink};
 use crate::counter::{candidate_entry_bytes, CandidateCounter};
 use crate::parallel::MineOptions;
@@ -444,18 +444,6 @@ impl<'a, B: WireBatch> BatchedExchange<'a, B> {
         }
         self.ex.finish(deliver(self.tag, receive))?;
         self.ctx.barrier()
-    }
-}
-
-/// Generates pass-k candidates exactly as the sequential Cumulate does
-/// (identical on every node).
-pub(crate) fn candidates_for_pass(k: usize, prev: &LargePass, tax: &Taxonomy) -> Vec<Itemset> {
-    if k == 2 {
-        let l1: Vec<ItemId> = prev.itemsets.iter().map(|(s, _)| s.items()[0]).collect();
-        generate_pairs(&l1, Some(tax))
-    } else {
-        let prev_sets: Vec<Itemset> = prev.itemsets.iter().map(|(s, _)| s.clone()).collect();
-        generate_candidates(&prev_sets)
     }
 }
 

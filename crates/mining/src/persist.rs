@@ -2,9 +2,8 @@
 //!
 //! `GOUT` format (little-endian): magic `GOUT`, `u32` version 2,
 //! algorithm name (`u32` length + UTF-8), `u64` transaction count, `u64`
-//! minimum-support count, `u32` pass count, then per pass a `u32 k` and a
-//! [`crate::wire::encode_counted`] block prefixed by its `u32` byte
-//! length; sealed and written through `gar_types::bytes` like every other
+//! minimum-support count, then the pass chain of [`put_passes`];
+//! sealed and written through `gar_types::bytes` like every other
 //! persisted format (version 1 had no checksum). Used by the CLI so a
 //! mine step and a rules step can run as separate processes.
 
@@ -26,11 +25,7 @@ pub fn save_output(output: &MiningOutput, path: impl AsRef<Path>) -> Result<()> 
     put_algorithm(&mut body, output.algorithm);
     body.extend_from_slice(&output.num_transactions.to_le_bytes());
     body.extend_from_slice(&output.min_support_count.to_le_bytes());
-    body.extend_from_slice(&(output.passes.len() as u32).to_le_bytes());
-    for pass in &output.passes {
-        body.extend_from_slice(&(pass.k as u32).to_le_bytes());
-        put_counted_block(&mut body, pass.k, &pass.itemsets);
-    }
+    put_passes(&mut body, &output.passes);
     write_atomic(path.as_ref(), &seal(body), false)
 }
 
@@ -42,16 +37,7 @@ pub fn load_output(path: impl AsRef<Path>) -> Result<MiningOutput> {
     let algorithm = read_algorithm(&mut c)?;
     let num_transactions = c.u64()?;
     let min_support_count = c.u64()?;
-    let num_passes = c.u32()? as usize;
-    if num_passes > 64 {
-        return Err(c.error("has an implausible pass count"));
-    }
-    let mut passes = Vec::with_capacity(num_passes);
-    for _ in 0..num_passes {
-        let k = c.u32()? as usize;
-        let itemsets = read_counted_block(&mut c, k)?;
-        passes.push(LargePass { k, itemsets });
-    }
+    let passes = read_passes(&mut c)?;
     c.finish()?;
     Ok(MiningOutput {
         algorithm,
@@ -59,6 +45,34 @@ pub fn load_output(path: impl AsRef<Path>) -> Result<MiningOutput> {
         min_support_count,
         passes,
     })
+}
+
+/// Appends a pass chain: a `u32` pass count, then per pass a `u32 k` and
+/// its [`put_counted_block`]. The body of `GOUT` after its header, and
+/// FP-Growth's output broadcast.
+pub fn put_passes(out: &mut Vec<u8>, passes: &[LargePass]) {
+    out.extend_from_slice(&(passes.len() as u32).to_le_bytes());
+    for pass in passes {
+        out.extend_from_slice(&(pass.k as u32).to_le_bytes());
+        put_counted_block(out, pass.k, &pass.itemsets);
+    }
+}
+
+/// Inverse of [`put_passes`], reading from the caller's cursor so damage
+/// is the error the caller's format raises (a file's `Corrupt`, a
+/// frame's `Protocol`).
+pub fn read_passes(c: &mut Cursor<'_>) -> Result<Vec<LargePass>> {
+    let num_passes = c.u32()? as usize;
+    if num_passes > 64 {
+        return Err(c.error("has an implausible pass count"));
+    }
+    let mut passes = Vec::with_capacity(num_passes);
+    for _ in 0..num_passes {
+        let k = c.u32()? as usize;
+        let itemsets = read_counted_block(c, k)?;
+        passes.push(LargePass { k, itemsets });
+    }
+    Ok(passes)
 }
 
 /// Appends an algorithm as its length-prefixed paper name — how `GOUT`

@@ -15,7 +15,7 @@
 
 use crate::report::MiningOutput;
 use gar_taxonomy::Taxonomy;
-use gar_types::{FxHashMap, ItemId, Itemset};
+use gar_types::{FxHashSet, ItemId, Itemset};
 
 /// One association rule `antecedent ⇒ consequent`.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,9 +186,11 @@ pub fn prune_uninteresting(
     let support = output.support_map();
     // Single-item supports (for the dilution ratio).
     let item_sup = |it: ItemId| -> Option<u64> { support.get(&Itemset::singleton(it)).copied() };
-    let rule_index: FxHashMap<(Itemset, Itemset), &Rule> = rules
+    // Every derived rule as `(X ∪ Y, |X|)`: antecedent and consequent are
+    // disjoint, so this pair fixes the consequent's size too.
+    let derived: FxHashSet<(Itemset, usize)> = rules
         .iter()
-        .map(|rl| ((rl.antecedent.clone(), rl.consequent.clone()), rl))
+        .map(|rl| (rl.itemset(), rl.antecedent.len()))
         .collect();
 
     let mut kept = Vec::new();
@@ -215,16 +217,9 @@ pub fn prune_uninteresting(
             let expected = anc_sup as f64 * ratio;
             // Only prune against ancestor rules that were themselves
             // derived (same antecedent/consequent shape, generalized).
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "existence check: `any` over an order-independent pure predicate"
-            )]
-            let anc_rule_exists = rule_index.keys().any(|(a, c)| {
-                a.union(c) == anc_x
-                    && a.len() == rule.antecedent.len()
-                    && c.len() == rule.consequent.len()
-            });
-            if anc_rule_exists && (rule.support_count as f64) < r * expected {
+            if (rule.support_count as f64) < r * expected
+                && derived.contains(&(anc_x, rule.antecedent.len()))
+            {
                 continue 'rules;
             }
         }
@@ -240,7 +235,7 @@ mod tests {
     use crate::sequential::cumulate;
     use gar_storage::PartitionedDatabase;
     use gar_taxonomy::TaxonomyBuilder;
-    use gar_types::iset;
+    use gar_types::{iset, FxHashMap};
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()
@@ -401,6 +396,176 @@ mod tests {
         let (tax, _) = sa95();
         let ps = parent_itemsets(&iset![3, 7], &tax);
         assert_eq!(ps, vec![iset![1, 7], iset![3, 5]]);
+    }
+
+    /// The filter as it was first written, kept as the reference: it looks
+    /// the ancestor rule up by scanning every rule, so it is quadratic.
+    /// [SA95] R-interestingness: keep a rule only when its support is at least
+    /// `r` times the support *expected* from each closest ancestor rule.
+    ///
+    /// For an ancestor rule `X' ⇒ Y'` (one item generalized one level), the
+    /// expected support of the descendant rule is
+    /// `sup(X' ∪ Y') × Π sup(z_i) / sup(z'_i)` over the specialized items —
+    /// i.e. the ancestor association diluted by the descendant's share. Rules
+    /// with no mined ancestor rule are kept unconditionally.
+    fn prune_uninteresting_reference(
+        rules: &[Rule],
+        output: &MiningOutput,
+        tax: &Taxonomy,
+        r: f64,
+    ) -> Vec<Rule> {
+        assert!(r >= 1.0, "R must be >= 1");
+        let support = output.support_map();
+        // Single-item supports (for the dilution ratio).
+        let item_sup =
+            |it: ItemId| -> Option<u64> { support.get(&Itemset::singleton(it)).copied() };
+        let rule_index: FxHashMap<(Itemset, Itemset), &Rule> = rules
+            .iter()
+            .map(|rl| ((rl.antecedent.clone(), rl.consequent.clone()), rl))
+            .collect();
+
+        let mut kept = Vec::new();
+        'rules: for rule in rules {
+            let x = rule.itemset();
+            for anc_x in parent_itemsets(&x, tax) {
+                let Some(&anc_sup) = support.get(&anc_x) else {
+                    continue;
+                };
+                // The specialized position: the item of x missing from anc_x.
+                let specialized: Vec<(ItemId, ItemId)> = x
+                    .items()
+                    .iter()
+                    .filter(|it| !anc_x.contains(**it))
+                    .filter_map(|&child| tax.parent(child).map(|p| (child, p)))
+                    .collect();
+                let mut ratio = 1.0;
+                for (child, parent) in &specialized {
+                    match (item_sup(*child), item_sup(*parent)) {
+                        (Some(c), Some(p)) if p > 0 => ratio *= c as f64 / p as f64,
+                        _ => continue,
+                    }
+                }
+                let expected = anc_sup as f64 * ratio;
+                // Only prune against ancestor rules that were themselves
+                // derived (same antecedent/consequent shape, generalized).
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "existence check: `any` over an order-independent pure predicate"
+                )]
+                let anc_rule_exists = rule_index.keys().any(|(a, c)| {
+                    a.union(c) == anc_x
+                        && a.len() == rule.antecedent.len()
+                        && c.len() == rule.consequent.len()
+                });
+                if anc_rule_exists && (rule.support_count as f64) < r * expected {
+                    continue 'rules;
+                }
+            }
+            kept.push(rule.clone());
+        }
+        kept
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn interest_filter_matches_the_reference(
+            shape in (1u32..4, 8u32..30, 0u32..4, 0u64..10_000),
+            raw_txns in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..30, 1..6), 4..30),
+            div in 2u32..6,
+        ) {
+            let (roots, items, fanout, seed) = shape;
+            let tax = gar_taxonomy::synth::synthesize(&gar_taxonomy::synth::SynthTaxonomyConfig {
+                num_items: items.max(roots + 1),
+                num_roots: roots,
+                fanout: 1.5 + f64::from(fanout),
+                seed,
+            });
+            let txns = raw_txns.into_iter().map(|t| {
+                let mut v: Vec<ItemId> = t.into_iter().map(|x| ItemId(x % tax.num_items())).collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            });
+            let db = PartitionedDatabase::build_in_memory(1, txns).unwrap();
+            let params = MiningParams::with_min_support(1.0 / f64::from(div));
+            let out = cumulate(db.partition(0), &tax, &params).unwrap();
+            let rules = derive_rules(&out, 0.0, Some(&tax));
+            for r in [1.0, 1.1, 2.0] {
+                proptest::prop_assert_eq!(
+                    prune_uninteresting(&rules, &out, &tax, r),
+                    prune_uninteresting_reference(&rules, &out, &tax, r)
+                );
+            }
+        }
+    }
+
+    /// The filter over 100 k+ rules: every unrelated pair of 330 items
+    /// (30 parents of 10 leaves each) is large, so each rule has its
+    /// closest ancestor rules among the others. The quadratic reference
+    /// would take minutes here; no time is asserted, only the result.
+    #[test]
+    fn interest_filter_scales_to_a_hundred_thousand_rules() {
+        let parent = |leaf: u32| (leaf - 30) / 10;
+        let mut b = TaxonomyBuilder::new(330);
+        for leaf in 30..330 {
+            b.edge(leaf, parent(leaf)).unwrap();
+        }
+        let tax = b.build().unwrap();
+        let singles = (0..330)
+            .map(|i| (iset![i], if i < 30 { 1000 } else { 100 }))
+            .collect();
+        let mut pairs = Vec::new();
+        for a in 0..330u32 {
+            for b in a + 1..330 {
+                if tax.related(ItemId(a), ItemId(b)) {
+                    continue;
+                }
+                let sup = match (a < 30, b < 30) {
+                    (true, true) => 500,
+                    (true, false) => 50 + (a * 7 + b * 13) % 40,
+                    _ => 5 + (a * 31 + b * 17) % 20,
+                };
+                pairs.push((iset![a, b], u64::from(sup)));
+            }
+        }
+        let out = MiningOutput {
+            algorithm: crate::params::Algorithm::Cumulate,
+            num_transactions: 10_000,
+            min_support_count: 5,
+            passes: vec![
+                crate::report::LargePass {
+                    k: 1,
+                    itemsets: singles,
+                },
+                crate::report::LargePass {
+                    k: 2,
+                    itemsets: pairs,
+                },
+            ],
+        };
+        let rules = derive_rules(&out, 0.0, Some(&tax));
+        assert!(rules.len() >= 100_000, "{} rules", rules.len());
+        let loose = prune_uninteresting(&rules, &out, &tax, 1.0);
+        let strict = prune_uninteresting(&rules, &out, &tax, 2.0);
+        // Rules between parents have no ancestor rule: always kept.
+        let top = rules
+            .iter()
+            .filter(|r| r.itemset().items()[1].raw() < 30)
+            .count();
+        assert_eq!(top, 2 * 30 * 29 / 2);
+        assert!(strict.len() >= top, "{} kept at R = 2", strict.len());
+        // Some leaf rules fall below their expectation; a larger R keeps
+        // a subset of what a smaller one keeps.
+        assert!(loose.len() < rules.len(), "nothing pruned at R = 1");
+        assert!(strict.len() < loose.len(), "R = 2 pruned nothing more");
+        let loose: FxHashSet<_> = loose
+            .iter()
+            .map(|r| (&r.antecedent, &r.consequent))
+            .collect();
+        assert!(strict
+            .iter()
+            .all(|r| loose.contains(&(&r.antecedent, &r.consequent))));
     }
 
     #[test]

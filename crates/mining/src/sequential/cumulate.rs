@@ -1,6 +1,6 @@
 //! The Cumulate algorithm ([SA95]), as described in the paper's section 2.
 
-use crate::candidate::{generate_candidates, generate_pairs, items_in_candidates};
+use crate::candidate::{candidates_for_pass, items_in_candidates};
 use crate::counter::build_counter;
 use crate::params::{Algorithm, MiningParams};
 use crate::report::{LargePass, MiningOutput};
@@ -8,7 +8,7 @@ use crate::sequential::{extract_large, large_items_from_counts};
 use gar_cluster::NodeStatsSnapshot;
 use gar_storage::TransactionSource;
 use gar_taxonomy::{PrunedView, Taxonomy};
-use gar_types::{ItemId, Itemset, Result};
+use gar_types::Result;
 
 /// Mines all large itemsets of `part` under the classification hierarchy
 /// `tax`, sequentially, with Cumulate's three optimizations:
@@ -77,14 +77,7 @@ pub fn cumulate_metered(
             clippy::expect_used,
             reason = "the check above breaks when there is no pass"
         )]
-        let prev = &passes.last().expect("nonempty").itemsets;
-        let candidates: Vec<Itemset> = if k == 2 {
-            let l1_items: Vec<ItemId> = prev.iter().map(|(s, _)| s.items()[0]).collect();
-            generate_pairs(&l1_items, Some(tax))
-        } else {
-            let prev_sets: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
-            generate_candidates(&prev_sets)
-        };
+        let candidates = candidates_for_pass(k, passes.last().expect("nonempty"), tax);
         if candidates.is_empty() {
             break;
         }
@@ -134,7 +127,7 @@ mod tests {
     use super::*;
     use gar_storage::PartitionedDatabase;
     use gar_taxonomy::TaxonomyBuilder;
-    use gar_types::iset;
+    use gar_types::{iset, ItemId, Itemset};
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()

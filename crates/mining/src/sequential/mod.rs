@@ -34,8 +34,9 @@ pub(crate) fn extract_large(
         .collect()
 }
 
-/// Builds the pass-1 result from dense per-item counts.
-pub(crate) fn large_items_from_counts(counts: &[u64], min_support_count: u64) -> LargePass {
+/// Builds the pass-1 result from dense per-item counts (ascending item
+/// id), for both miner families.
+pub fn large_items_from_counts(counts: &[u64], min_support_count: u64) -> LargePass {
     let itemsets = counts
         .iter()
         .enumerate()

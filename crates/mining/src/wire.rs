@@ -255,7 +255,8 @@ pub fn put_sized_counted(buf: &mut Vec<u8>, itemsets: &[(Itemset, u64)]) {
 
 /// Reads a [`put_sized_counted`] list from the caller's cursor, so damage
 /// is the error the caller's format raises (a frame's `Protocol`, a
-/// file's `Corrupt`).
+/// file's `Corrupt`). A record that is empty or not strictly increasing
+/// is damage too, never silently canonicalized.
 pub fn read_sized_counted(c: &mut Cursor<'_>) -> Result<Vec<(Itemset, u64)>> {
     let n = c.u32()? as usize;
     if n > c.remaining() {
@@ -264,8 +265,13 @@ pub fn read_sized_counted(c: &mut Cursor<'_>) -> Result<Vec<(Itemset, u64)>> {
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let len = c.u32()? as usize;
-        let set = c.u32s(len)?.map(ItemId).collect();
-        out.push((Itemset::from_unsorted(set), c.u64()?));
+        let items: Vec<ItemId> = c.u32s(len)?.map(ItemId).collect();
+        if items.is_empty() || !items.iter().zip(items.iter().skip(1)).all(|(a, b)| a < b) {
+            return Err(
+                c.error("holds a record that is not a non-empty, strictly increasing itemset")
+            );
+        }
+        out.push((Itemset::from_sorted(items), c.u64()?));
     }
     Ok(out)
 }

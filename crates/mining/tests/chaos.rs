@@ -138,7 +138,7 @@ fn tolerated_fault_schedules_preserve_the_output() {
 fn node_death_recovers_in_degraded_mode_with_identical_output() {
     let data = dataset();
     let clean = baseline(Algorithm::HHpgmFgd);
-    let plan = FaultPlan::with_seed(5).schedule(1, 2, FaultOp::Panic);
+    let plan = FaultPlan::with_seed(5).schedule(FaultOp::Panic, [1, 2]);
     let spec = plan.render();
     let db = db(&data);
     let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
@@ -179,7 +179,7 @@ fn node_death_recovers_in_degraded_mode_with_identical_output() {
 #[test]
 fn node_death_without_budget_is_a_node_failure() {
     let data = dataset();
-    let plan = FaultPlan::with_seed(6).schedule(1, 2, FaultOp::Panic);
+    let plan = FaultPlan::with_seed(6).schedule(FaultOp::Panic, [1, 2]);
     let spec = plan.render();
     let db = db(&data);
     let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
@@ -203,7 +203,7 @@ fn node_death_without_budget_is_a_node_failure() {
 #[test]
 fn corrupted_traffic_is_detected_not_miscounted() {
     let data = dataset();
-    let plan = FaultPlan::with_seed(7).schedule(0, 2, FaultOp::Corrupt);
+    let plan = FaultPlan::with_seed(7).schedule(FaultOp::Corrupt, [0, 2]);
     let spec = plan.render();
     let db = db(&data);
     let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
@@ -227,7 +227,7 @@ fn corrupted_traffic_is_detected_not_miscounted() {
 #[test]
 fn hung_node_is_detected_by_deadline() {
     let data = dataset();
-    let mut plan = FaultPlan::with_seed(8).schedule(1, 2, FaultOp::Hang);
+    let mut plan = FaultPlan::with_seed(8).schedule(FaultOp::Hang, [1, 2]);
     plan.hang = Duration::from_millis(400);
     let spec = plan.render();
     let db = db(&data);

@@ -42,11 +42,11 @@
 //! request *before* shard work with the typed retryable
 //! `Response::Overloaded`.
 //!
-//! Fault injection: the serve-side tokens of a
-//! [`gar_cluster::FaultPlan`] (`conn-reset@cN`, `slow-frame@cN`,
-//! `shard-panic@sNqM`, `shard-stall@sNqM`, `stale-swap@rN`) are
-//! consulted at the same connection / shard-job / reload points as
-//! before; the shard fault `q` coordinate counts **jobs**, so a batch
+//! Fault injection: the serving ops of a [`gar_cluster::FaultPlan`]
+//! (`conn-reset@cN`, `slow-frame@cN`, `shard-panic@sNqM`,
+//! `shard-stall@sNqM`, `stale-swap@rN`) are taken with
+//! `FaultPlan::take(op, at)` at the connection / shard-job / reload
+//! points; the shard fault `q` coordinate counts **jobs**, so a batch
 //! is one unit exactly like a single query.
 //!
 //! Observability: everything the thread-per-connection server recorded
@@ -74,7 +74,7 @@ use crate::protocol::{
     FrameBuffer, Request, Response, PROTOCOL_VERSION,
 };
 use crate::store::RuleStore;
-use gar_cluster::{FaultPlan, ServeFaultOp};
+use gar_cluster::{FaultOp, FaultPlan};
 use gar_modelcheck::shim::Mutex;
 use gar_obs::{Obs, Stopwatch};
 use gar_types::{Error, ItemId, Result};
@@ -319,7 +319,7 @@ impl Shared {
     fn reload_attempt(&self, path: &str, attempt: usize) -> Result<u64> {
         let mut bytes = std::fs::read(path)
             .map_err(|e| Error::io(format!("reading store for reload: {path}"), e))?;
-        if self.cfg.faults.take_serve_reload(attempt) {
+        if self.cfg.faults.take(FaultOp::StaleSwap, [attempt, 0]) {
             // Injected stale swap: damage the image after the read but
             // before validation — decode must reject it.
             self.obs.add("serve.fault.stale_swap", &[], 1);
@@ -572,7 +572,7 @@ fn shard_worker(shard: usize, slot: &ShardSlot, faults: &FaultPlan, rx: &Receive
     )]
     while let Ok(job) = rx.recv() {
         let jobno = (slot.jobs.fetch_add(1, Ordering::SeqCst) + 1) as usize;
-        if faults.take_serve_shard(ServeFaultOp::ShardStall, shard, jobno) {
+        if faults.take(FaultOp::ShardStall, [shard, jobno]) {
             obs.add("serve.fault.shard_stall", &labels, 1);
             #[expect(clippy::disallowed_methods, reason = "the injected stall fault")]
             std::thread::sleep(faults.hang);
@@ -582,7 +582,7 @@ fn shard_worker(shard: usize, slot: &ShardSlot, faults: &FaultPlan, rx: &Receive
             reason = "this panic is the injected fault: the supervisor's catch_unwind is the code \
                       under test, and the job's guard posts the failure completion from its Drop"
         )]
-        if faults.take_serve_shard(ServeFaultOp::ShardPanic, shard, jobno) {
+        if faults.take(FaultOp::ShardPanic, [shard, jobno]) {
             obs.add("serve.fault.shard_panic", &labels, 1);
             panic!("injected shard panic: shard {shard} job {jobno}");
         }
@@ -899,7 +899,7 @@ impl EventLoop {
             .shared
             .cfg
             .faults
-            .take_serve_conn(ServeFaultOp::ConnReset, conn_id)
+            .take(FaultOp::ConnReset, [conn_id, 0])
         {
             // Injected reset: the request was read but the connection
             // dies before a single response byte — the client must
@@ -1335,7 +1335,7 @@ impl EventLoop {
             if shared
                 .cfg
                 .faults
-                .take_serve_conn(ServeFaultOp::SlowFrame, conn.id as usize)
+                .take(FaultOp::SlowFrame, [conn.id as usize, 0])
             {
                 shared.obs.add("serve.fault.slow_frame", &[], 1);
                 if dribble(conn, &framed, &shared).is_err() {

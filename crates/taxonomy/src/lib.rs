@@ -15,7 +15,7 @@
 //!   transaction *reduction* (replace each item with its closest-to-bottom
 //!   large ancestor — the H-HPGM family);
 //! * the Cumulate optimization of pruning ancestors that occur in no
-//!   candidate ([`Taxonomy::pruned_view`]).
+//!   candidate ([`PrunedView`]).
 //!
 //! [`synth`] grows the random forests used by the synthetic datasets of
 //! Table 5 (number of roots, mean fanout).
@@ -38,5 +38,5 @@ mod taxonomy;
 mod view;
 
 pub use builder::TaxonomyBuilder;
-pub use taxonomy::{AncestorClosure, Taxonomy};
+pub use taxonomy::Taxonomy;
 pub use view::PrunedView;

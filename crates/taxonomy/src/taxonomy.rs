@@ -102,21 +102,6 @@ impl Taxonomy {
         &self.anc_data[lo..hi]
     }
 
-    /// The precomputed ancestor closure as one flat offsets+ids table.
-    ///
-    /// Built once at construction and shared by every pass of every miner
-    /// family: `ids()[offsets()[i]..offsets()[i+1]]` are the proper
-    /// ancestors of item `i`, nearest first. Hot loops that want to avoid
-    /// even the bounds arithmetic of [`Taxonomy::ancestors`] can borrow
-    /// the two slices directly.
-    #[inline]
-    pub fn closure(&self) -> AncestorClosure<'_> {
-        AncestorClosure {
-            offsets: &self.anc_off,
-            ids: &self.anc_data,
-        }
-    }
-
     /// The root of `item`'s tree (`item` itself when it is a root).
     ///
     /// This is the partitioning key of the H-HPGM family: every ancestor
@@ -163,12 +148,6 @@ impl Taxonomy {
         self.children[item.index()].is_empty()
     }
 
-    /// True when `item` has no parent.
-    #[inline]
-    pub fn is_root(&self, item: ItemId) -> bool {
-        self.parent[item.index()].is_none()
-    }
-
     /// True when `anc` is a **proper** ancestor of `desc`.
     pub fn is_ancestor(&self, anc: ItemId, desc: ItemId) -> bool {
         // Depth prunes most negative queries; ancestor lists are short
@@ -196,11 +175,6 @@ impl Taxonomy {
         out
     }
 
-    /// Number of items in the tree rooted at `root` (including the root).
-    pub fn tree_size(&self, root: ItemId) -> usize {
-        self.tree_items(root).len()
-    }
-
     /// *Extends* a transaction: the union of the items and **all** their
     /// ancestors, sorted and de-duplicated. This is Cumulate's `t'` (and
     /// NPGM/HPGM's), before the candidate-presence filter.
@@ -223,57 +197,10 @@ impl Taxonomy {
         out.dedup();
     }
 
-    /// Extends a transaction but keeps only items for which `keep` returns
-    /// true — the Cumulate optimization of dropping ancestors that occur in
-    /// no candidate. Original (non-ancestor) items are always kept so the
-    /// caller can still see the raw transaction.
-    pub fn extend_transaction_filtered(
-        &self,
-        t: &[ItemId],
-        keep: impl Fn(ItemId) -> bool,
-    ) -> Vec<ItemId> {
-        let mut out = Vec::with_capacity(t.len() * 2);
-        self.extend_transaction_filtered_into(t, keep, &mut out);
-        out
-    }
-
-    /// [`Taxonomy::extend_transaction_filtered`] into a caller-owned
-    /// buffer (cleared first).
-    pub fn extend_transaction_filtered_into(
-        &self,
-        t: &[ItemId],
-        keep: impl Fn(ItemId) -> bool,
-        out: &mut Vec<ItemId>,
-    ) {
-        out.clear();
-        out.extend_from_slice(t);
-        for &it in t {
-            for &a in self.ancestors(it) {
-                if keep(a) {
-                    out.push(a);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// *Reduces* a transaction for the H-HPGM family: each item is replaced
-    /// by itself if `is_large`, otherwise by its nearest large ancestor;
-    /// items with no large ancestor are dropped. Result is sorted and
-    /// de-duplicated.
-    pub fn reduce_to_lowest_large(
-        &self,
-        t: &[ItemId],
-        is_large: impl Fn(ItemId) -> bool,
-    ) -> Vec<ItemId> {
-        let mut out = Vec::with_capacity(t.len());
-        self.reduce_to_lowest_large_into(t, is_large, &mut out);
-        out
-    }
-
-    /// [`Taxonomy::reduce_to_lowest_large`] into a caller-owned buffer
-    /// (cleared first).
+    /// *Reduces* a transaction for the H-HPGM family into a caller-owned
+    /// buffer (cleared first): each item is replaced by itself if
+    /// `is_large`, otherwise by its nearest large ancestor; items with no
+    /// large ancestor are dropped. Result is sorted and de-duplicated.
     pub fn reduce_to_lowest_large_into(
         &self,
         t: &[ItemId],
@@ -298,46 +225,6 @@ impl Taxonomy {
             return Some(item);
         }
         self.ancestors(item).iter().copied().find(|&a| is_large(a))
-    }
-}
-
-/// A borrowed view of the taxonomy's flat ancestor-closure table.
-///
-/// Computed exactly once per run (at [`Taxonomy`] construction) and shared
-/// by every pass of both miner families — Apriori transaction extension and
-/// FP-tree ancestor extension both index into the same two arrays instead
-/// of re-walking parent pointers per transaction per pass.
-#[derive(Debug, Clone, Copy)]
-pub struct AncestorClosure<'a> {
-    offsets: &'a [u32],
-    ids: &'a [ItemId],
-}
-
-impl<'a> AncestorClosure<'a> {
-    /// The offsets array: `num_items + 1` entries, monotone.
-    #[inline]
-    pub fn offsets(&self) -> &'a [u32] {
-        self.offsets
-    }
-
-    /// The concatenated ancestor chains, nearest first per item.
-    #[inline]
-    pub fn ids(&self) -> &'a [ItemId] {
-        self.ids
-    }
-
-    /// The proper ancestors of `item`, nearest first, root last.
-    #[inline]
-    pub fn ancestors(&self, item: ItemId) -> &'a [ItemId] {
-        let lo = self.offsets[item.index()] as usize;
-        let hi = self.offsets[item.index() + 1] as usize;
-        &self.ids[lo..hi]
-    }
-
-    /// Chain length of `item` (= its depth).
-    #[inline]
-    pub fn chain_len(&self, item: ItemId) -> usize {
-        (self.offsets[item.index() + 1] - self.offsets[item.index()]) as usize
     }
 }
 
@@ -390,7 +277,7 @@ mod tests {
         let t = paper_forest();
         assert!(t.roots().contains(&ItemId(1)));
         assert!(t.roots().contains(&ItemId(2)));
-        assert!(t.is_root(ItemId(0))); // isolated item: both root and leaf
+        assert!(t.roots().contains(&ItemId(0))); // isolated item: both root and leaf
         assert!(t.is_leaf(ItemId(0)));
         assert!(t.is_leaf(ItemId(15)));
         assert!(!t.is_leaf(ItemId(6)));
@@ -417,7 +304,7 @@ mod tests {
                 .map(ItemId)
                 .collect::<Vec<_>>()
         );
-        assert_eq!(t.tree_size(ItemId(2)), 3);
+        assert_eq!(t.tree_items(ItemId(2)).len(), 3);
     }
 
     #[test]
@@ -438,7 +325,12 @@ mod tests {
     #[test]
     fn extend_transaction_filtered_drops_unwanted_ancestors() {
         let t = paper_forest();
-        let ext = t.extend_transaction_filtered(&[ItemId(10)], |a| a == ItemId(1));
+        let mut ext = Vec::new();
+        crate::PrunedView::new(&t, [ItemId(1)]).extend_transaction_into(
+            &t,
+            &[ItemId(10)],
+            &mut ext,
+        );
         assert_eq!(ext, vec![ItemId(1), ItemId(10)]);
     }
 
@@ -469,14 +361,20 @@ mod tests {
             .map(ItemId)
             .collect();
         let is_large = |i: ItemId| large.contains(&i);
-        let reduced = t.reduce_to_lowest_large(&[ItemId(10), ItemId(12), ItemId(14)], is_large);
+        let mut reduced = Vec::new();
+        t.reduce_to_lowest_large_into(
+            &[ItemId(10), ItemId(12), ItemId(14)],
+            is_large,
+            &mut reduced,
+        );
         assert_eq!(reduced, vec![ItemId(5), ItemId(6), ItemId(10)]);
     }
 
     #[test]
     fn reduce_drops_items_with_no_large_ancestor() {
         let t = paper_forest();
-        let reduced = t.reduce_to_lowest_large(&[ItemId(13)], |_| false);
+        let mut reduced = vec![ItemId(0)];
+        t.reduce_to_lowest_large_into(&[ItemId(13)], |_| false, &mut reduced);
         assert!(reduced.is_empty());
     }
 
@@ -564,24 +462,14 @@ mod proptests {
                 .map(|x| ItemId(x % t.num_items()))
                 .collect();
             let is_large = |i: ItemId| i.raw().is_multiple_of(large_mod);
-            let red = t.reduce_to_lowest_large(&txn, is_large);
+            let mut red = Vec::new();
+            t.reduce_to_lowest_large_into(&txn, is_large, &mut red);
             prop_assert!(red.iter().all(|&i| is_large(i)));
             prop_assert!(red.windows(2).all(|w| w[0] < w[1]));
             // every reduced item is an ancestor-or-self of some txn item
             for &r in &red {
                 prop_assert!(txn.iter().any(|&x| x == r || t.is_ancestor(r, x)));
             }
-        }
-
-        #[test]
-        fn closure_table_matches_ancestors(t in arb_taxonomy()) {
-            let cl = t.closure();
-            for i in 0..t.num_items() {
-                let item = ItemId(i);
-                prop_assert_eq!(cl.ancestors(item), t.ancestors(item));
-                prop_assert_eq!(cl.chain_len(item), t.ancestors(item).len());
-            }
-            prop_assert_eq!(cl.offsets().len(), t.num_items() as usize + 1);
         }
 
         #[test]
@@ -600,13 +488,21 @@ mod proptests {
             t.extend_transaction_into(&txn, &mut buf);
             prop_assert_eq!(&buf, &t.extend_transaction(&txn));
 
-            let keep = |a: ItemId| a.raw().is_multiple_of(2);
-            t.extend_transaction_filtered_into(&txn, keep, &mut buf);
-            prop_assert_eq!(&buf, &t.extend_transaction_filtered(&txn, keep));
+            // A pruned view extends with exactly the kept ancestors.
+            let view = crate::PrunedView::new(&t, (0..t.num_items()).step_by(2).map(ItemId));
+            view.extend_transaction_into(&t, &txn, &mut buf);
+            let mut want = t.extend_transaction(&txn);
+            want.retain(|&a| txn.contains(&a) || view.keeps(a));
+            prop_assert_eq!(&buf, &want);
 
+            // Reduction is each item's lowest large ancestor-or-self.
             let is_large = |i: ItemId| i.raw().is_multiple_of(large_mod);
             t.reduce_to_lowest_large_into(&txn, is_large, &mut buf);
-            prop_assert_eq!(&buf, &t.reduce_to_lowest_large(&txn, is_large));
+            let mut want: Vec<ItemId> =
+                txn.iter().filter_map(|&it| t.lowest_large(it, is_large)).collect();
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(&buf, &want);
         }
     }
 }

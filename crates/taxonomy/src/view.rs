@@ -14,29 +14,16 @@ use gar_types::ItemId;
 #[derive(Debug, Clone)]
 pub struct PrunedView {
     keep: Vec<bool>,
-    kept: usize,
 }
 
 impl PrunedView {
     /// Keeps exactly the items yielded by `present`.
     pub fn new(tax: &Taxonomy, present: impl IntoIterator<Item = ItemId>) -> Self {
         let mut keep = vec![false; tax.num_items() as usize];
-        let mut kept = 0;
         for it in present {
-            if !keep[it.index()] {
-                keep[it.index()] = true;
-                kept += 1;
-            }
+            keep[it.index()] = true;
         }
-        PrunedView { keep, kept }
-    }
-
-    /// Keeps every item (no pruning).
-    pub fn keep_all(tax: &Taxonomy) -> Self {
-        PrunedView {
-            keep: vec![true; tax.num_items() as usize],
-            kept: tax.num_items() as usize,
-        }
+        PrunedView { keep }
     }
 
     /// Whether `item` survives the pruning.
@@ -45,26 +32,25 @@ impl PrunedView {
         self.keep[item.index()]
     }
 
-    /// Number of items kept.
-    #[inline]
-    pub fn kept(&self) -> usize {
-        self.kept
-    }
-
-    /// Extends a transaction with only the ancestors this view keeps.
-    /// Original items are always retained (they may still match leaf-level
-    /// candidates); only the *added ancestors* are filtered, exactly as in
-    /// Cumulate's count-support step.
-    pub fn extend_transaction(&self, tax: &Taxonomy, t: &[ItemId]) -> Vec<ItemId> {
-        tax.extend_transaction_filtered(t, |a| self.keeps(a))
-    }
-
-    /// Buffer-reusing variant of [`PrunedView::extend_transaction`]: fills
-    /// `out` (cleared first) instead of allocating, so per-transaction scan
-    /// loops can thread one scratch `Vec` through every call.
+    /// Extends a transaction with only the ancestors this view keeps,
+    /// into `out` (cleared first, so per-transaction scan loops can thread
+    /// one scratch `Vec` through every call). Original items are always
+    /// retained (they may still match leaf-level candidates); only the
+    /// *added ancestors* are filtered, exactly as in Cumulate's
+    /// count-support step.
     #[inline]
     pub fn extend_transaction_into(&self, tax: &Taxonomy, t: &[ItemId], out: &mut Vec<ItemId>) {
-        tax.extend_transaction_filtered_into(t, |a| self.keeps(a), out);
+        out.clear();
+        out.extend_from_slice(t);
+        for &it in t {
+            for &a in tax.ancestors(it) {
+                if self.keeps(a) {
+                    out.push(a);
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -88,24 +74,25 @@ mod tests {
         let view = PrunedView::new(&tax, [ItemId(0), ItemId(3)]);
         assert!(view.keeps(ItemId(0)));
         assert!(!view.keeps(ItemId(1)));
-        assert_eq!(view.kept(), 2);
-        let ext = view.extend_transaction(&tax, &[ItemId(3)]);
+        let mut ext = Vec::new();
+        view.extend_transaction_into(&tax, &[ItemId(3)], &mut ext);
         assert_eq!(ext, vec![ItemId(0), ItemId(3)]);
     }
 
     #[test]
     fn keep_all_behaves_like_plain_extension() {
         let tax = chain();
-        let view = PrunedView::keep_all(&tax);
-        let ext = view.extend_transaction(&tax, &[ItemId(3)]);
+        let view = PrunedView::new(&tax, (0..4).map(ItemId));
+        let mut ext = Vec::new();
+        view.extend_transaction_into(&tax, &[ItemId(3)], &mut ext);
         assert_eq!(ext, tax.extend_transaction(&[ItemId(3)]));
-        assert_eq!(view.kept(), 4);
     }
 
     #[test]
     fn duplicate_present_items_counted_once() {
         let tax = chain();
         let view = PrunedView::new(&tax, [ItemId(1), ItemId(1), ItemId(1)]);
-        assert_eq!(view.kept(), 1);
+        let kept: Vec<u32> = (0..4).filter(|&i| view.keeps(ItemId(i))).collect();
+        assert_eq!(kept, vec![1]);
     }
 }

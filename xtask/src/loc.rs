@@ -1,9 +1,11 @@
 //! `cargo xtask loc` — the non-test line count the simplicity PRs are
 //! held to, per package and in total.
 //!
-//! A file's count is the number of lines before the first line that
-//! *starts with* `#[cfg(test)]` (its unit-test module; the whole file if
-//! it has none), comments and blanks included. Counted: every `.rs` file
+//! A file's count is the number of lines before its unit-test module:
+//! the first line that *starts with* `#[cfg(test)]` and whose item,
+//! past any further attributes, is a `mod` (the whole file if it has
+//! none), comments and blanks included. A `#[cfg(test)]` on a `fn` or
+//! `use` gates one item of the non-test code and does not end the count. Counted: every `.rs` file
 //! under the `src/` directory of each workspace package (`crates/*`,
 //! `compat/*`, `xtask`, the root package) plus the root package's
 //! `examples/`. Not counted: `tests/` and the separate `benchmark/`
@@ -14,7 +16,36 @@ use std::path::{Path, PathBuf};
 
 /// The lines of `text` before its unit-test module.
 pub(crate) fn non_test_part(text: &str) -> impl Iterator<Item = &str> {
-    text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"))
+    let lines: Vec<&str> = text.lines().collect();
+    let end = (0..lines.len())
+        .find(|&i| {
+            lines[i].starts_with("#[cfg(test)]") && item_line(&lines[i..]).is_some_and(is_mod)
+        })
+        .unwrap_or(lines.len());
+    text.lines().take(end)
+}
+
+/// The first line of `lines` that is not part of an attribute; an
+/// attribute may span several lines, like a multi-line `#[expect(…)]`.
+fn item_line<'a>(lines: &[&'a str]) -> Option<&'a str> {
+    let mut depth = 0;
+    lines.iter().copied().find(|l| {
+        if depth == 0 && !l.trim_start().starts_with("#[") {
+            return true;
+        }
+        depth += l.matches('[').count() as isize - l.matches(']').count() as isize;
+        false
+    })
+}
+
+/// Whether `line` declares a module.
+fn is_mod(line: &str) -> bool {
+    let line = line.trim_start();
+    let line = ["pub(crate) ", "pub "]
+        .iter()
+        .find_map(|vis| line.strip_prefix(vis))
+        .unwrap_or(line);
+    line.starts_with("mod ")
 }
 
 /// Calls `f` with the path and text of every `.rs` file under `dir`.
@@ -63,7 +94,7 @@ fn report(root: &Path) -> std::io::Result<()> {
     }
     rows.push(("xtask".to_string(), count_dir(&root.join("xtask/src"))?));
 
-    println!("non-test Rust lines (before each file's first `#[cfg(test)]`):");
+    println!("non-test Rust lines (before each file's `#[cfg(test)]` module):");
     for (name, lines) in &rows {
         println!("  {name:<24} {lines:>6}");
     }
@@ -97,5 +128,14 @@ mod tests {
             4
         );
         assert_eq!(non_test_part("").count(), 0);
+        // A column-0 `#[cfg(test)]` on a `fn` is non-test code's too: the
+        // count runs on to the module.
+        let src = "fn a() {}\n#[cfg(test)]\nfn t() {}\nfn b() {}\n#[cfg(test)]\nmod tests {}\n";
+        assert_eq!(non_test_part(src).count(), 4);
+        // Attributes between `#[cfg(test)]` and its `mod`, one spanning
+        // lines, still end the count at the `#[cfg(test)]`.
+        let src = "fn a() {}\n#[cfg(test)]\n#[cfg(not(gar_loom))]\n#[expect(\n    clippy::x,\n    \
+                   reason = \"y\"\n)]\npub(crate) mod tests {}\n";
+        assert_eq!(non_test_part(src).count(), 1);
     }
 }
