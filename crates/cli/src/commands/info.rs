@@ -43,11 +43,10 @@ pub fn run(args: &Args) -> Result<()> {
 
     // A quick shape check: mean transaction size from the first partition.
     let mut scan = parts[0].scan()?;
-    let mut buf = Vec::new();
     let (mut n, mut items) = (0usize, 0usize);
-    while scan.next_into(&mut buf)? && n < 10_000 {
+    while let Some(t) = scan.next_slice()?.filter(|_| n < 10_000) {
         n += 1;
-        items += buf.len();
+        items += t.len();
     }
     if n > 0 {
         println!(

@@ -1,14 +1,14 @@
 //! `gar-cli mine` — run a mining algorithm over a dataset directory.
 
 use crate::args::Args;
-use crate::commands::{chain, open_dataset};
+use crate::commands::open_dataset;
 use gar_cluster::{ClusterConfig, FaultPlan};
 use gar_mining::parallel::{mine_parallel_with, MineOptions};
 use gar_mining::persist::{algorithm_by_name, save_output};
 use gar_mining::sequential::{apriori, cumulate};
 use gar_mining::{Algorithm, MiningOutput, MiningParams};
 use gar_obs::{Obs, Stopwatch};
-use gar_storage::PartitionedDatabase;
+use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_types::{Error, Result};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -79,8 +79,8 @@ pub fn run(args: &Args) -> Result<()> {
     };
 
     let output: MiningOutput = match algorithm {
-        Algorithm::Cumulate => cumulate(&chain(&parts), &tax, &params)?,
-        Algorithm::Apriori => apriori(&chain(&parts), tax.num_items(), &params)?,
+        Algorithm::Cumulate => cumulate(&FlatPartition::concat(&parts), &tax, &params)?,
+        Algorithm::Apriori => apriori(&FlatPartition::concat(&parts), tax.num_items(), &params)?,
         parallel_alg => {
             let nodes = parts.len();
             // Reopen through the PartitionedDatabase wrapper for the

@@ -7,7 +7,7 @@ pub mod query;
 pub mod rules;
 pub mod serve;
 
-use gar_storage::{FlatPartition, MultiSource, TransactionSource};
+use gar_storage::FlatPartition;
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, ItemId, Result};
 use std::path::{Path, PathBuf};
@@ -22,7 +22,7 @@ pub const META_FILE: &str = "dataset.txt";
 /// memory, so every scan pass lends borrowed slices. A partition holding
 /// an item the taxonomy does not define is rejected by file name before
 /// anything scans it.
-pub fn open_dataset(dir: &Path) -> Result<(Vec<Box<dyn TransactionSource>>, Taxonomy)> {
+pub fn open_dataset(dir: &Path) -> Result<(Vec<FlatPartition>, Taxonomy)> {
     let is_part = |p: &PathBuf, ext: &str| {
         p.file_name()
             .and_then(|n| n.to_str())
@@ -59,7 +59,6 @@ pub fn open_dataset(dir: &Path) -> Result<(Vec<Box<dyn TransactionSource>>, Taxo
         let items = (0..part.num_transactions()).flat_map(|i| part.get(i));
         check_items(path.display(), items, &tax, tax_path.display())?;
     }
-    let parts = parts.into_iter().map(|p| Box::new(p) as _).collect();
     Ok((parts, tax))
 }
 
@@ -78,12 +77,6 @@ pub fn check_items<'a>(
         ))),
         _ => Ok(()),
     }
-}
-
-/// The opened partitions back to back as one source — what the
-/// sequential algorithms scan.
-pub fn chain(parts: &[Box<dyn TransactionSource>]) -> MultiSource<'_> {
-    MultiSource::new(parts.iter().map(|p| p.as_ref()).collect())
 }
 
 #[cfg(test)]
@@ -112,13 +105,14 @@ mod tests {
         let (parts, _) = open_dataset(&dir).unwrap();
         // Checking the items against the taxonomy scanned nothing.
         assert!(parts.iter().all(|p| p.bytes_read() == 0));
-        let chained = chain(&parts);
+        // What the sequential algorithms scan: the partitions back to
+        // back, in file-name order.
+        let chained = FlatPartition::concat(&parts);
         assert_eq!(chained.num_transactions(), 3);
         let mut scan = chained.scan().unwrap();
-        let mut buf = Vec::new();
         let mut got = Vec::new();
-        while scan.next_into(&mut buf).unwrap() {
-            got.push(buf.clone());
+        while let Some(t) = scan.next_slice().unwrap() {
+            got.push(t.to_vec());
         }
         assert_eq!(got, vec![ids(&[1]), ids(&[2]), ids(&[3])]);
         std::fs::remove_dir_all(&dir).ok();

@@ -32,13 +32,13 @@ use crate::tree::FpTree;
 use crate::wire::{self, tags, PathBatch};
 use gar_cluster::{Cluster, ClusterConfig, Envelope, NodeCtx};
 use gar_mining::parallel::common::{
-    self, assemble_report, close_pass, mine_with_recovery, node_sources, run_pass1, scan_partition,
+    self, assemble_report, close_pass, mine_with_recovery, run_pass1, scan_partition,
     BatchedExchange, NodeOutcome, NodePassInfo, Pass1, PassPersistence, WireBatch,
 };
 use gar_mining::params::{Algorithm, MiningParams};
 use gar_mining::report::{LargePass, MiningOutput, ParallelReport};
 use gar_mining::sequential::large_items_from_counts;
-use gar_storage::{PartitionedDatabase, TransactionSource};
+use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, ItemId, Itemset, Result};
 use std::collections::BTreeMap;
@@ -56,8 +56,6 @@ pub fn owner_of(item: ItemId, tax: &Taxonomy, num_nodes: usize) -> usize {
     common::owner_of([tax.root_of(item).raw()], num_nodes)
 }
 
-type Persist<'a> = PassPersistence<'a, FpgCheckpoint>;
-
 impl WireBatch for PathBatch {
     fn byte_len(&self) -> usize {
         PathBatch::byte_len(self)
@@ -68,7 +66,8 @@ impl WireBatch for PathBatch {
 }
 
 /// Runs parallel FP-Growth over `db` (one partition per node) on a
-/// simulated cluster of `cluster.num_nodes` nodes.
+/// simulated cluster of `cluster.num_nodes` nodes: [`mine_parallel_with`]
+/// with default [`MineOptions`].
 ///
 /// # Errors
 /// Rejects a node/partition mismatch and invalid parameters; propagates
@@ -79,8 +78,7 @@ pub fn mine_parallel(
     params: &MiningParams,
     cluster: &ClusterConfig,
 ) -> Result<ParallelReport> {
-    let sources = node_sources(db, params, cluster)?;
-    run(&sources, tax, params, cluster, &Persist::NONE)
+    mine_parallel_with(db, tax, params, cluster, &MineOptions::default())
 }
 
 /// [`mine_parallel`] with the fault-tolerant runtime: projection-level
@@ -95,22 +93,11 @@ pub fn mine_parallel_with(
     opts: &MineOptions,
 ) -> Result<ParallelReport> {
     mine_with_recovery(db, params, cluster, opts, |sources, cluster, persist| {
-        run(sources, tax, params, cluster, persist)
+        let run = Cluster::run(cluster, |ctx| {
+            node_mine(ctx, sources[ctx.node_id()], tax, params, persist)
+        })?;
+        Ok(assemble_report(cluster, run))
     })
-}
-
-fn run(
-    sources: &[&dyn TransactionSource],
-    tax: &Taxonomy,
-    params: &MiningParams,
-    cluster: &ClusterConfig,
-    persist: &Persist<'_>,
-) -> Result<ParallelReport> {
-    let run = Cluster::run(cluster, |ctx| {
-        let part = sources[ctx.node_id()];
-        node_mine(ctx, part, tax, params, persist)
-    })?;
-    Ok(assemble_report(cluster, run))
 }
 
 /// Coordinator-side intake of one finished projection from a peer.
@@ -143,10 +130,10 @@ fn receive_result(
 
 fn node_mine(
     ctx: &NodeCtx,
-    part: &dyn TransactionSource,
+    part: &FlatPartition,
     tax: &Taxonomy,
     params: &MiningParams,
-    persist: &Persist<'_>,
+    persist: &PassPersistence<'_, FpgCheckpoint>,
 ) -> Result<NodeOutcome> {
     let me = ctx.node_id();
     let n = ctx.num_nodes();

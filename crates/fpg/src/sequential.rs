@@ -12,7 +12,7 @@ use crate::tree::FpTree;
 use gar_mining::params::{Algorithm, MiningParams};
 use gar_mining::report::{LargePass, MiningOutput};
 use gar_mining::sequential::large_items_from_counts;
-use gar_storage::TransactionSource;
+use gar_storage::FlatPartition;
 use gar_taxonomy::Taxonomy;
 use gar_types::{ItemId, Itemset, Result};
 use std::collections::BTreeMap;
@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 /// # Errors
 /// Propagates invalid parameters and storage failures.
 pub fn mine_sequential(
-    source: &dyn TransactionSource,
+    source: &FlatPartition,
     tax: &Taxonomy,
     params: &MiningParams,
 ) -> Result<MiningOutput> {
@@ -104,7 +104,7 @@ pub(crate) fn group_passes(found: Vec<(Itemset, u64)>) -> Vec<LargePass> {
         .collect()
 }
 
-fn scan(source: &dyn TransactionSource, mut f: impl FnMut(&[ItemId])) -> Result<()> {
+fn scan(source: &FlatPartition, mut f: impl FnMut(&[ItemId])) -> Result<()> {
     let mut s = source.scan()?;
     while let Some(t) = s.next_slice()? {
         f(t);

@@ -217,6 +217,50 @@ fn one_recovery_loop_serves_both_checkpoint_types() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A survivor that adopted an orphan dies in turn: the last survivor
+/// then scans its own partition plus both the adopter's merged ones, and
+/// the answer is still byte-identical.
+#[test]
+fn adopter_death_recovers_again_with_identical_output() {
+    let data = dataset();
+    let clean = baseline(&data);
+    // Node 1 dies in the base exchange (pass 2), which no node leaves
+    // before every node has finished it; its partition goes to the first
+    // survivor, node 0 of the second attempt, which dies in its first
+    // projection task there.
+    assert!(
+        clean.passes[0].itemsets.iter().any(|(set, _)| owner_of(
+            set.items()[0],
+            &data.0,
+            NODES - 1
+        ) == 0),
+        "node 0 of two owns no projection to die in"
+    );
+    let plan = FaultPlan::with_seed(5)
+        .schedule(FaultOp::Panic, [1, 2])
+        .schedule(FaultOp::Panic, [0, 3]);
+    let spec = plan.render();
+    let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
+    let opts = MineOptions {
+        max_node_failures: 2,
+        ..MineOptions::default()
+    };
+    let report = mine_parallel_with(&db(&data), &data.0, &params(), &cluster, &opts)
+        .unwrap_or_else(|e| panic!("recovery under `{spec}` failed: {e}"));
+    assert_eq!(
+        rendered(&report.output),
+        rendered(&clean),
+        "output diverged after two deaths under `{spec}`"
+    );
+    assert_eq!(report.degraded.len(), 2, "{:?}", report.degraded);
+    assert!(
+        report.degraded[1].contains("node 0") && report.degraded[1].contains("[0, 1]"),
+        "second note should name the adopter and both its partitions: {}",
+        report.degraded[1]
+    );
+    assert_eq!(report.num_nodes, NODES - 2);
+}
+
 /// Without a failure budget the same schedule is a hard error naming
 /// the dead node — never a hang, never a wrong answer.
 #[test]

@@ -17,7 +17,7 @@ use gar_cluster::{
     ClusterConfig, ClusterRun, CostModel, Envelope, Exchange, NodeCtx, NodeStatsSnapshot,
     RetryPolicy,
 };
-use gar_storage::{MultiSource, PartitionedDatabase, TransactionSource};
+use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::Taxonomy;
 use gar_types::hash::{fx_hash_u32s, fx_mix};
 use gar_types::{Error, ItemId, Itemset, Result};
@@ -82,12 +82,6 @@ pub struct PassPersistence<'a, C> {
 }
 
 impl<C: CheckpointFormat> PassPersistence<'_, C> {
-    /// Run with no checkpointing at all (the default path).
-    pub const NONE: Self = PassPersistence {
-        resume_from: None,
-        sink: None,
-    };
-
     /// Coordinator-side checkpoint write of whatever `make` packages;
     /// non-coordinators and runs without a sink are no-ops.
     pub fn store(&self, ctx: &NodeCtx, make: impl FnOnce() -> C) -> Result<()> {
@@ -137,7 +131,34 @@ pub(crate) struct PassResult {
     pub probes: u64,
 }
 
-fn check_partitions(db: &PartitionedDatabase, cluster: &ClusterConfig) -> Result<()> {
+/// The one way a parallel run is driven, for both miner families: the
+/// checkpoint sink, `--resume`, and degraded-mode recovery around
+/// `attempt`, which runs the miner once over the given per-node
+/// partitions. With default [`MineOptions`] there is no sink and no
+/// resume, and it makes exactly one attempt over the database's own
+/// partitions — that is `mine_parallel`.
+///
+/// On a tolerated node failure the failed node's partitions are
+/// redistributed round-robin over the survivors (each survivor scans one
+/// [`FlatPartition::concat`] of its own partitions and the adopted ones),
+/// completed work is restored from the latest checkpoint, and `attempt`
+/// re-runs on the smaller cluster. Global support counts do not depend
+/// on how transactions are partitioned, so the mined output is identical
+/// to the fault-free run; the report's `degraded` notes record what
+/// happened.
+pub fn mine_with_recovery<C: CheckpointFormat>(
+    db: &PartitionedDatabase,
+    params: &MiningParams,
+    cluster: &ClusterConfig,
+    opts: &MineOptions,
+    mut attempt: impl FnMut(
+        &[&FlatPartition],
+        &ClusterConfig,
+        &PassPersistence<'_, C>,
+    ) -> Result<ParallelReport>,
+) -> Result<ParallelReport> {
+    params.validate()?;
+    cluster.validate()?;
     if db.num_partitions() != cluster.num_nodes {
         return Err(Error::InvalidConfig(format!(
             "database has {} partitions but the cluster has {} nodes",
@@ -145,46 +166,6 @@ fn check_partitions(db: &PartitionedDatabase, cluster: &ClusterConfig) -> Result
             cluster.num_nodes
         )));
     }
-    Ok(())
-}
-
-/// Validates the inputs every parallel entry point takes and lends each
-/// node its own partition.
-pub fn node_sources<'a>(
-    db: &'a PartitionedDatabase,
-    params: &MiningParams,
-    cluster: &ClusterConfig,
-) -> Result<Vec<&'a dyn TransactionSource>> {
-    params.validate()?;
-    cluster.validate()?;
-    check_partitions(db, cluster)?;
-    Ok((0..db.num_partitions()).map(|i| db.partition(i)).collect())
-}
-
-/// The fault-tolerant runtime around one miner: checkpoint sink,
-/// `--resume`, and degraded-mode recovery. `attempt` runs the miner once
-/// over the given per-node sources.
-///
-/// On a tolerated node failure the failed node's partitions are
-/// redistributed round-robin over the survivors (each survivor scans its
-/// own partitions plus the adopted ones back-to-back via
-/// [`MultiSource`]), completed work is restored from the latest
-/// checkpoint, and `attempt` re-runs on the smaller cluster. Global
-/// support counts do not depend on how transactions are partitioned, so
-/// the mined output is identical to the fault-free run; the report's
-/// `degraded` notes record what happened.
-pub fn mine_with_recovery<C: CheckpointFormat>(
-    db: &PartitionedDatabase,
-    params: &MiningParams,
-    cluster: &ClusterConfig,
-    opts: &MineOptions,
-    mut attempt: impl FnMut(
-        &[&dyn TransactionSource],
-        &ClusterConfig,
-        &PassPersistence<'_, C>,
-    ) -> Result<ParallelReport>,
-) -> Result<ParallelReport> {
-    node_sources(db, params, cluster)?; // validation only: attempts scan through `MultiSource`
     let want_sink = opts.checkpoint_dir.is_some() || opts.max_node_failures > 0;
     let sink = want_sink
         .then(|| CheckpointSink::new(opts.checkpoint_dir.clone()))
@@ -205,12 +186,17 @@ pub fn mine_with_recovery<C: CheckpointFormat>(
     loop {
         let mut smaller = cluster.clone();
         smaller.num_nodes = slots.len();
-        let multis: Vec<MultiSource<'_>> = slots
+        // A slot of one partition scans the database's own; a slot that
+        // adopted more scans one copy of them all, in slot order.
+        let merged: Vec<Option<FlatPartition>> = slots
             .iter()
-            .map(|parts| MultiSource::new(parts.iter().map(|&i| db.partition(i)).collect()))
+            .map(|s| {
+                (s.len() > 1).then(|| FlatPartition::concat(s.iter().map(|&i| db.partition(i))))
+            })
             .collect();
-        let sources: Vec<&dyn TransactionSource> =
-            multis.iter().map(|m| m as &dyn TransactionSource).collect();
+        let sources: Vec<&FlatPartition> = (slots.iter().zip(&merged))
+            .map(|(s, m)| m.as_ref().unwrap_or(db.partition(s[0])))
+            .collect();
         let persist = PassPersistence {
             resume_from: restore.as_ref(),
             sink: sink.as_ref(),
@@ -248,7 +234,7 @@ pub fn mine_with_recovery<C: CheckpointFormat>(
 /// over ancestor-extended local transactions, then all-reduce.
 fn pass1(
     ctx: &NodeCtx,
-    part: &dyn TransactionSource,
+    part: &FlatPartition,
     tax: &Taxonomy,
     params: &MiningParams,
 ) -> Result<Pass1> {
@@ -280,7 +266,7 @@ fn pass1(
 /// bookkeeping.
 pub fn run_pass1(
     ctx: &NodeCtx,
-    part: &dyn TransactionSource,
+    part: &FlatPartition,
     tax: &Taxonomy,
     params: &MiningParams,
     restored: Option<Pass1>,
@@ -311,7 +297,7 @@ pub fn run_pass1(
 /// story of Figure 14).
 pub fn scan_partition(
     ctx: &NodeCtx,
-    part: &dyn TransactionSource,
+    part: &FlatPartition,
     mut f: impl FnMut(&[ItemId]) -> Result<()>,
 ) -> Result<()> {
     let _scan = ctx.span("scan");
@@ -327,7 +313,6 @@ pub fn scan_partition(
         transactions += 1;
         f(t)?;
     }
-    drop(scan);
     ctx.charge_scan(transactions, part.bytes_read() - before);
     Ok(())
 }
@@ -681,7 +666,7 @@ fn checkpoint_of(
 /// first unfinished pass.
 pub(crate) fn node_pass_loop(
     ctx: &NodeCtx,
-    part: &dyn TransactionSource,
+    part: &FlatPartition,
     tax: &Taxonomy,
     params: &MiningParams,
     algorithm: Algorithm,

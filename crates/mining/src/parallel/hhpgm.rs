@@ -33,7 +33,7 @@ use crate::report::ParallelReport;
 use crate::sequential::extract_large;
 use crate::wire::{for_each_item_list, ItemListBatch};
 use gar_cluster::{Cluster, ClusterConfig, NodeCtx};
-use gar_storage::TransactionSource;
+use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::{ItemId, Itemset, Result};
 use std::cell::Cell;
@@ -387,7 +387,7 @@ fn count_extended(
 pub(crate) fn mine(
     algorithm: Algorithm,
     grain: Option<DuplicateGrain>,
-    sources: &[&dyn TransactionSource],
+    sources: &[&FlatPartition],
     tax: &Taxonomy,
     params: &MiningParams,
     cluster: &ClusterConfig,

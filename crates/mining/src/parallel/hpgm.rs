@@ -22,7 +22,7 @@ use crate::report::ParallelReport;
 use crate::sequential::extract_large;
 use crate::wire::{decode_itemsets, ItemsetBatch};
 use gar_cluster::{Cluster, ClusterConfig};
-use gar_storage::TransactionSource;
+use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::{Itemset, Result};
 use std::cell::Cell;
@@ -30,7 +30,7 @@ use std::cell::Cell;
 /// Runs HPGM over the per-node sources (`sources[n]` is node `n`'s
 /// partition — possibly a recovery composite).
 pub(crate) fn mine(
-    sources: &[&dyn TransactionSource],
+    sources: &[&FlatPartition],
     tax: &Taxonomy,
     params: &MiningParams,
     cluster: &ClusterConfig,

@@ -36,11 +36,11 @@ mod hpgm;
 mod npgm;
 
 use crate::checkpoint::Checkpoint;
-use crate::parallel::common::{mine_with_recovery, node_sources, PassPersistence};
+use crate::parallel::common::{mine_with_recovery, PassPersistence};
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
 use gar_cluster::ClusterConfig;
-use gar_storage::{PartitionedDatabase, TransactionSource};
+use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, Result};
 use std::path::PathBuf;
@@ -65,10 +65,10 @@ pub struct MineOptions {
 }
 
 /// Dispatches to the algorithm implementation over explicit per-node
-/// sources.
+/// partitions.
 fn dispatch(
     algorithm: Algorithm,
-    sources: &[&dyn TransactionSource],
+    sources: &[&FlatPartition],
     tax: &Taxonomy,
     params: &MiningParams,
     cluster: &ClusterConfig,
@@ -104,7 +104,8 @@ fn dispatch(
 }
 
 /// Runs `algorithm` over `db` (one partition per node) with hierarchy
-/// `tax` on a simulated cluster of `cluster.num_nodes` nodes.
+/// `tax` on a simulated cluster of `cluster.num_nodes` nodes:
+/// [`mine_parallel_with`] with default [`MineOptions`].
 ///
 /// # Errors
 /// Rejects sequential algorithm identifiers, a node/partition mismatch,
@@ -116,15 +117,7 @@ pub fn mine_parallel(
     params: &MiningParams,
     cluster: &ClusterConfig,
 ) -> Result<ParallelReport> {
-    let sources = node_sources(db, params, cluster)?;
-    dispatch(
-        algorithm,
-        &sources,
-        tax,
-        params,
-        cluster,
-        &PassPersistence::NONE,
-    )
+    mine_parallel_with(algorithm, db, tax, params, cluster, &MineOptions::default())
 }
 
 /// [`mine_parallel`] with the fault-tolerant runtime: pass-level

@@ -20,14 +20,14 @@ use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
 use crate::sequential::extract_large;
 use gar_cluster::{Cluster, ClusterConfig};
-use gar_storage::TransactionSource;
+use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::Result;
 
 /// Runs NPGM over the per-node sources (`sources[n]` is node `n`'s
 /// partition — possibly a recovery composite).
 pub(crate) fn mine(
-    sources: &[&dyn TransactionSource],
+    sources: &[&FlatPartition],
     tax: &Taxonomy,
     params: &MiningParams,
     cluster: &ClusterConfig,

@@ -3,7 +3,7 @@
 use crate::params::{Algorithm, MiningParams};
 use crate::report::MiningOutput;
 use crate::sequential::cumulate;
-use gar_storage::TransactionSource;
+use gar_storage::FlatPartition;
 use gar_taxonomy::TaxonomyBuilder;
 use gar_types::Result;
 
@@ -17,7 +17,7 @@ use gar_types::Result;
 /// association that is frequent only at a generalized level (the bench
 /// crate's ablation quantifies the difference).
 pub fn apriori(
-    part: &dyn TransactionSource,
+    part: &FlatPartition,
     num_items: u32,
     params: &MiningParams,
 ) -> Result<MiningOutput> {

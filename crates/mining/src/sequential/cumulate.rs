@@ -6,7 +6,7 @@ use crate::params::{Algorithm, MiningParams};
 use crate::report::{LargePass, MiningOutput};
 use crate::sequential::{extract_large, large_items_from_counts};
 use gar_cluster::NodeStatsSnapshot;
-use gar_storage::TransactionSource;
+use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::Result;
 
@@ -20,7 +20,7 @@ use gar_types::Result;
 ///    deleted (their support equals the item's — only redundant rules
 ///    would follow).
 pub fn cumulate(
-    part: &dyn TransactionSource,
+    part: &FlatPartition,
     tax: &Taxonomy,
     params: &MiningParams,
 ) -> Result<MiningOutput> {
@@ -34,7 +34,7 @@ pub fn cumulate(
 /// scanned, one `scan_passes` per pass. `CostModel::node_seconds` prices
 /// it like any other node.
 pub fn cumulate_metered(
-    part: &dyn TransactionSource,
+    part: &FlatPartition,
     tax: &Taxonomy,
     params: &MiningParams,
 ) -> Result<(MiningOutput, NodeStatsSnapshot)> {
@@ -55,7 +55,6 @@ pub fn cumulate_metered(
             item_counts[it.index()] += 1;
         }
     }
-    drop(scan);
     meters.io_bytes += part.bytes_read() - io_before;
     meters.scan_passes += 1;
     let l1 = large_items_from_counts(&item_counts, min_support_count);
@@ -96,7 +95,6 @@ pub fn cumulate_metered(
             meters.cpu_ticks += out.work;
             meters.hash_probes += out.hits;
         }
-        drop(scan);
         meters.io_bytes += part.bytes_read() - io_before;
         meters.scan_passes += 1;
 

@@ -174,6 +174,49 @@ fn node_death_recovers_in_degraded_mode_with_identical_output() {
     assert_eq!(report.num_nodes, NODES - 1);
 }
 
+/// A survivor that adopted an orphan dies in turn: the last survivor
+/// then scans its own partition plus both the adopter's merged ones, and
+/// the answer is still byte-identical.
+#[test]
+fn adopter_death_recovers_again_with_identical_output() {
+    let data = dataset();
+    let clean = baseline(Algorithm::HHpgmFgd);
+    assert!(clean.contains("pass k=3"), "no pass 3 to die in:\n{clean}");
+    // Node 1 dies in pass 2 and its partition goes to the first survivor,
+    // node 0 of the second attempt — which dies in pass 3, a pass no node
+    // reaches in the first attempt.
+    let plan = FaultPlan::with_seed(5)
+        .schedule(FaultOp::Panic, [1, 2])
+        .schedule(FaultOp::Panic, [0, 3]);
+    let spec = plan.render();
+    let cluster = ClusterConfig::new(NODES, BIG_MEMORY).with_faults(plan);
+    let opts = MineOptions {
+        max_node_failures: 2,
+        ..MineOptions::default()
+    };
+    let report = mine_parallel_with(
+        Algorithm::HHpgmFgd,
+        &db(&data),
+        &data.0,
+        &params(),
+        &cluster,
+        &opts,
+    )
+    .unwrap_or_else(|e| panic!("recovery under `{spec}` failed: {e}"));
+    assert_eq!(
+        rendered(&report.output),
+        clean,
+        "output diverged after two deaths under `{spec}`"
+    );
+    assert_eq!(report.degraded.len(), 2, "{:?}", report.degraded);
+    assert!(
+        report.degraded[1].contains("node 0") && report.degraded[1].contains("[0, 1]"),
+        "second note should name the adopter and both its partitions: {}",
+        report.degraded[1]
+    );
+    assert_eq!(report.num_nodes, NODES - 2);
+}
+
 /// Without a failure budget, the same schedule is a hard error carrying
 /// the failed node — not a hang, not a wrong answer.
 #[test]

@@ -15,7 +15,7 @@ use gar_mining::parallel::mine_parallel;
 use gar_mining::rules::derive_rules;
 use gar_mining::{Algorithm, MiningParams};
 use gar_obs::{MetricsSnapshot, Obs};
-use gar_storage::{FlatPartition, PartitionedDatabase, TransactionSource};
+use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::Taxonomy;
 use gar_types::ItemId;
 use std::fmt::Write as _;
@@ -96,13 +96,13 @@ fn persisted_db(num_nodes: usize, txns: &[Vec<ItemId>], tag: &str) -> Partitione
     for (i, t) in txns.iter().enumerate() {
         buckets[i % num_nodes].push(t);
     }
-    let parts: Vec<Box<dyn TransactionSource>> = buckets
+    let parts: Vec<FlatPartition> = buckets
         .iter()
         .enumerate()
         .map(|(i, b)| {
             let path = dir.join(format!("part-{i}.gfp"));
             b.write_to(&path).unwrap();
-            Box::new(FlatPartition::open(&path).unwrap()) as Box<dyn TransactionSource>
+            FlatPartition::open(&path).unwrap()
         })
         .collect();
     std::fs::remove_dir_all(&dir).ok();

@@ -7,7 +7,7 @@ use gar_mining::oracle::mine_naive;
 use gar_mining::parallel::mine_parallel;
 use gar_mining::sequential::{apriori, cumulate};
 use gar_mining::{Algorithm, CounterKind, MiningParams};
-use gar_storage::{FlatPartition, PartitionedDatabase, TransactionSource};
+use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::synth::{synthesize, SynthTaxonomyConfig};
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
 use gar_types::ItemId;
@@ -67,13 +67,13 @@ fn persisted_db(num_nodes: usize, txns: &[Vec<ItemId>]) -> PartitionedDatabase {
     for (i, t) in txns.iter().enumerate() {
         buckets[i % num_nodes].push(t);
     }
-    let parts: Vec<Box<dyn TransactionSource>> = buckets
+    let parts: Vec<FlatPartition> = buckets
         .iter()
         .enumerate()
         .map(|(i, b)| {
             let path = dir.join(format!("part-{i}.gfp"));
             b.write_to(&path).unwrap();
-            Box::new(FlatPartition::open(&path).unwrap()) as Box<dyn TransactionSource>
+            FlatPartition::open(&path).unwrap()
         })
         .collect();
     std::fs::remove_dir_all(&dir).ok();

@@ -7,7 +7,7 @@ use gar_datagen::{DatasetSpec, TransactionGenerator};
 use gar_mining::parallel::mine_parallel;
 use gar_mining::sequential::{apriori, cumulate};
 use gar_mining::{Algorithm, MiningParams};
-use gar_storage::{FlatPartition, PartitionedDatabase, TransactionSource};
+use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
 use gar_types::ItemId;
 
@@ -211,11 +211,8 @@ fn disk_backed_partitions_agree_with_memory() {
         (0..3)
             .map(|n| {
                 let path = dir.join(format!("part-{n:04}.gfp"));
-                FlatPartition::from_source(mem.partition(n))
-                    .unwrap()
-                    .write_to(&path)
-                    .unwrap();
-                Box::new(FlatPartition::open(&path).unwrap()) as Box<dyn TransactionSource>
+                mem.partition(n).write_to(&path).unwrap();
+                FlatPartition::open(&path).unwrap()
             })
             .collect(),
     );

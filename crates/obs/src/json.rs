@@ -7,13 +7,18 @@
 //! exactly the subset both sides need — objects, arrays, strings with standard
 //! escapes, `f64` numbers, booleans, and null — with a recursive-descent
 //! parser and a writer whose output is byte-deterministic for a given
-//! [`Value`].
+//! [`Value`]. The parser is linear in the input and refuses nesting
+//! deeper than `MAX_DEPTH`, so no document can exhaust the stack.
 //!
 //! Numbers are stored as `f64` and written with Rust's shortest
 //! round-trip `Display`, so any `f64` (and any integer with magnitude
 //! below 2^53) survives `parse ∘ render` exactly.
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// workspace's own documents nest at most 6 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document. Object keys keep their textual order, so a
 /// document written from sorted maps parses back into the same order.
@@ -44,10 +49,12 @@ impl Value {
         }
     }
 
-    /// The number payload as an unsigned integer (exact for < 2^53).
+    /// The number payload as an unsigned integer (exact for < 2^53);
+    /// `None` for a fraction, a negative number, or one ≥ 2^64.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+        match *self {
+            // `u64::MAX as f64` is exactly 2^64.
+            Value::Num(n) if n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64 => Some(n as u64),
             _ => None,
         }
     }
@@ -141,8 +148,10 @@ fn write_string(s: &str, out: &mut String) {
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -154,8 +163,10 @@ pub fn parse(src: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -193,8 +204,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -202,6 +213,17 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nested past {MAX_DEPTH} at offset {}", self.pos));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -278,14 +300,10 @@ impl<'a> Parser<'a> {
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             // No surrogate-pair support: the writer never
                             // emits \u for characters above U+001F.
                             s.push(
@@ -299,15 +317,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str,
-                    // so boundaries are valid).
-                    let rest = self.bytes.get(self.pos..).unwrap_or_default();
-                    let tail = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let Some(c) = tail.chars().next() else {
-                        return Err("unterminated string".into());
-                    };
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or backslash in one step: both are ASCII, so
+                    // the run is a `&str` slice, valid without a check.
+                    let rest = self
+                        .src
+                        .get(self.pos..)
+                        .ok_or_else(|| format!("split character at offset {}", self.pos))?;
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    s.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -324,8 +343,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let span = self.bytes.get(start..self.pos).unwrap_or_default();
-        let text = std::str::from_utf8(span).map_err(|e| e.to_string())?;
+        let text = self.src.get(start..self.pos).unwrap_or_default();
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number '{text}' at offset {start}"))
@@ -382,6 +400,35 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested past 128"), "{err}");
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn megabyte_strings_parse() {
+        // Runs of plain characters between escapes, multi-byte ones
+        // among them, in one string of more than 1 MB.
+        let want = "ab\"é\\".repeat(1 << 18);
+        let doc = Value::Str(want.clone()).render();
+        assert!(doc.len() > 1 << 20);
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(want.as_str()));
+    }
+
+    #[test]
+    fn as_u64_refuses_what_does_not_fit() {
+        assert_eq!(parse("1e300").unwrap().as_u64(), None);
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("1.5").unwrap().as_u64(), None);
     }
 
     #[test]

@@ -452,8 +452,10 @@ impl MetricsSnapshot {
                 {
                     let pair = pair.as_arr().filter(|p| p.len() == 2);
                     let pair = pair.ok_or_else(|| format!("histogram {k}: bad bucket"))?;
+                    // Buckets are 0..=64 (see `Histogram::observe`).
                     let b = pair[0]
                         .as_u64()
+                        .filter(|&b| b <= 64)
                         .ok_or_else(|| format!("histogram {k}: bad bucket index"))?;
                     let c = pair[1]
                         .as_u64()
@@ -532,6 +534,22 @@ mod tests {
         let reparsed = MetricsSnapshot::from_json(&rendered).unwrap();
         assert_eq!(reparsed, snap);
         assert_eq!(reparsed.to_json(), rendered);
+    }
+
+    #[test]
+    fn metrics_json_rejects_a_bucket_past_64() {
+        let doc = |bucket: u64| {
+            format!(
+                "{{\"schema\":\"{METRICS_SCHEMA}\",\"histograms\":{{\"h\":{{\"count\":1,\
+                 \"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[{bucket},1]]}}}}}}"
+            )
+        };
+        let snap = MetricsSnapshot::from_json(&doc(64)).unwrap();
+        assert_eq!(snap.histograms["h"].buckets, vec![(64, 1)]);
+        for bucket in [65, 300] {
+            let err = MetricsSnapshot::from_json(&doc(bucket)).unwrap_err();
+            assert!(err.contains("bad bucket index"), "{bucket}: {err}");
+        }
     }
 
     #[test]

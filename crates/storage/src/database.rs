@@ -1,14 +1,13 @@
 //! Horizontally partitioned transaction databases.
 
 use crate::flat::FlatPartition;
-use crate::TransactionSource;
 use gar_types::{Error, ItemId, Result};
 
 /// A transaction database split across `N` node partitions — the paper's
 /// "the transaction data is evenly spread over the local disks of all the
 /// nodes". Partition `n` plays the role of `D^n`.
 pub struct PartitionedDatabase {
-    parts: Vec<Box<dyn TransactionSource>>,
+    parts: Vec<FlatPartition>,
 }
 
 impl PartitionedDatabase {
@@ -22,21 +21,17 @@ impl PartitionedDatabase {
         if num_partitions == 0 {
             return Err(Error::InvalidConfig("need at least one partition".into()));
         }
-        let mut buckets: Vec<FlatPartition> =
+        let mut parts: Vec<FlatPartition> =
             (0..num_partitions).map(|_| FlatPartition::new()).collect();
         for (i, t) in txns.enumerate() {
-            buckets[i % num_partitions].push(&t);
+            parts[i % num_partitions].push(&t);
         }
-        let parts = buckets
-            .into_iter()
-            .map(|b| Box::new(b) as Box<dyn TransactionSource>)
-            .collect();
         Ok(PartitionedDatabase { parts })
     }
 
     /// Wraps already-opened partitions (e.g. re-opened from a dataset
     /// directory on disk).
-    pub fn from_parts(parts: Vec<Box<dyn TransactionSource>>) -> PartitionedDatabase {
+    pub fn from_parts(parts: Vec<FlatPartition>) -> PartitionedDatabase {
         PartitionedDatabase { parts }
     }
 
@@ -46,12 +41,12 @@ impl PartitionedDatabase {
     }
 
     /// The `n`-th node's local partition.
-    pub fn partition(&self, n: usize) -> &dyn TransactionSource {
-        self.parts[n].as_ref()
+    pub fn partition(&self, n: usize) -> &FlatPartition {
+        &self.parts[n]
     }
 
     /// All partitions (for handing one to each node thread).
-    pub fn partitions(&self) -> &[Box<dyn TransactionSource>] {
+    pub fn partitions(&self) -> &[FlatPartition] {
         &self.parts
     }
 
@@ -75,12 +70,11 @@ mod tests {
         v.iter().map(|&x| ItemId(x)).collect()
     }
 
-    fn drain(p: &dyn TransactionSource) -> Vec<Vec<ItemId>> {
+    fn drain(p: &FlatPartition) -> Vec<Vec<ItemId>> {
         let mut scan = p.scan().unwrap();
-        let mut buf = Vec::new();
         let mut out = Vec::new();
-        while scan.next_into(&mut buf).unwrap() {
-            out.push(buf.clone());
+        while let Some(t) = scan.next_slice().unwrap() {
+            out.push(t.to_vec());
         }
         out
     }
@@ -105,14 +99,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let txns: Vec<Vec<ItemId>> = (0..7u32).map(|i| ids(&[i, i + 10])).collect();
         let split = PartitionedDatabase::build_in_memory(2, txns.clone().into_iter()).unwrap();
-        let mut parts: Vec<Box<dyn TransactionSource>> = Vec::new();
+        let mut parts = Vec::new();
         for n in 0..split.num_partitions() {
             let path = dir.join(format!("part-{n:04}.gfp"));
-            FlatPartition::from_source(split.partition(n))
-                .unwrap()
-                .write_to(&path)
-                .unwrap();
-            parts.push(Box::new(FlatPartition::open(&path).unwrap()));
+            split.partition(n).write_to(&path).unwrap();
+            parts.push(FlatPartition::open(&path).unwrap());
         }
         let db = PartitionedDatabase::from_parts(parts);
         assert_eq!(db.total_transactions(), 7);

@@ -19,7 +19,6 @@
 //! size anything. (Scans are zero-copy; [`FlatPartition::open`] is not —
 //! it owns two `Vec`s.)
 
-use crate::{TransactionScan, TransactionSource};
 use gar_types::bytes::{read_sealed, seal, write_atomic, Cursor};
 use gar_types::{Error, ItemId, Result};
 use std::path::Path;
@@ -41,7 +40,7 @@ const WHAT: &str = "flat partition";
 
 /// A node partition stored as flat offsets + items arrays. Scans lend
 /// borrowed slices directly out of the items array.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FlatPartition {
     /// `num_transactions + 1` monotone offsets into `items`.
     offsets: Vec<u32>,
@@ -51,15 +50,21 @@ pub struct FlatPartition {
     bytes_read: AtomicU64,
 }
 
-impl FlatPartition {
-    /// An empty partition, ready for [`FlatPartition::push`].
-    pub fn new() -> FlatPartition {
+impl Default for FlatPartition {
+    fn default() -> FlatPartition {
         FlatPartition {
             offsets: vec![0],
             items: Vec::new(),
             bytes: 0,
             bytes_read: AtomicU64::new(0),
         }
+    }
+}
+
+impl FlatPartition {
+    /// An empty partition, ready for [`FlatPartition::push`].
+    pub fn new() -> FlatPartition {
+        FlatPartition::default()
     }
 
     /// Appends one transaction (must be sorted and de-duplicated).
@@ -85,20 +90,53 @@ impl FlatPartition {
         p
     }
 
-    /// Copies any [`TransactionSource`] into flat form. The source's
-    /// `bytes_read` tally advances by one full scan.
-    pub fn from_source(src: &dyn TransactionSource) -> Result<FlatPartition> {
+    /// The partitions `parts` back to back, in order, as one partition
+    /// with a fresh `bytes_read` tally: what a node scans after adopting
+    /// a failed peer's partitions, or a sequential miner reading a whole
+    /// dataset. Each part's tally advances by one full scan.
+    pub fn concat<'a>(parts: impl IntoIterator<Item = &'a FlatPartition>) -> FlatPartition {
         let mut p = FlatPartition::new();
-        let mut scan = src.scan()?;
-        while let Some(t) = scan.next_slice()? {
-            p.push(t);
+        for part in parts {
+            (0..part.num_transactions()).for_each(|i| p.push(part.get(i)));
+            // relaxed: monotonic I/O tally; see bytes_read().
+            part.bytes_read.fetch_add(part.bytes, Ordering::Relaxed);
         }
-        Ok(p)
+        p
     }
 
-    /// Equivalent encoded size in bytes.
+    /// A copy of `src`: `concat([src])`. Never fails; the `Result` is kept
+    /// for the `benchmark/` harness's call sites.
+    pub fn from_source(src: &FlatPartition) -> Result<FlatPartition> {
+        Ok(FlatPartition::concat([src]))
+    }
+
+    /// Number of transactions in this partition.
+    pub fn num_transactions(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Record-equivalent size of the partition in bytes (see module
+    /// docs); one full scan reads exactly this.
     pub fn size_bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Total bytes read from this partition so far, across all scans, in
+    /// record-equivalent bytes — NPGM's fragment-rescan cost shows up
+    /// here.
+    pub fn bytes_read(&self) -> u64 {
+        // relaxed: monotonic I/O tally read for reporting only; scans
+        // and readers are never ordered against each other.
+        self.bytes_read.load(Ordering::Relaxed)
+    }
+
+    /// Starts a fresh scan from the first transaction. Never fails; the
+    /// `Result` is kept for the `benchmark/` harness's call sites.
+    pub fn scan(&self) -> Result<FlatScan<'_>> {
+        Ok(FlatScan {
+            part: self,
+            next: 0,
+        })
     }
 
     /// The `i`-th transaction.
@@ -152,36 +190,20 @@ impl FlatPartition {
     }
 }
 
-impl TransactionSource for FlatPartition {
-    fn size_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    fn num_transactions(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn scan(&self) -> Result<Box<dyn TransactionScan + '_>> {
-        Ok(Box::new(FlatScan {
-            part: self,
-            next: 0,
-        }))
-    }
-
-    fn bytes_read(&self) -> u64 {
-        // relaxed: monotonic I/O tally read for reporting only; scans
-        // and readers are never ordered against each other.
-        self.bytes_read.load(Ordering::Relaxed)
-    }
-}
-
-struct FlatScan<'a> {
+/// One streaming pass over a [`FlatPartition`]: a cursor lending
+/// borrowed slices straight out of the items array, so the pass loop
+/// touches no allocator.
+pub struct FlatScan<'a> {
     part: &'a FlatPartition,
     next: usize,
 }
 
-impl TransactionScan for FlatScan<'_> {
-    fn next_slice(&mut self) -> Result<Option<&[ItemId]>> {
+impl<'a> FlatScan<'a> {
+    /// Borrows the next transaction and charges it to the partition's
+    /// `bytes_read`. Returns `Ok(None)` at the end of the partition.
+    /// Never fails; the `Result` is kept for the `benchmark/` harness's
+    /// call sites.
+    pub fn next_slice(&mut self) -> Result<Option<&'a [ItemId]>> {
         if self.next >= self.part.num_transactions() {
             return Ok(None);
         }
@@ -241,12 +263,10 @@ mod tests {
         mem.write_to(&path).unwrap();
         let disk = FlatPartition::open(&path).unwrap();
         assert_eq!(disk.size_bytes(), mem.size_bytes());
-        let mut buf = Vec::new();
         let mut ds = disk.scan().unwrap();
         let mut ms = mem.scan().unwrap();
-        while ds.next_into(&mut buf).unwrap() {}
-        while ms.next_into(&mut buf).unwrap() {}
-        drop((ds, ms));
+        while ds.next_slice().unwrap().is_some() {}
+        while ms.next_slice().unwrap().is_some() {}
         assert_eq!(disk.bytes_read(), mem.bytes_read());
         assert_eq!(disk.bytes_read(), disk.size_bytes());
         std::fs::remove_file(&path).ok();
@@ -333,12 +353,28 @@ mod tests {
 
     #[test]
     fn from_source_copies_any_partition() {
-        let a = FlatPartition::from_transactions([ids(&[1])]);
-        let b = FlatPartition::from_transactions([ids(&[2, 3])]);
-        let both = crate::MultiSource::new(vec![&a, &b]);
-        let flat = FlatPartition::from_source(&both).unwrap();
-        assert_eq!(flat.num_transactions(), 2);
-        assert_eq!(flat.get(1), &ids(&[2, 3])[..]);
-        assert_eq!(flat.size_bytes(), both.size_bytes());
+        // `concat` lays its parts back to back, in order, skipping empty
+        // ones; `from_source` is the one-part case.
+        let a = FlatPartition::from_transactions([ids(&[1]), ids(&[2, 3])]);
+        let empty = FlatPartition::new();
+        let b = FlatPartition::from_transactions([ids(&[4])]);
+        let both = FlatPartition::concat([&a, &empty, &b]);
+        assert_eq!(both.num_transactions(), 3);
+        assert_eq!(both.get(1), &ids(&[2, 3])[..]);
+        assert_eq!(both.get(2), &ids(&[4])[..]);
+        assert_eq!(both.size_bytes(), a.size_bytes() + b.size_bytes());
+        // Each part's tally advances by one full scan; the copy's starts
+        // fresh and rescans accumulate as on any partition.
+        assert_eq!(a.bytes_read(), a.size_bytes());
+        assert_eq!(both.bytes_read(), 0);
+        for _ in 0..2 {
+            let mut scan = both.scan().unwrap();
+            while scan.next_slice().unwrap().is_some() {}
+        }
+        assert_eq!(both.bytes_read(), 2 * both.size_bytes());
+        let copy = FlatPartition::from_source(&b).unwrap();
+        assert_eq!(copy.get(0), b.get(0));
+        assert_eq!(b.bytes_read(), 2 * b.size_bytes());
+        assert_eq!(FlatPartition::concat([]).num_transactions(), 0);
     }
 }

@@ -4,16 +4,16 @@
 //! the (horizontally partitioned) transaction file; "the transaction data is
 //! evenly spread over the local disks of all the nodes", and a node only
 //! ever scans its partition start to finish. This crate reproduces that
-//! layout with one partition representation in three modules:
+//! layout with one partition type, [`FlatPartition`], the workspace's
+//! only transaction source; no trait stands in front of it.
 //!
 //! * [`FlatPartition`] (`flat`) — one offsets array + one items array,
 //!   the same struct in memory and (as a sealed `GFP2` file) on disk;
-//!   scans lend borrowed slices, and cumulative read bytes are tallied
-//!   because NPGM's defining cost is *re-scanning* a partition once per
-//!   candidate fragment;
-//! * [`MultiSource`] (`multi`) — several partitions scanned back to back
-//!   as one (a survivor adopting an orphan, a sequential miner reading a
-//!   whole dataset directory);
+//!   a [`FlatScan`] lends borrowed slices, and cumulative read bytes are
+//!   tallied because NPGM's defining cost is *re-scanning* a partition
+//!   once per candidate fragment. [`FlatPartition::concat`] lays several
+//!   partitions back to back as one (a survivor adopting an orphan, a
+//!   sequential miner reading a whole dataset directory);
 //! * [`PartitionedDatabase`] (`database`) — splits a transaction stream
 //!   round-robin across `N` node partitions, as the evaluation section
 //!   prescribes.
@@ -31,61 +31,13 @@
 
 mod database;
 mod flat;
-mod multi;
 
 pub use database::PartitionedDatabase;
-pub use flat::FlatPartition;
-pub use multi::MultiSource;
-
-use gar_types::{ItemId, Result};
-
-/// A node-local slice of the transaction database (`D^n` in the paper's
-/// notation): something that can be scanned start-to-finish, repeatedly.
-pub trait TransactionSource: Send + Sync {
-    /// Number of transactions in this partition.
-    fn num_transactions(&self) -> usize;
-
-    /// Starts a fresh scan. Each call rewinds to the first transaction.
-    fn scan(&self) -> Result<Box<dyn TransactionScan + '_>>;
-
-    /// Total bytes read from this partition so far, across all scans, in
-    /// record-equivalent bytes (see [`FlatPartition`]) — NPGM's
-    /// fragment-rescan cost shows up here.
-    fn bytes_read(&self) -> u64;
-
-    /// Record-equivalent size of the partition in bytes; one full scan
-    /// reads exactly this.
-    fn size_bytes(&self) -> u64;
-}
-
-/// A streaming pass over one partition.
-///
-/// The primary interface is the lending `next_slice`: a partition hands
-/// out borrowed slices with zero copying, so the pass loop touches no
-/// allocator. `next_into` is the copying convenience for callers that
-/// need to keep the transaction across iterations.
-pub trait TransactionScan {
-    /// Borrows the next transaction; the slice is valid until the next
-    /// call on this scan. Returns `Ok(None)` on a clean end-of-partition.
-    fn next_slice(&mut self) -> Result<Option<&[ItemId]>>;
-
-    /// Reads the next transaction into `buf` (cleared first). Returns
-    /// `Ok(false)` on a clean end-of-partition.
-    fn next_into(&mut self, buf: &mut Vec<ItemId>) -> Result<bool> {
-        buf.clear();
-        match self.next_slice()? {
-            Some(t) => {
-                buf.extend_from_slice(t);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-}
+pub use flat::{FlatPartition, FlatScan};
 
 #[cfg(test)]
 mod testutil {
-    use crate::TransactionSource;
+    use crate::FlatPartition;
     use gar_types::ItemId;
 
     pub fn ids(v: &[u32]) -> Vec<ItemId> {
@@ -96,13 +48,12 @@ mod testutil {
         std::env::temp_dir().join(format!("gar-storage-test-{}-{name}", std::process::id()))
     }
 
-    /// One full scan through the copying `next_into` interface.
-    pub fn drain(p: &dyn TransactionSource) -> Vec<Vec<ItemId>> {
+    /// One full scan, copied out.
+    pub fn drain(p: &FlatPartition) -> Vec<Vec<ItemId>> {
         let mut scan = p.scan().unwrap();
-        let mut buf = Vec::new();
         let mut out = Vec::new();
-        while scan.next_into(&mut buf).unwrap() {
-            out.push(buf.clone());
+        while let Some(t) = scan.next_slice().unwrap() {
+            out.push(t.to_vec());
         }
         out
     }
@@ -115,7 +66,7 @@ mod codec {
     mod tests {
         use crate::flat::encoded_len;
         use crate::testutil::{drain, ids, tmp};
-        use crate::{FlatPartition, TransactionSource};
+        use crate::FlatPartition;
         use gar_types::Error;
 
         #[test]
@@ -221,7 +172,7 @@ mod codec {
 mod memory {
     mod tests {
         use crate::testutil::{drain, ids, tmp};
-        use crate::{FlatPartition, TransactionSource};
+        use crate::FlatPartition;
 
         #[test]
         fn scan_round_trips() {
@@ -252,6 +203,9 @@ mod memory {
             let p = FlatPartition::new();
             assert!(drain(&p).is_empty());
             assert_eq!(p.size_bytes(), 0);
+            // `Default` is the same empty partition, not an offsets-less
+            // one whose `num_transactions` underflows.
+            assert!(drain(&FlatPartition::default()).is_empty());
             p.write_to(&path).unwrap();
             let re = FlatPartition::open(&path).unwrap();
             assert_eq!(re.num_transactions(), 0);
@@ -266,7 +220,7 @@ mod memory {
 mod partition {
     mod tests {
         use crate::testutil::{drain, ids, tmp};
-        use crate::{FlatPartition, TransactionSource};
+        use crate::FlatPartition;
         use gar_types::bytes::seal;
         use gar_types::Error;
 

@@ -35,8 +35,8 @@ fn usage() -> &'static str {
      \n\
      commands:\n\
        ci            run the full CI job sequence locally (fmt, clippy,\n\
-                     test, examples, benchmark self-tests + one short\n\
-                     checked run, loom, chaos, serve-chaos)\n\
+                     release build, test, examples, benchmark self-tests\n\
+                     + one short checked run, loom, chaos, serve-chaos)\n\
        loom          clippy, then model-check the cluster collectives and\n\
                      the serve epoch cell (--cfg gar_loom)\n\
        chaos         seeded fault-injection soak (GAR_CHAOS_ITERS scales it)\n\

@@ -189,11 +189,11 @@ for ex in examples/*.rs; do
 done"#;
 
 /// Runs the CI job sequence locally, in the same order the workflow
-/// does: format + clippy, build + test, the examples, the benchmark
-/// harness's self-tests and one short checked benchmark run, loom (with
-/// its own clippy pass), chaos and serve-chaos. Stops at the first failing job
-/// so the console ends at the same place the CI log would. `cargo xtask
-/// ci` before pushing ≈ a green run.
+/// does: format + clippy, the release build, the tests, the examples,
+/// the benchmark harness's self-tests and one short checked benchmark
+/// run, loom (with its own clippy pass), chaos and serve-chaos. Stops at
+/// the first failing job so the console ends at the same place the CI
+/// log would. `cargo xtask ci` before pushing ≈ a green run.
 pub fn ci(root: &Path, _args: &[String]) -> u8 {
     let jobs: &[(&str, &dyn Fn() -> u8)] = &[
         ("fmt", &|| {
@@ -212,6 +212,13 @@ pub fn ci(root: &Path, _args: &[String]) -> u8 {
                 "-D",
                 "warnings",
             ]))
+        }),
+        ("build (release)", &|| {
+            run_echoed(
+                Command::new("cargo")
+                    .current_dir(root)
+                    .args(["build", "--release"]),
+            )
         }),
         ("test", &|| {
             run_echoed(Command::new("cargo").current_dir(root).args(["test", "-q"]))
