@@ -21,10 +21,11 @@
 //!   consequent id. A rule's position in that one table is its *rank*;
 //!   a [`Match`] is a rank, merging is sorting integers, and no rule is
 //!   ever copied.
-//! * **Counting.** Each shard holds the ascending ranks of its rules
-//!   and a [`RuleIndex`] over their antecedents. Walking the postings
-//!   of the extended transaction finds the rules whose antecedent is
-//!   contained by counting, and only those get the consequent test.
+//! * **Containment.** Each shard holds a [`RuleIndex`]: one prefix
+//!   tree over its rules' antecedents, whose terminals are ranks. The
+//!   walk marks the extended transaction and descends only into marked
+//!   nodes, so it reaches exactly the rules whose antecedent is
+//!   contained, and only those get the consequent test.
 //! * **Lazy filters.** The merge walks the sorted ranks one score-tie
 //!   group at a time, deduplicating consequents by id and testing an
 //!   entry only against entries that score at least as high, and stops
@@ -112,14 +113,6 @@ fn rank_order(a: &Rule, b: &Rule) -> Ordering {
         .then_with(|| a.consequent.cmp(&b.consequent))
 }
 
-/// One shard: the ascending ranks of its rules and the counting index
-/// over their antecedents (index rule ids are positions in `ranks`).
-#[derive(Debug)]
-struct Shard {
-    ranks: Vec<u32>,
-    index: RuleIndex,
-}
-
 /// A loaded, sharded, indexed rule set — the in-process query engine
 /// the TCP server (and embedders) answer from.
 #[derive(Debug)]
@@ -131,7 +124,9 @@ pub struct Catalog {
     /// Per rank: `score(rules[rank])` and the interned consequent id
     /// (equal exactly when two ranks' consequents are).
     keys: Vec<(f64, u32)>,
-    shards: Vec<Shard>,
+    /// Per shard, the prefix tree over its rules' antecedents (ids are
+    /// ranks).
+    shards: Vec<RuleIndex>,
 }
 
 impl Catalog {
@@ -144,36 +139,42 @@ impl Catalog {
             num_transactions,
             mut rules,
         } = store;
-        rules.sort_by(rank_order);
+        // The rank order, each rule with its position in the store.
+        let mut ranked: Vec<(usize, &Rule)> = rules.iter().enumerate().collect();
+        ranked.sort_by(|a, b| rank_order(a.1, b.1));
+        let mut rank_of = vec![0u32; rules.len()];
         let mut interned: HashMap<&Itemset, u32> = HashMap::new();
-        let keys = rules
-            .iter()
-            .map(|r| {
-                let fresh = interned.len() as u32;
-                (score(r), *interned.entry(&r.consequent).or_insert(fresh))
-            })
-            .collect();
-        let mut ranks: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-        for (rank, rule) in rules.iter().enumerate() {
+        let mut keys = Vec::with_capacity(rules.len());
+        for (rank, &(at, r)) in ranked.iter().enumerate() {
+            if let Some(slot) = rank_of.get_mut(at) {
+                *slot = rank as u32;
+            }
+            let fresh = interned.len() as u32;
+            keys.push((score(r), *interned.entry(&r.consequent).or_insert(fresh)));
+        }
+        // Each shard's tree is built in the store's antecedent order, so
+        // the build needs no sort; its terminals are ranks.
+        let mut placed: Vec<Vec<(u32, &[ItemId])>> = vec![Vec::new(); num_shards];
+        for (rule, &rank) in rules.iter().zip(&rank_of) {
             // Placement by the *antecedent's* root key: the only part a
             // basket must contain for the rule to fire, so affinity
             // routing can prove single-root queries shard-local.
             let s = shard_of(rule.antecedent.items(), &taxonomy, num_shards);
-            if let Some(shard) = ranks.get_mut(s) {
-                shard.push(rank as u32);
+            if let Some(shard) = placed.get_mut(s) {
+                shard.push((rank, rule.antecedent.items()));
             }
         }
-        let shards = ranks
+        let shards = placed
             .into_iter()
-            .map(|ranks| {
-                let antecedents = ranks
-                    .iter()
-                    .filter_map(|&r| rules.get(r as usize))
-                    .map(|r| r.antecedent.items());
-                let index = RuleIndex::over(antecedents, &taxonomy);
-                Shard { ranks, index }
-            })
+            .map(|entries| RuleIndex::over(entries, &taxonomy))
             .collect();
+        // Move each rule to its rank; every swap settles one rule.
+        for at in 0..rules.len() {
+            while let Some(&rank) = rank_of.get(at).filter(|&&rank| rank as usize != at) {
+                rules.swap(at, rank as usize);
+                rank_of.swap(at, rank as usize);
+            }
+        }
         Catalog {
             taxonomy,
             num_transactions,
@@ -244,27 +245,24 @@ impl Catalog {
     }
 
     /// The matches of one shard for a query, plus the number of index
-    /// postings the basket made it scan. `extended` must be
-    /// [`Catalog::extend_basket`]'s output (sorted, distinct). An
-    /// unknown shard matches nothing.
+    /// nodes the basket made it walk. `extended` must be
+    /// [`Catalog::extend_basket`]'s output. An unknown shard matches
+    /// nothing.
     pub fn scan_shard(&self, shard: usize, extended: &[ItemId]) -> (Vec<Match>, usize) {
         let mut out = Vec::new();
-        let Some(s) = self.shards.get(shard) else {
+        let Some(index) = self.shards.get(shard) else {
             return (out, 0);
         };
-        let scanned = s.index.for_each_contained(extended, |local| {
-            let Some(&rank) = s.ranks.get(local as usize) else {
-                return;
-            };
+        let walked = index.for_each_contained(extended, |rank| {
             let rule = self.rules.get(rank as usize);
             if rule.is_some_and(|r| !r.consequent.is_contained_in(extended)) {
                 out.push(Match(rank));
             }
         });
-        (out, scanned)
+        (out, walked)
     }
 
-    /// [`Catalog::scan_shard`] without the scan count. The raw basket
+    /// [`Catalog::scan_shard`] without the walk count. The raw basket
     /// is not consulted: the index is driven by `extended` alone.
     pub fn shard_matches(
         &self,

@@ -1,21 +1,27 @@
-//! Counting index over rule antecedents.
+//! Prefix-tree index over rule antecedents.
 //!
-//! One CSR pair: the postings of item `i` are the ids of the rules whose
-//! **antecedent literally contains** `i`, ascending. Consequents are not
-//! indexed (a rule can only fire through its antecedent) and no ancestor
-//! closure is folded in: the query side already holds the basket's
-//! extended transaction (the paper's `t'`), so walking the postings of
-//! every extended item visits each (rule, antecedent item) pair that the
-//! basket satisfies exactly once. A per-rule counter is bumped on every
-//! visit, and a rule's antecedent is contained in the basket exactly
-//! when its counter reaches `need[rule] = |antecedent|` — no containment
-//! test, no sort, no dedup, and no work for a rule the basket does not
-//! touch.
+//! The antecedents are merged into one prefix tree: antecedents that
+//! share a prefix share its nodes, and a rule hangs off the node where
+//! its antecedent ends. The tree is stored flat in depth-first order, so
+//! a node's subtree is the run of nodes up to its `skip`.
 //!
-//! A rule with an antecedent item outside the taxonomy has no posting
-//! for that item, so its counter stays below `need` and it never fires.
+//! Scoring asks of a basket's extended transaction (the paper's `t'`)
+//! what counting asks of every transaction — which itemsets does it
+//! contain? — and answers it the way Cumulate's hash tree does, by
+//! descending only along items of `t'`. The extended items are marked
+//! in a per-thread table; one loop, with no stack and no recursion,
+//! steps into a marked node (every item on the path to it is marked, so
+//! its rules are contained) and jumps over an unmarked node's whole
+//! subtree. A rule is reached only when its whole antecedent is in the
+//! basket, and an antecedent the basket leaves costs the walk nothing
+//! past its first missing item.
+//!
+//! Consequents are not indexed (a rule can only fire through its
+//! antecedent) and no ancestor closure is folded in: the query side
+//! already holds `t'`. A rule with an empty antecedent, or with an
+//! antecedent item outside the taxonomy, is left out of the tree and
+//! never fires.
 
-use crate::store::MAX_ITEMSET_LEN;
 use gar_mining::rules::Rule;
 use gar_taxonomy::Taxonomy;
 use gar_types::ItemId;
@@ -24,146 +30,156 @@ use std::cell::RefCell;
 /// `parent` entry of a root.
 const NO_PARENT: u32 = u32::MAX;
 
-// Counters and `need` are `u32`: a narrower counter would wrap on a
-// long antecedent and fire the rule on a subset of it.
-const _: () = assert!(MAX_ITEMSET_LEN <= u32::MAX as usize);
-
 thread_local! {
-    /// The calling thread's per-rule hit counters. All zero between
-    /// walks (each walk resets exactly what it bumped), so a shard
-    /// worker pays one allocation for its lifetime, not one per basket.
-    static COUNTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's item marks. All clear between walks (each
+    /// walk clears exactly what it marked), so a shard worker pays one
+    /// allocation for its lifetime, not one per basket.
+    static MARKS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Immutable item → rule-id postings over antecedents (rule ids index
-/// the sequence the index was built from).
+/// One tree node: the last item of the prefixes that end here.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    item: u32,
+    /// The first node after this node's subtree.
+    skip: u32,
+}
+
+/// Ends the subtrees of the `closed` nodes before the next node pushed.
+fn close(nodes: &mut [Node], closed: impl Iterator<Item = usize>) {
+    let end = nodes.len() as u32;
+    for at in closed {
+        if let Some(node) = nodes.get_mut(at) {
+            node.skip = end;
+        }
+    }
+}
+
+/// Immutable prefix tree over rule antecedents; its rule ids are the
+/// ids the tree was built with.
 #[derive(Debug, Clone)]
 pub struct RuleIndex {
-    /// `postings[offsets[i]..offsets[i + 1]]` are item `i`'s rules.
-    offsets: Vec<usize>,
-    postings: Vec<u32>,
-    /// `|antecedent|` per rule.
-    need: Vec<u32>,
-    /// The taxonomy's parent array, for [`RuleIndex::candidates`].
+    /// The tree in depth-first order.
+    nodes: Vec<Node>,
+    /// `ids[first[n]..first[n + 1]]` are the rules whose antecedent ends
+    /// at node `n`.
+    first: Vec<u32>,
+    ids: Vec<u32>,
+    /// The taxonomy's parent array: its length bounds the marks, and
+    /// [`RuleIndex::candidates`] extends raw baskets with it.
     parent: Vec<u32>,
 }
 
 impl RuleIndex {
-    /// Indexes the antecedents of `rules` under `tax`.
+    /// Indexes the antecedents of `rules` under `tax`; rule ids are
+    /// positions in `rules`.
     pub fn build(rules: &[Rule], tax: &Taxonomy) -> RuleIndex {
-        RuleIndex::over(rules.iter().map(|r| r.antecedent.items()), tax)
+        let entries = (0u32..)
+            .zip(rules)
+            .map(|(id, r)| (id, r.antecedent.items()))
+            .collect();
+        RuleIndex::over(entries, tax)
     }
 
-    /// Indexes a sequence of antecedents; rule ids are positions in it.
-    /// Items outside the taxonomy get no posting (and must not panic a
-    /// serving path), which leaves their rule unable to fire.
-    pub(crate) fn over<'a>(
-        antecedents: impl Iterator<Item = &'a [ItemId]> + Clone,
-        tax: &Taxonomy,
-    ) -> RuleIndex {
-        let n = tax.num_items() as usize;
-        // Per item: first its postings count, then (after the prefix
-        // sum) the next free slot of its list.
-        let mut next = vec![0usize; n];
-        let mut need = Vec::new();
-        for items in antecedents.clone() {
-            need.push(u32::try_from(items.len()).unwrap_or(u32::MAX));
-            for it in items {
-                if let Some(count) = next.get_mut(it.index()) {
-                    *count += 1;
-                }
+    /// Indexes `(id, antecedent)` entries. Entries in ascending
+    /// antecedent order — a store's canonical order — build in one pass;
+    /// any other order is sorted first. Offsets are `u32`: a tree past
+    /// 2^32 nodes would need a store of tens of gigabytes.
+    pub(crate) fn over(mut entries: Vec<(u32, &[ItemId])>, tax: &Taxonomy) -> RuleIndex {
+        if !entries.is_sorted_by(|a, b| a.1 <= b.1) {
+            entries.sort_by(|a, b| a.1.cmp(b.1));
+        }
+        let num_items = tax.num_items();
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut first = Vec::new();
+        let mut ids = Vec::new();
+        // The nodes on the path to the previous antecedent's end. In
+        // sorted order an antecedent shares a prefix with that path and
+        // never ends above its end, so the nodes it leaves are complete.
+        let mut path: Vec<usize> = Vec::new();
+        for (id, items) in entries {
+            if items.is_empty() || items.iter().any(|it| it.raw() >= num_items) {
+                continue;
             }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0;
-        for slot in &mut next {
-            offsets.push(total);
-            let count = std::mem::replace(slot, total);
-            total += count;
-        }
-        offsets.push(total);
-        let mut postings = vec![0u32; total];
-        for (rule, items) in antecedents.enumerate() {
-            for it in items {
-                if let Some(at) = next.get_mut(it.index()) {
-                    if let Some(slot) = postings.get_mut(*at) {
-                        *slot = rule as u32;
-                    }
-                    *at += 1;
-                }
+            let shared = path
+                .iter()
+                .zip(items)
+                .take_while(|&(&at, it)| nodes.get(at).is_some_and(|n| n.item == it.raw()))
+                .count();
+            close(&mut nodes, path.drain(shared..));
+            for it in items.iter().skip(shared) {
+                path.push(nodes.len());
+                nodes.push(Node {
+                    item: it.raw(),
+                    skip: 0,
+                });
+                first.push(ids.len() as u32);
             }
+            ids.push(id);
         }
-        let parent = (0..tax.num_items())
+        close(&mut nodes, path.drain(..));
+        first.push(ids.len() as u32);
+        let parent = (0..num_items)
             .map(|i| tax.parent(ItemId(i)).map_or(NO_PARENT, ItemId::raw))
             .collect();
         RuleIndex {
-            offsets,
-            postings,
-            need,
+            nodes,
+            first,
+            ids,
             parent,
         }
     }
 
-    /// The rules whose antecedent literally contains `item`, ascending.
-    pub fn postings(&self, item: ItemId) -> &[u32] {
-        let i = item.index();
-        match (self.offsets.get(i), self.offsets.get(i + 1)) {
-            (Some(&lo), Some(&hi)) => self.postings.get(lo..hi).unwrap_or(&[]),
-            _ => &[],
-        }
-    }
-
-    /// Bumps the counter of every rule on the postings of `items`,
-    /// handing `bumped` the rule and its new count, then walks the same
-    /// postings again to zero what it bumped. Returns the number of
-    /// postings scanned.
-    fn walk(&self, items: &[ItemId], mut bumped: impl FnMut(u32, u32)) -> usize {
-        COUNTS.with(|cell| {
-            let mut counts = cell.borrow_mut();
-            if counts.len() < self.need.len() {
-                counts.resize(self.need.len(), 0);
-            }
-            let mut scanned = 0;
-            for &it in items {
-                let list = self.postings(it);
-                scanned += list.len();
-                for &rule in list {
-                    if let Some(count) = counts.get_mut(rule as usize) {
-                        *count += 1;
-                        bumped(rule, *count);
-                    }
-                }
-            }
-            for &it in items {
-                for &rule in self.postings(it) {
-                    if let Some(count) = counts.get_mut(rule as usize) {
-                        *count = 0;
-                    }
-                }
-            }
-            scanned
-        })
-    }
-
     /// Calls `hit` with every rule whose whole antecedent lies in
-    /// `extended`, which must be sorted and distinct (an item repeated
-    /// would be counted twice) — the output of
-    /// [`crate::Catalog::extend_basket`]. Returns the number of postings
-    /// scanned, the work this basket cost the index.
-    pub fn for_each_contained(&self, extended: &[ItemId], mut hit: impl FnMut(u32)) -> usize {
-        debug_assert!(extended.is_sorted_by(|a, b| a < b));
-        self.walk(extended, |rule, count| {
-            if self.need.get(rule as usize) == Some(&count) {
-                hit(rule);
+    /// `items` — in order or not, repeats allowed; items outside the
+    /// taxonomy match nothing. On the scoring path `items` is
+    /// [`crate::Catalog::extend_basket`]'s output. Returns the number of
+    /// nodes walked (each entered or jumped over), the work this basket
+    /// cost the index.
+    pub fn for_each_contained(&self, items: &[ItemId], mut hit: impl FnMut(u32)) -> usize {
+        MARKS.with(|cell| {
+            let mut marks = cell.borrow_mut();
+            let n = self.parent.len();
+            if marks.len() < n {
+                marks.resize(n, false);
             }
+            let Some(marks) = marks.get_mut(..n) else {
+                return 0;
+            };
+            for it in items {
+                if let Some(m) = marks.get_mut(it.index()) {
+                    *m = true;
+                }
+            }
+            let mut walked = 0;
+            let mut at = 0;
+            while let Some(node) = self.nodes.get(at) {
+                walked += 1;
+                if marks.get(node.item as usize) == Some(&true) {
+                    let lo = self.first.get(at).map_or(0, |&i| i as usize);
+                    let hi = self.first.get(at + 1).map_or(0, |&i| i as usize);
+                    for &id in self.ids.get(lo..hi).unwrap_or(&[]) {
+                        hit(id);
+                    }
+                    at += 1;
+                } else {
+                    at = node.skip as usize;
+                }
+            }
+            for it in items {
+                if let Some(m) = marks.get_mut(it.index()) {
+                    *m = false;
+                }
+            }
+            walked
         })
     }
 
     /// Sorted distinct ids of the rules a **raw** (unextended) basket
-    /// makes the engine examine: every rule with an antecedent item
-    /// among the basket's items and their ancestors. A diagnostic — the
-    /// scoring path is [`RuleIndex::for_each_contained`]. Items outside
-    /// the taxonomy contribute nothing.
+    /// makes the engine examine: the rules whose antecedent lies in the
+    /// basket's items and their ancestors. A diagnostic — the scoring
+    /// path is [`RuleIndex::for_each_contained`]. Items outside the
+    /// taxonomy contribute nothing.
     pub fn candidates(&self, basket: &[ItemId]) -> Vec<u32> {
         let mut extended = Vec::new();
         for &it in basket {
@@ -173,14 +189,8 @@ impl RuleIndex {
                 cur = up;
             }
         }
-        extended.sort_unstable();
-        extended.dedup();
         let mut out = Vec::new();
-        self.walk(&extended, |rule, count| {
-            if count == 1 {
-                out.push(rule);
-            }
-        });
+        self.for_each_contained(&extended, |id| out.push(id));
         out.sort_unstable();
         out
     }
@@ -189,6 +199,7 @@ impl RuleIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::MAX_ITEMSET_LEN;
     use crate::testutil::{rule as fixture_rule, sa95_taxonomy};
     use gar_types::{iset, Itemset};
 
@@ -205,18 +216,25 @@ mod tests {
     }
 
     #[test]
-    fn postings_are_exact_and_antecedent_only() {
+    fn the_tree_shares_prefixes_and_holds_antecedents_only() {
         let tax = sa95_taxonomy();
-        let rules = vec![rule(iset![1], iset![7]), rule(iset![7], iset![1])];
+        let rules = vec![
+            rule(iset![1], iset![7]),
+            rule(iset![1, 7], iset![2]),
+            rule(iset![1, 7], iset![3]),
+            rule(iset![2, 3], iset![1]),
+        ];
         let idx = RuleIndex::build(&rules, &tax);
-        // outerwear(1) is rule 0's antecedent and rule 1's consequent:
-        // only the antecedent is indexed.
-        assert_eq!(idx.postings(ItemId(1)), &[0]);
-        assert_eq!(idx.postings(ItemId(7)), &[1]);
+        // {1} and {1, 7} share node 1; the consequents add no node.
+        let shape: Vec<(u32, u32)> = idx.nodes.iter().map(|n| (n.item, n.skip)).collect();
+        assert_eq!(shape, vec![(1, 2), (7, 2), (2, 4), (3, 4)]);
+        assert_eq!(idx.first, vec![0, 1, 3, 3, 4]);
+        assert_eq!(idx.ids, vec![0, 1, 2, 3]);
         // jackets(3) is a descendant of outerwear(1): no closure is
         // folded in, the extended basket supplies the ancestor.
-        assert!(idx.postings(ItemId(3)).is_empty());
-        assert!(idx.postings(ItemId(99)).is_empty());
+        assert!(contained(&idx, &[3]).is_empty());
+        assert_eq!(contained(&idx, &[1, 3]), vec![0]);
+        assert!(contained(&idx, &[99]).is_empty());
     }
 
     #[test]
@@ -231,14 +249,14 @@ mod tests {
         assert_eq!(contained(&idx, &[1]), vec![1]);
         assert_eq!(contained(&idx, &[0, 1, 5, 7]), vec![0, 1]);
         assert_eq!(contained(&idx, &[2, 3]), Vec::<u32>::new());
-        // Counters are back at zero: a second walk sees the same thing.
+        // Marks are cleared: a second walk sees the same thing.
         assert_eq!(contained(&idx, &[2, 3]), Vec::<u32>::new());
         assert_eq!(contained(&idx, &[2, 3, 6]), vec![2]);
         let mut hits = 0;
         assert_eq!(
             idx.for_each_contained(&[ItemId(1), ItemId(7)], |_| hits += 1),
             3,
-            "postings scanned: two for item 1, one for item 7"
+            "nodes walked: 1 and 1→7 entered, 2 jumped over with 2→3→6"
         );
         assert_eq!(hits, 2);
     }
@@ -253,8 +271,9 @@ mod tests {
             rule(iset![0, 3], iset![6]),
         ];
         let idx = RuleIndex::build(&rules, &tax);
-        // jackets(3) reaches rule 0 through its ancestor outerwear(1)
-        // and rule 3 twice (itself and its root clothes(0)).
+        // jackets(3) contains rule 0 through its ancestor outerwear(1)
+        // and rule 3 through itself and its root clothes(0); the repeat
+        // of 3 changes nothing.
         let c = idx.candidates(&[ItemId(3), ItemId(7), ItemId(3)]);
         assert_eq!(c, vec![0, 2, 3]);
         // An out-of-range item is ignored, not a panic.
@@ -269,12 +288,12 @@ mod tests {
 
     #[test]
     fn long_antecedents_never_fire_on_a_subset() {
-        // 300 wraps a u8 counter, the longest antecedent the store
-        // admits a u16 one: a counter that wrapped to a small value
-        // would fire the rule on a handful of items.
+        // The longest antecedent the store admits is a 65,536-deep path:
+        // it must build and walk without recursion, and fire only on the
+        // whole of it.
         for len in [300, MAX_ITEMSET_LEN as u32] {
             let (tax, items) = flat(len + 1, len);
-            let idx = RuleIndex::over(std::iter::once(items.as_slice()), &tax);
+            let idx = RuleIndex::over(vec![(0, items.as_slice())], &tax);
             assert_eq!(contained(&idx, &[0]), Vec::<u32>::new(), "len={len}");
             let raw: Vec<u32> = (0..len).collect();
             assert_eq!(contained(&idx, &raw[1..]), Vec::<u32>::new(), "len={len}");
@@ -288,10 +307,97 @@ mod tests {
         let (tax, _) = flat(4, 0);
         let rules = vec![rule(iset![1, 9], iset![2]), rule(iset![1], iset![2])];
         let idx = RuleIndex::build(&rules, &tax);
-        // Item 9 has no posting, so {1} alone must not fire rule 0 —
-        // and neither may a basket that names the unknown item.
+        // Item 9 is in no tree, so {1} alone must not fire rule 0 — and
+        // neither may a basket that names the unknown item.
         assert_eq!(contained(&idx, &[1]), vec![1]);
         assert_eq!(contained(&idx, &[1, 9]), vec![1]);
-        assert_eq!(idx.candidates(&[ItemId(1)]), vec![0, 1]);
+        assert_eq!(idx.candidates(&[ItemId(1)]), vec![1]);
+        // Marks from a walk over a larger taxonomy on the same thread
+        // do not leak into this one.
+        let (big, _) = flat(16, 0);
+        let wide = RuleIndex::build(&[rule(iset![9], iset![2])], &big);
+        assert_eq!(contained(&wide, &[9]), vec![0]);
+        assert_eq!(contained(&idx, &[1, 9]), vec![1]);
+    }
+
+    /// The definition: an antecedent fires when it is non-empty, names
+    /// only taxonomy items, and lies in `items`.
+    fn brute_force(antecedents: &[Vec<ItemId>], num_items: u32, items: &[ItemId]) -> Vec<u32> {
+        let mut set = items.to_vec();
+        set.sort_unstable();
+        set.dedup();
+        let set = Itemset::from_sorted(set);
+        (0u32..)
+            .zip(antecedents)
+            .filter(|(_, a)| !a.is_empty() && a.iter().all(|it| it.raw() < num_items))
+            .filter(|(_, a)| Itemset::from_sorted(a.to_vec()).is_contained_in(set.items()))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_walk_finds_exactly_the_contained_antecedents(
+            shape in (1u32..4, 6u32..40, 0u32..4, 0u64..10_000),
+            stems in proptest::collection::vec(proptest::collection::vec(0u32..48, 0..6), 1..5),
+            drawn in proptest::collection::vec(
+                (0usize..5, 0usize..7, proptest::collection::vec(0u32..48, 0..3), 0u32..6), 1..40),
+            baskets in proptest::collection::vec(proptest::collection::vec(0u32..48, 0..8), 1..10),
+        ) {
+            let (roots, items, fanout, seed) = shape;
+            let tax = gar_taxonomy::synth::synthesize(&gar_taxonomy::synth::SynthTaxonomyConfig {
+                num_items: items.max(roots + 1),
+                num_roots: roots,
+                fanout: 1.5 + f64::from(fanout),
+                seed,
+            });
+            let n = tax.num_items();
+            // Items run to n + 1: a few draws fall outside the taxonomy.
+            let item = |x: u32| ItemId(x % (n + 2));
+            // Antecedents are a prefix of a shared stem plus extras, so
+            // prefixes and whole antecedents repeat across rules.
+            let antecedents: Vec<Vec<ItemId>> = drawn
+                .into_iter()
+                .map(|(stem, len, extra, kind)| {
+                    if kind == 0 {
+                        return Vec::new();
+                    }
+                    let stem = &stems[stem % stems.len()];
+                    let mut a: Vec<ItemId> =
+                        stem.iter().take(len).chain(&extra).map(|&x| item(x)).collect();
+                    if kind == 1 {
+                        // Each item beside its own parent.
+                        let parents: Vec<ItemId> =
+                            a.iter().filter(|it| it.raw() < n).filter_map(|&it| tax.parent(it)).collect();
+                        a.extend(parents);
+                    }
+                    a.sort_unstable();
+                    a.dedup();
+                    a
+                })
+                .collect();
+            let entries: Vec<(u32, &[ItemId])> =
+                (0u32..).zip(&antecedents).map(|(id, a)| (id, a.as_slice())).collect();
+            let mut sorted = entries.clone();
+            sorted.sort_by(|a, b| a.1.cmp(b.1));
+            let unsorted = RuleIndex::over(entries, &tax);
+            let canonical = RuleIndex::over(sorted, &tax);
+            for raw in &baskets {
+                let raw: Vec<ItemId> = raw.iter().map(|&x| item(x)).collect();
+                let known: Vec<ItemId> = raw.iter().copied().filter(|it| it.raw() < n).collect();
+                // The scoring path's input, plus whatever unknown items
+                // the raw basket named.
+                let mut extended = tax.extend_transaction(&known);
+                extended.extend(raw.iter().filter(|it| it.raw() >= n));
+                let expected = brute_force(&antecedents, n, &extended);
+                for idx in [&unsorted, &canonical] {
+                    let mut got = Vec::new();
+                    idx.for_each_contained(&extended, |id| got.push(id));
+                    got.sort_unstable();
+                    proptest::prop_assert_eq!(got, expected.clone());
+                    proptest::prop_assert_eq!(idx.candidates(&raw), expected.clone());
+                }
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! * [`store`] — the persisted `GRUL` rule store (canonical order,
 //!   embedded taxonomy, trailing checksum, atomic writes).
-//! * [`index`] — the counting index: item → rules whose antecedent
-//!   contains it, walked over a basket's extended transaction.
+//! * [`index`] — the prefix tree over rule antecedents, walked along a
+//!   basket's extended transaction to the rules it contains.
 //! * [`engine`] — basket scoring: top-k consequents by
 //!   confidence×support with serve-time ancestor-redundancy
 //!   suppression, matches as ranks in one sorted rule table, sharded

@@ -590,15 +590,15 @@ fn shard_worker(shard: usize, slot: &ShardSlot, faults: &FaultPlan, rx: &Receive
         let mut results = Vec::with_capacity(job.items.len());
         for item in &job.items {
             let clock = Stopwatch::start();
-            let (matches, scanned) = job.snapshot.value().scan_shard(shard, &item.extended);
+            let (matches, walked) = job.snapshot.value().scan_shard(shard, &item.extended);
             obs.observe(
                 "serve.shard_us",
                 &labels,
                 clock.elapsed().as_micros() as u64,
             );
-            // matched ÷ scanned is the share of the index walk that
-            // ended in a match.
-            obs.add("serve.index.postings_scanned", &labels, scanned as u64);
+            // matched ÷ walked is the share of the tree walk that ended
+            // in a match.
+            obs.add("serve.index.nodes_walked", &labels, walked as u64);
             obs.add("serve.engine.matched", &labels, matches.len() as u64);
             obs.add("serve.queries", &labels, 1);
             if matches.is_empty() {

@@ -13,7 +13,8 @@
 //! [`gar_mining::rules::canonicalize_rules`] and the decoder *enforces*
 //! strict ascent, so a given rule set has exactly one on-disk byte
 //! representation — same-seed stores are byte-identical no matter how
-//! many nodes mined them.
+//! many nodes mined them. The encoder checks every rule against the same
+//! invariants, so a store that saves is a store that loads.
 
 use gar_mining::rules::{canonicalize_rules, Rule};
 use gar_taxonomy::io::{decode_parents, encode_parents};
@@ -26,8 +27,8 @@ const MAGIC: &[u8; 4] = b"GRUL";
 const VERSION: u32 = 1;
 const WHAT: &str = "rule store";
 
-/// Decode guards against implausible lengths (so a corrupt length field
-/// fails cleanly instead of attempting a huge allocation).
+/// Guards against implausible lengths (so a corrupt length field fails
+/// cleanly instead of attempting a huge allocation).
 const MAX_RULES: usize = 1 << 26;
 pub(crate) const MAX_ITEMSET_LEN: usize = 1 << 16;
 
@@ -60,9 +61,12 @@ impl RuleStore {
         }
     }
 
-    /// Writes the store to `path` atomically (temp file + rename).
+    /// Writes the store to `path` atomically (temp file + rename). A
+    /// store [`RuleStore::load`] would refuse — possible once `rules` is
+    /// edited after [`RuleStore::new`] — is an [`Error::InvalidConfig`],
+    /// and nothing is written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        write_atomic(path.as_ref(), &encode(self), false)
+        write_atomic(path.as_ref(), &encode(self)?, false)
     }
 
     /// Reads and validates the store at `path`.
@@ -91,42 +95,92 @@ fn push_itemset(out: &mut Vec<u8>, set: &Itemset) {
     }
 }
 
-/// Serializes a store (checksum included). The caller guarantees the
-/// rules are already canonical — [`RuleStore::new`] enforces it.
-pub(crate) fn encode(store: &RuleStore) -> Vec<u8> {
+/// The invariants of one stored rule: both itemsets non-empty, at most
+/// [`MAX_ITEMSET_LEN`] items, strictly ascending and inside the
+/// taxonomy; support within the database; confidence in `[0, 1]`; and
+/// the key `(antecedent, consequent)` strictly after `prev`'s, so the
+/// rules are in canonical order. One pass over the items, shared by
+/// [`encode`] and [`decode`]: `save` never writes what `load` refuses.
+fn check_rule(
+    (antecedent, consequent): (&[ItemId], &[ItemId]),
+    support_count: u64,
+    confidence: f64,
+    prev: Option<(&[ItemId], &[ItemId])>,
+    num_items: u32,
+    num_transactions: u64,
+) -> std::result::Result<(), String> {
+    for (what, items) in [("antecedent", antecedent), ("consequent", consequent)] {
+        if items.is_empty() || items.len() > MAX_ITEMSET_LEN {
+            return Err(format!("implausible {what} length {}", items.len()));
+        }
+        if let Some(it) = items.iter().find(|it| it.raw() >= num_items) {
+            return Err(format!(
+                "{what} item {} outside the taxonomy (< {num_items})",
+                it.raw()
+            ));
+        }
+        if !items.is_sorted_by(|a, b| a < b) {
+            return Err(format!("{what} items are not ascending"));
+        }
+    }
+    if support_count > num_transactions {
+        return Err(format!(
+            "rule support {support_count} exceeds the {num_transactions}-transaction database"
+        ));
+    }
+    if !confidence.is_finite() || !(0.0..=1.0).contains(&confidence) {
+        return Err(format!("rule confidence {confidence} outside [0, 1]"));
+    }
+    if prev.is_some_and(|prev| prev >= (antecedent, consequent)) {
+        return Err("rules are not in canonical (antecedent, consequent) order".into());
+    }
+    Ok(())
+}
+
+/// Serializes a store (checksum included), checking every rule on the
+/// way: a store that breaks an invariant is an
+/// [`Error::InvalidConfig`].
+pub(crate) fn encode(store: &RuleStore) -> Result<Vec<u8>> {
+    let invalid = |msg: String| Error::InvalidConfig(format!("{WHAT}: {msg}"));
+    if store.rules.len() > MAX_RULES {
+        return Err(invalid(format!(
+            "{} rules exceed {MAX_RULES}",
+            store.rules.len()
+        )));
+    }
+    let num_items = store.taxonomy.num_items();
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     encode_parents(&store.taxonomy, &mut out);
     out.extend_from_slice(&store.num_transactions.to_le_bytes());
     out.extend_from_slice(&(store.rules.len() as u32).to_le_bytes());
+    let mut prev = None;
     for rule in &store.rules {
+        let key = (rule.antecedent.items(), rule.consequent.items());
+        check_rule(
+            key,
+            rule.support_count,
+            rule.confidence,
+            prev,
+            num_items,
+            store.num_transactions,
+        )
+        .map_err(invalid)?;
+        prev = Some(key);
         push_itemset(&mut out, &rule.antecedent);
         push_itemset(&mut out, &rule.consequent);
         out.extend_from_slice(&rule.support_count.to_le_bytes());
         out.extend_from_slice(&rule.confidence.to_bits().to_le_bytes());
     }
-    seal(out)
+    Ok(seal(out))
 }
 
-/// A length-prefixed itemset: non-empty, strictly increasing, every item
-/// below `num_items`.
-fn read_itemset(c: &mut Cursor<'_>, num_items: u32, what: &str) -> Result<Itemset> {
+/// A length-prefixed item list. The cursor checks the bytes are there
+/// before anything is allocated; [`check_rule`] judges the items.
+fn read_items(c: &mut Cursor<'_>) -> Result<Vec<ItemId>> {
     let len = c.u32()? as usize;
-    if len == 0 || len > MAX_ITEMSET_LEN {
-        return Err(Error::Corrupt(format!("implausible {what} length {len}")));
-    }
-    let items: Vec<ItemId> = c.u32s(len)?.map(ItemId).collect();
-    if let Some(it) = items.iter().find(|it| it.raw() >= num_items) {
-        return Err(Error::Corrupt(format!(
-            "{what} item {} outside the taxonomy (< {num_items})",
-            it.raw()
-        )));
-    }
-    if items.iter().zip(items.iter().skip(1)).any(|(a, b)| a >= b) {
-        return Err(Error::Corrupt(format!("{what} items are not ascending")));
-    }
-    Ok(Itemset::from_sorted(items))
+    Ok(c.u32s(len)?.map(ItemId).collect())
 }
 
 /// Decodes a store, verifying the checksum and every structural
@@ -148,31 +202,24 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<RuleStore> {
     let n = num_transactions.max(1) as f64;
     let mut rules: Vec<Rule> = Vec::with_capacity(num_rules.min(1 << 16));
     for _ in 0..num_rules {
-        let antecedent = read_itemset(&mut c, num_items, "antecedent")?;
-        let consequent = read_itemset(&mut c, num_items, "consequent")?;
+        let antecedent = read_items(&mut c)?;
+        let consequent = read_items(&mut c)?;
         let support_count = c.u64()?;
-        if support_count > num_transactions {
-            return Err(Error::Corrupt(format!(
-                "rule support {support_count} exceeds the {num_transactions}-transaction database"
-            )));
-        }
         let confidence = f64::from_bits(c.u64()?);
-        if !confidence.is_finite() || !(0.0..=1.0).contains(&confidence) {
-            return Err(Error::Corrupt(format!(
-                "rule confidence {confidence} outside [0, 1]"
-            )));
-        }
-        if let Some(prev) = rules.last() {
-            let key = (&prev.antecedent, &prev.consequent);
-            if key >= (&antecedent, &consequent) {
-                return Err(Error::Corrupt(
-                    "rules are not in canonical (antecedent, consequent) order".into(),
-                ));
-            }
-        }
+        check_rule(
+            (&antecedent, &consequent),
+            support_count,
+            confidence,
+            rules
+                .last()
+                .map(|r| (r.antecedent.items(), r.consequent.items())),
+            num_items,
+            num_transactions,
+        )
+        .map_err(Error::Corrupt)?;
         rules.push(Rule {
-            antecedent,
-            consequent,
+            antecedent: Itemset::from_sorted(antecedent),
+            consequent: Itemset::from_sorted(consequent),
             support_count,
             support: support_count as f64 / n,
             confidence,
@@ -207,7 +254,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let store = sample();
-        let back = decode(&encode(&store)).unwrap();
+        let back = decode(&encode(&store).unwrap()).unwrap();
         assert_eq!(back.rules, store.rules);
         assert_eq!(back.num_transactions, 6);
         assert_eq!(back.taxonomy.num_items(), 8);
@@ -250,12 +297,12 @@ mod tests {
             sa95_taxonomy(),
             6,
         );
-        assert_eq!(encode(&a), encode(&b));
+        assert_eq!(encode(&a).unwrap(), encode(&b).unwrap());
     }
 
     #[test]
     fn every_truncation_is_a_clean_corrupt_error() {
-        let bytes = encode(&sample());
+        let bytes = encode(&sample()).unwrap();
         for len in 0..bytes.len() {
             let err = decode(&bytes[..len]).unwrap_err();
             assert!(
@@ -267,7 +314,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let bytes = encode(&sample());
+        let bytes = encode(&sample()).unwrap();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0xFF;
@@ -328,6 +375,52 @@ mod tests {
         let back = RuleStore::load(&path).unwrap();
         assert_eq!(back.rules, store.rules);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Saves `store` and returns the error, checking nothing was written.
+    fn refused(store: &RuleStore, name: &str) -> String {
+        let path = std::env::temp_dir().join(format!("gar-grul-{}-{name}", std::process::id()));
+        let err = store.save(&path).unwrap_err();
+        assert!(!path.exists(), "{name}: a refused store was written");
+        match err {
+            Error::InvalidConfig(msg) => msg,
+            other => panic!("{name}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn save_refuses_an_empty_antecedent() {
+        let mut store = sample();
+        store
+            .rules
+            .insert(0, rule(Itemset::from_sorted(Vec::new()), iset![7], 1, 0.5));
+        let msg = refused(&store, "empty");
+        assert!(msg.contains("implausible antecedent length 0"), "{msg}");
+    }
+
+    #[test]
+    fn save_refuses_a_consequent_item_past_the_taxonomy() {
+        let store = RuleStore::new(vec![rule(iset![1], iset![8], 2, 0.5)], sa95_taxonomy(), 6);
+        let msg = refused(&store, "range");
+        assert!(
+            msg.contains("consequent item 8 outside the taxonomy"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn save_refuses_support_above_the_database() {
+        let store = RuleStore::new(vec![rule(iset![1], iset![7], 7, 0.5)], sa95_taxonomy(), 6);
+        let msg = refused(&store, "support");
+        assert!(msg.contains("support 7 exceeds the 6-transaction"), "{msg}");
+    }
+
+    #[test]
+    fn save_refuses_rules_reordered_after_new() {
+        let mut store = sample();
+        store.rules.reverse();
+        let msg = refused(&store, "order");
+        assert!(msg.contains("canonical"), "{msg}");
     }
 
     #[test]

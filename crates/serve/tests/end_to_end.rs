@@ -174,10 +174,13 @@ fn per_shard_metrics_are_recorded() {
     assert_eq!(snap.counters.get("serve.routed.single"), Some(&1));
     assert!(snap.histograms.contains_key("serve.latency_us"));
     assert!(snap.histograms.contains_key("serve.shard_us{shard=0}"));
-    // The index walk, summed over shards: {3,7} scans the postings of
-    // 1, 3 and 7 and matches 3⇒2; {2,6} scans 2's and matches nothing
-    // (6 is held); {4,5} and {3} scan two each and match both.
-    assert_eq!(snap.sum_prefix("serve.index.postings_scanned"), 8);
+    // The tree walk, summed over shards. Every antecedent is one item,
+    // so each tree is one level deep and a walk tests all its nodes:
+    // 4 on the clothes shard ({1}, {2}, {3}, {4}) and 1 on the footwear
+    // shard ({7}). 3 broadcasts × (4 + 1) + the single-root {3} × 4.
+    // {3,7} matches 3⇒2; {2,6} matches nothing (6 is held); {4,5} and
+    // {3} match two each.
+    assert_eq!(snap.sum_prefix("serve.index.nodes_walked"), 19);
     assert_eq!(snap.sum_prefix("serve.engine.matched"), 5);
     // The trace has one `query` span lane per shard.
     let trace = obs.chrome_trace_json();
