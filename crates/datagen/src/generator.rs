@@ -167,11 +167,6 @@ impl TransactionGenerator {
         &self.tax
     }
 
-    /// The pattern pool (exposed for tests and ground-truth checks).
-    pub fn pattern_pool(&self) -> &PatternPool {
-        &self.pool
-    }
-
     /// Consumes the generator, returning the taxonomy (avoids a clone when
     /// the caller needs to keep it after draining the stream).
     pub fn into_taxonomy(self) -> Taxonomy {

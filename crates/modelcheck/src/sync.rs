@@ -244,20 +244,6 @@ impl Condvar {
         (MutexGuard { mutex }, timed_out)
     }
 
-    /// Wakes one waiter (FIFO).
-    pub fn notify_one(&self) {
-        schedule_point();
-        let (exec, _me) = current_context();
-        let mut st = exec.state.lock().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: serialized by the scheduler; see module header.
-        let cw = unsafe { &mut *self.waiters.get() };
-        if let Some(t) = cw.pop_front() {
-            st.statuses[t] = Status::Runnable;
-            st.timed[t] = false;
-            exec.cv.notify_all();
-        }
-    }
-
     /// Wakes every waiter.
     pub fn notify_all(&self) {
         crate::trace_op("condvar.notify_all");
@@ -360,14 +346,6 @@ pub mod atomic {
                     self.with(|v| {
                         let old = *v;
                         *v = old.wrapping_add(delta);
-                        old
-                    })
-                }
-
-                pub fn fetch_sub(&self, delta: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| {
-                        let old = *v;
-                        *v = old.wrapping_sub(delta);
                         old
                     })
                 }

@@ -97,8 +97,3 @@ impl<T> JoinHandle<T> {
         }
     }
 }
-
-/// Yields the current virtual thread (pure scheduling point).
-pub fn yield_now() {
-    schedule_point();
-}

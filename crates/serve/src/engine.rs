@@ -71,16 +71,23 @@ pub struct Recommendation {
 #[derive(Debug, Clone, Copy)]
 pub struct Match(u32);
 
-/// The shard of an itemset: FxHash of its sorted **distinct** root-id
-/// key, modulo the shard count — H-HPGM's `owner_of_key` transplanted
-/// to serving. Deduplication makes the key a set, so the single-root
-/// key `{r}` of a basket hashes identically to the antecedent key of
-/// every rule that basket can trigger.
+/// The shard of a sorted, distinct root key: its FxHash modulo the
+/// shard count — H-HPGM's `owner_of_key` transplanted to serving. Rule
+/// placement and basket routing both call this, and nothing else
+/// decides a shard.
+fn place(roots: &[u32], num_shards: usize) -> usize {
+    (fx_hash_u32_slice(roots) % num_shards.max(1) as u64) as usize
+}
+
+/// The shard of an itemset: `place` of its sorted **distinct**
+/// root-id key. Deduplication makes the key a set, so the single-root
+/// key `{r}` of a basket lands where the antecedent of every rule that
+/// basket can trigger does.
 pub fn shard_of(items: &[ItemId], tax: &Taxonomy, num_shards: usize) -> usize {
     let mut roots: Vec<u32> = items.iter().map(|&i| tax.root_of(i).raw()).collect();
     roots.sort_unstable();
     roots.dedup();
-    (fx_hash_u32_slice(&roots) % num_shards.max(1) as u64) as usize
+    place(&roots, num_shards)
 }
 
 /// Where a basket's shard work has to go, decided by
@@ -238,9 +245,7 @@ impl Catalog {
         }
         match root {
             None => Route::Empty,
-            Some(r) => {
-                Route::Single((fx_hash_u32_slice(&[r]) % self.shards.len().max(1) as u64) as usize)
-            }
+            Some(r) => Route::Single(place(&[r], self.shards.len())),
         }
     }
 

@@ -10,7 +10,8 @@
 //!   suppression, matches as ranks in one sorted rule table, sharded
 //!   by the same root-item hash as H-HPGM.
 //! * [`protocol`] — the length-prefixed, checksummed wire protocol
-//!   (every frame read goes through [`protocol::MAX_FRAME_BYTES`]).
+//!   (every frame is parsed by [`protocol::FrameBuffer::next_frame`],
+//!   which checks its length against [`protocol::MAX_FRAME_BYTES`]).
 //! * [`server`] — the sharded concurrent TCP server: a single
 //!   non-blocking readiness event loop (see [`netpoll`]) multiplexing
 //!   every connection, pipelined + batched query frames, shard-affinity

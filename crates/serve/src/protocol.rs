@@ -4,8 +4,11 @@
 //! (little-endian, checksum over the payload bytes). The length is
 //! validated against [`MAX_FRAME_BYTES`] *before* any allocation, on
 //! both the read and the write path — an adversarial or corrupt length
-//! field can neither balloon memory nor panic. Every frame read in this
-//! crate goes through [`read_frame`]; clippy's `disallowed_methods`
+//! field can neither balloon memory nor panic. Every frame is taken
+//! apart by one parser, [`FrameBuffer::next_frame`]: the server's
+//! readiness loop feeds it from non-blocking sockets, and the blocking
+//! [`read_frame`] feeds it exactly the bytes one frame needs. Every
+//! stream read lives in this file; clippy's `disallowed_methods`
 //! enforces it.
 //!
 //! The **payload** is a tag byte plus a body:
@@ -55,7 +58,7 @@ use crate::engine::Recommendation;
 use gar_types::bytes::{unseal, Cursor};
 use gar_types::hash::checksum;
 use gar_types::{Error, ItemId, Itemset, Result};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Hard upper bound on a frame payload. Reads reject bigger length
 /// fields before allocating; writes refuse to emit them.
@@ -127,6 +130,19 @@ pub enum Request {
         /// Latency budget for the whole batch (0 = server deadline).
         budget_ms: u32,
     },
+}
+
+impl Request {
+    /// The protocol version the request was sent at; `Shutdown` carries
+    /// none.
+    pub fn version(&self) -> Option<u16> {
+        match self {
+            Request::Shutdown => None,
+            Request::QueryV2 { version, .. }
+            | Request::Reload { version, .. }
+            | Request::QueryBatch { version, .. } => Some(*version),
+        }
+    }
 }
 
 /// A server → client message.
@@ -206,78 +222,62 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 }
 
 /// Reads one frame; `Ok(None)` on clean end-of-stream at a frame
-/// boundary. The sole frame reader of the crate: the length field is
-/// checked against [`MAX_FRAME_BYTES`] before the payload buffer is
-/// allocated, and the trailing checksum is verified before the payload
-/// is returned.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the frame codec is the one place that reads a stream"
-)]
+/// boundary. Drives a [`FrameBuffer`], reading at most the bytes the
+/// pending frame still needs, so the next frame stays in the stream.
+/// An interrupted read is retried; a socket deadline is
+/// [`Error::Timeout`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    let mut got = 0;
-    while got < header.len() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "got < header.len() is the loop guard"
-        )]
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(Error::Corrupt("frame truncated mid-header".into())),
-            Ok(n) => got += n,
-            Err(e) => return Err(map_read_err(e)),
+    let mut fb = FrameBuffer::new();
+    loop {
+        if let Some(frame) = fb.next_frame()? {
+            return Ok(Some(frame));
         }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(Error::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte maximum"
-        )));
-    }
-    let mut sealed = vec![0u8; len + 8];
-    read_fully(r, &mut sealed)?;
-    unseal(&sealed, "frame")?;
-    sealed.truncate(len);
-    Ok(Some(sealed))
-}
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the frame codec is the one place that reads a stream"
-)]
-fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
-    let mut got = 0;
-    while got < buf.len() {
-        #[expect(clippy::indexing_slicing, reason = "got < buf.len() is the loop guard")]
-        match r.read(&mut buf[got..]) {
+        // `next_frame` said "not yet", so the length (if known) is in
+        // bounds: read the rest of the header, or of the frame.
+        let need = fb.pending_len().map_or(4, |len| 4 + len + 8);
+        match fb.read_some(r, need.saturating_sub(fb.buffered())) {
+            Ok(0) if fb.buffered() == 0 => return Ok(None),
             Ok(0) => return Err(Error::Corrupt("frame truncated".into())),
-            Ok(n) => got += n,
-            Err(e) => return Err(map_read_err(e)),
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(Error::Timeout {
+                    node: 0,
+                    op: "read-frame".into(),
+                })
+            }
+            Err(e) => return Err(Error::io("reading frame", e)),
         }
     }
-    Ok(())
 }
 
 /// Outcome of one [`FrameBuffer::fill`] from a non-blocking stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillStatus {
-    /// The stream would block; whatever arrived is buffered.
+    /// The stream would block, or one maximal frame is buffered;
+    /// whatever arrived is buffered.
     Open,
     /// The peer closed: drain [`FrameBuffer::next_frame`], then stop.
     Eof,
 }
 
-/// Incremental frame reassembly for the server's readiness loop: bytes
-/// go in as the socket delivers them (any fragmentation), complete
-/// verified frames come out. The blocking twin of [`read_frame`] with
-/// the same guarantees — the length field is validated against
-/// [`MAX_FRAME_BYTES`] before a frame is sliced out and the trailing
-/// checksum is verified before the payload is surfaced. Lives here so
-/// clippy's `disallowed_methods` keeps every stream read inside the codec.
+/// Most bytes a [`FrameBuffer`] holds: one maximal sealed frame.
+const MAX_BUFFERED: usize = 4 + MAX_FRAME_BYTES + 8;
+
+/// Incremental frame reassembly: bytes go in as the stream delivers
+/// them (any fragmentation), complete verified frames come out. The
+/// length field is validated against [`MAX_FRAME_BYTES`] before a frame
+/// is sliced out and the trailing checksum is verified before the
+/// payload is surfaced.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
+    /// Bytes `at..end` are buffered; the rest only keeps its capacity
+    /// initialized, so a read never zeroes it again.
     buf: Vec<u8>,
+    /// Start of the first byte no frame has consumed.
+    at: usize,
+    /// End of the bytes read so far.
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -286,60 +286,77 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Reads everything currently available from a **non-blocking**
-    /// reader into the buffer. Returns [`FillStatus::Eof`] once the
-    /// peer has closed; buffered complete frames are still extractable
-    /// afterwards.
+    /// Reads what is available from a **non-blocking** reader, up to
+    /// one maximal frame in the buffer: a fast sender cannot grow it
+    /// further, and a level-triggered poll reports the rest. Returns
+    /// [`FillStatus::Eof`] once the peer has closed; buffered complete
+    /// frames are still extractable afterwards.
+    pub fn fill(&mut self, r: &mut impl Read) -> Result<FillStatus> {
+        self.buf.copy_within(self.at..self.end, 0);
+        self.end -= self.at;
+        self.at = 0;
+        while self.end < MAX_BUFFERED {
+            match self.read_some(r, (MAX_BUFFERED - self.end).min(16 * 1024)) {
+                Ok(0) => return Ok(FillStatus::Eof),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(FillStatus::Open),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(Error::io("reading frame", e)),
+            }
+        }
+        Ok(FillStatus::Open)
+    }
+
+    /// Appends at most `max` bytes from one read of `r`.
     #[expect(
         clippy::disallowed_methods,
         reason = "the frame codec is the one place that reads a stream"
     )]
-    pub fn fill(&mut self, r: &mut impl Read) -> Result<FillStatus> {
-        let mut scratch = [0u8; 16 * 1024];
-        loop {
-            match r.read(&mut scratch) {
-                Ok(0) => return Ok(FillStatus::Eof),
-                Ok(n) => {
-                    #[expect(clippy::indexing_slicing, reason = "read contracts n <= len")]
-                    self.buf.extend_from_slice(&scratch[..n]);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(FillStatus::Open)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(Error::io("reading frame", e)),
-            }
+    fn read_some(&mut self, r: &mut impl Read, max: usize) -> std::io::Result<usize> {
+        let want = self.end + max;
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
         }
+        let n = r.read(self.buf.get_mut(self.end..want).unwrap_or_default())?;
+        self.end += n;
+        Ok(n)
     }
 
-    /// Extracts the next complete frame, if one is fully buffered.
-    /// Oversize lengths and checksum mismatches are the same errors
-    /// [`read_frame`] reports; after an error the stream is no longer
+    /// The buffered bytes.
+    fn pending(&self) -> &[u8] {
+        self.buf.get(self.at..self.end).unwrap_or_default()
+    }
+
+    /// The pending frame's length field, once its header is buffered.
+    fn pending_len(&self) -> Option<usize> {
+        let header = self.pending().get(..4)?.try_into().ok()?;
+        Some(u32::from_le_bytes(header) as usize)
+    }
+
+    /// Extracts the next complete frame, if one is fully buffered. An
+    /// oversize length is [`Error::Protocol`] and a checksum mismatch
+    /// [`Error::Corrupt`]; after an error the stream is no longer
     /// frame-aligned and must be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        let mut header = [0u8; 4];
-        match self.buf.get(..4) {
-            Some(h) => header.copy_from_slice(h),
-            None => return Ok(None),
-        }
-        let len = u32::from_le_bytes(header) as usize;
+        let Some(len) = self.pending_len() else {
+            return Ok(None);
+        };
         if len > MAX_FRAME_BYTES {
             return Err(Error::Protocol(format!(
                 "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte maximum"
             )));
         }
-        let total = 4 + len + 8;
-        let Some(sealed) = self.buf.get(4..total) else {
+        let Some(sealed) = self.pending().get(4..4 + len + 8) else {
             return Ok(None); // frame not fully buffered yet
         };
         let payload = unseal(sealed, "frame")?.to_vec();
-        self.buf.drain(..total);
+        self.at += 4 + len + 8;
         Ok(Some(payload))
     }
 
     /// Bytes currently buffered (partial-frame backlog).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.end - self.at
     }
 }
 
@@ -364,20 +381,13 @@ pub fn drain_ready(r: &mut impl Read) {
     }
 }
 
-/// Socket-deadline expiries become the workspace's retryable
-/// [`Error::Timeout`]; everything else stays an I/O error.
-fn map_read_err(e: std::io::Error) -> Error {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Error::Timeout {
-            node: 0,
-            op: "read-frame".into(),
-        },
-        std::io::ErrorKind::Interrupted => Error::Timeout {
-            node: 0,
-            op: "read-frame".into(),
-        },
-        _ => Error::io("reading frame", e),
-    }
+/// The header both query tags open with: `u16 version`, `u32 top_k`,
+/// `u32 budget_ms`.
+fn push_query_header(out: &mut Vec<u8>, tag: u8, version: u16, top_k: u32, budget_ms: u32) {
+    out.push(tag);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&top_k.to_le_bytes());
+    out.extend_from_slice(&budget_ms.to_le_bytes());
 }
 
 fn push_items(out: &mut Vec<u8>, items: &[ItemId]) {
@@ -398,10 +408,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             top_k,
             budget_ms,
         } => {
-            out.push(TAG_QUERY_V2);
-            out.extend_from_slice(&version.to_le_bytes());
-            out.extend_from_slice(&top_k.to_le_bytes());
-            out.extend_from_slice(&budget_ms.to_le_bytes());
+            push_query_header(&mut out, TAG_QUERY_V2, *version, *top_k, *budget_ms);
             push_items(&mut out, basket);
         }
         Request::Reload { version, path } => {
@@ -416,10 +423,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             top_k,
             budget_ms,
         } => {
-            out.push(TAG_QUERY_BATCH);
-            out.extend_from_slice(&version.to_le_bytes());
-            out.extend_from_slice(&top_k.to_le_bytes());
-            out.extend_from_slice(&budget_ms.to_le_bytes());
+            push_query_header(&mut out, TAG_QUERY_BATCH, *version, *top_k, *budget_ms);
             out.extend_from_slice(&(baskets.len() as u32).to_le_bytes());
             for basket in baskets {
                 push_items(&mut out, basket);
@@ -503,23 +507,28 @@ fn read_items(c: &mut Cursor<'_>, max: usize, what: &str) -> Result<Vec<ItemId>>
     Ok(c.u32s(len)?.map(ItemId).collect())
 }
 
+/// [`push_query_header`]'s `(version, top_k, budget_ms)`. The version
+/// is carried through unchecked on purpose: the server answers
+/// `VersionMismatch` for versions it does not speak instead of failing
+/// the decode.
+fn read_query_header(c: &mut Cursor<'_>) -> Result<(u16, u32, u32)> {
+    let version = c.u16()?;
+    let top_k = c.u32()?;
+    if top_k as usize > MAX_RESULTS {
+        return Err(Error::Protocol(format!(
+            "implausible top_k {top_k} (max {MAX_RESULTS})"
+        )));
+    }
+    Ok((version, top_k, c.u32()?))
+}
+
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request> {
     let mut c = payload_cursor(payload);
     let req = match c.u8()? {
         TAG_SHUTDOWN => Request::Shutdown,
         TAG_QUERY_V2 => {
-            // The version is carried through undecoded on purpose: the
-            // server answers `VersionMismatch` for versions it does not
-            // speak instead of failing the decode.
-            let version = c.u16()?;
-            let top_k = c.u32()?;
-            if top_k as usize > MAX_RESULTS {
-                return Err(Error::Protocol(format!(
-                    "implausible top_k {top_k} (max {MAX_RESULTS})"
-                )));
-            }
-            let budget_ms = c.u32()?;
+            let (version, top_k, budget_ms) = read_query_header(&mut c)?;
             let basket = read_items(&mut c, MAX_BASKET_LEN, "basket")?;
             Request::QueryV2 {
                 version,
@@ -544,14 +553,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
             }
         }
         TAG_QUERY_BATCH => {
-            let version = c.u16()?;
-            let top_k = c.u32()?;
-            if top_k as usize > MAX_RESULTS {
-                return Err(Error::Protocol(format!(
-                    "implausible top_k {top_k} (max {MAX_RESULTS})"
-                )));
-            }
-            let budget_ms = c.u32()?;
+            let (version, top_k, budget_ms) = read_query_header(&mut c)?;
             let count = c.u32()? as usize;
             if count > MAX_BATCH {
                 return Err(Error::Protocol(format!(
@@ -573,6 +575,25 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
     };
     c.finish()?;
     Ok(req)
+}
+
+/// A served epoch: never 0.
+fn read_epoch(c: &mut Cursor<'_>) -> Result<u64> {
+    match c.u64()? {
+        0 => Err(Error::Protocol("epoch 0 is never served".into())),
+        epoch => Ok(epoch),
+    }
+}
+
+/// One answer's `shards_missing` count.
+fn read_missing(c: &mut Cursor<'_>) -> Result<u32> {
+    let missing = c.u32()?;
+    if missing as usize > MAX_RESULTS {
+        return Err(Error::Protocol(format!(
+            "implausible shards_missing {missing}"
+        )));
+    }
+    Ok(missing)
 }
 
 fn read_recs(c: &mut Cursor<'_>) -> Result<Vec<Recommendation>> {
@@ -618,30 +639,14 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
             Response::Error(msg.to_string())
         }
         TAG_SHUTDOWN_ACK => Response::ShutdownAck,
-        TAG_RESULTS_V2 => {
-            let epoch = c.u64()?;
-            if epoch == 0 {
-                return Err(Error::Protocol("epoch 0 is never served".into()));
-            }
-            let shards_missing = c.u32()?;
-            if shards_missing as usize > MAX_RESULTS {
-                return Err(Error::Protocol(format!(
-                    "implausible shards_missing {shards_missing}"
-                )));
-            }
-            Response::ResultsV2 {
-                epoch,
-                shards_missing,
-                recs: read_recs(&mut c)?,
-            }
-        }
-        TAG_RELOAD_ACK => {
-            let epoch = c.u64()?;
-            if epoch == 0 {
-                return Err(Error::Protocol("epoch 0 is never served".into()));
-            }
-            Response::ReloadAck { epoch }
-        }
+        TAG_RESULTS_V2 => Response::ResultsV2 {
+            epoch: read_epoch(&mut c)?,
+            shards_missing: read_missing(&mut c)?,
+            recs: read_recs(&mut c)?,
+        },
+        TAG_RELOAD_ACK => Response::ReloadAck {
+            epoch: read_epoch(&mut c)?,
+        },
         TAG_OVERLOADED => Response::Overloaded {
             retry_after_ms: c.u32()?,
         },
@@ -650,10 +655,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
             client: c.u16()?,
         },
         TAG_RESULTS_BATCH => {
-            let epoch = c.u64()?;
-            if epoch == 0 {
-                return Err(Error::Protocol("epoch 0 is never served".into()));
-            }
+            let epoch = read_epoch(&mut c)?;
             let count = c.u32()? as usize;
             if count > MAX_BATCH {
                 return Err(Error::Protocol(format!(
@@ -662,14 +664,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
             }
             let mut answers = Vec::with_capacity(count);
             for _ in 0..count {
-                let shards_missing = c.u32()?;
-                if shards_missing as usize > MAX_RESULTS {
-                    return Err(Error::Protocol(format!(
-                        "implausible shards_missing {shards_missing}"
-                    )));
-                }
                 answers.push(BatchAnswer {
-                    shards_missing,
+                    shards_missing: read_missing(&mut c)?,
                     recs: read_recs(&mut c)?,
                 });
             }
@@ -1161,6 +1157,94 @@ mod tests {
                 assert!(matches!(e, Error::Protocol(_)), "{payload:?}: {e:?}");
             }
         }
+    }
+
+    /// A blocking reader that serves at most 5 bytes a read, and fails
+    /// the reads its script marks with EINTR before the stream goes on.
+    struct Interrupting {
+        data: Vec<u8>,
+        pos: usize,
+        script: Vec<bool>,
+    }
+
+    impl Read for Interrupting {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.script.is_empty() && self.script.remove(0) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(5).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_retries_an_interrupted_read() {
+        let payload = encode_response(&sample_response());
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &payload).unwrap();
+        write_frame(&mut framed, &encode_request(&Request::Shutdown)).unwrap();
+        // EINTR before the header, then once more mid-payload (after
+        // the header and the payload's first 5 bytes).
+        let mut r = Interrupting {
+            data: framed,
+            pos: 0,
+            script: vec![true, false, false, true],
+        };
+        assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
+        // The blocking reader took exactly one frame: the next is intact.
+        assert_eq!(
+            read_frame(&mut r).unwrap(),
+            Some(encode_request(&Request::Shutdown))
+        );
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn fill_buffers_at_most_one_maximal_frame() {
+        // 8 MiB of small frames from a sender that never blocks (a
+        // cursor always has bytes until its end).
+        let payloads: Vec<Vec<u8>> = (0u32..)
+            .map(|i| {
+                encode_request(&Request::QueryV2 {
+                    version: PROTOCOL_VERSION,
+                    basket: vec![ItemId(i), ItemId(i + 1)],
+                    top_k: 3,
+                    budget_ms: i,
+                })
+            })
+            .scan(0, |bytes, p| {
+                *bytes += 4 + p.len() + 8;
+                (*bytes <= 8 << 20).then_some(p)
+            })
+            .collect();
+        let mut framed = Vec::new();
+        for p in &payloads {
+            write_frame(&mut framed, p).unwrap();
+        }
+        let mut r = std::io::Cursor::new(framed);
+        let mut fb = FrameBuffer::new();
+        let bound = 4 + MAX_FRAME_BYTES + 8;
+        assert_eq!(fb.fill(&mut r).unwrap(), FillStatus::Open);
+        assert!(fb.buffered() <= bound, "{} bytes buffered", fb.buffered());
+        // Alternating fill / next_frame yields every frame, in order.
+        let mut out = Vec::new();
+        loop {
+            while let Some(frame) = fb.next_frame().unwrap() {
+                out.push(frame);
+            }
+            if fb.fill(&mut r).unwrap() == FillStatus::Eof {
+                break;
+            }
+            assert!(fb.buffered() <= bound, "{} bytes buffered", fb.buffered());
+        }
+        while let Some(frame) = fb.next_frame().unwrap() {
+            out.push(frame);
+        }
+        assert_eq!(out.len(), payloads.len());
+        assert!(out == payloads, "frames lost or reordered");
+        assert_eq!(fb.buffered(), 0);
     }
 
     #[test]

@@ -16,9 +16,15 @@
 //!
 //! Requests **pipeline**: a connection may send any number of frames
 //! without waiting; responses are queued per connection in request
-//! order (a slot is reserved when the request is admitted and filled
-//! when its shard jobs complete), so concurrent queries on one socket
-//! never reorder.
+//! order, so concurrent queries on one socket never reorder. Every
+//! request reserves its response slot the moment its frame arrives, and
+//! every outcome — answered, shed at admission, shed on a full queue,
+//! timed out, or answered at once (errors, acks, version mismatches) —
+//! leaves through one exit that frames the response, fills the slot,
+//! counts a shed (`serve.shed`) and a query's `serve.latency_us`, and
+//! pumps the socket. A shard job carries the indices of the baskets it
+//! scores, and its guard posts them back if the job dies, so a failure
+//! charges `shards_missing` to exactly those baskets.
 //!
 //! Routing: rules are placed by the root-item hash of their
 //! **antecedent**, so a basket whose (known) items share one root —
@@ -66,7 +72,7 @@
     reason = "gar-serve is where sockets live; frames go through the protocol codec"
 )]
 
-use crate::engine::{Catalog, Match, Recommendation, Route};
+use crate::engine::{Catalog, Match, Route};
 use crate::epoch::{Epoch, EpochCell};
 use crate::netpoll::{Interest, Poller, Readiness};
 use crate::protocol::{
@@ -145,31 +151,24 @@ impl Default for ServerConfig {
     }
 }
 
-/// One basket inside a shard job: which answer slot it belongs to and
-/// its (shared) extended transaction.
-struct JobItem {
-    index: usize,
-    extended: Arc<Vec<ItemId>>,
-}
-
-/// One unit of shard work: every basket of one request routed to this
-/// shard, the epoch snapshot they run against, and the completion
-/// guard. Batches ride in one job so queue overhead is per
-/// (request, shard), not per basket.
+/// One unit of shard work: the baskets of one request routed to this
+/// shard (named by its guard), the epoch snapshot they run against, and
+/// every basket of the request extended once. Batches ride in one job
+/// so queue overhead is per (request, shard), not per basket.
 struct Job {
     snapshot: Arc<Epoch<Catalog>>,
-    items: Vec<JobItem>,
+    extended: Arc<[Vec<ItemId>]>,
     guard: ReplyGuard,
 }
 
-/// What a shard worker hands back to the event loop. `results` is
-/// `None` when the job died before scoring (worker panic, queue
-/// discarded) — the guard's `Drop` posts it so a job can never vanish
-/// silently.
+/// What a shard worker hands back to the event loop: the basket indices
+/// the job carried and, unless it died before scoring (worker panic,
+/// queue discarded), their matches in the same order — the guard's
+/// `Drop` posts the failure, so a job can never vanish silently.
 struct Completion {
     req: u64,
-    shard: usize,
-    results: Option<Vec<(usize, Vec<Match>)>>,
+    baskets: Vec<usize>,
+    results: Option<Vec<Vec<Match>>>,
 }
 
 /// Completion bookkeeping that must fire exactly once per dispatched
@@ -181,48 +180,44 @@ struct ReplyGuard {
     tx: Sender<Completion>,
     req: u64,
     shard: usize,
+    /// The indices of the request's baskets this job scores.
+    baskets: Vec<usize>,
     armed: bool,
 }
 
 impl ReplyGuard {
-    fn complete(mut self, results: Vec<(usize, Vec<Match>)>) {
+    fn post(&mut self, results: Option<Vec<Vec<Match>>>) {
         self.armed = false;
         // A dead receiver means the loop is gone; accounting still runs.
         drop(self.tx.send(Completion {
             req: self.req,
-            shard: self.shard,
-            results: Some(results),
+            baskets: std::mem::take(&mut self.baskets),
+            results,
         }));
-        self.settle();
+        self.release();
+        self.shared.wake();
     }
 
     /// The job was never handed to a worker (queue full / shard down):
-    /// release the backlog slot without posting a completion — the
-    /// dispatcher does its own accounting on those paths.
-    fn abandon(mut self) {
+    /// release the backlog slot and hand the baskets back to the
+    /// dispatcher, which does its own accounting on those paths.
+    fn abandon(mut self) -> Vec<usize> {
         self.armed = false;
-        if let Some(slot) = self.shared.slots.get(self.shard) {
-            slot.finish_job();
-        }
+        self.release();
+        std::mem::take(&mut self.baskets)
     }
 
-    fn settle(&self) {
+    fn release(&self) {
         if let Some(slot) = self.shared.slots.get(self.shard) {
             slot.finish_job();
         }
-        self.shared.wake();
     }
 }
 
 impl Drop for ReplyGuard {
     fn drop(&mut self) {
         if self.armed {
-            drop(self.tx.send(Completion {
-                req: self.req,
-                shard: self.shard,
-                results: None,
-            }));
-            self.settle();
+            self.post(None);
         }
     }
 }
@@ -250,12 +245,20 @@ impl ShardSlot {
         }
     }
 
-    /// Publishes a fresh queue of `depth` jobs: the shard is up from
-    /// here on. The receiver goes to the worker incarnation serving it.
-    fn publish_queue(&self, depth: usize) -> Receiver<Job> {
-        let (tx, rx) = mpsc::sync_channel(depth.max(1));
-        *self.tx.lock() = Some(tx);
-        rx
+    /// Publishes a fresh queue of `depth` jobs unless the server is
+    /// stopping: the shard is up from here on. The receiver goes to the
+    /// worker incarnation serving it. `running` is read under the lock
+    /// [`Server::wait`] retires senders under, after `running` is
+    /// cleared: a restart racing a shutdown publishes before that
+    /// retirement or not at all, so no worker waits on a live sender.
+    fn publish_queue(&self, depth: usize, running: &AtomicBool) -> Option<Receiver<Job>> {
+        let mut tx = self.tx.lock();
+        if !running.load(Ordering::SeqCst) {
+            return None;
+        }
+        let (fresh, rx) = mpsc::sync_channel(depth.max(1));
+        *tx = Some(fresh);
+        Some(rx)
     }
 
     fn finish_job(&self) {
@@ -479,7 +482,9 @@ pub fn serve(addr: &str, store: RuleStore, cfg: ServerConfig, obs: Obs) -> Resul
     // "down" just because its supervisor thread has not been scheduled.
     let mut supervisors = Vec::with_capacity(num_shards);
     for (shard, slot) in shared.slots.iter().enumerate() {
-        let rx = slot.publish_queue(shared.cfg.queue_depth);
+        let Some(rx) = slot.publish_queue(shared.cfg.queue_depth, &shared.running) else {
+            continue;
+        };
         let shared = Arc::clone(&shared);
         supervisors.push(
             std::thread::Builder::new()
@@ -555,7 +560,10 @@ fn shard_supervisor(shard: usize, shared: &Arc<Shared>, mut rx: Receiver<Job>) {
             reason = "the supervisor's restart back-off"
         )]
         std::thread::sleep(RESTART_BACKOFF * restarts as u32);
-        rx = slot.publish_queue(shared.cfg.queue_depth);
+        match slot.publish_queue(shared.cfg.queue_depth, &shared.running) {
+            Some(fresh) => rx = fresh,
+            None => return, // shut down during the back-off
+        }
     }
 }
 
@@ -587,10 +595,16 @@ fn shard_worker(shard: usize, slot: &ShardSlot, faults: &FaultPlan, rx: &Receive
             panic!("injected shard panic: shard {shard} job {jobno}");
         }
         let _span = obs.span(shard as u64, 0, "query");
-        let mut results = Vec::with_capacity(job.items.len());
-        for item in &job.items {
+        let Job {
+            snapshot,
+            extended,
+            mut guard,
+        } = job;
+        let mut results = Vec::with_capacity(guard.baskets.len());
+        for &i in &guard.baskets {
             let clock = Stopwatch::start();
-            let (matches, walked) = job.snapshot.value().scan_shard(shard, &item.extended);
+            let basket = extended.get(i).map_or(&[][..], Vec::as_slice);
+            let (matches, walked) = snapshot.value().scan_shard(shard, basket);
             obs.observe(
                 "serve.shard_us",
                 &labels,
@@ -606,9 +620,9 @@ fn shard_worker(shard: usize, slot: &ShardSlot, faults: &FaultPlan, rx: &Receive
             } else {
                 obs.add("serve.hits", &labels, 1);
             }
-            results.push((item.index, matches));
+            results.push(matches);
         }
-        job.guard.complete(results);
+        guard.post(Some(results));
     }
 }
 
@@ -619,18 +633,17 @@ enum Shape {
     Batch,
 }
 
-/// Per-basket scoring state inside a pending request.
+/// Per-basket scoring state inside a pending request. A basket with no
+/// known item routes nowhere and keeps its empty state: no matches.
 #[derive(Default)]
 struct BasketState {
-    /// Pre-resolved answer (empty route): `(recs, missing)`.
-    ready: Option<(Vec<Recommendation>, u32)>,
     /// Shard matches accumulated so far.
     matches: Vec<Match>,
     /// Shards that should have scored this basket but died.
     missing: u32,
 }
 
-/// One admitted request waiting on shard completions.
+/// One admitted query waiting on shard completions.
 struct Pending {
     /// Owning connection id (not index — indices shift as conns close).
     conn: u64,
@@ -639,21 +652,23 @@ struct Pending {
     snapshot: Arc<Epoch<Catalog>>,
     clock: Stopwatch,
     deadline: Duration,
-    expected: usize,
-    done: usize,
-    /// Which basket indices each dispatched shard job covers, so a
-    /// failure completion can charge `missing` to exactly those.
-    jobs: Vec<(usize, Vec<usize>)>,
+    /// Dispatched jobs that have not reported yet.
+    jobs_left: usize,
     baskets: Vec<BasketState>,
 }
 
 /// An entry in a connection's ordered response queue: responses go out
-/// in request order, so a slot is reserved at admission and filled at
-/// completion.
+/// in request order, so every request reserves a slot on arrival and
+/// fills it on its way out.
 enum RespSlot {
     Ready(Vec<u8>),
     Waiting(u64),
 }
+
+/// The typed, retryable answer to a shed or timed-out query.
+const SHED: Response = Response::Overloaded {
+    retry_after_ms: RETRY_AFTER_MS,
+};
 
 /// One live connection owned by the event loop.
 struct Conn {
@@ -667,14 +682,6 @@ struct Conn {
     /// the conn closes once its response queue and out buffer drain.
     read_shut: bool,
     dead: bool,
-}
-
-/// Encodes and frames a response for a connection's out queue.
-fn frame_bytes(response: &Response) -> Vec<u8> {
-    let mut framed = Vec::new();
-    // Writing into a Vec cannot fail.
-    drop(write_frame(&mut framed, &encode_response(response)));
-    framed
 }
 
 /// The single-threaded readiness loop: listener + waker + every
@@ -871,84 +878,78 @@ impl EventLoop {
         }
         if framing_error {
             self.shared.obs.add("serve.errors", &[], 1);
-            self.respond(ci, frame_bytes(&Response::Error("malformed frame".into())));
-            if let Some(conn) = self.conns.get_mut(ci) {
-                conn.read_shut = true;
+            if let Some((conn, req)) = self.reserve(ci) {
+                if let Some(c) = self.conns.get_mut(ci) {
+                    c.read_shut = true;
+                }
+                self.exit(conn, req, &Response::Error("malformed frame".into()), None);
             }
-            self.pump(ci);
         }
     }
 
-    /// Decodes and dispatches one request frame.
+    /// Reserves the next response slot on connection `ci`, in request
+    /// order; returns the connection id and the request id it answers.
+    fn reserve(&mut self, ci: usize) -> Option<(u64, u64)> {
+        let conn = self.conns.get_mut(ci)?;
+        let req = self.next_req;
+        self.next_req += 1;
+        conn.resp.push_back(RespSlot::Waiting(req));
+        Some((conn.id, req))
+    }
+
+    /// Decodes and dispatches one request frame. Its response slot is
+    /// reserved first; every outcome then leaves through [`Self::exit`].
     fn handle_frame(&mut self, ci: usize, payload: Vec<u8>) {
         let obs = self.shared.obs.clone();
+        let Some((conn, req)) = self.reserve(ci) else {
+            return;
+        };
         let request = match decode_request(&payload) {
             Ok(r) => r,
             Err(e) => {
                 // The frame was well-formed (checksum passed), so the
                 // stream is still aligned: report and keep serving.
                 obs.add("serve.errors", &[], 1);
-                self.respond(ci, frame_bytes(&Response::Error(e.to_string())));
-                return;
+                return self.exit(conn, req, &Response::Error(e.to_string()), None);
             }
-        };
-        let Some(conn_id) = self.conns.get(ci).map(|c| c.id as usize) else {
-            return;
         };
         if self
             .shared
             .cfg
             .faults
-            .take(FaultOp::ConnReset, [conn_id, 0])
+            .take(FaultOp::ConnReset, [conn as usize, 0])
         {
             // Injected reset: the request was read but the connection
             // dies before a single response byte — the client must
             // reconnect and retry.
             obs.add("serve.fault.conn_reset", &[], 1);
-            if let Some(conn) = self.conns.get_mut(ci) {
-                conn.dead = true;
+            if let Some(c) = self.conns.get_mut(ci) {
+                c.dead = true;
             }
             return;
         }
-        let mismatch = |client: u16| {
-            frame_bytes(&Response::VersionMismatch {
+        if let Some(client) = request.version().filter(|&v| v != PROTOCOL_VERSION) {
+            obs.add("serve.version_mismatch", &[], 1);
+            let mismatch = Response::VersionMismatch {
                 server: PROTOCOL_VERSION,
                 client,
-            })
-        };
-        match request {
+            };
+            return self.exit(conn, req, &mismatch, None);
+        }
+        let (shape, baskets, top_k, budget_ms) = match request {
             Request::QueryV2 {
-                version,
                 basket,
                 top_k,
                 budget_ms,
-            } => {
-                if version != PROTOCOL_VERSION {
-                    obs.add("serve.version_mismatch", &[], 1);
-                    self.respond(ci, mismatch(version));
-                } else {
-                    self.start_request(ci, Shape::V2, vec![basket], top_k, budget_ms);
-                }
-            }
+                ..
+            } => (Shape::V2, vec![basket], top_k, budget_ms),
             Request::QueryBatch {
-                version,
                 baskets,
                 top_k,
                 budget_ms,
-            } => {
-                if version != PROTOCOL_VERSION {
-                    obs.add("serve.version_mismatch", &[], 1);
-                    self.respond(ci, mismatch(version));
-                } else {
-                    self.start_request(ci, Shape::Batch, baskets, top_k, budget_ms);
-                }
-            }
-            Request::Reload { version, path } => {
-                if version != PROTOCOL_VERSION {
-                    obs.add("serve.version_mismatch", &[], 1);
-                    self.respond(ci, mismatch(version));
-                    return;
-                }
+                ..
+            } => (Shape::Batch, baskets, top_k, budget_ms),
+            Request::Reload { path, .. } => {
                 let response = match self.shared.reload(&path) {
                     Ok(epoch) => Response::ReloadAck { epoch },
                     Err(e) => {
@@ -956,77 +957,61 @@ impl EventLoop {
                         Response::Error(format!("reload rejected: {e}"))
                     }
                 };
-                self.respond(ci, frame_bytes(&response));
+                return self.exit(conn, req, &response, None);
             }
             Request::Shutdown => {
-                self.respond(ci, frame_bytes(&Response::ShutdownAck));
-                if let Some(conn) = self.conns.get_mut(ci) {
-                    conn.read_shut = true;
+                self.exit(conn, req, &Response::ShutdownAck, None);
+                if let Some(c) = self.conns.get_mut(ci) {
+                    c.read_shut = true;
                 }
                 self.shared.running.store(false, Ordering::SeqCst);
+                return;
             }
-        }
+        };
+        self.start_query(conn, req, shape, baskets, top_k, budget_ms);
     }
 
     /// Admits one query-shaped request: affinity routing, admission
-    /// control, and per-shard batched dispatch. A response slot is
-    /// reserved in request order whatever the outcome.
-    fn start_request(
+    /// control, and per-shard batched dispatch.
+    fn start_query(
         &mut self,
-        ci: usize,
+        conn: u64,
+        req: u64,
         shape: Shape,
         baskets: Vec<Vec<ItemId>>,
         top_k: u32,
         budget_ms: u32,
     ) {
         let shared = Arc::clone(&self.shared);
-        let obs = shared.obs.clone();
+        let obs = &shared.obs;
         obs.add("serve.requests", &[], 1);
         obs.add("serve.baskets", &[], baskets.len() as u64);
         let clock = Stopwatch::start();
         let snapshot = shared.current.load();
-        let nshards = shared.slots.len();
+        let catalog = snapshot.value();
 
-        let mut states: Vec<BasketState> = Vec::with_capacity(baskets.len());
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-        {
-            let catalog = snapshot.value();
-            for (i, basket) in baskets.iter().enumerate() {
-                let mut st = BasketState::default();
-                match catalog.route(basket) {
-                    Route::Empty => {
-                        obs.add("serve.routed.empty", &[], 1);
-                        st.ready = Some((Vec::new(), 0));
-                    }
-                    Route::Single(s) => {
-                        obs.add("serve.routed.single", &[], 1);
-                        if let Some(b) = buckets.get_mut(s) {
-                            b.push(i);
-                        }
-                    }
-                    Route::Broadcast => {
-                        obs.add("serve.routed.fanout", &[], 1);
-                        for b in buckets.iter_mut() {
-                            b.push(i);
-                        }
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shared.slots.len()];
+        for (i, basket) in baskets.iter().enumerate() {
+            match catalog.route(basket) {
+                Route::Empty => obs.add("serve.routed.empty", &[], 1),
+                Route::Single(s) => {
+                    obs.add("serve.routed.single", &[], 1);
+                    if let Some(b) = buckets.get_mut(s) {
+                        b.push(i);
                     }
                 }
-                states.push(st);
+                Route::Broadcast => {
+                    obs.add("serve.routed.fanout", &[], 1);
+                    for b in buckets.iter_mut() {
+                        b.push(i);
+                    }
+                }
             }
         }
 
-        let njobs = buckets.iter().filter(|b| !b.is_empty()).count();
-        let deadline = if budget_ms == 0 {
-            shared.cfg.deadline
-        } else {
-            shared
-                .cfg
-                .deadline
-                .min(Duration::from_millis(budget_ms as u64))
-        };
-
         // Admission: a budget the current backlog plus our own jobs
         // cannot meet is shed typed before any shard work.
+        let njobs = buckets.iter().filter(|b| !b.is_empty()).count() as u64;
         if budget_ms > 0 && njobs > 0 {
             let backlog = shared
                 .slots
@@ -1034,63 +1019,40 @@ impl EventLoop {
                 .map(|s| s.queued.load(Ordering::SeqCst))
                 .max()
                 .unwrap_or(0) as u64;
-            if (backlog + njobs as u64).saturating_mul(EST_JOB_MS) > budget_ms as u64 {
-                obs.add("serve.shed", &[], 1);
-                obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
-                let shed = Response::Overloaded {
-                    retry_after_ms: RETRY_AFTER_MS,
-                };
-                self.respond(ci, frame_bytes(&shed));
-                return;
+            if (backlog + njobs).saturating_mul(EST_JOB_MS) > budget_ms as u64 {
+                return self.exit(conn, req, &SHED, Some(clock));
             }
         }
 
-        // Share each dispatched basket's extended transaction across
-        // however many shard jobs carry it.
-        let mut dispatched = vec![false; baskets.len()];
-        for bucket in &buckets {
-            for &i in bucket {
-                if let Some(d) = dispatched.get_mut(i) {
-                    *d = true;
-                }
-            }
-        }
-        let catalog = snapshot.value();
-        let extended: Vec<Option<Arc<Vec<ItemId>>>> = baskets
-            .iter()
-            .zip(&dispatched)
-            .map(|(basket, &d)| d.then(|| Arc::new(catalog.extend_basket(basket))))
-            .collect();
-
-        let req = self.next_req;
-        self.next_req += 1;
-        let mut expected = 0usize;
-        let mut jobs: Vec<(usize, Vec<usize>)> = Vec::new();
+        let extended: Arc<[Vec<ItemId>]> =
+            baskets.iter().map(|b| catalog.extend_basket(b)).collect();
+        let mut p = Pending {
+            conn,
+            shape,
+            top_k: top_k as usize,
+            snapshot: Arc::clone(&snapshot),
+            clock,
+            deadline: match budget_ms {
+                0 => shared.cfg.deadline,
+                ms => shared.cfg.deadline.min(Duration::from_millis(ms as u64)),
+            },
+            jobs_left: 0,
+            baskets: baskets.iter().map(|_| BasketState::default()).collect(),
+        };
         for (s, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let Some(slot) = shared.slots.get(s) else {
+            let Some(slot) = shared.slots.get(s).filter(|_| !bucket.is_empty()) else {
                 continue;
             };
-            let mut items = Vec::with_capacity(bucket.len());
-            for &i in &bucket {
-                if let Some(Some(extended)) = extended.get(i) {
-                    items.push(JobItem {
-                        index: i,
-                        extended: Arc::clone(extended),
-                    });
-                }
-            }
             slot.queued.fetch_add(1, Ordering::SeqCst);
             let job = Job {
                 snapshot: Arc::clone(&snapshot),
-                items,
+                extended: Arc::clone(&extended),
                 guard: ReplyGuard {
                     shared: Arc::clone(&shared),
                     tx: self.comp_tx.clone(),
                     req,
                     shard: s,
+                    baskets: bucket,
                     armed: true,
                 },
             };
@@ -1100,107 +1062,72 @@ impl EventLoop {
                 None => Err(TrySendError::Disconnected(job)),
             };
             match sent {
-                Ok(()) => {
-                    expected += 1;
-                    jobs.push((s, bucket));
-                }
+                Ok(()) => p.jobs_left += 1,
                 Err(TrySendError::Full(job)) => {
                     // Shed the whole request. Jobs already queued on
                     // other shards run to completion; their results
-                    // reference a request id that was never registered
+                    // reference a request that was never registered
                     // and are discarded on arrival.
-                    let Job { guard, .. } = job;
-                    guard.abandon();
-                    obs.add("serve.shed", &[], 1);
-                    obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
-                    let shed = Response::Overloaded {
-                        retry_after_ms: RETRY_AFTER_MS,
-                    };
-                    self.respond(ci, frame_bytes(&shed));
-                    return;
+                    job.guard.abandon();
+                    return self.exit(conn, req, &SHED, Some(p.clock));
                 }
                 Err(TrySendError::Disconnected(job)) => {
                     // Shard down (crashed, restarting, or out of
                     // budget): answer without it.
-                    let Job { guard, .. } = job;
-                    guard.abandon();
-                    for &i in &bucket {
-                        if let Some(st) = states.get_mut(i) {
-                            st.missing += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        let conn_id = self.conns.get(ci).map(|c| c.id).unwrap_or(u64::MAX);
-        let pending = Pending {
-            conn: conn_id,
-            shape,
-            top_k: top_k as usize,
-            snapshot,
-            clock,
-            deadline,
-            expected,
-            done: 0,
-            jobs,
-            baskets: states,
-        };
-        self.respond_waiting(ci, req);
-        if expected == 0 {
-            // Fully answered from empty routes / dead shards.
-            self.finalize_ok(req, pending);
-        } else {
-            self.pending.insert(req, pending);
-        }
-    }
-
-    /// Applies one shard completion; finalizes the request once every
-    /// dispatched job has reported.
-    fn apply_completion(&mut self, c: Completion) {
-        let finished = {
-            let Some(p) = self.pending.get_mut(&c.req) else {
-                return; // shed, timed out, or abandoned: stale result
-            };
-            p.done += 1;
-            match c.results {
-                Some(list) => {
-                    for (idx, m) in list {
-                        if let Some(b) = p.baskets.get_mut(idx) {
-                            b.matches.extend(m);
-                        }
-                    }
-                }
-                None => {
-                    // The job died before scoring: every basket it
-                    // carried is missing this shard's answer.
-                    let idxs = p
-                        .jobs
-                        .iter()
-                        .find(|(s, _)| *s == c.shard)
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or_default();
-                    for idx in idxs {
-                        if let Some(b) = p.baskets.get_mut(idx) {
+                    for i in job.guard.abandon() {
+                        if let Some(b) = p.baskets.get_mut(i) {
                             b.missing += 1;
                         }
                     }
                 }
             }
-            p.done >= p.expected
+        }
+        if p.jobs_left == 0 {
+            // Fully answered from empty routes / dead shards.
+            self.answer(req, p);
+        } else {
+            self.pending.insert(req, p);
+        }
+    }
+
+    /// Applies one shard completion; answers the request once every
+    /// dispatched job has reported.
+    fn apply_completion(&mut self, c: Completion) {
+        let Some(p) = self.pending.get_mut(&c.req) else {
+            return; // shed, timed out, or abandoned: stale result
         };
-        if finished {
+        p.jobs_left -= 1;
+        match c.results {
+            Some(results) => {
+                for (&i, matches) in c.baskets.iter().zip(results) {
+                    if let Some(b) = p.baskets.get_mut(i) {
+                        b.matches.extend(matches);
+                    }
+                }
+            }
+            // The job died before scoring: every basket it carried is
+            // missing this shard's answer.
+            None => {
+                for &i in &c.baskets {
+                    if let Some(b) = p.baskets.get_mut(i) {
+                        b.missing += 1;
+                    }
+                }
+            }
+        }
+        if p.jobs_left == 0 {
             if let Some(p) = self.pending.remove(&c.req) {
-                self.finalize_ok(c.req, p);
+                self.answer(c.req, p);
             }
         }
     }
 
-    /// Times out every pending request whose deadline has passed.
+    /// Times out every pending request whose deadline has passed: typed
+    /// and retryable, indistinguishable from a shed.
     fn expire_deadlines(&mut self) {
         #[expect(
             clippy::disallowed_methods,
-            reason = "each expired request fills the response slot reserved at its admission, so \
+            reason = "each expired request fills the response slot reserved at its arrival, so \
                       the order they expire in never reaches the wire"
         )]
         let expired: Vec<u64> = self
@@ -1211,43 +1138,34 @@ impl EventLoop {
             .collect();
         for req in expired {
             if let Some(p) = self.pending.remove(&req) {
-                self.finalize_timeout(req, p);
+                self.shared.obs.add("serve.deadline_exceeded", &[], 1);
+                self.exit(p.conn, req, &SHED, Some(p.clock));
             }
         }
     }
 
-    /// Builds the success response for a fully-reported request: merge
-    /// per basket, record degradation, and deliver.
-    fn finalize_ok(&mut self, req: u64, p: Pending) {
-        let obs = self.shared.obs.clone();
-        let Pending {
-            conn,
-            shape,
-            top_k,
-            snapshot,
-            clock,
-            baskets,
-            ..
-        } = p;
-        let epoch = snapshot.number();
-        let mut answers = Vec::with_capacity(baskets.len());
-        for b in baskets {
-            let (recs, missing) = match b.ready {
-                Some(ready) => ready,
-                None => (snapshot.value().merge(b.matches, top_k), b.missing),
-            };
-            if missing > 0 {
-                obs.add("serve.degraded", &[], 1);
-            }
-            answers.push(BatchAnswer {
-                shards_missing: missing,
-                recs,
-            });
-        }
-        let response = match shape {
+    /// Answers a fully-reported query: merge per basket, record
+    /// degradation, and leave.
+    fn answer(&mut self, req: u64, p: Pending) {
+        let catalog = p.snapshot.value();
+        let mut answers: Vec<BatchAnswer> = p
+            .baskets
+            .into_iter()
+            .map(|b| {
+                if b.missing > 0 {
+                    self.shared.obs.add("serve.degraded", &[], 1);
+                }
+                BatchAnswer {
+                    shards_missing: b.missing,
+                    recs: catalog.merge(b.matches, p.top_k),
+                }
+            })
+            .collect();
+        let epoch = p.snapshot.number();
+        let response = match p.shape {
             Shape::Batch => Response::ResultsBatch { epoch, answers },
             Shape::V2 => {
-                let a = answers.into_iter().next().unwrap_or(BatchAnswer {
+                let a = answers.pop().unwrap_or(BatchAnswer {
                     shards_missing: 0,
                     recs: Vec::new(),
                 });
@@ -1258,63 +1176,36 @@ impl EventLoop {
                 }
             }
         };
-        obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
-        self.deliver(conn, req, frame_bytes(&response));
+        self.exit(p.conn, req, &response, Some(p.clock));
     }
 
-    /// Builds the timeout response: typed and retryable, indistinguishable
-    /// from a shed.
-    fn finalize_timeout(&mut self, req: u64, p: Pending) {
-        let obs = self.shared.obs.clone();
-        obs.add("serve.deadline_exceeded", &[], 1);
-        obs.add("serve.shed", &[], 1);
-        let response = Response::Overloaded {
-            retry_after_ms: RETRY_AFTER_MS,
-        };
-        obs.observe(
-            "serve.latency_us",
-            &[],
-            p.clock.elapsed().as_micros() as u64,
-        );
-        self.deliver(p.conn, req, frame_bytes(&response));
-    }
-
-    /// Fills the reserved response slot for `req` on its connection and
-    /// pumps. A connection that died in the meantime just discards the
-    /// response.
-    fn deliver(&mut self, conn_id: u64, req: u64, framed: Vec<u8>) {
-        let Some(ci) = self.conns.iter().position(|c| c.id == conn_id && !c.dead) else {
+    /// The one exit of every request: counts a shed, and for a query its
+    /// latency since admission; frames `response` into the slot `req`
+    /// reserved on connection `conn`; and pumps. A connection that died
+    /// in the meantime just discards the response.
+    fn exit(&mut self, conn: u64, req: u64, response: &Response, clock: Option<Stopwatch>) {
+        let obs = &self.shared.obs;
+        if matches!(response, Response::Overloaded { .. }) {
+            obs.add("serve.shed", &[], 1);
+        }
+        if let Some(clock) = clock {
+            obs.observe("serve.latency_us", &[], clock.elapsed().as_micros() as u64);
+        }
+        let Some(ci) = self.conns.iter().position(|c| c.id == conn && !c.dead) else {
             return;
         };
-        let mut filled = false;
-        if let Some(conn) = self.conns.get_mut(ci) {
-            if let Some(slot) = conn
-                .resp
+        let slot = self.conns.get_mut(ci).and_then(|c| {
+            c.resp
                 .iter_mut()
                 .find(|s| matches!(s, RespSlot::Waiting(r) if *r == req))
-            {
-                *slot = RespSlot::Ready(framed);
-                filled = true;
-            }
-        }
-        if filled {
-            self.pump(ci);
-        }
-    }
-
-    /// Enqueues an immediately-ready response in request order.
-    fn respond(&mut self, ci: usize, framed: Vec<u8>) {
-        if let Some(conn) = self.conns.get_mut(ci) {
-            conn.resp.push_back(RespSlot::Ready(framed));
+        });
+        if let Some(slot) = slot {
+            let mut framed = Vec::new();
+            // Writing into a Vec cannot fail.
+            drop(write_frame(&mut framed, &encode_response(response)));
+            *slot = RespSlot::Ready(framed);
         }
         self.pump(ci);
-    }
-
-    /// Reserves a response slot for a request still in flight.
-    fn respond_waiting(&mut self, ci: usize, req: u64) {
-        if let Some(conn) = self.conns.get_mut(ci) {
-            conn.resp.push_back(RespSlot::Waiting(req));
-        }
     }
 
     /// Moves every leading ready response into the out buffer (honoring

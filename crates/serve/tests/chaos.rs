@@ -22,8 +22,9 @@
 use gar_cluster::{FaultPlan, RetryPolicy};
 use gar_mining::rules::Rule;
 use gar_obs::Obs;
+use gar_serve::engine::shard_of;
 use gar_serve::protocol::{encode_response, BatchAnswer, Response};
-use gar_serve::{serve, Catalog, Client, QueryReply, RuleStore, Server, ServerConfig};
+use gar_serve::{serve, BatchReply, Catalog, Client, QueryReply, RuleStore, Server, ServerConfig};
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
 use gar_types::{iset, ItemId, Itemset};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -489,4 +490,81 @@ fn combined_fault_stream_holds_all_invariants() {
         client.shutdown().unwrap();
         server.wait().unwrap();
     }
+}
+
+#[test]
+fn shard_failure_in_a_batch_charges_only_the_baskets_it_carried() {
+    // The [SA95] trees beside twelve standalone roots (items 8..20), so
+    // each of two shards owns some root.
+    let tax = {
+        let mut b = TaxonomyBuilder::new(20);
+        for (c, p) in [(1, 0), (2, 0), (3, 1), (4, 1), (6, 5), (7, 5)] {
+            b.edge(c, p).unwrap();
+        }
+        b.build().unwrap()
+    };
+    let roots: Vec<ItemId> = (0..20)
+        .map(ItemId)
+        .filter(|&i| tax.root_of(i) == i)
+        .collect();
+    let on = |shard: usize| {
+        let mut on_shard = roots.iter().filter(|&&r| shard_of(&[r], &tax, 2) == shard);
+        *on_shard.next().expect("every shard owns a root")
+    };
+    let (r0, r1) = (on(0), on(1));
+    // Two more roots to recommend, one rule per antecedent root.
+    let mut others = roots.iter().copied().filter(|&r| r != r0 && r != r1);
+    let (x, y) = (others.next().unwrap(), others.next().unwrap());
+    let rules = vec![
+        rule(
+            Itemset::from_sorted(vec![r0]),
+            Itemset::from_sorted(vec![x]),
+            3,
+            0.9,
+        ),
+        rule(
+            Itemset::from_sorted(vec![r1]),
+            Itemset::from_sorted(vec![y]),
+            2,
+            0.8,
+        ),
+    ];
+    let store = || RuleStore::new(rules.clone(), tax.clone(), 6);
+    let obs = Obs::enabled();
+    let cfg = ServerConfig {
+        shards: 2,
+        deadline: Duration::from_secs(5),
+        // Shard 0's first job — this batch's — panics its worker.
+        faults: FaultPlan::parse("shard-panic@s0q1").unwrap(),
+        ..ServerConfig::default()
+    };
+    let server = serve("127.0.0.1:0", store(), cfg, obs.clone()).unwrap();
+    let reference = Catalog::new(store(), 1);
+    let baskets = vec![vec![r0], vec![r1], vec![r0, r1]];
+    let mut client = connect(&server);
+    let BatchReply::Results { epoch, answers } = client.query_batch(&baskets, 10, 0).unwrap()
+    else {
+        panic!("an unbudgeted batch was shed");
+    };
+    assert_eq!(epoch, 1);
+    let [on_s0, on_s1, multi] = &answers[..] else {
+        panic!("expected three answers, got {answers:?}");
+    };
+    // The shard-1 basket never touched the dead job: complete.
+    assert_eq!(on_s1.shards_missing, 0);
+    assert_eq!(on_s1.recs, reference.query(&baskets[1], 10));
+    assert!(!on_s1.recs.is_empty());
+    // The two baskets the dead job carried each miss shard 0, and keep
+    // only answers the reference also gives.
+    for (answer, basket) in [(on_s0, &baskets[0]), (multi, &baskets[2])] {
+        assert_eq!(answer.shards_missing, 1, "{basket:?}");
+        let expected = reference.query(basket, 10);
+        for rec in &answer.recs {
+            assert!(expected.contains(rec), "{basket:?} invented {rec:?}");
+        }
+    }
+    assert_eq!(multi.recs, reference.query(&baskets[1], 10));
+    assert_eq!(obs.metrics().counters.get("serve.degraded"), Some(&2));
+    client.shutdown().unwrap();
+    server.wait().unwrap();
 }

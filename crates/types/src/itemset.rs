@@ -168,11 +168,6 @@ impl Itemset {
             items: v.into_boxed_slice(),
         }
     }
-
-    /// The raw `u32` codes, for hashing/serialization.
-    pub fn raw_codes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.items.iter().map(|it| it.raw())
-    }
 }
 
 impl Deref for Itemset {
