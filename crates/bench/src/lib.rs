@@ -1,17 +1,19 @@
-//! Reproduction harness shared by the per-figure binaries.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 and EXPERIMENTS.md). This library carries the
-//! common machinery: scaled dataset construction, the memory-budget rule,
-//! run wrappers, aligned-table printing, and CSV output under `results/`.
+//! Reproduction harness: the paper's tables and figures, and two
+//! ablations, each one function in [`figures::FIGURES`] (see DESIGN.md
+//! §4 and EXPERIMENTS.md). The `gar-bench [NAME…|all]` driver prints a
+//! figure's [`Table`] aligned and writes it to `results/<NAME>.csv`.
+//! This library carries the common machinery: scaled dataset
+//! construction, the memory-budget rule, the run wrapper and the table.
 //!
 //! Environment knobs (all optional; one that is set and unusable is an
 //! error, never a silent default):
 //!
 //! * `GAR_SCALE` — dataset scale factor vs the paper's 3.2 M transactions
-//!   (default per binary, typically 0.01-0.02);
+//!   (default 0.01);
 //! * `GAR_SEED`  — RNG seed (default 42);
 //! * `GAR_RESULTS_DIR` — where CSVs land (default `results/`).
+
+pub mod figures;
 
 use gar_cluster::ClusterConfig;
 use gar_datagen::{DatasetSpec, TransactionGenerator};
@@ -23,7 +25,6 @@ use gar_storage::PartitionedDatabase;
 use gar_taxonomy::Taxonomy;
 use gar_types::{ItemId, Result};
 use std::ffi::OsString;
-use std::io::Write;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -39,22 +40,18 @@ pub struct Env {
 }
 
 impl Env {
-    /// Reads the environment, with `default_scale` as the fallback scale.
-    /// A variable that is set to something unusable ends the process with
-    /// exit code 2 before any work: a silently substituted default would
-    /// record one experiment under another's name.
-    pub fn load(default_scale: f64) -> Env {
-        Env::from_vars(default_scale, |name| std::env::var_os(name)).unwrap_or_else(|msg| {
+    /// Reads the environment. A variable that is set to something unusable
+    /// ends the process with exit code 2 before any work: a silently
+    /// substituted default would record one experiment under another's name.
+    pub fn load() -> Env {
+        Env::from_vars(|name| std::env::var_os(name)).unwrap_or_else(|msg| {
             eprintln!("error: {msg}");
             std::process::exit(2)
         })
     }
 
-    fn from_vars(
-        default_scale: f64,
-        var: impl Fn(&str) -> Option<OsString>,
-    ) -> std::result::Result<Env, String> {
-        let scale: f64 = parsed(&var, "GAR_SCALE", default_scale)?;
+    fn from_vars(var: impl Fn(&str) -> Option<OsString>) -> std::result::Result<Env, String> {
+        let scale: f64 = parsed(&var, "GAR_SCALE", 0.01)?;
         if !(scale.is_finite() && scale > 0.0) {
             return Err(format!("GAR_SCALE={scale} is not a finite scale above 0"));
         }
@@ -170,73 +167,77 @@ pub fn run(
     mine_parallel(alg, db, &workload.taxonomy, &params, &cluster)
 }
 
-/// Prints an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// One figure's output. The driver prints it aligned and writes the same
+/// rows as CSV, so a figure builds its rows once.
+pub struct Table {
+    /// Column names: the CSV's header line.
+    pub headers: Vec<String>,
+    /// The rows, one cell per column.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// An empty table with these columns.
+    pub fn new<const N: usize>(headers: [&str; N]) -> Table {
+        Table {
+            headers: headers.map(String::from).to_vec(),
+            rows: Vec::new(),
         }
     }
-    let line = |cells: Vec<String>| {
-        let parts: Vec<String> = cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect();
-        println!("  {}", parts.join("  "));
-    };
-    line(headers.iter().map(|s| s.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
+
+    /// The header, a rule and the rows, each column right-aligned.
+    pub fn aligned(&self) -> String {
+        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        for row in &self.rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
+        }
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        let mut out = String::new();
+        for cells in [&self.headers, &rule].into_iter().chain(&self.rows) {
+            let parts: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect();
+            out += &format!("  {}\n", parts.join("  "));
+        }
+        out
+    }
+
+    /// The header line, then one line per row; a cell holding a comma or
+    /// a quote is quoted.
+    pub fn csv(&self) -> String {
+        let esc = |s: &String| {
+            if s.contains(',') || s.contains('"') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.clone()
+            }
+        };
+        let mut out = String::new();
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            out += &cells.iter().map(esc).collect::<Vec<_>>().join(",");
+            out.push('\n');
+        }
+        out
     }
 }
 
-/// Writes rows as CSV under the results directory.
-pub fn write_csv(env: &Env, name: &str, headers: &[&str], rows: &[Vec<String>]) -> Result<()> {
+/// Writes `table` to `<results dir>/<name>.csv` and returns that path.
+pub fn write_csv(env: &Env, name: &str, table: &Table) -> Result<PathBuf> {
     std::fs::create_dir_all(&env.results_dir)
         .map_err(|e| gar_types::Error::io("creating results dir", e))?;
-    let path = env.results_dir.join(name);
-    let mut f = std::fs::File::create(&path)
-        .map_err(|e| gar_types::Error::io(format!("creating {}", path.display()), e))?;
-    let esc = |s: &str| {
-        if s.contains(',') || s.contains('"') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
-        }
-    };
-    writeln!(
-        f,
-        "{}",
-        headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",")
-    )
-    .map_err(|e| gar_types::Error::io("writing csv header", e))?;
-    for row in rows {
-        writeln!(
-            f,
-            "{}",
-            row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-        )
-        .map_err(|e| gar_types::Error::io("writing csv row", e))?;
-    }
-    println!("\n  [written {}]", path.display());
-    Ok(())
+    let path = env.results_dir.join(format!("{name}.csv"));
+    std::fs::write(&path, table.csv())
+        .map_err(|e| gar_types::Error::io(format!("writing {}", path.display()), e))?;
+    Ok(path)
 }
 
 /// The minimum-support sweep the execution-time figures use, in percent
 /// (the paper sweeps roughly 0.3%-2%).
 pub const MINSUP_SWEEP_PCT: [f64; 5] = [2.0, 1.5, 1.0, 0.5, 0.3];
-
-/// Standard banner for the binaries.
-pub fn banner(what: &str, env: &Env) {
-    println!("=== {what} ===");
-    println!(
-        "scale {} of the paper's datasets, seed {}\n",
-        env.scale, env.seed
-    );
-}
 
 #[cfg(test)]
 mod tests {
@@ -267,21 +268,18 @@ mod tests {
             seed: 0,
             results_dir: std::env::temp_dir().join(format!("gar-csv-{}", std::process::id())),
         };
-        write_csv(
-            &env,
-            "t.csv",
-            &["a", "b"],
-            &[vec!["1".into(), "x,y".into()]],
-        )
-        .unwrap();
-        let content = std::fs::read_to_string(env.results_dir.join("t.csv")).unwrap();
+        let mut table = Table::new(["a", "b"]);
+        table.rows.push(vec!["1".into(), "x,y".into()]);
+        let path = write_csv(&env, "t", &table).unwrap();
+        assert_eq!(path, env.results_dir.join("t.csv"));
+        let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n1,\"x,y\"\n");
         std::fs::remove_dir_all(&env.results_dir).ok();
     }
 
     #[test]
     fn env_defaults() {
-        let e = Env::load(0.5);
+        let e = Env::load();
         assert!(e.scale > 0.0);
         assert_eq!(e.results_dir, PathBuf::from("results"));
     }
@@ -289,7 +287,7 @@ mod tests {
     #[test]
     fn env_rejects_what_it_cannot_use_and_names_it() {
         let load = |scale: Option<&str>, seed: Option<&str>| {
-            Env::from_vars(0.01, |name| match name {
+            Env::from_vars(|name| match name {
                 "GAR_SCALE" => scale.map(OsString::from),
                 "GAR_SEED" => seed.map(OsString::from),
                 _ => None,

@@ -12,6 +12,8 @@
 //!   bursts; `GAR_SERVE_CHAOS_SEEDS` pins the seed matrix).
 //! * `ci` — runs the whole CI job sequence locally, in the same order
 //!   as `.github/workflows/ci.yml`, stopping at the first failure.
+//! * `figures` — regenerates the paper's figures with `gar-bench` and
+//!   fails on any change under `results/`.
 //! * `loc` — prints the non-test line count per package and in total
 //!   (lines before each file's first `#[cfg(test)]`), the figure the
 //!   simplicity PRs are measured by.
@@ -36,12 +38,15 @@ fn usage() -> &'static str {
      commands:\n\
        ci            run the full CI job sequence locally (fmt, clippy,\n\
                      release build, test, examples, benchmark self-tests\n\
-                     + one short checked run, loom, chaos, serve-chaos)\n\
+                     + one short checked run, figures, loom, chaos,\n\
+                     serve-chaos)\n\
        loom          clippy, then model-check the cluster collectives and\n\
                      the serve epoch cell (--cfg gar_loom)\n\
        chaos         seeded fault-injection soak (GAR_CHAOS_ITERS scales it)\n\
        serve-chaos   seeded serve-layer fault soak (GAR_SERVE_CHAOS_SEEDS\n\
                      pins the seed matrix)\n\
+       figures [NAME…]   regenerate figures (default all) and fail on any\n\
+                     change under results/ (GAR_* pass through)\n\
        loc           non-test Rust lines per package and in total\n\
        miri [--strict]   run miri over unsafe-bearing crates (skip if unavailable)\n\
        tsan [--strict]   run ThreadSanitizer over cluster tests (skip if unavailable)\n\
@@ -71,6 +76,7 @@ fn main() -> ExitCode {
         "loom" => runners::loom(&repo_root(), rest),
         "chaos" => runners::chaos(&repo_root(), rest),
         "serve-chaos" => runners::serve_chaos(&repo_root(), rest),
+        "figures" => runners::figures(&repo_root(), rest),
         "loc" => loc::run(&repo_root()),
         "miri" => runners::miri(&repo_root(), rest),
         "tsan" => runners::tsan(&repo_root(), rest),

@@ -188,12 +188,29 @@ for ex in examples/*.rs; do
   cargo run --release --quiet --example "$(basename "$ex" .rs)"
 done"#;
 
+/// Regenerates the named figures (all by default) with `gar-bench`, then
+/// fails if `git status` shows anything under the results directory. The
+/// tracked CSVs there are deleted first, so a moved number, a missing CSV
+/// and a stray file (committed or not) all turn it red; the names must
+/// cover that directory. `GAR_SCALE` and `GAR_RESULTS_DIR` pass through,
+/// so nightly gates `results/scale-0.1/`.
+pub fn figures(root: &Path, args: &[String]) -> u8 {
+    const GATE: &str = r#"[ $# -gt 0 ] || set -- all
+dir=${GAR_RESULTS_DIR:-results}
+git ls-files -z -- ":(glob)$dir/*.csv" | xargs -0 rm -f
+cargo run --release --quiet -p gar-bench -- "$@" || exit
+changed=$(git status --porcelain -- "$dir") || exit
+[ -z "$changed" ] || { printf '%s differs from HEAD:\n%s\n' "$dir" "$changed"; exit 1; }"#;
+    let sh = ["-c", GATE, "figures"];
+    run_echoed(Command::new("sh").current_dir(root).args(sh).args(args))
+}
+
 /// Runs the CI job sequence locally, in the same order the workflow
 /// does: format + clippy, the release build, the tests, the examples,
 /// the benchmark harness's self-tests and one short checked benchmark
-/// run, loom (with its own clippy pass), chaos and serve-chaos. Stops at
-/// the first failing job so the console ends at the same place the CI
-/// log would. `cargo xtask ci` before pushing ≈ a green run.
+/// run, the figures gate, loom (with its own clippy pass), chaos and
+/// serve-chaos. Stops at the first failing job so the console ends at the
+/// same place the CI log would. `cargo xtask ci` before pushing ≈ a green run.
 pub fn ci(root: &Path, _args: &[String]) -> u8 {
     let jobs: &[(&str, &dyn Fn() -> u8)] = &[
         ("fmt", &|| {
@@ -249,6 +266,7 @@ pub fn ci(root: &Path, _args: &[String]) -> u8 {
                     .args(["--seed", "1", "--seconds", "3", "--trace", "0"]),
             )
         }),
+        ("figures", &|| figures(root, &[])),
         ("loom", &|| loom(root, &[])),
         ("chaos", &|| chaos(root, &[])),
         ("serve-chaos", &|| serve_chaos(root, &[])),
