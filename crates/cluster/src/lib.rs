@@ -47,29 +47,18 @@
     clippy::indexing_slicing
 )]
 
-// Under `--cfg gar_loom` (see `cargo xtask loom`) only the collectives
-// compile: `gar_modelcheck::shim` replaces the std primitives,
-// and the channel/thread machinery of the full simulator is out of the
-// model's scope. `stats` stays: it is plain data, and the sequential
-// miner (which the serving layer links) reports in it.
 mod collective;
-#[cfg(not(gar_loom))]
 mod cost;
-#[cfg(not(gar_loom))]
 mod fault;
-#[cfg(not(gar_loom))]
 mod node;
-#[cfg(not(gar_loom))]
 mod runner;
 pub mod stats;
 
+use gar_modelcheck::shim;
+
 pub use collective::Collectives;
-#[cfg(not(gar_loom))]
 pub use cost::CostModel;
-#[cfg(not(gar_loom))]
 pub use fault::{FaultOp, FaultPlan, RetryPolicy, ScheduledFault};
-#[cfg(not(gar_loom))]
 pub use node::{Envelope, Exchange, NodeCtx, CONTROL_TAG_EOS};
-#[cfg(not(gar_loom))]
 pub use runner::{Cluster, ClusterConfig, ClusterRun};
 pub use stats::NodeStatsSnapshot;

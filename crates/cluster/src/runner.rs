@@ -379,6 +379,9 @@ mod tests {
             ctx.send(to, 7, Arc::from(&b"hello"[..]))?;
             let env = ctx.recv()?;
             assert_eq!(env.payload.as_ref(), b"hello");
+            // Both copies are queued once every send has returned; without
+            // the barrier a peer could exit before the duplicate arrives.
+            ctx.barrier()?;
             // The duplicate copy is absorbed, not delivered twice.
             assert!(ctx.try_recv()?.is_none());
             Ok(())

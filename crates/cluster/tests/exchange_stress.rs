@@ -5,9 +5,6 @@
 //! reconciliation checks that belong to the cluster layer (every other
 //! mirror is charged by the same `NodeCtx` call as its ledger field).
 
-// The full simulator does not exist in model-checking builds.
-#![cfg(not(gar_loom))]
-
 use gar_cluster::{Cluster, ClusterConfig, NodeStatsSnapshot};
 use gar_obs::{MetricsSnapshot, Obs};
 use proptest::prelude::*;

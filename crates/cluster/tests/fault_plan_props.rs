@@ -6,9 +6,6 @@
 //! (reports print `plan.render()` so a failure can be replayed), so
 //! `parse ∘ render` must be the identity on everything a plan carries.
 
-// What this suite drives does not exist in model-checking builds.
-#![cfg(not(gar_loom))]
-
 use gar_cluster::{FaultOp, FaultPlan};
 use proptest::prelude::*;
 use std::time::Duration;

@@ -1,29 +1,12 @@
 //! The small set of distributions the Quest generator needs.
 //!
-//! Implemented locally (Knuth Poisson, inverse-CDF exponential, Box-Muller
-//! normal) to stay within the sanctioned dependency list — `rand` ships the
-//! uniform primitives, `rand_distr` is not on the list.
+//! Implemented locally (inverse-CDF exponential, Box-Muller normal) to
+//! stay within the sanctioned dependency list — `rand` ships the uniform
+//! primitives, `rand_distr` is not on the list. Poisson sizes come from
+//! [`gar_taxonomy::synth::poisson`], the sampler the taxonomy's fanouts
+//! draw from.
 
 use rand::Rng;
-
-/// Poisson-distributed `u32` with mean `lambda` (Knuth's multiplication
-/// method; `lambda` here is a transaction/pattern size, i.e. small).
-pub fn poisson(rng: &mut impl Rng, lambda: f64) -> u32 {
-    debug_assert!(lambda > 0.0);
-    let l = (-lambda).exp();
-    let mut k = 0u32;
-    let mut p = 1.0f64;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-        if f64::from(k) > lambda * 16.0 + 16.0 {
-            return k;
-        }
-    }
-}
 
 /// Exponentially distributed `f64` with unit mean.
 pub fn exp1(rng: &mut impl Rng) -> f64 {
@@ -99,15 +82,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn poisson_mean() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = 20_000;
-        let sum: u64 = (0..n).map(|_| u64::from(poisson(&mut rng, 10.0))).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((9.7..=10.3).contains(&mean), "mean {mean}");
-    }
 
     #[test]
     fn exp1_mean() {

@@ -1,8 +1,7 @@
 //! Dataset specification and the transaction stream.
 
-use crate::dist::poisson;
 use crate::pattern::PatternPool;
-use gar_taxonomy::synth::{synthesize, SynthTaxonomyConfig};
+use gar_taxonomy::synth::{poisson, synthesize, SynthTaxonomyConfig};
 use gar_taxonomy::Taxonomy;
 use gar_types::{Error, ItemId, Result};
 use rand::rngs::StdRng;

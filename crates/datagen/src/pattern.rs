@@ -1,6 +1,7 @@
 //! The pool of maximal potentially large itemsets ("patterns").
 
-use crate::dist::{corruption_level, exp1, poisson, WeightedIndex};
+use crate::dist::{corruption_level, exp1, WeightedIndex};
+use gar_taxonomy::synth::poisson;
 use gar_taxonomy::Taxonomy;
 use gar_types::{FxHashMap, FxHashSet, ItemId};
 use rand::Rng;

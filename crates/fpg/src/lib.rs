@@ -55,7 +55,6 @@
 pub mod checkpoint;
 pub mod grow;
 pub mod order;
-#[cfg(not(gar_loom))]
 pub mod parallel;
 pub mod sequential;
 pub mod tree;
@@ -63,7 +62,6 @@ mod wire;
 
 pub use checkpoint::FpgCheckpoint;
 pub use order::ItemOrder;
-#[cfg(not(gar_loom))]
 pub use parallel::{mine_parallel, mine_parallel_with, owner_of, MineOptions};
 pub use sequential::mine_sequential;
 pub use tree::FpTree;

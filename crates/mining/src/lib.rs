@@ -62,16 +62,10 @@
     clippy::unimplemented
 )]
 
-// Under `--cfg gar_loom` (see `cargo xtask loom`) the cluster crate
-// strips its std-backed node machinery, so the parallel algorithms and
-// the cluster-counter reports are stripped here too; the sequential
-// miners, rule derivation, and everything the serving layer needs stay
-// available for model checking downstream crates.
 pub mod candidate;
 pub mod checkpoint;
 pub mod counter;
 pub mod oracle;
-#[cfg(not(gar_loom))]
 pub mod parallel;
 pub mod params;
 pub mod persist;
@@ -81,6 +75,4 @@ pub mod sequential;
 pub mod wire;
 
 pub use params::{Algorithm, CounterKind, MiningParams};
-pub use report::MiningOutput;
-#[cfg(not(gar_loom))]
-pub use report::{ParallelReport, PassReport};
+pub use report::{MiningOutput, ParallelReport, PassReport};

@@ -874,10 +874,7 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         // The one placement hash, shared with the serving layer's shards.
-        assert_eq!(
-            owner_of([5, 5], 64) as u64,
-            gar_types::fx_hash_u32_slice(&[5, 5]) % 64
-        );
+        assert_eq!(owner_of([5, 5], 64) as u64, fx_hash_u32s([5, 5]) % 64);
     }
 
     #[test]

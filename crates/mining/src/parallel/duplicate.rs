@@ -73,10 +73,6 @@ fn sort_hottest_first<T>(
     heat: impl Fn(&T) -> f64,
     tie: impl Fn(&T, &T) -> Ordering,
 ) {
-    #[cfg(test)]
-    if tests::UNCACHED.with(std::cell::Cell::get) {
-        return tests::sort_hottest_first_uncached(entries, heat, tie);
-    }
     let mut keyed: Vec<(f64, T)> = entries.drain(..).map(|e| (heat(&e), e)).collect();
     keyed.sort_by(|(ha, a), (hb, b)| hb.total_cmp(ha).then_with(|| tie(a, b)));
     entries.extend(keyed.into_iter().map(|(_, e)| e));
@@ -353,7 +349,6 @@ mod tests {
     use gar_taxonomy::TaxonomyBuilder;
     use gar_types::{iset, FxHashSet};
     use proptest::prelude::*;
-    use std::cell::Cell;
 
     /// The allocating enumeration `select_duplicates` used before its
     /// scratch was reused, kept as the oracle: the ancestor candidates of
@@ -403,8 +398,9 @@ mod tests {
     }
 
     /// The allocating selection — cloned index, `FxHashSet` of taken
-    /// indices, boxed root keys, per-item descendant walks — kept as the
-    /// oracle of `select_duplicates`.
+    /// indices, boxed root keys, per-item descendant walks, heats
+    /// recomputed in every comparison — kept as the oracle of
+    /// `select_duplicates`.
     fn select_reference(
         grain: DuplicateGrain,
         candidates: &[Itemset],
@@ -465,7 +461,7 @@ mod tests {
                 }
                 // Hash order, sorted just below with a total-order tie-break.
                 let mut ordered: Vec<(Box<[u32]>, Vec<usize>)> = groups.into_iter().collect();
-                sort_hottest_first(
+                sort_hottest_first_uncached(
                     &mut ordered,
                     |(key, _)| estimate(key.iter().map(|&r| ItemId(r)), counts, txns),
                     |(ka, _), (kb, _)| ka.cmp(kb),
@@ -493,7 +489,7 @@ mod tests {
                         _ => true,
                     })
                     .collect();
-                sort_hottest_first(
+                sort_hottest_first_uncached(
                     &mut pool,
                     |&i| estimate(candidates[i].items().iter().copied(), counts, txns),
                     |&a, &b| candidates[a].cmp(&candidates[b]),
@@ -534,14 +530,9 @@ mod tests {
         }
     }
 
-    thread_local! {
-        /// Set by a test to sort through the comparator below.
-        pub(super) static UNCACHED: Cell<bool> = const { Cell::new(false) };
-    }
-
     /// How `select_duplicates` sorted before heats were cached: both
     /// heats recomputed for every comparison.
-    pub(super) fn sort_hottest_first_uncached<T>(
+    fn sort_hottest_first_uncached<T>(
         entries: &mut [T],
         heat: impl Fn(&T) -> f64,
         tie: impl Fn(&T, &T) -> Ordering,
@@ -556,44 +547,11 @@ mod tests {
 
     proptest! {
         // Random forests (items 0..6 are roots, item i ≥ 6 hangs under an
-        // earlier one) with item counts that tie often: every grain
-        // duplicates the same candidates in the same order, and keeps the
-        // same remainder, whichever way the pool is sorted.
-        #[test]
-        fn cached_heats_select_like_the_comparator(
-            parents in proptest::collection::vec(0u32..1000, 40..=40),
-            counts in proptest::collection::vec(1u64..6, 40..=40),
-            large in proptest::collection::vec(0u32..10, 40..=40),
-            budget in 0u64..300
-        ) {
-            let mut b = TaxonomyBuilder::new(40);
-            for i in 6..40u32 {
-                b.edge(i, parents[i as usize] % i).unwrap();
-            }
-            let tax = b.build().unwrap();
-            let l1: Vec<bool> = large.iter().map(|&r| r < 8).collect();
-            let items: Vec<ItemId> = (0..40).filter(|&i| l1[i as usize]).map(ItemId).collect();
-            let cands = crate::candidate::generate_pairs(&items, Some(&tax));
-            for grain in [DuplicateGrain::Tree, DuplicateGrain::Path, DuplicateGrain::Fine] {
-                let select = |uncached: bool| {
-                    UNCACHED.with(|u| u.set(uncached));
-                    let budget = budget * candidate_entry_bytes(2);
-                    let sel = select_duplicates(grain, &cands, &tax, &counts, 20, &l1, budget);
-                    UNCACHED.with(|u| u.set(false));
-                    sel
-                };
-                let (cached, uncached) = (select(false), select(true));
-                prop_assert_eq!(&cached.duplicated, &uncached.duplicated);
-                prop_assert_eq!(&cached.remaining, &uncached.remaining);
-            }
-        }
-    }
-
-    proptest! {
-        // The same random forests, with pairs and with the triples joined
-        // from them, under budgets from nothing to everything: each grain
-        // duplicates exactly what the allocating selection did, in its
-        // order, and keeps the same remainder in input order.
+        // earlier one) with item counts that tie often, with pairs and
+        // with the triples joined from them, under budgets from nothing to
+        // everything: each grain duplicates exactly what the allocating,
+        // comparator-sorted selection did, in its order, and keeps the
+        // same remainder in input order.
         #[test]
         fn allocation_free_selection_matches_the_reference(
             parents in proptest::collection::vec(0u32..1000, 40..=40),

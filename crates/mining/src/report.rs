@@ -1,10 +1,8 @@
 //! Mining results and measurement reports.
 
 use crate::params::Algorithm;
-#[cfg(not(gar_loom))]
 use gar_cluster::NodeStatsSnapshot;
 use gar_types::{FxHashMap, ItemId, Itemset};
-#[cfg(not(gar_loom))]
 use std::time::Duration;
 
 /// The large itemsets of one pass (`L_k`), with their global support
@@ -68,7 +66,6 @@ impl MiningOutput {
 }
 
 /// Per-pass measurements of a parallel run.
-#[cfg(not(gar_loom))]
 #[derive(Debug, Clone)]
 pub struct PassReport {
     /// Pass number.
@@ -92,7 +89,6 @@ pub struct PassReport {
     pub modeled_seconds: f64,
 }
 
-#[cfg(not(gar_loom))]
 impl PassReport {
     /// Average megabytes received per node in this pass — the Table 6
     /// metric.
@@ -111,7 +107,6 @@ impl PassReport {
 }
 
 /// The full record of one parallel mining run.
-#[cfg(not(gar_loom))]
 #[derive(Debug, Clone)]
 pub struct ParallelReport {
     /// The mined large itemsets.
@@ -132,7 +127,6 @@ pub struct ParallelReport {
     pub degraded: Vec<String>,
 }
 
-#[cfg(not(gar_loom))]
 impl ParallelReport {
     /// The report of pass `k`, if it ran.
     pub fn pass(&self, k: usize) -> Option<&PassReport> {
@@ -141,7 +135,6 @@ impl ParallelReport {
 }
 
 #[cfg(test)]
-#[cfg(not(gar_loom))]
 mod tests {
     use super::*;
     use gar_types::iset;

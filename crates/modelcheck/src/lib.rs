@@ -213,7 +213,7 @@ fn current_context() -> (Arc<Execution>, usize) {
         #[expect(
             clippy::expect_used,
             reason = "the virtual primitives only exist inside model(); using one outside is \
-                      a harness misuse, and panicking in a gar_loom test build is the intended \
+                      a harness misuse, and panicking in a model-checking test is the intended \
                       failure mode, not a production path"
         )]
         c.borrow()
@@ -636,12 +636,9 @@ mod tests {
             let (m, cv) = &*pair;
             let started = m.lock();
             // BUG under test: no `while !*started` loop around the wait.
-            #[cfg_attr(
-                gar_loom,
-                expect(
-                    clippy::disallowed_methods,
-                    reason = "the missing loop is the bug under test"
-                )
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the missing loop is the bug under test"
             )]
             let _g = cv.wait(started);
             drop(_g);
@@ -665,12 +662,9 @@ mod tests {
             };
             let (m, cv) = &*pair;
             let mut started = m.lock();
-            #[cfg_attr(
-                gar_loom,
-                expect(
-                    clippy::disallowed_methods,
-                    reason = "a model-checked wait in its loop"
-                )
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a model-checked wait in its loop"
             )]
             while !*started {
                 started = cv.wait(started);

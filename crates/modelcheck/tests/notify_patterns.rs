@@ -34,12 +34,9 @@ fn locked_notify_is_never_lost() {
                 })
             };
             let mut g = pair.0.lock();
-            #[cfg_attr(
-                gar_loom,
-                expect(
-                    clippy::disallowed_methods,
-                    reason = "a model-checked wait in its loop"
-                )
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a model-checked wait in its loop"
             )]
             while flag.load(Ordering::SeqCst) == 0 {
                 g = pair.1.wait(g);

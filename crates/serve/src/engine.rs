@@ -49,7 +49,8 @@ use crate::index::RuleIndex;
 use crate::store::RuleStore;
 use gar_mining::rules::Rule;
 use gar_taxonomy::Taxonomy;
-use gar_types::{fx_hash_u32_slice, ItemId, Itemset};
+use gar_types::hash::fx_hash_u32s;
+use gar_types::{ItemId, Itemset};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -76,7 +77,7 @@ pub struct Match(u32);
 /// placement and basket routing both call this, and nothing else
 /// decides a shard.
 fn place(roots: &[u32], num_shards: usize) -> usize {
-    (fx_hash_u32_slice(roots) % num_shards.max(1) as u64) as usize
+    (fx_hash_u32s(roots.iter().copied()) % num_shards.max(1) as u64) as usize
 }
 
 /// The shard of an itemset: `place` of its sorted **distinct**

@@ -14,10 +14,11 @@
 //! * epoch numbers increase monotonically (`swap` computes
 //!   `current + 1` under the same lock that publishes it).
 //!
-//! The cell is built on `gar_modelcheck::shim` so `cargo xtask loom` can model
-//! check the swap/load race (`tests/loom_epoch.rs`).
+//! The cell takes its primitives from `crate::shim`, so
+//! `tests/loom_epoch.rs` can include this file on the model checker's
+//! primitives and explore the swap/load race.
 
-use gar_modelcheck::shim::{Arc, Mutex};
+use crate::shim::{Arc, Mutex};
 
 /// One immutable, epoch-stamped value (the rule catalog in production).
 #[derive(Debug)]
@@ -73,48 +74,5 @@ impl<T> EpochCell<T> {
     /// The current epoch number.
     pub fn epoch(&self) -> u64 {
         self.slot.lock().number
-    }
-}
-
-#[cfg(test)]
-#[cfg(not(gar_loom))]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn swap_bumps_epoch_and_old_snapshots_survive() {
-        let cell = EpochCell::new("a");
-        let before = cell.load();
-        assert_eq!((before.number(), *before.value()), (1, "a"));
-        assert_eq!(cell.swap("b"), 2);
-        assert_eq!(cell.epoch(), 2);
-        // The old snapshot still reads the old value.
-        assert_eq!((before.number(), *before.value()), (1, "a"));
-        let after = cell.load();
-        assert_eq!((after.number(), *after.value()), (2, "b"));
-    }
-
-    #[test]
-    fn epochs_are_monotonic_under_concurrent_swaps() {
-        let cell = std::sync::Arc::new(EpochCell::new(0usize));
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let cell = std::sync::Arc::clone(&cell);
-            handles.push(std::thread::spawn(move || {
-                (0..64).map(|_| cell.swap(t)).collect::<Vec<u64>>()
-            }));
-        }
-        let mut seen: Vec<u64> = Vec::new();
-        for h in handles {
-            let numbers = h.join().expect("swapper panicked");
-            assert!(
-                numbers.windows(2).all(|w| w[0] < w[1]),
-                "per-thread monotone"
-            );
-            seen.extend(numbers);
-        }
-        seen.sort_unstable();
-        let expected: Vec<u64> = (2..2 + 4 * 64).collect();
-        assert_eq!(seen, expected, "every epoch number issued exactly once");
     }
 }

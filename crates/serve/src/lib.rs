@@ -22,8 +22,8 @@
 //!   deterministic serve-side fault injection.
 //! * [`netpoll`] — the hand-rolled `poll(2)` readiness shim the event
 //!   loop blocks in (offline-deps: no `libc`/`mio`).
-//! * [`epoch`] — the epoch-versioned hot-swap cell (model-checked
-//!   under `--cfg gar_loom` via `gar_modelcheck::shim`).
+//! * [`epoch`] — the epoch-versioned hot-swap cell (model-checked by
+//!   `tests/loom_epoch.rs`, which includes its source file).
 //! * [`client`] — the blocking client (connect retries via
 //!   `gar-cluster`'s `RetryPolicy`, optional read deadline,
 //!   transparent reconnect-and-retry-once for idempotent queries),
@@ -42,27 +42,20 @@
     clippy::indexing_slicing
 )]
 
-// Under `--cfg gar_loom` (see `cargo xtask loom`) the cluster fault /
-// retry machinery is stripped, so the TCP client and server are
-// stripped with it; the epoch cell (the part worth model checking)
-// and the pure store/index/engine stack stay available.
-#[cfg(not(gar_loom))]
 pub mod client;
 pub mod engine;
 pub mod epoch;
 pub mod index;
-#[cfg(not(gar_loom))]
 pub mod netpoll;
 pub mod protocol;
-#[cfg(not(gar_loom))]
 pub mod server;
 pub mod store;
 
-#[cfg(not(gar_loom))]
+use gar_modelcheck::shim;
+
 pub use client::{BatchReply, Client, QueryReply};
 pub use engine::{Catalog, Recommendation, Route};
 pub use epoch::{Epoch, EpochCell};
-#[cfg(not(gar_loom))]
 pub use server::{serve, ReloadHandle, Server, ServerConfig};
 pub use store::RuleStore;
 

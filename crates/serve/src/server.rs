@@ -79,9 +79,9 @@ use crate::protocol::{
     decode_request, drain_ready, encode_response, write_frame, BatchAnswer, FillStatus,
     FrameBuffer, Request, Response, PROTOCOL_VERSION,
 };
+use crate::shim::Mutex;
 use crate::store::RuleStore;
 use gar_cluster::{FaultOp, FaultPlan};
-use gar_modelcheck::shim::Mutex;
 use gar_obs::{Obs, Stopwatch};
 use gar_types::{Error, ItemId, Result};
 use std::collections::{HashMap, VecDeque};

@@ -16,9 +16,6 @@
 //! The seed matrix comes from `GAR_SERVE_CHAOS_SEEDS` (comma-separated
 //! u64s; CI pins it), defaulting to `11,23,47`.
 
-// What this suite drives does not exist in model-checking builds.
-#![cfg(not(gar_loom))]
-
 use gar_cluster::{FaultPlan, RetryPolicy};
 use gar_mining::rules::Rule;
 use gar_obs::Obs;

@@ -6,9 +6,6 @@
 //! mined it and across reruns — the serving-layer mirror of the mining
 //! crate's `determinism` suite.
 
-// What this suite drives does not exist in model-checking builds.
-#![cfg(not(gar_loom))]
-
 use gar_cluster::ClusterConfig;
 use gar_datagen::{DatasetSpec, TransactionGenerator};
 use gar_mining::parallel::mine_parallel;

@@ -9,9 +9,6 @@
 //! and baskets with unknown and repeated items, at 1 and 3 shards; and
 //! once over the mined store of `tests/determinism.rs`.
 
-// What this suite drives does not exist in model-checking builds.
-#![cfg(not(gar_loom))]
-
 use gar_cluster::ClusterConfig;
 use gar_datagen::{DatasetSpec, TransactionGenerator};
 use gar_mining::parallel::mine_parallel;

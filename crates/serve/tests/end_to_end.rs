@@ -5,9 +5,6 @@
 //! epochs without dropping queries, and old-version or retired frames
 //! must get a typed answer rather than a hangup.
 
-// What this suite drives does not exist in model-checking builds.
-#![cfg(not(gar_loom))]
-
 use gar_cluster::{FaultPlan, RetryPolicy};
 use gar_mining::rules::Rule;
 use gar_obs::Obs;

@@ -1,18 +1,23 @@
 //! Model checking of the epoch hot-swap cell.
 //!
-//! Compiled only under `--cfg gar_loom` (run via `cargo xtask loom`),
-//! where [`gar_serve::EpochCell`] is built on the `gar-modelcheck`
-//! virtual mutex: every schedule of every scenario below is explored,
-//! so a passing suite means no interleaving of a query racing a swap
-//! can observe a torn store (a mix of epochs), regress the epoch
-//! number, or deadlock against the supervisor's slot-clearing restart
-//! path.
+//! This suite includes `src/epoch.rs` itself, built on the
+//! `gar-modelcheck` virtual mutex through the `shim` below: every
+//! schedule of every scenario is explored, so a passing suite means no
+//! interleaving of a query racing a swap can observe a torn store (a mix
+//! of epochs), regress the epoch number, or deadlock against the
+//! supervisor's slot-clearing restart path.
 
-#![cfg(gar_loom)]
+/// What `epoch.rs` imports as `crate::shim`: the model primitives.
+mod shim {
+    pub use gar_modelcheck::sync::*;
+}
 
+#[path = "../src/epoch.rs"]
+mod epoch;
+
+use epoch::EpochCell;
 use gar_modelcheck::sync::Mutex;
 use gar_modelcheck::{model_with, thread, Config};
-use gar_serve::EpochCell;
 use std::sync::Arc;
 
 fn exhaustive() -> Config {

@@ -38,8 +38,9 @@ impl Default for SynthTaxonomyConfig {
 }
 
 /// Draws a Poisson-distributed value with mean `lambda` (Knuth's method —
-/// fine for the small means used as fanouts; avoids an extra dependency).
-pub(crate) fn poisson(rng: &mut impl Rng, lambda: f64) -> u32 {
+/// fine for the small means used here, fanouts and the generator's
+/// transaction and pattern sizes; avoids an extra dependency).
+pub fn poisson(rng: &mut impl Rng, lambda: f64) -> u32 {
     let l = (-lambda).exp();
     let mut k = 0u32;
     let mut p = 1.0f64;

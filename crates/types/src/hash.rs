@@ -95,15 +95,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with the Fx hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// Hash a single `u64` with the Fx mix. Useful for hand-rolled partitioning
-/// functions (e.g. assigning a candidate's root itemset to a node).
-#[inline]
-pub fn fx_hash_u64(value: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(value);
-    h.finish()
-}
-
 /// Hash a sequence of `u32` words (an itemset's codes) with the Fx mix —
 /// the one placement hash behind every `owner_of` in the workspace.
 #[inline]
@@ -113,12 +104,6 @@ pub fn fx_hash_u32s(values: impl IntoIterator<Item = u32>) -> u64 {
         h.write_u32(v);
     }
     h.finish()
-}
-
-/// [`fx_hash_u32s`] over a slice.
-#[inline]
-pub fn fx_hash_u32_slice(values: &[u32]) -> u64 {
-    fx_hash_u32s(values.iter().copied())
 }
 
 /// The FxHash checksum sealing every persisted blob and wire frame in the
@@ -137,22 +122,22 @@ mod tests {
 
     #[test]
     fn deterministic_across_calls() {
-        assert_eq!(fx_hash_u64(42), fx_hash_u64(42));
-        assert_eq!(fx_hash_u32_slice(&[1, 2, 3]), fx_hash_u32_slice(&[1, 2, 3]));
+        assert_eq!(fx_hash_u32s([42]), fx_hash_u32s([42]));
+        assert_eq!(fx_hash_u32s([1, 2, 3]), fx_hash_u32s([1, 2, 3]));
     }
 
     #[test]
     fn distinguishes_nearby_keys() {
         // Not a statistical test — just a sanity check that the mix is not
         // the identity on small integers.
-        let h: Vec<u64> = (0..64).map(fx_hash_u64).collect();
+        let h: Vec<u64> = (0..64).map(|v| fx_hash_u32s([v])).collect();
         let distinct: std::collections::HashSet<_> = h.iter().collect();
         assert_eq!(distinct.len(), 64);
     }
 
     #[test]
     fn order_sensitive_for_slices() {
-        assert_ne!(fx_hash_u32_slice(&[1, 2, 3]), fx_hash_u32_slice(&[3, 2, 1]));
+        assert_ne!(fx_hash_u32s([1, 2, 3]), fx_hash_u32s([3, 2, 1]));
     }
 
     #[test]

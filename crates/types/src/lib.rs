@@ -32,6 +32,6 @@ pub mod item;
 pub mod itemset;
 
 pub use error::{Error, Result};
-pub use hash::{fx_hash_u32_slice, fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use item::ItemId;
 pub use itemset::Itemset;

@@ -134,7 +134,7 @@ mod tests {
         assert_eq!(non_test_part(src).count(), 4);
         // Attributes between `#[cfg(test)]` and its `mod`, one spanning
         // lines, still end the count at the `#[cfg(test)]`.
-        let src = "fn a() {}\n#[cfg(test)]\n#[cfg(not(gar_loom))]\n#[expect(\n    clippy::x,\n    \
+        let src = "fn a() {}\n#[cfg(test)]\n#[cfg(unix)]\n#[expect(\n    clippy::x,\n    \
                    reason = \"y\"\n)]\npub(crate) mod tests {}\n";
         assert_eq!(non_test_part(src).count(), 1);
     }

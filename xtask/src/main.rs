@@ -2,9 +2,9 @@
 //! `.cargo/config.toml` for the alias).
 //!
 //! * `loom` — model-checks the cluster collectives and the serve-layer
-//!   epoch cell by rebuilding them on the `gar-modelcheck` virtual
-//!   primitives (`--cfg gar_loom`), after a clippy pass over that
-//!   configuration.
+//!   epoch cell: the checker's own tests, then the two suites that
+//!   include those source files on the `gar-modelcheck` virtual
+//!   primitives (`cargo test` runs them as well).
 //! * `chaos` — seeded fault-injection soak over the mining runtime
 //!   (tolerated schedules must leave the output byte-identical).
 //! * `serve-chaos` — seeded fault-injection soak over the serving layer
@@ -40,8 +40,8 @@ fn usage() -> &'static str {
                      release build, test, examples, benchmark self-tests\n\
                      + one short checked run, figures, loom, chaos,\n\
                      serve-chaos)\n\
-       loom          clippy, then model-check the cluster collectives and\n\
-                     the serve epoch cell (--cfg gar_loom)\n\
+       loom          model-check the cluster collectives and the serve\n\
+                     epoch cell (the checker's own tests first)\n\
        chaos         seeded fault-injection soak (GAR_CHAOS_ITERS scales it)\n\
        serve-chaos   seeded serve-layer fault soak (GAR_SERVE_CHAOS_SEEDS\n\
                      pins the seed matrix)\n\

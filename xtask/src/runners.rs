@@ -41,48 +41,12 @@ fn probe(mut cmd: Command) -> bool {
         .unwrap_or(false)
 }
 
-/// Model-checks the cluster collectives and the serve-layer epoch cell.
-/// Compiles with `--cfg gar_loom`, switching `gar_modelcheck::shim`
-/// from the std primitives to the virtual ones, then runs the exhaustive
-/// schedule-enumeration suites. Clippy runs first over the three crates
-/// in that configuration: it sees only compiled cfgs, so the normal pass
-/// never lints the model-checking branches. The checker's own unit tests
-/// run next so a broken checker cannot vacuously pass the suites. A
-/// separate target dir keeps the `--cfg` flag from invalidating the main
-/// build cache.
+/// Model-checks the cluster collectives and the serve-layer epoch cell:
+/// the checker's own tests first, so a broken checker cannot vacuously
+/// pass the suites, then the two suites. Each suite includes its
+/// primitive's source file on the checker's virtual primitives; both are
+/// ordinary integration tests, so `cargo test` runs them too.
 pub fn loom(root: &Path, args: &[String]) -> u8 {
-    let mut rustflags = std::env::var("RUSTFLAGS").unwrap_or_default();
-    if !rustflags.is_empty() {
-        rustflags.push(' ');
-    }
-    rustflags.push_str("--cfg gar_loom");
-
-    let code = run_echoed(
-        Command::new("cargo")
-            .current_dir(root)
-            .env("RUSTFLAGS", &rustflags)
-            .args([
-                "clippy",
-                "-p",
-                "gar-modelcheck",
-                "-p",
-                "gar-cluster",
-                "-p",
-                "gar-serve",
-            ])
-            .args([
-                "--all-targets",
-                "--target-dir",
-                "target/loom",
-                "--",
-                "-D",
-                "warnings",
-            ]),
-    );
-    if code != 0 {
-        return code;
-    }
-
     let code = run_echoed(Command::new("cargo").current_dir(root).args([
         "test",
         "-q",
@@ -101,17 +65,7 @@ pub fn loom(root: &Path, args: &[String]) -> u8 {
         let code = run_echoed(
             Command::new("cargo")
                 .current_dir(root)
-                .env("RUSTFLAGS", &rustflags)
-                .args([
-                    "test",
-                    "-q",
-                    "-p",
-                    pkg,
-                    "--test",
-                    suite,
-                    "--target-dir",
-                    "target/loom",
-                ])
+                .args(["test", "-q", "-p", pkg, "--test", suite])
                 .args(passthrough(args)),
         );
         if code != 0 {
@@ -208,7 +162,7 @@ changed=$(git status --porcelain -- "$dir") || exit
 /// Runs the CI job sequence locally, in the same order the workflow
 /// does: format + clippy, the release build, the tests, the examples,
 /// the benchmark harness's self-tests and one short checked benchmark
-/// run, the figures gate, loom (with its own clippy pass), chaos and
+/// run, the figures gate, loom, chaos and
 /// serve-chaos. Stops at the first failing job so the console ends at the
 /// same place the CI log would. `cargo xtask ci` before pushing ≈ a green run.
 pub fn ci(root: &Path, _args: &[String]) -> u8 {
