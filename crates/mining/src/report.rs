@@ -59,7 +59,7 @@ impl MiningOutput {
             .map(|i| self.large(target.len()).unwrap().itemsets[i].1)
     }
 
-    /// A support lookup map over all large itemsets (for rule derivation).
+    /// A support lookup map over all large itemsets, owning a copy of each.
     pub fn support_map(&self) -> FxHashMap<Itemset, u64> {
         self.all_large().cloned().collect()
     }

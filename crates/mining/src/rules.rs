@@ -7,6 +7,20 @@
 //! ancestor(x)` has confidence 100% by construction) are redundant and
 //! dropped — though with taxonomy-pruned candidates they cannot arise.
 //!
+//! [`derive_rules`] is [AS94]'s ap-genrules. It visits the large
+//! itemsets in output order and grows each one's consequents level by
+//! level: the 1-item consequents first, then the `(m+1)`-item ones by
+//! apriori-gen over the `m`-item consequents still alive. A consequent
+//! whose rule misses the minimum confidence is not extended. That prunes
+//! nothing that could pass: for `Y ⊂ Y'`, `X−Y' ⊂ X−Y`, so
+//! `sup(X−Y') ≥ sup(X−Y)` and the confidence can only fall as the
+//! consequent grows. A rule skipped for redundancy, or for an antecedent
+//! whose support the output lacks (a dropped pass), still extends.
+//! Consequents are rows of positions into `X`, so an itemset of any
+//! length derives every rule; levels stop once the antecedents are
+//! shorter than every large itemset, since none of them can have a
+//! support.
+//!
 //! As the [SA95] extension, [`prune_uninteresting`] implements the
 //! **R-interesting** filter: a rule is kept only if its support is at
 //! least `R` times what its *closest ancestor rule* predicts (the
@@ -15,7 +29,7 @@
 
 use crate::report::MiningOutput;
 use gar_taxonomy::Taxonomy;
-use gar_types::{FxHashSet, ItemId, Itemset};
+use gar_types::{FxHashMap, FxHashSet, ItemId, Itemset};
 
 /// One association rule `antecedent ⇒ consequent`.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,21 +67,19 @@ impl std::fmt::Display for Rule {
 }
 
 /// Canonical presentation order: confidence desc, support desc, then the
-/// rule's itemsets.
+/// rule's itemsets. The `(antecedent, consequent)` key is unique, so the
+/// order is total and an unstable sort cannot reorder ties.
 #[expect(
     clippy::unwrap_used,
     reason = "confidences are ratios of counts, never NaN"
 )]
 fn sort_rules(rules: &mut [Rule]) {
-    rules.sort_by(|a, b| {
+    rules.sort_unstable_by(|a, b| {
         b.confidence
             .partial_cmp(&a.confidence)
             .unwrap()
             .then_with(|| b.support_count.cmp(&a.support_count))
-            .then_with(|| {
-                (a.antecedent.clone(), a.consequent.clone())
-                    .cmp(&(b.antecedent.clone(), b.consequent.clone()))
-            })
+            .then_with(|| (&a.antecedent, &a.consequent).cmp(&(&b.antecedent, &b.consequent)))
     });
 }
 
@@ -86,6 +98,12 @@ pub fn canonicalize_rules(rules: &mut Vec<Rule>) {
     rules.dedup_by(|a, b| a.antecedent == b.antecedent && a.consequent == b.consequent);
 }
 
+/// The support of every large itemset, keyed by its items and borrowed
+/// from `output`, so building it clones no itemset.
+fn borrowed_supports(output: &MiningOutput) -> FxHashMap<&[ItemId], u64> {
+    output.all_large().map(|(s, c)| (s.items(), *c)).collect()
+}
+
 /// Derives every rule meeting `min_confidence` from the mined large
 /// itemsets. With a taxonomy, rules whose consequent holds an ancestor of
 /// an antecedent item are dropped as redundant.
@@ -95,57 +113,97 @@ pub fn derive_rules(
     tax: Option<&Taxonomy>,
 ) -> Vec<Rule> {
     assert!((0.0..=1.0).contains(&min_confidence));
-    let support = output.support_map();
+    let support = borrowed_supports(output);
+    // No antecedent shorter than every large itemset has a support, so no
+    // level past the one that reaches that length can emit a rule.
+    let shortest = output.all_large().map(|(s, _)| s.len()).min().unwrap_or(0);
     let n = output.num_transactions.max(1) as f64;
     let mut rules = Vec::new();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "each itemset derives its rules independently and `sort_rules` imposes a total \
-                  order on the combined output, so visit order cannot leak into the report"
-    )]
-    for (x, &sup_x) in support.iter().filter(|(s, _)| s.len() >= 2) {
-        // Every non-empty proper subset Y, via bitmask over the members.
-        for mask in 1..(1u32 << x.len()) - 1 {
-            let mut antecedent = Vec::new();
-            let mut consequent = Vec::new();
-            for (i, &it) in x.items().iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    consequent.push(it);
-                } else {
-                    antecedent.push(it);
+    // Reused across itemsets: a level's consequents and the ones it
+    // keeps alive, each a row of `m` ascending positions into `x`, and
+    // the antecedent of the rule at hand.
+    let mut level: Vec<usize> = Vec::new();
+    let mut alive: Vec<usize> = Vec::new();
+    let mut antecedent: Vec<ItemId> = Vec::new();
+    for &(ref x, sup_x) in output.all_large() {
+        let items = x.items();
+        let k = items.len();
+        level.clear();
+        level.extend(0..k);
+        let mut m = 1;
+        while m < k && k - m >= shortest && !level.is_empty() {
+            alive.clear();
+            for y in level.chunks_exact(m) {
+                antecedent.clear();
+                let mut next = 0;
+                for (p, &it) in items.iter().enumerate() {
+                    if y.get(next) == Some(&p) {
+                        next += 1;
+                    } else {
+                        antecedent.push(it);
+                    }
                 }
-            }
-            let antecedent = Itemset::from_sorted(antecedent);
-            let consequent = Itemset::from_sorted(consequent);
-            let Some(&sup_ante) = support.get(&antecedent) else {
-                // Apriori closure guarantees presence; a miss means the
-                // output was truncated by max_pass — skip quietly.
-                continue;
-            };
-            let confidence = sup_x as f64 / sup_ante as f64;
-            if confidence < min_confidence {
-                continue;
-            }
-            if let Some(t) = tax {
-                let redundant = consequent
-                    .items()
-                    .iter()
-                    .any(|&c| antecedent.items().iter().any(|&a| t.is_ancestor(c, a)));
-                if redundant {
+                let Some(&sup_ante) = support.get(antecedent.as_slice()) else {
+                    // A pass missing from the output: skip the rule, but a
+                    // larger consequent's antecedent may still be there.
+                    alive.extend_from_slice(y);
+                    continue;
+                };
+                let confidence = sup_x as f64 / sup_ante as f64;
+                if confidence < min_confidence {
                     continue;
                 }
+                alive.extend_from_slice(y);
+                if let Some(t) = tax {
+                    let redundant = y
+                        .iter()
+                        .any(|&c| antecedent.iter().any(|&a| t.is_ancestor(items[c], a)));
+                    if redundant {
+                        continue;
+                    }
+                }
+                rules.push(Rule {
+                    antecedent: Itemset::from_sorted(antecedent.clone()),
+                    consequent: Itemset::from_sorted(y.iter().map(|&c| items[c]).collect()),
+                    support_count: sup_x,
+                    support: sup_x as f64 / n,
+                    confidence,
+                });
             }
-            rules.push(Rule {
-                antecedent,
-                consequent,
-                support_count: sup_x,
-                support: sup_x as f64 / n,
-                confidence,
-            });
+            next_consequents(&alive, m, &mut level);
+            m += 1;
         }
     }
     sort_rules(&mut rules);
     rules
+}
+
+/// [AS94] apriori-gen over consequents: joins every two `alive` rows of
+/// `m` positions that share their first `m − 1`, and keeps the join only
+/// when each of its other `m`-subsets is alive too. `alive` is ascending,
+/// so the rows written to `next` are as well.
+fn next_consequents(alive: &[usize], m: usize, next: &mut Vec<usize>) {
+    next.clear();
+    let rows: Vec<&[usize]> = alive.chunks_exact(m).collect();
+    let mut subset = Vec::with_capacity(m);
+    for (i, a) in rows.iter().enumerate() {
+        let prefix = &a[..m - 1];
+        for b in rows[i + 1..].iter().take_while(|b| b.starts_with(prefix)) {
+            let last = b[m - 1];
+            // Dropping `a`'s last or `b`'s last leaves `a` or `b`.
+            let pruned = (0..m - 1).any(|d| {
+                subset.clear();
+                subset.extend_from_slice(&a[..d]);
+                subset.extend_from_slice(&a[d + 1..]);
+                subset.push(last);
+                rows.binary_search(&subset.as_slice()).is_err()
+            });
+            if !pruned {
+                next.extend_from_slice(a);
+                next.push(last);
+            }
+        }
+    }
 }
 
 /// The closest ancestor itemsets of `x`: every itemset obtained by
@@ -183,9 +241,9 @@ pub fn prune_uninteresting(
     r: f64,
 ) -> Vec<Rule> {
     assert!(r >= 1.0, "R must be >= 1");
-    let support = output.support_map();
+    let support = borrowed_supports(output);
     // Single-item supports (for the dilution ratio).
-    let item_sup = |it: ItemId| -> Option<u64> { support.get(&Itemset::singleton(it)).copied() };
+    let item_sup = |it: ItemId| -> Option<u64> { support.get([it].as_slice()).copied() };
     // Every derived rule as `(X ∪ Y, |X|)`: antecedent and consequent are
     // disjoint, so this pair fixes the consequent's size too.
     let derived: FxHashSet<(Itemset, usize)> = rules
@@ -197,7 +255,7 @@ pub fn prune_uninteresting(
     'rules: for rule in rules {
         let x = rule.itemset();
         for anc_x in parent_itemsets(&x, tax) {
-            let Some(&anc_sup) = support.get(&anc_x) else {
+            let Some(&anc_sup) = support.get(anc_x.items()) else {
                 continue;
             };
             // The specialized position: the item of x missing from anc_x.
@@ -398,6 +456,170 @@ mod tests {
         assert_eq!(ps, vec![iset![1, 7], iset![3, 5]]);
     }
 
+    /// The deriver as it was first written, kept as the reference: it
+    /// tries every bitmask split of every itemset, so it is exponential in
+    /// the itemset's length and overflows its mask at 32 items.
+    fn derive_rules_reference(
+        output: &MiningOutput,
+        min_confidence: f64,
+        tax: Option<&Taxonomy>,
+    ) -> Vec<Rule> {
+        assert!((0.0..=1.0).contains(&min_confidence));
+        let support = output.support_map();
+        let n = output.num_transactions.max(1) as f64;
+        let mut rules = Vec::new();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each itemset derives its rules independently and `sort_rules` imposes a \
+                      total order on the combined output, so visit order cannot leak into the \
+                      report"
+        )]
+        for (x, &sup_x) in support.iter().filter(|(s, _)| s.len() >= 2) {
+            // Every non-empty proper subset Y, via bitmask over the members.
+            for mask in 1..(1u32 << x.len()) - 1 {
+                let mut antecedent = Vec::new();
+                let mut consequent = Vec::new();
+                for (i, &it) in x.items().iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        consequent.push(it);
+                    } else {
+                        antecedent.push(it);
+                    }
+                }
+                let antecedent = Itemset::from_sorted(antecedent);
+                let consequent = Itemset::from_sorted(consequent);
+                let Some(&sup_ante) = support.get(&antecedent) else {
+                    // Apriori closure guarantees presence; a miss means the
+                    // output was truncated by max_pass — skip quietly.
+                    continue;
+                };
+                let confidence = sup_x as f64 / sup_ante as f64;
+                if confidence < min_confidence {
+                    continue;
+                }
+                if let Some(t) = tax {
+                    let redundant = consequent
+                        .items()
+                        .iter()
+                        .any(|&c| antecedent.items().iter().any(|&a| t.is_ancestor(c, a)));
+                    if redundant {
+                        continue;
+                    }
+                }
+                rules.push(Rule {
+                    antecedent,
+                    consequent,
+                    support_count: sup_x,
+                    support: sup_x as f64 / n,
+                    confidence,
+                });
+            }
+        }
+        sort_rules(&mut rules);
+        rules
+    }
+
+    fn hand_built(num_transactions: u64, passes: Vec<Vec<(Itemset, u64)>>) -> MiningOutput {
+        MiningOutput {
+            algorithm: crate::params::Algorithm::Cumulate,
+            num_transactions,
+            min_support_count: 1,
+            passes: passes
+                .into_iter()
+                .map(|itemsets| crate::report::LargePass {
+                    k: itemsets.first().map_or(0, |(s, _)| s.len()),
+                    itemsets,
+                })
+                .collect(),
+        }
+    }
+
+    fn keys(rules: &[Rule]) -> Vec<(Itemset, Itemset)> {
+        let mut keys: Vec<_> = rules
+            .iter()
+            .map(|r| (r.antecedent.clone(), r.consequent.clone()))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn a_redundant_rule_still_extends_its_consequent() {
+        // 1 is a child of 0. {1,2} => {0} and {1} => {0,2} are redundant;
+        // {2} => {0,1} is not, and it grows from the redundant {0}.
+        let mut b = TaxonomyBuilder::new(3);
+        b.edge(1, 0).unwrap();
+        let tax = b.build().unwrap();
+        let out = hand_built(
+            10,
+            vec![
+                vec![(iset![0], 10), (iset![1], 5), (iset![2], 5)],
+                vec![(iset![0, 1], 5), (iset![0, 2], 5), (iset![1, 2], 5)],
+                vec![(iset![0, 1, 2], 5)],
+            ],
+        );
+        let rules = derive_rules(&out, 1.0, Some(&tax));
+        assert_eq!(
+            keys(&rules),
+            vec![
+                (iset![0, 1], iset![2]),
+                (iset![0, 2], iset![1]),
+                (iset![1], iset![2]),
+                (iset![2], iset![0]),
+                (iset![2], iset![0, 1]),
+                (iset![2], iset![1]),
+            ]
+        );
+        assert_eq!(rules, derive_rules_reference(&out, 1.0, Some(&tax)));
+    }
+
+    #[test]
+    fn a_missing_antecedent_support_still_extends_its_consequent() {
+        // Pass 2 was dropped: no 1-item consequent has an antecedent
+        // support, yet each 2-item consequent's rule is at exactly 50%.
+        let out = hand_built(
+            10,
+            vec![
+                vec![(iset![0], 8), (iset![1], 8), (iset![2], 8)],
+                vec![(iset![0, 1, 2], 4)],
+            ],
+        );
+        let rules = derive_rules(&out, 0.5, None);
+        assert_eq!(
+            keys(&rules),
+            vec![
+                (iset![0], iset![1, 2]),
+                (iset![1], iset![0, 2]),
+                (iset![2], iset![0, 1]),
+            ]
+        );
+        assert_eq!(rules, derive_rules_reference(&out, 0.5, None));
+    }
+
+    #[test]
+    fn an_itemset_of_forty_items_derives_its_rules() {
+        // X has 40 items; each 1-item consequent's antecedent holds 10 of
+        // X's 10 transactions, each 2-item one's 10 of 100.
+        let x: Vec<u32> = (0..40).collect();
+        let without = |drop: &[u32]| -> Itemset {
+            x.iter()
+                .filter(|i| !drop.contains(i))
+                .map(|&i| ItemId(i))
+                .collect()
+        };
+        let l38 = (0..40)
+            .flat_map(|a| (a + 1..40).map(move |b| (a, b)))
+            .map(|(a, b)| (without(&[a, b]), 100))
+            .collect::<Vec<_>>();
+        let l39 = (0..40).map(|a| (without(&[a]), 10)).collect();
+        let out = hand_built(1000, vec![l38, l39, vec![(without(&[]), 10)]]);
+        let rules = derive_rules(&out, 0.5, None);
+        let mut expected: Vec<_> = (0..40).map(|a| (without(&[a]), iset![a])).collect();
+        expected.sort_unstable();
+        assert_eq!(keys(&rules), expected);
+        assert!(rules.iter().all(|r| r.confidence == 1.0));
+    }
+
     /// The filter as it was first written, kept as the reference: it looks
     /// the ancestor rule up by scanning every rule, so it is quadratic.
     /// [SA95] R-interestingness: keep a rule only when its support is at least
@@ -496,6 +718,56 @@ mod tests {
                     prune_uninteresting(&rules, &out, &tax, r),
                     prune_uninteresting_reference(&rules, &out, &tax, r)
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn derive_matches_the_reference(
+            shape in (1u32..4, 8u32..30, 0u32..4, 0u64..10_000),
+            raw_txns in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..30, 1..8), 4..30),
+            div in 2u32..8,
+            cut in 1usize..4,
+        ) {
+            let (roots, items, fanout, seed) = shape;
+            let tax = gar_taxonomy::synth::synthesize(&gar_taxonomy::synth::SynthTaxonomyConfig {
+                num_items: items.max(roots + 1),
+                num_roots: roots,
+                fanout: 1.5 + f64::from(fanout),
+                seed,
+            });
+            let txns = raw_txns.into_iter().map(|t| {
+                let mut v: Vec<ItemId> = t.into_iter().map(|x| ItemId(x % tax.num_items())).collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            });
+            let db = PartitionedDatabase::build_in_memory(1, txns).unwrap();
+            let min_support = 1.0 / f64::from(div);
+            let whole = cumulate(db.partition(0), &tax, &MiningParams::with_min_support(min_support))
+                .unwrap();
+            let capped = cumulate(
+                db.partition(0),
+                &tax,
+                &MiningParams::with_min_support(min_support).max_pass(cut),
+            )
+            .unwrap();
+            // A middle pass dropped: some antecedents lose their support.
+            let mut holed = whole.clone();
+            if holed.passes.len() >= 3 {
+                holed.passes.remove(1 + cut % (holed.passes.len() - 2));
+            }
+            for out in [&whole, &capped, &holed] {
+                for min_confidence in [0.0, 0.5, 0.88, 1.0] {
+                    for t in [Some(&tax), None] {
+                        proptest::prop_assert_eq!(
+                            derive_rules(out, min_confidence, t),
+                            derive_rules_reference(out, min_confidence, t)
+                        );
+                    }
+                }
             }
         }
     }

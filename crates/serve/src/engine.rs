@@ -50,9 +50,8 @@ use crate::store::RuleStore;
 use gar_mining::rules::Rule;
 use gar_taxonomy::Taxonomy;
 use gar_types::hash::fx_hash_u32s;
-use gar_types::{ItemId, Itemset};
+use gar_types::{FxHashMap, ItemId, Itemset};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// One answer entry: a consequent worth recommending.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,9 +148,9 @@ impl Catalog {
         } = store;
         // The rank order, each rule with its position in the store.
         let mut ranked: Vec<(usize, &Rule)> = rules.iter().enumerate().collect();
-        ranked.sort_by(|a, b| rank_order(a.1, b.1));
+        ranked.sort_unstable_by(|a, b| rank_order(a.1, b.1));
         let mut rank_of = vec![0u32; rules.len()];
-        let mut interned: HashMap<&Itemset, u32> = HashMap::new();
+        let mut interned: FxHashMap<&Itemset, u32> = FxHashMap::default();
         let mut keys = Vec::with_capacity(rules.len());
         for (rank, &(at, r)) in ranked.iter().enumerate() {
             if let Some(slot) = rank_of.get_mut(at) {
