@@ -2,7 +2,7 @@
 
 use crate::params::Algorithm;
 use gar_cluster::NodeStatsSnapshot;
-use gar_types::{FxHashMap, ItemId, Itemset};
+use gar_types::{ItemId, Itemset};
 use std::time::Duration;
 
 /// The large itemsets of one pass (`L_k`), with their global support
@@ -57,11 +57,6 @@ impl MiningOutput {
             .binary_search_by(|(s, _)| s.cmp(&target))
             .ok()
             .map(|i| self.large(target.len()).unwrap().itemsets[i].1)
-    }
-
-    /// A support lookup map over all large itemsets, owning a copy of each.
-    pub fn support_map(&self) -> FxHashMap<Itemset, u64> {
-        self.all_large().cloned().collect()
     }
 }
 
@@ -164,13 +159,6 @@ mod tests {
         assert_eq!(out.support_of(&[ItemId(2), ItemId(1)]), Some(20));
         assert_eq!(out.support_of(&[ItemId(3)]), None);
         assert_eq!(out.num_large(), 3);
-    }
-
-    #[test]
-    fn support_map_covers_everything() {
-        let m = sample_output().support_map();
-        assert_eq!(m.len(), 3);
-        assert_eq!(m[&iset![1, 2]], 20);
     }
 
     #[test]

@@ -84,16 +84,20 @@ fn sort_rules(rules: &mut [Rule]) {
 }
 
 /// Canonical *storage* order: sorted by `(antecedent, consequent)` item
-/// ids, exact duplicates removed. Unlike [`sort_rules`] (a presentation
+/// ids, one rule kept per key. Unlike [`sort_rules`] (a presentation
 /// order keyed on floating-point confidence), this order depends only on
 /// the item ids, so the same rule set serializes to the same bytes no
 /// matter which algorithm or node count produced it — the invariant the
-/// persisted rule store's determinism guarantee rests on.
+/// persisted rule store's determinism guarantee rests on. Of rules that
+/// share a key, the one kept is the least by `(support_count, confidence
+/// bits)`, so which survives does not depend on the input order either.
 pub fn canonicalize_rules(rules: &mut Vec<Rule>) {
     rules.sort_by(|a, b| {
         a.antecedent
             .cmp(&b.antecedent)
             .then_with(|| a.consequent.cmp(&b.consequent))
+            .then_with(|| a.support_count.cmp(&b.support_count))
+            .then_with(|| a.confidence.to_bits().cmp(&b.confidence.to_bits()))
     });
     rules.dedup_by(|a, b| a.antecedent == b.antecedent && a.consequent == b.consequent);
 }
@@ -427,6 +431,26 @@ mod tests {
     }
 
     #[test]
+    fn conflicting_duplicates_canonicalize_regardless_of_input_order() {
+        // Two rules with one key but different measures: the survivor
+        // must not depend on which came first.
+        let mk = |sup: u64, conf: f64| Rule {
+            antecedent: iset![1],
+            consequent: iset![7],
+            support_count: sup,
+            support: sup as f64 / 6.0,
+            confidence: conf,
+        };
+        let mut a = vec![mk(2, 0.5), mk(3, 0.5), mk(2, 0.25)];
+        let mut b = a.clone();
+        b.reverse();
+        canonicalize_rules(&mut a);
+        canonicalize_rules(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(a, vec![mk(2, 0.25)]);
+    }
+
+    #[test]
     fn canonical_order_is_independent_of_input_order() {
         let (tax, out) = sa95();
         let mut a = derive_rules(&out, 0.0, Some(&tax));
@@ -465,7 +489,7 @@ mod tests {
         tax: Option<&Taxonomy>,
     ) -> Vec<Rule> {
         assert!((0.0..=1.0).contains(&min_confidence));
-        let support = output.support_map();
+        let support = borrowed_supports(output);
         let n = output.num_transactions.max(1) as f64;
         let mut rules = Vec::new();
         #[expect(
@@ -479,7 +503,7 @@ mod tests {
             for mask in 1..(1u32 << x.len()) - 1 {
                 let mut antecedent = Vec::new();
                 let mut consequent = Vec::new();
-                for (i, &it) in x.items().iter().enumerate() {
+                for (i, &it) in x.iter().enumerate() {
                     if mask & (1 << i) != 0 {
                         consequent.push(it);
                     } else {
@@ -488,7 +512,7 @@ mod tests {
                 }
                 let antecedent = Itemset::from_sorted(antecedent);
                 let consequent = Itemset::from_sorted(consequent);
-                let Some(&sup_ante) = support.get(&antecedent) else {
+                let Some(&sup_ante) = support.get(antecedent.items()) else {
                     // Apriori closure guarantees presence; a miss means the
                     // output was truncated by max_pass — skip quietly.
                     continue;
@@ -637,10 +661,9 @@ mod tests {
         r: f64,
     ) -> Vec<Rule> {
         assert!(r >= 1.0, "R must be >= 1");
-        let support = output.support_map();
+        let support = borrowed_supports(output);
         // Single-item supports (for the dilution ratio).
-        let item_sup =
-            |it: ItemId| -> Option<u64> { support.get(&Itemset::singleton(it)).copied() };
+        let item_sup = |it: ItemId| -> Option<u64> { support.get([it].as_slice()).copied() };
         let rule_index: FxHashMap<(Itemset, Itemset), &Rule> = rules
             .iter()
             .map(|rl| ((rl.antecedent.clone(), rl.consequent.clone()), rl))
@@ -650,7 +673,7 @@ mod tests {
         'rules: for rule in rules {
             let x = rule.itemset();
             for anc_x in parent_itemsets(&x, tax) {
-                let Some(&anc_sup) = support.get(&anc_x) else {
+                let Some(&anc_sup) = support.get(anc_x.items()) else {
                     continue;
                 };
                 // The specialized position: the item of x missing from anc_x.

@@ -13,24 +13,30 @@
 //! answers: "⇒ outerwear" adds nothing over "⇒ hiking boots". The first
 //! `top_k` survivors are the answer.
 //!
-//! How that is computed without touching rules that cannot match:
+//! How that is computed without touching rules that cannot match, and
+//! without touching a [`Rule`] until an answer is built:
 //!
-//! * **Ranks.** [`Catalog::new`] sorts the rule set once into the
-//!   answer's total order (score desc, support desc, antecedent,
-//!   consequent) and precomputes each rule's score and an interned
-//!   consequent id. A rule's position in that one table is its *rank*;
-//!   a [`Match`] is a rank, merging is sorting integers, and no rule is
-//!   ever copied.
+//! * **Ranks.** [`Catalog::new`] keeps the store's rules in store order
+//!   and sorts one 16-byte key per rule into the answer's total order
+//!   (score desc, support desc, antecedent, consequent): the rule's
+//!   score, its interned consequent id (equal exactly when two rules'
+//!   consequents are) and its store position. A key's position in that
+//!   order is the rule's *rank*; a [`Match`] is a rank, merging is
+//!   ordering integers and reading keys, and no rule is ever copied.
 //! * **Containment.** Each shard holds a [`RuleIndex`]: one prefix
-//!   tree over its rules' antecedents, whose terminals are ranks. The
-//!   walk marks the extended transaction and descends only into marked
-//!   nodes, so it reaches exactly the rules whose antecedent is
-//!   contained, and only those get the consequent test.
-//! * **Lazy filters.** The merge walks the sorted ranks one score-tie
-//!   group at a time, deduplicating consequents by id and testing an
-//!   entry only against entries that score at least as high, and stops
-//!   at `top_k` survivors. Both filters sit at the merge, so the answer
-//!   is identical for every shard count.
+//!   tree over its rules' antecedents, whose terminals are ranks and
+//!   carry their rules' consequents as flat item runs. The walk marks
+//!   the extended transaction and descends only into marked nodes, so
+//!   it reaches exactly the rules whose antecedent is contained, and
+//!   tests their consequents against the same marks.
+//! * **Lazy filters.** The merge sorts the matched ranks and walks
+//!   them one score-tie group at a time, deduplicating consequents by
+//!   id and testing an entry only against entries that score at least
+//!   as high, and stops at `top_k` survivors. A consequent's length and
+//!   the hash of its distinct root set screen suppression pairs before
+//!   the taxonomy is asked: covering never crosses a root, so a specialization has the
+//!   same length and root set as what it specializes. Both filters sit
+//!   at the merge, so the answer is identical for every shard count.
 //!
 //! Rules are sharded by the FxHash of their **antecedent's** sorted
 //! distinct root-id key — the placement of the H-HPGM family applied
@@ -79,14 +85,29 @@ fn place(roots: &[u32], num_shards: usize) -> usize {
     (fx_hash_u32s(roots.iter().copied()) % num_shards.max(1) as u64) as usize
 }
 
+/// Fills `out` with the sorted distinct root ids of `items`. An item
+/// outside the taxonomy stands for itself: it has no root, and no
+/// taxonomy item can share its id.
+fn root_key(items: &[ItemId], tax: &Taxonomy, out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(items.iter().map(|&i| {
+        if i.raw() < tax.num_items() {
+            tax.root_of(i).raw()
+        } else {
+            i.raw()
+        }
+    }));
+    out.sort_unstable();
+    out.dedup();
+}
+
 /// The shard of an itemset: `place` of its sorted **distinct**
 /// root-id key. Deduplication makes the key a set, so the single-root
 /// key `{r}` of a basket lands where the antecedent of every rule that
 /// basket can trigger does.
 pub fn shard_of(items: &[ItemId], tax: &Taxonomy, num_shards: usize) -> usize {
-    let mut roots: Vec<u32> = items.iter().map(|&i| tax.root_of(i).raw()).collect();
-    roots.sort_unstable();
-    roots.dedup();
+    let mut roots = Vec::new();
+    root_key(items, tax, &mut roots);
     place(&roots, num_shards)
 }
 
@@ -108,17 +129,30 @@ fn score(rule: &Rule) -> f64 {
     rule.confidence * rule.support
 }
 
-/// The answer's total order: score desc, support desc, then the rule
-/// key. The key is unique (stores are canonical), so ties cannot
-/// reorder.
-fn rank_order(a: &Rule, b: &Rule) -> Ordering {
-    score(b)
-        .partial_cmp(&score(a))
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| b.support_count.cmp(&a.support_count))
+/// The answer's order among rules of equal score: support desc, then
+/// the rule key. The key is unique (stores are canonical), so ties
+/// cannot reorder.
+fn tie_order(a: &Rule, b: &Rule) -> Ordering {
+    b.support_count
+        .cmp(&a.support_count)
         .then_with(|| a.antecedent.cmp(&b.antecedent))
         .then_with(|| a.consequent.cmp(&b.consequent))
 }
+
+/// A rule as the merge sees it: everything but the answer's payload.
+#[derive(Debug, Clone, Copy)]
+struct RankKey {
+    /// `score(rule)`.
+    score: f64,
+    /// The interned consequent.
+    consequent: u32,
+    /// The rule's position in the store.
+    at: u32,
+}
+
+/// What suppression needs of a consequent before it asks the taxonomy:
+/// its length and the FxHash of its distinct root set.
+type Shape = (u32, u64);
 
 /// A loaded, sharded, indexed rule set — the in-process query engine
 /// the TCP server (and embedders) answer from.
@@ -126,11 +160,12 @@ fn rank_order(a: &Rule, b: &Rule) -> Ordering {
 pub struct Catalog {
     taxonomy: Taxonomy,
     num_transactions: u64,
-    /// Every rule, in [`rank_order`]: a rule's rank is its position.
+    /// Every rule, in store order.
     rules: Vec<Rule>,
-    /// Per rank: `score(rules[rank])` and the interned consequent id
-    /// (equal exactly when two ranks' consequents are).
-    keys: Vec<(f64, u32)>,
+    /// Per rank, the rule's key: the keys in answer order.
+    ranks: Vec<RankKey>,
+    /// Per interned consequent id, its [`Shape`].
+    shapes: Vec<Shape>,
     /// Per shard, the prefix tree over its rules' antecedents (ids are
     /// ranks).
     shards: Vec<RuleIndex>,
@@ -144,49 +179,69 @@ impl Catalog {
         let RuleStore {
             taxonomy,
             num_transactions,
-            mut rules,
+            rules,
         } = store;
-        // The rank order, each rule with its position in the store.
-        let mut ranked: Vec<(usize, &Rule)> = rules.iter().enumerate().collect();
-        ranked.sort_unstable_by(|a, b| rank_order(a.1, b.1));
-        let mut rank_of = vec![0u32; rules.len()];
+        // One key per rule in store order: its score and its interned
+        // consequent, each computed once.
         let mut interned: FxHashMap<&Itemset, u32> = FxHashMap::default();
-        let mut keys = Vec::with_capacity(rules.len());
-        for (rank, &(at, r)) in ranked.iter().enumerate() {
-            if let Some(slot) = rank_of.get_mut(at) {
-                *slot = rank as u32;
+        let mut shapes: Vec<Shape> = Vec::new();
+        let mut roots: Vec<u32> = Vec::new();
+        let mut ranks: Vec<RankKey> = (0u32..)
+            .zip(&rules)
+            .map(|(at, r)| {
+                let fresh = shapes.len() as u32;
+                let consequent = *interned.entry(&r.consequent).or_insert_with(|| {
+                    root_key(r.consequent.items(), &taxonomy, &mut roots);
+                    let hash = fx_hash_u32s(roots.iter().copied());
+                    shapes.push((r.consequent.len() as u32, hash));
+                    fresh
+                });
+                RankKey {
+                    score: score(r),
+                    consequent,
+                    at,
+                }
+            })
+            .collect();
+        // Only a score tie opens the two rules.
+        ranks.sort_unstable_by(|a, b| {
+            let tie = || match (rules.get(a.at as usize), rules.get(b.at as usize)) {
+                (Some(a), Some(b)) => tie_order(a, b),
+                _ => Ordering::Equal,
+            };
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(Ordering::Equal)
+                .then_with(tie)
+        });
+        let mut rank_of = vec![0u32; rules.len()];
+        for (rank, key) in (0u32..).zip(&ranks) {
+            if let Some(slot) = rank_of.get_mut(key.at as usize) {
+                *slot = rank;
             }
-            let fresh = interned.len() as u32;
-            keys.push((score(r), *interned.entry(&r.consequent).or_insert(fresh)));
         }
-        // Each shard's tree is built in the store's antecedent order, so
-        // the build needs no sort; its terminals are ranks.
-        let mut placed: Vec<Vec<(u32, &[ItemId])>> = vec![Vec::new(); num_shards];
+        // Placement walks the store in order, so each shard's entries
+        // arrive in antecedent order and its tree builds without a sort.
+        let mut placed: Vec<Vec<(u32, &Rule)>> = vec![Vec::new(); num_shards];
         for (rule, &rank) in rules.iter().zip(&rank_of) {
             // Placement by the *antecedent's* root key: the only part a
             // basket must contain for the rule to fire, so affinity
             // routing can prove single-root queries shard-local.
-            let s = shard_of(rule.antecedent.items(), &taxonomy, num_shards);
-            if let Some(shard) = placed.get_mut(s) {
-                shard.push((rank, rule.antecedent.items()));
+            root_key(rule.antecedent.items(), &taxonomy, &mut roots);
+            if let Some(shard) = placed.get_mut(place(&roots, num_shards)) {
+                shard.push((rank, rule));
             }
         }
         let shards = placed
             .into_iter()
             .map(|entries| RuleIndex::over(entries, &taxonomy))
             .collect();
-        // Move each rule to its rank; every swap settles one rule.
-        for at in 0..rules.len() {
-            while let Some(&rank) = rank_of.get(at).filter(|&&rank| rank as usize != at) {
-                rules.swap(at, rank as usize);
-                rank_of.swap(at, rank as usize);
-            }
-        }
         Catalog {
             taxonomy,
             num_transactions,
             rules,
-            keys,
+            ranks,
+            shapes,
             shards,
         }
     }
@@ -258,12 +313,7 @@ impl Catalog {
         let Some(index) = self.shards.get(shard) else {
             return (out, 0);
         };
-        let walked = index.for_each_contained(extended, |rank| {
-            let rule = self.rules.get(rank as usize);
-            if rule.is_some_and(|r| !r.consequent.is_contained_in(extended)) {
-                out.push(Match(rank));
-            }
-        });
+        let walked = index.for_each_match(extended, |rank| out.push(Match(rank)));
         (out, walked)
     }
 
@@ -289,16 +339,12 @@ impl Catalog {
         ranks.sort_unstable();
         let mut entries = ranks
             .iter()
-            .filter_map(|&r| {
-                let &(score, id) = self.keys.get(r as usize)?;
-                Some((r as usize, score, id))
-            })
+            .filter_map(|&r| self.ranks.get(r as usize))
             .peekable();
-        // `best` is the deduplicated prefix (the first, i.e. best, rule
-        // per consequent, with `seen` its consequent ids); `judged` of
-        // its entries have been through suppression.
-        let mut best: Vec<(&Rule, f64)> = Vec::new();
-        let mut seen: Vec<u32> = Vec::new();
+        // `best` is the deduplicated prefix (the first, i.e. best, key
+        // per consequent); `judged` of its entries have been through
+        // suppression.
+        let mut best: Vec<RankKey> = Vec::new();
         let mut judged = 0;
         let mut out = Vec::new();
         while out.len() < top_k {
@@ -309,34 +355,49 @@ impl Catalog {
             if group.is_none() {
                 break;
             }
-            while let Some((rank, score, id)) = group {
-                if let Some(rule) = self.rules.get(rank).filter(|_| !seen.contains(&id)) {
-                    seen.push(id);
-                    best.push((rule, score));
+            while let Some(&key) = group {
+                if !best.iter().any(|b| b.consequent == key.consequent) {
+                    best.push(key);
                 }
-                group = entries.next_if(|next| next.1 == score);
+                group = entries.next_if(|next| next.score == key.score);
             }
             // Ancestor suppression: drop a match whose consequent is a
             // generalization of a better-or-equal match's consequent.
-            for &(gen, score) in best.iter().skip(judged) {
+            for gen in best.iter().skip(judged) {
                 if out.len() == top_k {
                     break;
                 }
-                let suppressed = best
-                    .iter()
-                    .any(|(spec, _)| self.specializes(&spec.consequent, &gen.consequent));
-                if !suppressed {
+                if best.iter().any(|spec| self.suppresses(spec, gen)) {
+                    continue;
+                }
+                if let Some(rule) = self.rules.get(gen.at as usize) {
                     out.push(Recommendation {
-                        consequent: gen.consequent.clone(),
-                        support_count: gen.support_count,
-                        confidence: gen.confidence,
-                        score,
+                        consequent: rule.consequent.clone(),
+                        support_count: rule.support_count,
+                        confidence: rule.confidence,
+                        score: gen.score,
                     });
                 }
             }
             judged = best.len();
         }
         out
+    }
+
+    /// True when `spec`'s consequent is a proper specialization of
+    /// `gen`'s. Distinct ids and equal shapes are necessary, so only a
+    /// pair that passes both opens the two rules.
+    fn suppresses(&self, spec: &RankKey, gen: &RankKey) -> bool {
+        let shape = |key: &RankKey| self.shapes.get(key.consequent as usize);
+        spec.consequent != gen.consequent
+            && shape(spec) == shape(gen)
+            && match (
+                self.rules.get(spec.at as usize),
+                self.rules.get(gen.at as usize),
+            ) {
+                (Some(s), Some(g)) => self.specializes(&s.consequent, &g.consequent),
+                _ => false,
+            }
     }
 
     /// True when `spec` is a proper item-wise specialization of `gen`:
@@ -377,6 +438,190 @@ mod tests {
 
     fn catalog(rules: Vec<Rule>, num_shards: usize) -> Catalog {
         Catalog::new(RuleStore::new(rules, sa95_taxonomy(), 6), num_shards)
+    }
+
+    /// The scan and merge as they were before consequents rode the
+    /// index and the merge read keys: one rank-ordered rule table, a
+    /// `is_contained_in` test per reached rule, a full sort of the
+    /// matches and a suppression test on every pair.
+    struct Reference<'a> {
+        catalog: &'a Catalog,
+        /// Every rule, in answer order: a rule's rank is its position.
+        ranked: Vec<&'a Rule>,
+        /// Per rank: the score and the interned consequent id.
+        keys: Vec<(f64, u32)>,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(catalog: &'a Catalog) -> Reference<'a> {
+            let mut ranked: Vec<&Rule> = catalog.rules.iter().collect();
+            ranked.sort_unstable_by(|a, b| {
+                score(b)
+                    .partial_cmp(&score(a))
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| tie_order(a, b))
+            });
+            let mut interned: FxHashMap<&Itemset, u32> = FxHashMap::default();
+            let keys = ranked
+                .iter()
+                .map(|r| {
+                    let fresh = interned.len() as u32;
+                    (score(r), *interned.entry(&r.consequent).or_insert(fresh))
+                })
+                .collect();
+            Reference {
+                catalog,
+                ranked,
+                keys,
+            }
+        }
+
+        fn scan_shard(&self, shard: usize, extended: &[ItemId]) -> Vec<u32> {
+            let mut out = Vec::new();
+            self.catalog.shards[shard].for_each_contained(extended, |rank| {
+                if !self.ranked[rank as usize]
+                    .consequent
+                    .is_contained_in(extended)
+                {
+                    out.push(rank);
+                }
+            });
+            out
+        }
+
+        fn merge(&self, mut ranks: Vec<u32>, top_k: usize) -> Vec<Recommendation> {
+            ranks.sort_unstable();
+            let mut entries = ranks
+                .iter()
+                .map(|&r| (r as usize, self.keys[r as usize].0, self.keys[r as usize].1))
+                .peekable();
+            let mut best: Vec<(&Rule, f64)> = Vec::new();
+            let mut seen: Vec<u32> = Vec::new();
+            let mut judged = 0;
+            let mut out = Vec::new();
+            while out.len() < top_k {
+                let mut group = entries.next();
+                if group.is_none() {
+                    break;
+                }
+                while let Some((rank, score, id)) = group {
+                    if !seen.contains(&id) {
+                        seen.push(id);
+                        best.push((self.ranked[rank], score));
+                    }
+                    group = entries.next_if(|next| next.1 == score);
+                }
+                for &(gen, score) in best.iter().skip(judged) {
+                    if out.len() == top_k {
+                        break;
+                    }
+                    let suppressed = best.iter().any(|(spec, _)| {
+                        self.catalog.specializes(&spec.consequent, &gen.consequent)
+                    });
+                    if !suppressed {
+                        out.push(Recommendation {
+                            consequent: gen.consequent.clone(),
+                            support_count: gen.support_count,
+                            confidence: gen.confidence,
+                            score,
+                        });
+                    }
+                }
+                judged = best.len();
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn keys_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<RankKey>(), 16);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn scan_and_merge_answer_like_the_reference(
+            forest in (6u32..30, 0u64..10_000),
+            drawn in proptest::collection::vec(
+                (proptest::collection::vec(0u32..40, 1..4), 0u32..3,
+                 proptest::collection::vec(0u32..40, 1..3), 0u32..3, 1u64..5, 0usize..4), 1..240),
+            baskets in proptest::collection::vec(proptest::collection::vec(0u32..34, 0..14), 1..12),
+        ) {
+            let (n, seed) = forest;
+            // A random forest: each item past the first few hangs under
+            // a random earlier item three times out of four.
+            let mut state = seed;
+            let mut next = move |bound: u32| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 33) % u64::from(bound)) as u32
+            };
+            let mut b = gar_taxonomy::TaxonomyBuilder::new(n);
+            for child in 3..n {
+                if next(4) != 0 {
+                    b.edge(child, next(child)).unwrap();
+                }
+            }
+            let tax = b.build().unwrap();
+            let item = |x: u32| ItemId(x % n);
+            let parents = |items: &[ItemId]| -> Vec<ItemId> {
+                items.iter().filter_map(|&it| tax.parent(it)).collect()
+            };
+            // Few (support, confidence) pairs, so scores tie; items
+            // beside their own parents; consequents that overlap the
+            // antecedent or generalize one another.
+            let rules: Vec<Rule> = drawn
+                .into_iter()
+                .map(|(a, a_kind, c, c_kind, support, confidence)| {
+                    let mut a: Vec<ItemId> = a.into_iter().map(item).collect();
+                    if a_kind == 0 {
+                        a.extend(parents(&a));
+                    }
+                    let mut c: Vec<ItemId> = c.into_iter().map(item).collect();
+                    match c_kind {
+                        0 => c = parents(&c).into_iter().chain(c.iter().skip(1).copied()).collect(),
+                        1 => c.extend(a.first()),
+                        _ => {}
+                    }
+                    if c.is_empty() {
+                        c.push(item(0));
+                    }
+                    Rule {
+                        antecedent: Itemset::from_unsorted(a),
+                        consequent: Itemset::from_unsorted(c),
+                        support_count: support * 5,
+                        support: 0.0,
+                        confidence: [0.25, 0.5, 0.5, 1.0][confidence],
+                    }
+                })
+                .collect();
+            let store = RuleStore::new(rules, tax, 50);
+            for shards in [1usize, 2, 3] {
+                let cat = Catalog::new(store.clone(), shards);
+                let reference = Reference::new(&cat);
+                for raw in &baskets {
+                    let basket: Vec<ItemId> = raw.iter().map(|&x| ItemId(x)).collect();
+                    let extended = cat.extend_basket(&basket);
+                    let mut all = Vec::new();
+                    let mut expected = Vec::new();
+                    for shard in 0..shards {
+                        let mut got: Vec<u32> =
+                            cat.scan_shard(shard, &extended).0.iter().map(|m| m.0).collect();
+                        let mut want = reference.scan_shard(shard, &extended);
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        proptest::prop_assert_eq!(&got, &want);
+                        all.extend(got.into_iter().map(Match));
+                        expected.extend(want);
+                    }
+                    for top_k in [0, 1, 3, 10, 1000] {
+                        proptest::prop_assert_eq!(
+                            cat.merge(all.clone(), top_k),
+                            reference.merge(expected.clone(), top_k)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

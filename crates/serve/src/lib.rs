@@ -3,12 +3,13 @@
 //!
 //! * [`store`] — the persisted `GRUL` rule store (canonical order,
 //!   embedded taxonomy, trailing checksum, atomic writes).
-//! * [`index`] — the prefix tree over rule antecedents, walked along a
-//!   basket's extended transaction to the rules it contains.
+//! * [`index`] — the prefix tree over rule antecedents, with each
+//!   rule's consequent beside its terminal, walked along a basket's
+//!   extended transaction to the rules it matches.
 //! * [`engine`] — basket scoring: top-k consequents by
 //!   confidence×support with serve-time ancestor-redundancy
-//!   suppression, matches as ranks in one sorted rule table, sharded
-//!   by the same root-item hash as H-HPGM.
+//!   suppression, matches as ranks into one sorted table of 16-byte
+//!   keys, sharded by the same root-item hash as H-HPGM.
 //! * [`protocol`] — the length-prefixed, checksummed wire protocol
 //!   (every frame is parsed by [`protocol::FrameBuffer::next_frame`],
 //!   which checks its length against [`protocol::MAX_FRAME_BYTES`]).

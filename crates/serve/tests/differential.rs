@@ -143,8 +143,13 @@ fn random_taxonomy(rng: &mut Rng, n: u32) -> Taxonomy {
 
 #[test]
 fn random_stores_answer_like_the_literal_definition() {
+    // GAR_PROPTEST_CASES widens the soak (nightly); 12 seeds otherwise.
+    let seeds: u64 = std::env::var("GAR_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(12);
     let mut non_empty = 0;
-    for seed in 0..12u64 {
+    for seed in 0..seeds {
         let mut rng = Rng(seed);
         let n = 12 + rng.below(28);
         let tax = random_taxonomy(&mut rng, n as u32);
@@ -176,7 +181,10 @@ fn random_stores_answer_like_the_literal_definition() {
             .collect();
         non_empty += check(&store, &baskets, &format!("seed {seed}"));
     }
-    assert!(non_empty > 1000, "fixture too sparse: {non_empty}");
+    assert!(
+        non_empty as u64 * 12 > 1000 * seeds,
+        "fixture too sparse: {non_empty}"
+    );
 }
 
 #[test]
