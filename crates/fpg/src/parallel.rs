@@ -32,14 +32,15 @@ use crate::tree::FpTree;
 use crate::wire::{self, tags, PathBatch};
 use gar_cluster::{Cluster, ClusterConfig, Envelope, NodeCtx};
 use gar_mining::parallel::common::{
-    self, assemble_report, close_pass, mine_with_recovery, run_pass1, scan_partition,
-    BatchedExchange, NodeOutcome, NodePassInfo, Pass1, PassPersistence, WireBatch,
+    assemble_report, close_pass, mine_with_recovery, run_pass1, scan_partition, BatchedExchange,
+    NodeOutcome, NodePassInfo, Pass1, PassPersistence, WireBatch,
 };
 use gar_mining::params::{Algorithm, MiningParams};
 use gar_mining::report::{LargePass, MiningOutput, ParallelReport};
 use gar_mining::sequential::large_items_from_counts;
 use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::Taxonomy;
+use gar_types::hash::{fx_hash_u32s, place};
 use gar_types::{Error, ItemId, Itemset, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -53,7 +54,7 @@ const POLL_EVERY_PROJECTIONS: usize = 8;
 /// The node owning `item`'s projection: hash of the item's *root*, so a
 /// whole generalization chain is mined on one node.
 pub fn owner_of(item: ItemId, tax: &Taxonomy, num_nodes: usize) -> usize {
-    common::owner_of([tax.root_of(item).raw()], num_nodes)
+    place(fx_hash_u32s([tax.root_of(item).raw()]), num_nodes)
 }
 
 impl WireBatch for PathBatch {

@@ -1,12 +1,14 @@
-//! The flat hash-map candidate counter.
+//! The flat hash-map candidate counter, compiled for tests only: the
+//! reference the counter suites hold the hash tree to.
 
-use super::{CandidateCounter, CountOutcome};
+use super::CountOutcome;
 use gar_types::{FxHashMap, ItemId, Itemset};
 
 /// Candidate counter backed by one Fx hash map from itemset to a dense
 /// count index. Counting a transaction enumerates its k-subsets and probes
 /// each — the paper's "generate k-itemsets from t' and search the hash
-/// table".
+/// table". Its counts and hits are the hash tree's; its `work` is the
+/// number of subsets enumerated, `C(|t|, k)` per transaction and set.
 pub struct HashMapCounter {
     k: usize,
     index: FxHashMap<Box<[ItemId]>, u32>,
@@ -70,18 +72,9 @@ impl HashMapCounter {
             self.scratch.pop();
         }
     }
-}
 
-impl CandidateCounter for HashMapCounter {
-    fn num_candidates(&self) -> usize {
-        self.counts.len()
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn probe(&mut self, itemset: &[ItemId]) -> CountOutcome {
+    /// Probes one sorted k-itemset, as `HashTreeCounter::probe` does.
+    pub fn probe(&mut self, itemset: &[ItemId]) -> CountOutcome {
         debug_assert_eq!(itemset.len(), self.k);
         let mut out = CountOutcome { work: 1, hits: 0 };
         if let Some(&idx) = self.index.get(itemset) {
@@ -91,33 +84,31 @@ impl CandidateCounter for HashMapCounter {
         out
     }
 
-    fn count_transaction(&mut self, t: &[ItemId]) -> CountOutcome {
+    /// The fold of [`probe`](Self::probe) over the k-itemsets of `flat`.
+    pub fn probe_many(&mut self, flat: &[ItemId]) -> CountOutcome {
+        let mut out = CountOutcome::default();
+        for itemset in flat.chunks_exact(self.k) {
+            out.absorb(self.probe(itemset));
+        }
+        out
+    }
+
+    /// Counts every candidate contained in the sorted, de-duplicated
+    /// transaction `t`.
+    pub fn count_transaction(&mut self, t: &[ItemId]) -> CountOutcome {
         debug_assert!(t.windows(2).all(|w| w[0] < w[1]), "unsorted txn");
         let mut out = CountOutcome::default();
         if t.len() < self.k || self.counts.is_empty() {
             return out;
         }
-        if self.k == 2 {
-            // Specialized pair loop: the pass the paper measures.
-            for i in 0..t.len() - 1 {
-                for j in i + 1..t.len() {
-                    out.work += 1;
-                    let key = [t[i], t[j]];
-                    if let Some(&idx) = self.index.get(key.as_slice()) {
-                        self.counts[idx as usize] += 1;
-                        out.hits += 1;
-                    }
-                }
-            }
-        } else {
-            self.scratch.clear();
-            self.enumerate(t, 0, &mut out);
-        }
+        self.scratch.clear();
+        self.enumerate(t, 0, &mut out);
         out.work *= self.sets;
         out
     }
 
-    fn counts(&self) -> &[u64] {
+    /// The counts, in candidate insertion order.
+    pub fn counts(&self) -> &[u64] {
         &self.counts
     }
 }

@@ -37,7 +37,7 @@
 //! `weight × suffix`. Only a union with two or more non-empty sets stores
 //! weights; every other tree's weights are 1 and its arena is unchanged.
 
-use super::{ArenaStats, CandidateCounter, CountOutcome};
+use super::{ArenaStats, CountOutcome};
 use gar_types::{ItemId, Itemset};
 
 /// Sentinel for "no rank" / "no child" / "not in this transaction".
@@ -324,7 +324,8 @@ impl HashTreeCounter {
 
     /// Builds one tree over the disjoint candidate sets `sets`: counts are
     /// laid out set after set, and `count_transaction` meters the sum of
-    /// one tree per set.
+    /// one tree per set, so one walk of a transaction counts and meters
+    /// every set. `probe` and `probe_many` meter the union as one set.
     pub fn union(k: usize, sets: &[&[Itemset]]) -> HashTreeCounter {
         let (tree, num_ranks) = Tree::build(k, sets);
         HashTreeCounter {
@@ -364,29 +365,33 @@ impl HashTreeCounter {
                 as u64,
         }
     }
-}
 
-impl CandidateCounter for HashTreeCounter {
-    fn num_candidates(&self) -> usize {
-        self.counts.len()
+    /// [`stats`](Self::stats) in the shape `benchmark/` still reads
+    /// through [`build_counter`](super::build_counter); retired with it
+    /// (ROADMAP item 6).
+    pub fn arena_stats(&self) -> Option<ArenaStats> {
+        Some(self.stats())
     }
 
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn probe(&mut self, itemset: &[ItemId]) -> CountOutcome {
+    /// Probes one sorted k-itemset; increments its count if it is a
+    /// candidate. Returns the outcome (work 1, hits 0/1).
+    pub fn probe(&mut self, itemset: &[ItemId]) -> CountOutcome {
         if itemset.len() != self.k {
             return CountOutcome { work: 1, hits: 0 };
         }
         self.probe_many(itemset)
     }
 
+    /// Probes each k-itemset of `flat` (itemsets back to back, a trailing
+    /// partial one ignored) — the fold of [`probe`](Self::probe): work is
+    /// the number of itemsets, hits the sum of theirs. One call per
+    /// received batch or per transaction's local subsets.
+    ///
     /// Received batches are grouped by first item and a transaction's
     /// subsets come in lexicographic order, so consecutive itemsets mostly
     /// share their `(k − 1)`-prefix: the node it reaches is kept, and such
     /// a probe is one edge lookup.
-    fn probe_many(&mut self, flat: &[ItemId]) -> CountOutcome {
+    pub fn probe_many(&mut self, flat: &[ItemId]) -> CountOutcome {
         let mut out = CountOutcome::default();
         // The empty prefix leads to the root.
         let mut prev: (&[ItemId], u32) = (&[], 0);
@@ -412,7 +417,9 @@ impl CandidateCounter for HashTreeCounter {
         out
     }
 
-    fn count_transaction(&mut self, t: &[ItemId]) -> CountOutcome {
+    /// Counts every candidate contained in the sorted, de-duplicated
+    /// transaction `t` (increments each at most once).
+    pub fn count_transaction(&mut self, t: &[ItemId]) -> CountOutcome {
         debug_assert!(t.windows(2).all(|w| w[0] < w[1]), "unsorted txn");
         if t.len() < self.k || self.counts.is_empty() {
             return CountOutcome::default();
@@ -436,12 +443,9 @@ impl CandidateCounter for HashTreeCounter {
         out
     }
 
-    fn counts(&self) -> &[u64] {
+    /// The counts, in candidate insertion order.
+    pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    fn arena_stats(&self) -> Option<ArenaStats> {
-        Some(self.stats())
     }
 }
 

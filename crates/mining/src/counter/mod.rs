@@ -2,23 +2,23 @@
 //!
 //! Support counting is the hot loop of every algorithm in the paper: for
 //! each (extended) transaction, find which candidates it contains and
-//! increment their `sup_cou`. Two interchangeable structures:
+//! increment their `sup_cou`. Every miner counts with one structure,
+//! [`HashTreeCounter`]: a rank-mapped candidate prefix tree in the style
+//! of [RR94]'s hash tree. It walks transaction and tree together,
+//! skipping subsets that cannot match, by table lookups instead of
+//! merges.
 //!
-//! * [`HashMapCounter`] — a flat Fx hash map over the candidates; the
-//!   transaction's k-subsets are enumerated and each is probed. This is
-//!   the structure the HPA/HPGM papers describe ("search the hash table,
-//!   if hit increment its sup_cou").
-//! * [`HashTreeCounter`] — a rank-mapped candidate prefix tree in the
-//!   style of [RR94]'s hash tree; it walks transaction and tree together,
-//!   skipping subsets that cannot match, by table lookups instead of
-//!   merges. The default. The proptests compare the two: both against
-//!   direct containment and each other (below), the tree against its
-//!   pointer-walking reference (`hashtree.rs`).
+//! The paper describes a flat hash table instead ("search the hash
+//! table, if hit increment its sup_cou"). That structure survives as the
+//! test-only `HashMapCounter`, which enumerates a transaction's k-subsets
+//! and probes each: the proptests hold the tree to it and to direct
+//! containment (below), and the tree to its pointer-walking reference
+//! (`hashtree.rs`).
 //!
-//! Both report the same two meters: `hits` (successful probes — the
-//! quantity Figure 15 plots as "the number of hash table probes to
-//! increment sup_cou value") and `work` (abstract CPU steps: enumerated
-//! subsets or visited tree nodes) for the cost model.
+//! A counter reports two meters: `hits` (successful probes — the quantity
+//! Figure 15 plots as "the number of hash table probes to increment
+//! sup_cou value"), which both structures agree on, and `work` (abstract
+//! CPU steps: visited tree nodes) for the cost model.
 //!
 //! Counts live in one dense `Vec<u64>` in **candidate insertion order**,
 //! which is identical on every node (candidate generation is
@@ -27,19 +27,18 @@
 //! its candidates: the caller pairs `counts()` with the slices it built
 //! the counter from.
 
-mod hashmap;
 mod hashtree;
 
-pub use hashmap::HashMapCounter;
 pub use hashtree::HashTreeCounter;
 
 use crate::params::CounterKind;
-use gar_types::{ItemId, Itemset};
+use gar_types::Itemset;
 
 /// Meters returned by a counting call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CountOutcome {
-    /// Abstract work: subsets enumerated / tree nodes visited.
+    /// Abstract work: tree nodes visited (subsets enumerated, for the
+    /// test-only flat map).
     pub work: u64,
     /// Successful probes (candidate count increments).
     pub hits: u64,
@@ -53,8 +52,8 @@ impl CountOutcome {
     }
 }
 
-/// Footprint of an arena-backed counter, reported as the
-/// `counter.arena.*` obs series (one observation per counter built).
+/// Footprint of the counter's arena, reported as the `counter.arena.*`
+/// obs series (one observation per counter built).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Tree nodes in the arena.
@@ -68,68 +67,12 @@ pub struct ArenaStats {
     pub bytes: u64,
 }
 
-/// A support counter over a fixed candidate set.
-pub trait CandidateCounter: Send {
-    /// Number of candidates.
-    fn num_candidates(&self) -> usize;
-
-    /// The `k` of the k-itemsets being counted.
-    fn k(&self) -> usize;
-
-    /// Probes one sorted k-itemset; increments its count if it is a
-    /// candidate. Returns the outcome (work 1, hits 0/1).
-    fn probe(&mut self, itemset: &[ItemId]) -> CountOutcome;
-
-    /// Probes each k-itemset of `flat` (itemsets back to back, a trailing
-    /// partial one ignored) — the fold of [`probe`](Self::probe): work is
-    /// the number of itemsets, hits the sum of theirs. One call per
-    /// received batch or per transaction's local subsets.
-    fn probe_many(&mut self, flat: &[ItemId]) -> CountOutcome {
-        let mut out = CountOutcome::default();
-        for itemset in flat.chunks_exact(self.k()) {
-            out.absorb(self.probe(itemset));
-        }
-        out
-    }
-
-    /// Counts every candidate contained in the sorted, de-duplicated
-    /// transaction `t` (increments each at most once).
-    fn count_transaction(&mut self, t: &[ItemId]) -> CountOutcome;
-
-    /// The counts, in candidate insertion order.
-    fn counts(&self) -> &[u64];
-
-    /// Arena footprint when the counter is backed by a flat arena;
-    /// `None` for hash-map structures.
-    fn arena_stats(&self) -> Option<ArenaStats> {
-        None
-    }
-}
-
-/// Builds the configured counter over `candidates` (all of size `k`, all
-/// distinct).
-pub fn build_counter(
-    kind: CounterKind,
-    k: usize,
-    candidates: &[Itemset],
-) -> Box<dyn CandidateCounter> {
-    build_union_counter(kind, k, &[candidates])
-}
-
-/// Builds one counter of the configured kind over the disjoint candidate
-/// sets `sets` (all of size `k`). Its counts are laid out set after set,
-/// and each `count_transaction` returns the sum of what one counter per
-/// set would return, so one walk of a transaction counts and meters every
-/// set. `probe` and `probe_many` meter the union as one set.
-pub fn build_union_counter(
-    kind: CounterKind,
-    k: usize,
-    sets: &[&[Itemset]],
-) -> Box<dyn CandidateCounter> {
-    match kind {
-        CounterKind::HashMap => Box::new(HashMapCounter::union(k, sets)),
-        CounterKind::HashTree => Box::new(HashTreeCounter::union(k, sets)),
-    }
+/// [`HashTreeCounter::new`] behind the one-value [`CounterKind`]. The
+/// miners call the tree directly; `benchmark/` still builds its pass-2
+/// counter here, so this stays until it builds the tree itself (ROADMAP
+/// item 6).
+pub fn build_counter(_kind: CounterKind, k: usize, candidates: &[Itemset]) -> HashTreeCounter {
+    HashTreeCounter::new(k, candidates)
 }
 
 /// Approximate in-memory footprint of one candidate k-itemset entry, in
@@ -142,16 +85,31 @@ pub fn candidate_entry_bytes(k: usize) -> u64 {
 }
 
 #[cfg(test)]
+mod hashmap;
+
+#[cfg(test)]
+use hashmap::HashMapCounter;
+
+/// Runs `$body` once with `$C` naming [`HashMapCounter`], then once with
+/// it naming [`HashTreeCounter`].
+#[cfg(test)]
+macro_rules! with_each_counter {
+    ($C:ident => $body:block) => {{
+        {
+            type $C = HashMapCounter;
+            $body
+        }
+        {
+            type $C = HashTreeCounter;
+            $body
+        }
+    }};
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use gar_types::iset;
-
-    fn counters(k: usize, cands: &[Itemset]) -> Vec<Box<dyn CandidateCounter>> {
-        vec![
-            build_counter(CounterKind::HashMap, k, cands),
-            build_counter(CounterKind::HashTree, k, cands),
-        ]
-    }
+    use gar_types::{iset, ItemId};
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()
@@ -160,9 +118,9 @@ mod tests {
     #[test]
     fn both_counters_agree_on_simple_counting() {
         let cands = vec![iset![1, 2], iset![2, 3], iset![4, 5]];
-        for mut c in counters(2, &cands) {
-            assert_eq!(c.num_candidates(), 3);
-            assert_eq!(c.k(), 2);
+        with_each_counter!(C => {
+            let mut c = C::new(2, &cands);
+            assert_eq!(c.counts().len(), 3);
             c.count_transaction(&ids(&[1, 2, 3]));
             c.count_transaction(&ids(&[2, 3]));
             c.count_transaction(&ids(&[1, 4]));
@@ -170,40 +128,43 @@ mod tests {
             assert_eq!(get(&iset![1, 2]), 1);
             assert_eq!(get(&iset![2, 3]), 2);
             assert_eq!(get(&iset![4, 5]), 0);
-        }
+        });
     }
 
     #[test]
     fn probe_hits_and_misses() {
         let cands = vec![iset![1, 2]];
-        for mut c in counters(2, &cands) {
+        with_each_counter!(C => {
+            let mut c = C::new(2, &cands);
             let hit = c.probe(&ids(&[1, 2]));
             assert_eq!(hit.hits, 1);
             let miss = c.probe(&ids(&[1, 3]));
             assert_eq!(miss.hits, 0);
             assert_eq!(c.counts(), &[1]);
-        }
+        });
     }
 
     #[test]
     fn counts_preserve_insertion_order() {
         let cands = vec![iset![9, 10], iset![1, 2], iset![5, 6]];
-        for mut c in counters(2, &cands) {
+        with_each_counter!(C => {
+            let mut c = C::new(2, &cands);
             c.probe(&ids(&[1, 2]));
             c.probe(&ids(&[1, 2]));
             c.probe(&ids(&[5, 6]));
             assert_eq!(c.counts(), &[0, 2, 1]);
-        }
+        });
     }
 
     #[test]
     fn transaction_shorter_than_k_is_no_work_hit_wise() {
         let cands = vec![iset![1, 2, 3]];
-        for mut c in counters(3, &cands) {
+        with_each_counter!(C => {
+            let mut c = C::new(3, &cands);
             let out = c.count_transaction(&ids(&[1, 2]));
             assert_eq!(out.hits, 0);
             assert_eq!(c.counts(), &[0]);
-        }
+        });
     }
 
     #[test]
@@ -215,13 +176,12 @@ mod tests {
             iset![1, 3, 5],
         ];
         let t = ids(&[1, 2, 3, 4, 5, 6]);
-        let mut results = Vec::new();
-        for mut c in counters(3, &cands) {
-            c.count_transaction(&t);
-            results.push(c.counts().to_vec());
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], vec![1, 1, 1, 1]);
+        let mut flat = HashMapCounter::new(3, &cands);
+        let mut tree = HashTreeCounter::new(3, &cands);
+        flat.count_transaction(&t);
+        tree.count_transaction(&t);
+        assert_eq!(flat.counts(), tree.counts());
+        assert_eq!(tree.counts(), &[1, 1, 1, 1]);
     }
 
     #[test]
@@ -229,10 +189,11 @@ mod tests {
         // Counters require sorted deduped transactions; a candidate is
         // counted at most once per call even when it matches.
         let cands = vec![iset![1, 2]];
-        for mut c in counters(2, &cands) {
+        with_each_counter!(C => {
+            let mut c = C::new(2, &cands);
             c.count_transaction(&ids(&[1, 2]));
             assert_eq!(c.counts(), &[1]);
-        }
+        });
     }
 
     #[test]
@@ -247,18 +208,36 @@ mod tests {
         // C(20,3) = 1140 subsets; the tree only walks matching prefixes.
         let cands = vec![iset![1, 2, 3]];
         let t: Vec<ItemId> = (1..=20).map(ItemId).collect();
-        let mut flat = build_counter(CounterKind::HashMap, 3, &cands);
-        let mut tree = build_counter(CounterKind::HashTree, 3, &cands);
+        let mut flat = HashMapCounter::new(3, &cands);
+        let mut tree = HashTreeCounter::new(3, &cands);
         let wf = flat.count_transaction(&t).work;
         let wt = tree.count_transaction(&t).work;
         assert!(wt < wf, "tree work {wt} >= flat work {wf}");
         assert_eq!(flat.counts(), tree.counts());
+    }
+
+    // `benchmark/` times its pass-2 counter through `build_counter`, so
+    // what it builds must be the tree the miners build: same counts, same
+    // meters, same arena.
+    #[test]
+    fn build_counter_counts_and_meters_like_the_tree() {
+        let cands = vec![iset![1, 2], iset![1, 5], iset![2, 3], iset![3, 5]];
+        let mut built = build_counter(CounterKind::default(), 2, &cands);
+        let mut tree = HashTreeCounter::new(2, &cands);
+        assert_eq!(built.arena_stats(), Some(tree.stats()));
+        for t in [&[1, 2, 3, 5][..], &[2, 3], &[1, 4, 5], &[3], &[1, 2, 5]] {
+            let t = ids(t);
+            assert_eq!(built.count_transaction(&t), tree.count_transaction(&t));
+        }
+        assert_eq!(built.counts(), tree.counts());
+        assert_eq!(built.counts(), &[2, 3, 2, 1]);
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use gar_types::ItemId;
     use proptest::prelude::*;
 
     fn arb_itemsets(k: usize) -> impl Strategy<Value = Vec<Itemset>> {
@@ -289,13 +268,13 @@ mod proptests {
                     }
                 }
             }
-            for kind in [CounterKind::HashMap, CounterKind::HashTree] {
-                let mut counter = build_counter(kind, 2, &cands);
+            with_each_counter!(C => {
+                let mut counter = C::new(2, &cands);
                 for t in &txns {
                     counter.count_transaction(t);
                 }
                 prop_assert_eq!(counter.counts(), truth.as_slice());
-            }
+            });
         }
 
         #[test]
@@ -307,8 +286,8 @@ mod proptests {
             let txns: Vec<Vec<ItemId>> = txns.into_iter()
                 .map(|s| s.into_iter().map(ItemId).collect())
                 .collect();
-            let mut flat = build_counter(CounterKind::HashMap, 3, &cands);
-            let mut tree = build_counter(CounterKind::HashTree, 3, &cands);
+            let mut flat = HashMapCounter::new(3, &cands);
+            let mut tree = HashTreeCounter::new(3, &cands);
             let mut flat_hits = 0;
             let mut tree_hits = 0;
             for t in &txns {
@@ -341,9 +320,9 @@ mod proptests {
                     sets[to as usize].push(c);
                 }
             }
-            for kind in [CounterKind::HashMap, CounterKind::HashTree] {
-                let mut union = build_union_counter(kind, k, &[&sets[0], &sets[1]]);
-                let mut apart: Vec<_> = sets.iter().map(|s| build_counter(kind, k, s)).collect();
+            with_each_counter!(C => {
+                let mut union = C::union(k, &[&sets[0], &sets[1]]);
+                let mut apart: Vec<_> = sets.iter().map(|s| C::new(k, s)).collect();
                 for t in &txns {
                     let t: Vec<ItemId> = t.iter().copied().map(ItemId).collect();
                     let mut sum = CountOutcome::default();
@@ -354,7 +333,7 @@ mod proptests {
                 }
                 let concat: Vec<u64> = apart.iter().flat_map(|c| c.counts().to_vec()).collect();
                 prop_assert_eq!(union.counts(), concat.as_slice());
-            }
+            });
         }
 
         // HPGM probes a received batch, or a transaction's local subsets,
@@ -394,16 +373,16 @@ mod proptests {
                 }
                 flat.extend(set);
             }
-            for kind in [CounterKind::HashMap, CounterKind::HashTree] {
-                let mut many = build_counter(kind, k, &cands);
-                let mut one = build_counter(kind, k, &cands);
+            with_each_counter!(C => {
+                let mut many = C::new(k, &cands);
+                let mut one = C::new(k, &cands);
                 let mut folded = CountOutcome::default();
                 for itemset in flat.chunks_exact(k) {
                     folded.absorb(one.probe(itemset));
                 }
                 prop_assert_eq!(many.probe_many(&flat), folded);
                 prop_assert_eq!(many.counts(), one.counts());
-            }
+            });
         }
     }
 }

@@ -4,12 +4,12 @@
 //!
 //! # Layout
 //!
-//! * [`params`] — mining parameters (minimum support/confidence, counter
-//!   choice, pass limits).
+//! * [`params`] — mining parameters (minimum support, pass limits) and
+//!   the algorithm table.
 //! * [`candidate`] — Apriori candidate generation `L_{k-1} ⋈ L_{k-1}` with
 //!   the subset prune and Cumulate's taxonomy-aware pass-2 pruning.
-//! * [`counter`] — candidate support counters: a flat Fx hash map and a
-//!   classic Apriori hash tree, both probe-counted.
+//! * [`counter`] — the candidate support counter: an Apriori hash tree in
+//!   one arena, probe-counted, held in tests to a flat Fx hash map.
 //! * [`sequential`] — Cumulate ([SA95], the algorithm every parallel
 //!   variant distributes) and Apriori ([RR94], the hierarchy-blind
 //!   baseline: Cumulate over the edge-less taxonomy).

@@ -7,9 +7,9 @@
 
 use crate::candidate::candidates_for_pass;
 use crate::checkpoint::{self, Checkpoint, CheckpointFormat, CheckpointPass, CheckpointSink};
-use crate::counter::{candidate_entry_bytes, CandidateCounter};
+use crate::counter::{candidate_entry_bytes, HashTreeCounter};
 use crate::parallel::MineOptions;
-use crate::params::{Algorithm, CounterKind, MiningParams};
+use crate::params::{Algorithm, MiningParams};
 use crate::report::{LargePass, MiningOutput, ParallelReport, PassReport};
 use crate::sequential::large_items_from_counts;
 use crate::wire::{self, ItemListBatch, ItemsetBatch};
@@ -19,7 +19,7 @@ use gar_cluster::{
 };
 use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::Taxonomy;
-use gar_types::hash::{fx_hash_u32s, fx_mix};
+use gar_types::hash::fx_mix;
 use gar_types::{Error, ItemId, Itemset, Result};
 use std::sync::Arc;
 
@@ -41,20 +41,6 @@ const BATCH_FLUSH_BYTES: usize = 16 * 1024;
 /// How many transactions to process between opportunistic inbox drains
 /// during an exchange phase.
 pub(crate) const POLL_EVERY_TXNS: usize = 32;
-
-/// The node a placement key lives on: Fx hash of the key's words (an
-/// itemset's codes for HPGM, its root codes for the H-HPGM family and
-/// FP-Growth), modulo the cluster size.
-#[inline]
-pub fn owner_of(key: impl IntoIterator<Item = u32>, num_nodes: usize) -> usize {
-    owner_of_hash(fx_hash_u32s(key), num_nodes)
-}
-
-/// [`owner_of`] for a key whose placement hash the caller already holds.
-#[inline]
-pub(crate) fn owner_of_hash(hash: u64, num_nodes: usize) -> usize {
-    (hash % num_nodes as u64) as usize
-}
 
 /// Per-pass bookkeeping accumulated by a node: everything the report needs
 /// beyond the counter snapshots. Built by [`close_pass`].
@@ -566,19 +552,18 @@ pub(crate) fn for_each_root_multiset(roots: &[(u32, usize)], k: usize, f: &mut i
 }
 
 /// Records a freshly built counter's arena footprint (`counter.arena.*`,
-/// one observation per counter per pass); no-op for non-arena counters.
-pub(crate) fn record_arena_obs(ctx: &NodeCtx, k: usize, counter: &dyn CandidateCounter) {
+/// one observation per counter per pass).
+pub(crate) fn record_arena_obs(ctx: &NodeCtx, k: usize, counter: &HashTreeCounter) {
     let obs = ctx.obs();
     if !obs.is_enabled() {
         return;
     }
-    if let Some(s) = counter.arena_stats() {
-        let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
-        obs.add("counter.arena.nodes", &labels, s.nodes);
-        obs.add("counter.arena.edges", &labels, s.edges);
-        obs.add("counter.arena.dense_nodes", &labels, s.dense_nodes);
-        obs.add("counter.arena.bytes", &labels, s.bytes);
-    }
+    let s = counter.stats();
+    let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
+    obs.add("counter.arena.nodes", &labels, s.nodes);
+    obs.add("counter.arena.edges", &labels, s.edges);
+    obs.add("counter.arena.dense_nodes", &labels, s.dense_nodes);
+    obs.add("counter.arena.bytes", &labels, s.bytes);
 }
 
 /// Closes a pass on this node, the one way every miner family does: cuts
@@ -708,12 +693,6 @@ pub(crate) fn node_pass_loop(
         persist.store(ctx, || checkpoint_of(algorithm, &p1, &passes, &pass_infos))?;
     }
 
-    // Probe metrics are split by the backing structure so hashmap and
-    // hashtree runs are comparable (Figure 15's per-node probe series).
-    let (probes_metric, hits_metric) = match params.counter {
-        CounterKind::HashMap => ("counter.hashmap.probes", "counter.hashmap.hits"),
-        CounterKind::HashTree => ("counter.hashtree.probes", "counter.hashtree.hits"),
-    };
     for k in passes.len() + 1.. {
         if passes.last().is_none_or(|p| p.itemsets.is_empty())
             || params.max_pass.is_some_and(|max| k > max)
@@ -745,8 +724,11 @@ pub(crate) fn node_pass_loop(
         };
         let info = close_pass(ctx, &mut since, info);
         let labels = [("node", ctx.node_id() as u64), ("pass", k as u64)];
-        ctx.obs().add(probes_metric, &labels, result.probes);
-        ctx.obs().add(hits_metric, &labels, info.delta.hash_probes);
+        // Figure 15's per-node probe series.
+        ctx.obs()
+            .add("counter.hashtree.probes", &labels, result.probes);
+        ctx.obs()
+            .add("counter.hashtree.hits", &labels, info.delta.hash_probes);
         pass_infos.push(info);
 
         if result.large.is_empty() {
@@ -817,6 +799,7 @@ pub fn assemble_report(cluster: &ClusterConfig, run: ClusterRun<NodeOutcome>) ->
 mod tests {
     use super::*;
     use gar_taxonomy::TaxonomyBuilder;
+    use gar_types::hash::{fx_hash_u32s, place};
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
         v.iter().map(|&x| ItemId(x)).collect()
@@ -861,20 +844,23 @@ mod tests {
     #[test]
     fn owner_is_stable_bounded_and_spread() {
         for n in 1..8 {
-            let o = owner_of([3, 7], n);
+            let o = place(fx_hash_u32s([3, 7]), n);
             assert!(o < n);
-            assert_eq!(o, owner_of([3, 7], n));
+            assert_eq!(o, place(fx_hash_u32s([3, 7]), n));
         }
         // 100 distinct pairs over 4 nodes: every node should own some.
         let mut seen = [false; 4];
         for a in 0..10u32 {
             for b in 10..20u32 {
-                seen[owner_of([a, b], 4)] = true;
+                seen[place(fx_hash_u32s([a, b]), 4)] = true;
             }
         }
         assert!(seen.iter().all(|&s| s));
-        // The one placement hash, shared with the serving layer's shards.
-        assert_eq!(owner_of([5, 5], 64) as u64, fx_hash_u32s([5, 5]) % 64);
+        // The one placement rule, shared with the serving layer's shards.
+        assert_eq!(
+            place(fx_hash_u32s([5, 5]), 64) as u64,
+            fx_hash_u32s([5, 5]) % 64
+        );
     }
 
     #[test]
@@ -923,6 +909,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use gar_types::hash::fx_hash_u32s;
     use proptest::prelude::*;
 
     proptest! {

@@ -22,9 +22,9 @@
 
 use crate::candidate::items_in_candidates;
 use crate::checkpoint::Checkpoint;
-use crate::counter::{build_counter, build_union_counter, CandidateCounter};
+use crate::counter::HashTreeCounter;
 use crate::parallel::common::{
-    assemble_report, candidates_bytes, gather_large, node_pass_loop, owner_of, record_arena_obs,
+    assemble_report, candidates_bytes, gather_large, node_pass_loop, record_arena_obs,
     scan_partition, tags, BatchedExchange, Pass1, PassPersistence, PassResult, POLL_EVERY_TXNS,
 };
 use crate::parallel::duplicate::{root_keys, select_duplicate_indices, DuplicateGrain};
@@ -35,6 +35,7 @@ use crate::wire::{for_each_item_list, ItemListBatch};
 use gar_cluster::{Cluster, ClusterConfig, NodeCtx};
 use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
+use gar_types::hash::{fx_hash_u32s, place};
 use gar_types::{ItemId, Itemset, Result};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -42,11 +43,6 @@ use std::sync::{Arc, Mutex};
 
 /// Sentinel for "no slot".
 const NONE: u32 = u32::MAX;
-
-/// Owner node of a root-itemset key.
-fn owner_of_key(key: &[u32], num_nodes: usize) -> usize {
-    owner_of(key.iter().copied(), num_nodes)
-}
 
 /// The route of a pass: every *active* root multiset — the root key of a
 /// candidate that stays hash-partitioned — mapped to its owner node. It
@@ -314,7 +310,7 @@ fn build_pass_setup(
     let keys = root_keys(candidates, tax);
     let key = |i: usize| &keys[i * k..][..k];
     let owners: Vec<usize> = (0..candidates.len())
-        .map(|i| owner_of_key(key(i), num_nodes))
+        .map(|i| place(fx_hash_u32s(key(i).iter().copied()), num_nodes))
         .collect();
 
     let (selected, taken) = match grain {
@@ -367,7 +363,7 @@ fn count_extended(
     ctx: &NodeCtx,
     tax: &Taxonomy,
     view: &PrunedView,
-    counter: &mut dyn CandidateCounter,
+    counter: &mut HashTreeCounter,
     items: &[ItemId],
     ext: &mut Vec<ItemId>,
 ) -> u64 {
@@ -447,12 +443,11 @@ pub(crate) fn mine(
                 // counter of their own, the union's when nothing is
                 // duplicated.
                 let mine = &partitions[me];
-                let mut local = build_union_counter(params.counter, k, &[duplicated, mine]);
-                let mut remote =
-                    (!duplicated.is_empty()).then(|| build_counter(params.counter, k, mine));
-                record_arena_obs(ctx, k, local.as_ref());
+                let mut local = HashTreeCounter::union(k, &[duplicated, mine]);
+                let mut remote = (!duplicated.is_empty()).then(|| HashTreeCounter::new(k, mine));
+                record_arena_obs(ctx, k, &local);
                 if let Some(remote) = &remote {
-                    record_arena_obs(ctx, k, remote.as_ref());
+                    record_arena_obs(ctx, k, remote);
                 }
 
                 let probes = Cell::new(0u64);
@@ -461,7 +456,7 @@ pub(crate) fn mine(
                 let mut reduced: Vec<ItemId> = Vec::new();
                 let mut ext_scratch: Vec<ItemId> = Vec::new();
                 let mut receive =
-                    |counter: &mut dyn CandidateCounter, ext: &mut Vec<ItemId>, payload: &[u8]| {
+                    |counter: &mut HashTreeCounter, ext: &mut Vec<ItemId>, payload: &[u8]| {
                         for_each_item_list(payload, &mut recv_scratch, |list| {
                             let w = count_extended(ctx, tax, view, counter, list, ext);
                             probes.set(probes.get() + w);
@@ -477,8 +472,7 @@ pub(crate) fn mine(
                     if reduced.is_empty() {
                         return Ok(());
                     }
-                    let w =
-                        count_extended(ctx, tax, view, local.as_mut(), &reduced, &mut ext_scratch);
+                    let w = count_extended(ctx, tax, view, &mut local, &reduced, &mut ext_scratch);
                     probes.set(probes.get() + w);
 
                     // Ship sub-transactions to the other owners (this
@@ -488,10 +482,10 @@ pub(crate) fn mine(
                         ex.push(owner, |batch| batch.push(sub))
                     })?;
                     ctx.add_cpu(combos);
-                    let counter = remote.as_deref_mut().unwrap_or(local.as_mut());
+                    let counter = remote.as_mut().unwrap_or(&mut local);
                     ex.unit_done(|p| receive(counter, &mut ext_scratch, p))
                 })?;
-                let counter = remote.as_deref_mut().unwrap_or(local.as_mut());
+                let counter = remote.as_mut().unwrap_or(&mut local);
                 ex.finish(|p| receive(counter, &mut ext_scratch, p))?;
 
                 let _count = ctx.span("count");
@@ -559,7 +553,7 @@ mod tests {
         for_each_root_multiset(&roots, k, &mut |combo| {
             combos += 1;
             if active.contains(combo) {
-                let owner = owner_of_key(combo, num_nodes);
+                let owner = place(fx_hash_u32s(combo.iter().copied()), num_nodes);
                 for &r in combo {
                     owner_roots[owner].insert(r);
                 }
@@ -622,7 +616,9 @@ mod tests {
                 &tax,
                 k,
                 num_nodes,
-                keys.iter().map(|key| (key.as_slice(), owner_of_key(key, num_nodes))),
+                keys.iter().map(|key| {
+                    (key.as_slice(), place(fx_hash_u32s(key.iter().copied()), num_nodes))
+                }),
             );
             let mut router = Router::new(&route);
 
@@ -658,7 +654,7 @@ mod tests {
         let t = [ItemId(2), ItemId(3), ItemId(4)];
         // (0, 0) and (0, 1) are available, (1, 1) is not: 2 ticks.
         let key = [0u32, 1];
-        let owner = owner_of_key(&key, 2);
+        let owner = place(fx_hash_u32s(key), 2);
         let route = Route::new(&tax, 2, 2, std::iter::once((&key[..], owner)));
         let mut router = Router::new(&route);
         let mut shipped = Vec::new();

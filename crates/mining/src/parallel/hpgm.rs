@@ -11,11 +11,10 @@
 
 use crate::candidate::items_in_candidates;
 use crate::checkpoint::Checkpoint;
-use crate::counter::{build_counter, CandidateCounter, CountOutcome};
+use crate::counter::{CountOutcome, HashTreeCounter};
 use crate::parallel::common::{
-    assemble_report, for_each_k_subset, gather_large, node_pass_loop, owner_of, owner_of_hash,
-    record_arena_obs, scan_partition, tags, BatchedExchange, PassPersistence, PassResult,
-    POLL_EVERY_TXNS,
+    assemble_report, for_each_k_subset, gather_large, node_pass_loop, record_arena_obs,
+    scan_partition, tags, BatchedExchange, PassPersistence, PassResult, POLL_EVERY_TXNS,
 };
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
@@ -24,6 +23,7 @@ use crate::wire::{decode_itemsets, ItemsetBatch};
 use gar_cluster::{Cluster, ClusterConfig};
 use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
+use gar_types::hash::{fx_hash_u32s, place};
 use gar_types::{Itemset, Result};
 use std::cell::Cell;
 
@@ -54,11 +54,11 @@ pub(crate) fn mine(
                 // partitioning function) lands on this node.
                 let mine: Vec<Itemset> = candidates
                     .iter()
-                    .filter(|c| owner_of(c.items().iter().map(|it| it.raw()), n) == me)
+                    .filter(|c| place(fx_hash_u32s(c.items().iter().map(|it| it.raw())), n) == me)
                     .cloned()
                     .collect();
-                let mut counter = build_counter(params.counter, k, &mine);
-                record_arena_obs(ctx, k, counter.as_ref());
+                let mut counter = HashTreeCounter::new(k, &mine);
+                record_arena_obs(ctx, k, &counter);
 
                 // A k-itemset landing on its owner, generated here or
                 // received, is one probe of this node's partition and one
@@ -71,7 +71,7 @@ pub(crate) fn mine(
                     probes.set(probes.get() + out.work);
                 };
                 let mut received = Vec::new();
-                let mut receive = |counter: &mut dyn CandidateCounter, payload: &[u8]| {
+                let mut receive = |counter: &mut HashTreeCounter, payload: &[u8]| {
                     decode_itemsets(payload, k, &mut received)?;
                     charge(counter.probe_many(&received), 0);
                     Ok(())
@@ -88,7 +88,7 @@ pub(crate) fn mine(
                     local.clear();
                     let mut shipped = 0u64;
                     for_each_k_subset(&extended, k, &mut scratch, &mut |subset, hash| {
-                        let owner = owner_of_hash(hash, n);
+                        let owner = place(hash, n);
                         if owner == me {
                             local.extend_from_slice(subset);
                             Ok(())
@@ -100,9 +100,9 @@ pub(crate) fn mine(
                     // The extension, one tick per shipped subset, one probe
                     // per local one.
                     charge(counter.probe_many(&local), extended.len() as u64 + shipped);
-                    ex.unit_done(|payload| receive(counter.as_mut(), payload))
+                    ex.unit_done(|payload| receive(&mut counter, payload))
                 })?;
-                ex.finish(|payload| receive(counter.as_mut(), payload))?;
+                ex.finish(|payload| receive(&mut counter, payload))?;
 
                 // Each node decides its own candidates, the coordinator merges.
                 let _count = ctx.span("count");

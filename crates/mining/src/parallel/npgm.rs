@@ -11,7 +11,7 @@
 
 use crate::candidate::items_in_candidates;
 use crate::checkpoint::Checkpoint;
-use crate::counter::build_counter;
+use crate::counter::HashTreeCounter;
 use crate::parallel::common::{
     assemble_report, candidates_bytes, node_pass_loop, record_arena_obs, scan_partition,
     PassPersistence, PassResult,
@@ -54,8 +54,8 @@ pub(crate) fn mine(
                 let mut probes = 0u64;
                 let mut extended = Vec::new();
                 for fragment in candidates.chunks(frag_len.max(1)) {
-                    let mut counter = build_counter(params.counter, k, fragment);
-                    record_arena_obs(ctx, k, counter.as_ref());
+                    let mut counter = HashTreeCounter::new(k, fragment);
+                    record_arena_obs(ctx, k, &counter);
                     scan_partition(ctx, part, |t| {
                         view.extend_transaction_into(tax, t, &mut extended);
                         ctx.add_cpu(extended.len() as u64);

@@ -2,20 +2,13 @@
 
 use gar_types::{Error, Result};
 
-/// Which candidate counter backs support counting.
+/// The candidate counter: there is one, the hash tree
+/// ([`HashTreeCounter`](crate::counter::HashTreeCounter)). The type and
+/// [`MiningParams::counter`] remain only because `benchmark/` still names
+/// them; both go when it stops (ROADMAP item 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CounterKind {
-    /// Flat Fx hash map keyed by the itemset: one probe per generated
-    /// k-subset. This is the structure the HPA family (and this paper)
-    /// describe — "search the hash table; if hit, increment its sup_cou".
-    /// Beware at high `k`: enumerating all `C(|t'|, k)` subsets of a long
-    /// extended transaction is combinatorial (the paper's measurements
-    /// stop at pass 2, where it is the natural choice).
-    HashMap,
-    /// Apriori hash tree ([RR94]): walks transaction and candidate tree
-    /// together, so only subsets matching some candidate prefix are ever
-    /// enumerated — essential for deep passes. The default; yields
-    /// bit-identical counts and probe (hit) meters to [`CounterKind::HashMap`].
+    /// Apriori hash tree ([RR94]).
     #[default]
     HashTree,
 }
@@ -46,6 +39,21 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// Every algorithm, in declaration order: the sequential baselines,
+    /// the six parallel Apriori-family algorithms in the paper's
+    /// presentation order, then FP-Growth.
+    pub const ALL: [Algorithm; 9] = [
+        Algorithm::Apriori,
+        Algorithm::Cumulate,
+        Algorithm::Npgm,
+        Algorithm::Hpgm,
+        Algorithm::HHpgm,
+        Algorithm::HHpgmTgd,
+        Algorithm::HHpgmPgd,
+        Algorithm::HHpgmFgd,
+        Algorithm::FpGrowth,
+    ];
+
     /// The paper's name for the algorithm.
     pub fn name(&self) -> &'static str {
         match self {
@@ -66,14 +74,7 @@ impl Algorithm {
     /// the `gar-fpg` crate and the suites that iterate this list drive
     /// the candidate-generation pass loop.
     pub fn parallel_all() -> [Algorithm; 6] {
-        [
-            Algorithm::Npgm,
-            Algorithm::Hpgm,
-            Algorithm::HHpgm,
-            Algorithm::HHpgmTgd,
-            Algorithm::HHpgmPgd,
-            Algorithm::HHpgmFgd,
-        ]
+        std::array::from_fn(|i| Algorithm::ALL[2 + i])
     }
 }
 
@@ -92,7 +93,7 @@ pub struct MiningParams {
     /// Stop after this pass even if large itemsets remain (`None` = run to
     /// fixpoint). The paper's measurements focus on pass 2.
     pub max_pass: Option<usize>,
-    /// Candidate counter implementation.
+    /// Always [`CounterKind::HashTree`]; see [`CounterKind`].
     pub counter: CounterKind,
 }
 
@@ -109,12 +110,6 @@ impl MiningParams {
     /// Limits the run to the first `k` passes.
     pub fn max_pass(mut self, k: usize) -> MiningParams {
         self.max_pass = Some(k);
-        self
-    }
-
-    /// Selects the counter implementation.
-    pub fn counter(mut self, kind: CounterKind) -> MiningParams {
-        self.counter = kind;
         self
     }
 
@@ -170,15 +165,22 @@ mod tests {
     fn algorithm_names_match_paper() {
         assert_eq!(Algorithm::HHpgmFgd.name(), "H-HPGM-FGD");
         assert_eq!(Algorithm::Npgm.to_string(), "NPGM");
-        assert_eq!(Algorithm::parallel_all().len(), 6);
+        assert_eq!(
+            Algorithm::parallel_all().map(|a| a.name()),
+            [
+                "NPGM",
+                "HPGM",
+                "H-HPGM",
+                "H-HPGM-TGD",
+                "H-HPGM-PGD",
+                "H-HPGM-FGD"
+            ]
+        );
     }
 
     #[test]
     fn builder_style_setters() {
-        let p = MiningParams::with_min_support(0.01)
-            .max_pass(2)
-            .counter(CounterKind::HashTree);
+        let p = MiningParams::with_min_support(0.01).max_pass(2);
         assert_eq!(p.max_pass, Some(2));
-        assert_eq!(p.counter, CounterKind::HashTree);
     }
 }

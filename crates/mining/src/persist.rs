@@ -114,23 +114,13 @@ pub(crate) fn read_counted_block(c: &mut Cursor<'_>, k: usize) -> Result<Vec<(It
 
 /// Resolves an algorithm from its paper name (case-insensitive).
 pub fn algorithm_by_name(name: &str) -> Result<Algorithm> {
-    let all = [
-        Algorithm::Apriori,
-        Algorithm::Cumulate,
-        Algorithm::Npgm,
-        Algorithm::Hpgm,
-        Algorithm::HHpgm,
-        Algorithm::HHpgmTgd,
-        Algorithm::HHpgmPgd,
-        Algorithm::HHpgmFgd,
-        Algorithm::FpGrowth,
-    ];
-    all.into_iter()
+    Algorithm::ALL
+        .into_iter()
         .find(|a| a.name().eq_ignore_ascii_case(name))
         .ok_or_else(|| {
             Error::InvalidConfig(format!(
                 "unknown algorithm '{name}' (expected one of {})",
-                all.map(|a| a.name()).join(", ")
+                Algorithm::ALL.map(|a| a.name()).join(", ")
             ))
         })
 }
@@ -230,6 +220,10 @@ mod tests {
         );
         assert_eq!(algorithm_by_name("NPGM").unwrap(), Algorithm::Npgm);
         assert_eq!(algorithm_by_name("Cumulate").unwrap(), Algorithm::Cumulate);
-        assert!(algorithm_by_name("magic").is_err());
+        assert_eq!(
+            algorithm_by_name("magic").unwrap_err().to_string(),
+            "invalid configuration: unknown algorithm 'magic' (expected one of Apriori, \
+             Cumulate, NPGM, HPGM, H-HPGM, H-HPGM-TGD, H-HPGM-PGD, H-HPGM-FGD, FP-Growth)"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The Cumulate algorithm ([SA95]), as described in the paper's section 2.
 
 use crate::candidate::{candidates_for_pass, items_in_candidates};
-use crate::counter::build_counter;
+use crate::counter::HashTreeCounter;
 use crate::params::{Algorithm, MiningParams};
 use crate::report::{LargePass, MiningOutput};
 use crate::sequential::{extract_large, large_items_from_counts};
@@ -84,7 +84,7 @@ pub fn cumulate_metered(
 
         // Optimization 2: prune taxonomy items absent from all candidates.
         let view = PrunedView::new(tax, items_in_candidates(&candidates));
-        let mut counter = build_counter(params.counter, k, &candidates);
+        let mut counter = HashTreeCounter::new(k, &candidates);
 
         let io_before = part.bytes_read();
         let mut scan = part.scan()?;
@@ -291,22 +291,5 @@ mod tests {
         assert!(m.io_bytes > 0, "scanned bytes must be charged");
         // At least the item pass and the pair pass touch the data.
         assert!(m.scan_passes >= 2);
-    }
-
-    #[test]
-    fn both_counter_kinds_give_identical_results() {
-        let tax = sa95_taxonomy();
-        let db = sa95_db();
-        let a = cumulate(db.partition(0), &tax, &MiningParams::with_min_support(0.3)).unwrap();
-        let b = cumulate(
-            db.partition(0),
-            &tax,
-            &MiningParams::with_min_support(0.3).counter(crate::params::CounterKind::HashMap),
-        )
-        .unwrap();
-        assert_eq!(a.num_large(), b.num_large());
-        for (x, y) in a.all_large().zip(b.all_large()) {
-            assert_eq!(x, y);
-        }
     }
 }

@@ -6,7 +6,7 @@ use gar_cluster::ClusterConfig;
 use gar_mining::oracle::mine_naive;
 use gar_mining::parallel::mine_parallel;
 use gar_mining::sequential::{apriori, cumulate};
-use gar_mining::{Algorithm, CounterKind, MiningParams};
+use gar_mining::{Algorithm, MiningParams};
 use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::synth::{synthesize, SynthTaxonomyConfig};
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
@@ -125,17 +125,6 @@ proptest! {
             (naive.num_transactions, naive.min_support_count),
             (fast.num_transactions, fast.min_support_count)
         );
-        outputs_equal(&naive, &fast).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
-    fn cumulate_with_flat_map_counter_matches_oracle(s in arb_scenario()) {
-        let params = MiningParams::with_min_support(s.min_support)
-            .counter(CounterKind::HashMap)
-            .max_pass(3);
-        let naive = mine_naive(&s.txns, &s.tax, &params);
-        let db = PartitionedDatabase::build_in_memory(1, s.txns.clone().into_iter()).unwrap();
-        let fast = cumulate(db.partition(0), &s.tax, &params).unwrap();
         outputs_equal(&naive, &fast).map_err(TestCaseError::fail)?;
     }
 

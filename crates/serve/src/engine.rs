@@ -55,7 +55,7 @@ use crate::index::RuleIndex;
 use crate::store::RuleStore;
 use gar_mining::rules::Rule;
 use gar_taxonomy::Taxonomy;
-use gar_types::hash::fx_hash_u32s;
+use gar_types::hash::{fx_hash_u32s, place};
 use gar_types::{FxHashMap, ItemId, Itemset};
 use std::cmp::Ordering;
 
@@ -77,14 +77,6 @@ pub struct Recommendation {
 #[derive(Debug, Clone, Copy)]
 pub struct Match(u32);
 
-/// The shard of a sorted, distinct root key: its FxHash modulo the
-/// shard count — H-HPGM's `owner_of_key` transplanted to serving. Rule
-/// placement and basket routing both call this, and nothing else
-/// decides a shard.
-fn place(roots: &[u32], num_shards: usize) -> usize {
-    (fx_hash_u32s(roots.iter().copied()) % num_shards.max(1) as u64) as usize
-}
-
 /// Fills `out` with the sorted distinct root ids of `items`. An item
 /// outside the taxonomy stands for itself: it has no root, and no
 /// taxonomy item can share its id.
@@ -101,14 +93,16 @@ fn root_key(items: &[ItemId], tax: &Taxonomy, out: &mut Vec<u32>) {
     out.dedup();
 }
 
-/// The shard of an itemset: `place` of its sorted **distinct**
-/// root-id key. Deduplication makes the key a set, so the single-root
-/// key `{r}` of a basket lands where the antecedent of every rule that
-/// basket can trigger does.
+/// The shard of an itemset: [`place`] of its sorted **distinct**
+/// root-id key — H-HPGM's placement transplanted to serving. Rule
+/// placement and basket routing both come here, and nothing else
+/// decides a shard. Deduplication makes the key a set, so the
+/// single-root key `{r}` of a basket lands where the antecedent of every
+/// rule that basket can trigger does.
 pub fn shard_of(items: &[ItemId], tax: &Taxonomy, num_shards: usize) -> usize {
     let mut roots = Vec::new();
     root_key(items, tax, &mut roots);
-    place(&roots, num_shards)
+    place(fx_hash_u32s(roots.iter().copied()), num_shards)
 }
 
 /// Where a basket's shard work has to go, decided by
@@ -228,7 +222,8 @@ impl Catalog {
             // basket must contain for the rule to fire, so affinity
             // routing can prove single-root queries shard-local.
             root_key(rule.antecedent.items(), &taxonomy, &mut roots);
-            if let Some(shard) = placed.get_mut(place(&roots, num_shards)) {
+            let shard = place(fx_hash_u32s(roots.iter().copied()), num_shards);
+            if let Some(shard) = placed.get_mut(shard) {
                 shard.push((rank, rule));
             }
         }
@@ -300,7 +295,7 @@ impl Catalog {
         }
         match root {
             None => Route::Empty,
-            Some(r) => Route::Single(place(&[r], self.shards.len())),
+            Some(r) => Route::Single(place(fx_hash_u32s([r]), self.shards.len())),
         }
     }
 
@@ -678,6 +673,25 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].consequent, iset![5]);
         assert_eq!(recs[1].consequent, iset![7]);
+    }
+
+    #[test]
+    fn consequents_sharing_an_item_outside_the_taxonomy_merge() {
+        // Item 8 is past the 8-item [SA95] forest; it stands for itself.
+        // At equal score {3,8} specializes {1,8}: jackets(3) sit under
+        // outerwear(1), and 8 covers 8.
+        for shards in [1, 2] {
+            let cat = catalog(
+                vec![
+                    rule(iset![4], iset![1, 8], 2, 0.5),
+                    rule(iset![4], iset![3, 8], 2, 0.5),
+                ],
+                shards,
+            );
+            let recs = cat.query(&[ItemId(4)], 5);
+            let got: Vec<&Itemset> = recs.iter().map(|r| &r.consequent).collect();
+            assert_eq!(got, [&iset![3, 8]], "shards={shards}");
+        }
     }
 
     #[test]

@@ -148,14 +148,15 @@ impl Taxonomy {
         self.children[item.index()].is_empty()
     }
 
-    /// True when `anc` is a **proper** ancestor of `desc`.
+    /// True when `anc` is a **proper** ancestor of `desc`. An id outside
+    /// the taxonomy has no ancestor and is no item's ancestor.
     pub fn is_ancestor(&self, anc: ItemId, desc: ItemId) -> bool {
         // Depth prunes most negative queries; ancestor lists are short
         // (taxonomy depth), so a linear scan beats building hash sets.
-        if self.depth[anc.index()] >= self.depth[desc.index()] {
-            return false;
+        match (self.depth.get(anc.index()), self.depth.get(desc.index())) {
+            (Some(a), Some(d)) if a < d => self.ancestors(desc).contains(&anc),
+            _ => false,
         }
-        self.ancestors(desc).contains(&anc)
     }
 
     /// True when `a == b`, or one is a proper ancestor of the other.
@@ -290,6 +291,17 @@ mod tests {
         assert!(t.related(ItemId(10), ItemId(1)));
         assert!(t.related(ItemId(7), ItemId(7)));
         assert!(!t.related(ItemId(7), ItemId(9)));
+    }
+
+    #[test]
+    fn ids_outside_the_taxonomy_are_unrelated_to_it() {
+        let t = paper_forest();
+        let out = ItemId(t.num_items());
+        assert!(!t.is_ancestor(ItemId(1), out));
+        assert!(!t.is_ancestor(out, ItemId(10)));
+        assert!(!t.is_ancestor(out, ItemId(out.raw() + 1)));
+        assert!(!t.related(ItemId(1), out));
+        assert!(t.related(out, out));
     }
 
     #[test]

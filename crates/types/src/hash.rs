@@ -96,7 +96,7 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// Hash a sequence of `u32` words (an itemset's codes) with the Fx mix —
-/// the one placement hash behind every `owner_of` in the workspace.
+/// the placement hash of a key: see [`place`].
 #[inline]
 pub fn fx_hash_u32s(values: impl IntoIterator<Item = u32>) -> u64 {
     let mut h = FxHasher::default();
@@ -104,6 +104,18 @@ pub fn fx_hash_u32s(values: impl IntoIterator<Item = u32>) -> u64 {
         h.write_u32(v);
     }
     h.finish()
+}
+
+/// The one placement rule of the workspace: a key whose placement hash
+/// ([`fx_hash_u32s`] of its words) is `hash` lives in slot `hash mod n`
+/// (`n = 0` counts as 1). It places an HPGM candidate by its codes, an
+/// H-HPGM candidate and an FP-Growth projection by their root codes on
+/// the cluster's nodes, and a rule by its antecedent's root key on the
+/// serving shards. Callers that carry a key's hash from its prefix pass
+/// that hash in.
+#[inline]
+pub fn place(hash: u64, n: usize) -> usize {
+    (hash % n.max(1) as u64) as usize
 }
 
 /// The FxHash checksum sealing every persisted blob and wire frame in the

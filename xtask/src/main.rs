@@ -38,8 +38,8 @@ fn usage() -> &'static str {
      commands:\n\
        ci            run the full CI job sequence locally (fmt, clippy,\n\
                      release build, test, examples, benchmark self-tests\n\
-                     + one short checked run, figures, loom, chaos,\n\
-                     serve-chaos)\n\
+                     + one short checked run, figures, loc, loom,\n\
+                     chaos, serve-chaos)\n\
        loom          model-check the cluster collectives and the serve\n\
                      epoch cell (the checker's own tests first)\n\
        chaos         seeded fault-injection soak (GAR_CHAOS_ITERS scales it)\n\

@@ -162,7 +162,7 @@ changed=$(git status --porcelain -- "$dir") || exit
 /// Runs the CI job sequence locally, in the same order the workflow
 /// does: format + clippy, the release build, the tests, the examples,
 /// the benchmark harness's self-tests and one short checked benchmark
-/// run, the figures gate, loom, chaos and
+/// run, the figures gate, the non-test line count, loom, chaos and
 /// serve-chaos. Stops at the first failing job so the console ends at the
 /// same place the CI log would. `cargo xtask ci` before pushing ≈ a green run.
 pub fn ci(root: &Path, _args: &[String]) -> u8 {
@@ -221,6 +221,7 @@ pub fn ci(root: &Path, _args: &[String]) -> u8 {
             )
         }),
         ("figures", &|| figures(root, &[])),
+        ("loc", &|| crate::loc::run(root)),
         ("loom", &|| loom(root, &[])),
         ("chaos", &|| chaos(root, &[])),
         ("serve-chaos", &|| serve_chaos(root, &[])),
