@@ -4,7 +4,7 @@
 use crate::args::Args;
 use crate::commands::check_items;
 use gar_mining::persist::load_output;
-use gar_mining::rules::{derive_rules, prune_uninteresting};
+use gar_mining::rules::{derive_rules, prune_uninteresting, top_rules};
 use gar_serve::RuleStore;
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
 use gar_types::Result;
@@ -54,7 +54,7 @@ pub fn run(args: &Args) -> Result<()> {
         );
     }
 
-    for rule in rules.iter().take(top) {
+    for rule in top_rules(&rules, top) {
         println!("  {rule}");
     }
     if rules.len() > top {

@@ -21,6 +21,14 @@
 //! shorter than every large itemset, since none of them can have a
 //! support.
 //!
+//! Rules have one stored order: the canonical `(antecedent, consequent)`
+//! key order of [`canonicalize_rules`]. [`derive_rules`] reaches it with
+//! one sort of packed 16-byte integers, one per rule, and moves each rule
+//! once; the rule store checks the order in one pass, and the serving
+//! catalog reads a store position where it would compare keys.
+//! Presentation order (confidence first, [`presentation_order`]) is a
+//! view: [`top_rules`] selects and sorts only the rules it shows.
+//!
 //! As the [SA95] extension, [`prune_uninteresting`] implements the
 //! **R-interesting** filter: a rule is kept only if its support is at
 //! least `R` times what its *closest ancestor rule* predicts (the
@@ -30,6 +38,7 @@
 use crate::report::MiningOutput;
 use gar_taxonomy::Taxonomy;
 use gar_types::{FxHashMap, FxHashSet, ItemId, Itemset};
+use std::cmp::Ordering;
 
 /// One association rule `antecedent ⇒ consequent`.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +60,12 @@ impl Rule {
     pub fn itemset(&self) -> Itemset {
         self.antecedent.union(&self.consequent)
     }
+
+    /// The rule's key `(antecedent, consequent)`: unique in a store, and
+    /// the store's order.
+    pub fn key(&self) -> (&Itemset, &Itemset) {
+        (&self.antecedent, &self.consequent)
+    }
 }
 
 impl std::fmt::Display for Rule {
@@ -66,40 +81,56 @@ impl std::fmt::Display for Rule {
     }
 }
 
-/// Canonical presentation order: confidence desc, support desc, then the
-/// rule's itemsets. The `(antecedent, consequent)` key is unique, so the
-/// order is total and an unstable sort cannot reorder ties.
-#[expect(
-    clippy::unwrap_used,
-    reason = "confidences are ratios of counts, never NaN"
-)]
-fn sort_rules(rules: &mut [Rule]) {
-    rules.sort_unstable_by(|a, b| {
-        b.confidence
-            .partial_cmp(&a.confidence)
-            .unwrap()
-            .then_with(|| b.support_count.cmp(&a.support_count))
-            .then_with(|| (&a.antecedent, &a.consequent).cmp(&(&b.antecedent, &b.consequent)))
-    });
+/// Presentation order: confidence desc, support desc, then the rule's
+/// key. The `(antecedent, consequent)` key is unique, so the order is
+/// total and an unstable sort cannot reorder ties. No store holds rules
+/// in this order; [`top_rules`] is the view that shows them in it.
+pub fn presentation_order(a: &Rule, b: &Rule) -> Ordering {
+    // Confidences are ratios of counts, so never negative: `total_cmp`
+    // orders them as `partial_cmp` does, and a NaN from a hand-built
+    // output sorts instead of panicking.
+    b.confidence
+        .total_cmp(&a.confidence)
+        .then_with(|| b.support_count.cmp(&a.support_count))
+        .then_with(|| a.key().cmp(&b.key()))
 }
 
-/// Canonical *storage* order: sorted by `(antecedent, consequent)` item
-/// ids, one rule kept per key. Unlike [`sort_rules`] (a presentation
-/// order keyed on floating-point confidence), this order depends only on
-/// the item ids, so the same rule set serializes to the same bytes no
-/// matter which algorithm or node count produced it — the invariant the
-/// persisted rule store's determinism guarantee rests on. Of rules that
-/// share a key, the one kept is the least by `(support_count, confidence
-/// bits)`, so which survives does not depend on the input order either.
+/// The first `n` of `rules` in [`presentation_order`]: selects them,
+/// then sorts only those, so showing the top of a large rule set costs
+/// O(len + n log n).
+pub fn top_rules(rules: &[Rule], n: usize) -> Vec<&Rule> {
+    let mut top: Vec<&Rule> = rules.iter().collect();
+    if n < top.len() {
+        top.select_nth_unstable_by(n, |a, b| presentation_order(a, b));
+        top.truncate(n);
+    }
+    top.sort_unstable_by(|a, b| presentation_order(a, b));
+    top
+}
+
+/// Canonical order — the one order rules are stored in: sorted by
+/// `(antecedent, consequent)` item ids, one rule kept per key. Unlike
+/// [`presentation_order`] (keyed on floating-point confidence), it
+/// depends only on the item ids, so the same rule set serializes to the
+/// same bytes no matter which algorithm or node count produced it — the
+/// invariant the persisted rule store's determinism guarantee rests on.
+/// Of rules that share a key, the one kept is the least by
+/// `(support_count, confidence bits)`, so which survives does not depend
+/// on the input order either.
+///
+/// [`derive_rules`] already returns this order, so the common case is
+/// one linear check; only other input is sorted and deduplicated.
 pub fn canonicalize_rules(rules: &mut Vec<Rule>) {
+    if rules.is_sorted_by(|a, b| a.key() < b.key()) {
+        return;
+    }
     rules.sort_by(|a, b| {
-        a.antecedent
-            .cmp(&b.antecedent)
-            .then_with(|| a.consequent.cmp(&b.consequent))
+        a.key()
+            .cmp(&b.key())
             .then_with(|| a.support_count.cmp(&b.support_count))
             .then_with(|| a.confidence.to_bits().cmp(&b.confidence.to_bits()))
     });
-    rules.dedup_by(|a, b| a.antecedent == b.antecedent && a.consequent == b.consequent);
+    rules.dedup_by(|a, b| a.key() == b.key());
 }
 
 /// The support of every large itemset, keyed by its items and borrowed
@@ -109,8 +140,10 @@ fn borrowed_supports(output: &MiningOutput) -> FxHashMap<&[ItemId], u64> {
 }
 
 /// Derives every rule meeting `min_confidence` from the mined large
-/// itemsets. With a taxonomy, rules whose consequent holds an ancestor of
-/// an antecedent item are dropped as redundant.
+/// itemsets, in canonical `(antecedent, consequent)` order (see
+/// [`canonicalize_rules`]); each key occurs once. With a taxonomy, rules
+/// whose consequent holds an ancestor of an antecedent item are dropped
+/// as redundant.
 pub fn derive_rules(
     output: &MiningOutput,
     min_confidence: f64,
@@ -178,8 +211,69 @@ pub fn derive_rules(
             m += 1;
         }
     }
-    sort_rules(&mut rules);
+    sort_by_key_order(&mut rules);
     rules
+}
+
+/// Sorts `rules` into `(antecedent, consequent)` order with one sort of
+/// 16-byte integers. A key is read as the symbols `antecedent, 0,
+/// consequent, 0`, each item `i` as `i + 1`: no such sequence is a prefix
+/// of another, so comparing them symbol by symbol is comparing the keys.
+/// Each sort key packs as many leading symbols as fit in 96 bits, at the
+/// width the largest item needs, above the rule's position; only rules
+/// whose packed prefixes tie (keys longer than the prefix) are compared
+/// item by item afterwards. The rules then move once, in place, along
+/// the cycles of the sorted positions.
+fn sort_by_key_order(rules: &mut [Rule]) {
+    let symbol = |it: &ItemId| u64::from(it.raw()) + 1;
+    let top = rules
+        .iter()
+        .flat_map(|r| r.antecedent.items().iter().chain(r.consequent.items()))
+        .map(symbol)
+        .max()
+        .unwrap_or(0);
+    let width = (u64::BITS - top.leading_zeros()).max(1);
+    let slots = 96 / width;
+    let mut packed: Vec<u128> = (0u32..)
+        .zip(rules.iter())
+        .map(|(at, r)| {
+            let symbols = r
+                .antecedent
+                .items()
+                .iter()
+                .map(symbol)
+                .chain([0])
+                .chain(r.consequent.items().iter().map(symbol))
+                .chain([0]);
+            let mut prefix = 0u128;
+            let mut filled = 0;
+            for symbol in symbols.take(slots as usize) {
+                prefix = prefix << width | u128::from(symbol);
+                filled += 1;
+            }
+            (prefix << (width * (slots - filled))) << 32 | u128::from(at)
+        })
+        .collect();
+    packed.sort_unstable();
+    let at = |p: &u128| *p as u32 as usize;
+    for tied in packed.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+        if tied.len() > 1 {
+            tied.sort_unstable_by_key(|p| rules.get(at(p)).map(Rule::key));
+        }
+    }
+    // Position `i` takes the rule at `from[i]`; a done position points
+    // at itself.
+    let mut from: Vec<usize> = packed.iter().map(at).collect();
+    for start in 0..from.len() {
+        let mut i = start;
+        while from[i] != start {
+            let next = from[i];
+            rules.swap(i, next);
+            from[i] = i;
+            i = next;
+        }
+        from[i] = i;
+    }
 }
 
 /// [AS94] apriori-gen over consequents: joins every two `alive` rows of
@@ -363,9 +457,30 @@ mod tests {
 
     #[test]
     fn rules_sorted_by_confidence() {
+        // Derivation stores key order; the presentation view sorts by
+        // confidence, and its top `n` is the full sort's first `n`.
         let (tax, out) = sa95();
         let rules = derive_rules(&out, 0.0, Some(&tax));
-        assert!(rules.windows(2).all(|w| w[0].confidence >= w[1].confidence));
+        let all = top_rules(&rules, rules.len());
+        assert_eq!(all.len(), rules.len());
+        assert!(all.windows(2).all(|w| w[0].confidence >= w[1].confidence));
+        assert!(all
+            .windows(2)
+            .all(|w| presentation_order(w[0], w[1]) == Ordering::Less));
+        for n in 0..=rules.len() + 1 {
+            assert_eq!(top_rules(&rules, n), all[..n.min(all.len())]);
+        }
+    }
+
+    #[test]
+    fn derived_rules_come_in_canonical_order() {
+        let (tax, out) = sa95();
+        let rules = derive_rules(&out, 0.0, Some(&tax));
+        assert!(rules.len() > 2);
+        let mut canonical = rules.clone();
+        canonicalize_rules(&mut canonical);
+        assert_eq!(canonical, rules);
+        assert!(rules.windows(2).all(|w| w[0].key() < w[1].key()));
     }
 
     #[test]
@@ -494,7 +609,7 @@ mod tests {
         let mut rules = Vec::new();
         #[expect(
             clippy::disallowed_methods,
-            reason = "each itemset derives its rules independently and `sort_rules` imposes a \
+            reason = "each itemset derives its rules independently and the key sort imposes a \
                       total order on the combined output, so visit order cannot leak into the \
                       report"
         )]
@@ -539,7 +654,8 @@ mod tests {
                 });
             }
         }
-        sort_rules(&mut rules);
+        // Canonical key order: what `derive_rules` returns.
+        rules.sort_unstable_by(|a, b| a.key().cmp(&b.key()));
         rules
     }
 
@@ -741,6 +857,44 @@ mod tests {
                     prune_uninteresting(&rules, &out, &tax, r),
                     prune_uninteresting_reference(&rules, &out, &tax, r)
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn key_order_sorts_like_the_keys(
+            keys in proptest::collection::vec(
+                (proptest::collection::btree_set(0u32..12, 1..6),
+                 proptest::collection::btree_set(0u32..12, 1..5)), 0..80),
+            scale in 0usize..3,
+        ) {
+            // Small ids pack whole keys; the widest ids leave two symbols
+            // per prefix, so most ties fall back to the items.
+            let scale = [1, 1 << 20, u32::MAX / 11][scale];
+            let itemset = |s: &std::collections::BTreeSet<u32>| -> Itemset {
+                s.iter().map(|&x| ItemId(x * scale)).collect()
+            };
+            // Each rule's support is its input position, to follow it.
+            let mut rules: Vec<Rule> = (0u64..)
+                .zip(&keys)
+                .map(|(at, (a, c))| Rule {
+                    antecedent: itemset(a),
+                    consequent: itemset(c),
+                    support_count: at,
+                    support: 0.0,
+                    confidence: 1.0,
+                })
+                .collect();
+            sort_by_key_order(&mut rules);
+            proptest::prop_assert!(rules.windows(2).all(|w| w[0].key() <= w[1].key()));
+            // Every rule moved whole, and none was lost or repeated.
+            let mut moved: Vec<u64> = rules.iter().map(|r| r.support_count).collect();
+            moved.sort_unstable();
+            proptest::prop_assert_eq!(moved, (0..keys.len() as u64).collect::<Vec<_>>());
+            for r in &rules {
+                let (a, c) = &keys[r.support_count as usize];
+                proptest::prop_assert!(r.antecedent == itemset(a) && r.consequent == itemset(c));
             }
         }
     }

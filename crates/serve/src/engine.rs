@@ -17,12 +17,15 @@
 //! without touching a [`Rule`] until an answer is built:
 //!
 //! * **Ranks.** [`Catalog::new`] keeps the store's rules in store order
-//!   and sorts one 16-byte key per rule into the answer's total order
-//!   (score desc, support desc, antecedent, consequent): the rule's
-//!   score, its interned consequent id (equal exactly when two rules'
-//!   consequents are) and its store position. A key's position in that
-//!   order is the rule's *rank*; a [`Match`] is a rank, merging is
-//!   ordering integers and reading keys, and no rule is ever copied.
+//!   and gives each one a 16-byte key: the rule's score, its interned
+//!   consequent id (equal exactly when two rules' consequents are) and
+//!   its store position. The keys are sorted into the answer's total
+//!   order (score desc, support desc, antecedent, consequent) as packed
+//!   integers `(score bits, support, position)`: the store holds rules
+//!   in key order, so position stands in for the key, and the sort
+//!   never opens a rule. A key's position in that order is the rule's
+//!   *rank*; a [`Match`] is a rank, merging is ordering integers and
+//!   reading keys, and no rule is ever copied.
 //! * **Containment.** Each shard holds a [`RuleIndex`]: one prefix
 //!   tree over its rules' antecedents, whose terminals are ranks and
 //!   carry their rules' consequents as flat item runs. The walk marks
@@ -57,7 +60,7 @@ use gar_mining::rules::Rule;
 use gar_taxonomy::Taxonomy;
 use gar_types::hash::{fx_hash_u32s, place};
 use gar_types::{FxHashMap, ItemId, Itemset};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 
 /// One answer entry: a consequent worth recommending.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,16 +124,6 @@ pub enum Route {
 
 fn score(rule: &Rule) -> f64 {
     rule.confidence * rule.support
-}
-
-/// The answer's order among rules of equal score: support desc, then
-/// the rule key. The key is unique (stores are canonical), so ties
-/// cannot reorder.
-fn tie_order(a: &Rule, b: &Rule) -> Ordering {
-    b.support_count
-        .cmp(&a.support_count)
-        .then_with(|| a.antecedent.cmp(&b.antecedent))
-        .then_with(|| a.consequent.cmp(&b.consequent))
 }
 
 /// A rule as the merge sees it: everything but the answer's payload.
@@ -197,16 +190,23 @@ impl Catalog {
                 }
             })
             .collect();
-        // Only a score tie opens the two rules.
-        ranks.sort_unstable_by(|a, b| {
-            let tie = || match (rules.get(a.at as usize), rules.get(b.at as usize)) {
-                (Some(a), Some(b)) => tie_order(a, b),
-                _ => Ordering::Equal,
-            };
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then_with(tie)
+        // The answer's order is score desc, support desc, antecedent,
+        // consequent. The store is canonical (strictly ascending by
+        // antecedent, consequent), so the last two are the store position
+        // and the sort compares integers only. Scores are finite and
+        // >= 0: supports are counts over the database, and confidences
+        // are ratios of counts from `derive_rules` or pass `check_rule`
+        // on `load`. For those the IEEE bit pattern ascends with the
+        // value, so sorting `to_bits` sorts as `partial_cmp` does, once
+        // `abs` folds a `-0.0` onto the `0.0` it equals.
+        debug_assert!(
+            rules.is_sorted_by(|a, b| a.key() < b.key()),
+            "a catalog needs a canonical store"
+        );
+        let supports: Vec<u64> = rules.iter().map(|r| r.support_count).collect();
+        ranks.sort_unstable_by_key(|key| {
+            let support = supports.get(key.at as usize).copied().unwrap_or(0);
+            (Reverse(key.score.abs().to_bits()), Reverse(support), key.at)
         });
         let mut rank_of = vec![0u32; rules.len()];
         for (rank, key) in (0u32..).zip(&ranks) {
@@ -430,9 +430,20 @@ mod tests {
     use super::*;
     use crate::testutil::{rule, sa95_taxonomy};
     use gar_types::iset;
+    use std::cmp::Ordering;
 
     fn catalog(rules: Vec<Rule>, num_shards: usize) -> Catalog {
         Catalog::new(RuleStore::new(rules, sa95_taxonomy(), 6), num_shards)
+    }
+
+    /// The answer's order among rules of equal score: support desc, then
+    /// the rule key. The key is unique (stores are canonical), so ties
+    /// cannot reorder.
+    fn tie_order(a: &Rule, b: &Rule) -> Ordering {
+        b.support_count
+            .cmp(&a.support_count)
+            .then_with(|| a.antecedent.cmp(&b.antecedent))
+            .then_with(|| a.consequent.cmp(&b.consequent))
     }
 
     /// The scan and merge as they were before consequents rode the
@@ -615,6 +626,77 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_rank_keys_are_exact_under_heavy_ties() {
+        // 40 items: roots 0..4, leaf i under root (i - 4) % 4. Over 64
+        // transactions, supports 4, 8 and 16 at confidences 1, 1/2 and
+        // 1/4 all score exactly 1/16, so every rank is a tie broken by
+        // support and then by key.
+        let mut b = gar_taxonomy::TaxonomyBuilder::new(40);
+        for leaf in 4..40 {
+            b.edge(leaf, (leaf - 4) % 4).unwrap();
+        }
+        let tax = b.build().unwrap();
+        let measures = [(4, 1.0), (8, 0.5), (16, 0.25)];
+        let mut rules = Vec::new();
+        for a in 4..40u32 {
+            for c in (0..40u32).filter(|&c| c != a) {
+                let (support_count, confidence) = measures[((a * 7 + c) % 3) as usize];
+                let antecedent = if c % 5 == 0 {
+                    iset![a, (a + 1) % 40]
+                } else {
+                    iset![a]
+                };
+                rules.push(Rule {
+                    antecedent,
+                    consequent: iset![c],
+                    support_count,
+                    support: 0.0,
+                    confidence,
+                });
+            }
+        }
+        // Presentation order: the store must not rely on its input's.
+        rules.sort_by(gar_mining::rules::presentation_order);
+        let store = RuleStore::new(rules, tax, 64);
+        assert!(store.rules.len() >= 1_000, "{} rules", store.rules.len());
+        let baskets: Vec<Vec<ItemId>> = vec![
+            vec![ItemId(5)],
+            vec![ItemId(6), ItemId(9)],
+            vec![ItemId(4), ItemId(5), ItemId(17), ItemId(30)],
+            (4..40).step_by(3).map(ItemId).collect(),
+        ];
+        let one = Catalog::new(store.clone(), 1);
+        let scores: Vec<u64> = one.ranks.iter().map(|k| k.score.to_bits()).collect();
+        assert!(scores.windows(2).all(|w| w[0] == w[1]), "scores differ");
+        let reference = Reference::new(&one);
+        let ranked: Vec<_> = one
+            .ranks
+            .iter()
+            .map(|k| one.rules[k.at as usize].key())
+            .collect();
+        let want: Vec<_> = reference.ranked.iter().map(|r| r.key()).collect();
+        assert_eq!(ranked, want);
+        let three = Catalog::new(store, 3);
+        for basket in &baskets {
+            let extended = one.extend_basket(basket);
+            for top_k in [1, 5, 1_000] {
+                let want = reference.merge(reference.scan_shard(0, &extended), top_k);
+                assert!(
+                    want.len() > top_k.min(5) - 1,
+                    "basket {basket:?}: {}",
+                    want.len()
+                );
+                assert_eq!(one.query(basket, top_k), want, "1 shard, basket {basket:?}");
+                assert_eq!(
+                    three.query(basket, top_k),
+                    want,
+                    "3 shards, basket {basket:?}"
+                );
             }
         }
     }

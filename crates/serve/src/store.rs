@@ -14,7 +14,12 @@
 //! strict ascent, so a given rule set has exactly one on-disk byte
 //! representation — same-seed stores are byte-identical no matter how
 //! many nodes mined them. The encoder checks every rule against the same
-//! invariants, so a store that saves is a store that loads.
+//! invariants, so a store that saves is a store that loads. Key order is
+//! the only order publish sorts into: [`gar_mining::rules::derive_rules`]
+//! emits it, so [`RuleStore::new`] checks it in one pass, and the serving
+//! catalog ranks by store position where the answer's order compares
+//! keys. Presentation order (by confidence) is only a view for printing
+//! ([`gar_mining::rules::top_rules`]).
 
 use gar_mining::rules::{canonicalize_rules, Rule};
 use gar_taxonomy::io::{decode_parents, encode_parents};
@@ -45,10 +50,12 @@ pub struct RuleStore {
 }
 
 impl RuleStore {
-    /// Builds a store, canonicalizing (sorting + deduplicating) `rules`.
-    /// Support fractions are re-derived from `support_count` over
-    /// `num_transactions` — the codec persists only the count, so this
-    /// keeps the in-memory store identical to its reloaded image.
+    /// Builds a store, canonicalizing (sorting + deduplicating) `rules`;
+    /// on [`gar_mining::rules::derive_rules`] output, already canonical,
+    /// that is one linear check. Support fractions are re-derived from
+    /// `support_count` over `num_transactions` — the codec persists only
+    /// the count, so this keeps the in-memory store identical to its
+    /// reloaded image.
     pub fn new(mut rules: Vec<Rule>, taxonomy: Taxonomy, num_transactions: u64) -> RuleStore {
         canonicalize_rules(&mut rules);
         for r in &mut rules {
@@ -237,6 +244,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<RuleStore> {
 mod tests {
     use super::*;
     use crate::testutil::{rule, sa95_taxonomy};
+    use gar_mining::rules::presentation_order;
     use gar_types::iset;
 
     fn sample() -> RuleStore {
@@ -298,6 +306,58 @@ mod tests {
             6,
         );
         assert_eq!(encode(&a).unwrap(), encode(&b).unwrap());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn store_bytes_do_not_depend_on_input_order(
+            drawn in proptest::collection::vec(
+                (proptest::collection::btree_set(0u32..8, 1..3),
+                 proptest::collection::btree_set(0u32..8, 1..3), 1u64..7, 0usize..4), 1..60),
+            weights in proptest::collection::vec(0u64..1_000, 90..91),
+        ) {
+            let itemset = |s: &std::collections::BTreeSet<u32>| -> Itemset {
+                s.iter().map(|&x| ItemId(x)).collect()
+            };
+            let mut all: Vec<Rule> = drawn
+                .iter()
+                .map(|(a, c, sup, conf)| {
+                    rule(itemset(a), itemset(c), *sup, [0.25, 0.5, 0.75, 1.0][*conf])
+                })
+                .collect();
+            // Conflicting duplicates: the same key with other measures.
+            let twins: Vec<Rule> = all
+                .iter()
+                .step_by(3)
+                .map(|r| {
+                    rule(r.antecedent.clone(), r.consequent.clone(), r.support_count % 6 + 1,
+                         1.0 - r.confidence)
+                })
+                .collect();
+            all.extend(twins);
+            // What derivation hands over: canonical, so `new` only checks it.
+            let mut canonical = all.clone();
+            canonicalize_rules(&mut canonical);
+            let mut by_key = all.clone();
+            by_key.sort_by(|a, b| a.key().cmp(&b.key()));
+            let mut presented = all.clone();
+            presented.sort_by(presentation_order);
+            let mut reversed = by_key.clone();
+            reversed.reverse();
+            let mut shuffled: Vec<(u64, Rule)> = weights.iter().copied().zip(all.clone()).collect();
+            shuffled.sort_by_key(|(w, _)| *w);
+            let shuffled: Vec<Rule> = shuffled.into_iter().map(|(_, r)| r).collect();
+            let bytes = |rules: Vec<Rule>| encode(&RuleStore::new(rules, sa95_taxonomy(), 6)).unwrap();
+            let want = bytes(canonical);
+            for (name, rules) in [
+                ("key order", by_key),
+                ("presentation order", presented),
+                ("reversed", reversed),
+                ("shuffled", shuffled),
+            ] {
+                proptest::prop_assert!(bytes(rules) == want, "{} encodes differently", name);
+            }
+        }
     }
 
     #[test]

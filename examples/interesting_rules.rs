@@ -6,7 +6,7 @@
 
 use gar::datagen::presets;
 use gar::datagen::TransactionGenerator;
-use gar::mining::rules::{derive_rules, prune_uninteresting};
+use gar::mining::rules::{derive_rules, prune_uninteresting, top_rules};
 use gar::mining::sequential::cumulate;
 use gar::mining::MiningParams;
 use gar::storage::PartitionedDatabase;
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let interesting = prune_uninteresting(&rules, &output, &taxonomy, 1.5);
     println!("\nmost confident R-interesting rules:");
-    for rule in interesting.iter().take(8) {
+    for rule in top_rules(&interesting, 8) {
         println!("  {rule}");
     }
     Ok(())

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use gar::mining::rules::derive_rules;
+use gar::mining::rules::{derive_rules, top_rules};
 use gar::mining::sequential::cumulate;
 use gar::mining::MiningParams;
 use gar::storage::PartitionedDatabase;
@@ -62,7 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Derive rules at 60% confidence. Note the hierarchy at work: no raw
     // transaction contains "outerwear", yet rules about it emerge.
     println!("\nRules (min confidence 60%):");
-    for rule in derive_rules(&output, 0.60, Some(&taxonomy)) {
+    let rules = derive_rules(&output, 0.60, Some(&taxonomy));
+    for rule in top_rules(&rules, rules.len()) {
         let fmt = |s: &gar::types::Itemset| {
             s.items()
                 .iter()

@@ -8,7 +8,7 @@ use gar::cluster::ClusterConfig;
 use gar::datagen::presets;
 use gar::datagen::TransactionGenerator;
 use gar::mining::parallel::mine_parallel;
-use gar::mining::rules::derive_rules;
+use gar::mining::rules::{derive_rules, top_rules};
 use gar::mining::sequential::cumulate;
 use gar::mining::{Algorithm, MiningParams};
 use gar::storage::PartitionedDatabase;
@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let rules = derive_rules(&report.output, 0.5, Some(&taxonomy));
     println!("\ntop rules at 50% confidence ({} total):", rules.len());
-    for rule in rules.iter().take(10) {
+    for rule in top_rules(&rules, 10) {
         println!("  {rule}");
     }
     Ok(())

@@ -32,27 +32,32 @@ use std::process::ExitCode;
 mod loc;
 mod runners;
 
-fn usage() -> &'static str {
-    "usage: cargo xtask <command>\n\
-     \n\
-     commands:\n\
-       ci            run the full CI job sequence locally (fmt, clippy,\n\
-                     release build, test, examples, benchmark self-tests\n\
-                     + one short checked run, figures, loc, loom,\n\
-                     chaos, serve-chaos)\n\
-       loom          model-check the cluster collectives and the serve\n\
-                     epoch cell (the checker's own tests first)\n\
-       chaos         seeded fault-injection soak (GAR_CHAOS_ITERS scales it)\n\
-       serve-chaos   seeded serve-layer fault soak (GAR_SERVE_CHAOS_SEEDS\n\
-                     pins the seed matrix)\n\
-       figures [NAME…]   regenerate figures (default all) and fail on any\n\
-                     change under results/ (GAR_* pass through)\n\
-       loc           non-test Rust lines per package and in total\n\
-       miri [--strict]   run miri over unsafe-bearing crates (skip if unavailable)\n\
-       tsan [--strict]   run ThreadSanitizer over cluster tests (skip if unavailable)\n\
-     \n\
-     --strict makes miri/tsan fail instead of skip when the toolchain\n\
-     component is missing."
+/// The usage text, one line per entry: a `\`-continued string literal
+/// would strip each continuation line's indentation.
+fn usage() -> String {
+    [
+        "usage: cargo xtask <command>",
+        "",
+        "commands:",
+        "  ci            run the full CI job sequence locally (fmt, clippy,",
+        "                release build, test, examples, benchmark self-tests",
+        "                + one short checked run, figures, loc, loom,",
+        "                chaos, serve-chaos)",
+        "  loom          model-check the cluster collectives and the serve",
+        "                epoch cell (the checker's own tests first)",
+        "  chaos         seeded fault-injection soak (GAR_CHAOS_ITERS scales it)",
+        "  serve-chaos   seeded serve-layer fault soak (GAR_SERVE_CHAOS_SEEDS",
+        "                pins the seed matrix)",
+        "  figures [NAME…]   regenerate figures (default all) and fail on any",
+        "                change under results/ (GAR_* pass through)",
+        "  loc           non-test Rust lines per package and in total",
+        "  miri [--strict]   run miri over unsafe-bearing crates (skip if unavailable)",
+        "  tsan [--strict]   run ThreadSanitizer over cluster tests (skip if unavailable)",
+        "",
+        "--strict makes miri/tsan fail instead of skip when the toolchain",
+        "component is missing.",
+    ]
+    .join("\n")
 }
 
 /// Workspace root: xtask always lives directly under it.
@@ -94,3 +99,22 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod relaxed;
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn usage_keeps_its_indentation() {
+        let text = super::usage();
+        let lines: Vec<&str> = text.lines().collect();
+        let ci = lines
+            .iter()
+            .position(|l| l.trim_start().starts_with("ci "))
+            .unwrap();
+        assert!(lines[ci].starts_with("  ci "), "{:?}", lines[ci]);
+        for line in &lines[ci + 1..ci + 4] {
+            assert!(line.starts_with("                "), "{line:?}");
+            assert!(!line.starts_with("                 "), "{line:?}");
+        }
+        assert!(lines.iter().any(|l| l.starts_with("  loc ")));
+    }
+}
