@@ -24,7 +24,7 @@
 //!   integers `(score bits, support, position)`: the store holds rules
 //!   in key order, so position stands in for the key, and the sort
 //!   never opens a rule. A key's position in that order is the rule's
-//!   *rank*; a [`Match`] is a rank, merging is ordering integers and
+//!   *rank*; a [`Match`] is a rank, merging is marking integers and
 //!   reading keys, and no rule is ever copied.
 //! * **Containment.** Each shard holds a [`RuleIndex`]: one prefix
 //!   tree over its rules' antecedents, whose terminals are ranks and
@@ -32,14 +32,17 @@
 //!   the extended transaction and descends only into marked nodes, so
 //!   it reaches exactly the rules whose antecedent is contained, and
 //!   tests their consequents against the same marks.
-//! * **Lazy filters.** The merge sorts the matched ranks and walks
-//!   them one score-tie group at a time, deduplicating consequents by
-//!   id and testing an entry only against entries that score at least
-//!   as high, and stops at `top_k` survivors. A consequent's length and
-//!   the hash of its distinct root set screen suppression pairs before
-//!   the taxonomy is asked: covering never crosses a root, so a specialization has the
-//!   same length and root set as what it specializes. Both filters sit
-//!   at the merge, so the answer is identical for every shard count.
+//! * **Merge at top-k's price.** The merge marks the matched ranks in
+//!   a per-thread bitmap and reads the marks in ascending order, one
+//!   `trailing_zeros` per match and one score-tie group at a time, up
+//!   to `top_k` survivors: nothing is sorted. Consequents are
+//!   deduplicated by id, and suppression reads a table: [`Catalog::new`]
+//!   lists, per interned consequent, the interned consequents it
+//!   properly specializes. Admitting an entry marks its generalizations
+//!   suppressed, and a judged entry is dropped iff its consequent is
+//!   marked — when a group is judged, every entry scoring at least as
+//!   high has been admitted. Both filters sit at the merge, so the
+//!   answer is identical for every shard count.
 //!
 //! Rules are sharded by the FxHash of their **antecedent's** sorted
 //! distinct root-id key — the placement of the H-HPGM family applied
@@ -60,6 +63,7 @@ use gar_mining::rules::Rule;
 use gar_taxonomy::Taxonomy;
 use gar_types::hash::{fx_hash_u32s, place};
 use gar_types::{FxHashMap, ItemId, Itemset};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 
 /// One answer entry: a consequent worth recommending.
@@ -137,9 +141,211 @@ struct RankKey {
     at: u32,
 }
 
-/// What suppression needs of a consequent before it asks the taxonomy:
-/// its length and the FxHash of its distinct root set.
-type Shape = (u32, u64);
+/// A set of small integers, one bit each.
+#[derive(Debug)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    /// Makes room for members below `n`.
+    fn grow(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if self.0.len() < words {
+            self.0.resize(words, 0);
+        }
+    }
+
+    /// Adds `i`; true when it was not a member. Past the room made by
+    /// [`Bits::grow`] nothing is added.
+    fn insert(&mut self, i: usize) -> bool {
+        let bit = 1u64 << (i % 64);
+        self.0.get_mut(i / 64).is_some_and(|word| {
+            let fresh = *word & bit == 0;
+            *word |= bit;
+            fresh
+        })
+    }
+
+    fn remove(&mut self, i: usize) {
+        if let Some(word) = self.0.get_mut(i / 64) {
+            *word &= !(1u64 << (i % 64));
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0
+            .get(i / 64)
+            .is_some_and(|word| word & (1u64 << (i % 64)) != 0)
+    }
+
+    /// The members from `start` on, in ascending order (one
+    /// `trailing_zeros` each), read until `count` have been.
+    fn ascending(&self, start: usize, count: usize) -> impl Iterator<Item = usize> + '_ {
+        let words = self.0.iter().enumerate().skip(start / 64);
+        words
+            .flat_map(|(at, &word)| {
+                std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)))
+                    .take_while(|&w| w != 0)
+                    .map(move |w| at * 64 + w.trailing_zeros() as usize)
+            })
+            .take(count)
+    }
+}
+
+/// What one merge marks: the matched ranks, the consequents admitted,
+/// and the consequents they suppress.
+#[derive(Debug)]
+struct MergeMarks {
+    ranks: Bits,
+    admitted: Bits,
+    suppressed: Bits,
+}
+
+thread_local! {
+    /// The calling thread's merge marks. All clear between merges (each
+    /// merge clears exactly what it set), so a thread pays one
+    /// allocation per catalog size, not one per basket.
+    static MERGE_MARKS: RefCell<MergeMarks> = const {
+        RefCell::new(MergeMarks {
+            ranks: Bits(Vec::new()),
+            admitted: Bits(Vec::new()),
+            suppressed: Bits(Vec::new()),
+        })
+    };
+}
+
+/// True when every item of `spec` has an ancestor-or-self in the
+/// ascending `gen`.
+fn covered(spec: &[ItemId], gen: &[ItemId], tax: &Taxonomy) -> bool {
+    spec.iter().all(|&item| {
+        gen.binary_search(&item).is_ok()
+            || ancestors_of(item, tax)
+                .iter()
+                .any(|a| gen.binary_search(a).is_ok())
+    })
+}
+
+/// The proper ancestors of `item`; none for an item outside the
+/// taxonomy, which stands for itself.
+fn ancestors_of(item: ItemId, tax: &Taxonomy) -> &[ItemId] {
+    if item.raw() < tax.num_items() {
+        tax.ancestors(item)
+    } else {
+        &[]
+    }
+}
+
+/// True when there are at most `cap` `k`-subsets of `n` items.
+fn subsets_at_most(n: usize, k: usize, cap: usize) -> bool {
+    let k = k.min(n.saturating_sub(k));
+    let mut count: u128 = 1;
+    for i in 0..k {
+        // C(n, i + 1) = C(n, i) × (n − i) / (i + 1), exactly.
+        count = count * (n - i) as u128 / (i + 1) as u128;
+        if count > cap as u128 {
+            return false;
+        }
+    }
+    true
+}
+
+/// Calls `f` with every `k`-subset of the ascending `items`, each
+/// ascending, in lexicographic order. The subset is a row of positions
+/// advanced like an odometer, so nothing recurses.
+fn for_each_subset(items: &[ItemId], k: usize, mut f: impl FnMut(&[ItemId])) {
+    let n = items.len();
+    if k > n {
+        return;
+    }
+    let mut at: Vec<usize> = (0..k).collect();
+    let mut subset: Vec<ItemId> = Vec::with_capacity(k);
+    loop {
+        subset.clear();
+        subset.extend(at.iter().filter_map(|&i| items.get(i)));
+        f(&subset);
+        // The last position that can still move right; those after it
+        // restart just behind it.
+        let Some(i) = (0..k)
+            .rev()
+            .find(|&i| at.get(i).is_some_and(|&a| a < n - k + i))
+        else {
+            return;
+        };
+        let from = at.get(i).map_or(0, |&a| a + 1);
+        for (next, slot) in (from..).zip(at.iter_mut().skip(i)) {
+            *slot = next;
+        }
+    }
+}
+
+/// The generalization table of `consequents` (indexed by interned id,
+/// `interned` their inverse): for each consequent, the ids of the
+/// consequents it properly specializes, as CSR arrays `(first, ids)` —
+/// consequent `c`'s are `ids[first[c]..first[c + 1]]`.
+///
+/// An `L`-item `spec` properly specializes a different `L`-item `gen`
+/// when every `gen` item is an ancestor-or-self of a `spec` item, i.e.
+/// lies in `spec`'s ancestor-or-self closure, and every `spec` item has
+/// an ancestor-or-self in `gen` ([`covered`]). Two candidate sources
+/// are complete: the `L`-subsets of the closure, looked up in
+/// `interned`, and the other `L`-item consequents, each tested for
+/// lying inside the closure. Per consequent the build takes whichever
+/// has fewer candidates, so a consequent costs at most min(C(|closure|,
+/// L), number of `L`-item consequents) candidates of O(L × (taxonomy
+/// depth + 1) × log) each, with |closure| ≤ L × (taxonomy depth + 1).
+/// Short consequents under a shallow taxonomy enumerate their few
+/// subsets; a long one scans its peers instead of C(|closure|, L)
+/// subsets, and nothing recurses.
+fn generalization_table(
+    consequents: &[&[ItemId]],
+    interned: &FxHashMap<&[ItemId], u32>,
+    tax: &Taxonomy,
+) -> (Vec<u32>, Vec<u32>) {
+    // `(length, id)`, sorted: the consequents of one length are a run.
+    let mut by_len: Vec<(usize, u32)> = (0u32..)
+        .zip(consequents)
+        .map(|(id, c)| (c.len(), id))
+        .collect();
+    by_len.sort_unstable();
+    let mut closure: Vec<ItemId> = Vec::new();
+    let mut first = Vec::with_capacity(consequents.len() + 1);
+    let mut ids = Vec::new();
+    first.push(0);
+    for (id, &spec) in (0u32..).zip(consequents) {
+        let len = spec.len();
+        let peers = by_len
+            .get(by_len.partition_point(|p| p.0 < len)..by_len.partition_point(|p| p.0 <= len))
+            .unwrap_or(&[]);
+        closure.clear();
+        for &item in spec {
+            closure.push(item);
+            closure.extend_from_slice(ancestors_of(item, tax));
+        }
+        closure.sort_unstable();
+        closure.dedup();
+        let mut admit = |gen: u32, gen_items: &[ItemId]| {
+            if gen != id && covered(spec, gen_items, tax) {
+                ids.push(gen);
+            }
+        };
+        if subsets_at_most(closure.len(), len, peers.len()) {
+            for_each_subset(&closure, len, |subset| {
+                if let Some(&gen) = interned.get(subset) {
+                    admit(gen, subset);
+                }
+            });
+        } else {
+            for &(_, gen) in peers {
+                if let Some(&gen_items) = consequents.get(gen as usize) {
+                    if gen_items.iter().all(|i| closure.binary_search(i).is_ok()) {
+                        admit(gen, gen_items);
+                    }
+                }
+            }
+        }
+        first.push(ids.len() as u32);
+    }
+    (first, ids)
+}
 
 /// A loaded, sharded, indexed rule set — the in-process query engine
 /// the TCP server (and embedders) answer from.
@@ -151,8 +357,11 @@ pub struct Catalog {
     rules: Vec<Rule>,
     /// Per rank, the rule's key: the keys in answer order.
     ranks: Vec<RankKey>,
-    /// Per interned consequent id, its [`Shape`].
-    shapes: Vec<Shape>,
+    /// The generalization table ([`generalization_table`]) over the
+    /// interned consequent ids: `general[general_first[c]..
+    /// general_first[c + 1]]` are the consequents `c` specializes.
+    general_first: Vec<u32>,
+    general: Vec<u32>,
     /// Per shard, the prefix tree over its rules' antecedents (ids are
     /// ranks).
     shards: Vec<RuleIndex>,
@@ -170,17 +379,14 @@ impl Catalog {
         } = store;
         // One key per rule in store order: its score and its interned
         // consequent, each computed once.
-        let mut interned: FxHashMap<&Itemset, u32> = FxHashMap::default();
-        let mut shapes: Vec<Shape> = Vec::new();
-        let mut roots: Vec<u32> = Vec::new();
+        let mut interned: FxHashMap<&[ItemId], u32> = FxHashMap::default();
+        let mut consequents: Vec<&[ItemId]> = Vec::new();
         let mut ranks: Vec<RankKey> = (0u32..)
             .zip(&rules)
             .map(|(at, r)| {
-                let fresh = shapes.len() as u32;
-                let consequent = *interned.entry(&r.consequent).or_insert_with(|| {
-                    root_key(r.consequent.items(), &taxonomy, &mut roots);
-                    let hash = fx_hash_u32s(roots.iter().copied());
-                    shapes.push((r.consequent.len() as u32, hash));
+                let fresh = consequents.len() as u32;
+                let consequent = *interned.entry(r.consequent.items()).or_insert_with(|| {
+                    consequents.push(r.consequent.items());
                     fresh
                 });
                 RankKey {
@@ -190,6 +396,7 @@ impl Catalog {
                 }
             })
             .collect();
+        let (general_first, general) = generalization_table(&consequents, &interned, &taxonomy);
         // The answer's order is score desc, support desc, antecedent,
         // consequent. The store is canonical (strictly ascending by
         // antecedent, consequent), so the last two are the store position
@@ -216,6 +423,7 @@ impl Catalog {
         }
         // Placement walks the store in order, so each shard's entries
         // arrive in antecedent order and its tree builds without a sort.
+        let mut roots: Vec<u32> = Vec::new();
         let mut placed: Vec<Vec<(u32, &Rule)>> = vec![Vec::new(); num_shards];
         for (rule, &rank) in rules.iter().zip(&rank_of) {
             // Placement by the *antecedent's* root key: the only part a
@@ -236,7 +444,8 @@ impl Catalog {
             num_transactions,
             rules,
             ranks,
-            shapes,
+            general_first,
+            general,
             shards,
         }
     }
@@ -327,89 +536,97 @@ impl Catalog {
     /// deterministic total order, consequent dedup, ancestor
     /// suppression, truncation — in that order, so the result does not
     /// depend on shard count or arrival order. Matches this catalog did
-    /// not produce are ignored.
+    /// not produce are ignored: a rank past [`Catalog::num_rules`] is
+    /// never read, and a repeated rank is read once.
     pub fn merge(&self, matches: Vec<Match>, top_k: usize) -> Vec<Recommendation> {
-        let mut ranks: Vec<u32> = matches.into_iter().map(|m| m.0).collect();
-        // Rank order *is* the total order.
-        ranks.sort_unstable();
-        let mut entries = ranks
-            .iter()
-            .filter_map(|&r| self.ranks.get(r as usize))
-            .peekable();
-        // `best` is the deduplicated prefix (the first, i.e. best, key
-        // per consequent); `judged` of its entries have been through
-        // suppression.
-        let mut best: Vec<RankKey> = Vec::new();
-        let mut judged = 0;
-        let mut out = Vec::new();
-        while out.len() < top_k {
-            // Admit one whole score-tie group: after it, `best` holds
-            // every entry scoring at least as high as the group — all
-            // that may suppress one of its members.
-            let mut group = entries.next();
-            if group.is_none() {
-                break;
-            }
-            while let Some(&key) = group {
-                if !best.iter().any(|b| b.consequent == key.consequent) {
-                    best.push(key);
+        MERGE_MARKS.with(|cell| {
+            let mut marks = cell.borrow_mut();
+            let MergeMarks {
+                ranks,
+                admitted,
+                suppressed,
+            } = &mut *marks;
+            ranks.grow(self.ranks.len());
+            admitted.grow(self.general_first.len());
+            suppressed.grow(self.general_first.len());
+            // Rank order *is* the total order: mark the matches, then
+            // read the marks in ascending order.
+            let (mut count, mut start) = (0, usize::MAX);
+            for &Match(rank) in &matches {
+                let rank = rank as usize;
+                if rank < self.ranks.len() && ranks.insert(rank) {
+                    count += 1;
+                    start = start.min(rank);
                 }
-                group = entries.next_if(|next| next.score == key.score);
             }
-            // Ancestor suppression: drop a match whose consequent is a
-            // generalization of a better-or-equal match's consequent.
-            for gen in best.iter().skip(judged) {
-                if out.len() == top_k {
+            let mut entries = ranks
+                .ascending(start, count)
+                .filter_map(|r| self.ranks.get(r))
+                .peekable();
+            // `best` is the deduplicated prefix (the first, i.e. best, key
+            // per consequent); `judged` of its entries have been through
+            // suppression.
+            let mut best: Vec<RankKey> = Vec::new();
+            let mut judged = 0;
+            let mut out = Vec::new();
+            while out.len() < top_k {
+                // Admit one whole score-tie group: after it, `best` holds
+                // every entry scoring at least as high as the group — all
+                // that may suppress one of its members — and `suppressed`
+                // holds every consequent one of them specializes.
+                let mut group = entries.next();
+                if group.is_none() {
                     break;
                 }
-                if best.iter().any(|spec| self.suppresses(spec, gen)) {
-                    continue;
+                while let Some(&key) = group {
+                    if admitted.insert(key.consequent as usize) {
+                        best.push(key);
+                        for &gen in self.generalizations(key.consequent) {
+                            suppressed.insert(gen as usize);
+                        }
+                    }
+                    group = entries.next_if(|next| next.score == key.score);
                 }
-                if let Some(rule) = self.rules.get(gen.at as usize) {
-                    out.push(Recommendation {
-                        consequent: rule.consequent.clone(),
-                        support_count: rule.support_count,
-                        confidence: rule.confidence,
-                        score: gen.score,
-                    });
+                // Ancestor suppression: drop a match whose consequent is a
+                // generalization of a better-or-equal match's consequent.
+                for gen in best.iter().skip(judged) {
+                    if out.len() == top_k {
+                        break;
+                    }
+                    if suppressed.contains(gen.consequent as usize) {
+                        continue;
+                    }
+                    if let Some(rule) = self.rules.get(gen.at as usize) {
+                        out.push(Recommendation {
+                            consequent: rule.consequent.clone(),
+                            support_count: rule.support_count,
+                            confidence: rule.confidence,
+                            score: gen.score,
+                        });
+                    }
+                }
+                judged = best.len();
+            }
+            drop(entries);
+            for key in &best {
+                admitted.remove(key.consequent as usize);
+                for &gen in self.generalizations(key.consequent) {
+                    suppressed.remove(gen as usize);
                 }
             }
-            judged = best.len();
-        }
-        out
-    }
-
-    /// True when `spec`'s consequent is a proper specialization of
-    /// `gen`'s. Distinct ids and equal shapes are necessary, so only a
-    /// pair that passes both opens the two rules.
-    fn suppresses(&self, spec: &RankKey, gen: &RankKey) -> bool {
-        let shape = |key: &RankKey| self.shapes.get(key.consequent as usize);
-        spec.consequent != gen.consequent
-            && shape(spec) == shape(gen)
-            && match (
-                self.rules.get(spec.at as usize),
-                self.rules.get(gen.at as usize),
-            ) {
-                (Some(s), Some(g)) => self.specializes(&s.consequent, &g.consequent),
-                _ => false,
+            for &Match(rank) in &matches {
+                ranks.remove(rank as usize);
             }
+            out
+        })
     }
 
-    /// True when `spec` is a proper item-wise specialization of `gen`:
-    /// same size, different sets, every `gen` item covered by an
-    /// equal-or-descendant `spec` item and vice versa.
-    fn specializes(&self, spec: &Itemset, gen: &Itemset) -> bool {
-        if spec.len() != gen.len() || spec == gen {
-            return false;
-        }
-        let covers = |g: ItemId, s: ItemId| g == s || self.taxonomy.is_ancestor(g, s);
-        gen.items()
-            .iter()
-            .all(|&g| spec.items().iter().any(|&s| covers(g, s)))
-            && spec
-                .items()
-                .iter()
-                .all(|&s| gen.items().iter().any(|&g| covers(g, s)))
+    /// The interned consequents that consequent `id` properly
+    /// specializes.
+    fn generalizations(&self, id: u32) -> &[u32] {
+        let at = |i: usize| self.general_first.get(i).map_or(0, |&x| x as usize);
+        let id = id as usize;
+        self.general.get(at(id)..at(id + 1)).unwrap_or(&[])
     }
 
     /// The full in-process query path: extend, match every shard,
@@ -434,6 +651,19 @@ mod tests {
 
     fn catalog(rules: Vec<Rule>, num_shards: usize) -> Catalog {
         Catalog::new(RuleStore::new(rules, sa95_taxonomy(), 6), num_shards)
+    }
+
+    /// True when `spec` is a proper item-wise specialization of `gen`:
+    /// same size, different sets, every `gen` item covered by an
+    /// equal-or-descendant `spec` item and vice versa — the pairwise
+    /// test the generalization table answers in advance.
+    fn specializes(tax: &Taxonomy, spec: &[ItemId], gen: &[ItemId]) -> bool {
+        if spec.len() != gen.len() || spec == gen {
+            return false;
+        }
+        let covers = |g: ItemId, s: ItemId| g == s || tax.is_ancestor(g, s);
+        gen.iter().all(|&g| spec.iter().any(|&s| covers(g, s)))
+            && spec.iter().all(|&s| gen.iter().any(|&g| covers(g, s)))
     }
 
     /// The answer's order among rules of equal score: support desc, then
@@ -522,7 +752,7 @@ mod tests {
                         break;
                     }
                     let suppressed = best.iter().any(|(spec, _)| {
-                        self.catalog.specializes(&spec.consequent, &gen.consequent)
+                        specializes(&self.catalog.taxonomy, &spec.consequent, &gen.consequent)
                     });
                     if !suppressed {
                         out.push(Recommendation {
@@ -537,6 +767,25 @@ mod tests {
             }
             out
         }
+    }
+
+    /// A random forest of `n` items: each item past the first three
+    /// hangs under a random earlier item three times out of four.
+    fn random_forest(n: u32, seed: u64) -> Taxonomy {
+        let mut state = seed;
+        let mut next = move |bound: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % u64::from(bound)) as u32
+        };
+        let mut b = gar_taxonomy::TaxonomyBuilder::new(n);
+        for child in 3..n {
+            if next(4) != 0 {
+                b.edge(child, next(child)).unwrap();
+            }
+        }
+        b.build().unwrap()
     }
 
     #[test]
@@ -554,20 +803,7 @@ mod tests {
             baskets in proptest::collection::vec(proptest::collection::vec(0u32..34, 0..14), 1..12),
         ) {
             let (n, seed) = forest;
-            // A random forest: each item past the first few hangs under
-            // a random earlier item three times out of four.
-            let mut state = seed;
-            let mut next = move |bound: u32| {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-                ((state >> 33) % u64::from(bound)) as u32
-            };
-            let mut b = gar_taxonomy::TaxonomyBuilder::new(n);
-            for child in 3..n {
-                if next(4) != 0 {
-                    b.edge(child, next(child)).unwrap();
-                }
-            }
-            let tax = b.build().unwrap();
+            let tax = random_forest(n, seed);
             let item = |x: u32| ItemId(x % n);
             let parents = |items: &[ItemId]| -> Vec<ItemId> {
                 items.iter().filter_map(|&it| tax.parent(it)).collect()
@@ -628,6 +864,175 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_generalization_table_is_pairwise_specialization(
+            forest in (6u32..30, 0u64..10_000),
+            drawn in proptest::collection::vec(
+                (proptest::collection::vec(0u32..40, 1..4), 0u32..3, 0u32..8), 1..80),
+        ) {
+            let (n, seed) = forest;
+            let tax = random_forest(n, seed);
+            let item = |x: u32| ItemId(x % n);
+            // Consequents beside their own generalizations (some items
+            // lifted to their parents), and non-antichains (an item
+            // beside its own parent); every rule has the same antecedent.
+            let mut consequents: Vec<Itemset> = Vec::new();
+            for (c, kind, lift) in drawn {
+                let c: Vec<ItemId> = c.into_iter().map(item).collect();
+                let lifted: Vec<ItemId> = c
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &it)| if lift >> i & 1 == 1 { tax.parent(it).unwrap_or(it) } else { it })
+                    .collect();
+                consequents.push(Itemset::from_unsorted(c.clone()));
+                consequents.push(Itemset::from_unsorted(lifted));
+                if kind == 0 {
+                    let beside: Vec<ItemId> = c.iter().copied().chain(c.iter().filter_map(|&it| tax.parent(it))).collect();
+                    consequents.push(Itemset::from_unsorted(beside));
+                }
+            }
+            let rules: Vec<Rule> = consequents
+                .into_iter()
+                .map(|consequent| Rule {
+                    antecedent: iset![0],
+                    consequent,
+                    support_count: 5,
+                    support: 0.0,
+                    confidence: 0.5,
+                })
+                .collect();
+            let cat = Catalog::new(RuleStore::new(rules, tax, 50), 1);
+            let mut by_id: Vec<Option<&Itemset>> = vec![None; cat.general_first.len() - 1];
+            for key in &cat.ranks {
+                by_id[key.consequent as usize] = Some(&cat.rules[key.at as usize].consequent);
+            }
+            let by_id: Vec<&Itemset> = by_id.into_iter().map(Option::unwrap).collect();
+            for (spec, s) in (0u32..).zip(&by_id) {
+                let want: Vec<u32> = (0u32..)
+                    .zip(&by_id)
+                    .filter(|(_, g)| specializes(&cat.taxonomy, s, g))
+                    .map(|(gen, _)| gen)
+                    .collect();
+                let mut got = cat.generalizations(spec).to_vec();
+                got.sort_unstable();
+                proptest::prop_assert_eq!((s, got), (s, want));
+            }
+        }
+    }
+
+    /// `n` rules of equal score, each with its own two-item consequent
+    /// drawn from a three-level forest, so many consequents specialize
+    /// others: antecedent the root `i % 4`, over 60 items (roots 0..4,
+    /// middles 4..12 under them, leaves 12..60 under the middles).
+    fn tied_store(n: usize) -> RuleStore {
+        let mut b = gar_taxonomy::TaxonomyBuilder::new(60);
+        for mid in 4..12 {
+            b.edge(mid, (mid - 4) % 4).unwrap();
+        }
+        for leaf in 12..60 {
+            b.edge(leaf, 4 + (leaf - 12) % 8).unwrap();
+        }
+        let tax = b.build().unwrap();
+        let pairs = (4..60u32).flat_map(|x| (x + 1..60).map(move |y| iset![x, y]));
+        let rules = (0u32..)
+            .zip(pairs)
+            .take(n)
+            .map(|(i, consequent)| Rule {
+                antecedent: iset![i % 4],
+                consequent,
+                support_count: 5,
+                support: 0.0,
+                confidence: 0.5,
+            })
+            .collect();
+        RuleStore::new(rules, tax, 50)
+    }
+
+    #[test]
+    fn a_thousand_tied_matches_of_distinct_consequents_merge_like_the_reference() {
+        let store = tied_store(1_500);
+        let one = Catalog::new(store.clone(), 1);
+        let three = Catalog::new(store, 3);
+        let reference = Reference::new(&one);
+        // All four roots: every rule's antecedent is held, and no
+        // two-item consequent under a middle or a leaf is.
+        let basket: Vec<ItemId> = (0..4).map(ItemId).collect();
+        let extended = one.extend_basket(&basket);
+        let matches = reference.scan_shard(0, &extended);
+        assert_eq!(matches.len(), 1_500);
+        for top_k in [1, 10, 100, 2_000] {
+            let want = reference.merge(matches.clone(), top_k);
+            assert!(!want.is_empty());
+            assert_eq!(one.query(&basket, top_k), want, "1 shard, top {top_k}");
+            assert_eq!(three.query(&basket, top_k), want, "3 shards, top {top_k}");
+        }
+        let all = reference.merge(matches, 2_000);
+        assert!(all.len() < 1_500, "nothing was suppressed");
+    }
+
+    #[test]
+    fn a_merge_ignores_ranks_past_the_catalog_and_reads_the_last_rank() {
+        // 128 rules: the last rank is the top bit of its word.
+        let cat = Catalog::new(tied_store(128), 2);
+        let last = cat.num_rules() as u32 - 1;
+        let lone = cat.merge(vec![Match(last)], 5);
+        let rule = &cat.rules[cat.ranks[last as usize].at as usize];
+        assert_eq!(lone.len(), 1);
+        assert_eq!(lone[0].consequent, rule.consequent);
+        let noisy = vec![Match(last + 1), Match(last), Match(u32::MAX), Match(last)];
+        assert_eq!(cat.merge(noisy, 5), lone);
+        assert!(cat
+            .merge(vec![Match(last + 1), Match(u32::MAX)], 5)
+            .is_empty());
+        // The marks are clear again: the same merge answers the same.
+        assert_eq!(cat.merge(vec![Match(last)], 5), lone);
+    }
+
+    #[test]
+    fn the_longest_consequents_build_their_table_and_merge() {
+        // Items 0..L are roots; item L + i sits under item i; item 2L
+        // is the antecedent. `leaves` (each item under a parent) has a
+        // 2L-item closure, and `roots` (each item its own closure) is a
+        // maximal consequent under a flat part of the forest; the
+        // 300-item pair is the same shape at a length whose closure has
+        // C(600, 300) subsets.
+        let len = crate::store::MAX_ITEMSET_LEN as u32;
+        let mut b = gar_taxonomy::TaxonomyBuilder::new(2 * len + 1);
+        for i in 0..len {
+            b.edge(len + i, i).unwrap();
+        }
+        let tax = b.build().unwrap();
+        let consequent =
+            |items: std::ops::Range<u32>| Itemset::from_sorted(items.map(ItemId).collect());
+        let (leaves, roots) = (consequent(len..2 * len), consequent(0..len));
+        let (few_leaves, few_roots) = (consequent(len..len + 300), consequent(0..300));
+        let rules = [&leaves, &roots, &few_leaves, &few_roots]
+            .into_iter()
+            .map(|c| rule(iset![2 * len], c.clone(), 5, 0.5))
+            .collect();
+        let cat = Catalog::new(RuleStore::new(rules, tax, 50), 2);
+        let id = |c: &Itemset| {
+            let at = cat.rules.iter().position(|r| &r.consequent == c).unwrap();
+            cat.ranks
+                .iter()
+                .find(|k| k.at as usize == at)
+                .unwrap()
+                .consequent
+        };
+        assert_eq!(cat.generalizations(id(&leaves)), [id(&roots)]);
+        assert_eq!(cat.generalizations(id(&few_leaves)), [id(&few_roots)]);
+        assert!(cat.generalizations(id(&roots)).is_empty());
+        assert!(cat.generalizations(id(&few_roots)).is_empty());
+        // At equal score the leaves suppress the roots.
+        let got: Vec<usize> = cat
+            .query(&[ItemId(2 * len)], 5)
+            .iter()
+            .map(|r| r.consequent.len())
+            .collect();
+        assert_eq!(got, [300, len as usize]);
     }
 
     #[test]
