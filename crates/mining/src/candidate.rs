@@ -5,9 +5,12 @@
 //! with a small (k-1)-subset, and — for pass 2 with a taxonomy — "delete
 //! any candidates that consist of an item and its ancestor" (their support
 //! equals the descendant's, so they derive only the trivially redundant
-//! rule `x ⇒ ancestor(x)`). Determinism matters: NPGM all-reduces raw count
-//! vectors, which only lines up because every node produces the identical
-//! candidate order.
+//! rule `x ⇒ ancestor(x)`). Every pass from 3 on is one `apriori_gen`
+//! over `L_{k-1}`'s rows, the kernel rule derivation also grows its
+//! consequents with; pass 2, where every pair joins, is its plain pair
+//! loop. Determinism matters: NPGM all-reduces raw count vectors, which
+//! only lines up because every node produces the identical candidate
+//! order.
 
 use crate::report::LargePass;
 use gar_taxonomy::Taxonomy;
@@ -15,17 +18,16 @@ use gar_types::{FxHashSet, ItemId, Itemset};
 
 /// Generates the candidate 2-itemsets from the large items `l1` (sorted).
 /// With a taxonomy, pairs of hierarchically related items are deleted.
+/// Every pair joins, so this is apriori-gen at width 1 without the
+/// kernel's intermediate rows.
 pub fn generate_pairs(l1: &[ItemId], tax: Option<&Taxonomy>) -> Vec<Itemset> {
     debug_assert!(l1.windows(2).all(|w| w[0] < w[1]), "L1 must be sorted");
     let mut out = Vec::with_capacity(l1.len().saturating_sub(1).pow(2) / 2);
-    for i in 0..l1.len() {
-        for j in i + 1..l1.len() {
-            if let Some(t) = tax {
-                if t.related(l1[i], l1[j]) {
-                    continue;
-                }
+    for (i, &a) in l1.iter().enumerate() {
+        for &b in &l1[i + 1..] {
+            if tax.is_none_or(|t| !t.related(a, b)) {
+                out.push(Itemset::from_sorted(vec![a, b]));
             }
-            out.push(Itemset::from_sorted(vec![l1[i], l1[j]]));
         }
     }
     out
@@ -39,69 +41,73 @@ pub fn generate_pairs(l1: &[ItemId], tax: Option<&Taxonomy>) -> Vec<Itemset> {
 /// here: any such k-itemset has a related (k-1)-subset, which pass 2
 /// already deleted, so the subset prune removes it.
 pub fn generate_candidates(prev_large: &[Itemset]) -> Vec<Itemset> {
-    if prev_large.is_empty() {
-        return Vec::new();
-    }
-    let k = prev_large[0].len() + 1;
-    debug_assert!(prev_large.iter().all(|s| s.len() == k - 1));
-
     let mut sorted: Vec<&Itemset> = prev_large.iter().collect();
     sorted.sort_unstable();
-    let prev_set: FxHashSet<&Itemset> = sorted.iter().copied().collect();
-
-    let mut out = Vec::new();
-    // Join step: two (k-1)-itemsets sharing their first k-2 items combine
-    // into one k-itemset. Scan runs of equal prefixes in the sorted list.
-    let mut run_start = 0;
-    while run_start < sorted.len() {
-        let prefix = &sorted[run_start].items()[..k - 2];
-        let mut run_end = run_start + 1;
-        while run_end < sorted.len() && &sorted[run_end].items()[..k - 2] == prefix {
-            run_end += 1;
-        }
-        for a in run_start..run_end {
-            for b in a + 1..run_end {
-                let mut items = sorted[a].items().to_vec();
-                #[expect(
-                    clippy::expect_used,
-                    reason = "k >= 2, so every (k-1)-itemset is nonempty"
-                )]
-                items.push(*sorted[b].items().last().expect("nonempty"));
-                let candidate = Itemset::from_sorted(items);
-                if subsets_all_large(&candidate, &prev_set) {
-                    out.push(candidate);
-                }
-            }
-        }
-        run_start = run_end;
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Prune check: every (k-1)-subset of `candidate` is in `prev`.
-fn subsets_all_large(candidate: &Itemset, prev: &FxHashSet<&Itemset>) -> bool {
-    // The subsets dropping the last two positions were the join operands;
-    // checking all of them anyway is cheap and keeps the code obvious.
-    for idx in 0..candidate.len() {
-        let sub = candidate.without_index(idx);
-        if !prev.contains(&sub) {
-            return false;
-        }
-    }
-    true
+    join(sorted)
 }
 
 /// Generates pass-k candidates from `prev = L_{k-1}` — the one candidate
 /// step of the sequential Cumulate and of every node of a parallel run
 /// (identical on every node).
 pub(crate) fn candidates_for_pass(k: usize, prev: &LargePass, tax: &Taxonomy) -> Vec<Itemset> {
+    // `L_{k-1}` is sorted by itemset: its items go over as rows.
+    let prev = prev.itemsets.iter().map(|(s, _)| s);
     if k == 2 {
-        let l1: Vec<ItemId> = prev.itemsets.iter().map(|(s, _)| s.items()[0]).collect();
+        let l1: Vec<ItemId> = prev.map(|s| s.items()[0]).collect();
         generate_pairs(&l1, Some(tax))
     } else {
-        let prev_sets: Vec<Itemset> = prev.itemsets.iter().map(|(s, _)| s.clone()).collect();
-        generate_candidates(&prev_sets)
+        join(prev)
+    }
+}
+
+/// `C_{m+1}` from the ascending large m-itemsets `prev`: their items go
+/// to [`apriori_gen`] as rows, and its joins come back as itemsets.
+fn join<'a>(prev: impl IntoIterator<Item = &'a Itemset>) -> Vec<Itemset> {
+    let (mut m, mut rows) = (0, Vec::new());
+    for s in prev {
+        m = s.len();
+        rows.extend_from_slice(s.items());
+    }
+    let mut joined = Vec::new();
+    if m > 0 {
+        apriori_gen(&rows, m, &mut joined);
+    }
+    joined
+        .chunks_exact(m + 1)
+        .map(|c| Itemset::from_sorted(c.to_vec()))
+        .collect()
+}
+
+/// [AS94] apriori-gen, the one join-and-prune of the workspace: `rows`
+/// holds ascending rows of `m ≥ 1` ascending entries each, back to back.
+/// Every two rows sharing their first `m − 1` entries join into one row
+/// of `m + 1`, kept only when each of its other `m`-subsets is a row
+/// too, found by binary search. The kept rows are written to `next`
+/// (cleared first), ascending. Candidate generation runs it over items,
+/// rule derivation over consequents as positions into an itemset.
+pub(crate) fn apriori_gen<T: Ord + Copy>(rows: &[T], m: usize, next: &mut Vec<T>) {
+    next.clear();
+    let rows: Vec<&[T]> = rows.chunks_exact(m).collect();
+    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
+    let mut subset = Vec::with_capacity(m);
+    for (i, a) in rows.iter().enumerate() {
+        let prefix = &a[..m - 1];
+        for b in rows[i + 1..].iter().take_while(|b| b.starts_with(prefix)) {
+            let last = b[m - 1];
+            // Dropping `a`'s last or `b`'s last leaves `a` or `b`; each
+            // other subset sorts after `a`.
+            let pruned = (0..m - 1).any(|d| {
+                subset.clear();
+                subset.extend_from_slice(&a[..d]);
+                subset.extend_from_slice(&a[d + 1..]);
+                subset.push(last);
+                rows[i + 1..].binary_search(&subset.as_slice()).is_err()
+            });
+            if !pruned {
+                next.extend_from_slice(a);
+                next.push(last);
+            }
+        }
     }
 }
 
@@ -243,6 +249,42 @@ mod proptests {
             }
             brute.sort_unstable();
             prop_assert_eq!(fast, brute);
+        }
+
+        #[test]
+        fn apriori_gen_matches_brute_force_at_every_width(
+            m in 1usize..5,
+            raw in proptest::collection::btree_set(
+                proptest::collection::btree_set(0u32..9, 1..5usize),
+                0..60,
+            )
+        ) {
+            // Ascending rows of width `m`, back to back.
+            let rows: Vec<u32> = raw
+                .iter()
+                .filter(|r| r.len() == m)
+                .flat_map(|r| r.iter().copied())
+                .collect();
+            let set: FxHashSet<&[u32]> = rows.chunks_exact(m).collect();
+            let mut got = Vec::new();
+            apriori_gen(&rows, m, &mut got);
+            // Every ascending (m+1)-row over 0..9 whose m-subsets are all rows.
+            let mut want = Vec::new();
+            for mask in 0u32..1 << 9 {
+                if mask.count_ones() as usize != m + 1 {
+                    continue;
+                }
+                let c: Vec<u32> = (0..9).filter(|b| mask >> b & 1 == 1).collect();
+                let all_rows = (0..=m).all(|d| {
+                    let sub: Vec<u32> = c.iter().enumerate().filter(|&(i, _)| i != d).map(|(_, &x)| x).collect();
+                    set.contains(sub.as_slice())
+                });
+                if all_rows {
+                    want.push(c);
+                }
+            }
+            want.sort_unstable();
+            prop_assert_eq!(got, want.concat());
         }
 
         #[test]

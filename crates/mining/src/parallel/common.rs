@@ -19,7 +19,6 @@ use gar_cluster::{
 };
 use gar_storage::{FlatPartition, PartitionedDatabase};
 use gar_taxonomy::Taxonomy;
-use gar_types::hash::fx_mix;
 use gar_types::{Error, ItemId, Itemset, Result};
 use std::sync::Arc;
 
@@ -456,55 +455,6 @@ pub(crate) fn gather_large(
     }
 }
 
-/// Enumerates every k-subset of the sorted slice `t` in lexicographic
-/// order, invoking `f` on each with its placement hash — `fx_hash_u32s`
-/// of its codes, carried from its (k−1)-prefix, so a subset costs one
-/// multiply instead of a re-hash. The HPGM send loop needs the subsets
-/// themselves (to route them), so this cannot be folded into a counter.
-pub(crate) fn for_each_k_subset(
-    t: &[ItemId],
-    k: usize,
-    scratch: &mut Vec<ItemId>,
-    f: &mut impl FnMut(&[ItemId], u64) -> Result<()>,
-) -> Result<()> {
-    if t.len() < k {
-        return Ok(());
-    }
-    if k == 2 {
-        for (i, &a) in t.iter().enumerate() {
-            let prefix = fx_mix(0, a.raw().into());
-            for &b in &t[i + 1..] {
-                f(&[a, b], fx_mix(prefix, b.raw().into()))?;
-            }
-        }
-        return Ok(());
-    }
-    fn rec(
-        t: &[ItemId],
-        start: usize,
-        need: usize,
-        hash: u64,
-        scratch: &mut Vec<ItemId>,
-        f: &mut impl FnMut(&[ItemId], u64) -> Result<()>,
-    ) -> Result<()> {
-        if need == 0 {
-            return f(scratch, hash);
-        }
-        if t.len() - start < need {
-            return Ok(());
-        }
-        for (i, &it) in t.iter().enumerate().skip(start) {
-            scratch.push(it);
-            let hash = fx_mix(hash, it.raw().into());
-            rec(t, i + 1, need - 1, hash, scratch, f)?;
-            scratch.pop();
-        }
-        Ok(())
-    }
-    scratch.clear();
-    rec(t, 0, k, 0, scratch, f)
-}
-
 /// The root-itemset partitioning key of the H-HPGM family: each item
 /// replaced by its root, the multiset sorted. Duplicates are *kept* — the
 /// multiset `(r, r)` is a different hash bucket than `(r)`, exactly as in
@@ -806,42 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn k_subsets_pairs_and_triples() {
-        let t = ids(&[1, 2, 3, 4]);
-        let mut got = Vec::new();
-        let mut scratch = Vec::new();
-        for_each_k_subset(&t, 2, &mut scratch, &mut |s, _| {
-            got.push(s.to_vec());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(got.len(), 6);
-        assert_eq!(got[0], ids(&[1, 2]));
-        assert_eq!(got[5], ids(&[3, 4]));
-
-        got.clear();
-        for_each_k_subset(&t, 3, &mut scratch, &mut |s, _| {
-            got.push(s.to_vec());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(got.len(), 4);
-        assert!(got.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
-    }
-
-    #[test]
-    fn k_subsets_of_short_input_is_empty() {
-        let mut scratch = Vec::new();
-        let mut n = 0;
-        for_each_k_subset(&ids(&[1]), 2, &mut scratch, &mut |_, _| {
-            n += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(n, 0);
-    }
-
-    #[test]
     fn owner_is_stable_bounded_and_spread() {
         for n in 1..8 {
             let o = place(fx_hash_u32s([3, 7]), n);
@@ -903,46 +817,5 @@ mod tests {
     fn candidate_bytes_scale_with_k_and_count() {
         assert_eq!(candidates_bytes(2, 10), 320);
         assert!(candidates_bytes(3, 10) > candidates_bytes(2, 10));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use gar_types::hash::fx_hash_u32s;
-    use proptest::prelude::*;
-
-    proptest! {
-        // HPGM routes by the carried hash, so it must be the subset's own
-        // placement hash — for every subset, in lexicographic order, with
-        // codes small and near `u32::MAX`.
-        #[test]
-        fn carried_hash_is_the_subset_hash(
-            k in 1usize..5,
-            small in proptest::collection::btree_set(0u32..64, 0..10),
-            large in proptest::collection::btree_set(0u32..4, 0..3)
-        ) {
-            let t: Vec<ItemId> = small
-                .into_iter()
-                .chain(large.into_iter().rev().map(|d| u32::MAX - d))
-                .map(ItemId)
-                .collect();
-            let mut got = Vec::new();
-            for_each_k_subset(&t, k, &mut Vec::new(), &mut |s, hash| {
-                got.push((s.to_vec(), hash));
-                Ok(())
-            })
-            .expect("the callback never fails");
-            // C(n, k) strictly increasing sorted k-subsets of `t`: all of them.
-            let n = t.len();
-            let binom = (0..k).fold(1, |c, i| c * n.saturating_sub(i) / (i + 1));
-            prop_assert_eq!(got.len(), binom);
-            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "not lexicographic");
-            for (s, hash) in &got {
-                prop_assert!(s.windows(2).all(|w| w[0] < w[1]), "{s:?} unsorted");
-                prop_assert!(s.iter().all(|it| t.binary_search(it).is_ok()), "{s:?} not in t");
-                prop_assert_eq!(*hash, fx_hash_u32s(s.iter().map(|it| it.raw())));
-            }
-        }
     }
 }

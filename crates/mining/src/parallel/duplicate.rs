@@ -473,13 +473,16 @@ mod tests {
                 }
             }
             DuplicateGrain::Path | DuplicateGrain::Fine => {
+                let is_large = |it: ItemId| l1.get(it.index()).copied().unwrap_or(false);
+                // Large, with no large proper descendant.
                 let lowest_large = |it: ItemId| -> bool {
-                    l1.get(it.index()).copied().unwrap_or(false)
-                        && !tax
-                            .tree_items(it)
-                            .iter()
-                            .skip(1)
-                            .any(|d| l1.get(d.index()).copied().unwrap_or(false))
+                    let mut below = tax.children(it).to_vec();
+                    let mut descendants = std::iter::from_fn(|| {
+                        let d = below.pop()?;
+                        below.extend_from_slice(tax.children(d));
+                        Some(d)
+                    });
+                    is_large(it) && !descendants.any(is_large)
                 };
                 let mut pool: Vec<usize> = (0..candidates.len())
                     .filter(|&i| match grain {

@@ -13,8 +13,8 @@ use crate::candidate::items_in_candidates;
 use crate::checkpoint::Checkpoint;
 use crate::counter::{CountOutcome, HashTreeCounter};
 use crate::parallel::common::{
-    assemble_report, for_each_k_subset, gather_large, node_pass_loop, record_arena_obs,
-    scan_partition, tags, BatchedExchange, PassPersistence, PassResult, POLL_EVERY_TXNS,
+    assemble_report, gather_large, node_pass_loop, record_arena_obs, scan_partition, tags,
+    BatchedExchange, PassPersistence, PassResult, POLL_EVERY_TXNS,
 };
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
@@ -23,7 +23,7 @@ use crate::wire::{decode_itemsets, ItemsetBatch};
 use gar_cluster::{Cluster, ClusterConfig};
 use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
-use gar_types::hash::{fx_hash_u32s, place};
+use gar_types::hash::{fx_hash_u32s, place, SubsetWalk};
 use gar_types::{Itemset, Result};
 use std::cell::Cell;
 
@@ -80,14 +80,14 @@ pub(crate) fn mine(
                 let mut ex = BatchedExchange::new(ctx, tags::ITEMSETS, POLL_EVERY_TXNS, || {
                     ItemsetBatch::new(k)
                 });
-                let mut scratch = Vec::with_capacity(k);
+                let mut walk = SubsetWalk::default();
                 let mut extended = Vec::new();
                 let mut local = Vec::new();
                 scan_partition(ctx, part, |t| {
                     view.extend_transaction_into(tax, t, &mut extended);
                     local.clear();
                     let mut shipped = 0u64;
-                    for_each_k_subset(&extended, k, &mut scratch, &mut |subset, hash| {
+                    walk.walk(&extended, k, |subset, hash| {
                         let owner = place(hash, n);
                         if owner == me {
                             local.extend_from_slice(subset);

@@ -10,13 +10,14 @@
 //! [`derive_rules`] is [AS94]'s ap-genrules. It visits the large
 //! itemsets in output order and grows each one's consequents level by
 //! level: the 1-item consequents first, then the `(m+1)`-item ones by
-//! apriori-gen over the `m`-item consequents still alive. A consequent
-//! whose rule misses the minimum confidence is not extended. That prunes
-//! nothing that could pass: for `Y ⊂ Y'`, `X−Y' ⊂ X−Y`, so
-//! `sup(X−Y') ≥ sup(X−Y)` and the confidence can only fall as the
-//! consequent grows. A rule skipped for redundancy, or for an antecedent
-//! whose support the output lacks (a dropped pass), still extends.
-//! Consequents are rows of positions into `X`, so an itemset of any
+//! apriori-gen (`candidate::apriori_gen`, which also builds the
+//! candidates) over the `m`-item consequents still alive, as rows of
+//! positions into `X`. A consequent whose rule misses the minimum
+//! confidence is not extended. That prunes nothing that could pass: for
+//! `Y ⊂ Y'`, `X−Y' ⊂ X−Y`, so `sup(X−Y') ≥ sup(X−Y)` and the confidence
+//! can only fall as the consequent grows. A rule skipped for redundancy,
+//! or for an antecedent whose support the output lacks (a dropped pass),
+//! still extends. Because consequents are positions, an itemset of any
 //! length derives every rule; levels stop once the antecedents are
 //! shorter than every large itemset, since none of them can have a
 //! support.
@@ -35,6 +36,7 @@
 //! ancestor rule's support scaled by the descendants' share of their
 //! ancestors), removing rules that merely restate a generalization.
 
+use crate::candidate::apriori_gen;
 use crate::report::MiningOutput;
 use gar_taxonomy::Taxonomy;
 use gar_types::{FxHashMap, FxHashSet, ItemId, Itemset};
@@ -207,7 +209,7 @@ pub fn derive_rules(
                     confidence,
                 });
             }
-            next_consequents(&alive, m, &mut level);
+            apriori_gen(&alive, m, &mut level);
             m += 1;
         }
     }
@@ -273,34 +275,6 @@ fn sort_by_key_order(rules: &mut [Rule]) {
             i = next;
         }
         from[i] = i;
-    }
-}
-
-/// [AS94] apriori-gen over consequents: joins every two `alive` rows of
-/// `m` positions that share their first `m − 1`, and keeps the join only
-/// when each of its other `m`-subsets is alive too. `alive` is ascending,
-/// so the rows written to `next` are as well.
-fn next_consequents(alive: &[usize], m: usize, next: &mut Vec<usize>) {
-    next.clear();
-    let rows: Vec<&[usize]> = alive.chunks_exact(m).collect();
-    let mut subset = Vec::with_capacity(m);
-    for (i, a) in rows.iter().enumerate() {
-        let prefix = &a[..m - 1];
-        for b in rows[i + 1..].iter().take_while(|b| b.starts_with(prefix)) {
-            let last = b[m - 1];
-            // Dropping `a`'s last or `b`'s last leaves `a` or `b`.
-            let pruned = (0..m - 1).any(|d| {
-                subset.clear();
-                subset.extend_from_slice(&a[..d]);
-                subset.extend_from_slice(&a[d + 1..]);
-                subset.push(last);
-                rows.binary_search(&subset.as_slice()).is_err()
-            });
-            if !pruned {
-                next.extend_from_slice(a);
-                next.push(last);
-            }
-        }
     }
 }
 

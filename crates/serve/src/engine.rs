@@ -38,11 +38,12 @@
 //!   to `top_k` survivors: nothing is sorted. Consequents are
 //!   deduplicated by id, and suppression reads a table: [`Catalog::new`]
 //!   lists, per interned consequent, the interned consequents it
-//!   properly specializes. Admitting an entry marks its generalizations
-//!   suppressed, and a judged entry is dropped iff its consequent is
-//!   marked — when a group is judged, every entry scoring at least as
-//!   high has been admitted. Both filters sit at the merge, so the
-//!   answer is identical for every shard count.
+//!   properly specializes (walking its ancestor closure's subsets with
+//!   HPGM's [`SubsetWalk`]). Admitting an entry marks its
+//!   generalizations suppressed, and a judged entry is dropped iff its
+//!   consequent is marked — when a group is judged, every entry scoring
+//!   at least as high has been admitted. Both filters sit at the merge,
+//!   so the answer is identical for every shard count.
 //!
 //! Rules are sharded by the FxHash of their **antecedent's** sorted
 //! distinct root-id key — the placement of the H-HPGM family applied
@@ -61,7 +62,7 @@ use crate::index::RuleIndex;
 use crate::store::RuleStore;
 use gar_mining::rules::Rule;
 use gar_taxonomy::Taxonomy;
-use gar_types::hash::{fx_hash_u32s, place};
+use gar_types::hash::{fx_hash_u32s, place, SubsetWalk};
 use gar_types::{FxHashMap, ItemId, Itemset};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -234,49 +235,6 @@ fn ancestors_of(item: ItemId, tax: &Taxonomy) -> &[ItemId] {
     }
 }
 
-/// True when there are at most `cap` `k`-subsets of `n` items.
-fn subsets_at_most(n: usize, k: usize, cap: usize) -> bool {
-    let k = k.min(n.saturating_sub(k));
-    let mut count: u128 = 1;
-    for i in 0..k {
-        // C(n, i + 1) = C(n, i) × (n − i) / (i + 1), exactly.
-        count = count * (n - i) as u128 / (i + 1) as u128;
-        if count > cap as u128 {
-            return false;
-        }
-    }
-    true
-}
-
-/// Calls `f` with every `k`-subset of the ascending `items`, each
-/// ascending, in lexicographic order. The subset is a row of positions
-/// advanced like an odometer, so nothing recurses.
-fn for_each_subset(items: &[ItemId], k: usize, mut f: impl FnMut(&[ItemId])) {
-    let n = items.len();
-    if k > n {
-        return;
-    }
-    let mut at: Vec<usize> = (0..k).collect();
-    let mut subset: Vec<ItemId> = Vec::with_capacity(k);
-    loop {
-        subset.clear();
-        subset.extend(at.iter().filter_map(|&i| items.get(i)));
-        f(&subset);
-        // The last position that can still move right; those after it
-        // restart just behind it.
-        let Some(i) = (0..k)
-            .rev()
-            .find(|&i| at.get(i).is_some_and(|&a| a < n - k + i))
-        else {
-            return;
-        };
-        let from = at.get(i).map_or(0, |&a| a + 1);
-        for (next, slot) in (from..).zip(at.iter_mut().skip(i)) {
-            *slot = next;
-        }
-    }
-}
-
 /// The generalization table of `consequents` (indexed by interned id,
 /// `interned` their inverse): for each consequent, the ids of the
 /// consequents it properly specializes, as CSR arrays `(first, ids)` —
@@ -287,14 +245,15 @@ fn for_each_subset(items: &[ItemId], k: usize, mut f: impl FnMut(&[ItemId])) {
 /// lies in `spec`'s ancestor-or-self closure, and every `spec` item has
 /// an ancestor-or-self in `gen` ([`covered`]). Two candidate sources
 /// are complete: the `L`-subsets of the closure, looked up in
-/// `interned`, and the other `L`-item consequents, each tested for
-/// lying inside the closure. Per consequent the build takes whichever
-/// has fewer candidates, so a consequent costs at most min(C(|closure|,
-/// L), number of `L`-item consequents) candidates of O(L × (taxonomy
-/// depth + 1) × log) each, with |closure| ≤ L × (taxonomy depth + 1).
-/// Short consequents under a shallow taxonomy enumerate their few
-/// subsets; a long one scans its peers instead of C(|closure|, L)
-/// subsets, and nothing recurses.
+/// `interned`, and the other `L`-item consequents (its peers), each
+/// tested for lying inside the closure. Per consequent the build walks
+/// the subsets ([`SubsetWalk`]) until they outnumber the peers, and then
+/// scans the peers instead. A consequent so costs at most 2 ×
+/// min(C(|closure|, L), peers) candidates of O(L × (taxonomy depth + 1)
+/// × log) each, with |closure| ≤ L × (taxonomy depth + 1): short
+/// consequents under a shallow taxonomy walk their few subsets, a long
+/// one stops early, and the walk does not recurse, so an `L` as long as
+/// the closure costs no stack.
 fn generalization_table(
     consequents: &[&[ItemId]],
     interned: &FxHashMap<&[ItemId], u32>,
@@ -307,6 +266,7 @@ fn generalization_table(
         .collect();
     by_len.sort_unstable();
     let mut closure: Vec<ItemId> = Vec::new();
+    let mut walk = SubsetWalk::default();
     let mut first = Vec::with_capacity(consequents.len() + 1);
     let mut ids = Vec::new();
     first.push(0);
@@ -322,23 +282,25 @@ fn generalization_table(
         }
         closure.sort_unstable();
         closure.dedup();
-        let mut admit = |gen: u32, gen_items: &[ItemId]| {
-            if gen != id && covered(spec, gen_items, tax) {
-                ids.push(gen);
+        let admits = |gen: u32, gen_items: &[ItemId]| gen != id && covered(spec, gen_items, tax);
+        let (start, mut budget) = (ids.len(), peers.len());
+        let walked: Result<(), ()> = walk.walk(&closure, len, |subset, _| {
+            budget = budget.checked_sub(1).ok_or(())?;
+            match interned.get(subset) {
+                Some(&gen) if admits(gen, subset) => ids.push(gen),
+                _ => {}
             }
-        };
-        if subsets_at_most(closure.len(), len, peers.len()) {
-            for_each_subset(&closure, len, |subset| {
-                if let Some(&gen) = interned.get(subset) {
-                    admit(gen, subset);
-                }
-            });
-        } else {
+            Ok(())
+        });
+        if walked.is_err() {
+            // The subsets outnumber the peers: scan the peers instead.
+            ids.truncate(start);
             for &(_, gen) in peers {
-                if let Some(&gen_items) = consequents.get(gen as usize) {
-                    if gen_items.iter().all(|i| closure.binary_search(i).is_ok()) {
-                        admit(gen, gen_items);
-                    }
+                let gen_items = consequents.get(gen as usize).copied().unwrap_or(&[]);
+                if gen_items.iter().all(|i| closure.binary_search(i).is_ok())
+                    && admits(gen, gen_items)
+                {
+                    ids.push(gen);
                 }
             }
         }

@@ -10,7 +10,9 @@ use gar_types::{Error, ItemId, Result};
 /// * every referenced item id is `< num_items`;
 /// * no item has two parents (the hierarchy is a forest, per the paper's
 ///   Figure 1);
-/// * no cycles (an item is never its own ancestor).
+/// * no cycles (an item is never its own ancestor);
+/// * the items' ancestor lists hold at most
+///   [`MAX_ANCESTOR_ENTRIES`](crate::MAX_ANCESTOR_ENTRIES) entries in all.
 #[derive(Debug, Clone)]
 pub struct TaxonomyBuilder {
     num_items: u32,
@@ -60,23 +62,7 @@ impl TaxonomyBuilder {
 
     /// Validates the forest and produces the immutable [`Taxonomy`].
     pub fn build(self) -> Result<Taxonomy> {
-        // Cycle check: walk up from every node; a walk longer than num_items
-        // steps must have revisited something.
-        let n = self.num_items as usize;
-        for start in 0..n {
-            let mut cur = start;
-            let mut steps = 0usize;
-            while let Some(p) = self.parent[cur] {
-                cur = p.index();
-                steps += 1;
-                if steps > n {
-                    return Err(Error::InvalidTaxonomy(format!(
-                        "cycle detected on the ancestor chain of item {start}"
-                    )));
-                }
-            }
-        }
-        Ok(Taxonomy::from_parent_array(self.parent))
+        Taxonomy::from_parent_array(self.parent)
     }
 }
 
@@ -121,6 +107,42 @@ mod tests {
         b.edge(1, 2).unwrap();
         b.edge(2, 0).unwrap();
         assert!(b.build().is_err());
+    }
+
+    /// The chain `n − 1 → … → 1 → 0`: its depths sum to n(n − 1)/2.
+    fn chain(n: u32) -> TaxonomyBuilder {
+        let mut b = TaxonomyBuilder::new(n);
+        for i in 1..n {
+            b.edge(i, i - 1).unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn a_chain_past_the_ancestor_bound_is_refused() {
+        // 5,794 · 5,793 / 2 = 16,782,321 > 2^24, by 5,105 entries.
+        let n = 5_794u32;
+        assert!(u64::from(n) * u64::from(n - 1) / 2 > crate::MAX_ANCESTOR_ENTRIES);
+        let err = chain(n).build().unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidTaxonomy(m) if m.contains("ancestor")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_longest_chain_within_the_bound_keeps_exact_ancestors() {
+        // 5,793 · 5,792 / 2 = 16,776,528 <= 2^24.
+        let n = 5_793u32;
+        assert!(u64::from(n) * u64::from(n - 1) / 2 <= crate::MAX_ANCESTOR_ENTRIES);
+        let t = chain(n).build().unwrap();
+        assert_eq!(t.max_depth(), n - 1);
+        for i in [0, 1, 2, n / 2, n - 1] {
+            let want: Vec<ItemId> = (0..i).rev().map(ItemId).collect();
+            assert_eq!(t.ancestors(ItemId(i)), want.as_slice());
+            assert_eq!(t.depth(ItemId(i)), i);
+            assert_eq!(t.root_of(ItemId(i)), ItemId(0));
+        }
     }
 
     #[test]

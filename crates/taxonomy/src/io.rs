@@ -173,4 +173,21 @@ mod tests {
         );
         std::fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn a_chain_past_the_ancestor_bound_is_corrupt_on_decode() {
+        // 5,794 items, each the child of the one before: 23 KB of parent
+        // array whose ancestor lists would hold 16,782,321 entries.
+        let n = 5_794u32;
+        let mut bytes = n.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&NO_PARENT.to_le_bytes());
+        for child in 1..n {
+            bytes.extend_from_slice(&(child - 1).to_le_bytes());
+        }
+        let err = decode_parents(&mut Cursor::new(&bytes, WHAT, Error::Corrupt)).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("ancestor")),
+            "{err}"
+        );
+    }
 }

@@ -38,5 +38,5 @@ mod taxonomy;
 mod view;
 
 pub use builder::TaxonomyBuilder;
-pub use taxonomy::Taxonomy;
+pub use taxonomy::{Taxonomy, MAX_ANCESTOR_ENTRIES};
 pub use view::PrunedView;

@@ -64,7 +64,9 @@ pub fn poisson(rng: &mut impl Rng, lambda: f64) -> u32 {
 /// hierarchy.
 ///
 /// # Panics
-/// Panics when `num_roots == 0` or `num_roots > num_items`.
+/// Panics when `num_roots == 0` or `num_roots > num_items`, or when the
+/// forest grown is deeper than [`crate::MAX_ANCESTOR_ENTRIES`] allows (a
+/// near-chain: a fanout far below 1 over thousands of items).
 pub fn synthesize(cfg: &SynthTaxonomyConfig) -> Taxonomy {
     assert!(cfg.num_roots >= 1, "need at least one root");
     assert!(
@@ -98,7 +100,11 @@ pub fn synthesize(cfg: &SynthTaxonomyConfig) -> Taxonomy {
         }
     }
 
-    Taxonomy::from_parent_array(parent)
+    #[expect(
+        clippy::expect_used,
+        reason = "every parent id is below its child's, so the forest is acyclic; only a config far outside Table 5 exceeds the bound"
+    )]
+    Taxonomy::from_parent_array(parent).expect("the configuration grows a forest within the bound")
 }
 
 #[cfg(test)]

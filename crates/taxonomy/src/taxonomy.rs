@@ -1,6 +1,6 @@
 //! The immutable, query-optimized taxonomy.
 
-use gar_types::ItemId;
+use gar_types::{Error, ItemId, Result};
 
 /// An immutable classification hierarchy over items `0..num_items`.
 ///
@@ -21,15 +21,65 @@ pub struct Taxonomy {
     children: Vec<Vec<ItemId>>,
     roots: Vec<ItemId>,
     leaves: Vec<ItemId>,
-    max_depth: u32,
+}
+
+/// The most proper-ancestor entries (the sum of the items' depths) a
+/// taxonomy holds: 2^24, a 64 MiB arena. Every preset at scale 1.0 (30,000
+/// items, ≤ 7 levels) needs under 2^18; a chain of 5,794 items is over.
+/// It is checked before the arena is allocated, so a parent array read
+/// from disk cannot size an allocation past it or wrap a `u32` offset.
+pub const MAX_ANCESTOR_ENTRIES: u64 = 1 << 24;
+
+/// Every item's depth, from one walk: each item is visited once, on the
+/// path up from the first item below it, and numbered when the path
+/// meets a root or a numbered item. Meeting the path again is a cycle;
+/// depths summing past [`MAX_ANCESTOR_ENTRIES`] stop the walk.
+fn depths(parent: &[Option<ItemId>]) -> Result<Vec<u32>> {
+    const UNSEEN: u32 = u32::MAX;
+    const ON_PATH: u32 = u32::MAX - 1;
+    let mut depth = vec![UNSEEN; parent.len()];
+    let mut path = Vec::new();
+    let mut total = 0u64;
+    for start in 0..parent.len() {
+        let mut cur = start;
+        let mut d = loop {
+            match depth[cur] {
+                ON_PATH => {
+                    return Err(Error::InvalidTaxonomy(format!(
+                        "cycle detected on the ancestor chain of item {start}"
+                    )))
+                }
+                UNSEEN => {
+                    depth[cur] = ON_PATH;
+                    path.push(cur);
+                    match parent[cur] {
+                        Some(p) => cur = p.index(),
+                        None => break 0,
+                    }
+                }
+                known => break known + 1,
+            }
+        };
+        while let Some(i) = path.pop() {
+            total += u64::from(d);
+            if total > MAX_ANCESTOR_ENTRIES {
+                return Err(Error::InvalidTaxonomy(format!(
+                    "the items' ancestor lists hold more than {MAX_ANCESTOR_ENTRIES} entries"
+                )));
+            }
+            depth[i] = d;
+            d += 1;
+        }
+    }
+    Ok(depth)
 }
 
 impl Taxonomy {
-    /// Builds all derived tables from a validated parent array.
-    ///
-    /// Callers must have checked acyclicity; this is `pub(crate)` for that
-    /// reason.
-    pub(crate) fn from_parent_array(parent: Vec<Option<ItemId>>) -> Taxonomy {
+    /// Builds all derived tables from a parent array whose ids are in
+    /// range, after [`depths`] has checked it is a forest within
+    /// [`MAX_ANCESTOR_ENTRIES`].
+    pub(crate) fn from_parent_array(parent: Vec<Option<ItemId>>) -> Result<Taxonomy> {
+        let depth = depths(&parent)?;
         let n = parent.len();
         let mut children: Vec<Vec<ItemId>> = vec![Vec::new(); n];
         for (c, p) in parent.iter().enumerate() {
@@ -38,26 +88,22 @@ impl Taxonomy {
             }
         }
 
-        let mut anc_data = Vec::new();
+        let total: usize = depth.iter().map(|&d| d as usize).sum();
+        let mut anc_data = Vec::with_capacity(total);
         let mut anc_off = Vec::with_capacity(n + 1);
         let mut root_of = Vec::with_capacity(n);
-        let mut depth = vec![0u32; n];
         anc_off.push(0u32);
-        let mut max_depth = 0;
         for i in 0..n {
             let mut cur = parent[i];
-            let mut d = 0u32;
             let mut root = ItemId(i as u32);
             while let Some(p) = cur {
                 anc_data.push(p);
                 root = p;
-                d += 1;
                 cur = parent[p.index()];
             }
+            // At most `MAX_ANCESTOR_ENTRIES` entries, so no wrap.
             anc_off.push(anc_data.len() as u32);
             root_of.push(root);
-            depth[i] = d;
-            max_depth = max_depth.max(d);
         }
 
         let roots: Vec<ItemId> = (0..n)
@@ -69,7 +115,7 @@ impl Taxonomy {
             .map(|i| ItemId(i as u32))
             .collect();
 
-        Taxonomy {
+        Ok(Taxonomy {
             parent,
             anc_data,
             anc_off,
@@ -78,8 +124,7 @@ impl Taxonomy {
             children,
             roots,
             leaves,
-            max_depth,
-        }
+        })
     }
 
     /// Total number of items (leaves + interior + roots).
@@ -121,7 +166,7 @@ impl Taxonomy {
     /// The deepest level in the forest.
     #[inline]
     pub fn max_depth(&self) -> u32 {
-        self.max_depth
+        self.depth.iter().copied().max().unwrap_or(0)
     }
 
     /// Direct children of `item`.
@@ -162,18 +207,6 @@ impl Taxonomy {
     /// True when `a == b`, or one is a proper ancestor of the other.
     pub fn related(&self, a: ItemId, b: ItemId) -> bool {
         a == b || self.is_ancestor(a, b) || self.is_ancestor(b, a)
-    }
-
-    /// All items of the tree rooted at `root`, including `root`, in
-    /// breadth-first order.
-    pub fn tree_items(&self, root: ItemId) -> Vec<ItemId> {
-        let mut out = vec![root];
-        let mut i = 0;
-        while i < out.len() {
-            out.extend_from_slice(self.children(out[i]));
-            i += 1;
-        }
-        out
     }
 
     /// *Extends* a transaction: the union of the items and **all** their
@@ -218,14 +251,6 @@ impl Taxonomy {
         }
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// The nearest large ancestor-or-self of `item`, if any.
-    pub fn lowest_large(&self, item: ItemId, is_large: impl Fn(ItemId) -> bool) -> Option<ItemId> {
-        if is_large(item) {
-            return Some(item);
-        }
-        self.ancestors(item).iter().copied().find(|&a| is_large(a))
     }
 }
 
@@ -305,21 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_items_covers_whole_tree() {
-        let t = paper_forest();
-        let mut tree = t.tree_items(ItemId(1));
-        tree.sort_unstable();
-        assert_eq!(
-            tree,
-            vec![1, 3, 4, 5, 7, 8, 9, 10]
-                .into_iter()
-                .map(ItemId)
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(t.tree_items(ItemId(2)).len(), 3);
-    }
-
-    #[test]
     fn extend_transaction_matches_paper_example_1() {
         // Paper Example 1: t = {10, 12, 14} extends to {1,2,4,5,6,10,12,14}
         // *after* small-item filtering; raw extension adds ancestors of 10.
@@ -389,17 +399,6 @@ mod tests {
         t.reduce_to_lowest_large_into(&[ItemId(13)], |_| false, &mut reduced);
         assert!(reduced.is_empty());
     }
-
-    #[test]
-    fn lowest_large_prefers_self() {
-        let t = paper_forest();
-        assert_eq!(t.lowest_large(ItemId(10), |_| true), Some(ItemId(10)));
-        assert_eq!(
-            t.lowest_large(ItemId(10), |i| i == ItemId(1)),
-            Some(ItemId(1))
-        );
-        assert_eq!(t.lowest_large(ItemId(10), |_| false), None);
-    }
 }
 
 #[cfg(test)]
@@ -439,11 +438,11 @@ mod proptests {
         #[test]
         fn roots_union_descendants_is_universe(t in arb_taxonomy()) {
             let mut seen = vec![false; t.num_items() as usize];
-            for &r in t.roots() {
-                for it in t.tree_items(r) {
-                    prop_assert!(!seen[it.index()], "item in two trees");
-                    seen[it.index()] = true;
-                }
+            let mut stack = t.roots().to_vec();
+            while let Some(it) = stack.pop() {
+                prop_assert!(!seen[it.index()], "item in two trees");
+                seen[it.index()] = true;
+                stack.extend_from_slice(t.children(it));
             }
             prop_assert!(seen.iter().all(|&s| s));
         }
@@ -510,8 +509,10 @@ mod proptests {
             // Reduction is each item's lowest large ancestor-or-self.
             let is_large = |i: ItemId| i.raw().is_multiple_of(large_mod);
             t.reduce_to_lowest_large_into(&txn, is_large, &mut buf);
-            let mut want: Vec<ItemId> =
-                txn.iter().filter_map(|&it| t.lowest_large(it, is_large)).collect();
+            let lowest_large = |it: ItemId| {
+                std::iter::once(&it).chain(t.ancestors(it)).copied().find(|&a| is_large(a))
+            };
+            let mut want: Vec<ItemId> = txn.iter().filter_map(|&it| lowest_large(it)).collect();
             want.sort_unstable();
             want.dedup();
             prop_assert_eq!(&buf, &want);

@@ -10,6 +10,7 @@
 //! Implemented locally instead of depending on `rustc-hash` to keep the
 //! dependency set within the sanctioned list (see DESIGN.md §5).
 
+use crate::item::ItemId;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit Fx mixing constant (golden-ratio derived, same as rustc's).
@@ -31,10 +32,10 @@ impl FxHasher {
 
 /// One Fx step: the state after `word` is written to a hasher in `state`.
 /// `fx_mix(fx_hash_u32s(p), x as u64)` is `fx_hash_u32s` of `p` followed
-/// by `x`, so a caller enumerating itemsets can carry each prefix's state
-/// and pay one multiply per itemset instead of re-hashing it.
+/// by `x`, so [`SubsetWalk`] carries each prefix's state and pays one
+/// multiply per subset instead of re-hashing it.
 #[inline]
-pub fn fx_mix(state: u64, word: u64) -> u64 {
+fn fx_mix(state: u64, word: u64) -> u64 {
     (state.rotate_left(ROTATE) ^ word).wrapping_mul(SEED)
 }
 
@@ -106,6 +107,83 @@ pub fn fx_hash_u32s(values: impl IntoIterator<Item = u32>) -> u64 {
     h.finish()
 }
 
+/// The one k-subset walk of the workspace, and its reusable scratch:
+/// the subset's positions, the subset, and per `i` the placement hash of
+/// its first `i` members. HPGM walks every transaction with one scratch;
+/// the serving catalog walks its consequents' ancestor closures.
+#[derive(Debug, Default)]
+pub struct SubsetWalk {
+    at: Vec<usize>,
+    subset: Vec<ItemId>,
+    prefix: Vec<u64>,
+}
+
+impl SubsetWalk {
+    /// Calls `f` with every `k`-subset of the ascending `items`, in
+    /// lexicographic order, and its placement hash ([`fx_hash_u32s`] of
+    /// its codes); returns `f`'s first `Err`. An odometer: the last
+    /// member runs under a fixed prefix whose hash is carried, so a
+    /// subset costs one [`fx_mix`], and a carry moves one earlier member
+    /// right and those after it just behind. Nothing recurses, so a
+    /// subset as long as `items` costs no stack.
+    #[inline]
+    pub fn walk<E>(
+        &mut self,
+        items: &[ItemId],
+        k: usize,
+        mut f: impl FnMut(&[ItemId], u64) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (n, Self { at, subset, prefix }) = (items.len(), self);
+        let Some(last) = k.checked_sub(1) else {
+            return f(&[], fx_hash_u32s([]));
+        };
+        if k > n {
+            return Ok(());
+        }
+        // HPGM's pass 2 walks pairs, its hottest loop: a pair of known
+        // length lets the callback's copies unroll, and inlining the walk
+        // into its caller is what lets them (together, measured on
+        // `hpgm-exchange`'s mining CPU; neither helps alone).
+        if k == 2 {
+            for (i, &a) in items.iter().enumerate() {
+                let prefix = fx_mix(fx_hash_u32s([]), a.raw().into());
+                for &b in &items[i + 1..] {
+                    f(&[a, b], fx_mix(prefix, b.raw().into()))?;
+                }
+            }
+            return Ok(());
+        }
+        at.clear();
+        subset.clear();
+        prefix.clear();
+        prefix.push(fx_hash_u32s([]));
+        for (i, &it) in items[..k].iter().enumerate() {
+            at.push(i);
+            subset.push(it);
+            prefix.push(fx_mix(prefix[i], it.raw().into()));
+        }
+        let mut from = last;
+        loop {
+            let hash = prefix[last];
+            for &it in &items[from..] {
+                subset[last] = it;
+                f(subset, fx_mix(hash, it.raw().into()))?;
+            }
+            let Some(i) = (0..last).rev().find(|&i| at[i] < n - k + i) else {
+                return Ok(());
+            };
+            let mut next = at[i];
+            for j in i..last {
+                next += 1;
+                at[j] = next;
+                subset[j] = items[next];
+                prefix[j + 1] = fx_mix(prefix[j], items[next].raw().into());
+            }
+            from = next + 1;
+        }
+    }
+}
+
 /// The one placement rule of the workspace: a key whose placement hash
 /// ([`fx_hash_u32s`] of its words) is `hash` lives in slot `hash mod n`
 /// (`n = 0` counts as 1). It places an HPGM candidate by its codes, an
@@ -163,6 +241,70 @@ mod tests {
         assert_ne!(a.finish(), b.finish());
     }
 
+    fn ids(v: &[u32]) -> Vec<ItemId> {
+        v.iter().map(|&x| ItemId(x)).collect()
+    }
+
+    fn subsets(t: &[ItemId], k: usize, walk: &mut SubsetWalk) -> Vec<Vec<ItemId>> {
+        let mut got = Vec::new();
+        walk.walk(t, k, |s, _| {
+            got.push(s.to_vec());
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        got
+    }
+
+    #[test]
+    fn k_subsets_pairs_and_triples() {
+        let t = ids(&[1, 2, 3, 4]);
+        let mut walk = SubsetWalk::default();
+        let got = subsets(&t, 2, &mut walk);
+        assert_eq!(got.len(), 6);
+        assert_eq!(got[0], ids(&[1, 2]));
+        assert_eq!(got[5], ids(&[3, 4]));
+
+        let got = subsets(&t, 3, &mut walk);
+        assert_eq!(got.len(), 4);
+        assert!(got.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
+    }
+
+    #[test]
+    fn k_subsets_of_short_input_is_empty() {
+        let mut walk = SubsetWalk::default();
+        assert!(subsets(&ids(&[1]), 2, &mut walk).is_empty());
+        // The one empty subset, even of nothing.
+        assert_eq!(subsets(&[], 0, &mut walk), [Vec::<ItemId>::new()]);
+    }
+
+    #[test]
+    fn a_walk_stops_at_the_first_error() {
+        let mut seen = 0;
+        let out = SubsetWalk::default().walk(&ids(&[1, 2, 3, 4]), 2, |s, _| {
+            seen += 1;
+            if s == ids(&[1, 4]) {
+                Err(seen)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(out, Err(3));
+        assert_eq!(seen, 3);
+    }
+
+    #[test]
+    fn a_subset_as_long_as_a_long_slice_is_walked() {
+        let t: Vec<ItemId> = (0..1 << 16).map(ItemId).collect();
+        let mut walk = SubsetWalk::default();
+        let mut got = Vec::new();
+        walk.walk(&t, t.len(), |s, hash| {
+            got.push((s.len(), hash));
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(got, [(t.len(), fx_hash_u32s(0..1 << 16))]);
+    }
+
     #[test]
     fn hashmap_round_trip() {
         let mut m: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
@@ -173,5 +315,46 @@ mod tests {
             assert_eq!(m.get(&vec![i, i + 1]), Some(&u64::from(i)));
         }
         assert_eq!(m.len(), 1000);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        // HPGM routes by the carried hash, so it must be the subset's own
+        // placement hash — for every subset, in lexicographic order, with
+        // codes small and near `u32::MAX`.
+        #[test]
+        fn carried_hash_is_the_subset_hash(
+            k in 1usize..5,
+            small in proptest::collection::btree_set(0u32..64, 0..10),
+            large in proptest::collection::btree_set(0u32..4, 0..3)
+        ) {
+            let t: Vec<ItemId> = small
+                .into_iter()
+                .chain(large.into_iter().rev().map(|d| u32::MAX - d))
+                .map(ItemId)
+                .collect();
+            let mut got = Vec::new();
+            SubsetWalk::default()
+                .walk(&t, k, |s, hash| {
+                    got.push((s.to_vec(), hash));
+                    Ok::<(), ()>(())
+                })
+                .expect("the callback never fails");
+            // C(n, k) strictly increasing sorted k-subsets of `t`: all of them.
+            let n = t.len();
+            let binom = (0..k).fold(1, |c, i| c * n.saturating_sub(i) / (i + 1));
+            prop_assert_eq!(got.len(), binom);
+            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "not lexicographic");
+            for (s, hash) in &got {
+                prop_assert!(s.windows(2).all(|w| w[0] < w[1]), "{s:?} unsorted");
+                prop_assert!(s.iter().all(|it| t.binary_search(it).is_ok()), "{s:?} not in t");
+                prop_assert_eq!(*hash, fx_hash_u32s(s.iter().map(|it| it.raw())));
+            }
+        }
     }
 }

@@ -46,18 +46,6 @@ impl Itemset {
         }
     }
 
-    /// A two-item itemset from (possibly unordered) distinct items.
-    ///
-    /// # Panics
-    /// Panics if `a == b`.
-    pub fn pair(a: ItemId, b: ItemId) -> Self {
-        assert_ne!(a, b, "a pair itemset needs two distinct items");
-        let items = if a < b { vec![a, b] } else { vec![b, a] };
-        Itemset {
-            items: items.into_boxed_slice(),
-        }
-    }
-
     /// Number of items (the `k` of a k-itemset).
     #[inline]
     pub fn len(&self) -> usize {
@@ -155,19 +143,6 @@ impl Itemset {
             items: v.into_boxed_slice(),
         }
     }
-
-    /// Set difference `self \ other`.
-    pub fn difference(&self, other: &Itemset) -> Itemset {
-        let v: Vec<ItemId> = self
-            .items
-            .iter()
-            .copied()
-            .filter(|it| !other.contains(*it))
-            .collect();
-        Itemset {
-            items: v.into_boxed_slice(),
-        }
-    }
 }
 
 impl Deref for Itemset {
@@ -235,17 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_orders_items() {
-        assert_eq!(Itemset::pair(ItemId(5), ItemId(2)), iset![2, 5]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn pair_rejects_equal_items() {
-        let _ = Itemset::pair(ItemId(1), ItemId(1));
-    }
-
-    #[test]
     fn contains_uses_membership() {
         let s = iset![1, 5, 9];
         assert!(s.contains(ItemId(5)));
@@ -271,12 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn union_and_difference() {
+    fn union_merges_both_sides() {
         let a = iset![1, 3, 5];
         let b = iset![2, 3, 6];
         assert_eq!(a.union(&b), iset![1, 2, 3, 5, 6]);
-        assert_eq!(a.difference(&b), iset![1, 5]);
-        assert_eq!(b.difference(&a), iset![2, 6]);
     }
 
     #[test]
@@ -320,15 +282,6 @@ mod proptests {
             let u = a.union(&b);
             prop_assert!(a.is_contained_in(u.items()));
             prop_assert!(b.is_contained_in(u.items()));
-        }
-
-        #[test]
-        fn difference_disjoint_from_subtrahend(a in arb_items(), b in arb_items()) {
-            let (a, b) = (Itemset::from_unsorted(a), Itemset::from_unsorted(b));
-            let d = a.difference(&b);
-            prop_assert!(d.iter().all(|&x| !b.contains(x)));
-            // difference ∪ b ⊇ a
-            prop_assert!(a.is_contained_in(d.union(&b).items()));
         }
 
         #[test]
