@@ -7,7 +7,7 @@ use gar_mining::persist::load_output;
 use gar_mining::rules::{derive_rules, prune_uninteresting, top_rules};
 use gar_serve::RuleStore;
 use gar_taxonomy::{Taxonomy, TaxonomyBuilder};
-use gar_types::Result;
+use gar_types::{Error, Result};
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<()> {
@@ -15,9 +15,21 @@ pub fn run(args: &Args) -> Result<()> {
     let min_confidence: f64 = args.require_parsed("min-confidence")?;
     let top: usize = args.get_or("top", 50)?;
     let taxonomy_path = args.get("taxonomy");
-    let interest = args.get("interest");
+    let interest: Option<f64> = args.get_parsed("interest")?;
     let out_path = args.get("out");
     args.finish()?;
+    // The library asserts both ranges; a flag out of range is the user's
+    // error, so it is refused here, before any work.
+    if !(0.0..=1.0).contains(&min_confidence) {
+        return Err(Error::InvalidConfig(format!(
+            "--min-confidence {min_confidence} must be in [0, 1]"
+        )));
+    }
+    if let Some(r) = interest.filter(|r| !(r.is_finite() && *r >= 1.0)) {
+        return Err(Error::InvalidConfig(format!(
+            "--interest {r} must be finite and at least 1"
+        )));
+    }
 
     let output = load_output(output_path)?;
     let taxonomy: Option<Taxonomy> = match taxonomy_path {
@@ -33,11 +45,8 @@ pub fn run(args: &Args) -> Result<()> {
     let mut rules = derive_rules(&output, min_confidence, taxonomy.as_ref());
     let total = rules.len();
     if let Some(r) = interest {
-        let r: f64 = r
-            .parse()
-            .map_err(|_| gar_types::Error::InvalidConfig(format!("bad --interest '{r}'")))?;
         let tax = taxonomy.as_ref().ok_or_else(|| {
-            gar_types::Error::InvalidConfig(
+            Error::InvalidConfig(
                 "--interest needs --taxonomy (ancestor rules define expectations)".into(),
             )
         })?;

@@ -234,6 +234,78 @@ fn rules_exit_codes_match_mine() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `rules` refuses a confidence outside [0, 1] and an interest ratio
+/// that is not a finite number of at least 1 as a configuration error
+/// (exit 2) naming the flag, on a real mining output, instead of
+/// panicking inside rule derivation.
+#[test]
+fn rules_rejects_out_of_range_confidence_and_interest() {
+    let dir = tmp_dir("rules-range");
+    let data = dir.join("data");
+    let gout = dir.join("large.gout");
+    run_ok(bin().args([
+        "gen",
+        "--out",
+        data.to_str().unwrap(),
+        "--preset",
+        "R30F10",
+        "--scale",
+        "0.001",
+        "--partitions",
+        "2",
+        "--seed",
+        "9",
+    ]));
+    run_ok(bin().args([
+        "mine",
+        "--data",
+        data.to_str().unwrap(),
+        "--min-support",
+        "0.02",
+        "--max-pass",
+        "2",
+        "--out",
+        gout.to_str().unwrap(),
+    ]));
+    let taxonomy = data.join("taxonomy.gtax");
+    let cases = [
+        ("min-confidence", "1.5", "2"),
+        ("min-confidence", "NaN", "2"),
+        ("min-confidence", "-0.1", "2"),
+        ("interest", "0.5", "0.5"),
+        ("interest", "NaN", "0.5"),
+        ("interest", "inf", "0.5"),
+    ];
+    for (flag, value, other) in cases {
+        let (confidence, interest) = match flag {
+            "min-confidence" => (value, other),
+            _ => (other, value),
+        };
+        let out = bin()
+            .args([
+                "rules",
+                "--output",
+                gout.to_str().unwrap(),
+                "--taxonomy",
+                taxonomy.to_str().unwrap(),
+                "--min-confidence",
+                confidence,
+                "--interest",
+                interest,
+            ])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--{flag}")),
+            "--{flag} {value}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "--{flag} {value}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A dataset whose partitions hold item codes its taxonomy does not
 /// define is rejected by `mine` (every algorithm family) and by `rules
 /// --taxonomy` with exit 2, naming the file, before any mining or rule

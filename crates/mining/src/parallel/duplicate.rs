@@ -18,13 +18,17 @@
 //!   only one that catches hot interior itemsets whose descendants are
 //!   individually cold (the paper's stated weakness of PGD).
 //!
+//! A candidate's *ancestor candidates* are the candidates it properly
+//! specializes, from the one generalization lookup, [`Generalizations`],
+//! built once per selection over the candidates.
+//!
 //! Frequency is estimated from the pass-1 global item counts (`sup_cou` of
 //! each item), which every node holds identically, so the selection is
 //! deterministic and replica-consistent with zero communication.
 
 use crate::counter::candidate_entry_bytes;
-use gar_taxonomy::Taxonomy;
-use gar_types::{FxHashMap, ItemId, Itemset};
+use gar_taxonomy::{Generalizations, Taxonomy};
+use gar_types::{ItemId, Itemset};
 use std::cmp::Ordering;
 
 /// The duplication granule (one per skew-handling algorithm).
@@ -91,66 +95,6 @@ pub(crate) fn root_keys(candidates: &[Itemset], tax: &Taxonomy) -> Vec<u32> {
     keys
 }
 
-/// Scratch of the ancestor-candidate enumeration, reused across seeds.
-#[derive(Default)]
-struct Ancestors {
-    /// Member `d` of the seed takes choice `pick[d]`: itself (0) or its
-    /// `p`-th proper ancestor.
-    pick: Vec<usize>,
-    set: Vec<ItemId>,
-    found: Vec<usize>,
-}
-
-impl Ancestors {
-    /// The indices of the ancestor candidates of `c`: every itemset
-    /// obtained by replacing members with proper ancestors (at least one
-    /// replacement) that is itself in `index` — in ascending itemset
-    /// order, each once.
-    fn of(
-        &mut self,
-        c: &[ItemId],
-        tax: &Taxonomy,
-        index: &FxHashMap<&[ItemId], usize>,
-        candidates: &[Itemset],
-    ) -> &[usize] {
-        let Ancestors { pick, set, found } = self;
-        found.clear();
-        pick.clear();
-        pick.resize(c.len(), 0);
-        loop {
-            // Skip the all-self combination (that is `c`).
-            if pick.iter().any(|&p| p > 0) {
-                set.clear();
-                set.extend(pick.iter().zip(c).map(|(&p, &it)| match p {
-                    0 => it,
-                    _ => tax.ancestors(it)[p - 1],
-                }));
-                set.sort_unstable();
-                if set.windows(2).all(|w| w[0] != w[1]) {
-                    if let Some(&i) = index.get(set.as_slice()) {
-                        found.push(i);
-                    }
-                }
-            }
-            // Odometer increment.
-            let mut d = 0;
-            loop {
-                if d == pick.len() {
-                    found.sort_unstable_by(|&a, &b| candidates[a].cmp(&candidates[b]));
-                    found.dedup();
-                    return found;
-                }
-                pick[d] += 1;
-                if pick[d] <= tax.ancestors(c[d]).len() {
-                    break;
-                }
-                pick[d] = 0;
-                d += 1;
-            }
-        }
-    }
-}
-
 /// The greedy fill of the free memory: which candidates are taken, in
 /// what order, and how many bytes are left.
 struct Fill {
@@ -184,9 +128,10 @@ impl Fill {
 
 /// Selects `C_k^D` under `budget_bytes` of per-node free memory.
 ///
-/// `item_counts` are the pass-1 global item supports; `l1` flags which
-/// items are large (needed to find the leaf level of the *large* item
-/// hierarchy for the Path grain).
+/// `candidates` are distinct, in any order. `item_counts` are the
+/// pass-1 global item supports; `l1` flags which items are large (needed
+/// to find the leaf level of the *large* item hierarchy for the Path
+/// grain).
 pub fn select_duplicates(
     grain: DuplicateGrain,
     candidates: &[Itemset],
@@ -299,26 +244,20 @@ pub(crate) fn select_duplicate_indices(
                 |&i| estimate(candidates[i].items().iter().copied(), counts, txns),
                 |&a, &b| candidates[a].cmp(&candidates[b]),
             );
-            let index: FxHashMap<&[ItemId], usize> = candidates
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (c.items(), i))
-                .collect();
-            let mut ancestors = Ancestors::default();
+            // The candidates are distinct: a candidate's id is its index.
+            let mut general = Generalizations::new(tax);
+            general.extend(candidates.iter().map(Itemset::items));
             let mut group = Vec::new();
             for &seed in &pool {
                 if fill.taken[seed] {
                     continue;
                 }
-                // The seed, then its ancestor candidates.
+                // The seed, then its ancestor candidates in candidate order.
                 group.clear();
                 group.push(seed);
-                group.extend_from_slice(ancestors.of(
-                    candidates[seed].items(),
-                    tax,
-                    &index,
-                    candidates,
-                ));
+                let ancestors = general.of(candidates[seed].items());
+                group.extend(ancestors.iter().map(|&i| i as usize));
+                group[1..].sort_unstable_by(|&a, &b| candidates[a].cmp(&candidates[b]));
                 match grain {
                     // A path is atomic: the hot leaf itemset together with
                     // its whole generalization chain, or nothing.
@@ -347,7 +286,7 @@ mod tests {
     use super::*;
     use crate::parallel::common::root_key;
     use gar_taxonomy::TaxonomyBuilder;
-    use gar_types::{iset, FxHashSet};
+    use gar_types::{iset, FxHashMap, FxHashSet};
     use proptest::prelude::*;
 
     /// The allocating enumeration `select_duplicates` used before its
@@ -844,19 +783,16 @@ mod tests {
             .enumerate()
             .map(|(i, c)| (c.clone(), i))
             .collect();
-        // {8,15}: 8 generalizes to 3, 1; 15 to 6, 2. The scratch
-        // enumeration finds what the allocating one does, in its order.
+        // {8,15}: 8 generalizes to 3, 1; 15 to 6, 2. The generalization
+        // lookup finds what the allocating enumeration does, in its order
+        // (the pairs are generated in ascending order).
         let ancs = ancestor_candidates(&iset![8, 15], &tax, &index);
-        let borrowed: FxHashMap<&[ItemId], usize> = cands
+        let mut general = Generalizations::new(&tax);
+        general.extend(cands.iter().map(Itemset::items));
+        let found: Vec<&Itemset> = general
+            .of(iset![8, 15].items())
             .iter()
-            .enumerate()
-            .map(|(i, c)| (c.items(), i))
-            .collect();
-        let mut scratch = Ancestors::default();
-        let found: Vec<&Itemset> = scratch
-            .of(iset![8, 15].items(), &tax, &borrowed, &cands)
-            .iter()
-            .map(|&i| &cands[i])
+            .map(|&i| &cands[i as usize])
             .collect();
         assert_eq!(found, ancs.iter().collect::<Vec<_>>());
         for expected in [

@@ -38,12 +38,13 @@
 //!   to `top_k` survivors: nothing is sorted. Consequents are
 //!   deduplicated by id, and suppression reads a table: [`Catalog::new`]
 //!   lists, per interned consequent, the interned consequents it
-//!   properly specializes (walking its ancestor closure's subsets with
-//!   HPGM's [`SubsetWalk`]). Admitting an entry marks its
-//!   generalizations suppressed, and a judged entry is dropped iff its
-//!   consequent is marked — when a group is judged, every entry scoring
-//!   at least as high has been admitted. Both filters sit at the merge,
-//!   so the answer is identical for every shard count.
+//!   properly specializes, from the one generalization lookup
+//!   ([`Generalizations`], which duplicate selection asks too).
+//!   Admitting an entry marks its generalizations suppressed, and a
+//!   judged entry is dropped iff its consequent is marked — when a
+//!   group is judged, every entry scoring at least as high has been
+//!   admitted. Both filters sit at the merge, so the answer is
+//!   identical for every shard count.
 //!
 //! Rules are sharded by the FxHash of their **antecedent's** sorted
 //! distinct root-id key — the placement of the H-HPGM family applied
@@ -61,9 +62,9 @@
 use crate::index::RuleIndex;
 use crate::store::RuleStore;
 use gar_mining::rules::Rule;
-use gar_taxonomy::Taxonomy;
-use gar_types::hash::{fx_hash_u32s, place, SubsetWalk};
-use gar_types::{FxHashMap, ItemId, Itemset};
+use gar_taxonomy::{Generalizations, Taxonomy};
+use gar_types::hash::{fx_hash_u32s, place};
+use gar_types::{ItemId, Itemset};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 
@@ -214,101 +215,6 @@ thread_local! {
     };
 }
 
-/// True when every item of `spec` has an ancestor-or-self in the
-/// ascending `gen`.
-fn covered(spec: &[ItemId], gen: &[ItemId], tax: &Taxonomy) -> bool {
-    spec.iter().all(|&item| {
-        gen.binary_search(&item).is_ok()
-            || ancestors_of(item, tax)
-                .iter()
-                .any(|a| gen.binary_search(a).is_ok())
-    })
-}
-
-/// The proper ancestors of `item`; none for an item outside the
-/// taxonomy, which stands for itself.
-fn ancestors_of(item: ItemId, tax: &Taxonomy) -> &[ItemId] {
-    if item.raw() < tax.num_items() {
-        tax.ancestors(item)
-    } else {
-        &[]
-    }
-}
-
-/// The generalization table of `consequents` (indexed by interned id,
-/// `interned` their inverse): for each consequent, the ids of the
-/// consequents it properly specializes, as CSR arrays `(first, ids)` —
-/// consequent `c`'s are `ids[first[c]..first[c + 1]]`.
-///
-/// An `L`-item `spec` properly specializes a different `L`-item `gen`
-/// when every `gen` item is an ancestor-or-self of a `spec` item, i.e.
-/// lies in `spec`'s ancestor-or-self closure, and every `spec` item has
-/// an ancestor-or-self in `gen` ([`covered`]). Two candidate sources
-/// are complete: the `L`-subsets of the closure, looked up in
-/// `interned`, and the other `L`-item consequents (its peers), each
-/// tested for lying inside the closure. Per consequent the build walks
-/// the subsets ([`SubsetWalk`]) until they outnumber the peers, and then
-/// scans the peers instead. A consequent so costs at most 2 ×
-/// min(C(|closure|, L), peers) candidates of O(L × (taxonomy depth + 1)
-/// × log) each, with |closure| ≤ L × (taxonomy depth + 1): short
-/// consequents under a shallow taxonomy walk their few subsets, a long
-/// one stops early, and the walk does not recurse, so an `L` as long as
-/// the closure costs no stack.
-fn generalization_table(
-    consequents: &[&[ItemId]],
-    interned: &FxHashMap<&[ItemId], u32>,
-    tax: &Taxonomy,
-) -> (Vec<u32>, Vec<u32>) {
-    // `(length, id)`, sorted: the consequents of one length are a run.
-    let mut by_len: Vec<(usize, u32)> = (0u32..)
-        .zip(consequents)
-        .map(|(id, c)| (c.len(), id))
-        .collect();
-    by_len.sort_unstable();
-    let mut closure: Vec<ItemId> = Vec::new();
-    let mut walk = SubsetWalk::default();
-    let mut first = Vec::with_capacity(consequents.len() + 1);
-    let mut ids = Vec::new();
-    first.push(0);
-    for (id, &spec) in (0u32..).zip(consequents) {
-        let len = spec.len();
-        let peers = by_len
-            .get(by_len.partition_point(|p| p.0 < len)..by_len.partition_point(|p| p.0 <= len))
-            .unwrap_or(&[]);
-        closure.clear();
-        for &item in spec {
-            closure.push(item);
-            closure.extend_from_slice(ancestors_of(item, tax));
-        }
-        closure.sort_unstable();
-        closure.dedup();
-        let admits = |gen: u32, gen_items: &[ItemId]| gen != id && covered(spec, gen_items, tax);
-        let (start, mut budget) = (ids.len(), peers.len());
-        let walked: Result<(), ()> = walk.walk(&closure, len, |subset, _| {
-            budget = budget.checked_sub(1).ok_or(())?;
-            match interned.get(subset) {
-                Some(&gen) if admits(gen, subset) => ids.push(gen),
-                _ => {}
-            }
-            Ok(())
-        });
-        if walked.is_err() {
-            // The subsets outnumber the peers: scan the peers instead.
-            ids.truncate(start);
-            for &(_, gen) in peers {
-                let gen_items = consequents.get(gen as usize).copied().unwrap_or(&[]);
-                if gen_items.iter().all(|i| closure.binary_search(i).is_ok())
-                    && admits(gen, gen_items)
-                {
-                    ids.push(gen);
-                }
-            }
-        }
-        first.push(ids.len() as u32);
-    }
-    (first, ids)
-}
-
 /// A loaded, sharded, indexed rule set — the in-process query engine
 /// the TCP server (and embedders) answer from.
 #[derive(Debug)]
@@ -319,8 +225,8 @@ pub struct Catalog {
     rules: Vec<Rule>,
     /// Per rank, the rule's key: the keys in answer order.
     ranks: Vec<RankKey>,
-    /// The generalization table ([`generalization_table`]) over the
-    /// interned consequent ids: `general[general_first[c]..
+    /// The generalization table over the interned consequent ids
+    /// ([`Generalizations`]): `general[general_first[c]..
     /// general_first[c + 1]]` are the consequents `c` specializes.
     general_first: Vec<u32>,
     general: Vec<u32>,
@@ -340,25 +246,22 @@ impl Catalog {
             rules,
         } = store;
         // One key per rule in store order: its score and its interned
-        // consequent, each computed once.
-        let mut interned: FxHashMap<&[ItemId], u32> = FxHashMap::default();
-        let mut consequents: Vec<&[ItemId]> = Vec::new();
+        // consequent, each computed once. The generalization lookup
+        // interns, and its answers for each consequent fill the table.
+        let mut lookup = Generalizations::new(&taxonomy);
         let mut ranks: Vec<RankKey> = (0u32..)
             .zip(&rules)
-            .map(|(at, r)| {
-                let fresh = consequents.len() as u32;
-                let consequent = *interned.entry(r.consequent.items()).or_insert_with(|| {
-                    consequents.push(r.consequent.items());
-                    fresh
-                });
-                RankKey {
-                    score: score(r),
-                    consequent,
-                    at,
-                }
+            .map(|(at, r)| RankKey {
+                score: score(r),
+                consequent: lookup.insert(r.consequent.items()),
+                at,
             })
             .collect();
-        let (general_first, general) = generalization_table(&consequents, &interned, &taxonomy);
+        let (mut general_first, mut general) = (vec![0], Vec::new());
+        for spec in lookup.members().to_vec() {
+            general.extend_from_slice(lookup.of(spec));
+            general_first.push(general.len() as u32);
+        }
         // The answer's order is score desc, support desc, antecedent,
         // consequent. The store is canonical (strictly ascending by
         // antecedent, consequent), so the last two are the store position
@@ -608,7 +511,7 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::testutil::{rule, sa95_taxonomy};
-    use gar_types::iset;
+    use gar_types::{iset, FxHashMap};
     use std::cmp::Ordering;
 
     fn catalog(rules: Vec<Rule>, num_shards: usize) -> Catalog {

@@ -67,7 +67,6 @@ mod codec {
         use crate::flat::encoded_len;
         use crate::testutil::{drain, ids, tmp};
         use crate::FlatPartition;
-        use gar_types::Error;
 
         #[test]
         fn encoded_len_matches_reality() {
@@ -103,43 +102,6 @@ mod codec {
             assert_eq!(drain(&FlatPartition::open(&path).unwrap()), vec![txn]);
             std::fs::remove_file(&path).ok();
         }
-
-        #[test]
-        fn round_trip_many_records_including_empty() {
-            let path = tmp("codec-many");
-            let txns = vec![ids(&[3]), ids(&[]), ids(&[1, 2, 3, 4, 5])];
-            FlatPartition::from_transactions(&txns)
-                .write_to(&path)
-                .unwrap();
-            assert_eq!(drain(&FlatPartition::open(&path).unwrap()), txns);
-            std::fs::remove_file(&path).ok();
-        }
-
-        #[test]
-        fn truncated_prefix_is_corrupt() {
-            let path = tmp("codec-prefix");
-            FlatPartition::from_transactions([ids(&[1, 2, 3])])
-                .write_to(&path)
-                .unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &bytes[..6]).unwrap(); // mid-header
-            let err = FlatPartition::open(&path).unwrap_err();
-            assert!(matches!(err, Error::Corrupt(_)), "{err}");
-            std::fs::remove_file(&path).ok();
-        }
-
-        #[test]
-        fn truncated_body_is_corrupt() {
-            let path = tmp("codec-body");
-            FlatPartition::from_transactions([ids(&[1, 2, 3])])
-                .write_to(&path)
-                .unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap(); // mid-items
-            let err = FlatPartition::open(&path).unwrap_err();
-            assert!(matches!(err, Error::Corrupt(_)), "{err}");
-            std::fs::remove_file(&path).ok();
-        }
     }
 
     mod proptests {
@@ -171,31 +133,8 @@ mod codec {
 #[cfg(test)]
 mod memory {
     mod tests {
-        use crate::testutil::{drain, ids, tmp};
+        use crate::testutil::{drain, tmp};
         use crate::FlatPartition;
-
-        #[test]
-        fn scan_round_trips() {
-            let txns = vec![ids(&[1, 2]), ids(&[5])];
-            let p = FlatPartition::from_transactions(&txns);
-            assert_eq!(p.num_transactions(), 2);
-            assert_eq!(drain(&p), txns);
-        }
-
-        #[test]
-        fn bytes_read_mirrors_disk_accounting() {
-            let path = tmp("mem-ledger");
-            let mem = FlatPartition::from_transactions([ids(&[1, 2, 3])]);
-            assert_eq!(mem.bytes_read(), 0);
-            drain(&mem);
-            assert_eq!(mem.bytes_read(), mem.size_bytes());
-            assert_eq!(mem.size_bytes(), 16, "length prefix + three items");
-            mem.write_to(&path).unwrap();
-            let disk = FlatPartition::open(&path).unwrap();
-            drain(&disk);
-            assert_eq!(disk.bytes_read(), mem.bytes_read());
-            std::fs::remove_file(&path).ok();
-        }
 
         #[test]
         fn empty_partition_scans_cleanly() {
@@ -219,48 +158,10 @@ mod memory {
 #[cfg(test)]
 mod partition {
     mod tests {
-        use crate::testutil::{drain, ids, tmp};
+        use crate::testutil::tmp;
         use crate::FlatPartition;
         use gar_types::bytes::seal;
         use gar_types::Error;
-
-        fn reopened(name: &str, txns: &[Vec<gar_types::ItemId>]) -> FlatPartition {
-            let path = tmp(name);
-            FlatPartition::from_transactions(txns)
-                .write_to(&path)
-                .unwrap();
-            let p = FlatPartition::open(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            p
-        }
-
-        #[test]
-        fn write_then_scan_round_trips() {
-            let txns = vec![ids(&[1, 2]), ids(&[7]), ids(&[3, 4, 5])];
-            let p = reopened("disk-roundtrip", &txns);
-            assert_eq!(p.num_transactions(), 3);
-            assert_eq!(drain(&p), txns);
-            assert_eq!(p.bytes_read(), p.size_bytes());
-        }
-
-        #[test]
-        fn repeated_scans_accumulate_bytes_read() {
-            let txns: Vec<_> = (0..10u32).map(|i| ids(&[i, i + 100])).collect();
-            let p = reopened("disk-rescan", &txns);
-            for _ in 0..3 {
-                drain(&p);
-            }
-            assert_eq!(p.bytes_read(), 3 * p.size_bytes());
-        }
-
-        #[test]
-        fn open_recounts_records() {
-            let txns: Vec<_> = (0..5u32).map(|i| ids(&[i])).collect();
-            let written = FlatPartition::from_transactions(&txns);
-            let p = reopened("disk-open", &txns);
-            assert_eq!(p.num_transactions(), 5);
-            assert_eq!(p.size_bytes(), written.size_bytes());
-        }
 
         #[test]
         fn open_missing_file_fails_with_context() {

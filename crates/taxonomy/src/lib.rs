@@ -15,7 +15,10 @@
 //!   transaction *reduction* (replace each item with its closest-to-bottom
 //!   large ancestor — the H-HPGM family);
 //! * the Cumulate optimization of pruning ancestors that occur in no
-//!   candidate ([`PrunedView`]).
+//!   candidate ([`PrunedView`]);
+//! * the one generalization lookup ([`Generalizations`]): which itemsets
+//!   of a set an itemset properly specializes — duplicate selection's
+//!   ancestor candidates and the serving catalog's suppression table.
 //!
 //! [`synth`] grows the random forests used by the synthetic datasets of
 //! Table 5 (number of roots, mean fanout).
@@ -32,11 +35,13 @@
 )]
 
 mod builder;
+mod generalize;
 pub mod io;
 pub mod synth;
 mod taxonomy;
 mod view;
 
 pub use builder::TaxonomyBuilder;
+pub use generalize::Generalizations;
 pub use taxonomy::{Taxonomy, MAX_ANCESTOR_ENTRIES};
 pub use view::PrunedView;

@@ -109,8 +109,8 @@ pub fn fx_hash_u32s(values: impl IntoIterator<Item = u32>) -> u64 {
 
 /// The one k-subset walk of the workspace, and its reusable scratch:
 /// the subset's positions, the subset, and per `i` the placement hash of
-/// its first `i` members. HPGM walks every transaction with one scratch;
-/// the serving catalog walks its consequents' ancestor closures.
+/// its first `i` members. HPGM's send loop walks every transaction with
+/// one scratch.
 #[derive(Debug, Default)]
 pub struct SubsetWalk {
     at: Vec<usize>,
