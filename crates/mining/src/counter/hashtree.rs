@@ -36,9 +36,17 @@
 //! the number of sets whose own prefix tree holds it, and a visit charges
 //! `weight × suffix`. Only a union with two or more non-empty sets stores
 //! weights; every other tree's weights are 1 and its arena is unchanged.
+//!
+//! `count_transaction` is the walk above, one transaction at a time. The
+//! miners count with `push` and `settle` instead, which sweep the same
+//! tree over blocks of transactions held as bitsets and return the same
+//! counts and meters (`vertical.rs`).
+
+mod vertical;
 
 use super::{ArenaStats, CountOutcome};
 use gar_types::{ItemId, Itemset};
+use vertical::Block;
 
 /// Sentinel for "no rank" / "no child" / "not in this transaction".
 const NONE: u32 = u32::MAX;
@@ -90,6 +98,8 @@ pub struct HashTreeCounter {
     /// (`NONE` outside a call).
     mapped: Vec<(u32, u32)>,
     pos: Vec<u32>,
+    /// The open block of `push` (`vertical.rs`).
+    block: Block,
 }
 
 impl Tree {
@@ -330,6 +340,7 @@ impl HashTreeCounter {
         let (tree, num_ranks) = Tree::build(k, sets);
         HashTreeCounter {
             k,
+            block: Block::new(&tree, k, num_ranks),
             tree,
             counts: vec![0; sets.iter().map(|s| s.len()).sum()],
             mapped: Vec::new(),
@@ -443,8 +454,10 @@ impl HashTreeCounter {
         out
     }
 
-    /// The counts, in candidate insertion order.
+    /// The counts, in candidate insertion order — after
+    /// [`settle`](Self::settle) for transactions given to `push`.
     pub fn counts(&self) -> &[u64] {
+        debug_assert_eq!(self.block.len(), 0, "counts read before settle");
         &self.counts
     }
 }

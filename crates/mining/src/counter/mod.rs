@@ -20,6 +20,25 @@
 //! sup_cou value"), which both structures agree on, and `work` (abstract
 //! CPU steps: visited tree nodes) for the cost model.
 //!
+//! **One meter, two executions.** The meter is the walk's: a transaction
+//! `T` with `|T| ≥ k` visits a tree node iff the node's prefix
+//! `x_1 < … < x_d` is contained in `T`, and the visit charges
+//! `weight × |T|` at the root and `weight × s_T(x_d)` below it, `s_T(x)`
+//! being the number of items of `T` after `x`. `count_transaction`
+//! executes it one transaction at a time. The miners call `push` per
+//! transaction and `settle` per pass instead. From `k = 3` on,
+//! transactions are filed in blocks of 1,024, each rank gets a tid bitset
+//! per block, and each rank that ends an internal prefix gets bit planes
+//! of `s_T`; below that, `push` walks at once. A block adds, exactly,
+//!
+//! * `counts[c] += popcount(AND_i tid(c_i))`, and as many `hits`;
+//! * `work += w_root · Σ|T| + Σ_v weight(v) · Σ_p 2^p · popcount(AND_i tid(x_i) ∧ plane_p(x_d))`
+//!   over the internal nodes `v` below the root.
+//!
+//! The proof is in `hashtree/vertical.rs`; a proptest holds `settle` to
+//! the summed `count_transaction` outcomes. So the ledger cannot tell the
+//! executions apart, and `count_transaction` stays as the oracle.
+//!
 //! Counts live in one dense `Vec<u64>` in **candidate insertion order**,
 //! which is identical on every node (candidate generation is
 //! deterministic), so NPGM and the `C_k^D` duplicate sets can all-reduce
@@ -216,6 +235,49 @@ mod tests {
         assert_eq!(flat.counts(), tree.counts());
     }
 
+    #[test]
+    fn a_thousand_item_transaction_settles_like_its_walks() {
+        // Items after the first reach 999: ten planes. Candidates are the
+        // triples and quadruples over every hundredth item, and ones that
+        // end in the transaction's last item.
+        let hundreds: Vec<ItemId> = (0..10).map(|i| ItemId(i * 100)).collect();
+        for k in [3, 4] {
+            let mut cands = Vec::new();
+            gar_types::hash::SubsetWalk::default()
+                .walk(&hundreds, k, |s, _| {
+                    cands.push(Itemset::from_sorted(s.to_vec()));
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+            for a in 0..20 {
+                let mut c: Vec<u32> = (0..k as u32 - 1).map(|i| a * 7 + i * 211).collect();
+                c.push(999);
+                c.sort_unstable();
+                c.dedup();
+                if c.len() == k && !cands.iter().any(|x| x.items() == ids(&c)) {
+                    cands.push(Itemset::from_sorted(ids(&c)));
+                }
+            }
+            let txns: Vec<Vec<ItemId>> = vec![
+                (0..1000).map(ItemId).collect(),
+                (0..1000).step_by(2).map(ItemId).collect(),
+                (500..1000).map(ItemId).collect(),
+                ids(&[0, 100, 200]),
+                ids(&[100, 999]),
+            ];
+            let mut walked = HashTreeCounter::new(k, &cands);
+            let mut blocked = HashTreeCounter::new(k, &cands);
+            let mut sum = CountOutcome::default();
+            for t in &txns {
+                sum.absorb(walked.count_transaction(t));
+                blocked.push(t);
+            }
+            assert_eq!(blocked.settle(), sum, "k = {k}");
+            assert_eq!(blocked.counts(), walked.counts());
+            assert_eq!(sum.hits, walked.counts().iter().sum::<u64>());
+        }
+    }
+
     // `benchmark/` times its pass-2 counter through `build_counter`, so
     // what it builds must be the tree the miners build: same counts, same
     // meters, same arena.
@@ -334,6 +396,61 @@ mod proptests {
                 let concat: Vec<u64> = apart.iter().flat_map(|c| c.counts().to_vec()).collect();
                 prop_assert_eq!(union.counts(), concat.as_slice());
             });
+        }
+
+        // `push` and `settle` — blocks of up to 1,024 transactions swept
+        // with bitsets from k = 3, the walk below — count and meter what
+        // `count_transaction` on each transaction sums to. Candidates fall into up to three
+        // sets or none (`to ≥ sets`), and `empty` can force a set empty,
+        // so unions weigh their nodes. The stream cycles a pool of short
+        // transactions (empty ones, ones shorter than k, items past every
+        // candidate's) to a length inside one block (`shape` 0), across
+        // one block boundary (1) or two (2), with one long transaction —
+        // up to ≈ 300 items, so ≥ 9 planes — at `at`, and settles once at
+        // `mid` as well as at the end.
+        #[test]
+        fn block_path_meters_like_summed_walks(
+            k in 1usize..6,
+            seed_cands in arb_itemsets(5),
+            split in proptest::collection::vec(0u32..3, 25..=25),
+            sets in 1u32..4,
+            empty in 0u32..4,
+            pool in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..48, 0..14), 1..12),
+            long in proptest::collection::btree_set(0u32..400, 0..300),
+            shape in 0usize..3,
+            len in 0usize..80,
+            at in 0usize..2200,
+            mid in 0usize..2200
+        ) {
+            let mut parts: Vec<Vec<Itemset>> = vec![Vec::new(); sets as usize];
+            let mut seen = std::collections::BTreeSet::new();
+            for (c, &to) in seed_cands.iter().zip(&split) {
+                let c = Itemset::from_sorted(c.items()[..k].to_vec());
+                if to < sets && to + 1 != empty && seen.insert(c.clone()) {
+                    parts[to as usize].push(c);
+                }
+            }
+            let parts: Vec<&[Itemset]> = parts.iter().map(Vec::as_slice).collect();
+            let total = [1, 1024 - 40, 2048 - 40][shape] + len;
+            let txn = |i: usize| -> Vec<ItemId> {
+                let t = if i == at % total { &long } else { &pool[i % pool.len()] };
+                t.iter().copied().map(ItemId).collect()
+            };
+            let mut walked = HashTreeCounter::union(k, &parts);
+            let mut blocked = HashTreeCounter::union(k, &parts);
+            let mut sum = CountOutcome::default();
+            for i in 0..total {
+                let t = txn(i);
+                sum.absorb(walked.count_transaction(&t));
+                blocked.push(&t);
+                if i == mid % total || i + 1 == total {
+                    prop_assert_eq!(blocked.settle(), sum);
+                    prop_assert_eq!(blocked.counts(), walked.counts());
+                    sum = CountOutcome::default();
+                }
+            }
+            prop_assert_eq!(blocked.settle(), CountOutcome::default());
         }
 
         // HPGM probes a received batch, or a transaction's local subsets,

@@ -516,6 +516,16 @@ pub(crate) fn record_arena_obs(ctx: &NodeCtx, k: usize, counter: &HashTreeCounte
     obs.add("counter.arena.bytes", &labels, s.bytes);
 }
 
+/// Settles `counter` once its transactions are in: charges the counting
+/// work as CPU ticks and the hits as probes, and returns the work for
+/// the pass's probe series.
+pub(crate) fn settle_counter(ctx: &NodeCtx, counter: &mut HashTreeCounter) -> u64 {
+    let out = counter.settle();
+    ctx.add_cpu(out.work);
+    ctx.add_probes(out.hits);
+    out.work
+}
+
 /// Closes a pass on this node, the one way every miner family does: cuts
 /// the ledger delta since `since` into `info` (and moves `since` up to
 /// now), then records the pass's bookkeeping and delta as `pass.*`, so
@@ -649,11 +659,16 @@ pub(crate) fn node_pass_loop(
         {
             break;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "the check above breaks when there is no pass"
-        )]
-        let candidates = candidates_for_pass(k, passes.last().expect("nonempty"), tax);
+        // Keyed by the pass it generates for: the pass is announced only
+        // once it has candidates.
+        let candidates = {
+            let _candgen = ctx.obs().span(ctx.node_id() as u64, k as u64, "candgen");
+            #[expect(
+                clippy::expect_used,
+                reason = "the check above breaks when there is no pass"
+            )]
+            candidates_for_pass(k, passes.last().expect("nonempty"), tax)
+        };
         if candidates.is_empty() {
             break;
         }

@@ -25,7 +25,8 @@ use crate::checkpoint::Checkpoint;
 use crate::counter::HashTreeCounter;
 use crate::parallel::common::{
     assemble_report, candidates_bytes, gather_large, node_pass_loop, record_arena_obs,
-    scan_partition, tags, BatchedExchange, Pass1, PassPersistence, PassResult, POLL_EVERY_TXNS,
+    scan_partition, settle_counter, tags, BatchedExchange, Pass1, PassPersistence, PassResult,
+    POLL_EVERY_TXNS,
 };
 use crate::parallel::duplicate::{root_keys, select_duplicate_indices, DuplicateGrain};
 use crate::params::{Algorithm, MiningParams};
@@ -37,7 +38,6 @@ use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::hash::{fx_hash_u32s, place};
 use gar_types::{ItemId, Itemset, Result};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -350,15 +350,15 @@ fn build_pass_setup(
 
 /// Extends `items` (a local reduced transaction or a received
 /// sub-transaction) with its candidate-present ancestors and counts it
-/// with one joint walk of `counter` ("generate k-itemset from the
-/// received items and increment the sup_cou for the itemset and all its
-/// ancestor candidates"). The counter holds exactly the candidates its
-/// path admits, so the walk counts precisely what per-combination subset
+/// into `counter` ("generate k-itemset from the received items and
+/// increment the sup_cou for the itemset and all its ancestor
+/// candidates"). The counter holds exactly the candidates its path
+/// admits, so it counts precisely what per-combination subset
 /// enumeration would — while never expanding a subset that matches no
 /// candidate prefix.
 ///
-/// Returns the walk's work — already charged to the ledger — so the
-/// caller can aggregate it per pass for the observability counters.
+/// The extension is charged here; the counting work and hits reach the
+/// ledger when the pass settles its counters ([`settle_counter`]).
 fn count_extended(
     ctx: &NodeCtx,
     tax: &Taxonomy,
@@ -366,15 +366,13 @@ fn count_extended(
     counter: &mut HashTreeCounter,
     items: &[ItemId],
     ext: &mut Vec<ItemId>,
-) -> u64 {
+) {
     if items.is_empty() {
-        return 0;
+        return;
     }
     view.extend_transaction_into(tax, items, ext);
-    let out = counter.count_transaction(ext);
-    ctx.add_cpu(ext.len() as u64 + out.work);
-    ctx.add_probes(out.hits);
-    out.work
+    ctx.add_cpu(ext.len() as u64);
+    counter.push(ext);
 }
 
 /// Runs H-HPGM (grain `None`) or one of the duplication variants over
@@ -406,6 +404,7 @@ pub(crate) fn mine(
                 // Replica-identical pass setup: computed by the first node
                 // to reach pass k, shared by the rest (see [`PassSetup`]).
                 let setup = {
+                    let _setup = ctx.span("setup");
                     #[expect(
                         clippy::unwrap_used,
                         reason = "poisoned only by a peer's panic, which already fails the run"
@@ -450,7 +449,6 @@ pub(crate) fn mine(
                     record_arena_obs(ctx, k, remote);
                 }
 
-                let probes = Cell::new(0u64);
                 let mut router = Router::new(route);
                 let mut recv_scratch: Vec<ItemId> = Vec::new();
                 let mut reduced: Vec<ItemId> = Vec::new();
@@ -458,8 +456,7 @@ pub(crate) fn mine(
                 let mut receive =
                     |counter: &mut HashTreeCounter, ext: &mut Vec<ItemId>, payload: &[u8]| {
                         for_each_item_list(payload, &mut recv_scratch, |list| {
-                            let w = count_extended(ctx, tax, view, counter, list, ext);
-                            probes.set(probes.get() + w);
+                            count_extended(ctx, tax, view, counter, list, ext);
                             Ok(())
                         })
                     };
@@ -472,8 +469,7 @@ pub(crate) fn mine(
                     if reduced.is_empty() {
                         return Ok(());
                     }
-                    let w = count_extended(ctx, tax, view, &mut local, &reduced, &mut ext_scratch);
-                    probes.set(probes.get() + w);
+                    count_extended(ctx, tax, view, &mut local, &reduced, &mut ext_scratch);
 
                     // Ship sub-transactions to the other owners (this
                     // node's own combinations were counted above); the
@@ -489,6 +485,10 @@ pub(crate) fn mine(
                 ex.finish(|p| receive(counter, &mut ext_scratch, p))?;
 
                 let _count = ctx.span("count");
+                let mut probes = settle_counter(ctx, &mut local);
+                if let Some(remote) = &mut remote {
+                    probes += settle_counter(ctx, remote);
+                }
                 // Partitioned candidates: the union's second set plus what
                 // was received; local decision + coordinator merge.
                 let min = p1.min_support_count;
@@ -511,7 +511,7 @@ pub(crate) fn mine(
                     large,
                     num_duplicated: duplicated.len(),
                     num_fragments: 1,
-                    probes: probes.get(),
+                    probes,
                 })
             },
         )

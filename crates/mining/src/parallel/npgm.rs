@@ -14,7 +14,7 @@ use crate::checkpoint::Checkpoint;
 use crate::counter::HashTreeCounter;
 use crate::parallel::common::{
     assemble_report, candidates_bytes, node_pass_loop, record_arena_obs, scan_partition,
-    PassPersistence, PassResult,
+    settle_counter, PassPersistence, PassResult,
 };
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
@@ -59,15 +59,13 @@ pub(crate) fn mine(
                     scan_partition(ctx, part, |t| {
                         view.extend_transaction_into(tax, t, &mut extended);
                         ctx.add_cpu(extended.len() as u64);
-                        let out = counter.count_transaction(&extended);
-                        ctx.add_cpu(out.work);
-                        ctx.add_probes(out.hits);
-                        probes += out.work;
+                        counter.push(&extended);
                         Ok(())
                     })?;
                     // Paper: "Send the sup_cou of C_k^d to the coordinator
                     // node"; the coordinator decides L_k^d and broadcasts.
                     let _count = ctx.span("count");
+                    probes += settle_counter(ctx, &mut counter);
                     let global = ctx.all_reduce_u64(counter.counts())?;
                     large.extend(extract_large(fragment, &global, p1.min_support_count));
                 }

@@ -91,10 +91,11 @@ pub fn cumulate_metered(
         while let Some(t) = scan.next_slice()? {
             view.extend_transaction_into(tax, t, &mut extended);
             meters.cpu_ticks += extended.len() as u64;
-            let out = counter.count_transaction(&extended);
-            meters.cpu_ticks += out.work;
-            meters.hash_probes += out.hits;
+            counter.push(&extended);
         }
+        let out = counter.settle();
+        meters.cpu_ticks += out.work;
+        meters.hash_probes += out.hits;
         meters.io_bytes += part.bytes_read() - io_before;
         meters.scan_passes += 1;
 
