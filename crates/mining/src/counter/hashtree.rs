@@ -17,9 +17,7 @@
 //!   a child table in one shared arena. A visit with such a table and a
 //!   suffix shorter than the fan-out looks each suffix rank up in the
 //!   table; any other visit scans the node's edges and tests each against
-//!   a per-transaction position table indexed by rank. With a
-//!   near-complete `C_2` the depth-1 tables are the triangular pair array
-//!   of classic Apriori pass-2 counters, without being a special case.
+//!   a per-transaction position table indexed by rank.
 //! * **Level `k − 1` counts in place.** Edges and table entries of the
 //!   last level that has nodes hold the candidate index, so a hit is
 //!   `counts[idx] += 1` and candidates have no nodes of their own. An
@@ -37,16 +35,23 @@
 //! `weight × suffix`. Only a union with two or more non-empty sets stores
 //! weights; every other tree's weights are 1 and its arena is unchanged.
 //!
-//! `count_transaction` is the walk above, one transaction at a time. The
-//! miners count with `push` and `settle` instead, which sweep the same
-//! tree over blocks of transactions held as bitsets and return the same
-//! counts and meters (`vertical.rs`).
+//! `count_transaction` is the walk above, one transaction at a time, and
+//! `probe_many` the lookup of itemset after itemset. The miners count
+//! with `push` (transactions) or `push_itemsets` (HPGM's itemsets) and
+//! `settle` instead, which return the same counts and meters in one of
+//! three executions: from `k = 3` on, a sweep of the tree over blocks of
+//! transactions held as bitsets (`vertical.rs`); at `k = 2`, when the
+//! ranks are few enough, the triangular pair array of classic Apriori
+//! pass-2 counters, one `u32` cell per pair of ranks (`pairs.rs`);
+//! otherwise the walk or the lookups, at once.
 
+mod pairs;
 mod vertical;
 
 use super::{ArenaStats, CountOutcome};
 use gar_types::{ItemId, Itemset};
-use vertical::Block;
+use pairs::Pairs;
+use vertical::{Block, BLOCK, MIN_K};
 
 /// Sentinel for "no rank" / "no child" / "not in this transaction".
 const NONE: u32 = u32::MAX;
@@ -98,8 +103,13 @@ pub struct HashTreeCounter {
     /// (`NONE` outside a call).
     mapped: Vec<(u32, u32)>,
     pos: Vec<u32>,
-    /// The open block of `push` (`vertical.rs`).
+    /// Meters of the pushes since the last settle.
+    settled: CountOutcome,
+    /// The open block of `push` from `k = 3` on (`vertical.rs`).
     block: Block,
+    /// The pair cells of `push` and `push_itemsets` at `k = 2`
+    /// (`pairs.rs`).
+    pairs: Pairs,
 }
 
 impl Tree {
@@ -196,6 +206,12 @@ impl Tree {
             tree.edges.extend_from_slice(list);
         }
         (tree, num_ranks as usize)
+    }
+
+    /// How many candidate sets hold `node`: 1 outside a union.
+    #[inline]
+    fn weight(&self, node: u32) -> u64 {
+        self.weights.get(node as usize).map_or(1, |&w| u64::from(w))
     }
 
     /// Rank of `it`, or `NONE` when no candidate holds it.
@@ -338,13 +354,16 @@ impl HashTreeCounter {
     /// every set. `probe` and `probe_many` meter the union as one set.
     pub fn union(k: usize, sets: &[&[Itemset]]) -> HashTreeCounter {
         let (tree, num_ranks) = Tree::build(k, sets);
+        let candidates = sets.iter().map(|s| s.len()).sum();
         HashTreeCounter {
             k,
             block: Block::new(&tree, k, num_ranks),
+            pairs: Pairs::new(&tree, k, num_ranks, candidates),
             tree,
-            counts: vec![0; sets.iter().map(|s| s.len()).sum()],
+            counts: vec![0; candidates],
             mapped: Vec::new(),
             pos: vec![NONE; num_ranks],
+            settled: CountOutcome::default(),
         }
     }
 
@@ -454,10 +473,69 @@ impl HashTreeCounter {
         out
     }
 
+    /// Counts the sorted, de-duplicated transaction `t` later, in one of
+    /// the executions of the module doc: filed into the open block, which
+    /// is swept when full or at [`settle`](Self::settle), from `k = 3`
+    /// on; into the pair cells at `k = 2` where the counter keeps them;
+    /// otherwise walked at once. Either way its meters reach the caller
+    /// through `settle`.
+    pub fn push(&mut self, t: &[ItemId]) {
+        debug_assert!(t.windows(2).all(|w| w[0] < w[1]), "unsorted txn");
+        if t.len() < self.k || self.counts.is_empty() {
+            return;
+        }
+        if self.pairs.is_on() {
+            self.pairs
+                .file(&self.tree, t, &mut self.counts, &mut self.settled);
+        } else if self.k < MIN_K {
+            let out = self.count_transaction(t);
+            self.settled.absorb(out);
+        } else {
+            self.block.file(&self.tree, t);
+            if self.block.len() == BLOCK {
+                self.block
+                    .sweep(&self.tree, self.k, &mut self.counts, &mut self.settled);
+            }
+        }
+    }
+
+    /// Counts the k-itemsets of `flat` (back to back, a trailing partial
+    /// one ignored) like [`probe_many`](Self::probe_many), with the meters
+    /// deferred to [`settle`](Self::settle): into the pair cells at
+    /// `k = 2` where the counter keeps them, otherwise by `probe_many` at
+    /// once.
+    pub fn push_itemsets(&mut self, flat: &[ItemId]) {
+        if self.pairs.is_on() {
+            self.pairs
+                .file_itemsets(&self.tree, flat, &mut self.counts, &mut self.settled);
+        } else {
+            let out = self.probe_many(flat);
+            self.settled.absorb(out);
+        }
+    }
+
+    /// Counts whatever is still open — sweeps the open block, folds the
+    /// pair cells — and returns the meters of every [`push`](Self::push)
+    /// and [`push_itemsets`](Self::push_itemsets) since the last settle:
+    /// what `count_transaction` on each transaction and `probe_many` on
+    /// each run of itemsets would sum to. Charge them, then read
+    /// [`counts`](Self::counts).
+    pub fn settle(&mut self) -> CountOutcome {
+        if self.block.len() > 0 {
+            self.block
+                .sweep(&self.tree, self.k, &mut self.counts, &mut self.settled);
+        }
+        self.pairs
+            .fold(&self.tree, &mut self.counts, &mut self.settled);
+        std::mem::take(&mut self.settled)
+    }
+
     /// The counts, in candidate insertion order — after
-    /// [`settle`](Self::settle) for transactions given to `push`.
+    /// [`settle`](Self::settle) for what was given to `push` or
+    /// `push_itemsets`.
     pub fn counts(&self) -> &[u64] {
         debug_assert_eq!(self.block.len(), 0, "counts read before settle");
+        debug_assert_eq!(self.pairs.filed(), 0, "counts read before settle");
         &self.counts
     }
 }

@@ -1,10 +1,11 @@
-//! The blocked vertical execution of [`HashTreeCounter`], for `k ≥ 3`.
+//! The blocked vertical execution of
+//! [`HashTreeCounter`](super::HashTreeCounter), for `k ≥ 3`.
 //!
-//! [`push`](HashTreeCounter::push) files a transaction into the open
-//! *block* of up to [`BLOCK`] transactions instead of walking it; a full
-//! block, or [`settle`](HashTreeCounter::settle), sweeps the tree once
-//! for the whole block with bitset ANDs and `count_ones`. The counts,
-//! `work` and `hits` are exactly what `count_transaction` on each
+//! [`push`](super::HashTreeCounter::push) files a transaction into the
+//! open *block* of up to [`BLOCK`] transactions instead of walking it; a
+//! full block, or [`settle`](super::HashTreeCounter::settle), sweeps the
+//! tree once for the whole block with bitset ANDs and `count_ones`. The
+//! counts, `work` and `hits` are exactly what `count_transaction` on each
 //! transaction would sum to.
 //!
 //! **The identity.** Inside a block, number the transactions `0..n` and
@@ -40,29 +41,27 @@
 //! zero is skipped with its subtree: nothing below it adds `work` or
 //! counts. Weights are the tree's own (1 outside a union).
 
-use super::{HashTreeCounter, Tree, NONE};
+use super::{Tree, NONE};
 use crate::counter::CountOutcome;
 use gar_types::ItemId;
 
 /// Transactions per block. A tid row is [`WORDS`] words, so a counter's
 /// rows and planes stay at a few hundred KB for a few hundred ranks.
-const BLOCK: usize = 1024;
+pub(super) const BLOCK: usize = 1024;
 const WORDS: usize = BLOCK / 64;
 
-/// The smallest `k` that [`HashTreeCounter::push`] files into blocks;
-/// below it, `push` walks the tree at once. A sweep costs about
-/// (candidates × live words) per block whatever the data, a walk what
-/// the transactions match: pass 2's `C_2` is large and its pairs sparse,
-/// and on R30F5 at 1 % (390,808 pairs) blocks counted NPGM's pass 2 in
-/// 2.3× the walk's CPU, against 0.5× at pass 3.
-const MIN_K: usize = 3;
+/// The smallest `k` that [`push`](super::HashTreeCounter::push) files
+/// into blocks; below it, `push` counts pairs in cells (`pairs.rs`) or
+/// walks the tree at once. A sweep costs about (candidates × live words)
+/// per block whatever the data, a walk what the transactions match: pass
+/// 2's `C_2` is large and its pairs sparse, and on R30F5 at 1 % (390,808
+/// pairs) blocks counted NPGM's pass 2 in 2.3× the walk's CPU, against
+/// 0.5× at pass 3.
+pub(super) const MIN_K: usize = 3;
 
-/// A counter's open block, the meters of the blocks swept since the last
-/// settle, and the scratch of a sweep.
+/// A counter's open block and the scratch of a sweep.
 #[derive(Default)]
 pub(super) struct Block {
-    /// Meters of the pushes since the last settle.
-    settled: CountOutcome,
     /// Transactions filed since the block was last swept.
     len: usize,
     /// Their summed lengths, `Σ|T|`.
@@ -107,7 +106,6 @@ impl Block {
             }
         }
         Block {
-            settled: CountOutcome::default(),
             len: 0,
             items: 0,
             rows: vec![0; num_ranks * WORDS],
@@ -155,18 +153,25 @@ impl Block {
         self.len += 1;
     }
 
-    /// Sweeps the tree over the open block into `counts` and its meters,
-    /// and empties the block.
-    fn sweep(&mut self, tree: &Tree, k: usize, counts: &mut [u64]) {
+    /// Sweeps the tree over the open block into `counts` and its meters
+    /// into `out`, and empties the block.
+    pub(super) fn sweep(
+        &mut self,
+        tree: &Tree,
+        k: usize,
+        counts: &mut [u64],
+        out: &mut CountOutcome,
+    ) {
         let words = self.len.div_ceil(64);
         // Depth 0's AND is every transaction of the block; rows hold no
         // bit past `len`, so whole words of ones do.
         self.stack[..words].fill(u64::MAX);
-        self.settled.work += weight(tree, 0) * self.items;
+        out.work += tree.weight(0) * self.items;
         Sweep {
             tree,
             block: self,
             counts,
+            out,
         }
         .visit(0, 0, k, 0..words);
         self.rows.fill(0);
@@ -176,17 +181,12 @@ impl Block {
     }
 }
 
-/// How many candidate sets hold `node`: 1 outside a union.
-#[inline]
-fn weight(tree: &Tree, node: u32) -> u64 {
-    tree.weights.get(node as usize).map_or(1, |&w| u64::from(w))
-}
-
 /// One sweep of a block in flight.
 struct Sweep<'a> {
     tree: &'a Tree,
     block: &'a mut Block,
     counts: &'a mut [u64],
+    out: &'a mut CountOutcome,
 }
 
 impl Sweep<'_> {
@@ -206,7 +206,7 @@ impl Sweep<'_> {
                     .map(|w| u64::from((and[w] & row[w]).count_ones()))
                     .sum();
                 self.counts[target as usize] += hits;
-                b.settled.hits += hits;
+                self.out.hits += hits;
                 continue;
             }
             let child = &mut below[..WORDS];
@@ -230,41 +230,8 @@ impl Sweep<'_> {
                     .sum();
                 after += ones << p;
             }
-            b.settled.work += weight(tree, target) * after;
+            self.out.work += tree.weight(target) * after;
             self.visit(target, depth + 1, levels - 1, lo..hi);
         }
-    }
-}
-
-impl HashTreeCounter {
-    /// Counts the sorted, de-duplicated transaction `t`: from
-    /// [`MIN_K`] on, later — it is filed into the open block, which is
-    /// swept when full or at [`settle`](Self::settle) — and below it at
-    /// once. Either way its meters reach the caller through `settle`.
-    pub fn push(&mut self, t: &[ItemId]) {
-        debug_assert!(t.windows(2).all(|w| w[0] < w[1]), "unsorted txn");
-        if self.k < MIN_K {
-            let out = self.count_transaction(t);
-            self.block.settled.absorb(out);
-            return;
-        }
-        if t.len() < self.k || self.counts.is_empty() {
-            return;
-        }
-        self.block.file(&self.tree, t);
-        if self.block.len == BLOCK {
-            self.block.sweep(&self.tree, self.k, &mut self.counts);
-        }
-    }
-
-    /// Counts whatever is still open and returns the meters of every
-    /// [`push`](Self::push) since the last settle — what
-    /// `count_transaction` on each of those transactions would sum to.
-    /// Charge them, then read [`counts`](Self::counts).
-    pub fn settle(&mut self) -> CountOutcome {
-        if self.block.len > 0 {
-            self.block.sweep(&self.tree, self.k, &mut self.counts);
-        }
-        std::mem::take(&mut self.block.settled)
     }
 }

@@ -20,24 +20,34 @@
 //! sup_cou value"), which both structures agree on, and `work` (abstract
 //! CPU steps: visited tree nodes) for the cost model.
 //!
-//! **One meter, two executions.** The meter is the walk's: a transaction
-//! `T` with `|T| ≥ k` visits a tree node iff the node's prefix
-//! `x_1 < … < x_d` is contained in `T`, and the visit charges
+//! **One meter, three executions.** The meter is the walk's: a
+//! transaction `T` with `|T| ≥ k` visits a tree node iff the node's
+//! prefix `x_1 < … < x_d` is contained in `T`, and the visit charges
 //! `weight × |T|` at the root and `weight × s_T(x_d)` below it, `s_T(x)`
-//! being the number of items of `T` after `x`. `count_transaction`
-//! executes it one transaction at a time. The miners call `push` per
-//! transaction and `settle` per pass instead. From `k = 3` on,
-//! transactions are filed in blocks of 1,024, each rank gets a tid bitset
-//! per block, and each rank that ends an internal prefix gets bit planes
-//! of `s_T`; below that, `push` walks at once. A block adds, exactly,
+//! being the number of items of `T` after `x`; a probed itemset charges
+//! one unit. `count_transaction` and `probe_many` execute it one
+//! transaction or itemset at a time. The miners call `push` per
+//! transaction (HPGM `push_itemsets` per run of itemsets) and `settle`
+//! per pass instead:
 //!
-//! * `counts[c] += popcount(AND_i tid(c_i))`, and as many `hits`;
-//! * `work += w_root · Σ|T| + Σ_v weight(v) · Σ_p 2^p · popcount(AND_i tid(x_i) ∧ plane_p(x_d))`
-//!   over the internal nodes `v` below the root.
+//! * From `k = 3` on, transactions are filed in blocks of 1,024, each
+//!   rank gets a tid bitset per block, and each rank that ends an
+//!   internal prefix gets bit planes of `s_T`. A block adds, exactly,
+//!   `counts[c] += popcount(AND_i tid(c_i))`, as many `hits`, and
+//!   `work += w_root · Σ|T| + Σ_v weight(v) · Σ_p 2^p · popcount(AND_i tid(x_i) ∧ plane_p(x_d))`
+//!   over the internal nodes `v` below the root (`hashtree/vertical.rs`).
+//! * At `k = 2`, when the triangle of rank pairs holds at most four
+//!   cells per candidate, every pair of ranks of `T` (or every ascending
+//!   pushed pair) adds 1 to a `u32` cell, `settle` folds the candidates'
+//!   cells into `counts` and `hits`, and `work` is the closed form
+//!   `w_root · |T| + Σ_x weight(child_x) · (|T| − pos_x − 1)` over the
+//!   items `x` of `T` on a root edge (`hashtree/pairs.rs`).
+//! * Otherwise `push` walks and `push_itemsets` probes at once.
 //!
-//! The proof is in `hashtree/vertical.rs`; a proptest holds `settle` to
-//! the summed `count_transaction` outcomes. So the ledger cannot tell the
-//! executions apart, and `count_transaction` stays as the oracle.
+//! The proofs are in those files; proptests hold `settle` to the summed
+//! `count_transaction` and `probe` outcomes. So the ledger cannot tell
+//! the executions apart, and `count_transaction`, `probe` and
+//! `probe_many` stay as the oracles.
 //!
 //! Counts live in one dense `Vec<u64>` in **candidate insertion order**,
 //! which is identical on every node (candidate generation is
@@ -278,6 +288,37 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_sparse_pair_set_walks_and_agrees_with_the_walk() {
+        // Cells take at most four per candidate: two disjoint pairs (four
+        // ranks, six cells) get them, three (six ranks, fifteen cells)
+        // spread over an item range of 1,000 walk.
+        let dense = HashTreeCounter::new(2, &[iset![1, 2], iset![3, 999]]);
+        assert!(dense.counts_pairs_in_cells());
+        let cands = vec![iset![0, 999], iset![1, 500], iset![2, 3]];
+        let mut pushed = HashTreeCounter::new(2, &cands);
+        assert!(!pushed.counts_pairs_in_cells());
+        let mut walked = HashTreeCounter::new(2, &cands);
+        let mut sum = CountOutcome::default();
+        let txns = [
+            ids(&[0, 1, 2, 3, 500, 999]),
+            ids(&[0, 999]),
+            ids(&[2, 3, 4, 1000]),
+            ids(&[500]),
+            ids(&[]),
+        ];
+        for t in &txns {
+            sum.absorb(walked.count_transaction(t));
+            pushed.push(t);
+        }
+        let flat = ids(&[0, 999, 999, 0, 2, 3, 3, 3]);
+        sum.absorb(walked.probe_many(&flat));
+        pushed.push_itemsets(&flat);
+        assert_eq!(pushed.settle(), sum);
+        assert_eq!(pushed.counts(), walked.counts());
+        assert_eq!(pushed.counts(), &[3, 1, 3]);
+    }
+
     // `benchmark/` times its pass-2 counter through `build_counter`, so
     // what it builds must be the tree the miners build: same counts, same
     // meters, same arena.
@@ -451,6 +492,153 @@ mod proptests {
                 }
             }
             prop_assert_eq!(blocked.settle(), CountOutcome::default());
+        }
+
+        // At k = 2 a near-complete `C_2` — every pair of `items`, less the
+        // ones whose roll is under 5 — is counted in pair cells, and `push`
+        // and `settle` must count and meter what `count_transaction` on
+        // each transaction sums to. Pairs fall into up to three sets; the
+        // set `forced` hands its pairs to the next, so unions with an
+        // empty set and with weights arise. The stream cycles an empty
+        // transaction, a one-item one and a pool over 0..250 (items below,
+        // between and above the candidates', some ending in `u32::MAX`),
+        // with one transaction of 250–300 items at `at`, and settles once
+        // at `mid` as well as at the end.
+        #[test]
+        fn pair_cells_meter_like_summed_walks(
+            items in proptest::collection::btree_set(1u32..200, 2..=24),
+            rolls in proptest::collection::vec(0u32..100, 276..=276),
+            sets in 1u32..4,
+            forced in 0u32..4,
+            pool in proptest::collection::vec(
+                (proptest::collection::btree_set(0u32..250, 0..30), 0u32..3), 1..12),
+            long in proptest::collection::btree_set(0u32..400, 250..=300),
+            len in 1usize..60,
+            at in 0usize..60,
+            mid in 0usize..60
+        ) {
+            let items: Vec<ItemId> = items.into_iter().map(ItemId).collect();
+            let mut parts: Vec<Vec<Itemset>> = vec![Vec::new(); sets as usize];
+            let mut rolls = rolls.iter();
+            for (i, &a) in items.iter().enumerate() {
+                for &b in &items[i + 1..] {
+                    let roll = *rolls.next().expect("a roll per pair");
+                    let mut to = roll % sets;
+                    if to == forced {
+                        to = (to + 1) % sets;
+                    }
+                    if roll >= 5 {
+                        parts[to as usize].push(Itemset::from_sorted(vec![a, b]));
+                    }
+                }
+            }
+            let candidates: usize = parts.iter().map(Vec::len).sum();
+            let parts: Vec<&[Itemset]> = parts.iter().map(Vec::as_slice).collect();
+            let txn = |i: usize| -> Vec<ItemId> {
+                if i == at % len {
+                    return long.iter().copied().map(ItemId).collect();
+                }
+                match i % (pool.len() + 2) {
+                    0 => Vec::new(),
+                    1 => vec![items[i % items.len()]],
+                    j => {
+                        let (t, stray) = &pool[j - 2];
+                        let mut t: Vec<ItemId> = t.iter().copied().map(ItemId).collect();
+                        if *stray == 0 {
+                            t.push(ItemId(u32::MAX));
+                        }
+                        t
+                    }
+                }
+            };
+            let mut walked = HashTreeCounter::union(2, &parts);
+            let mut cells = HashTreeCounter::union(2, &parts);
+            prop_assert_eq!(cells.counts_pairs_in_cells(), candidates > 0);
+            let mut sum = CountOutcome::default();
+            for i in 0..len {
+                let t = txn(i);
+                sum.absorb(walked.count_transaction(&t));
+                cells.push(&t);
+                if i == mid % len || i + 1 == len {
+                    prop_assert_eq!(cells.settle(), sum);
+                    prop_assert_eq!(cells.counts(), walked.counts());
+                    sum = CountOutcome::default();
+                }
+            }
+            prop_assert_eq!(cells.settle(), CountOutcome::default());
+        }
+
+        // HPGM counts a received batch, or a transaction's local subsets,
+        // with `push_itemsets` and one `settle` per pass: it must count and
+        // meter what probing each itemset did, over sparse candidate sets
+        // (`dense` 0) and all k-subsets of `items` less a few (1), which at
+        // k = 2 are counted in pair cells. The itemsets are those of
+        // `probe_many_is_the_fold_of_probe`, plus one whose last item is
+        // its first (6) — at k = 2 a pair of equal items — and go in as two
+        // runs, split at `cut`.
+        #[test]
+        fn push_itemsets_is_the_fold_of_probe(
+            k in 1usize..5,
+            dense in 0u32..2,
+            seed_cands in arb_itemsets(4),
+            items in proptest::collection::btree_set(0u32..48, 4..=9),
+            rolls in proptest::collection::vec(0u32..100, 126..=126),
+            ops in proptest::collection::vec((0u32..7, 0u32..1000, 0u32..48), 0..60),
+            cut in 0usize..60
+        ) {
+            let cands: Vec<Itemset> = if dense == 1 {
+                let items: Vec<ItemId> = items.into_iter().map(ItemId).collect();
+                let mut all = Vec::new();
+                let mut rolls = rolls.iter();
+                gar_types::hash::SubsetWalk::default()
+                    .walk(&items, k, |s, _| {
+                        if all.is_empty() || *rolls.next().expect("a roll per subset") >= 5 {
+                            all.push(Itemset::from_sorted(s.to_vec()));
+                        }
+                        Ok::<(), ()>(())
+                    })
+                    .expect("the callback never fails");
+                all
+            } else {
+                let mut seen = std::collections::BTreeSet::new();
+                seed_cands
+                    .iter()
+                    .map(|c| Itemset::from_sorted(c.items()[..k].to_vec()))
+                    .filter(|c| seen.insert(c.clone()))
+                    .collect()
+            };
+            let mut flat: Vec<ItemId> = Vec::new();
+            let mut at = 0;
+            for (op, pick, item) in ops {
+                at = (if op == 0 { pick as usize } else { at + 1 }) % cands.len();
+                let mut set = cands[at].items().to_vec();
+                match op {
+                    2 if !flat.is_empty() => {
+                        set = flat[flat.len() - k..].to_vec();
+                        set[k - 1] = ItemId(item);
+                    }
+                    3 => set[pick as usize % k] = ItemId(1000 + item),
+                    4 => set[pick as usize % k] = ItemId(u32::MAX),
+                    5 => set.reverse(),
+                    6 => set[k - 1] = set[0],
+                    _ => {}
+                }
+                flat.extend(set);
+            }
+            let mut pushed = HashTreeCounter::new(k, &cands);
+            if k == 2 && dense == 1 {
+                prop_assert!(pushed.counts_pairs_in_cells());
+            }
+            let mut probed = HashTreeCounter::new(k, &cands);
+            let mut folded = CountOutcome::default();
+            for itemset in flat.chunks_exact(k) {
+                folded.absorb(probed.probe(itemset));
+            }
+            let (first, second) = flat.split_at(cut % (flat.len() / k + 1) * k);
+            pushed.push_itemsets(first);
+            pushed.push_itemsets(second);
+            prop_assert_eq!(pushed.settle(), folded);
+            prop_assert_eq!(pushed.counts(), probed.counts());
         }
 
         // HPGM probes a received batch, or a transaction's local subsets,

@@ -11,10 +11,10 @@
 
 use crate::candidate::items_in_candidates;
 use crate::checkpoint::Checkpoint;
-use crate::counter::{CountOutcome, HashTreeCounter};
+use crate::counter::HashTreeCounter;
 use crate::parallel::common::{
-    assemble_report, gather_large, node_pass_loop, record_arena_obs, scan_partition, tags,
-    BatchedExchange, PassPersistence, PassResult, POLL_EVERY_TXNS,
+    assemble_report, gather_large, node_pass_loop, record_arena_obs, scan_partition,
+    settle_counter, tags, BatchedExchange, PassPersistence, PassResult, POLL_EVERY_TXNS,
 };
 use crate::params::{Algorithm, MiningParams};
 use crate::report::ParallelReport;
@@ -25,7 +25,6 @@ use gar_storage::FlatPartition;
 use gar_taxonomy::{PrunedView, Taxonomy};
 use gar_types::hash::{fx_hash_u32s, place, SubsetWalk};
 use gar_types::{Itemset, Result};
-use std::cell::Cell;
 
 /// Runs HPGM over the per-node sources (`sources[n]` is node `n`'s
 /// partition — possibly a recovery composite).
@@ -62,18 +61,11 @@ pub(crate) fn mine(
 
                 // A k-itemset landing on its owner, generated here or
                 // received, is one probe of this node's partition and one
-                // tick. The ledger is charged once per transaction and once
-                // per payload, never per itemset (DESIGN.md §15).
-                let probes = Cell::new(0u64);
-                let charge = |out: CountOutcome, ticks: u64| {
-                    ctx.add_cpu(ticks + out.work);
-                    ctx.add_probes(out.hits);
-                    probes.set(probes.get() + out.work);
-                };
+                // tick, charged when the pass settles the counter.
                 let mut received = Vec::new();
                 let mut receive = |counter: &mut HashTreeCounter, payload: &[u8]| {
                     decode_itemsets(payload, k, &mut received)?;
-                    charge(counter.probe_many(&received), 0);
+                    counter.push_itemsets(&received);
                     Ok(())
                 };
 
@@ -97,21 +89,23 @@ pub(crate) fn mine(
                             ex.push(owner, |batch| batch.push(subset))
                         }
                     })?;
-                    // The extension, one tick per shipped subset, one probe
-                    // per local one.
-                    charge(counter.probe_many(&local), extended.len() as u64 + shipped);
+                    // The extension and one tick per shipped subset, charged
+                    // once per transaction (DESIGN.md §15).
+                    counter.push_itemsets(&local);
+                    ctx.add_cpu(extended.len() as u64 + shipped);
                     ex.unit_done(|payload| receive(&mut counter, payload))
                 })?;
                 ex.finish(|payload| receive(&mut counter, payload))?;
 
                 // Each node decides its own candidates, the coordinator merges.
                 let _count = ctx.span("count");
+                let probes = settle_counter(ctx, &mut counter);
                 let local_large = extract_large(&mine, counter.counts(), p1.min_support_count);
                 Ok(PassResult {
                     large: gather_large(ctx, k, local_large)?,
                     num_duplicated: 0,
                     num_fragments: 1,
-                    probes: probes.get(),
+                    probes,
                 })
             },
         )
